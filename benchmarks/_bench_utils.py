@@ -23,7 +23,10 @@ FAST_MODE = os.environ.get("REPRO_BENCH_FAST", "").strip().lower() in ("1", "tru
 #: model in a few minutes of CPU time; the paper-scale configuration is
 #: ``DiffPatternConfig.paper()`` and is documented in EXPERIMENTS.md.
 if FAST_MODE:
-    TRAIN_ITERATIONS = 30
+    # 150 like the ``smoke`` scenario: at 30 (or 100) iterations the
+    # DiffPattern-S row loses every sample to the pre-filter and its
+    # legalization gates measure nothing.
+    TRAIN_ITERATIONS = 150
     TRAIN_PATTERNS = 48
     DIFFUSION_STEPS = 8
     NUM_GENERATED = 8

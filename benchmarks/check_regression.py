@@ -11,8 +11,16 @@ Baseline format — one entry per benchmark, one spec per gated metric::
         "real_legality":  {"baseline": 1.0, "min": 1.0},
         "real_patterns":  {"baseline": 48,  "exact": true},
         "legalize_topologies_per_second": {"baseline": 140.0, "min_ratio": 0.25}
+      },
+      "training": {
+        "iterations_per_second":   {"baseline": 56.5, "min_ratio": 0.4},
+        "backward_nodes_per_step": {"baseline": 192,  "max": 250},
+        "loss_decreased":          {"baseline": true, "exact": true}
       }
     }
+
+``training`` is written by ``benchmarks/bench_training.py``, which times
+``DiscreteDiffusion.fit`` — the set-up every generation run waits on.
 
 Spec keys (any combination; every present bound must hold):
 

@@ -37,6 +37,7 @@ caches its engine per dataset/knob combination).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -273,7 +274,7 @@ class LegalizationEngine:
         )
 
         start_total = time.perf_counter()
-        if self.workers == 1 or len(batch) <= 1:
+        if self._in_process() or len(batch) <= 1:
             # One legaliser per call, like the parallel path ships the
             # reference library per call: reassigning engine attributes
             # between calls affects serial and parallel runs identically.
@@ -309,7 +310,7 @@ class LegalizationEngine:
         rules/references/options are pinned for the lifetime of the pool —
         reassign them only outside the context.
         """
-        if self.workers == 1 or self._pool is not None:
+        if self._in_process() or self._pool is not None:
             yield self
             return
         self._pool = ProcessPoolExecutor(
@@ -344,6 +345,11 @@ class LegalizationEngine:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
+    def _in_process(self) -> bool:
+        """Serial in-process runs: ``workers=1``, or a daemonic process (a
+        supervised serve worker), which may not start a pool."""
+        return self.workers == 1 or multiprocessing.current_process().daemon
+
     def _resolve_chunk_size(self, num_topologies: int, chunk_size: "int | None") -> int:
         chunk = chunk_size if chunk_size is not None else self.chunk_size
         if chunk is None:

@@ -1,8 +1,15 @@
 """Differentiable functional operators built on :class:`repro.nn.Tensor`.
 
 Contains the operations the U-Net backbone and the baseline generators need:
-2-D convolution (im2col), nearest-neighbour upsampling, average pooling,
-normalisation, stable softmax / log-softmax, categorical losses and dropout.
+2-D convolution, nearest-neighbour upsampling, average pooling, normalisation,
+stable softmax / log-softmax, SiLU, categorical losses and dropout.
+
+Every layer-level operator (``conv2d``, ``linear``, ``group_norm``,
+``softmax``, ``log_softmax``, ``silu``) records ONE tape node.  Its forward
+is the gradient-free array kernel further down (``conv2d_array``,
+``linear_array``, ...), the same kernel ``UNet.infer`` runs, so a taped
+forward equals inference bit for bit; its backward is an explicit
+vector-Jacobian product over values cached by that forward.
 """
 
 from __future__ import annotations
@@ -11,73 +18,7 @@ import functools
 
 import numpy as np
 
-from .tensor import Tensor, _DTYPE, is_grad_enabled
-
-
-def _pad2d(x: np.ndarray, pad: int) -> np.ndarray:
-    """Zero-pad the two trailing spatial axes of ``(N, C, H, W)``.
-
-    Equivalent to ``np.pad`` with constant zeros but substantially cheaper on
-    the small feature maps this library works with.
-    """
-    if pad == 0:
-        return x
-    n, c, h, w = x.shape
-    out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    out[:, :, pad : pad + h, pad : pad + w] = x
-    return out
-
-
-# ---------------------------------------------------------------------- #
-# im2col helpers (shared by conv2d forward and backward)
-# ---------------------------------------------------------------------- #
-def _im2col(
-    x: np.ndarray, kh: int, kw: int, stride: int, pad: int
-) -> tuple[np.ndarray, int, int]:
-    """Rearrange image patches into columns.
-
-    Returns ``(cols, out_h, out_w)`` where ``cols`` has shape
-    ``(N, C*kh*kw, out_h*out_w)``.
-    """
-    n, c, h, w = x.shape
-    x = _pad2d(x, pad)
-    hp, wp = x.shape[2], x.shape[3]
-    out_h = (hp - kh) // stride + 1
-    out_w = (wp - kw) // stride + 1
-    s0, s1, s2, s3 = x.strides
-    view = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, kh, kw, out_h, out_w),
-        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
-        writeable=False,
-    )
-    cols = np.ascontiguousarray(view).reshape(n, c * kh * kw, out_h * out_w)
-    return cols, out_h, out_w
-
-
-def _col2im(
-    cols: np.ndarray,
-    x_shape: tuple[int, int, int, int],
-    kh: int,
-    kw: int,
-    stride: int,
-    pad: int,
-) -> np.ndarray:
-    """Inverse of :func:`_im2col` (scatter-add of overlapping patches)."""
-    n, c, h, w = x_shape
-    hp, wp = h + 2 * pad, w + 2 * pad
-    out_h = (hp - kh) // stride + 1
-    out_w = (wp - kw) // stride + 1
-    cols = cols.reshape(n, c, kh, kw, out_h, out_w)
-    x_padded = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            x_padded[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += cols[
-                :, :, i, j
-            ]
-    if pad:
-        return x_padded[:, :, pad : pad + h, pad : pad + w]
-    return x_padded
+from .tensor import Tensor, _DTYPE
 
 
 def conv2d(
@@ -92,67 +33,65 @@ def conv2d(
     ``weight`` has shape ``(out_channels, in_channels, kh, kw)`` and ``bias``
     shape ``(out_channels,)``.
     """
-    n, c, h, w = x.shape
-    oc, ic, kh, kw = weight.shape
-    if ic != c:
-        raise ValueError(f"weight expects {ic} input channels, got {c}")
-    cols, out_h, out_w = _im2col(x.data, kh, kw, stride, padding)
-    w_mat = weight.data.reshape(oc, -1)
-    out = np.einsum("ok,nkl->nol", w_mat, cols, optimize=True)
-    if bias is not None:
-        out = out + bias.data.reshape(1, oc, 1)
-    out = out.reshape(n, oc, out_h, out_w)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
+    out, cols = _conv2d_forward(
+        x.data, weight.data, None if bias is None else bias.data, stride, padding
+    )
+    n, oc = out.shape[:2]
 
     def backward_fn(grad: np.ndarray) -> None:
-        grad_mat = grad.reshape(n, oc, out_h * out_w)
+        grad_mat = grad.reshape(n, oc, -1)
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad_mat.sum(axis=(0, 2)))
         if weight.requires_grad:
-            grad_w = np.einsum("nol,nkl->ok", grad_mat, cols, optimize=True)
+            # dW = sum_n dY_n @ cols_n^T over the cached tap columns.
+            grad_w = np.matmul(grad_mat, cols.transpose(0, 2, 1)).sum(axis=0)
             weight._accumulate(grad_w.reshape(weight.shape))
         if x.requires_grad:
-            grad_cols = np.einsum("ok,nol->nkl", w_mat, grad_mat, optimize=True)
-            grad_x = _col2im(grad_cols, (n, c, h, w), kh, kw, stride, padding)
-            x._accumulate(grad_x)
+            grad_cols = np.matmul(weight.data.reshape(oc, -1).T, grad_mat)
+            x._accumulate(_scatter_columns(grad_cols, x.shape, weight.shape, stride, padding))
 
-    requires = is_grad_enabled() and any(p.requires_grad for p in parents)
-    return Tensor(
-        out,
-        requires_grad=requires,
-        _parents=parents if requires else (),
-        _backward_fn=backward_fn if requires else None,
-    )
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return x._make(out, parents, backward_fn)
 
 
 def linear(x: Tensor, weight: Tensor, bias: "Tensor | None" = None) -> Tensor:
     """Affine map ``x @ weight.T + bias`` for ``(..., in_features)`` input."""
-    out = x @ weight.transpose()
-    if bias is not None:
-        out = out + bias
-    return out
+    out = linear_array(x.data, weight.data, None if bias is None else bias.data)
+
+    def backward_fn(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(grad @ weight.data)
+        rows = grad.reshape(-1, grad.shape[-1])
+        if weight.requires_grad:
+            weight._accumulate(rows.T @ x.data.reshape(-1, x.shape[-1]))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(rows.sum(axis=0))
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return x._make(out, parents, backward_fn)
+
+
+def silu(x: Tensor) -> Tensor:
+    """``x * sigmoid(x)``, the activation used by DDPM U-Nets."""
+    out = silu_array(x.data)
+
+    def backward_fn(grad: np.ndarray) -> None:
+        sig = 1.0 / (1.0 + np.exp(-x.data))
+        # d/dx x*sig(x) = sig + x*sig*(1 - sig) = sig + out*(1 - sig)
+        x._accumulate(grad * (sig + out * (1.0 - sig)))
+
+    return x._make(out, (x,), backward_fn)
 
 
 def upsample_nearest(x: Tensor, scale: int = 2) -> Tensor:
     """Nearest-neighbour upsampling of ``(N, C, H, W)`` by integer ``scale``."""
-    if scale < 1:
-        raise ValueError("scale must be >= 1")
-    out_data = np.repeat(np.repeat(x.data, scale, axis=2), scale, axis=3)
 
     def backward_fn(grad: np.ndarray) -> None:
         n, c, h_out, w_out = grad.shape
         h, w = h_out // scale, w_out // scale
-        grad_x = grad.reshape(n, c, h, scale, w, scale).sum(axis=(3, 5))
-        x._accumulate(grad_x)
+        x._accumulate(grad.reshape(n, c, h, scale, w, scale).sum(axis=(3, 5)))
 
-    requires = is_grad_enabled() and x.requires_grad
-    return Tensor(
-        out_data,
-        requires_grad=requires,
-        _parents=(x,) if requires else (),
-        _backward_fn=backward_fn if requires else None,
-    )
+    return x._make(upsample_nearest_array(x.data, scale), (x,), backward_fn)
 
 
 def avg_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
@@ -166,15 +105,23 @@ def avg_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    exp = shifted.exp()
-    return exp / exp.sum(axis=axis, keepdims=True)
+    probs = softmax_array(x.data, axis=axis)
+
+    def backward_fn(grad: np.ndarray) -> None:
+        x._accumulate(probs * (grad - (grad * probs).sum(axis=axis, keepdims=True)))
+
+    return x._make(probs, (x,), backward_fn)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``."""
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+    out = x.data - x.data.max(axis=axis, keepdims=True)
+    out -= np.log(np.exp(out).sum(axis=axis, keepdims=True))
+
+    def backward_fn(grad: np.ndarray) -> None:
+        x._accumulate(grad - np.exp(out) * grad.sum(axis=axis, keepdims=True))
+
+    return x._make(out, (x,), backward_fn)
 
 
 def cross_entropy_with_logits(logits: Tensor, targets: np.ndarray, axis: int = -1) -> Tensor:
@@ -207,16 +154,25 @@ def group_norm(
     x: Tensor, num_groups: int, weight: Tensor, bias: Tensor, eps: float = 1e-5
 ) -> Tensor:
     """Group normalisation for ``(N, C, H, W)`` tensors."""
-    n, c, h, w = x.shape
-    if c % num_groups:
-        raise ValueError(f"{c} channels not divisible by {num_groups} groups")
-    grouped = x.reshape(n, num_groups, c // num_groups * h * w)
-    mean = grouped.mean(axis=2, keepdims=True)
-    centred = grouped - mean
-    var = (centred * centred).mean(axis=2, keepdims=True)
-    normed = centred / ((var + eps) ** 0.5)
-    normed = normed.reshape(n, c, h, w)
-    return normed * weight.reshape(1, c, 1, 1) + bias.reshape(1, c, 1, 1)
+    out, centred, inv_std = _group_norm_forward(x.data, num_groups, weight.data, bias.data, eps)
+    n, c, h, w = out.shape
+
+    def backward_fn(grad: np.ndarray) -> None:
+        # Closed-form VJP of y = xhat * weight + bias, xhat = (x - mean) * inv_std.
+        xhat = centred * inv_std[:, :, None]
+        per_channel = grad.reshape(n, c, h * w)
+        if bias.requires_grad:
+            bias._accumulate(per_channel.sum(axis=(0, 2)))
+        if weight.requires_grad:
+            weight._accumulate((per_channel * xhat.reshape(n, c, h * w)).sum(axis=(0, 2)))
+        if x.requires_grad:
+            grad_xhat = (per_channel * weight.data[:, None]).reshape(xhat.shape)
+            grad_x = grad_xhat - grad_xhat.mean(axis=2, keepdims=True)
+            grad_x -= xhat * (grad_xhat * xhat).mean(axis=2, keepdims=True)
+            grad_x *= inv_std[:, :, None]
+            x._accumulate(grad_x.reshape(n, c, h, w))
+
+    return x._make(out, (x, weight, bias), backward_fn)
 
 
 def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -241,23 +197,16 @@ def dropout(
     def backward_fn(grad: np.ndarray) -> None:
         x._accumulate(grad * mask)
 
-    requires = is_grad_enabled() and x.requires_grad
-    return Tensor(
-        x.data * mask,
-        requires_grad=requires,
-        _parents=(x,) if requires else (),
-        _backward_fn=backward_fn if requires else None,
-    )
+    return x._make(x.data * mask, (x,), backward_fn)
 
 
 # ---------------------------------------------------------------------- #
-# gradient-free array kernels (inference hot path)
+# gradient-free array kernels (shared forward of the taped operators)
 # ---------------------------------------------------------------------- #
-# The functions below are array-in / array-out twins of the differentiable
-# operators above.  They never touch the autodiff tape: no Tensor wrappers,
-# no backward closures, contiguous float32 throughout, and matmul instead of
-# einsum (which re-derives a contraction path on every call).  The batched
-# sampling engine runs the whole U-Net through these.
+# Array-in / array-out: no Tensor wrappers, no backward closures, contiguous
+# float32 throughout, and matmul instead of einsum (which re-derives a
+# contraction path on every call).  The batched sampling engine runs the
+# whole U-Net through these; the taped operators above wrap the same calls.
 
 
 def conv2d_array(
@@ -267,35 +216,64 @@ def conv2d_array(
     stride: int = 1,
     padding: int = 0,
 ) -> np.ndarray:
-    """Gradient-free twin of :func:`conv2d` on plain arrays."""
+    """2-D convolution on plain arrays (the forward of :func:`conv2d`)."""
+    return _conv2d_forward(x, weight, bias, stride, padding)[0]
+
+
+def _conv2d_forward(
+    x: np.ndarray,
+    weight: np.ndarray,
+    bias: "np.ndarray | None",
+    stride: int,
+    padding: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Convolution output plus the ``(N, C*kh*kw, out_h*out_w)`` tap columns."""
     n, c, h, w = x.shape
     oc, ic, kh, kw = weight.shape
     if ic != c:
         raise ValueError(f"weight expects {ic} input channels, got {c}")
     if kh == 1 and kw == 1 and stride == 1 and padding == 0:
         # Pointwise convolution (attention qkv/proj, skip projections) is a
-        # plain channel matmul; skip the im2col rearrangement entirely.
-        out = np.matmul(weight.reshape(oc, c), x.reshape(n, c, h * w))
-        if bias is not None:
-            out += bias.reshape(1, oc, 1)
-        return out.reshape(n, oc, h, w)
-    out_h, out_w, taps = _conv_tap_geometry(h, w, kh, kw, stride, padding)
-    # Gather the kh*kw patch taps with strided slice copies: on the small
-    # feature maps of this model that beats materialising the 6-D as_strided
-    # view that the taped conv uses (it needs the view for the backward).
-    # Padding is folded into the gather — border taps copy only the valid
-    # sub-window of the *unpadded* input into a zeroed column buffer, so no
-    # padded copy of the input is ever materialised.
-    if padding:
-        cols = np.zeros((n, c, kh * kw, out_h, out_w), dtype=x.dtype)
+        # plain channel matmul: the input already is its own column matrix.
+        out_h, out_w = h, w
+        cols = x.reshape(n, c, h * w)
     else:
-        cols = np.empty((n, c, kh * kw, out_h, out_w), dtype=x.dtype)
-    for tap, dst_rows, dst_cols, src_rows, src_cols in taps:
-        cols[:, :, tap, dst_rows, dst_cols] = x[:, :, src_rows, src_cols]
-    out = np.matmul(weight.reshape(oc, -1), cols.reshape(n, c * kh * kw, out_h * out_w))
+        out_h, out_w, taps = _conv_tap_geometry(h, w, kh, kw, stride, padding)
+        # Gather the kh*kw patch taps with strided slice copies.  Padding is
+        # folded into the gather — border taps copy only the valid
+        # sub-window of the *unpadded* input into a zeroed column buffer, so
+        # no padded copy of the input is ever materialised.
+        if padding:
+            cols = np.zeros((n, c, kh * kw, out_h, out_w), dtype=x.dtype)
+        else:
+            cols = np.empty((n, c, kh * kw, out_h, out_w), dtype=x.dtype)
+        for tap, dst_rows, dst_cols, src_rows, src_cols in taps:
+            cols[:, :, tap, dst_rows, dst_cols] = x[:, :, src_rows, src_cols]
+        cols = cols.reshape(n, c * kh * kw, out_h * out_w)
+    out = np.matmul(weight.reshape(oc, -1), cols)
     if bias is not None:
         out += bias.reshape(1, oc, 1)
-    return out.reshape(n, oc, out_h, out_w)
+    return out.reshape(n, oc, out_h, out_w), cols
+
+
+def _scatter_columns(
+    grad_cols: np.ndarray,
+    x_shape: tuple[int, int, int, int],
+    weight_shape: tuple[int, int, int, int],
+    stride: int,
+    padding: int,
+) -> np.ndarray:
+    """Adjoint of the tap gather: sum column gradients back onto the input."""
+    n, c, h, w = x_shape
+    kh, kw = weight_shape[2:]
+    if kh == 1 and kw == 1 and stride == 1 and padding == 0:
+        return grad_cols.reshape(n, c, h, w)
+    out_h, out_w, taps = _conv_tap_geometry(h, w, kh, kw, stride, padding)
+    grad_cols = grad_cols.reshape(n, c, kh * kw, out_h, out_w)
+    grad_x = np.zeros(x_shape, dtype=grad_cols.dtype)
+    for tap, dst_rows, dst_cols, src_rows, src_cols in taps:
+        grad_x[:, :, src_rows, src_cols] += grad_cols[:, :, tap, dst_rows, dst_cols]
+    return grad_x
 
 
 @functools.lru_cache(maxsize=256)
@@ -356,7 +334,14 @@ def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
 def group_norm_array(
     x: np.ndarray, num_groups: int, weight: np.ndarray, bias: np.ndarray, eps: float = 1e-5
 ) -> np.ndarray:
-    """Gradient-free twin of :func:`group_norm` on plain arrays."""
+    """Group normalisation on plain arrays (the forward of :func:`group_norm`)."""
+    return _group_norm_forward(x, num_groups, weight, bias, eps)[0]
+
+
+def _group_norm_forward(
+    x: np.ndarray, num_groups: int, weight: np.ndarray, bias: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalised output plus the ``(N, G, M)`` centred input and ``(N, G)`` 1/std."""
     n, c, h, w = x.shape
     if c % num_groups:
         raise ValueError(f"{c} channels not divisible by {num_groups} groups")
@@ -378,7 +363,7 @@ def group_norm_array(
     shift = bias - np.repeat(mean, group_size, axis=1) * scale
     out = x * scale[:, :, None, None]
     out += shift[:, :, None, None]
-    return out
+    return out, centred, inv_std
 
 
 def layer_norm_array(
@@ -392,14 +377,14 @@ def layer_norm_array(
 
 
 def upsample_nearest_array(x: np.ndarray, scale: int = 2) -> np.ndarray:
-    """Gradient-free twin of :func:`upsample_nearest` on plain arrays."""
+    """Nearest-neighbour upsampling on plain arrays (the forward of :func:`upsample_nearest`)."""
     if scale < 1:
         raise ValueError("scale must be >= 1")
     return np.repeat(np.repeat(x, scale, axis=2), scale, axis=3)
 
 
 def linear_array(x: np.ndarray, weight: np.ndarray, bias: "np.ndarray | None" = None) -> np.ndarray:
-    """Gradient-free twin of :func:`linear` on plain arrays."""
+    """Affine map on plain arrays (the forward of :func:`linear`)."""
     out = x @ weight.T
     if bias is not None:
         out += bias

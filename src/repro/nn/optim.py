@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .modules import Parameter
+from .tensor import _DTYPE
 
 
 def clip_grad_norm(parameters: "list[Parameter]", max_norm: float) -> float:
@@ -65,7 +66,16 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam optimiser (Kingma & Ba) with bias correction."""
+    """Adam optimiser (Kingma & Ba) with bias correction.
+
+    Parameters, gradients and both moments live in flat float32 buffers, so
+    a step is a dozen whole-buffer vector ops whatever the parameter count.
+    Every parameter's ``data`` is rebound to a view into the flat parameter
+    buffer: in-place writes (``load_state_dict``, ``load_checkpoint``) land in
+    it directly, and a parameter whose ``data`` was rebound since (say, by a
+    second optimizer over the same model) is gathered back before the next
+    step.  The update is elementwise the per-parameter Adam rule, bit for bit.
+    """
 
     def __init__(
         self,
@@ -81,23 +91,52 @@ class Adam(Optimizer):
         self.eps = eps
         self.weight_decay = weight_decay
         self._step_count = 0
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
+        self._sizes = [p.size for p in self.parameters]
+        total = sum(self._sizes)
+        self._data = np.empty(total, dtype=_DTYPE)
+        self._grad = np.zeros(total, dtype=_DTYPE)
+        self._tmp = np.zeros(total, dtype=_DTYPE)
+        self._m = np.zeros(total, dtype=_DTYPE)
+        self._v = np.zeros(total, dtype=_DTYPE)
+        self._bind()
+
+    def _bind(self) -> None:
+        """Copy every parameter into the flat buffer and alias it there."""
+        parts = np.split(self._data, np.cumsum(self._sizes)[:-1])
+        for p, part in zip(self.parameters, parts):
+            part[...] = p.data.ravel()
+            p.data = part.reshape(p.shape)
+        self._views = [p.data for p in self.parameters]
 
     def step(self) -> None:
         self._step_count += 1
         bias1 = 1.0 - self.beta1**self._step_count
         bias2 = 1.0 - self.beta2**self._step_count
-        for p, m, v in zip(self.parameters, self._m, self._v):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad**2
-            m_hat = m / bias1
-            v_hat = v / bias2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        present = [p.grad is not None for p in self.parameters]
+        if any(p.data is not view for p, view in zip(self.parameters, self._views)):
+            self._bind()
+        grad, tmp, m, v, data = self._grad, self._tmp, self._m, self._v, self._data
+        np.concatenate(
+            [p.grad.ravel() if p.grad is not None else np.zeros(p.size) for p in self.parameters],
+            out=grad,
+        )
+        # Parameters without a gradient keep their data and moments.
+        where = True if all(present) else np.repeat(present, self._sizes)
+        if self.weight_decay:
+            np.multiply(data, self.weight_decay, out=tmp)
+            grad += tmp
+        np.multiply(m, self.beta1, out=m, where=where)
+        np.multiply(grad, 1.0 - self.beta1, out=tmp)
+        np.add(m, tmp, out=m, where=where)
+        np.multiply(v, self.beta2, out=v, where=where)
+        np.square(grad, out=grad)
+        grad *= 1.0 - self.beta2
+        np.add(v, grad, out=v, where=where)
+        # data -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+        np.divide(v, bias2, out=grad)
+        np.sqrt(grad, out=grad)
+        grad += self.eps
+        np.divide(m, bias1, out=tmp)
+        tmp *= self.lr
+        tmp /= grad
+        np.subtract(data, tmp, out=data, where=where)

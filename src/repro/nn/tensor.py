@@ -161,6 +161,13 @@ class Tensor:
         """
         if grad is None:
             grad = np.ones_like(self.data)
+        self._accumulate(grad)
+        for node in reversed(self.graph()):
+            if node._backward_fn is not None and node.grad is not None:
+                node._backward_fn(node.grad)
+
+    def graph(self) -> list["Tensor"]:
+        """Every tensor this one was computed from, itself last, parents first."""
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -176,11 +183,7 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
-
-        self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+        return topo
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -307,13 +310,9 @@ class Tensor:
 
     def silu(self) -> "Tensor":
         """x * sigmoid(x), the activation used by DDPM U-Nets."""
-        sig = 1.0 / (1.0 + np.exp(-self.data))
-        out_data = self.data * sig
+        from .functional import silu  # deferred: functional imports this module
 
-        def backward_fn(grad: np.ndarray) -> None:
-            self._accumulate(grad * (sig + self.data * sig * (1.0 - sig)))
-
-        return self._make(out_data, (self,), backward_fn)
+        return silu(self)
 
     # ------------------------------------------------------------------ #
     # reductions and shape ops
@@ -369,10 +368,20 @@ class Tensor:
 
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
+        # Ints and slices select every element at most once, so assignment
+        # scatters the gradient; only array indices can repeat an element and
+        # need the (much slower) unbuffered np.add.at.
+        basic = all(
+            isinstance(i, (int, np.integer, slice, type(None), type(Ellipsis)))
+            for i in (index if isinstance(index, tuple) else (index,))
+        )
 
         def backward_fn(grad: np.ndarray) -> None:
             full = np.zeros_like(self.data)
-            np.add.at(full, index, grad)
+            if basic:
+                full[index] = grad
+            else:
+                np.add.at(full, index, grad)
             self._accumulate(full)
 
         return self._make(out_data, (self,), backward_fn)

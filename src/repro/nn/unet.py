@@ -270,12 +270,7 @@ class UNet(Module):
         self.up_blocks.append((kind, module))
 
     # -- forward ----------------------------------------------------------- #
-    def forward(
-        self, x_onehot: "Tensor | np.ndarray", timesteps: np.ndarray, inference: bool = False
-    ) -> Tensor:
-        if inference:
-            data = x_onehot.data if isinstance(x_onehot, Tensor) else np.asarray(x_onehot)
-            return Tensor(self.infer(data, timesteps))
+    def forward(self, x_onehot: Tensor, timesteps: np.ndarray) -> Tensor:
         config = self.config
         batch = x_onehot.shape[0]
         time_emb = self.time_embedding(timesteps)

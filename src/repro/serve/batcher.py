@@ -181,8 +181,11 @@ class StreamBatcher:
             return
         fault_point("serve:warmup")
         pipeline, gen = self._pipeline_factory(self.plan)
+        # The plan's worker count, not the (possibly injected) pipeline's:
+        # output is worker-count invariant, so only the served cost changes.
         graph = pipeline.generation_graph(
             num_solutions=self.plan.num_solutions,
+            workers=self.plan.config.workers,
             retain_topologies=False,
         )
         # Resolves the same two base seeds the one-shot run draws from the

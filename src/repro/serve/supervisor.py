@@ -229,6 +229,7 @@ def _worker_main(conn, plan, pipeline_factory, heartbeat_interval: float) -> Non
                     pipeline, gen = factory(plan)
                     graph = pipeline.generation_graph(
                         num_solutions=plan.num_solutions,
+                        workers=plan.config.workers,
                         retain_topologies=False,
                     )
                     stream = graph.open_stream(gen)

@@ -9,6 +9,8 @@ topology's result depends only on ``(seed, index)``, never on the batch
 around it.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,35 @@ class TestShardInvariance:
             assert engine._pool is None
             results = engine.legalize_batch(topology_batch, seed=2)
         assert signatures(results) == signatures(engine.legalize_batch(topology_batch, seed=2))
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_daemonic_process_legalizes_in_process(self, rules, topology_batch):
+        # A supervised serve worker is a daemonic process, which may not
+        # start a pool: a multi-worker engine there legalizes in-process,
+        # with the same output, instead of failing.
+        ctx = multiprocessing.get_context("fork")
+        receiver, sender = ctx.Pipe(duplex=False)
+        engine = LegalizationEngine(rules, workers=2)
+
+        def run():
+            try:
+                with engine.pool():
+                    results = engine.legalize_batch(topology_batch, num_solutions=2, seed=4)
+                sender.send(signatures(results))
+            except Exception as error:  # surfaced to the parent's assertion
+                sender.send(repr(error))
+
+        worker = ctx.Process(target=run, daemon=True)
+        worker.start()
+        assert receiver.poll(120)
+        received = receiver.recv()
+        worker.join()
+        serial = LegalizationEngine(rules, workers=1).legalize_batch(
+            topology_batch, num_solutions=2, seed=4
+        )
+        assert received == signatures(serial)
 
     def test_first_index_rejects_negative(self, rules, topology_batch):
         engine = LegalizationEngine(rules, workers=1)

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.nn import Tensor
+from repro.diffusion import DiscreteDiffusion
+from repro.nn import Tensor, UNet
 from repro.nn import functional as F
+from repro.scenarios import builtin_registry
 
 
 def naive_conv2d(x, w, b, stride, padding):
@@ -183,3 +185,308 @@ class TestDropoutAndEmbeddingInputs:
     def test_sinusoidal_embedding_odd_dim_rejected(self):
         with pytest.raises(ValueError):
             F.sinusoidal_embedding(np.array([1]), 15)
+
+
+# --------------------------------------------------------------------------- #
+# Single-node operators against the primitive-op compositions they replaced
+# --------------------------------------------------------------------------- #
+# The references below are the taped implementations the one-node operators
+# superseded: an as_strided im2col + einsum convolution with a col2im
+# backward, and group_norm / linear / softmax / log_softmax / silu composed
+# from primitive Tensor ops.  VJPs must agree to a tolerance fixed up front.
+VJP_TOL = {"rtol": 1e-5, "atol": 1e-6}
+
+
+def _ref_im2col(x, kh, kw, stride, pad):
+    n, c = x.shape[:2]
+    x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    out_h = (x.shape[2] - kh) // stride + 1
+    out_w = (x.shape[3] - kw) // stride + 1
+    s0, s1, s2, s3 = x.strides
+    view = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(n, c, kh, kw, out_h, out_w),
+        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
+        writeable=False,
+    )
+    return np.ascontiguousarray(view).reshape(n, c * kh * kw, out_h * out_w), out_h, out_w
+
+
+def _ref_col2im(cols, x_shape, kh, kw, stride, pad):
+    n, c, h, w = x_shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    out_h = (hp - kh) // stride + 1
+    out_w = (wp - kw) // stride + 1
+    cols = cols.reshape(n, c, kh, kw, out_h, out_w)
+    padded = np.zeros((n, c, hp, wp), dtype=cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            padded[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += cols[
+                :, :, i, j
+            ]
+    return padded[:, :, pad : pad + h, pad : pad + w]
+
+
+def ref_conv2d(x, weight, bias=None, stride=1, padding=0):
+    n, c, h, w = x.shape
+    oc, _, kh, kw = weight.shape
+    cols, out_h, out_w = _ref_im2col(x.data, kh, kw, stride, padding)
+    w_mat = weight.data.reshape(oc, -1)
+    out = np.einsum("ok,nkl->nol", w_mat, cols, optimize=True)
+    if bias is not None:
+        out = out + bias.data.reshape(1, oc, 1)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def backward_fn(grad):
+        grad_mat = grad.reshape(n, oc, out_h * out_w)
+        if bias is not None:
+            bias._accumulate(grad_mat.sum(axis=(0, 2)))
+        grad_w = np.einsum("nol,nkl->ok", grad_mat, cols, optimize=True)
+        weight._accumulate(grad_w.reshape(weight.shape))
+        grad_cols = np.einsum("ok,nol->nkl", w_mat, grad_mat, optimize=True)
+        x._accumulate(_ref_col2im(grad_cols, (n, c, h, w), kh, kw, stride, padding))
+
+    return x._make(out.reshape(n, oc, out_h, out_w), parents, backward_fn)
+
+
+def ref_linear(x, weight, bias=None):
+    out = x @ weight.transpose()
+    return out if bias is None else out + bias
+
+
+def ref_group_norm(x, num_groups, weight, bias, eps=1e-5):
+    n, c, h, w = x.shape
+    grouped = x.reshape(n, num_groups, c // num_groups * h * w)
+    mean = grouped.mean(axis=2, keepdims=True)
+    centred = grouped - mean
+    var = (centred * centred).mean(axis=2, keepdims=True)
+    normed = (centred / ((var + eps) ** 0.5)).reshape(n, c, h, w)
+    return normed * weight.reshape(1, c, 1, 1) + bias.reshape(1, c, 1, 1)
+
+
+def ref_softmax(x, axis=-1):
+    exp = (x - Tensor(x.data.max(axis=axis, keepdims=True))).exp()
+    return exp / exp.sum(axis=axis, keepdims=True)
+
+
+def ref_log_softmax(x, axis=-1):
+    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
+    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+
+
+def ref_silu(x):
+    sig = 1.0 / (1.0 + np.exp(-x.data))
+
+    def backward_fn(grad):
+        x._accumulate(grad * (sig + x.data * sig * (1.0 - sig)))
+
+    return x._make(x.data * sig, (x,), backward_fn)
+
+
+def _leaves(arrays, grad_flags):
+    return [Tensor(a, requires_grad=flag) for a, flag in zip(arrays, grad_flags)]
+
+
+def assert_vjp_matches(op, ref, arrays, grad_flags=None, seed=0):
+    """Same upstream gradient through ``op`` and ``ref``; compare outputs and leaf grads."""
+    grad_flags = grad_flags or [True] * len(arrays)
+    new_leaves = _leaves(arrays, grad_flags)
+    ref_leaves = _leaves(arrays, grad_flags)
+    out = op(*new_leaves)
+    expected = ref(*ref_leaves)
+    np.testing.assert_allclose(out.data, expected.data, **VJP_TOL)
+    upstream = np.random.default_rng(seed).normal(size=out.shape).astype(np.float32)
+    out.backward(upstream)
+    expected.backward(upstream)
+    for new, old, flag in zip(new_leaves, ref_leaves, grad_flags):
+        if flag:
+            np.testing.assert_allclose(new.grad, old.grad, **VJP_TOL)
+        else:
+            assert new.grad is None
+    return out, new_leaves, upstream
+
+
+def assert_matches_finite_differences(op, arrays, out, leaves, upstream, seed=1, eps=1e-2):
+    """Directional derivative of <op(arrays), upstream> against the VJP."""
+    rng = np.random.default_rng(seed)
+    directions = [rng.normal(size=a.shape) for a in arrays]
+
+    def objective(step):
+        moved = [Tensor((a + step * d).astype(np.float32)) for a, d in zip(arrays, directions)]
+        return float((op(*moved).data.astype(np.float64) * upstream).sum())
+
+    numeric = (objective(eps) - objective(-eps)) / (2 * eps)
+    analytic = sum(
+        float((leaf.grad.astype(np.float64) * d).sum())
+        for leaf, d in zip(leaves, directions)
+        if leaf.grad is not None
+    )
+    assert numeric == pytest.approx(analytic, rel=2e-2, abs=2e-2)
+
+
+def _array(rng, shape, scale=1.0):
+    return (rng.normal(size=shape) * scale).astype(np.float32)
+
+
+CONV_CASES = {
+    "3x3-pad1": dict(x=(2, 3, 6, 6), w=(4, 3, 3, 3), stride=1, padding=1, bias=True),
+    "3x3-stride2-pad1": dict(x=(2, 4, 8, 8), w=(4, 4, 3, 3), stride=2, padding=1, bias=True),
+    "3x3-stride2-odd": dict(x=(1, 2, 7, 5), w=(3, 2, 3, 3), stride=2, padding=1, bias=True),
+    "1x1": dict(x=(2, 6, 4, 4), w=(5, 6, 1, 1), stride=1, padding=0, bias=True),
+    "3x3-no-bias": dict(x=(2, 3, 5, 5), w=(2, 3, 3, 3), stride=1, padding=1, bias=False),
+    "3x3-valid": dict(x=(1, 2, 6, 6), w=(3, 2, 3, 3), stride=1, padding=0, bias=True),
+}
+
+
+class TestSingleNodeConv2d:
+    @pytest.mark.parametrize("case", sorted(CONV_CASES))
+    def test_forward_is_the_array_kernel(self, case):
+        spec = CONV_CASES[case]
+        rng = np.random.default_rng(0)
+        x, w = _array(rng, spec["x"]), _array(rng, spec["w"])
+        b = _array(rng, spec["w"][:1]) if spec["bias"] else None
+        taped = F.conv2d(
+            Tensor(x), Tensor(w), None if b is None else Tensor(b),
+            stride=spec["stride"], padding=spec["padding"],
+        )
+        np.testing.assert_array_equal(
+            taped.data, F.conv2d_array(x, w, b, stride=spec["stride"], padding=spec["padding"])
+        )
+
+    @pytest.mark.parametrize("case", sorted(CONV_CASES))
+    def test_vjp_matches_reference_and_finite_differences(self, case):
+        spec = CONV_CASES[case]
+        rng = np.random.default_rng(1)
+        arrays = [_array(rng, spec["x"]), _array(rng, spec["w"], 0.5)]
+        if spec["bias"]:
+            arrays.append(_array(rng, spec["w"][:1]))
+        kwargs = dict(stride=spec["stride"], padding=spec["padding"])
+
+        def op(*t):
+            return F.conv2d(*t, **kwargs)
+
+        def ref(*t):
+            return ref_conv2d(*t, **kwargs)
+
+        out, leaves, upstream = assert_vjp_matches(op, ref, arrays)
+        assert_matches_finite_differences(op, arrays, out, leaves, upstream)
+
+    def test_input_without_grad_gets_none(self):
+        rng = np.random.default_rng(2)
+        arrays = [_array(rng, (2, 3, 6, 6)), _array(rng, (4, 3, 3, 3)), _array(rng, (4,))]
+        assert_vjp_matches(
+            lambda *t: F.conv2d(*t, padding=1),
+            lambda *t: ref_conv2d(*t, padding=1),
+            arrays,
+            grad_flags=[False, True, True],
+        )
+
+
+class TestSingleNodeLinear:
+    @pytest.mark.parametrize("x_shape", [(5, 4), (3, 7, 4)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+    def test_forward_and_vjp(self, x_shape, bias):
+        rng = np.random.default_rng(3)
+        arrays = [_array(rng, x_shape), _array(rng, (6, 4))]
+        if bias:
+            arrays.append(_array(rng, (6,)))
+        taped = F.linear(*(Tensor(a) for a in arrays))
+        np.testing.assert_array_equal(taped.data, F.linear_array(*arrays))
+        out, leaves, upstream = assert_vjp_matches(F.linear, ref_linear, arrays)
+        assert_matches_finite_differences(F.linear, arrays, out, leaves, upstream)
+
+    def test_input_without_grad_gets_none(self):
+        rng = np.random.default_rng(4)
+        arrays = [_array(rng, (3, 7, 4)), _array(rng, (6, 4)), _array(rng, (6,))]
+        assert_vjp_matches(F.linear, ref_linear, arrays, grad_flags=[False, True, True])
+
+
+class TestSingleNodeGroupNorm:
+    @pytest.mark.parametrize("groups", [1, 2, 8])
+    def test_forward_and_vjp(self, groups):
+        rng = np.random.default_rng(5)
+        arrays = [
+            (_array(rng, (2, 8, 4, 4), 2.0) + 1.5).astype(np.float32),
+            (1.0 + _array(rng, (8,), 0.3)).astype(np.float32),
+            _array(rng, (8,), 0.3),
+        ]
+
+        def op(*t):
+            return F.group_norm(t[0], groups, t[1], t[2])
+
+        def ref(*t):
+            return ref_group_norm(t[0], groups, t[1], t[2])
+
+        taped = op(*(Tensor(a) for a in arrays))
+        expected = F.group_norm_array(arrays[0], groups, *arrays[1:])
+        np.testing.assert_array_equal(taped.data, expected)
+        out, leaves, upstream = assert_vjp_matches(op, ref, arrays)
+        assert_matches_finite_differences(op, arrays, out, leaves, upstream)
+
+    def test_input_without_grad_gets_none(self):
+        rng = np.random.default_rng(6)
+        arrays = [_array(rng, (2, 8, 3, 3)), np.ones(8, np.float32), np.zeros(8, np.float32)]
+        assert_vjp_matches(
+            lambda *t: F.group_norm(t[0], 2, t[1], t[2]),
+            lambda *t: ref_group_norm(t[0], 2, t[1], t[2]),
+            arrays,
+            grad_flags=[False, True, True],
+        )
+
+
+class TestSingleNodeSoftmaxAndSilu:
+    @pytest.mark.parametrize("axis", [-1, 1])
+    def test_softmax(self, axis):
+        arrays = [_array(np.random.default_rng(7), (3, 4, 5), 2.0)]
+        taped = F.softmax(Tensor(arrays[0]), axis=axis)
+        np.testing.assert_array_equal(taped.data, F.softmax_array(arrays[0], axis=axis))
+        out, leaves, upstream = assert_vjp_matches(
+            lambda t: F.softmax(t, axis=axis), lambda t: ref_softmax(t, axis=axis), arrays
+        )
+        assert_matches_finite_differences(
+            lambda t: F.softmax(t, axis=axis), arrays, out, leaves, upstream
+        )
+
+    @pytest.mark.parametrize("axis", [-1, 1])
+    def test_log_softmax(self, axis):
+        arrays = [_array(np.random.default_rng(8), (3, 4, 5), 2.0)]
+        # No separate array kernel: the node computes exactly the old
+        # composition's values, so the forward is compared bit for bit.
+        np.testing.assert_array_equal(
+            F.log_softmax(Tensor(arrays[0]), axis=axis).data,
+            ref_log_softmax(Tensor(arrays[0]), axis=axis).data,
+        )
+        out, leaves, upstream = assert_vjp_matches(
+            lambda t: F.log_softmax(t, axis=axis), lambda t: ref_log_softmax(t, axis=axis), arrays
+        )
+        assert_matches_finite_differences(
+            lambda t: F.log_softmax(t, axis=axis), arrays, out, leaves, upstream
+        )
+
+    def test_silu(self):
+        arrays = [_array(np.random.default_rng(9), (4, 6), 2.0)]
+        np.testing.assert_array_equal(Tensor(arrays[0]).silu().data, F.silu_array(arrays[0]))
+        out, leaves, upstream = assert_vjp_matches(lambda t: t.silu(), ref_silu, arrays)
+        assert_matches_finite_differences(lambda t: t.silu(), arrays, out, leaves, upstream)
+
+    def test_each_is_one_node(self):
+        x = Tensor(np.zeros((2, 3), np.float32), requires_grad=True)
+        for out in (F.softmax(x), F.log_softmax(x), x.silu()):
+            assert out._parents == (x,)
+
+
+def test_hotspot_training_step_graph_stays_small():
+    """One hotspot-expansion loss graph: at most 250 nodes with a backward.
+
+    The primitive-op tape this replaced recorded 547 for the same step.
+    """
+    plan = builtin_registry().resolve("hotspot-expansion").lower()
+    config = plan.config
+    diffusion = DiscreteDiffusion(UNet(config.unet_config()), config.diffusion)
+    unet = config.unet_config()
+    x0 = np.random.default_rng(0).integers(
+        0, 2, size=(config.batch_size, unet.in_channels, unet.image_size, unet.image_size)
+    )
+    loss, _ = diffusion.loss(x0, rng=0)
+    nodes = sum(1 for node in loss.graph() if node._backward_fn is not None)
+    assert 0 < nodes <= 250

@@ -229,3 +229,124 @@ class TestTraining:
             loss.backward()
             opt.step()
         assert loss.item() < first_loss * 0.2
+
+
+class ReferenceAdam:
+    """The per-parameter Adam loop the flat-buffer optimizer replaced."""
+
+    def __init__(self, parameters, lr=2e-4, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+        self.parameters = list(parameters)
+        self.lr, (self.beta1, self.beta2), self.eps = lr, betas, eps
+        self.weight_decay = weight_decay
+        self._step_count = 0
+        self._m = [np.zeros_like(p.data) for p in self.parameters]
+        self._v = [np.zeros_like(p.data) for p in self.parameters]
+
+    def step(self):
+        self._step_count += 1
+        bias1 = 1.0 - self.beta1**self._step_count
+        bias2 = 1.0 - self.beta2**self._step_count
+        for p, m, v in zip(self.parameters, self._m, self._v):
+            if p.grad is None:
+                continue
+            grad = p.grad
+            if self.weight_decay:
+                grad = grad + self.weight_decay * p.data
+            m *= self.beta1
+            m += (1.0 - self.beta1) * grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * grad**2
+            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+
+
+def _param_pair(seed=0):
+    """Two identical parameter lists with a mix of shapes."""
+    rng = np.random.default_rng(seed)
+    shapes = [(4, 3, 3, 3), (4,), (6, 5), (1,), (2, 2, 2)]
+    arrays = [rng.normal(size=s).astype(np.float32) for s in shapes]
+    return [Parameter(a.copy()) for a in arrays], [Parameter(a.copy()) for a in arrays]
+
+
+def _set_grads(params, rng, skip=()):
+    for i, p in enumerate(params):
+        p.grad = None if i in skip else rng.normal(size=p.shape).astype(np.float32)
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_flat_step_equals_per_parameter_loop(self, weight_decay):
+        flat_params, ref_params = _param_pair()
+        flat = Adam(flat_params, lr=0.05, weight_decay=weight_decay)
+        ref = ReferenceAdam(ref_params, lr=0.05, weight_decay=weight_decay)
+        for step in range(6):
+            _set_grads(flat_params, np.random.default_rng(step))
+            _set_grads(ref_params, np.random.default_rng(step))
+            flat.step()
+            ref.step()
+            for a, b in zip(flat_params, ref_params):
+                np.testing.assert_array_equal(a.data, b.data)
+
+    def test_parameter_without_grad_is_untouched(self):
+        flat_params, ref_params = _param_pair(1)
+        flat = Adam(flat_params, lr=0.05)
+        ref = ReferenceAdam(ref_params, lr=0.05)
+        for step in range(5):
+            # Parameter 1 has no gradient on steps 1 and 2; on step 3 no
+            # parameter has one.  Its data must not move and its moments must
+            # not decay, which later steps would show against the reference.
+            skip = {1} if step in (1, 2) else set(range(5)) if step == 3 else set()
+            before = [p.data.copy() for p in flat_params]
+            _set_grads(flat_params, np.random.default_rng(step), skip)
+            _set_grads(ref_params, np.random.default_rng(step), skip)
+            flat.step()
+            ref.step()
+            for i, (a, b) in enumerate(zip(flat_params, ref_params)):
+                np.testing.assert_array_equal(a.data, b.data)
+                if i in skip:
+                    np.testing.assert_array_equal(a.data, before[i])
+
+    def test_loading_weights_after_construction_feeds_the_next_step(self, tmp_path):
+        net, source = TinyNet(), TinyNet()
+        for p in source.parameters():
+            p.data[...] += 1.0
+        opt = Adam(net.parameters(), lr=0.1)
+        save_checkpoint(source, tmp_path / "ckpt.npz")
+        for load in (lambda: net.load_state_dict(source.state_dict()),
+                     lambda: load_checkpoint(net, tmp_path / "ckpt.npz")):
+            load()
+            for a, b in zip(net.parameters(), source.parameters()):
+                np.testing.assert_array_equal(a.data, b.data)
+            loaded = [p.data.copy() for p in net.parameters()]
+            net(Tensor(np.ones((3, 4), dtype=np.float32))).sum().backward()
+            opt.step()
+            opt.zero_grad()
+            for p, start in zip(net.parameters(), loaded):
+                # Adam's first-step update has magnitude ~lr in every entry.
+                assert np.abs(p.data - start).max() < 0.11
+                assert np.abs(p.data - start).min() > 0.0
+
+    def test_second_optimizer_on_the_same_parameters(self):
+        net = TinyNet()
+        first = Adam(net.parameters(), lr=0.1)
+        second = Adam(net.parameters(), lr=0.1)
+        x = Tensor(np.ones((3, 4), dtype=np.float32))
+        for opt in (first, second, first):
+            before = [p.data.copy() for p in net.parameters()]
+            net.zero_grad()
+            net(x).sum().backward()
+            opt.step()
+            assert all(not np.array_equal(p.data, b) for p, b in zip(net.parameters(), before))
+
+    def test_second_fit_call_still_trains(self):
+        from repro.diffusion import DiffusionConfig, DiscreteDiffusion
+        from repro.nn import UNet, UNetConfig
+
+        unet = UNet(UNetConfig(in_channels=2, image_size=8, model_channels=8, channel_mult=(1, 2),
+                               num_res_blocks=1, attention_resolutions=(4,), dropout=0.0))
+        diffusion = DiscreteDiffusion(unet, DiffusionConfig(num_steps=4, learning_rate=1e-2))
+        data = np.random.default_rng(0).integers(0, 2, size=(8, 2, 8, 8))
+        diffusion.fit(data, iterations=2, batch_size=4, rng=0)
+        after_first = unet.state_dict()
+        diffusion.fit(data, iterations=2, batch_size=4, rng=1)
+        moved = [not np.array_equal(after_first[k], v) for k, v in unet.state_dict().items()]
+        assert all(moved)

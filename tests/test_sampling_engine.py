@@ -83,15 +83,6 @@ class TestInferenceForwardParity:
         inferred = net.infer(x, timesteps)
         np.testing.assert_allclose(taped, inferred, rtol=1e-4, atol=1e-4)
 
-    def test_forward_inference_flag_matches_infer(self):
-        net = tiny_unet()
-        rng = np.random.default_rng(1)
-        x = rng.random((2, 8, 8, 8)).astype(np.float32)
-        timesteps = np.full(2, 3, dtype=np.int64)
-        out = net(Tensor(x), timesteps, inference=True)
-        assert not out.requires_grad
-        np.testing.assert_array_equal(out.numpy(), net.infer(x, timesteps))
-
     def test_infer_is_batch_invariant(self):
         net = tiny_unet()
         rng = np.random.default_rng(2)

@@ -913,3 +913,17 @@ def test_summary_error_code_round_trips():
     assert RequestSummary.from_dict(payload) == summary
     ok_payload = RequestSummary(ok=True, scenario="s", start=0, end=4).as_dict()
     assert "error_code" not in ok_payload
+
+
+def test_stream_uses_the_served_plans_worker_count(serve_env):
+    """An injected pipeline's own worker knob does not leak into the stream."""
+    from repro.serve import StreamBatcher
+
+    plan = serve_env.registry.resolve("serve-test").with_overrides(
+        {"engine": {"workers": 2}}
+    ).lower()
+    batcher = StreamBatcher(plan, pipeline_factory=serve_env.factory)
+    batcher.ensure_ready()
+    pipeline, _ = serve_env.factory(plan)
+    assert pipeline.config.workers == 1
+    assert batcher._stream.graph.legalization_engine.workers == 2
