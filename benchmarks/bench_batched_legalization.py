@@ -1,27 +1,30 @@
-"""Cross-topology batched legalization — whole-chunk sweeps vs serial solves.
+"""Chunk legalization — one whole-chunk solve vs chunks of one topology.
 
-PR 8 makes the legalization engine solve an entire chunk at once: one
-vectorized repair sweep over the stacked per-topology systems partitions the
-chunk into fast-path successes and a residual tail, and the tail's SLSQP
-restart rounds share stacked rounding + integer verification over a
-residual-only block-diagonal system.  The contract is *bit-identity* with
-the serial per-topology reference path — batching is a pure throughput
-optimisation, never a numerics change.
+The legalization engine solves an entire chunk at once: one vectorized
+repair sweep over the stacked per-topology systems partitions the chunk into
+fast-path successes and a residual tail, and the tail's SLSQP restart rounds
+share stacked rounding + integer verification over a residual-only
+block-diagonal system.  One topology is a chunk of one (K=1), which is the
+serial reference here: the engine at ``chunk_size=1`` and per-topology
+``solve_geometry`` calls.  A topology's output does not depend on its chunk,
+so chunking is a pure throughput choice, never a numerics change.
 
 The workload is the fast-path regime: dataset topologies filtered to a
 fixed point where the seeded run legalises every solution via the repair
-sweep.  That is the regime the batching accelerates — the scipy tail and
-the per-index RNG draws are per-topology in *both* paths by the determinism
+sweep.  That is the regime whole chunks accelerate — the scipy tail and the
+per-index RNG draws are per topology at any chunk size by the determinism
 contract (see ``repro/legalization/batched.py``), so a tail-heavy workload
-measures scipy, not the sweep.  Both paths run serially (``workers=1``,
-one chunk) so the comparison is solver work, not pool scaling.
+measures scipy, not the sweep.  Both sides run in-process (``workers=1``)
+so the comparison is solver work, not pool scaling.
 
-Gated claims (``check_regression.py`` against ``baselines.json``):
+Gated claims (``check_regression.py`` against ``baselines.json``; the
+``batched`` / ``serial`` metric names mean whole chunk / chunks of one):
 
-* batched output is element-wise identical to serial (``exact`` gate),
-* the engine-level chunk legalization clears >= 2x the serial
-  topologies/second, with the solver-level (no result assembly) ratio
-  reported alongside,
+* whole-chunk output is element-wise identical to chunks of one
+  (``exact`` gate),
+* the engine-level whole-chunk legalization clears >= 2x the
+  topologies/second of chunks of one, with the solver-level (no result
+  assembly) ratio gated alongside,
 * the run is 100% fast path and every fast-path pattern is DRC-clean.
 """
 
@@ -38,9 +41,9 @@ from repro.legalization import (
     clear_compilation_cache,
     compiled_for_topology,
     set_compilation_cache_capacity,
+    solve_geometry,
+    solve_geometry_chunk,
 )
-from repro.legalization.batched import solve_geometry_chunk
-from repro.legalization.solver import solve_geometry
 from repro.utils import child_rng
 
 if FAST_MODE:
@@ -63,10 +66,10 @@ def _fast_path_pool(matrices, rules, options):
     """Filter the dataset matrices to a 100% fast-path workload.
 
     Repeatedly runs the seeded chunk solve and drops every matrix that
-    produced a non-repair solution, until the run is pure fast path (bit
-    identity makes the probe equally valid for the serial path).  Matrices
-    dropped here would measure the scipy tail, which is per-topology in
-    both paths by contract.
+    produced a non-repair solution, until the run is pure fast path (chunk
+    invariance makes the probe equally valid for chunks of one).  Matrices
+    dropped here would measure the scipy tail, which is per topology at any
+    chunk size by contract.
     """
     pool = list(matrices)
     for _ in range(MAX_FILTER_ROUNDS):
@@ -135,7 +138,7 @@ def bench_batched_legalization(benchmark, bench_dataset, bench_config):
     options = SolverOptions(solver_mode="auto")
 
     # Hold the whole working set in the compile cache and pre-warm it once,
-    # so both paths measure solver throughput rather than constraint
+    # so both sides measure solver throughput rather than constraint
     # compilation (identical either way, and bench_solver_kernel's job).
     set_compilation_cache_capacity(max(2 * BATCH_TOPOLOGIES, 32))
     clear_compilation_cache()
@@ -147,7 +150,7 @@ def bench_batched_legalization(benchmark, bench_dataset, bench_config):
         topologies = _cycle(pool, BATCH_TOPOLOGIES)
         compiled = [compiled_for_topology(t, rules) for t in topologies]
 
-        # --- solver level: the exact code the PR batches, no assembly ----- #
+        # --- solver level: K=1 solves vs one chunk, no result assembly ---- #
         def solver_serial():
             rngs = [child_rng(0, i) for i in range(BATCH_TOPOLOGIES)]
             return [
@@ -169,24 +172,21 @@ def bench_batched_legalization(benchmark, bench_dataset, bench_config):
         solver_batched_s, outcome = _best_of(solver_batched)
         solver_speedup = solver_serial_s / solver_batched_s
 
-        # --- engine level: chunked legalization end to end ---------------- #
-        def engine_run(batch_solve):
+        # --- engine level: chunks of one vs one whole chunk --------------- #
+        def engine_run(chunk_size):
             engine = LegalizationEngine(
-                rules,
-                options=SolverOptions(solver_mode="auto", batch_solve=batch_solve),
-                workers=1,
-                chunk_size=BATCH_TOPOLOGIES,
+                rules, options=options, workers=1, chunk_size=chunk_size
             )
             return engine.legalize_batch_with_report(
                 topologies, num_solutions=BATCH_SOLUTIONS, seed=0
             )
 
         engine_serial_s, (serial_results, serial_report) = _best_of(
-            lambda: engine_run(False)
+            lambda: engine_run(1)
         )
 
         def batched_run():
-            return engine_run(True)
+            return engine_run(BATCH_TOPOLOGIES)
 
         # One pedantic round registers the timing with pytest-benchmark and
         # warms the path; the gated ratio uses the best-of manual timings.
@@ -197,7 +197,7 @@ def bench_batched_legalization(benchmark, bench_dataset, bench_config):
         clear_compilation_cache()
         set_compilation_cache_capacity(None)
 
-    # The whole point: bit-identical output, element-wise, every field.
+    # Chunking changes throughput only: identical output, every field.
     parity = _signatures(batched_results) == _signatures(serial_results)
 
     stats = batched_report.stats
@@ -216,18 +216,18 @@ def bench_batched_legalization(benchmark, bench_dataset, bench_config):
     lines = [
         f"workload: {BATCH_TOPOLOGIES} topologies x {BATCH_SOLUTIONS} solutions "
         f"({len(pool)} distinct fast-path matrices), solver_mode=auto, "
-        "workers=1, one chunk",
+        "workers=1",
         "",
-        "batch_solve=off (serial per-topology reference path):",
+        "chunk_size=1 (each topology a chunk of one):",
         serial_report.format(),
         "",
-        "batch_solve=on (whole-chunk repair sweep + residual SLSQP tail):",
+        f"chunk_size={BATCH_TOPOLOGIES} (one whole-chunk repair sweep + residual SLSQP tail):",
         batched_report.format(),
         "",
-        f"bit-identity with serial path: {'PASS' if parity else 'FAIL'}",
-        f"solver level: serial {solver_serial_s * 1e3:.1f} ms vs batched "
+        f"bit-identity with chunks of one: {'PASS' if parity else 'FAIL'}",
+        f"solver level: chunks of one {solver_serial_s * 1e3:.1f} ms vs whole chunk "
         f"{solver_batched_s * 1e3:.1f} ms -> {solver_speedup:.2f}x",
-        f"engine level: serial {engine_serial_s * 1e3:.1f} ms vs batched "
+        f"engine level: chunks of one {engine_serial_s * 1e3:.1f} ms vs whole chunk "
         f"{engine_batched_s * 1e3:.1f} ms -> {engine_speedup:.2f}x",
         f"{stats.batched_sweeps} sweep(s) (mean {stats.batched_sweep_mean_size:.1f} "
         f"topologies), {stats.batched_tail_solves} tail solve(s), "

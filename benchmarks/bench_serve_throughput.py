@@ -132,7 +132,6 @@ def bench_serve_throughput(benchmark, trained_pipeline):
         TOTAL,
         num_solutions=plan.num_solutions,
         rng=as_rng(STREAM_SEED),
-        stream=plan.stream,
         retain_topologies=False,
     )
 

@@ -48,8 +48,9 @@ def _patterns_equal(a, b) -> bool:
 
 
 def bench_streaming_pipeline(benchmark, trained_pipeline):
+    # The barrier run: one chunk spanning the whole run.
     batch = measure_streamed_generation(
-        trained_pipeline, STREAM_GENERATED, rng=0, stream=False, workers=1
+        trained_pipeline, STREAM_GENERATED, chunk_size=STREAM_GENERATED, rng=0, workers=1
     )
 
     def streamed_run():
@@ -58,7 +59,6 @@ def bench_streaming_pipeline(benchmark, trained_pipeline):
             STREAM_GENERATED,
             chunk_size=CHUNK_SIZE,
             rng=0,
-            stream=True,
             retain_topologies=False,
             workers=1,
         )
@@ -111,7 +111,6 @@ def bench_streaming_pipeline(benchmark, trained_pipeline):
             STREAM_GENERATED,
             chunk_size=CHUNK_SIZE,
             rng=0,
-            stream=True,
             retain_topologies=False,
             workers=BENCH_WORKERS,
         )

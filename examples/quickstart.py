@@ -13,7 +13,7 @@ healthy pattern yield.  Flags layer over the scenario exactly like the CLI's.
 
 Streaming + persistence walkthrough (mirrors ``python -m repro generate``)::
 
-    python examples/quickstart.py --stream --chunk-size 8          # bounded memory
+    python examples/quickstart.py --chunk-size 8                   # bounded memory
     python examples/quickstart.py --library out/lib                # persist chunks
     # kill it halfway (Ctrl-C), then pick up where it stopped:
     python examples/quickstart.py --library out/lib --resume
@@ -26,7 +26,7 @@ library is then readable with ``python -m repro inspect-library out/lib``.
 Usage::
 
     python examples/quickstart.py [--scenario smoke] [--iterations 600]
-        [--generate 16] [--batch | --stream] [--chunk-size 8]
+        [--generate 16] [--chunk-size 8]
         [--library DIR] [--resume]
 
 Flags left unset fall back to the scenario's own values.
@@ -72,27 +72,13 @@ def main() -> int:
         help="legalization process-pool width (1 = serial, 0 = auto; results "
         "are identical for any value)",
     )
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--stream",
-        action="store_true",
-        default=None,
-        help="stream generation chunk by chunk (the scenarios' default; "
-        "bounded memory)",
-    )
-    mode.add_argument(
-        "--batch",
-        dest="stream",
-        action="store_false",
-        help="single-barrier path: sample everything, then assess everything "
-        "(identical output, unbounded memory)",
-    )
     parser.add_argument(
         "--chunk-size",
         type=int,
         default=None,
         help="samples per streamed graph step (memory knob only — the "
-        "generated patterns are identical for any value)",
+        "generated patterns are identical for any value; the --generate "
+        "count runs one barrier chunk)",
     )
     parser.add_argument(
         "--library",
@@ -118,7 +104,6 @@ def main() -> int:
         training_patterns=args.training_patterns,
         workers=args.workers,
         chunk_size=args.chunk_size,
-        stream=args.stream,
     )
     spec = builtin_registry().resolve(args.scenario)
     if overrides:
@@ -150,14 +135,12 @@ def main() -> int:
         if plan.config.stream_chunk_size is not None
         else plan.config.sample_batch_size
     )
-    mode_label = f"streaming, chunks of {chunk}" if plan.stream else "batch barrier"
     print(f"[3/4] generation graph: sample -> prefilter -> legalize -> DRC "
-          f"({mode_label}, workers={plan.config.workers}) ...")
+          f"(chunks of {chunk}, workers={plan.config.workers}) ...")
     result = pipeline.generate_and_legalize(
         plan.num_generated,
         num_solutions=plan.num_solutions,
         rng=rng,
-        stream=plan.stream,
         retain_topologies=plan.retain_topologies,
         library=library,
         resume=args.resume,

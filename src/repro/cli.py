@@ -91,21 +91,10 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         "slsqp = full solve, bit-identical to the historical solver)",
     )
     parser.add_argument(
-        "--batch-solve", choices=("on", "off"), default=None,
-        help="override engine.batch_solve (on = cross-topology batched "
-        "legalization: whole-chunk repair sweeps + block-diagonal SLSQP "
-        "tail; off = serial per-topology reference path; bit-identical "
-        "output either way)",
-    )
-    parser.add_argument(
         "--steps", type=int, default=None, metavar="N",
         help="override sampling.steps: denoising steps per sample on the "
         "evenly respaced chain (0 = full trained chain; fewer steps = "
         "fewer U-Net evaluations, see docs/sampling.md)",
-    )
-    parser.add_argument(
-        "--batch", action="store_true",
-        help="single-barrier path instead of streaming (identical output)",
     )
     parser.add_argument(
         "--dedup", action="store_true",
@@ -287,16 +276,14 @@ def knob_overrides(
     workers: "int | None" = None,
     chunk_size: "int | None" = None,
     solver_mode: "str | None" = None,
-    batch_solve: "bool | None" = None,
     steps: "int | None" = None,
-    stream: "bool | None" = None,
     dedup: bool = False,
 ) -> dict:
     """Knob values as a spec-override mapping (empty sections omitted).
 
-    ``None`` means "keep the scenario's value" (``stream`` is tri-state for
-    exactly that reason), and ``dedup`` only overrides when set — a
-    scenario's own choice is never silently forced back to the default.
+    ``None`` means "keep the scenario's value", and ``dedup`` only
+    overrides when set — a scenario's own choice is never silently forced
+    back to the default.
     Shared by the CLI flag handling and ``examples/quickstart.py`` so the
     two cannot drift.
     """
@@ -312,8 +299,6 @@ def knob_overrides(
         engine["stream_chunk_size"] = chunk_size
     if solver_mode is not None:
         engine["solver_mode"] = solver_mode
-    if batch_solve is not None:
-        engine["batch_solve"] = batch_solve
     sampling = {}
     if steps is not None:
         # 0 keeps the TOML convention: "no null literal" -> full chain.
@@ -325,8 +310,6 @@ def knob_overrides(
         run["num_solutions"] = solutions
     if seed is not None:
         run["seed"] = seed
-    if stream is not None:
-        run["stream"] = stream
     if dedup:
         run["dedup"] = True
     overrides = {}
@@ -352,9 +335,7 @@ def _overrides_from(args: argparse.Namespace) -> dict:
         workers=args.workers,
         chunk_size=args.chunk_size,
         solver_mode=args.solver_mode,
-        batch_solve=None if args.batch_solve is None else args.batch_solve == "on",
         steps=args.steps,
-        stream=False if args.batch else None,
         dedup=args.dedup,
     )
 
@@ -404,7 +385,7 @@ def _execute_plan(
 
     Mirrors :meth:`~repro.pipeline.DiffPatternPipeline.run` (one rng drives
     data → train → generate, so a resumed run replays the identical seeds)
-    with the plan's stream / dedup / retention knobs applied.
+    with the plan's dedup / retention knobs applied.
     """
     from .library import PatternLibrary
     from .pipeline import DiffPatternPipeline
@@ -423,16 +404,14 @@ def _execute_plan(
     library = (
         PatternLibrary(out, dedup=plan.dedup, writer=writer) if out is not None else None
     )
-    mode = "streamed" if plan.stream else "batch"
     print(
-        f"[3/3] generation graph ({mode}): {plan.num_generated} topologies "
+        f"[3/3] generation graph: {plan.num_generated} topologies "
         f"x {plan.num_solutions} solution(s) ..."
     )
     result = pipeline.generate_and_legalize(
         plan.num_generated,
         num_solutions=plan.num_solutions,
         rng=gen,
-        stream=plan.stream,
         retain_topologies=plan.retain_topologies,
         library=library,
         resume=resume,

@@ -1,8 +1,11 @@
 """White-box 2D legal pattern assessment (design rules, constraints, solver)."""
 
 from .batched import (
+    SOLVER_MODES,
     BatchCompiledConstraints,
     ChunkSolveOutcome,
+    GeometrySolution,
+    SolverOptions,
     solve_geometry_chunk,
 )
 from .compiled import (
@@ -32,13 +35,7 @@ from .rules import (
     SMALLER_AREA_RULES,
     DesignRules,
 )
-from .solver import (
-    SOLVER_MODES,
-    GeometrySolution,
-    SolverOptions,
-    solve_geometry,
-    solve_topology,
-)
+from .solver import solve_geometry, solve_topology
 
 __all__ = [
     "DesignRules",

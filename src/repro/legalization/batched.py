@@ -1,50 +1,49 @@
-"""Cross-topology batched legalization: whole-chunk sweeps, stacked verify.
+"""The legalization solve: a chunk of topologies through stacked kernels.
 
-:class:`~repro.legalization.Legalizer` historically walked a chunk one
-topology at a time: every solve paid its own repair projection, its own
-largest-remainder rounding and its own exact integer verification — dozens
-of tiny numpy calls per topology, so the Python dispatch around the
-(already compiled) kernels dominated once the PR 5 fast path made each
-solve cheap.  This module stacks K topologies' compiled constraint systems
-into block-diagonal arrays with per-topology variable offsets and runs the
-whole chunk through a *constant number* of numpy passes:
+Every legalization in the package runs :func:`solve_geometry_chunk`: one
+topology through :func:`~repro.legalization.solve_geometry`, the solution
+slots of :meth:`~repro.legalization.Legalizer.legalize_topology`, and each
+engine chunk.  A single topology is a chunk of one.  The chunk's compiled
+constraint systems are stacked block-diagonally with per-topology variable
+offsets, and each solution slot runs a constant number of numpy passes:
 
-* **Whole-chunk repair sweep** — the scale/lift/round/verify projection of
-  ``solve_geometry`` evaluated simultaneously for all K topologies
-  (grouped by axis length so every row-wise reduction stays bit-identical
-  to the serial 1-D computation), partitioning the chunk into fast-path
-  successes and a residual tail in one pass.
-* **Block-diagonal SLSQP tail** — the residual topologies are solved in
-  restart rounds grouped by attempt number (so the restart RNG draws stay
-  per-index), and each round's continuous solutions are rounded and
-  integer-verified as one stacked pass over the block-diagonal system.
+* **Whole-chunk repair sweep** (``solver_mode="auto"``) — every target is
+  scaled onto the sum equality, lifted onto the rounding-safe per-index
+  interval lower bounds (see
+  :meth:`~repro.legalization.CompiledConstraints.repair_lower_bounds`), its
+  remaining slack redistributed in proportion to the free mass, rounded by
+  largest remainder and verified exactly against every constraint, the
+  polygon-area windows included.  One pass partitions the chunk into
+  fast-path successes and a residual tail.
+* **SLSQP tail** — the residual topologies are solved in restart rounds
+  grouped by attempt number (restarts draw fresh random targets), and each
+  round's continuous solutions are rounded and integer-verified as one
+  stacked pass over the block-diagonal system.
 
-Bit-identity contract
----------------------
-The batched path must produce output **bit-identical** to the serial
-per-topology path for any chunk size, worker count and batch composition,
-in both ``auto`` and ``slsqp`` modes.  Three facts make that achievable:
+Chunk invariance
+----------------
+A topology's solutions do not depend on the chunk around it: its size, the
+other topologies in it, or the worker that runs it.  Three facts make that
+hold:
 
 * Every topology owns an independent generator (``(seed, index)`` spawn
-  keys), so only the *per-generator* draw order matters — and the slot /
-  attempt loops below consume draws in exactly the serial order.
+  keys), and the slot / attempt loops below draw from each generator in the
+  order a chunk of one would.
 * Row-wise reductions over a C-contiguous 2-D stack of *equal-length* rows
   (``M.sum(axis=1)``, ``np.argsort(-R, axis=1)``) apply the identical
-  pairwise reduction / sort to each row as the serial 1-D calls do, so
-  grouping by exact axis length is bit-identical while zero-padding would
-  not be (see :mod:`repro.legalization.compiled`).
+  pairwise reduction / sort to each row whatever the stack height, so the
+  per-axis passes group rows by exact axis length; zero-padding to a common
+  length would not be bit-identical (see :mod:`repro.legalization.compiled`).
 * Integer verification is exact ``int64`` arithmetic — any grouping of the
   block-diagonal system yields the same booleans.
 
-One thing deliberately stays per-topology: the scipy SLSQP call itself.
-Stacking K independent systems into a single ``minimize`` call would share
-one line search, one merit function and one ``ftol``/``maxiter``
-termination across blocks, coupling the iterates — the result would be
-close but **not** bit-identical to K separate solves.  The tail therefore
-batches everything around scipy (target assembly, restart grouping,
-stacked rounding and verification) and keeps the solver invocations
-per-topology, which is also where ~all of the tail's time is genuinely
-spent.
+One thing deliberately stays per topology: the scipy SLSQP call.  Stacking
+K independent systems into a single ``minimize`` call would share one line
+search, one merit function and one ``ftol``/``maxiter`` termination across
+blocks, coupling the iterates, so a topology's result would depend on its
+chunk.  The tail batches everything around scipy (target assembly, restart
+grouping, stacked rounding and verification) and keeps the solver calls per
+topology, which is where nearly all of the tail's time goes.
 """
 
 from __future__ import annotations
@@ -53,35 +52,123 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import optimize
 
 from .compiled import CompiledConstraints
 from .rules import DesignRules
-from .solver import (
-    SOLVER_MODES,
-    GeometrySolution,
-    SolverOptions,
-    _random_partition,
-    _round_preserving_sum,
-    _solve_once,
-)
 
 __all__ = [
+    "SOLVER_MODES",
+    "SolverOptions",
+    "GeometrySolution",
     "BatchCompiledConstraints",
     "ChunkSolveOutcome",
     "solve_geometry_chunk",
 ]
 
+#: Valid values of :attr:`SolverOptions.solver_mode`.
+SOLVER_MODES = ("auto", "slsqp")
+
+
+@dataclass
+class SolverOptions:
+    """Numerical options of the legalisation solve."""
+
+    margin: float = 2.0            # slack (nm) added to every >= constraint before rounding
+    lower_bound: float = 4.0       # minimum interval length (nm)
+    max_iterations: int = 300
+    tolerance: float = 1e-6
+    max_attempts: int = 4          # restarts with fresh random targets on failure
+    #: ``"auto"`` tries the deterministic repair projection before SLSQP;
+    #: ``"slsqp"`` always runs the full solve (bit-identical to the legacy
+    #: lambda formulation — what ``paper-tables`` pins).
+    solver_mode: str = "auto"
+
+
+@dataclass
+class GeometrySolution:
+    """Result of one legalisation solve."""
+
+    success: bool
+    delta_x: "np.ndarray | None"
+    delta_y: "np.ndarray | None"
+    iterations: int
+    elapsed_seconds: float
+    message: str = ""
+    attempts: int = 1
+    objective: float = field(default=float("nan"))
+    #: Which path produced the solution: ``"slsqp"`` for the full nonlinear
+    #: solve, ``"repair"`` for the projection fast path.
+    method: str = "slsqp"
+
+
+def _random_partition(total: int, parts: int, rng: np.random.Generator) -> np.ndarray:
+    """A random positive vector of length ``parts`` summing to ``total``."""
+    weights = rng.dirichlet(np.full(parts, 2.0))
+    return weights * float(total)
+
+
+def _solve_once(
+    compiled: CompiledConstraints,
+    target_x: np.ndarray,
+    target_y: np.ndarray,
+    opts: SolverOptions,
+) -> dict:
+    """One SLSQP solve of one topology's system towards ``(target_x, target_y)``."""
+    rows, cols = compiled.shape
+    total = compiled.total
+    n_vars = compiled.n_vars
+    target = np.concatenate([target_x, target_y])
+    # Normalise the least-squares pull so that objective values are O(100) and
+    # gradients O(0.1): small enough to be well conditioned, large enough that
+    # SLSQP keeps descending towards the target instead of stopping at the
+    # first feasible point (which would collapse solution diversity).
+    scale = 1.0 / total
+
+    def objective(v: np.ndarray) -> float:
+        diff = v - target
+        return float(diff @ diff) * scale
+
+    def objective_grad(v: np.ndarray) -> np.ndarray:
+        return 2.0 * (v - target) * scale
+
+    cons = compiled.slsqp_constraints(opts.margin)
+
+    bounds = [(opts.lower_bound, total)] * n_vars
+    # Start from uniform intervals: it satisfies the equality constraints
+    # exactly and is (near-)feasible for typical width/space minima, which
+    # keeps SLSQP well-behaved.  Diversity comes from the random *target* in
+    # the objective, not from the start point.
+    x0 = np.empty(n_vars)
+    x0[:cols] = total / cols
+    x0[cols:] = total / rows
+
+    result = optimize.minimize(
+        objective,
+        x0,
+        jac=objective_grad,
+        bounds=bounds,
+        constraints=cons,
+        method="SLSQP",
+        options={"maxiter": opts.max_iterations, "ftol": opts.tolerance},
+    )
+    return {
+        "success": bool(result.success),
+        "delta_x": result.x[:cols],
+        "delta_y": result.x[cols:],
+        "iterations": int(result.nit),
+        "message": str(result.message),
+        "objective": float(result.fun),
+    }
+
 
 def _project_axis_rows(
     targets: np.ndarray, lower: np.ndarray, total: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise ``solver._project_axis``: project every row of ``targets``
-    onto ``{v >= lower[row], sum(v) = total}``.
+    """Project every row of ``targets`` onto ``{v >= lower[row], sum(v) = total}``.
 
     Returns ``(values, feasible)``; rows with ``feasible=False`` have no
-    projection (their ``values`` row is meaningless).  Every arithmetic step
-    mirrors the serial scalar computation elementwise, so feasible rows are
-    bit-identical to ``_project_axis`` on the same row.
+    projection (their ``values`` row is meaningless).
     """
     slack = float(total) - lower.sum(axis=1)
     t = np.maximum(targets, 1e-9)
@@ -103,14 +190,17 @@ def _project_axis_rows(
 
 
 def _round_rows(values: np.ndarray, total: int) -> np.ndarray:
-    """Row-wise ``solver._round_preserving_sum`` (largest-remainder).
+    """Round every row to positive integers summing to ``total`` (largest remainder).
 
-    The deficit-positive branch vectorizes exactly: ``argsort(axis=1)``
-    runs the identical sort per row, and ranking positions below
-    ``deficit % n`` selects the same entries the serial cyclic walk
-    increments.  Deficit-negative rows (possible only for SLSQP tail
-    candidates far below their floors) fall back to the serial scalar
-    routine per row, keeping exact parity on its iterative give-back loop.
+    A row whose floors (each at least 1) fall short of ``total`` hands the
+    deficit out by descending remainder: position ``order[j]`` gets
+    ``deficit // n`` units plus one more for the first ``deficit % n``
+    positions — what cycling the remainder order one unit per visit gives.
+    Ranking positions in ``argsort(axis=1)`` order does that for all rows
+    at once.  A row whose floors overshoot (possible only for SLSQP tail
+    candidates far below their floors) gives units back one full cycle at a
+    time over its descending-value order, never below 1; when no entry can
+    give, the row keeps its overshoot and fails verification.
     """
     if values.shape[0] == 0:
         return np.zeros(values.shape, dtype=np.int64)
@@ -128,7 +218,15 @@ def _round_rows(values: np.ndarray, total: int) -> np.ndarray:
         floors = floors + ((rank < (extra % n)[:, None]) & positive[:, None])
         floors = floors + (extra // n)[:, None]
     for row in np.nonzero(deficits < 0)[0]:
-        floors[row] = _round_preserving_sum(values[row], total)
+        line = floors[row]
+        deficit = int(deficits[row])
+        order = np.argsort(-line)
+        while deficit < 0:
+            candidates = order[line[order] > 1][:-deficit]
+            if candidates.size == 0:
+                break
+            line[candidates] -= 1
+            deficit += candidates.size
     return floors
 
 
@@ -287,8 +385,8 @@ class BatchCompiledConstraints:
 
         One stacked pass over the block-diagonal system; returns a length-K
         boolean array (``False`` for topologies without a candidate).  All
-        arithmetic is ``int64``-exact, so every entry equals the serial
-        ``CompiledConstraints.verify_integer`` on that pair.
+        arithmetic is ``int64``-exact, so every entry equals
+        ``CompiledConstraints.verify_integer`` on that pair alone.
         """
         verified = np.zeros(self.k, dtype=bool)
         if not pairs:
@@ -335,13 +433,13 @@ class BatchCompiledConstraints:
     ) -> "tuple[dict[int, tuple[np.ndarray, np.ndarray]], list[int]]":
         """One vectorized whole-chunk repair pass over all K topologies.
 
-        Runs the serial repair projection (scale onto the sum equality, lift
-        onto the rounding-safe lower bounds, redistribute slack, round,
-        verify exactly) for the entire chunk in a constant number of numpy
-        passes.  Returns ``(solved, residual)``: ``solved`` maps topology
-        position to its bit-identical ``(delta_x, delta_y)`` fast-path pair;
-        ``residual`` lists the positions the projection could not legalise,
-        ascending — the SLSQP tail's work list.
+        Runs the repair projection (scale onto the sum equality, lift onto
+        the rounding-safe lower bounds, redistribute slack, round, verify
+        exactly) for the entire chunk in a constant number of numpy passes.
+        Returns ``(solved, residual)``: ``solved`` maps topology position to
+        its ``(delta_x, delta_y)`` fast-path pair; ``residual`` lists the
+        positions the projection could not legalise, ascending — the SLSQP
+        tail's work list.
         """
         bounds_x, bounds_y = self._stacked_repair_bounds(options.lower_bound)
         feasible = np.ones(self.k, dtype=bool)
@@ -388,11 +486,10 @@ class BatchCompiledConstraints:
     ) -> "dict[int, float]":
         """Least-squares objectives of many integer pairs in stacked passes.
 
-        The serial path dots one concatenated ``[delta_x, delta_y]`` diff
-        vector per solution; here every ``(rows, cols)`` shape group runs as
-        one batched 1xN @ Nx1 matmul, which invokes the same BLAS inner
-        product per row and is therefore bit-identical to the serial
-        ``diff @ diff`` (asserted by the batched-vs-serial test suite).
+        Every ``(rows, cols)`` shape group runs as one batched 1xN @ Nx1
+        matmul, which invokes the same BLAS inner product per row as a 1-D
+        ``diff @ diff`` of the concatenated ``[delta_x, delta_y]`` diff, so
+        a pair's objective does not depend on the group around it.
         """
         objectives: dict[int, float] = {}
         if not pairs:
@@ -424,13 +521,12 @@ class BatchCompiledConstraints:
 
 @dataclass
 class ChunkSolveOutcome:
-    """Solutions and batched-path counters for one chunk solve."""
+    """Solutions and chunk-solve counters for one chunk solve."""
 
     #: Per topology position, one :class:`GeometrySolution` per requested
-    #: solution slot (success or failure), in slot order — exactly what the
-    #: serial per-topology loop would have produced.
+    #: solution slot (success or failure), in slot order.
     solutions: "list[list[GeometrySolution]]" = field(default_factory=list)
-    #: Whole-chunk repair sweeps executed (one per solution round in auto).
+    #: Whole-chunk repair sweeps executed (one per solution slot in auto).
     sweeps: int = 0
     #: Topologies covered by those sweeps (sum of sweep sizes).
     sweep_topologies: int = 0
@@ -446,16 +542,21 @@ def solve_geometry_chunk(
     num_solutions: int = 1,
     initial_targets=None,
 ) -> ChunkSolveOutcome:
-    """Solve a whole chunk of topologies, bit-identical to serial solves.
+    """Solve a whole chunk of topologies, ``num_solutions`` slots each.
 
-    ``rngs[i]`` is topology ``i``'s independent generator (the caller derives
-    it from ``(seed, first_index + i)``); ``initial_targets(i, rng)``, when
-    given, supplies the solution-0 warm-start targets (``Solving-E``) and may
-    consume draws from ``rng`` exactly as the serial target pick does.  Draw
-    order per generator matches the serial path: solution slots are the outer
-    loop, and within a slot the restart rounds draw fresh targets in attempt
-    order — so every topology sees the identical stream it would alone.
+    ``rngs[i]`` is topology ``i``'s independent generator (engine chunks
+    derive it from ``(seed, first_index + i)``); ``initial_targets(i, rng)``,
+    when given, supplies the slot-0 targets (``Solving-E`` warm start; a
+    ``None`` entry is drawn at random) and may consume draws from ``rng``.
+    Per generator, draws happen in slot order, and within a slot in attempt
+    order, so every topology sees the stream it would see alone.
+
+    ``elapsed_seconds`` of each solution is its topology's own SLSQP time
+    plus an equal share of the slot's chunk-wide work (the first slot's
+    share includes the chunk setup), so the solutions' times add up to the
+    call's wall time.
     """
+    start = time.perf_counter()
     opts = options if options is not None else SolverOptions()
     if opts.solver_mode not in SOLVER_MODES:
         raise ValueError(
@@ -474,6 +575,7 @@ def solve_geometry_chunk(
     batch = BatchCompiledConstraints(compiled)
     total = rules.pattern_size
 
+    slot_start = start
     for slot in range(num_solutions):
         # Attempt-1 targets, drawn per topology in index order (the repair
         # sweep consumes no extra draws and shares them with SLSQP attempt 1).
@@ -501,43 +603,41 @@ def solve_geometry_chunk(
             targets_x.append(tx)
             targets_y.append(ty)
 
+        # Every solution below is created with elapsed_seconds=0.0 and timed
+        # when the slot ends.
+        found: "list[GeometrySolution | None]" = [None] * batch.k
         pending = list(range(batch.k))
-        sweep_share = 0.0
         if opts.solver_mode == "auto":
-            sweep_start = time.perf_counter()
             solved, pending = batch.repair_sweep(targets_x, targets_y, opts)
-            sweep_share = (time.perf_counter() - sweep_start) / batch.k
             outcome.sweeps += 1
             outcome.sweep_topologies += batch.k
             objectives = batch.objective_values(solved, targets_x, targets_y)
             for i, (dx, dy) in solved.items():
-                outcome.solutions[i].append(
-                    GeometrySolution(
-                        success=True,
-                        delta_x=dx,
-                        delta_y=dy,
-                        iterations=0,
-                        elapsed_seconds=sweep_share,
-                        message="repaired",
-                        attempts=1,
-                        objective=objectives[i],
-                        method="repair",
-                    )
+                found[i] = GeometrySolution(
+                    success=True,
+                    delta_x=dx,
+                    delta_y=dy,
+                    iterations=0,
+                    elapsed_seconds=0.0,
+                    message="repaired",
+                    attempts=1,
+                    objective=objectives[i],
+                    method="repair",
                 )
 
-        # Block-diagonal SLSQP tail: restart rounds grouped by attempt
-        # number.  scipy runs per topology (see module docstring), while the
-        # round's rounding + integer verification are one stacked pass.  The
-        # stacked system is rebuilt over the residual alone so each round
-        # scales with the tail, not the chunk (rounding is per-row and the
-        # verification is int64-exact, so the regrouping is bit-identical).
+        # SLSQP tail: restart rounds grouped by attempt number.  scipy runs
+        # per topology (see module docstring), while the round's rounding +
+        # integer verification are one stacked pass.  The stacked system is
+        # rebuilt over the residual alone so each round scales with the
+        # tail, not the chunk (rounding is per-row and the verification is
+        # int64-exact, so the regrouping changes no result).
         if pending and len(pending) < batch.k:
             tail_batch = BatchCompiledConstraints([compiled[i] for i in pending])
         else:
             tail_batch = batch
         tail_pos = {i: pos for pos, i in enumerate(pending)}
         iterations = {i: 0 for i in pending}
-        seconds = {i: sweep_share for i in pending}
+        own_seconds = {i: 0.0 for i in pending}
         messages = {i: "" for i in pending}
         active = list(pending)
         for attempt in range(1, opts.max_attempts + 1):
@@ -551,7 +651,7 @@ def solve_geometry_chunk(
             for i in active:
                 solve_start = time.perf_counter()
                 result = _solve_once(compiled[i], targets_x[i], targets_y[i], opts)
-                seconds[i] += time.perf_counter() - solve_start
+                own_seconds[i] += time.perf_counter() - solve_start
                 outcome.tail_solves += 1
                 iterations[i] += result["iterations"]
                 if result["success"]:
@@ -561,7 +661,6 @@ def solve_geometry_chunk(
             rounded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
             verified = np.zeros(tail_batch.k, dtype=bool)
             if converged:
-                stacked_start = time.perf_counter()
                 rounded_local = tail_batch.round_pairs(
                     {
                         tail_pos[i]: (r["delta_x"], r["delta_y"])
@@ -570,24 +669,19 @@ def solve_geometry_chunk(
                 )
                 verified = tail_batch.verify_pairs(rounded_local)
                 rounded = {i: rounded_local[tail_pos[i]] for i in converged}
-                stacked_share = (time.perf_counter() - stacked_start) / len(converged)
-                for i in converged:
-                    seconds[i] += stacked_share
             still_active = []
             for i in active:
                 if i in converged and verified[tail_pos[i]]:
                     dx, dy = rounded[i]
-                    outcome.solutions[i].append(
-                        GeometrySolution(
-                            success=True,
-                            delta_x=dx,
-                            delta_y=dy,
-                            iterations=iterations[i],
-                            elapsed_seconds=seconds[i],
-                            message="converged",
-                            attempts=attempt,
-                            objective=converged[i]["objective"],
-                        )
+                    found[i] = GeometrySolution(
+                        success=True,
+                        delta_x=dx,
+                        delta_y=dy,
+                        iterations=iterations[i],
+                        elapsed_seconds=0.0,
+                        message="converged",
+                        attempts=attempt,
+                        objective=converged[i]["objective"],
                     )
                 else:
                     if i in converged:
@@ -595,15 +689,22 @@ def solve_geometry_chunk(
                     still_active.append(i)
             active = still_active
         for i in active:
-            outcome.solutions[i].append(
-                GeometrySolution(
-                    success=False,
-                    delta_x=None,
-                    delta_y=None,
-                    iterations=iterations[i],
-                    elapsed_seconds=seconds[i],
-                    message=messages[i] or "no feasible solution found",
-                    attempts=max(opts.max_attempts, 0),
-                )
+            found[i] = GeometrySolution(
+                success=False,
+                delta_x=None,
+                delta_y=None,
+                iterations=iterations[i],
+                elapsed_seconds=0.0,
+                message=messages[i] or "no feasible solution found",
+                attempts=max(opts.max_attempts, 0),
             )
+
+        # Each topology keeps its own SLSQP time; the rest of the slot (and,
+        # for slot 0, the chunk setup) is shared equally.
+        slot_end = time.perf_counter()
+        shared = (slot_end - slot_start - sum(own_seconds.values())) / batch.k
+        for i, solution in enumerate(found):
+            solution.elapsed_seconds = shared + own_seconds.get(i, 0.0)
+            outcome.solutions[i].append(solution)
+        slot_start = slot_end
     return outcome

@@ -48,9 +48,9 @@ import numpy as np
 
 from ..squish import SquishPattern
 from ..utils import resolve_seed
+from .batched import SolverOptions
 from .legalizer import LegalizationStats, LegalizedTopology, Legalizer
 from .rules import DesignRules
-from .solver import SolverOptions
 
 
 def default_workers() -> int:

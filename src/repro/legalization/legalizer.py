@@ -14,10 +14,9 @@ import numpy as np
 
 from ..squish import SquishPattern
 from ..utils import as_rng, child_rng, resolve_seed
-from .batched import solve_geometry_chunk
+from .batched import GeometrySolution, SolverOptions, solve_geometry_chunk
 from .compiled import compiled_for_topology
 from .rules import DesignRules
-from .solver import GeometrySolution, SolverOptions, solve_geometry
 
 
 @dataclass
@@ -33,13 +32,13 @@ class LegalizationStats:
     #: How many of ``solutions`` the repair-first projection produced without
     #: an SLSQP call (always 0 under ``solver_mode="slsqp"``).
     fast_path_solutions: int = 0
-    #: Whole-chunk vectorized repair sweeps run by the batched path (one per
-    #: solution round per chunk under ``solver_mode="auto"``).
+    #: Whole-chunk vectorized repair sweeps (one per solution slot per chunk
+    #: under ``solver_mode="auto"``).
     batched_sweeps: int = 0
     #: Topologies covered by those sweeps (sum of sweep sizes); divide by
     #: ``batched_sweeps`` for the mean sweep width.
     batched_sweep_topologies: int = 0
-    #: Per-topology SLSQP calls issued by the batched restart-round tail.
+    #: Per-topology SLSQP calls issued by the restart-round tail.
     batched_tail_solves: int = 0
 
     @property
@@ -209,52 +208,7 @@ class Legalizer:
         value (100 in the paper).  Each solution uses a fresh target, so the
         returned geometries differ (Fig. 7).
         """
-        gen = as_rng(rng)
-        topology = np.asarray(topology)
-        # The compiled kernel is cached by topology content + rules, so the
-        # constraint extraction and array compilation are paid once even
-        # across multi-solution solves, restart attempts, and repeats of the
-        # same topology within a batch.
-        compiled = compiled_for_topology(topology, self.rules)
-        result = LegalizedTopology(topology=topology.astype(np.uint8))
-        self.stats.attempted += 1
-
-        for solution_index in range(num_solutions):
-            if solution_index == 0 and self.reference_geometries:
-                target_x, target_y = self._pick_targets(compiled.shape, gen)
-            else:
-                target_x, target_y = None, None
-            solution = solve_geometry(
-                compiled,
-                self.rules,
-                target_x=target_x,
-                target_y=target_y,
-                rng=gen,
-                options=self.options,
-            )
-            self.stats.total_solver_time += solution.elapsed_seconds
-            self.stats.total_iterations += solution.iterations
-            if not solution.success:
-                # Unsolved attempts are skipped; remaining solution slots are
-                # still tried with fresh random targets.
-                continue
-            self.stats.solutions += 1
-            if solution.method == "repair":
-                self.stats.fast_path_solutions += 1
-            result.solutions.append(solution)
-            result.patterns.append(
-                SquishPattern(
-                    topology=topology.astype(np.uint8),
-                    delta_x=solution.delta_x,
-                    delta_y=solution.delta_y,
-                )
-            )
-
-        if result.solved:
-            self.stats.solved += 1
-        else:
-            self.stats.failed += 1
-        return result
+        return self._legalize_chunk([topology], num_solutions, [as_rng(rng)])[0]
 
     # ------------------------------------------------------------------ #
     def legalize_batch(
@@ -272,48 +226,33 @@ class Legalizer:
         does not depend on the composition of the batch around it: re-running
         a single topology at the same index reproduces its batch result, and
         the :class:`~repro.legalization.LegalizationEngine` gets element-wise
-        identical output for any sharding of the same batch.
-
-        When ``options.batch_solve`` is set (the default) the whole chunk is
-        legalised through the cross-topology batched path
-        (:mod:`repro.legalization.batched`) — bit-identical output, constant
-        number of numpy passes per sweep.  ``batch_solve=False`` walks the
-        per-topology reference path instead.
+        identical output for any sharding of the same batch.  The batch is
+        solved as one chunk (:func:`~repro.legalization.solve_geometry_chunk`).
         """
+        batch = list(topologies)
         base_seed = resolve_seed(rng)
-        if self.options.batch_solve:
-            return self._legalize_batch_batched(
-                topologies, num_solutions, base_seed, first_index
-            )
-        return [
-            self.legalize_topology(
-                topology,
-                num_solutions=num_solutions,
-                rng=child_rng(base_seed, first_index + position),
-            )
-            for position, topology in enumerate(topologies)
+        rngs = [
+            child_rng(base_seed, first_index + position) for position in range(len(batch))
         ]
+        return self._legalize_chunk(batch, num_solutions, rngs)
 
-    def _legalize_batch_batched(
+    def _legalize_chunk(
         self,
-        topologies: "np.ndarray | list[np.ndarray]",
+        topologies: "list[np.ndarray]",
         num_solutions: int,
-        base_seed: int,
-        first_index: int,
+        rngs: "list[np.random.Generator]",
     ) -> list[LegalizedTopology]:
-        """Chunk entry of the batched path; same stats/output as serial."""
+        """Solve ``topologies`` as one chunk, ``rngs[i]`` drawing for topology ``i``."""
         batch = [np.asarray(topology) for topology in topologies]
         if not batch:
             return []
-        rngs = [
-            child_rng(base_seed, first_index + position)
-            for position in range(len(batch))
-        ]
+        # The compiled kernel is cached by topology content + rules, so the
+        # constraint extraction and array compilation are paid once even
+        # across repeats of the same topology.
         compiled = [compiled_for_topology(topology, self.rules) for topology in batch]
 
         def initial_targets(position: int, rng: np.random.Generator):
-            # Mirrors the serial per-topology warm-start pick exactly,
-            # including its RNG draw (one uniform when candidates exist).
+            # The warm-start pick draws one uniform when candidates exist.
             if not self.reference_geometries:
                 return None, None
             return self._pick_targets(compiled[position].shape, rng)
@@ -338,6 +277,8 @@ class Legalizer:
                 self.stats.total_solver_time += solution.elapsed_seconds
                 self.stats.total_iterations += solution.iterations
                 if not solution.success:
+                    # Unsolved slots are skipped; the remaining slots are
+                    # still tried with fresh random targets.
                     continue
                 self.stats.solutions += 1
                 if solution.method == "repair":

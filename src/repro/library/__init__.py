@@ -1,6 +1,5 @@
 """Persistent pattern library: npz shards, manifest shards, on-disk index."""
 
-from .faults import InjectedCrash, fault_point, install_fault_hook, record_fault_points
 from .index import BloomFilter, LibraryIndex
 from .manifest import LEGACY_WRITER, MANIFEST_DIR, LibraryLock, WriterLedger
 from .store import (
@@ -28,10 +27,6 @@ __all__ = [
     "WriterLedger",
     "LEGACY_WRITER",
     "MANIFEST_DIR",
-    "InjectedCrash",
-    "fault_point",
-    "install_fault_hook",
-    "record_fault_points",
     "save_shard",
     "load_shard",
     "load_shard_slice",

@@ -31,7 +31,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .faults import fault_point
+from ..faults import fault_point
 
 try:  # POSIX advisory locking; the fallback below covers exotic hosts.
     import fcntl

@@ -68,12 +68,6 @@ class DiffPatternConfig:
     #: seed), ``"slsqp"`` always runs the full solve (bit-identical to the
     #: historical solver — the ``paper-tables`` scenario pins it).
     solver_mode: str = "auto"
-    #: Route legalization chunks through the cross-topology batched path
-    #: (whole-chunk repair sweeps + block-diagonal SLSQP tail — see
-    #: ``docs/legalization.md``).  Output is bit-identical to the serial
-    #: per-topology path in every mode, so this is a pure throughput knob;
-    #: ``False`` pins the serial reference oracle.
-    batch_solve: bool = True
     #: Samples pulled per streaming-generation-graph step (``None`` falls
     #: back to ``sample_batch_size``).  Bounds peak memory of a streamed
     #: ``run()``; the generated result is identical for any value.

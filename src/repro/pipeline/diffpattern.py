@@ -274,7 +274,6 @@ class DiffPatternPipeline:
             workers,
             chunk_size,
             self.config.solver_mode,
-            self.config.batch_solve,
         )
         if (
             self._legalization_engine is None
@@ -289,10 +288,7 @@ class DiffPatternPipeline:
             self._legalization_engine = LegalizationEngine(
                 self.config.rules,
                 reference_geometries=references,
-                options=SolverOptions(
-                    solver_mode=self.config.solver_mode,
-                    batch_solve=self.config.batch_solve,
-                ),
+                options=SolverOptions(solver_mode=self.config.solver_mode),
                 workers=workers,
                 chunk_size=chunk_size,
             )
@@ -397,7 +393,6 @@ class DiffPatternPipeline:
         num_solutions: int = 1,
         rng: "int | np.random.Generator | None" = None,
         workers: "int | None" = None,
-        stream: bool = True,
         chunk_size: "int | None" = None,
         retain_topologies: bool = True,
         library=None,
@@ -405,13 +400,11 @@ class DiffPatternPipeline:
     ) -> GenerationResult:
         """Sample, prefilter, legalise and score through the stage graph.
 
-        ``stream=False`` is the thin wrapper over the old monolithic path:
-        one graph chunk spanning the whole run (sample everything, then
-        assess everything).  Both paths produce element-wise identical
-        results; streaming only bounds memory and overlaps the stages.
+        ``chunk_size`` (see :meth:`generation_graph`) only bounds memory: the
+        result is element-wise identical for any value, and
+        ``chunk_size=num_generated`` is one barrier chunk (sample
+        everything, then assess everything).
         """
-        if not stream:
-            chunk_size = num_generated
         graph = self.generation_graph(
             chunk_size=chunk_size,
             num_solutions=num_solutions,
@@ -434,16 +427,15 @@ class DiffPatternPipeline:
         num_solutions: int = 1,
         train_iterations: "int | None" = None,
         rng: "int | np.random.Generator | None" = None,
-        stream: bool = True,
         chunk_size: "int | None" = None,
         library=None,
         resume: bool = False,
     ) -> GenerationResult:
         """Full pipeline: data -> train -> stream(sample -> legalise) -> metrics.
 
-        Generation runs through the streaming stage graph; ``stream=False``
-        keeps the old single-barrier behaviour (identical output, unbounded
-        memory).  Pass ``library`` (a :class:`~repro.library.PatternLibrary`)
+        Generation runs through the streaming stage graph in chunks of
+        ``chunk_size`` samples (identical output for any value).  Pass
+        ``library`` (a :class:`~repro.library.PatternLibrary`)
         to persist every completed chunk, and ``resume=True`` to continue a
         killed run from its manifest without re-generating finished chunks.
 
@@ -471,7 +463,6 @@ class DiffPatternPipeline:
             num_generated,
             num_solutions=num_solutions,
             rng=gen,
-            stream=stream,
             chunk_size=chunk_size,
             library=library,
             resume=resume,

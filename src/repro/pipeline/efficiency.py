@@ -161,7 +161,6 @@ def measure_streamed_generation(
     chunk_size: "int | None" = None,
     num_solutions: int = 1,
     rng: "int | np.random.Generator | None" = 0,
-    stream: bool = True,
     retain_topologies: bool = True,
     workers: "int | None" = None,
     library=None,
@@ -169,8 +168,8 @@ def measure_streamed_generation(
 ) -> StreamingMeasurement:
     """Measure one end-to-end generation run through the stage graph.
 
-    ``stream=False`` measures the monolithic single-chunk path, so calling
-    this twice gives the streaming-vs-batch wall-clock and peak-allocation
+    ``chunk_size=num_generated`` measures one barrier chunk, so calling
+    this twice gives the streaming-vs-barrier wall-clock and peak-allocation
     comparison the streaming benchmark gates.  The Python-heap peak is
     tracked with :mod:`tracemalloc` (resident-set peaks are monotone per
     process and cannot compare two in-process runs).
@@ -185,7 +184,6 @@ def measure_streamed_generation(
             num_solutions=num_solutions,
             rng=rng,
             workers=workers,
-            stream=stream,
             chunk_size=chunk_size,
             retain_topologies=retain_topologies,
             library=library,
@@ -227,10 +225,7 @@ def run_efficiency_experiment(
     # All three measurements honour the config's solver strategy, so a
     # scenario pinned to "slsqp" (paper-tables) reports the full-solve cost
     # while "auto" regimes report the repair-first fast path.
-    options = SolverOptions(
-        solver_mode=pipeline.config.solver_mode,
-        batch_solve=pipeline.config.batch_solve,
-    )
+    options = SolverOptions(solver_mode=pipeline.config.solver_mode)
     solving_r = measure_solving_time(kept, pipeline.config.rules, None, options=options, rng=gen)
     solving_e = measure_solving_time(
         kept, pipeline.config.rules, references, options=options, rng=gen

@@ -27,7 +27,7 @@ A specification is a small nested mapping with a fixed schema::
         "sampling":  {"steps": ...},        # 0 = walk the full chain
 
         "run":       {"num_generated": ..., "num_solutions": ..., "seed": ...,
-                      "stream": ..., "dedup": ..., "retain_topologies": ...},
+                      "dedup": ..., "retain_topologies": ...},
     }
 
 Unknown sections and unknown keys raise :class:`ScenarioError` immediately —
@@ -38,8 +38,8 @@ scenario files.
 
 :meth:`ScenarioSpec.lower` turns a (resolved) specification into a
 :class:`RunPlan`: a fully-built :class:`~repro.pipeline.DiffPatternConfig`
-plus the run-shaping values (`num_generated`, `num_solutions`, seed, stream
-and dedup flags) that live outside the config object.
+plus the run-shaping values (`num_generated`, `num_solutions`, seed, dedup
+and retention flags) that live outside the config object.
 """
 
 from __future__ import annotations
@@ -79,14 +79,10 @@ _ENGINE_KEYS = (
     "legalize_chunk_size",
     "stream_chunk_size",
     "solver_mode",
-    "batch_solve",
 )
 
 #: Engine fields that hold strings (everything else coerces through int).
 _ENGINE_STR_KEYS = ("solver_mode",)
-
-#: Engine fields that hold booleans (``int()`` coercion would mangle them).
-_ENGINE_BOOL_KEYS = ("batch_solve",)
 
 #: DiffPatternConfig fields settable through the ``sampling`` section.
 #: ``steps`` strides the reverse sampler (``sampling_steps`` on the config);
@@ -99,7 +95,6 @@ _RUN_KEYS = (
     "num_generated",
     "num_solutions",
     "seed",
-    "stream",
     "dedup",
     "retain_topologies",
 )
@@ -321,8 +316,6 @@ class ScenarioSpec:
             for key, value in self.sections.get("engine", {}).items():
                 if key in _ENGINE_STR_KEYS:
                     setattr(config, key, str(value))
-                elif key in _ENGINE_BOOL_KEYS:
-                    setattr(config, key, bool(value))
                 else:
                     setattr(config, key, None if value is None else int(value))
             # Engine fields bypass __post_init__, so re-validate the solve
@@ -363,7 +356,6 @@ class ScenarioSpec:
                 num_generated=int(run.get("num_generated", 32)),
                 num_solutions=int(run.get("num_solutions", 1)),
                 seed=int(run.get("seed", config.seed)),
-                stream=bool(run.get("stream", True)),
                 dedup=bool(run.get("dedup", False)),
                 retain_topologies=bool(run.get("retain_topologies", True)),
             )
@@ -390,7 +382,6 @@ class RunPlan:
     num_generated: int
     num_solutions: int
     seed: int
-    stream: bool
     dedup: bool
     retain_topologies: bool
 
@@ -406,12 +397,10 @@ class RunPlan:
             f"  diffusion        {cfg.diffusion.num_steps} steps, "
             f"{cfg.train_iterations} training iterations",
             f"  generation       {self.num_generated} topologies x "
-            f"{self.num_solutions} solution(s), seed {self.seed}, "
-            f"{'streamed' if self.stream else 'batch'}",
+            f"{self.num_solutions} solution(s), seed {self.seed}",
             f"  engine           sample_batch={cfg.sample_batch_size}, "
             f"workers={cfg.workers}, stream_chunk={cfg.stream_chunk_size}, "
             f"solver={cfg.solver_mode}, "
-            f"batch_solve={'on' if cfg.batch_solve else 'off'}, "
             f"dedup={'on' if self.dedup else 'off'}",
             f"  sampling         "
             + (

@@ -51,9 +51,9 @@ def stream_key(plan) -> str:
     Two requests share a batcher (and therefore batches and cache) iff
     their lowered plans agree on the pipeline config, the training run and
     the per-run seeds/solutions.  Window-shaping knobs (``num_generated``,
-    ``stream``, ``dedup``, ``retain_topologies``) are deliberately *not*
-    part of the key: they change how much is asked for, not what sample
-    ``i`` contains.
+    ``dedup``, ``retain_topologies``) are deliberately *not* part of the
+    key: they change how much is asked for, not what sample ``i``
+    contains.
     """
     digest = hashlib.sha1()
     digest.update(repr(plan.config).encode())

@@ -1,15 +1,20 @@
-"""Bit-identity and kernel tests for cross-topology batched legalization.
+"""Chunk-invariance, timing and kernel tests for the chunk legalization solve.
 
-The batched path (``SolverOptions.batch_solve``, the default) legalises a
-whole chunk through :mod:`repro.legalization.batched`: one vectorized repair
-sweep partitions the chunk into fast-path successes and a residual tail,
-and the tail's SLSQP restart rounds share stacked rounding + verification.
-Its contract is *bit-identity* with the serial per-topology reference path
-for any chunk size, worker count and batch composition, in both ``auto``
-and ``slsqp`` modes — asserted element-wise here on adversarial batches
-(mixed shapes, duplicates, unsolvable topologies, multi-solution runs,
-warm-start references, restart-heavy rule sets).
+Every legalization runs :func:`repro.legalization.solve_geometry_chunk`:
+one vectorized repair sweep partitions the chunk into fast-path successes
+and a residual tail, and the tail's SLSQP restart rounds share stacked
+rounding + verification.  Its contract is that a topology's solutions do
+not depend on the chunk around it: any chunk size, worker count and batch
+composition gives the output of the serial per-topology loop
+(``Legalizer.legalize_topology`` on each topology's own ``(seed, index)``
+stream, a chunk of one each), in both ``auto`` and ``slsqp`` modes —
+asserted element-wise here on adversarial batches (mixed shapes,
+duplicates, unsolvable topologies, multi-solution runs, warm-start
+references, restart-heavy rule sets).  ``tests/test_legalization_golden.py``
+pins the outcomes themselves.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,10 +31,31 @@ from repro.legalization import (
     compiled_for_topology,
     default_workers,
     set_compilation_cache_capacity,
+    solve_geometry,
+    solve_geometry_chunk,
 )
+from repro.legalization import batched
 from repro.legalization.batched import _project_axis_rows, _round_rows
-from repro.legalization.solver import _project_axis, _round_preserving_sum
 from repro.serve.metrics import ServeMetrics
+from repro.utils import child_rng
+
+
+def _project_axis(target, lower, total):
+    """Project one ``target`` onto ``{v >= lower, sum(v) = total}`` (or ``None``).
+
+    The 1-D projection ``_project_axis_rows`` vectorizes, kept as its oracle.
+    """
+    slack = float(total) - lower.sum()
+    if slack < 0:
+        return None
+    t = np.maximum(np.asarray(target, dtype=np.float64), 1e-9)
+    scaled = t * (float(total) / t.sum())
+    lifted = np.maximum(scaled, lower)
+    free = lifted - lower
+    free_sum = free.sum()
+    if free_sum <= 0.0:
+        return lower.copy() if slack == 0.0 else None
+    return lower + free * (slack / free_sum)
 
 
 def _blocky(rows, cols, blocks):
@@ -84,7 +110,6 @@ def run_engine(
     batch,
     *,
     mode="auto",
-    batch_solve=True,
     num_solutions=1,
     workers=1,
     chunk=None,
@@ -94,44 +119,50 @@ def run_engine(
     engine = LegalizationEngine(
         rules,
         reference_geometries=refs,
-        options=SolverOptions(solver_mode=mode, batch_solve=batch_solve),
+        options=SolverOptions(solver_mode=mode),
         workers=workers,
         chunk_size=chunk,
     )
     return engine.legalize_batch(batch, num_solutions=num_solutions, seed=seed)
 
 
+def run_serial(rules, batch, *, mode="auto", num_solutions=1, refs=None, seed=7):
+    """The per-topology loop: each topology alone on its ``(seed, index)`` stream."""
+    legalizer = Legalizer(
+        rules, reference_geometries=refs, options=SolverOptions(solver_mode=mode)
+    )
+    return [
+        legalizer.legalize_topology(
+            topology, num_solutions=num_solutions, rng=child_rng(seed, index)
+        )
+        for index, topology in enumerate(batch)
+    ]
+
+
 # --------------------------------------------------------------------------- #
-# bit-identity: batched vs serial reference path
+# chunk invariance: any chunking vs the per-topology loop
 # --------------------------------------------------------------------------- #
 class TestBitIdentity:
     @pytest.mark.parametrize("mode", ["auto", "slsqp"])
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     def test_any_chunk_size_matches_serial(self, rules, adversarial_batch, mode, chunk):
-        serial = run_engine(rules, adversarial_batch, mode=mode, batch_solve=False)
-        batched = run_engine(
-            rules, adversarial_batch, mode=mode, batch_solve=True, chunk=chunk
-        )
-        assert full_signatures(batched) == full_signatures(serial)
+        serial = run_serial(rules, adversarial_batch, mode=mode)
+        chunked = run_engine(rules, adversarial_batch, mode=mode, chunk=chunk)
+        assert full_signatures(chunked) == full_signatures(serial)
 
     @pytest.mark.parametrize("mode", ["auto", "slsqp"])
     def test_two_workers_match_serial(self, rules, adversarial_batch, mode):
-        serial = run_engine(rules, adversarial_batch, mode=mode, batch_solve=False)
-        batched = run_engine(
-            rules, adversarial_batch, mode=mode, batch_solve=True, workers=2, chunk=2
-        )
-        assert full_signatures(batched) == full_signatures(serial)
+        serial = run_serial(rules, adversarial_batch, mode=mode)
+        chunked = run_engine(rules, adversarial_batch, mode=mode, workers=2, chunk=2)
+        assert full_signatures(chunked) == full_signatures(serial)
 
     @pytest.mark.parametrize("mode", ["auto", "slsqp"])
     def test_multi_solution_diffpattern_l(self, rules, adversarial_batch, mode):
-        serial = run_engine(
-            rules, adversarial_batch, mode=mode, batch_solve=False, num_solutions=3
+        serial = run_serial(rules, adversarial_batch, mode=mode, num_solutions=3)
+        chunked = run_engine(
+            rules, adversarial_batch, mode=mode, num_solutions=3, chunk=3
         )
-        batched = run_engine(
-            rules, adversarial_batch, mode=mode, batch_solve=True,
-            num_solutions=3, chunk=3,
-        )
-        assert full_signatures(batched) == full_signatures(serial)
+        assert full_signatures(chunked) == full_signatures(serial)
 
     def test_warm_start_references(self, rules, adversarial_batch):
         rng = np.random.default_rng(5)
@@ -142,14 +173,11 @@ class TestBitIdentity:
             )
             for _ in range(3)
         ]
-        serial = run_engine(
-            rules, adversarial_batch, batch_solve=False, refs=refs, num_solutions=2
+        serial = run_serial(rules, adversarial_batch, refs=refs, num_solutions=2)
+        chunked = run_engine(
+            rules, adversarial_batch, refs=refs, num_solutions=2, chunk=3
         )
-        batched = run_engine(
-            rules, adversarial_batch, batch_solve=True, refs=refs,
-            num_solutions=2, chunk=3,
-        )
-        assert full_signatures(batched) == full_signatures(serial)
+        assert full_signatures(chunked) == full_signatures(serial)
 
     @pytest.mark.parametrize("mode", ["auto", "slsqp"])
     @pytest.mark.parametrize("seed", [0, 3])
@@ -161,9 +189,9 @@ class TestBitIdentity:
         hard = _blocky(8, 8, [(3, 5, 3, 5)])
         bigger = _blocky(8, 8, [(2, 6, 2, 6)])
         batch = [hard, bigger, hard, np.ones((4, 4), dtype=np.uint8)]
-        serial = run_engine(rules, batch, mode=mode, batch_solve=False, seed=seed)
-        batched = run_engine(rules, batch, mode=mode, batch_solve=True, seed=seed)
-        assert full_signatures(batched) == full_signatures(serial)
+        serial = run_serial(rules, batch, mode=mode, seed=seed)
+        chunked = run_engine(rules, batch, mode=mode, seed=seed)
+        assert full_signatures(chunked) == full_signatures(serial)
 
     def test_tail_actually_fires(self):
         rules = DesignRules(area_min=3_000, area_max=9_000, pattern_size=2_048)
@@ -179,10 +207,12 @@ class TestBitIdentity:
 
 
 # --------------------------------------------------------------------------- #
-# vectorized kernels vs their serial scalar oracles
+# vectorized kernels: stack invariance and scalar oracles
 # --------------------------------------------------------------------------- #
 class TestRoundingKernel:
     def test_matches_scalar_oracle(self):
+        # Every row of a stack rounds exactly as it would alone (a one-row
+        # stack), which is what makes the chunk solve chunk-invariant.
         rng = np.random.default_rng(42)
         total = 2048
         for n in (3, 8, 16):
@@ -193,9 +223,9 @@ class TestRoundingKernel:
             stacked = np.stack(rows)
             rounded = _round_rows(stacked, total)
             for got, values in zip(rounded, stacked):
-                np.testing.assert_array_equal(
-                    got, _round_preserving_sum(values, total)
-                )
+                np.testing.assert_array_equal(got, _round_rows(values[None, :], total)[0])
+            assert (rounded.sum(axis=1) == total).all()
+            assert (rounded >= 1).all()
 
     def test_negative_deficit_rows_match_oracle(self):
         total = 100
@@ -207,9 +237,22 @@ class TestRoundingKernel:
             ]
         )
         rounded = _round_rows(stacked, total)
+        # Floors [60, 55, 40, 3] overshoot by 58: two full give-back cycles
+        # bring the last entry to the floor of 1, sixteen more cycles over
+        # the other three and a partial one over the two largest finish it.
+        np.testing.assert_array_equal(rounded[0], [41, 36, 22, 1])
+        np.testing.assert_array_equal(rounded[1], [20, 30, 25, 25])
+        np.testing.assert_array_equal(rounded[2], [25, 25, 25, 25])
         for got, values in zip(rounded, stacked):
-            np.testing.assert_array_equal(got, _round_preserving_sum(values, total))
+            np.testing.assert_array_equal(got, _round_rows(values[None, :], total)[0])
         assert (rounded.sum(axis=1) == total).all()
+
+    def test_give_back_stops_at_the_floor(self):
+        # Every entry already sits at 1 and the floors still overshoot: the
+        # row keeps its overshoot (and fails verification downstream).
+        np.testing.assert_array_equal(
+            _round_rows(np.array([[0.5, 0.2, 0.9]]), 2), [[1, 1, 1]]
+        )
 
     def test_empty_input(self):
         assert _round_rows(np.empty((0, 5)), 100).shape == (0, 5)
@@ -311,13 +354,6 @@ class TestStatsAndCounters:
         assert engine.stats.batched_sweeps == 0
         assert engine.stats.batched_tail_solves >= len(adversarial_batch)
 
-    def test_serial_path_counters_stay_zero(self, rules, adversarial_batch):
-        engine = LegalizationEngine(rules, options=SolverOptions(batch_solve=False))
-        engine.legalize_batch(adversarial_batch, seed=0)
-        assert engine.stats.batched_sweeps == 0
-        assert engine.stats.batched_sweep_topologies == 0
-        assert engine.stats.batched_tail_solves == 0
-
     def test_merge_folds_batched_counters(self):
         a = LegalizationStats(
             batched_sweeps=1, batched_sweep_topologies=4, batched_tail_solves=2
@@ -418,34 +454,62 @@ class TestServeMetricsLegalization:
         assert snapshot["legalize_batched_sweep_size_mean"] == 0.0
 
 
-class TestKnobRouting:
-    def test_config_defaults_to_batched(self):
-        from repro.pipeline import DiffPatternConfig
+# --------------------------------------------------------------------------- #
+# time attribution: the solutions of one call add up to its wall time
+# --------------------------------------------------------------------------- #
+class _TickClock:
+    """A stand-in ``perf_counter`` that advances one second per read."""
 
-        assert DiffPatternConfig.tiny().batch_solve is True
+    def __init__(self):
+        self.reads = []
 
-    def test_scenario_engine_section_lowers_bool(self):
-        from repro.scenarios import builtin_registry
+    def read(self):
+        self.reads.append(float(len(self.reads)))
+        return self.reads[-1]
 
-        spec = builtin_registry().resolve("smoke")
-        plan = spec.with_overrides({"engine": {"batch_solve": False}}).lower()
-        assert plan.config.batch_solve is False
-        assert "batch_solve=off" in plan.summary()
-        assert spec.lower().config.batch_solve is True
+    @property
+    def span(self):
+        return self.reads[-1] - self.reads[0]
 
-    def test_cli_flag_round_trip(self):
-        from repro.cli import _overrides_from, build_parser
 
-        args = build_parser().parse_args(
-            ["generate", "--scenario", "smoke", "--batch-solve", "off"]
+class TestSolveTiming:
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        clock = _TickClock()
+        monkeypatch.setattr(batched, "time", SimpleNamespace(perf_counter=clock.read))
+        return clock
+
+    @pytest.mark.parametrize("mode", ["auto", "slsqp"])
+    def test_chunk_solutions_add_up_to_the_call(self, rules, adversarial_batch, clock, mode):
+        compiled = [compiled_for_topology(t, rules) for t in adversarial_batch]
+        rngs = [child_rng(7, i) for i in range(len(compiled))]
+        outcome = solve_geometry_chunk(
+            compiled, rules, rngs, SolverOptions(solver_mode=mode), num_solutions=2
         )
-        overrides = _overrides_from(args)
-        assert overrides["engine"]["batch_solve"] is False
-        args = build_parser().parse_args(["generate", "--scenario", "smoke"])
-        assert "engine" not in _overrides_from(args)
+        elapsed = [s.elapsed_seconds for slots in outcome.solutions for s in slots]
+        assert len(elapsed) == 2 * len(compiled)
+        assert all(seconds > 0.0 for seconds in elapsed)
+        assert sum(elapsed) == pytest.approx(clock.span, rel=1e-12)
 
-    def test_knob_overrides_tristate(self):
-        from repro.cli import knob_overrides
+    @pytest.mark.parametrize("mode", ["auto", "slsqp"])
+    def test_single_solve_reports_the_whole_call(self, rules, two_shape_topology, clock, mode):
+        compiled = compiled_for_topology(two_shape_topology, rules)
+        solution = solve_geometry(
+            compiled, rules, rng=0, options=SolverOptions(solver_mode=mode)
+        )
+        assert solution.success
+        assert solution.elapsed_seconds == clock.span
 
-        assert knob_overrides(batch_solve=True) == {"engine": {"batch_solve": True}}
-        assert knob_overrides() == {}
+    def test_tail_topology_keeps_its_own_solver_time(self, clock):
+        # A tight area window sends every topology to the SLSQP tail; the
+        # unsolvable one runs all four attempts, so it carries the most time.
+        rules = DesignRules(area_min=3_000, area_max=9_000, pattern_size=2_048)
+        batch = [_blocky(8, 8, [(3, 5, 3, 5)]), np.ones((4, 4), dtype=np.uint8)]
+        compiled = [compiled_for_topology(t, rules) for t in batch]
+        outcome = solve_geometry_chunk(
+            compiled, rules, [child_rng(0, i) for i in range(2)], SolverOptions()
+        )
+        (solved,), (failed,) = outcome.solutions
+        assert not failed.success and failed.attempts == 4
+        assert failed.elapsed_seconds > solved.elapsed_seconds
+        assert solved.elapsed_seconds + failed.elapsed_seconds == pytest.approx(clock.span)

@@ -26,12 +26,12 @@ from repro.legalization import (
     solve_geometry,
     solve_topology,
 )
+from repro.legalization.batched import _round_rows
 from repro.legalization.compiled import (
     clear_compilation_cache,
     compilation_cache_info,
 )
 from repro.legalization.constraints import polygon_area
-from repro.legalization.solver import _round_preserving_sum, _verify_integer_solution
 from repro.utils import as_rng
 
 
@@ -50,6 +50,34 @@ def random_topologies():
 # --------------------------------------------------------------------------- #
 # the historical (pre-kernel) formulation, kept as the parity reference
 # --------------------------------------------------------------------------- #
+def _round_preserving_sum(values, total):
+    """Largest-remainder rounding of one vector (a one-row ``_round_rows``)."""
+    return _round_rows(np.asarray(values, dtype=np.float64)[None, :], total)[0]
+
+
+def _verify_integer_solution(constraints, rules, delta_x, delta_y):
+    """Exact re-check of Eq. (14) straight from the extracted constraints.
+
+    The per-constraint loop the compiled ``verify_integer`` replaced, kept
+    as its oracle.
+    """
+    delta_x = np.asarray(delta_x)
+    delta_y = np.asarray(delta_y)
+    if (delta_x <= 0).any() or (delta_y <= 0).any():
+        return False
+    if int(delta_x.sum()) != rules.pattern_size or int(delta_y.sum()) != rules.pattern_size:
+        return False
+    for constraint in constraints.all_interval_constraints:
+        delta = delta_x if constraint.axis == "x" else delta_y
+        if int(delta[constraint.indices()].sum()) < constraint.minimum:
+            return False
+    for cells in constraints.polygon_cells:
+        area = polygon_area(cells, delta_x, delta_y)
+        if not rules.area_min <= area <= rules.area_max:
+            return False
+    return True
+
+
 def legacy_constraint_dicts(constraints, rules, opts):
     """The per-constraint lambda list the seed solver handed to SLSQP."""
     rows, cols = constraints.shape

@@ -168,14 +168,3 @@ def test_record_fault_points_collects_traversal_order():
     assert points == ["unit:first", "unit:second", "unit:first"]
     fault_point("unit:first")  # hook cleared
     assert points == ["unit:first", "unit:second", "unit:first"]
-
-
-def test_library_faults_shim_shares_the_framework_hook():
-    import repro.library.faults as shim
-
-    assert shim.fault_point is fault_point
-    assert shim.InjectedCrash is InjectedCrash
-    # installing through the shim arms the shared hook
-    with inject_faults(Fault("unit:shim", "error")):
-        with pytest.raises(InjectedError):
-            shim.fault_point("unit:shim")

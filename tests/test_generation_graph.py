@@ -301,15 +301,14 @@ class TestPipelineIntegration:
 
     @pytest.fixture(scope="class")
     def streamed_and_batch(self, tiny_dataset):
-        def run(stream, chunk_size=None):
+        def run(chunk_size):
             pipeline = DiffPatternPipeline(DiffPatternConfig.tiny())
             pipeline.prepare_data(dataset=tiny_dataset)
             pipeline.train(iterations=10, rng=0)
-            return pipeline.generate_and_legalize(
-                9, rng=3, stream=stream, chunk_size=chunk_size
-            )
+            return pipeline.generate_and_legalize(9, rng=3, chunk_size=chunk_size)
 
-        return run(False), run(True, chunk_size=4)
+        # One barrier chunk spanning the run, and chunks of four.
+        return run(9), run(4)
 
     def test_run_stream_matches_batch(self, streamed_and_batch):
         batch, streamed = streamed_and_batch
@@ -326,7 +325,7 @@ class TestPipelineIntegration:
         pipeline = DiffPatternPipeline(DiffPatternConfig.tiny())
         pipeline.prepare_data(dataset=tiny_dataset)
         pipeline.train(iterations=10, rng=0)
-        pipeline.generate_and_legalize(9, rng=3, stream=True, chunk_size=4)
+        pipeline.generate_and_legalize(9, rng=3, chunk_size=4)
         # The merged report covers every chunk, not just the last one.
         assert pipeline.last_sampling_report.num_samples == 9
         # A plain generate call still reports that call alone.

@@ -13,12 +13,17 @@ from repro.legalization import (
     solve_geometry,
     solve_topology,
 )
-from repro.legalization.solver import _round_preserving_sum
+from repro.legalization.batched import _round_rows
 
 
 @pytest.fixture(scope="module")
 def rules():
     return DesignRules()
+
+
+def _round_preserving_sum(values: np.ndarray, total: int) -> np.ndarray:
+    """Largest-remainder rounding of one vector: ``_round_rows`` on a one-row stack."""
+    return _round_rows(values[None, :], total)[0]
 
 
 def _reference_round_preserving_sum(values: np.ndarray, total: int) -> np.ndarray:

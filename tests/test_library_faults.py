@@ -1,6 +1,6 @@
 """Crash-consistency tests: kill the library at every fault point, resume.
 
-The library's durable writes call :func:`repro.library.fault_point` with a
+The library's durable writes call :func:`repro.faults.fault_point` with a
 stable label before executing (``append:shard``, ``manifest.json:replace``,
 ...).  These suites first record the full label sequence of an operation,
 then replay the identical operation once per point with a hook that raises
@@ -20,14 +20,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.library import (
-    InjectedCrash,
-    PatternLibrary,
-    install_fault_hook,
-    pattern_hash,
-    record_fault_points,
-)
-from repro.library import ChunkRecord
+from repro.faults import InjectedCrash, install_fault_hook, record_fault_points
+from repro.library import ChunkRecord, PatternLibrary, pattern_hash
 from repro.squish import SquishPattern
 
 

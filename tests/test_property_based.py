@@ -15,7 +15,7 @@ from repro.diffusion import (
 )
 from repro.geometry import connected_components, has_bowtie
 from repro.legalization import DesignRules, extract_constraints
-from repro.legalization.solver import _round_preserving_sum
+from repro.legalization.batched import _round_rows
 from repro.metrics import diversity_from_complexities, shannon_entropy, topology_complexity
 from repro.squish import SquishPattern, canonicalize, fold, pad_to_size, unfold
 
@@ -170,7 +170,7 @@ class TestSolverHelperProperties:
         if values.sum() <= 0:
             return
         scaled = values / values.sum() * total
-        rounded = _round_preserving_sum(scaled, total)
+        rounded = _round_rows(scaled[None, :], total)[0]
         assert rounded.sum() == total
         assert (rounded >= 1).all()
 

@@ -28,8 +28,14 @@ class TestSpecValidation:
             ScenarioSpec.from_dict("bad", {"rulez": {"space_min": 32}})
 
     def test_unknown_key_in_section_rejected(self):
-        with pytest.raises(ScenarioError, match="space_mim"):
-            ScenarioSpec.from_dict("bad", {"rules": {"space_mim": 32}})
+        for payload, key in (
+            ({"rules": {"space_mim": 32}}, "space_mim"),
+            # Removed knobs are unknown keys like any typo.
+            ({"engine": {"batch_solve": False}}, "batch_solve"),
+            ({"run": {"stream": False}}, "stream"),
+        ):
+            with pytest.raises(ScenarioError, match=key):
+                ScenarioSpec.from_dict("bad", payload)
 
     def test_non_mapping_section_rejected(self):
         with pytest.raises(ScenarioError, match="must be a mapping"):

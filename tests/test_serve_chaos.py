@@ -93,7 +93,6 @@ def serve_env():
         NUM_REFERENCE,
         num_solutions=plan.num_solutions,
         rng=ref_gen,
-        stream=plan.stream,
         retain_topologies=False,
     )
 
