@@ -6,7 +6,7 @@ benchmark scenario on the shared dataset and records:
 
 * ``iterations_per_second`` — fit throughput (host-dependent, ratio-gated),
 * ``backward_nodes_per_step`` — tape nodes with a backward closure in one
-  training step's loss graph (one node per U-Net layer, not per primitive),
+  training step's loss graph (one for the hybrid loss, one for the U-Net),
 * ``loss_decreased`` — whether the hybrid loss on a fixed evaluation batch
   (fixed noise, every chain step) fell over the fit.
 """

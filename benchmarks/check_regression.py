@@ -14,7 +14,7 @@ Baseline format — one entry per benchmark, one spec per gated metric::
       },
       "training": {
         "iterations_per_second":   {"baseline": 56.5, "min_ratio": 0.4},
-        "backward_nodes_per_step": {"baseline": 192,  "max": 250},
+        "backward_nodes_per_step": {"baseline": 2,    "max": 8},
         "loss_decreased":          {"baseline": true, "exact": true}
       }
     }

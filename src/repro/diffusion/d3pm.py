@@ -55,6 +55,57 @@ class DiffusionConfig:
     transition_kind: str = "binary"
 
 
+def _hybrid_loss(
+    logits: Tensor,
+    posterior_all: np.ndarray,
+    target_prev: np.ndarray,
+    onehot_x0: np.ndarray,
+    lambda_ce: float,
+) -> tuple[Tensor, float, float]:
+    """Eq. (9) as ONE tape node on the U-Net logits: ``(loss, kl, ce)``.
+
+    ``logits`` is ``(N, C, S, M, M)``; ``posterior_all[..., i, j]`` is
+    ``q(x_{k-1}=j | x_k, x_0=i)``, ``target_prev`` the true posterior and
+    ``onehot_x0`` the clean states, each with the state axis last.  With
+    ``p = softmax(z)`` and ``pred = Σ_i p_i·posterior_all[i]`` (the model's
+    ``p_θ(x_{k-1} | x_k)``) over ``P`` pixels, the backward is
+
+    * ``g_i = -(1/P) Σ_j t_j·posterior_all[i, j] / pred_j`` (KL w.r.t. ``p``),
+    * ``dz = p·(g − Σ p·g) + (λ/P)·(p − onehot)``,
+
+    with elementwise sums over the (small) state axis.
+    """
+    eps = 1e-10
+    num_states = logits.shape[2]
+    z = np.moveaxis(logits.data, 2, -1)  # (N, C, M, M, S)
+    inv_pixels = np.float32(1.0 / (z.size // num_states))
+    probs = F.softmax_array(z, axis=-1)
+    predicted = probs[..., 0, None] * posterior_all[..., 0, :]
+    for state in range(1, num_states):
+        predicted += probs[..., state, None] * posterior_all[..., state, :]
+    predicted += eps
+    target = target_prev.astype(np.float32)
+    entropy = float((target_prev * np.log(np.clip(target_prev, eps, 1.0))).sum(axis=-1).mean())
+    kl = -((target * np.log(predicted)).sum(axis=-1).sum() * inv_pixels) + np.float32(entropy)
+    log_probs = z - z.max(axis=-1, keepdims=True)
+    log_probs -= np.log(np.exp(log_probs).sum(axis=-1, keepdims=True))
+    ce = -(onehot_x0 * log_probs).sum(axis=-1).sum() * inv_pixels
+    total = kl + ce * np.float32(lambda_ce)
+
+    def backward_fn(grad: np.ndarray) -> None:
+        ratio = target / predicted
+        grad_probs = np.empty_like(probs)
+        for state in range(num_states):
+            grad_probs[..., state] = (ratio * posterior_all[..., state, :]).sum(axis=-1)
+        grad_probs *= -inv_pixels
+        grad_z = probs * (grad_probs - (probs * grad_probs).sum(axis=-1, keepdims=True))
+        grad_z += (probs - onehot_x0) * (np.float32(lambda_ce) * inv_pixels)
+        grad_z *= grad
+        logits._accumulate(np.moveaxis(grad_z, -1, 2))
+
+    return logits._make(np.asarray(total), (logits,), backward_fn), float(kl), float(ce)
+
+
 class DiscreteDiffusion:
     """Discrete diffusion generator over ``(C, M, M)`` topology tensors."""
 
@@ -183,36 +234,14 @@ class DiscreteDiffusion:
 
         xk = self.transition.sample_xk(x0, step, gen)
         logits = self.predict_x0_logits(xk, step)  # (N, C, S, M, M)
-        # Move the state axis last so it lines up with the posterior arrays.
-        logits_last = logits.transpose(0, 1, 3, 4, 2)  # (N, C, M, M, S)
-        probs_x0 = F.softmax(logits_last, axis=-1)
-
-        # p_theta(x_{k-1} | x_k) = sum_i q(x_{k-1} | x_k, x_0=i) p_theta(x_0=i | x_k)
-        posterior_all = self.transition.posterior_probs_all_x0(xk, step)  # (..., S_x0, S_prev)
-        predicted_prev = None
-        for clean_state in range(self.config.num_states):
-            weight = probs_x0[..., clean_state : clean_state + 1]
-            term = weight * Tensor(posterior_all[..., clean_state, :])
-            predicted_prev = term if predicted_prev is None else predicted_prev + term
-
-        target_prev = self.transition.posterior_probs(xk, x0, step)
-        eps = 1e-10
-        log_predicted = (predicted_prev + eps).log()
-        entropy = float(
-            (target_prev * np.log(np.clip(target_prev, eps, 1.0))).sum(axis=-1).mean()
+        total, kl, ce = _hybrid_loss(
+            logits,
+            self.transition.posterior_table(step, np.float32)[xk],
+            self.transition.posterior_probs(xk, x0, step),
+            one_hot(x0, self.config.num_states),
+            self.config.lambda_ce,
         )
-        kl_term = -(Tensor(target_prev.astype(np.float32)) * log_predicted).sum(axis=-1).mean() + entropy
-
-        ce_targets = one_hot(x0, self.config.num_states)
-        ce_term = F.cross_entropy_with_logits(logits_last, ce_targets, axis=-1)
-
-        total = kl_term + self.config.lambda_ce * ce_term
-        metrics = {
-            "loss": float(total.item()),
-            "kl": float(kl_term.item()),
-            "ce": float(ce_term.item()),
-            "step": float(step),
-        }
+        metrics = {"loss": float(total.item()), "kl": kl, "ce": ce, "step": float(step)}
         return total, metrics
 
     # ------------------------------------------------------------------ #

@@ -4,12 +4,20 @@ Contains the operations the U-Net backbone and the baseline generators need:
 2-D convolution, nearest-neighbour upsampling, average pooling, normalisation,
 stable softmax / log-softmax, SiLU, categorical losses and dropout.
 
-Every layer-level operator (``conv2d``, ``linear``, ``group_norm``,
-``softmax``, ``log_softmax``, ``silu``) records ONE tape node.  Its forward
-is the gradient-free array kernel further down (``conv2d_array``,
-``linear_array``, ...), the same kernel ``UNet.infer`` runs, so a taped
-forward equals inference bit for bit; its backward is an explicit
-vector-Jacobian product over values cached by that forward.
+Each layer operator has three parts, each written once:
+
+* a gradient-free array kernel (``conv2d_array``, ``linear_array``, ...),
+  the forward ``UNet.infer`` runs;
+* a vector-Jacobian product over the values that kernel produced
+  (``conv2d_backward``, ``linear_backward``, ``group_norm_backward``,
+  ``silu_backward``, ``softmax_backward``, ``upsample_nearest_backward``);
+* a taped operator (``conv2d``, ``linear``, ...) that records ONE tape node
+  whose forward is the kernel and whose backward is the VJP.
+
+The baselines train through the taped operators; the U-Net is one tape node
+whose reverse pass calls the VJPs directly (see :mod:`repro.nn.unet`).  The
+convolution input gradient is itself a stride-1 convolution, so it runs
+through the same gather + matmul as the forward.
 """
 
 from __future__ import annotations
@@ -36,19 +44,16 @@ def conv2d(
     out, cols = _conv2d_forward(
         x.data, weight.data, None if bias is None else bias.data, stride, padding
     )
-    n, oc = out.shape[:2]
 
     def backward_fn(grad: np.ndarray) -> None:
-        grad_mat = grad.reshape(n, oc, -1)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad_mat.sum(axis=(0, 2)))
-        if weight.requires_grad:
-            # dW = sum_n dY_n @ cols_n^T over the cached tap columns.
-            grad_w = np.matmul(grad_mat, cols.transpose(0, 2, 1)).sum(axis=0)
-            weight._accumulate(grad_w.reshape(weight.shape))
-        if x.requires_grad:
-            grad_cols = np.matmul(weight.data.reshape(oc, -1).T, grad_mat)
-            x._accumulate(_scatter_columns(grad_cols, x.shape, weight.shape, stride, padding))
+        grad_x, grad_w, grad_b = conv2d_backward(
+            grad, weight.data, cols, x.shape, stride, padding, input_grad=x.requires_grad
+        )
+        weight._accumulate(grad_w)
+        if bias is not None:
+            bias._accumulate(grad_b)
+        if grad_x is not None:
+            x._accumulate(grad_x)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return x._make(out, parents, backward_fn)
@@ -59,13 +64,11 @@ def linear(x: Tensor, weight: Tensor, bias: "Tensor | None" = None) -> Tensor:
     out = linear_array(x.data, weight.data, None if bias is None else bias.data)
 
     def backward_fn(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(grad @ weight.data)
-        rows = grad.reshape(-1, grad.shape[-1])
-        if weight.requires_grad:
-            weight._accumulate(rows.T @ x.data.reshape(-1, x.shape[-1]))
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(rows.sum(axis=0))
+        grad_x, grad_w, grad_b = linear_backward(grad, x.data, weight.data)
+        x._accumulate(grad_x)
+        weight._accumulate(grad_w)
+        if bias is not None:
+            bias._accumulate(grad_b)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return x._make(out, parents, backward_fn)
@@ -76,9 +79,7 @@ def silu(x: Tensor) -> Tensor:
     out = silu_array(x.data)
 
     def backward_fn(grad: np.ndarray) -> None:
-        sig = 1.0 / (1.0 + np.exp(-x.data))
-        # d/dx x*sig(x) = sig + x*sig*(1 - sig) = sig + out*(1 - sig)
-        x._accumulate(grad * (sig + out * (1.0 - sig)))
+        x._accumulate(silu_backward(grad, x.data, out))
 
     return x._make(out, (x,), backward_fn)
 
@@ -87,9 +88,7 @@ def upsample_nearest(x: Tensor, scale: int = 2) -> Tensor:
     """Nearest-neighbour upsampling of ``(N, C, H, W)`` by integer ``scale``."""
 
     def backward_fn(grad: np.ndarray) -> None:
-        n, c, h_out, w_out = grad.shape
-        h, w = h_out // scale, w_out // scale
-        x._accumulate(grad.reshape(n, c, h, scale, w, scale).sum(axis=(3, 5)))
+        x._accumulate(upsample_nearest_backward(grad, scale))
 
     return x._make(upsample_nearest_array(x.data, scale), (x,), backward_fn)
 
@@ -108,7 +107,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     probs = softmax_array(x.data, axis=axis)
 
     def backward_fn(grad: np.ndarray) -> None:
-        x._accumulate(probs * (grad - (grad * probs).sum(axis=axis, keepdims=True)))
+        x._accumulate(softmax_backward(grad, probs, axis))
 
     return x._make(probs, (x,), backward_fn)
 
@@ -155,22 +154,12 @@ def group_norm(
 ) -> Tensor:
     """Group normalisation for ``(N, C, H, W)`` tensors."""
     out, centred, inv_std = _group_norm_forward(x.data, num_groups, weight.data, bias.data, eps)
-    n, c, h, w = out.shape
 
     def backward_fn(grad: np.ndarray) -> None:
-        # Closed-form VJP of y = xhat * weight + bias, xhat = (x - mean) * inv_std.
-        xhat = centred * inv_std[:, :, None]
-        per_channel = grad.reshape(n, c, h * w)
-        if bias.requires_grad:
-            bias._accumulate(per_channel.sum(axis=(0, 2)))
-        if weight.requires_grad:
-            weight._accumulate((per_channel * xhat.reshape(n, c, h * w)).sum(axis=(0, 2)))
-        if x.requires_grad:
-            grad_xhat = (per_channel * weight.data[:, None]).reshape(xhat.shape)
-            grad_x = grad_xhat - grad_xhat.mean(axis=2, keepdims=True)
-            grad_x -= xhat * (grad_xhat * xhat).mean(axis=2, keepdims=True)
-            grad_x *= inv_std[:, :, None]
-            x._accumulate(grad_x.reshape(n, c, h, w))
+        grad_x, grad_w, grad_b = group_norm_backward(grad, centred, inv_std, weight.data)
+        x._accumulate(grad_x)
+        weight._accumulate(grad_w)
+        bias._accumulate(grad_b)
 
     return x._make(out, (x, weight, bias), backward_fn)
 
@@ -190,14 +179,19 @@ def dropout(
     """Inverted dropout; identity when not training or ``rate`` is 0."""
     if not training or rate <= 0.0:
         return x
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("dropout rate must lie in [0, 1)")
-    mask = (rng.random(x.shape) >= rate).astype(_DTYPE) / (1.0 - rate)
+    mask = dropout_mask(x.shape, rate, rng)
 
     def backward_fn(grad: np.ndarray) -> None:
         x._accumulate(grad * mask)
 
     return x._make(x.data * mask, (x,), backward_fn)
+
+
+def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Inverted-dropout multiplier: ``0`` where a unit drops, ``1/(1-rate)`` elsewhere."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError("dropout rate must lie in [0, 1)")
+    return (rng.random(shape) >= rate).astype(_DTYPE) / (1.0 - rate)
 
 
 # ---------------------------------------------------------------------- #
@@ -207,6 +201,7 @@ def dropout(
 # float32 throughout, and matmul instead of einsum (which re-derives a
 # contraction path on every call).  The batched sampling engine runs the
 # whole U-Net through these; the taped operators above wrap the same calls.
+# Each kernel's vector-Jacobian product follows it.
 
 
 def conv2d_array(
@@ -256,24 +251,68 @@ def _conv2d_forward(
     return out.reshape(n, oc, out_h, out_w), cols
 
 
-def _scatter_columns(
-    grad_cols: np.ndarray,
+def conv2d_backward(
+    grad: np.ndarray,
+    weight: np.ndarray,
+    cols: np.ndarray,
     x_shape: tuple[int, int, int, int],
-    weight_shape: tuple[int, int, int, int],
+    stride: int,
+    padding: int,
+    input_grad: bool = True,
+) -> tuple["np.ndarray | None", np.ndarray, np.ndarray]:
+    """VJP of a convolution over its cached tap columns: ``(dx, dweight, dbias)``.
+
+    ``dx`` is ``None`` unless ``input_grad`` is set.
+    """
+    n, oc = grad.shape[:2]
+    grad_mat = grad.reshape(n, oc, -1)
+    # dW = sum_n dY_n @ cols_n^T over the cached tap columns.
+    grad_w = np.add.reduce(np.matmul(grad_mat, cols.transpose(0, 2, 1)), axis=0)
+    grad_x = conv2d_input_grad(grad, weight, x_shape, stride, padding) if input_grad else None
+    return grad_x, grad_w.reshape(weight.shape), np.add.reduce(grad_mat, axis=(0, 2))
+
+
+def conv2d_input_grad(
+    grad: np.ndarray,
+    weight: np.ndarray,
+    x_shape: tuple[int, int, int, int],
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Adjoint of the tap gather: sum column gradients back onto the input."""
-    n, c, h, w = x_shape
-    kh, kw = weight_shape[2:]
-    if kh == 1 and kw == 1 and stride == 1 and padding == 0:
-        return grad_cols.reshape(n, c, h, w)
-    out_h, out_w, taps = _conv_tap_geometry(h, w, kh, kw, stride, padding)
-    grad_cols = grad_cols.reshape(n, c, kh * kw, out_h, out_w)
-    grad_x = np.zeros(x_shape, dtype=grad_cols.dtype)
-    for tap, dst_rows, dst_cols, src_rows, src_cols in taps:
-        grad_x[:, :, src_rows, src_cols] += grad_cols[:, :, tap, dst_rows, dst_cols]
-    return grad_x
+    """Input gradient of a convolution, computed as a stride-1 convolution.
+
+    ``dx`` is the valid correlation of the output gradient with the flipped,
+    channel-transposed kernel, once that gradient is zero-dilated by
+    ``stride`` and padded by ``k - 1 - padding`` on every side — plus, on the
+    far edges, the ``(h + 2*padding - k) % stride`` input rows and columns no
+    window reached.  It runs through the same gather + matmul as the forward,
+    which applies the padding both axes share while it gathers; only the
+    dilation and any remaining padding are written out.
+    """
+    n, _, h, w = x_shape
+    oc, _, kh, kw = weight.shape
+    pad_h, pad_w = kh - 1 - padding, kw - 1 - padding
+    if pad_h < 0 or pad_w < 0:
+        raise ValueError(
+            f"conv2d input gradient needs padding <= kernel size - 1, "
+            f"got padding {padding} for a {kh}x{kw} kernel"
+        )
+    shared = min(pad_h, pad_w)
+    top, left = pad_h - shared, pad_w - shared
+    out_h, out_w = grad.shape[2:]
+    rows = (out_h - 1) * stride + 1 + (h + 2 * padding - kh) % stride + 2 * top
+    cols = (out_w - 1) * stride + 1 + (w + 2 * padding - kw) % stride + 2 * left
+    if (rows, cols) != (out_h, out_w):
+        dilated = np.zeros((n, oc, rows, cols), dtype=grad.dtype)
+        dilated[
+            :,
+            :,
+            top : top + (out_h - 1) * stride + 1 : stride,
+            left : left + (out_w - 1) * stride + 1 : stride,
+        ] = grad
+        grad = dilated
+    flipped = np.ascontiguousarray(weight.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+    return _conv2d_forward(grad, flipped, None, 1, shared)[0]
 
 
 @functools.lru_cache(maxsize=256)
@@ -323,12 +362,24 @@ def silu_array(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def silu_backward(grad: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """VJP of SiLU given its input ``x`` and output ``out``."""
+    sig = 1.0 / (1.0 + np.exp(-x))
+    # d/dx x*sig(x) = sig + x*sig*(1 - sig) = sig + out*(1 - sig)
+    return grad * (sig + out * (1.0 - sig))
+
+
 def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax on a plain array."""
     shifted = x - x.max(axis=axis, keepdims=True)
     np.exp(shifted, out=shifted)
     shifted /= shifted.sum(axis=axis, keepdims=True)
     return shifted
+
+
+def softmax_backward(grad: np.ndarray, probs: np.ndarray, axis: int = -1) -> np.ndarray:
+    """VJP of softmax given its output ``probs``."""
+    return probs * (grad - (grad * probs).sum(axis=axis, keepdims=True))
 
 
 def group_norm_array(
@@ -366,6 +417,30 @@ def _group_norm_forward(
     return out, centred, inv_std
 
 
+def group_norm_backward(
+    grad: np.ndarray, centred: np.ndarray, inv_std: np.ndarray, weight: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """VJP of group normalisation over the values its forward cached: ``(dx, dweight, dbias)``."""
+    # Closed-form VJP of y = xhat * weight + bias, xhat = (x - mean) * inv_std:
+    #   dx = inv_std * (g*w - mean(g*w) - xhat * mean(g*w * xhat))
+    # per group.  Both group means are weighted sums of per-channel sums that
+    # the parameter gradients need anyway, so only those are taken over the map.
+    n, c, h, w = grad.shape
+    groups = inv_std.shape[1]
+    xhat = centred * inv_std[:, :, None]
+    per_channel = grad.reshape(n, c, h * w)
+    sum_g = np.add.reduce(per_channel, axis=2)  # (n, c)
+    sum_gx = np.add.reduce(per_channel * xhat.reshape(n, c, h * w), axis=2)
+    inv_count = _DTYPE(1.0 / xhat.shape[2])
+    mean_g = np.add.reduce((sum_g * weight).reshape(n, groups, -1), axis=2) * inv_count
+    mean_gx = np.add.reduce((sum_gx * weight).reshape(n, groups, -1), axis=2) * inv_count
+    grad_x = (per_channel * weight[:, None]).reshape(xhat.shape)
+    grad_x -= mean_g[:, :, None]
+    grad_x -= xhat * mean_gx[:, :, None]
+    grad_x *= inv_std[:, :, None]
+    return grad_x.reshape(n, c, h, w), np.add.reduce(sum_gx, axis=0), np.add.reduce(sum_g, axis=0)
+
+
 def layer_norm_array(
     x: np.ndarray, weight: np.ndarray, bias: np.ndarray, eps: float = 1e-5
 ) -> np.ndarray:
@@ -383,12 +458,26 @@ def upsample_nearest_array(x: np.ndarray, scale: int = 2) -> np.ndarray:
     return np.repeat(np.repeat(x, scale, axis=2), scale, axis=3)
 
 
+def upsample_nearest_backward(grad: np.ndarray, scale: int = 2) -> np.ndarray:
+    """VJP of nearest-neighbour upsampling: sum each ``scale x scale`` block."""
+    n, c, h_out, w_out = grad.shape
+    return grad.reshape(n, c, h_out // scale, scale, w_out // scale, scale).sum(axis=(3, 5))
+
+
 def linear_array(x: np.ndarray, weight: np.ndarray, bias: "np.ndarray | None" = None) -> np.ndarray:
     """Affine map on plain arrays (the forward of :func:`linear`)."""
     out = x @ weight.T
     if bias is not None:
         out += bias
     return out
+
+
+def linear_backward(
+    grad: np.ndarray, x: np.ndarray, weight: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """VJP of the affine map ``x @ weight.T + bias``: ``(dx, dweight, dbias)``."""
+    rows = grad.reshape(-1, grad.shape[-1])
+    return grad @ weight, rows.T @ x.reshape(-1, x.shape[-1]), rows.sum(axis=0)
 
 
 def sinusoidal_embedding(timesteps: np.ndarray, dim: int, max_period: float = 10000.0) -> np.ndarray:

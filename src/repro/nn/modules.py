@@ -3,6 +3,12 @@
 A thin PyTorch-like module layer on top of the autograd engine: parameter
 registration, recursive traversal, train/eval mode, state-dict extraction, and
 the concrete layers used by the U-Net and the baselines.
+
+Every layer has a taped ``forward`` (for the baselines) and an array
+``infer``.  ``Linear``, ``Conv2d`` and ``GroupNorm`` also serve the U-Net's
+one-node reverse pass: given a ``cache`` list, ``infer`` pushes what the
+layer's VJP needs, and ``backward(grad, cache)`` pops it, accumulates the
+parameter gradients and returns the input gradient.
 """
 
 from __future__ import annotations
@@ -147,8 +153,11 @@ class Identity(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
+    def infer(self, x: np.ndarray, cache: "list | None" = None) -> np.ndarray:
         return x
+
+    def backward(self, grad: np.ndarray, cache: list) -> np.ndarray:
+        return grad
 
 
 class Linear(Module):
@@ -178,8 +187,22 @@ class Linear(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.linear(x, self.weight, self.bias)
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
+    def infer(self, x: np.ndarray, cache: "list | None" = None) -> np.ndarray:
+        if cache is not None:
+            cache.append(x)
         return F.linear_array(x, self.weight.data, None if self.bias is None else self.bias.data)
+
+    def backward(self, grad: np.ndarray, cache: list) -> np.ndarray:
+        """Reverse of the last :meth:`infer` call recorded in ``cache``.
+
+        Pops that call's saved input, accumulates the parameter gradients and
+        returns the input gradient.
+        """
+        grad_x, grad_w, grad_b = F.linear_backward(grad, cache.pop(), self.weight.data)
+        self.weight._accumulate(grad_w)
+        if self.bias is not None:
+            self.bias._accumulate(grad_b)
+        return grad_x
 
 
 class Conv2d(Module):
@@ -218,14 +241,34 @@ class Conv2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return F.conv2d_array(
+    def infer(self, x: np.ndarray, cache: "list | None" = None) -> np.ndarray:
+        out, cols = F._conv2d_forward(
             x,
             self.weight.data,
             None if self.bias is None else self.bias.data,
-            stride=self.stride,
-            padding=self.padding,
+            self.stride,
+            self.padding,
         )
+        if cache is not None:
+            cache.append((x.shape, cols))
+        return out
+
+    def backward(
+        self, grad: np.ndarray, cache: list, input_grad: bool = True
+    ) -> "np.ndarray | None":
+        """Reverse of the last :meth:`infer` call recorded in ``cache``.
+
+        Accumulates the parameter gradients and returns the input gradient
+        (``None`` when ``input_grad`` is false).
+        """
+        x_shape, cols = cache.pop()
+        grad_x, grad_w, grad_b = F.conv2d_backward(
+            grad, self.weight.data, cols, x_shape, self.stride, self.padding, input_grad
+        )
+        self.weight._accumulate(grad_w)
+        if self.bias is not None:
+            self.bias._accumulate(grad_b)
+        return grad_x
 
 
 class GroupNorm(Module):
@@ -246,8 +289,21 @@ class GroupNorm(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.group_norm(x, self.num_groups, self.weight, self.bias, eps=self.eps)
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return F.group_norm_array(x, self.num_groups, self.weight.data, self.bias.data, eps=self.eps)
+    def infer(self, x: np.ndarray, cache: "list | None" = None) -> np.ndarray:
+        out, centred, inv_std = F._group_norm_forward(
+            x, self.num_groups, self.weight.data, self.bias.data, self.eps
+        )
+        if cache is not None:
+            cache.append((centred, inv_std))
+        return out
+
+    def backward(self, grad: np.ndarray, cache: list) -> np.ndarray:
+        """Reverse of the last :meth:`infer` call recorded in ``cache``."""
+        centred, inv_std = cache.pop()
+        grad_x, grad_w, grad_b = F.group_norm_backward(grad, centred, inv_std, self.weight.data)
+        self.weight._accumulate(grad_w)
+        self.bias._accumulate(grad_b)
+        return grad_x
 
 
 class LayerNorm(Module):
@@ -281,6 +337,10 @@ class Dropout(Module):
     def infer(self, x: np.ndarray) -> np.ndarray:
         # Inference never drops units: identity regardless of training mode.
         return x
+
+    def mask(self, shape: tuple[int, ...]) -> np.ndarray:
+        """The next training-mode mask, drawn exactly as :meth:`forward` draws it."""
+        return F.dropout_mask(shape, self.rate, self._rng)
 
 
 class Embedding(Module):

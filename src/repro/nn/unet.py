@@ -17,7 +17,14 @@ import numpy as np
 
 from . import functional as F
 from .modules import Conv2d, Dropout, GroupNorm, Identity, Linear, Module
-from .tensor import Tensor, concatenate
+from .tensor import Tensor, is_grad_enabled
+
+# Training runs the whole network as ONE tape node (:meth:`UNet.forward`).
+# Its forward is ``infer`` with a per-call ``cache``: a list every layer
+# appends what its backward needs to, in forward order.  The reverse pass
+# (each module's ``backward``) pops those entries in reverse order, so the
+# cache is a stack owned by the call, never state on a module.  Without a
+# cache ``infer`` records nothing and is the sampling hot path.
 
 
 def _norm_groups(channels: int) -> int:
@@ -26,6 +33,18 @@ def _norm_groups(channels: int) -> int:
         if channels % groups == 0:
             return groups
     return 1
+
+
+def _silu(x: np.ndarray, cache: "list | None") -> np.ndarray:
+    out = F.silu_array(x)
+    if cache is not None:
+        cache.append((x, out))
+    return out
+
+
+def _silu_backward(grad: np.ndarray, cache: list) -> np.ndarray:
+    x, out = cache.pop()
+    return F.silu_backward(grad, x, out)
 
 
 class TimestepEmbedding(Module):
@@ -37,15 +56,15 @@ class TimestepEmbedding(Module):
         self.dense_in = Linear(model_channels, embed_dim, rng=rng)
         self.dense_out = Linear(embed_dim, embed_dim, rng=rng)
 
-    def forward(self, timesteps: np.ndarray) -> Tensor:
+    def infer(self, timesteps: np.ndarray, cache: "list | None" = None) -> np.ndarray:
         base = F.sinusoidal_embedding(timesteps, self.model_channels)
-        hidden = self.dense_in(Tensor(base)).silu()
-        return self.dense_out(hidden).silu()
+        hidden = _silu(self.dense_in.infer(base, cache), cache)
+        return _silu(self.dense_out.infer(hidden, cache), cache)
 
-    def infer(self, timesteps: np.ndarray) -> np.ndarray:
-        base = F.sinusoidal_embedding(timesteps, self.model_channels)
-        hidden = F.silu_array(self.dense_in.infer(base))
-        return F.silu_array(self.dense_out.infer(hidden))
+    def backward(self, grad: np.ndarray, cache: list) -> None:
+        """Reverse of :meth:`infer`; the timesteps are constants, so no input gradient."""
+        grad = self.dense_out.backward(_silu_backward(grad, cache), cache)
+        self.dense_in.backward(_silu_backward(grad, cache), cache)
 
 
 class ResidualBlock(Module):
@@ -71,22 +90,47 @@ class ResidualBlock(Module):
         else:
             self.skip = Identity()
 
-    def forward(self, x: Tensor, time_emb: Tensor) -> Tensor:
-        hidden = self.conv1(self.norm1(x).silu())
-        time_term = self.time_proj(time_emb.silu())
-        batch, channels = time_term.shape
-        hidden = hidden + time_term.reshape(batch, channels, 1, 1)
-        hidden = self.conv2(self.dropout(self.norm2(hidden).silu()))
-        return hidden + self.skip(x)
+    def infer(
+        self,
+        x: np.ndarray,
+        time_emb: np.ndarray,
+        cache: "list | None" = None,
+        train: bool = False,
+    ) -> np.ndarray:
+        """Block output; ``train`` applies dropout (sampling never does).
 
-    def infer(self, x: np.ndarray, time_emb: np.ndarray) -> np.ndarray:
-        hidden = self.conv1.infer(F.silu_array(self.norm1.infer(x)))
-        time_term = self.time_proj.infer(F.silu_array(time_emb))
+        ``time_emb`` has one row per sample or a single row shared by all.
+        """
+        hidden = self.conv1.infer(_silu(self.norm1.infer(x, cache), cache), cache)
+        time_term = self.time_proj.infer(_silu(time_emb, cache), cache)
         batch, channels = time_term.shape
         hidden += time_term.reshape(batch, channels, 1, 1)
-        hidden = self.conv2.infer(F.silu_array(self.norm2.infer(hidden)))
-        hidden += self.skip.infer(x)
+        hidden = _silu(self.norm2.infer(hidden, cache), cache)
+        mask = None
+        if train and self.dropout.rate > 0.0:
+            mask = self.dropout.mask(hidden.shape)
+            hidden = hidden * mask
+        if cache is not None:
+            cache.append((batch, mask))
+        hidden = self.conv2.infer(hidden, cache)
+        hidden += self.skip.infer(x, cache)
         return hidden
+
+    def backward(self, grad: np.ndarray, cache: list) -> tuple[np.ndarray, np.ndarray]:
+        """Reverse of :meth:`infer`: the input and time-embedding gradients."""
+        grad_x = self.skip.backward(grad, cache)
+        grad = self.conv2.backward(grad, cache)
+        time_rows, mask = cache.pop()
+        if mask is not None:
+            grad = grad * mask
+        grad = self.norm2.backward(_silu_backward(grad, cache), cache)
+        grad_time = grad.sum(axis=(2, 3))
+        if time_rows != grad_time.shape[0]:
+            grad_time = grad_time.sum(axis=0, keepdims=True)
+        grad_time = _silu_backward(self.time_proj.backward(grad_time, cache), cache)
+        grad = self.conv1.backward(grad, cache)
+        grad_x = grad_x + self.norm1.backward(_silu_backward(grad, cache), cache)
+        return grad_x, grad_time
 
 
 class SelfAttention2d(Module):
@@ -99,31 +143,38 @@ class SelfAttention2d(Module):
         self.qkv = Conv2d(channels, channels * 3, 1, rng=rng)
         self.proj = Conv2d(channels, channels, 1, rng=rng)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def infer(self, x: np.ndarray, cache: "list | None" = None) -> np.ndarray:
         batch, channels, height, width = x.shape
-        qkv = self.qkv(self.norm(x))
-        qkv_flat = qkv.reshape(batch, 3, channels, height * width)
-        q = qkv_flat[:, 0]
-        k = qkv_flat[:, 1]
-        v = qkv_flat[:, 2]
-        scale = 1.0 / np.sqrt(channels)
-        attn = F.softmax((q.transpose(0, 2, 1) @ k) * scale, axis=-1)
-        out = v @ attn.transpose(0, 2, 1)
-        out = out.reshape(batch, channels, height, width)
-        return x + self.proj(out)
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        batch, channels, height, width = x.shape
-        qkv = self.qkv.infer(self.norm.infer(x))
+        qkv = self.qkv.infer(self.norm.infer(x, cache), cache)
         qkv_flat = qkv.reshape(batch, 3, channels, height * width)
         q = qkv_flat[:, 0]
         k = qkv_flat[:, 1]
         v = qkv_flat[:, 2]
         scale = np.float32(1.0 / np.sqrt(channels))
         attn = F.softmax_array((q.transpose(0, 2, 1) @ k) * scale, axis=-1)
+        if cache is not None:
+            cache.append((qkv_flat, attn))
         out = v @ attn.transpose(0, 2, 1)
         out = out.reshape(batch, channels, height, width)
-        return x + self.proj.infer(out)
+        return x + self.proj.infer(out, cache)
+
+    def backward(self, grad: np.ndarray, cache: list) -> np.ndarray:
+        """Reverse of :meth:`infer`: the input gradient."""
+        batch, channels, height, width = grad.shape
+        grad_out = self.proj.backward(grad, cache).reshape(batch, channels, height * width)
+        qkv_flat, attn = cache.pop()
+        q = qkv_flat[:, 0]
+        k = qkv_flat[:, 1]
+        v = qkv_flat[:, 2]
+        grad_qkv = np.empty_like(qkv_flat)
+        # out = v @ attn^T and scores = scale * q^T @ k, attn = softmax(scores).
+        grad_qkv[:, 2] = grad_out @ attn
+        grad_scores = F.softmax_backward(grad_out.transpose(0, 2, 1) @ v, attn)
+        grad_scores *= np.float32(1.0 / np.sqrt(channels))
+        grad_qkv[:, 0] = k @ grad_scores.transpose(0, 2, 1)
+        grad_qkv[:, 1] = q @ grad_scores
+        grad_norm = self.qkv.backward(grad_qkv.reshape(batch, 3 * channels, height, width), cache)
+        return grad + self.norm.backward(grad_norm, cache)
 
 
 class Downsample(Module):
@@ -133,11 +184,11 @@ class Downsample(Module):
         super().__init__()
         self.conv = Conv2d(channels, channels, 3, stride=2, padding=1, rng=rng)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return self.conv(x)
+    def infer(self, x: np.ndarray, cache: "list | None" = None) -> np.ndarray:
+        return self.conv.infer(x, cache)
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return self.conv.infer(x)
+    def backward(self, grad: np.ndarray, cache: list) -> np.ndarray:
+        return self.conv.backward(grad, cache)
 
 
 class Upsample(Module):
@@ -147,11 +198,11 @@ class Upsample(Module):
         super().__init__()
         self.conv = Conv2d(channels, channels, 3, padding=1, rng=rng)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return self.conv(F.upsample_nearest(x, 2))
+    def infer(self, x: np.ndarray, cache: "list | None" = None) -> np.ndarray:
+        return self.conv.infer(F.upsample_nearest_array(x, 2), cache)
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return self.conv.infer(F.upsample_nearest_array(x, 2))
+    def backward(self, grad: np.ndarray, cache: list) -> np.ndarray:
+        return F.upsample_nearest_backward(self.conv.backward(grad, cache), 2)
 
 
 @dataclass
@@ -269,50 +320,40 @@ class UNet(Module):
         setattr(self, name, module)
         self.up_blocks.append((kind, module))
 
-    # -- forward ----------------------------------------------------------- #
+    # -- forward: one tape node over infer ------------------------------ #
     def forward(self, x_onehot: Tensor, timesteps: np.ndarray) -> Tensor:
-        config = self.config
-        batch = x_onehot.shape[0]
-        time_emb = self.time_embedding(timesteps)
+        """Differentiable forward pass: ONE tape node.
 
-        hidden = self.conv_in(x_onehot)
-        skips = [hidden]
-        for kind, module in self.down_blocks:
-            if kind == "res":
-                hidden = module(hidden, time_emb)
-                skips.append(hidden)
-            elif kind == "attn":
-                hidden = module(hidden)
-                skips[-1] = hidden
-            else:  # downsample
-                hidden = module(hidden)
-                skips.append(hidden)
+        Its forward is :meth:`infer` (so a taped forward equals inference bit
+        for bit) plus, in training mode, dropout; its backward is
+        :meth:`backward` over the values that call cached.  The cache belongs
+        to the node, so several calls can share one graph; with the tape off
+        nothing is cached.
+        """
+        params = tuple(self.parameters())
+        cache = [] if is_grad_enabled() else None
+        out = self.infer(x_onehot.data, timesteps, cache, train=self.training)
 
-        hidden = self.mid_block1(hidden, time_emb)
-        hidden = self.mid_attn(hidden)
-        hidden = self.mid_block2(hidden, time_emb)
+        def backward_fn(grad: np.ndarray) -> None:
+            grad_x = self.backward(grad, list(cache), input_grad=x_onehot.requires_grad)
+            if grad_x is not None:
+                x_onehot._accumulate(grad_x)
 
-        for kind, module in self.up_blocks:
-            if kind == "res":
-                skip = skips.pop()
-                hidden = module(concatenate([hidden, skip], axis=1), time_emb)
-            elif kind == "attn":
-                hidden = module(hidden)
-            else:  # upsample
-                hidden = module(hidden)
-
-        out = self.conv_out(self.norm_out(hidden).silu())
-        return out.reshape(
-            batch, config.in_channels, config.num_classes, config.image_size, config.image_size
-        )
+        return x_onehot._make(out, (x_onehot, *params), backward_fn)
 
     # -- inference ---------------------------------------------------------- #
-    def infer(self, x_onehot: np.ndarray, timesteps: np.ndarray) -> np.ndarray:
-        """Gradient-free forward pass on plain arrays (the sampling hot path).
+    def infer(
+        self,
+        x_onehot: np.ndarray,
+        timesteps: np.ndarray,
+        cache: "list | None" = None,
+        train: bool = False,
+    ) -> np.ndarray:
+        """Forward pass on plain arrays (the sampling hot path).
 
-        Mirrors :meth:`forward` operation by operation but never touches the
-        autodiff tape: dropout is skipped, all intermediates are raw float32
-        arrays, and convolutions run through the matmul-based array kernels.
+        With a ``cache`` every layer also records what :meth:`backward`
+        needs; ``train`` applies dropout.  Sampling passes neither: no
+        tape, no dropout, raw float32 arrays and matmul-based kernels.
         """
         config = self.config
         x = np.ascontiguousarray(x_onehot, dtype=np.float32)
@@ -323,37 +364,85 @@ class UNet(Module):
             # single-row embedding broadcast over the batch is cheaper AND
             # keeps per-sample results bitwise independent of the batch size
             # (BLAS picks different kernels for 1-row and N-row matmuls).
-            time_emb = self.time_embedding.infer(steps[:1])
+            time_emb = self.time_embedding.infer(steps[:1], cache)
         else:
-            time_emb = self.time_embedding.infer(steps)
+            time_emb = self.time_embedding.infer(steps, cache)
 
-        hidden = self.conv_in.infer(x)
+        hidden = self.conv_in.infer(x, cache)
         skips = [hidden]
         for kind, module in self.down_blocks:
             if kind == "res":
-                hidden = module.infer(hidden, time_emb)
+                hidden = module.infer(hidden, time_emb, cache, train)
                 skips.append(hidden)
             elif kind == "attn":
-                hidden = module.infer(hidden)
+                hidden = module.infer(hidden, cache)
                 skips[-1] = hidden
             else:  # downsample
-                hidden = module.infer(hidden)
+                hidden = module.infer(hidden, cache)
                 skips.append(hidden)
 
-        hidden = self.mid_block1.infer(hidden, time_emb)
-        hidden = self.mid_attn.infer(hidden)
-        hidden = self.mid_block2.infer(hidden, time_emb)
+        hidden = self.mid_block1.infer(hidden, time_emb, cache, train)
+        hidden = self.mid_attn.infer(hidden, cache)
+        hidden = self.mid_block2.infer(hidden, time_emb, cache, train)
 
         for kind, module in self.up_blocks:
             if kind == "res":
                 skip = skips.pop()
-                hidden = module.infer(np.concatenate([hidden, skip], axis=1), time_emb)
-            elif kind == "attn":
-                hidden = module.infer(hidden)
-            else:  # upsample
-                hidden = module.infer(hidden)
+                if cache is not None:
+                    cache.append(hidden.shape[1])
+                hidden = np.concatenate([hidden, skip], axis=1)
+                hidden = module.infer(hidden, time_emb, cache, train)
+            else:  # attention or upsample
+                hidden = module.infer(hidden, cache)
 
-        out = self.conv_out.infer(F.silu_array(self.norm_out.infer(hidden)))
+        out = self.conv_out.infer(_silu(self.norm_out.infer(hidden, cache), cache), cache)
         return out.reshape(
             batch, config.in_channels, config.num_classes, config.image_size, config.image_size
         )
+
+    # -- reverse pass -------------------------------------------------------- #
+    def backward(
+        self, grad: np.ndarray, cache: list, input_grad: bool = False
+    ) -> "np.ndarray | None":
+        """Reverse of one cached :meth:`infer` call; pops ``cache`` empty.
+
+        Accumulates every parameter gradient and returns the input gradient
+        (``None`` unless ``input_grad``).
+        """
+        grad = grad.reshape(grad.shape[0], -1, *grad.shape[3:])
+        grad = self.conv_out.backward(grad, cache)
+        grad = self.norm_out.backward(_silu_backward(grad, cache), cache)
+        time_grads: list[np.ndarray] = []
+
+        def res_backward(block: ResidualBlock, grad: np.ndarray) -> np.ndarray:
+            grad, grad_time = block.backward(grad, cache)
+            time_grads.append(grad_time)
+            return grad
+
+        # Decoder: each res block's input gradient splits into the part for
+        # the running features and the part for the skip it consumed.
+        skip_grads = []
+        for kind, module in reversed(self.up_blocks):
+            if kind == "res":
+                grad = res_backward(module, grad)
+                split = cache.pop()
+                skip_grads.append(grad[:, split:])
+                grad = grad[:, :split]
+            else:
+                grad = module.backward(grad, cache)
+
+        grad = res_backward(self.mid_block2, grad)
+        grad = self.mid_attn.backward(grad, cache)
+        grad = res_backward(self.mid_block1, grad)
+
+        # Encoder: every output that stayed on the skip stack also fed a
+        # decoder block — all but a res block's whose attention replaced it.
+        kinds = [kind for kind, _ in self.down_blocks] + [None]
+        for index in reversed(range(len(self.down_blocks))):
+            kind, module = self.down_blocks[index]
+            if kind != "res" or kinds[index + 1] != "attn":
+                grad = grad + skip_grads.pop()
+            grad = res_backward(module, grad) if kind == "res" else module.backward(grad, cache)
+        grad_x = self.conv_in.backward(grad + skip_grads.pop(), cache, input_grad)
+        self.time_embedding.backward(np.sum(time_grads, axis=0), cache)
+        return grad_x

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.diffusion import DiffusionConfig, DiscreteDiffusion, linear_schedule
-from repro.nn import UNet, UNetConfig
+from repro.diffusion.d3pm import _hybrid_loss
+from repro.diffusion.transition import DiscreteTransitionModel, one_hot
+from repro.nn import Tensor, UNet, UNetConfig
+from repro.nn import functional as F
 
 
 def tiny_unet(channels=4, size=8, classes=2):
@@ -84,6 +87,60 @@ class TestLoss:
         loss.backward()
         grads = [p.grad for p in model.model.parameters() if p.grad is not None]
         assert grads and any(np.abs(g).sum() > 0 for g in grads)
+
+
+def taped_hybrid_loss(logits, posterior_all, target_prev, onehot_x0, lambda_ce):
+    """Oracle: the hybrid loss composed from primitive tape ops, as it was
+    written before it became one fused node."""
+    logits_last = logits.transpose(0, 1, 3, 4, 2)
+    probs_x0 = F.softmax(logits_last, axis=-1)
+    predicted_prev = None
+    for clean_state in range(logits.shape[2]):
+        weight = probs_x0[..., clean_state : clean_state + 1]
+        term = weight * Tensor(posterior_all[..., clean_state, :])
+        predicted_prev = term if predicted_prev is None else predicted_prev + term
+    eps = 1e-10
+    log_predicted = (predicted_prev + eps).log()
+    entropy = float((target_prev * np.log(np.clip(target_prev, eps, 1.0))).sum(axis=-1).mean())
+    kl = -(Tensor(target_prev.astype(np.float32)) * log_predicted).sum(axis=-1).mean() + entropy
+    ce = F.cross_entropy_with_logits(logits_last, onehot_x0, axis=-1)
+    return kl + lambda_ce * ce, kl, ce
+
+
+class TestFusedLoss:
+    @pytest.mark.parametrize(
+        "kind,num_states,step",
+        [("binary", 2, 1), ("binary", 2, 5), ("uniform", 3, 4), ("uniform", 3, 8)],
+    )
+    def test_matches_taped_composition(self, kind, num_states, step):
+        rng = np.random.default_rng(step)
+        transition = DiscreteTransitionModel(linear_schedule(8), num_states=num_states, kind=kind)
+        x0 = rng.integers(0, num_states, size=(3, 2, 4, 4))
+        xk = transition.sample_xk(x0, step, rng)
+        logits = (rng.normal(size=(3, 2, num_states, 4, 4)) * 2).astype(np.float32)
+        args = (
+            transition.posterior_table(step, np.float32)[xk],
+            transition.posterior_probs(xk, x0, step),
+            one_hot(x0, num_states),
+            0.05,
+        )
+        fused_logits = Tensor(logits, requires_grad=True)
+        taped_logits = Tensor(logits, requires_grad=True)
+        fused, kl, ce = _hybrid_loss(fused_logits, *args)
+        taped, taped_kl, taped_ce = taped_hybrid_loss(taped_logits, *args)
+        assert fused.item() == pytest.approx(taped.item(), rel=1e-6)
+        assert kl == pytest.approx(taped_kl.item(), rel=1e-6)
+        assert ce == pytest.approx(taped_ce.item(), rel=1e-6)
+        upstream = np.float32(0.7)
+        fused.backward(upstream)
+        taped.backward(upstream)
+        diff = np.linalg.norm(fused_logits.grad - taped_logits.grad)
+        assert diff <= 1e-5 * np.linalg.norm(taped_logits.grad)
+
+    def test_loss_and_unet_are_one_node_each(self, model, data):
+        loss, _ = model.loss(data[:2], rng=0)
+        nodes = [node for node in loss.graph() if node._backward_fn is not None]
+        assert len(nodes) == 2
 
 
 class TestTraining:

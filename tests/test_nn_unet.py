@@ -1,9 +1,9 @@
-"""Unit tests for the U-Net backbone."""
+"""Unit tests for the U-Net backbone and its one-node reverse pass."""
 
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, UNet, UNetConfig
+from repro.nn import Tensor, UNet, UNetConfig, concatenate, no_grad
 from repro.nn import functional as F
 from repro.nn.unet import ResidualBlock, SelfAttention2d, TimestepEmbedding, _norm_groups
 
@@ -40,21 +40,21 @@ class TestHelpers:
 
     def test_timestep_embedding_shape(self):
         emb = TimestepEmbedding(8, 32, np.random.default_rng(0))
-        out = emb(np.array([1, 5, 9]))
+        out = emb.infer(np.array([1, 5, 9]))
         assert out.shape == (3, 32)
 
     def test_residual_block_preserves_spatial_shape(self):
         rng = np.random.default_rng(0)
         block = ResidualBlock(4, 8, 16, 0.0, rng)
-        x = Tensor(rng.normal(size=(2, 4, 6, 6)).astype(np.float32))
-        t = Tensor(rng.normal(size=(2, 16)).astype(np.float32))
-        assert block(x, t).shape == (2, 8, 6, 6)
+        x = rng.normal(size=(2, 4, 6, 6)).astype(np.float32)
+        t = rng.normal(size=(2, 16)).astype(np.float32)
+        assert block.infer(x, t).shape == (2, 8, 6, 6)
 
     def test_attention_preserves_shape(self):
         rng = np.random.default_rng(0)
         attn = SelfAttention2d(8, rng)
-        x = Tensor(rng.normal(size=(2, 8, 4, 4)).astype(np.float32))
-        assert attn(x).shape == (2, 8, 4, 4)
+        x = rng.normal(size=(2, 8, 4, 4)).astype(np.float32)
+        assert attn.infer(x).shape == (2, 8, 4, 4)
 
 
 class TestUNetConfig:
@@ -112,3 +112,255 @@ class TestUNetForwardBackward:
         small = UNet(tiny_config(model_channels=8)).num_parameters()
         large = UNet(tiny_config(model_channels=16)).num_parameters()
         assert large > small * 2
+
+
+# --------------------------------------------------------------------------- #
+# Oracle: the per-layer taped forward the one-node U-Net replaced
+# --------------------------------------------------------------------------- #
+# These are the deleted ``forward`` methods of the U-Net submodules, composed
+# from the taped layer operators, so the tape differentiates them layer by
+# layer.  The one-node reverse pass must reproduce their gradients.
+
+
+def taped_time_embedding(emb, timesteps):
+    base = F.sinusoidal_embedding(timesteps, emb.model_channels)
+    hidden = emb.dense_in(Tensor(base)).silu()
+    return emb.dense_out(hidden).silu()
+
+
+def taped_residual_block(block, x, time_emb):
+    hidden = block.conv1(block.norm1(x).silu())
+    time_term = block.time_proj(time_emb.silu())
+    batch, channels = time_term.shape
+    hidden = hidden + time_term.reshape(batch, channels, 1, 1)
+    hidden = block.conv2(block.dropout(block.norm2(hidden).silu()))
+    return hidden + block.skip(x)
+
+
+def taped_attention(attn, x):
+    batch, channels, height, width = x.shape
+    qkv = attn.qkv(attn.norm(x))
+    qkv_flat = qkv.reshape(batch, 3, channels, height * width)
+    q, k, v = qkv_flat[:, 0], qkv_flat[:, 1], qkv_flat[:, 2]
+    scale = 1.0 / np.sqrt(channels)
+    weights = F.softmax((q.transpose(0, 2, 1) @ k) * scale, axis=-1)
+    out = (v @ weights.transpose(0, 2, 1)).reshape(batch, channels, height, width)
+    return x + attn.proj(out)
+
+
+def taped_block(kind, module, hidden, time_emb):
+    if kind == "res":
+        return taped_residual_block(module, hidden, time_emb)
+    if kind == "attn":
+        return taped_attention(module, hidden)
+    if kind == "down":
+        return module.conv(hidden)
+    return module.conv(F.upsample_nearest(hidden, 2))
+
+
+def taped_unet(net, x_onehot, timesteps):
+    config = net.config
+    time_emb = taped_time_embedding(net.time_embedding, timesteps)
+    hidden = net.conv_in(x_onehot)
+    skips = [hidden]
+    for kind, module in net.down_blocks:
+        hidden = taped_block(kind, module, hidden, time_emb)
+        if kind == "attn":
+            skips[-1] = hidden
+        else:
+            skips.append(hidden)
+    hidden = taped_residual_block(net.mid_block1, hidden, time_emb)
+    hidden = taped_attention(net.mid_attn, hidden)
+    hidden = taped_residual_block(net.mid_block2, hidden, time_emb)
+    for kind, module in net.up_blocks:
+        if kind == "res":
+            hidden = concatenate([hidden, skips.pop()], axis=1)
+        hidden = taped_block(kind, module, hidden, time_emb)
+    out = net.conv_out(net.norm_out(hidden).silu())
+    return out.reshape(
+        x_onehot.shape[0],
+        config.in_channels,
+        config.num_classes,
+        config.image_size,
+        config.image_size,
+    )
+
+
+# Set from float32, not from a measurement: machine epsilon is 1.2e-7, and
+# the two passes sum the same terms in a different order through ~30 layers
+# (and the oracle embeds one row per sample where ``infer`` broadcasts one
+# shared row), so ~100 epsilon bounds the drift.  Observed: ~1.5e-6.
+GRAD_RTOL = 1e-5
+
+
+def _input(config, batch, seed=0):
+    rng = np.random.default_rng(seed)
+    shape = (batch, config.in_channels * config.num_classes, config.image_size, config.image_size)
+    return rng.random(shape, dtype=np.float32)
+
+
+def _run(net, forward, inputs, timesteps, input_grad, seed=1):
+    """Sum of ``<forward(x_i), u_i>`` over the calls, backpropagated once."""
+    leaves = [Tensor(x, requires_grad=input_grad) for x in inputs]
+    outs = [forward(net, leaf, steps) for leaf, steps in zip(leaves, timesteps)]
+    rng = np.random.default_rng(seed)
+    total = None
+    for out in outs:
+        term = (out * Tensor(rng.normal(size=out.shape).astype(np.float32))).sum()
+        total = term if total is None else total + term
+    total.backward()
+    grads = {name: p.grad for name, p in net.named_parameters()}
+    return [out.data for out in outs], grads, [leaf.grad for leaf in leaves]
+
+
+def assert_reverse_pass_matches_oracle(config, timesteps, input_grad=True):
+    """Same weights, inputs and upstream gradients through both forwards."""
+    inputs = [_input(config, len(steps), seed=i) for i, steps in enumerate(timesteps)]
+    results = [
+        _run(UNet(config), forward, inputs, timesteps, input_grad)
+        for forward in (lambda net, x, t: net(x, t), taped_unet)
+    ]
+    (outs, grads, input_grads), (ref_outs, ref_grads, ref_input_grads) = results
+    for out, ref in zip(outs, ref_outs):
+        np.testing.assert_allclose(out, ref, rtol=GRAD_RTOL, atol=GRAD_RTOL)
+    assert grads.keys() == ref_grads.keys()
+    assert all(g is not None for g in grads.values())
+    flat = np.concatenate([grads[name].ravel() for name in grads])
+    ref_flat = np.concatenate([ref_grads[name].ravel() for name in grads])
+    scale = np.linalg.norm(ref_flat)
+    assert np.linalg.norm(flat - ref_flat) <= GRAD_RTOL * scale
+    for name in grads:
+        # Per parameter against the global scale: some gradients are
+        # mathematically zero (a bias right before a one-channel-per-group
+        # norm), so their own norm is rounding noise.
+        assert np.linalg.norm(grads[name] - ref_grads[name]) <= GRAD_RTOL * scale, name
+    for dx, ref in zip(input_grads, ref_input_grads):
+        if input_grad:
+            assert np.linalg.norm(dx - ref) <= GRAD_RTOL * np.linalg.norm(ref)
+        else:
+            assert dx is None and ref is None
+
+
+class TestReversePass:
+    def test_tiny_config(self):
+        assert_reverse_pass_matches_oracle(tiny_config(), [np.full(3, 5)])
+
+    def test_three_level_with_attention_at_16(self):
+        config = tiny_config(
+            in_channels=2, image_size=16, channel_mult=(1, 2, 2), num_res_blocks=2,
+            attention_resolutions=(16,),
+        )
+        assert_reverse_pass_matches_oracle(config, [np.array([2, 7])])
+
+    def test_dropout_in_train_mode_draws_identical_masks(self):
+        config = tiny_config(dropout=0.5)
+        assert_reverse_pass_matches_oracle(config, [np.full(2, 4)])
+        # Both forwards consumed the same draws from the shared generator.
+        nets = [UNet(config), UNet(config)]
+        x = _input(config, 2)
+        nets[0](Tensor(x), np.full(2, 4))
+        taped_unet(nets[1], Tensor(x), np.full(2, 4))
+        assert nets[0].mid_block1.dropout._rng.random() == nets[1].mid_block1.dropout._rng.random()
+
+    def test_single_class_model(self):
+        assert_reverse_pass_matches_oracle(tiny_config(num_classes=1), [np.array([4, 6])])
+
+    def test_mixed_timesteps(self):
+        assert_reverse_pass_matches_oracle(tiny_config(), [np.array([1, 5, 2, 5])])
+
+    def test_two_calls_in_one_graph(self):
+        assert_reverse_pass_matches_oracle(tiny_config(), [np.full(2, 3), np.array([1, 6, 2])])
+
+    def test_constant_input_gets_no_gradient(self):
+        assert_reverse_pass_matches_oracle(tiny_config(), [np.full(2, 3)], input_grad=False)
+
+    def test_backward_can_run_twice(self):
+        # The reverse pass pops a copy of the node's cache, not the cache.
+        net = UNet(tiny_config())
+        out = net(Tensor(_input(net.config, 2)), np.full(2, 3))
+        out.backward(np.ones(out.shape, dtype=np.float32))
+        first = {name: p.grad for name, p in net.named_parameters()}
+        net.zero_grad()
+        out.zero_grad()
+        out.backward(np.ones(out.shape, dtype=np.float32))
+        for name, p in net.named_parameters():
+            np.testing.assert_array_equal(p.grad, first[name])
+
+
+class TestOneNode:
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    def test_forward_is_infer_bit_for_bit(self, dropout):
+        net = UNet(tiny_config(dropout=dropout))
+        if dropout:
+            net.eval()
+        x = _input(net.config, 3)
+        for steps in (np.full(3, 5), np.array([1, 4, 7])):
+            np.testing.assert_array_equal(net(Tensor(x), steps).data, net.infer(x, steps))
+
+    def test_forward_records_one_node(self):
+        net = UNet(tiny_config())
+        x = Tensor(_input(net.config, 2))
+        out = net(x, np.full(2, 3))
+        assert out._parents == (x, *net.parameters())
+        assert sum(1 for node in out.graph() if node._backward_fn is not None) == 1
+
+    def test_no_grad_call_records_nothing(self):
+        net = UNet(tiny_config())
+        with no_grad():
+            out = net(Tensor(_input(net.config, 2), requires_grad=True), np.full(2, 3))
+        assert not out.requires_grad
+        assert out._parents == () and out._backward_fn is None
+
+
+# --------------------------------------------------------------------------- #
+# Convolution input gradient: gather + matmul against the scatter it replaced
+# --------------------------------------------------------------------------- #
+def _scatter_columns(grad_cols, x_shape, weight_shape, stride, padding):
+    """Adjoint of the tap gather: sum column gradients back onto the input."""
+    n, c, h, w = x_shape
+    kh, kw = weight_shape[2:]
+    if kh == 1 and kw == 1 and stride == 1 and padding == 0:
+        return grad_cols.reshape(n, c, h, w)
+    out_h, out_w, taps = F._conv_tap_geometry(h, w, kh, kw, stride, padding)
+    grad_cols = grad_cols.reshape(n, c, kh * kw, out_h, out_w)
+    grad_x = np.zeros(x_shape, dtype=grad_cols.dtype)
+    for tap, dst_rows, dst_cols, src_rows, src_cols in taps:
+        grad_x[:, :, src_rows, src_cols] += grad_cols[:, :, tap, dst_rows, dst_cols]
+    return grad_x
+
+
+CONV_GEOMETRIES = [
+    ((kernel, kernel), stride, padding, size)
+    for kernel in (1, 3, 5)
+    for stride in (1, 2)
+    for padding in (0, 1, 2)
+    for size in ((8, 8), (7, 5), (9, 6))
+    if padding <= kernel - 1
+] + [
+    (kernel, stride, padding, (7, 6))
+    for kernel in ((3, 1), (1, 3), (5, 3))
+    for stride in (1, 2)
+    for padding in (0, 1)
+    if padding <= min(kernel) - 1
+]
+
+
+class TestConvInputGradient:
+    @pytest.mark.parametrize("kernel,stride,padding,size", CONV_GEOMETRIES)
+    def test_matches_scatter(self, kernel, stride, padding, size):
+        rng = np.random.default_rng([*kernel, stride, padding, *size])
+        x_shape = (2, 3, *size)
+        weight = rng.normal(size=(4, 3, *kernel)).astype(np.float32)
+        out_h = (size[0] + 2 * padding - kernel[0]) // stride + 1
+        out_w = (size[1] + 2 * padding - kernel[1]) // stride + 1
+        grad = rng.normal(size=(2, 4, out_h, out_w)).astype(np.float32)
+        grad_cols = np.matmul(weight.reshape(4, -1).T, grad.reshape(2, 4, -1))
+        expected = _scatter_columns(grad_cols, x_shape, weight.shape, stride, padding)
+        got = F.conv2d_input_grad(grad, weight, x_shape, stride, padding)
+        assert got.shape == x_shape
+        assert np.linalg.norm(got - expected) <= 1e-6 * np.linalg.norm(expected)
+
+    def test_padding_beyond_kernel_is_rejected(self):
+        weight = np.zeros((2, 2, 3, 3), dtype=np.float32)
+        with pytest.raises(ValueError, match="padding <= kernel size - 1"):
+            F.conv2d_input_grad(np.zeros((1, 2, 10, 10), np.float32), weight, (1, 2, 6, 6), 1, 3)

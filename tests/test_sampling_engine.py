@@ -3,8 +3,8 @@
 The engine's contract is strong: for a fixed seed, the generated topology
 tensors are *element-wise identical* no matter how the samples are chunked —
 one at a time (the sequential sampler), one big batch, or any chunk size in
-between.  The gradient-free forward pass must also agree with the taped
-forward pass to float32 tolerance, while building no autodiff tape at all.
+between.  The gradient-free forward pass must also equal the taped forward
+pass bit for bit, while building no autodiff tape at all.
 """
 
 import numpy as np
@@ -81,7 +81,7 @@ class TestInferenceForwardParity:
         timesteps = np.full(3, 5, dtype=np.int64)
         taped = net(Tensor(x), timesteps).numpy()
         inferred = net.infer(x, timesteps)
-        np.testing.assert_allclose(taped, inferred, rtol=1e-4, atol=1e-4)
+        np.testing.assert_array_equal(taped, inferred)
 
     def test_infer_is_batch_invariant(self):
         net = tiny_unet()
