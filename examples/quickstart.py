@@ -18,9 +18,10 @@ Streaming + persistence walkthrough (mirrors ``python -m repro generate``)::
     # kill it halfway (Ctrl-C), then pick up where it stopped:
     python examples/quickstart.py --library out/lib --resume
 
-A resumed run reloads completed chunks from ``out/lib/manifest.json`` and its
-npz shards instead of re-generating them, and reproduces the uninterrupted
-run exactly (same patterns, same diversity H, same legality).  The same
+A resumed run reloads completed chunks from ``out/lib/manifests/main.json``
+(the ledger of the default writer, ``main``) and their npz shards instead of
+re-generating them, and reproduces the uninterrupted run exactly (same
+patterns, same diversity H, same legality).  The same
 library is then readable with ``python -m repro inspect-library out/lib``.
 
 Usage::

@@ -13,7 +13,7 @@ Subcommands:
   unique topologies, diversity H, legality, per-chunk accounting) and run
   indexed queries (``--band``/``--topology``/``--regime``/``--from-writer``).
 * ``compact-library`` — merge small shards, drop superseded duplicates and
-  rebuild the on-disk index; migrates a v1 library to the sharded v2 layout.
+  rebuild the on-disk index; migrates a legacy v1 ``manifest.json`` to a ledger.
 * ``bench``           — run a scenario and report per-stage throughput
   (sampling, legalization, graph), optionally as machine-readable JSON.
 * ``serve``           — run the long-lived generation daemon: concurrent
@@ -102,9 +102,10 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--writer", default=None, metavar="ID",
-        help="writer id for --out: opens the library in the sharded v2 "
-        "layout so several producers can append to one library "
-        "concurrently (each writer keeps its own manifest ledger)",
+        help="writer id for --out (default: main); each writer keeps its "
+        "own manifest ledger, so several producers can append to one "
+        "library concurrently.  `--writer legacy` continues a v1 library's "
+        "history after compact-library has migrated it",
     )
 
 
@@ -151,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ins = sub.add_parser("inspect-library", help="summarise an on-disk pattern library")
     p_ins.add_argument(
         "library", type=Path,
-        help="library directory (holds manifest.json or manifests/)",
+        help="library directory (holds manifests/, or a legacy v1 manifest.json)",
     )
     p_ins.add_argument(
         "--chunks", action="store_true", help="print the per-chunk accounting table"
@@ -182,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser(
         "compact-library",
         help="merge small shards, drop superseded duplicates, rebuild the "
-        "index (migrates a v1 library to the sharded v2 layout)",
+        "index (migrates a legacy v1 manifest.json to a ledger)",
     )
     p_cmp.add_argument("library", type=Path, help="library directory")
     p_cmp.add_argument(
@@ -454,35 +455,41 @@ def _parse_band(text: str) -> tuple:
     return lo, hi
 
 
-def _cmd_inspect_library(args: argparse.Namespace) -> int:
+def _open_existing_library(root: Path):
+    """Open ``root`` as a pattern library; a clean error if it holds none."""
     from .library import MANIFEST_DIR, LibraryError, PatternLibrary
 
-    manifest = Path(args.library) / "manifest.json"
-    manifests = Path(args.library) / MANIFEST_DIR
+    manifest = root / "manifest.json"
+    manifests = root / MANIFEST_DIR
     if not manifest.exists() and not manifests.is_dir():
         raise LibraryError(
-            f"{args.library} holds no pattern library "
-            f"(missing {manifest} and {manifests}/)"
+            f"{root} holds no pattern library (missing {manifest} and {manifests}/)"
         )
-    library = PatternLibrary(args.library)
+    return PatternLibrary(root)
+
+
+def _cmd_inspect_library(args: argparse.Namespace) -> int:
+    from .library import LEGACY_WRITER
+
+    library = _open_existing_library(args.library)
     summary = library.summary()
     print(f"pattern library at {args.library}")
     for key, value in summary.items():
         rendered = f"{value:.4f}" if isinstance(value, float) else str(value)
         print(f"  {key:<18} {rendered}")
-    if library.writers:
-        print(f"  {'layout':<18} v2 (sharded, {len(library.writers)} writer(s))")
-        print(f"  {'writers':<18} {', '.join(library.writers)}")
-        stats = library.index_stats()
-        if stats is not None:
-            print(
-                f"  {'index':<18} covered_seq={stats['covered_seq']} "
-                f"merged={stats['merged_patterns']} "
-                f"delta_chunks={stats['delta_chunks']} "
-                f"bloom_bits={stats['bloom_bits']}"
-            )
+    if library.manifest_path.exists() and library.writers == [LEGACY_WRITER]:
+        layout = "v1 (legacy manifest.json; compact-library migrates it)"
     else:
-        print(f"  {'layout':<18} v1 (single manifest.json)")
+        layout = f"v2 (sharded, {len(library.writers)} writer(s))"
+    print(f"  {'layout':<18} {layout}")
+    print(f"  {'writers':<18} {', '.join(library.writers)}")
+    stats = library.index_stats()
+    print(
+        f"  {'index':<18} covered_seq={stats['covered_seq']} "
+        f"merged={stats['merged_patterns']} "
+        f"delta_chunks={stats['delta_chunks']} "
+        f"bloom_bits={stats['bloom_bits']}"
+    )
     if library.fingerprint:
         print("  fingerprint:")
         for key, value in sorted(library.fingerprint.items()):
@@ -496,9 +503,8 @@ def _cmd_inspect_library(args: argparse.Namespace) -> int:
         print(header)
         print("-" * len(header))
         for record in library.records_in_order():
-            seq = "-" if record.seq is None else record.seq
             print(
-                f"{record.chunk:>5} {seq:>5} "
+                f"{record.chunk:>5} {record.seq:>5} "
                 f"{(record.writer or '-'):>14} "
                 f"{record.start:>6} {record.num_sampled:>8} "
                 f"{record.num_kept:>5} {record.num_patterns:>9} "
@@ -527,16 +533,7 @@ def _cmd_inspect_library(args: argparse.Namespace) -> int:
 
 
 def _cmd_compact_library(args: argparse.Namespace) -> int:
-    from .library import MANIFEST_DIR, LibraryError, PatternLibrary
-
-    manifest = Path(args.library) / "manifest.json"
-    manifests = Path(args.library) / MANIFEST_DIR
-    if not manifest.exists() and not manifests.is_dir():
-        raise LibraryError(
-            f"{args.library} holds no pattern library "
-            f"(missing {manifest} and {manifests}/)"
-        )
-    library = PatternLibrary(args.library)
+    library = _open_existing_library(args.library)
     report = library.compact(
         target_shard_patterns=args.target_shard_patterns,
         drop_duplicates=False if args.keep_duplicates else None,

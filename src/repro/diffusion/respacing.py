@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .transition import DiscreteTransitionModel
+from .transition import DiscreteTransitionModel, posterior_ratio
 
 __all__ = ["RespacedSchedule", "respaced_timesteps"]
 
@@ -210,7 +210,7 @@ class RespacedSchedule:
             numerator = q_jump.T[:, None, :] * q_bar_prev[None, :, :]
             # denominator[v, i] = Q̄_cur[i, v]; exact up to float error since
             # Q̄_cur = Q̄_prev Q_{prev→cur} — renormalize the residual away.
-            table = numerator / q_bar_cur.T[:, :, None]
+            table = posterior_ratio(numerator, q_bar_cur)
             table /= table.sum(axis=-1, keepdims=True)
             table = table.astype(dtype, copy=False)
             table.setflags(write=False)

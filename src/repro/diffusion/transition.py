@@ -169,8 +169,7 @@ class DiscreteTransitionModel:
             q_bar_k = self.q_bar_matrix(k)
             # numerator[v, i, s] = Q_k[s, v] * Q̄_{k-1}[i, s]
             numerator = q_k.T[:, None, :] * q_bar_prev[None, :, :]
-            # denominator[v, i] = Q̄_k[i, v]
-            table = (numerator / q_bar_k.T[:, :, None]).astype(dtype, copy=False)
+            table = posterior_ratio(numerator, q_bar_k).astype(dtype, copy=False)
             table.setflags(write=False)
             self._posterior_tables[key] = table
         return table
@@ -211,6 +210,23 @@ class DiscreteTransitionModel:
         if (arr < 0).any() or (arr >= self.num_states).any():
             raise ValueError(f"states must lie in [0, {self.num_states})")
         return arr.astype(np.int64)
+
+
+def posterior_ratio(numerator: np.ndarray, q_bar: np.ndarray) -> np.ndarray:
+    """``numerator[v, i, s] / Q̄[i, v]``: a posterior table from its Bayes parts.
+
+    Where ``x_0 = i`` cannot reach ``x_k = v`` at all (``Q̄[i, v] == 0``,
+    which only absorbing chains produce) the ratio is 0/0.  Such a row is
+    the point mass on ``x_{k-1} = x_k = v`` instead — what an absorbing
+    chain implies — so every row the sampler or the loss mixes still sums
+    to one.  Every other row is the plain quotient, bit for bit.
+    """
+    unreachable = q_bar.T == 0.0
+    table = numerator / np.where(unreachable, 1.0, q_bar.T)[:, :, None]
+    v, i = np.nonzero(unreachable)
+    table[v, i, :] = 0.0
+    table[v, i, v] = 1.0
+    return table
 
 
 def sample_categorical(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:

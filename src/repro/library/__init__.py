@@ -1,7 +1,13 @@
-"""Persistent pattern library: npz shards, manifest shards, on-disk index."""
+"""Persistent pattern library: npz shards, writer ledgers, on-disk index."""
 
 from .index import BloomFilter, LibraryIndex
-from .manifest import LEGACY_WRITER, MANIFEST_DIR, LibraryLock, WriterLedger
+from .manifest import (
+    DEFAULT_WRITER,
+    LEGACY_WRITER,
+    MANIFEST_DIR,
+    LibraryLock,
+    WriterLedger,
+)
 from .store import (
     ChunkRecord,
     CompactionReport,
@@ -25,6 +31,7 @@ __all__ = [
     "LibraryIndex",
     "LibraryLock",
     "WriterLedger",
+    "DEFAULT_WRITER",
     "LEGACY_WRITER",
     "MANIFEST_DIR",
     "save_shard",

@@ -1,10 +1,9 @@
 """On-disk hash index: per-shard sidecars, merged sorted files, bloom filter.
 
-The v1 library answered every dedup probe from in-memory hash sets rebuilt
-by parsing the whole manifest — O(library) work per open, long before the
-solver becomes the bottleneck.  The v2 index replaces those sets with three
-on-disk structures, all derived data (rebuildable from the shards at any
-time):
+Dedup probes must not cost O(library) work per open (parsing every stored
+hash into in-memory sets would dominate long before the solver does).  The
+index answers them from three on-disk structures, all derived data
+(rebuildable from the shards at any time):
 
 * **sidecars** — each shard commit writes ``index/<shard>.idx.npz`` holding,
   aligned with the shard's patterns: the pattern hash, the topology hash and

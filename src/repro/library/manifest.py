@@ -1,11 +1,8 @@
 """Manifest primitives: chunk records, per-writer ledgers, the library lock.
 
-A **v1** library is a single ``manifest.json`` owned by one writer (the
-original PR 3 format, still written bit-for-bit by single-writer
-:class:`~repro.library.PatternLibrary` instances).  A **v2** library splits
-the manifest into per-writer **ledger shards** under ``manifests/`` so any
-number of streamed runs / serve workers can append to one library
-concurrently:
+A library's manifest is split into per-writer **ledger shards** under
+``manifests/`` so any number of streamed runs / serve workers can append to
+one library concurrently:
 
 * every writer owns exactly one ``manifests/<writer>.json`` and only ever
   rewrites its own file (atomically, temp file + ``os.replace``);
@@ -13,10 +10,13 @@ concurrently:
   assigned under the advisory :class:`LibraryLock` at append time, so any
   reader merges the ledgers into one deterministic history by sorting on
   ``seq`` — the merged manifest is a pure function of the on-disk state;
-* v2 ledger records do **not** inline the per-chunk hash lists the v1
-  manifest carries; the hashes live in the on-disk index sidecars
-  (:mod:`repro.library.index`), keeping ledger parse time proportional to
-  the chunk count, not the pattern count.
+* ledger records do **not** inline per-chunk hash lists; the hashes live in
+  the on-disk index sidecars (:mod:`repro.library.index`), keeping ledger
+  parse time proportional to the chunk count, not the pattern count.
+
+A legacy **v1** library (one ``manifest.json`` whose records inline their
+introduced hashes) is still read, as the implicit writer
+:data:`LEGACY_WRITER`; nothing writes that layout any more.
 
 The advisory lock is a ``flock``-ed ``library.lock`` file: writers hold it
 across the refresh → dedup-probe → shard write → ledger commit critical
@@ -40,6 +40,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms only
 
 __all__ = [
     "ChunkRecord",
+    "DEFAULT_WRITER",
     "LEDGER_VERSION",
     "LEGACY_WRITER",
     "LibraryLock",
@@ -57,9 +58,11 @@ MANIFEST_DIR = "manifests"
 LOCK_NAME = "library.lock"
 LEDGER_VERSION = 2
 #: Writer id assigned to the chunks of a legacy single-manifest library when
-#: it participates in a v2 merge (read-side migration; ``manifest.json``
-#: itself is never rewritten except by an explicit ``compact()``).
+#: it participates in the merge (read-side migration; ``manifest.json``
+#: itself is only ever removed, by the ``compact()`` that migrates it).
 LEGACY_WRITER = "legacy"
+#: Writer id of a library opened without one.
+DEFAULT_WRITER = "main"
 
 _WRITER_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-")
 
@@ -150,11 +153,12 @@ class ChunkRecord:
 
     The complexity multisets are stored in the compact
     :meth:`~repro.metrics.ComplexityHistogram.as_records` codec
-    (``[cx, cy, count]`` rows).  A **v1** record carries the hashes it
-    *introduced* inline (``new_pattern_hashes`` / ``new_topology_hashes``);
-    a **v2** record keeps those lists empty — the hashes live in the chunk's
-    index sidecar — and records only the introduced *counts* plus its global
-    commit ``seq`` and owning ``writer``.
+    (``[cx, cy, count]`` rows).  A record keeps only the *counts* of the
+    hashes it introduced plus its global commit ``seq`` and owning
+    ``writer``; the hashes themselves live in the chunk's index sidecar.
+    Records read from a legacy v1 ``manifest.json`` carry the introduced
+    hashes inline instead (``new_pattern_hashes`` / ``new_topology_hashes``)
+    until :meth:`~repro.library.PatternLibrary.compact` migrates them.
     """
 
     chunk: int                      # chunk index within the owning writer's run
@@ -170,10 +174,11 @@ class ChunkRecord:
     shard: "str | None"             # shard file name, None for empty chunks
     topology_complexity_counts: list[list[int]] = field(default_factory=list)
     pattern_complexity_counts: list[list[int]] = field(default_factory=list)
+    # Introduced hashes, read from legacy v1 records only (never serialised).
     new_pattern_hashes: list[str] = field(default_factory=list)
     new_topology_hashes: list[str] = field(default_factory=list)
     stats: dict[str, float] = field(default_factory=dict)
-    # -- v2-only fields (absent from v1 manifests, defaults on load) ------- #
+    # -- absent from legacy v1 manifests (defaults on load) ---------------- #
     seq: "int | None" = None        # global commit order across all writers
     writer: "str | None" = None     # owning writer id
     shard_start: int = 0            # offset of this record's patterns in shard
@@ -185,23 +190,18 @@ class ChunkRecord:
     pattern_sources: list[int] = field(default_factory=list)
     pattern_clean: list[int] = field(default_factory=list)
 
-    #: Field names serialised into a v1 ``manifest.json`` — exactly the PR 3
-    #: schema, so single-writer libraries stay byte-identical on disk.
-    V1_FIELDS = (
+    #: Field names a ledger serialises (the optional attribution lists are
+    #: added only when present).
+    LEDGER_FIELDS = (
         "chunk", "start", "num_sampled", "num_kept", "num_rejected", "unsolved",
         "num_patterns", "num_stored", "duplicates_skipped", "num_clean", "shard",
-        "topology_complexity_counts", "pattern_complexity_counts",
-        "new_pattern_hashes", "new_topology_hashes", "stats",
-    )
-    #: Extra fields a v2 ledger serialises (hash lists are dropped there —
-    #: the index sidecars are their v2 home).
-    V2_ONLY_FIELDS = (
+        "topology_complexity_counts", "pattern_complexity_counts", "stats",
         "seq", "writer", "shard_start", "num_new_patterns", "num_new_topologies",
     )
 
     @property
     def introduced_patterns(self) -> int:
-        """Patterns this chunk registered first (count form, v1 or v2)."""
+        """Patterns this chunk registered first (count, or legacy hash list)."""
         if self.num_new_patterns >= 0:
             return self.num_new_patterns
         return len(self.new_pattern_hashes)
@@ -213,18 +213,8 @@ class ChunkRecord:
         return len(self.new_topology_hashes)
 
     def as_dict(self) -> dict:
-        """The v1 manifest serialisation (byte-compatible with PR 3)."""
-        return {key: getattr(self, key) for key in self.V1_FIELDS}
-
-    def as_dict_v2(self) -> dict:
-        """The ledger-shard serialisation: counts instead of hash lists."""
-        payload = {
-            key: getattr(self, key)
-            for key in self.V1_FIELDS
-            if key not in ("new_pattern_hashes", "new_topology_hashes")
-        }
-        for key in self.V2_ONLY_FIELDS:
-            payload[key] = getattr(self, key)
+        """The ledger serialisation: counts instead of hash lists."""
+        payload = {key: getattr(self, key) for key in self.LEDGER_FIELDS}
         if self.pattern_sources:
             payload["pattern_sources"] = self.pattern_sources
         if self.pattern_clean:
@@ -241,7 +231,7 @@ class ChunkRecord:
 # --------------------------------------------------------------------------- #
 @dataclass
 class WriterLedger:
-    """One writer's slice of a v2 library manifest."""
+    """One writer's slice of the library manifest."""
 
     writer: str
     fingerprint: dict = field(default_factory=dict)
@@ -254,7 +244,7 @@ class WriterLedger:
             "writer": self.writer,
             "fingerprint": self.fingerprint,
             "dedup": self.dedup,
-            "chunks": [record.as_dict_v2() for record in self.chunks],
+            "chunks": [record.as_dict() for record in self.chunks],
         }
 
     def write(self, root: "str | Path") -> None:

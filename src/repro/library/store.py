@@ -1,4 +1,4 @@
-"""Append-only on-disk pattern library: npz shards + manifests + hash index.
+"""Append-only on-disk pattern library: npz shards + writer ledgers + hash index.
 
 The paper's end product is a large *library* of legal patterns judged by
 diversity H and legality; this module makes that library a first-class,
@@ -9,17 +9,14 @@ persistent artefact instead of an in-memory list that dies with the process:
   :meth:`~repro.squish.SquishPattern.as_arrays` codec (the same arrays
   ``SquishPattern.save`` writes, under per-pattern key prefixes), so a
   round trip is lossless and exact.
-* **Manifest** — a **v1** library records the run fingerprint (seeds and
-  knobs), one accounting record per chunk and the hash registry in a single
-  ``manifest.json``, rewritten atomically (temp file + ``os.replace``)
-  *after* its shard, so a killed run leaves at worst one orphaned shard that
-  the restart overwrites.  A **v2** library (opened with ``writer=``) splits
-  the manifest into per-writer ledger shards under ``manifests/`` merged by
-  seq order — see :mod:`repro.library.manifest` — so many runs and serve
+* **Ledgers** — every :class:`PatternLibrary` appends as one writer (the
+  default is :data:`DEFAULT_WRITER`) to its own ``manifests/<writer>.json``,
+  committed atomically *after* the shard; readers merge all ledgers by seq
+  order — see :mod:`repro.library.manifest` — so many runs and serve
   workers can append to one library concurrently.
-* **Index** — v2 dedup probes go through the on-disk hash index
+* **Index** — dedup probes go through the on-disk hash index
   (:mod:`repro.library.index`): bloom filter + sorted hash files + sidecar
-  deltas, instead of v1's whole-manifest in-memory sets.
+  deltas.
 * **Resume** — a :class:`~repro.pipeline.GenerationGraph` run handed an
   existing library validates the fingerprint *and the shard files of every
   completed chunk*, folds the stored records into its accumulators and
@@ -30,17 +27,17 @@ persistent artefact instead of an in-memory list that dies with the process:
   delta_y)`` triple is already present, and the per-topology registry feeds
   ``num_unique_topologies`` either way.
 
-A v1 library opened without ``writer=`` behaves bit-identically to the PR 3
-format (same manifest bytes, no lock, no index files); opened *with* a
-writer it participates in the v2 merge unchanged on disk (read-side
-migration) until an explicit :meth:`PatternLibrary.compact` rewrites it.
+A legacy **v1** library (one ``manifest.json`` plus ``shard_<chunk>.npz``
+files) is read, queried and joined by new writers unchanged on disk: its
+records take part in the merge as writer :data:`LEGACY_WRITER`.  Its own
+history can only be continued after :meth:`PatternLibrary.compact` has
+migrated it to a ledger.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,18 +56,18 @@ from .index import (
     write_sidecar,
 )
 from .manifest import (
+    DEFAULT_WRITER,
     LEGACY_WRITER,
-    MANIFEST_DIR,
     ChunkRecord,
     LibraryLock,
     WriterLedger,
     atomic_write_bytes,
-    atomic_write_text,
     load_ledger,
     scan_ledgers,
     validate_writer_id,
 )
 
+#: The single manifest of a legacy v1 library (read and migrated, never written).
 MANIFEST_NAME = "manifest.json"
 SHARD_DIR = "shards"
 MANIFEST_VERSION = 1
@@ -162,7 +159,7 @@ class CompactionReport:
     """What one :meth:`PatternLibrary.compact` call changed."""
 
     records: int = 0            # chunk records in the merged history
-    migrated: int = 0           # legacy manifest.json records moved to ledgers
+    migrated: int = 0           # legacy manifest.json records moved to a ledger
     shards_before: int = 0
     shards_after: int = 0
     merged_shards_written: int = 0
@@ -178,7 +175,7 @@ class PatternLibrary:
     Parameters
     ----------
     root:
-        Directory holding the manifest(s) and the ``shards/`` folder.
+        Directory holding ``manifests/`` and the ``shards/`` folder.
         Created on first write; existing state is loaded eagerly.
     dedup:
         When ``True``, :meth:`append_chunk` skips patterns whose exact
@@ -188,15 +185,13 @@ class PatternLibrary:
         value always wins on reopen — flipping the mode midway would make a
         resumed run diverge from the uninterrupted one.
     writer:
-        ``None`` (default) keeps the v1 single-writer behaviour: one
-        ``manifest.json``, in-memory hash sets, bit-identical output to
-        PR 3 — unless the library on disk already has ``manifests/`` ledger
-        shards, in which case the instance is a read-only merged view.
-        A writer id switches the library to v2 multi-writer mode: appends
-        go to this writer's own ``manifests/<writer>.json`` under the
-        advisory library lock, and dedup probes go through the on-disk
-        hash index.  A run resuming a pure-v1 library should keep
-        ``writer=None`` (its records live in ``manifest.json``).
+        The writer id this instance appends as (``None`` means
+        :data:`DEFAULT_WRITER`).  Appends go to the writer's own
+        ``manifests/<writer>.json`` under the advisory library lock, and
+        dedup probes go through the on-disk hash index; every read sees the
+        merged history of all writers.  A legacy v1 ``manifest.json`` takes
+        part as writer :data:`LEGACY_WRITER`; continuing that history before
+        :meth:`compact` has migrated it raises :class:`LibraryError`.
     """
 
     def __init__(
@@ -204,26 +199,21 @@ class PatternLibrary:
     ) -> None:
         self.root = Path(root)
         self.dedup = bool(dedup)
-        self.writer = validate_writer_id(writer) if writer is not None else None
+        self.writer = validate_writer_id(DEFAULT_WRITER if writer is None else writer)
         self.fingerprint: dict = {}
         self.chunk_records: dict[int, ChunkRecord] = {}
-        self._pattern_hashes: set[str] = set()
-        self._topology_hashes: set[str] = set()
         self._ledgers: dict[str, WriterLedger] = {}
         self._legacy_unmigrated = False
         self._shard_cache: "OrderedDict[str, list[SquishPattern]]" = OrderedDict()
-        self._v2 = self.writer is not None or (self.root / MANIFEST_DIR).is_dir()
-        self._index: "LibraryIndex | None" = LibraryIndex(self.root) if self._v2 else None
-        if self._v2:
-            self._refresh_v2()
-        elif self.manifest_path.exists():
-            self._load_manifest()
+        self._index = LibraryIndex(self.root)
+        self._refresh()
 
     # ------------------------------------------------------------------ #
     # paths
     # ------------------------------------------------------------------ #
     @property
     def manifest_path(self) -> Path:
+        """The legacy v1 manifest (present only until compaction migrates it)."""
         return self.root / MANIFEST_NAME
 
     @property
@@ -235,17 +225,15 @@ class PatternLibrary:
         return self.root / INDEX_DIR
 
     def shard_path(self, chunk: int) -> Path:
-        if self._v2:
-            return self.shard_dir / f"shard_{self.writer}_{chunk:05d}.npz"
-        return self.shard_dir / f"shard_{chunk:05d}.npz"
+        return self.shard_dir / f"shard_{self.writer}_{chunk:05d}.npz"
 
     def _sidecar_path(self, shard_name: str) -> Path:
         return self.index_dir / sidecar_name(shard_name)
 
     # ------------------------------------------------------------------ #
-    # v2 state
+    # state
     # ------------------------------------------------------------------ #
-    def _refresh_v2(self) -> None:
+    def _refresh(self) -> None:
         """Re-read every ledger shard and synchronise the index delta.
 
         Called on open and at the top of every locked critical section so a
@@ -255,17 +243,18 @@ class PatternLibrary:
         ledgers: dict[str, WriterLedger] = {}
         for writer_id, path in scan_ledgers(self.root).items():
             ledgers[writer_id] = load_ledger(path)
-        self._legacy_unmigrated = False
         # ``manifest.json`` participates as the implicit "legacy" writer
         # until compact() migrates it; once manifests/legacy.json exists it
         # supersedes the (then stale) v1 manifest.
-        if LEGACY_WRITER not in ledgers and self.manifest_path.exists():
+        self._legacy_unmigrated = (
+            LEGACY_WRITER not in ledgers and self.manifest_path.exists()
+        )
+        if self._legacy_unmigrated:
             ledgers[LEGACY_WRITER] = self._load_legacy_ledger()
-            self._legacy_unmigrated = True
         self._ledgers = ledgers
-        own = ledgers.get(self.writer) if self.writer is not None else None
+        own = ledgers.get(self.writer)
         if own is not None:
-            # Persisted state wins, exactly like the v1 manifest reload.
+            # Persisted state wins: a reopened writer keeps its mode and run.
             self.dedup = own.dedup
             if own.fingerprint:
                 self.fingerprint = own.fingerprint
@@ -304,7 +293,7 @@ class PatternLibrary:
     def _record_hashes(self, record: ChunkRecord):
         """``(pattern_hashes, topology_hashes)`` for one record's slice.
 
-        The index delta/rebuild loader: sidecar-backed for v2 records,
+        The index delta/rebuild loader: sidecar-backed for ledger records,
         inline hash lists for unmigrated legacy records (collectively
         complete — every hash was introduced by exactly one record), shard
         recomputation as the last resort.
@@ -333,12 +322,7 @@ class PatternLibrary:
         return sidecar_arrays(patterns)
 
     def _next_seq(self) -> int:
-        committed = [
-            record.seq
-            for record in self.records_in_order()
-            if record.seq is not None
-        ]
-        return max(committed, default=-1) + 1
+        return max((record.seq for record in self.records_in_order()), default=-1) + 1
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -354,44 +338,34 @@ class PatternLibrary:
 
     @property
     def num_unique_topologies(self) -> int:
-        if not self._v2:
-            return len(self._topology_hashes)
         # Exact: appends are lock-serialised, so each topology is counted as
         # "introduced" by exactly one record across all writers.
         return sum(record.introduced_topologies for record in self.records_in_order())
 
     @property
     def writers(self) -> list[str]:
-        """Writer ids contributing to this library (empty for pure v1)."""
+        """Writer ids contributing to this library (``legacy`` for a v1 manifest)."""
         return sorted(self._ledgers)
 
     def completed_chunks(self) -> list[int]:
-        """This writer's completed chunk indices (all chunks for v1)."""
+        """This writer's completed chunk indices."""
         return sorted(self.chunk_records)
 
     def own_records(self) -> list[ChunkRecord]:
-        """This writer's records in chunk order (all records for v1)."""
+        """This writer's records in chunk order."""
         return [self.chunk_records[index] for index in self.completed_chunks()]
 
     def records_in_order(self) -> list[ChunkRecord]:
         """The merged chunk history, in global commit order.
 
-        For a v1 library this is the manifest's chunk order; for v2 the
-        ledger shards are merged by commit ``seq`` — a deterministic pure
-        function of the on-disk state, whatever order the writers ran in.
+        The ledger shards are merged by commit ``seq`` — a deterministic pure
+        function of the on-disk state, whatever order the writers ran in (a
+        legacy manifest's records take seqs ``0..n-1`` in chunk order).
         """
-        if not self._v2:
-            return self.own_records()
         merged = [
             record for ledger in self._ledgers.values() for record in ledger.chunks
         ]
-        merged.sort(
-            key=lambda r: (
-                r.seq if r.seq is not None else -1,
-                r.writer or "",
-                r.chunk,
-            )
-        )
+        merged.sort(key=lambda r: (r.seq, r.writer or "", r.chunk))
         return merged
 
     def pattern_histogram(self) -> ComplexityHistogram:
@@ -428,23 +402,19 @@ class PatternLibrary:
             "legality": self.legality(),
         }
 
-    def index_stats(self) -> "dict | None":
-        """On-disk index accounting (``None`` for a pure v1 library)."""
-        return self._index.stats() if self._index is not None else None
+    def index_stats(self) -> dict:
+        """On-disk index accounting."""
+        return self._index.stats()
 
     # ------------------------------------------------------------------ #
     # membership probes
     # ------------------------------------------------------------------ #
     def has_pattern(self, digest: str) -> bool:
         """Is this exact ``(topology, delta_x, delta_y)`` hash stored?"""
-        if self._v2:
-            return self._index.has_pattern(digest)
-        return digest in self._pattern_hashes
+        return self._index.has_pattern(digest)
 
     def has_topology(self, digest: str) -> bool:
-        if self._v2:
-            return self._index.has_topology(digest)
-        return digest in self._topology_hashes
+        return self._index.has_topology(digest)
 
     # ------------------------------------------------------------------ #
     # run binding / resume
@@ -452,17 +422,26 @@ class PatternLibrary:
     def bind(self, fingerprint: dict, resume: bool = False) -> list[ChunkRecord]:
         """Attach a generation run to this library.
 
-        A fresh library (or a fresh writer in a v2 library) adopts
-        ``fingerprint``.  An existing one must match it exactly — resuming
-        under different seeds or knobs would silently mix incompatible
-        streams — and returns this writer's completed chunk records (empty
-        unless ``resume`` is set; continuing a populated library without
-        ``resume=True`` is an error rather than an implicit append).  On
+        A fresh writer adopts ``fingerprint``.  An existing one must match
+        it exactly — resuming under different seeds or knobs would silently
+        mix incompatible streams — and returns this writer's completed chunk
+        records (empty unless ``resume`` is set; continuing a populated
+        writer without ``resume=True`` is an error rather than an implicit
+        append).  On
         resume, every returned record's shard file is validated up front so
         a missing or truncated shard surfaces as a :class:`LibraryError`
         naming the offending chunk instead of a low-level I/O error deep in
         the run.
+
+        Raises
+        ------
+        LibraryError
+            On a fingerprint mismatch, a populated writer bound without
+            ``resume``, a bad shard, or an attempt to continue an unmigrated
+            v1 history (writer ``legacy``, or a new writer resuming the
+            legacy run's fingerprint) — see :meth:`compact`.
         """
+        self._refuse_legacy_continuation(fingerprint if resume else None)
         if not self.fingerprint:
             self.fingerprint = dict(fingerprint)
             return []
@@ -545,14 +524,14 @@ class PatternLibrary:
     ) -> list[SquishPattern]:
         """Persist one completed chunk; returns the patterns actually stored.
 
-        The shard is written first, the manifest/ledger second (atomically),
-        so an interrupt between the two leaves a restartable library.
-        ``record`` is mutated in place with the storage accounting
-        (``num_stored``, ``duplicates_skipped``, the introduced hashes or
-        counts, the shard name — plus ``seq``/``writer`` in v2 mode).
+        The shard is written first, the ledger second (atomically), so an
+        interrupt between the two leaves a restartable library.  ``record``
+        is mutated in place with the storage accounting (``num_stored``,
+        ``duplicates_skipped``, the introduced counts, the shard name,
+        ``seq`` and ``writer``).
 
-        In v2 mode the whole refresh → dedup-probe → shard write → ledger
-        commit sequence runs under the library lock, which is what makes
+        The whole refresh → dedup-probe → shard write → ledger commit
+        sequence runs under the library lock, which is what makes
         concurrent appends by many writers equivalent to the serial order
         the ``seq`` numbers record.
 
@@ -560,60 +539,41 @@ class PatternLibrary:
         ------
         LibraryError
             If ``record.chunk`` is already recorded for this writer, or the
-            library is a v2 merged view opened without a ``writer``.
+            writer is ``legacy`` on a library whose v1 manifest is not yet
+            migrated.
         """
-        if not self._v2:
-            return self._append_chunk_v1(record, patterns)
-        if self.writer is None:
-            raise LibraryError(
-                f"library at {self.root} has multi-writer ledger shards; pass "
-                "writer=<id> to append to it"
-            )
         with LibraryLock(self.root):
-            self._refresh_v2()
-            return self._append_chunk_v2(record, patterns)
+            self._refresh()
+            self._refuse_legacy_continuation()
+            return self._append_locked(record, patterns)
 
-    def _append_chunk_v1(
+    def _refuse_legacy_continuation(self, fingerprint: "dict | None" = None) -> None:
+        """Raise if this writer would continue an unmigrated v1 history.
+
+        The v1 records keep their introduced hashes inline; only
+        :meth:`compact` turns them into the counts a ledger carries, so the
+        ``legacy`` writer cannot append before that.  A new writer resuming
+        with the legacy run's ``fingerprint`` would restart that run from
+        chunk 0 instead of continuing it.
+        """
+        if not self._legacy_unmigrated:
+            return
+        legacy = self._ledgers[LEGACY_WRITER]
+        if self.writer == LEGACY_WRITER or (
+            fingerprint is not None
+            and self.writer not in self._ledgers
+            and legacy.fingerprint == dict(fingerprint)
+        ):
+            raise LibraryError(
+                f"library at {self.root} holds an unmigrated v1 manifest.json; "
+                f"run `repro compact-library {self.root}` to migrate it, then "
+                "continue its history with `--writer legacy`"
+            )
+
+    def _append_locked(
         self, record: ChunkRecord, patterns: list[SquishPattern]
     ) -> list[SquishPattern]:
-        if record.chunk in self.chunk_records:
-            raise LibraryError(f"chunk {record.chunk} is already recorded")
-        stored = []
-        skipped = 0
-        new_pattern_hashes: list[str] = []
-        new_topology_hashes: list[str] = []
-        for pattern in patterns:
-            digest = pattern_hash(pattern)
-            if self.dedup and digest in self._pattern_hashes:
-                skipped += 1
-                continue
-            if digest not in self._pattern_hashes:
-                new_pattern_hashes.append(digest)
-                self._pattern_hashes.add(digest)
-            topo_digest = topology_hash(pattern.topology)
-            if topo_digest not in self._topology_hashes:
-                new_topology_hashes.append(topo_digest)
-                self._topology_hashes.add(topo_digest)
-            stored.append(pattern)
-        record.num_stored = len(stored)
-        record.duplicates_skipped = skipped
-        record.new_pattern_hashes = new_pattern_hashes
-        record.new_topology_hashes = new_topology_hashes
-        if stored:
-            self.shard_dir.mkdir(parents=True, exist_ok=True)
-            path = self.shard_path(record.chunk)
-            atomic_write_bytes(path, lambda fh: _savez_patterns(fh, stored))
-            record.shard = path.name
-        else:
-            record.shard = None
-        self.chunk_records[record.chunk] = record
-        self._write_manifest()
-        return stored
-
-    def _append_chunk_v2(
-        self, record: ChunkRecord, patterns: list[SquishPattern]
-    ) -> list[SquishPattern]:
-        """The locked body of a v2 append (state already refreshed)."""
+        """The locked body of an append (state already refreshed)."""
         if record.chunk in self.chunk_records:
             raise LibraryError(
                 f"chunk {record.chunk} is already recorded for writer "
@@ -651,8 +611,8 @@ class PatternLibrary:
         record.duplicates_skipped = skipped
         record.num_new_patterns = len(new_patterns)
         record.num_new_topologies = len(new_topologies)
-        # v2 ledgers carry counts, not hash lists — the sidecar is the
-        # durable home of the per-pattern hashes.
+        # Ledgers carry counts, not hash lists — the sidecar is the durable
+        # home of the per-pattern hashes.
         record.new_pattern_hashes = []
         record.new_topology_hashes = []
         record.pattern_sources = kept_sources
@@ -702,9 +662,9 @@ class PatternLibrary:
     def load_chunk_patterns(self, chunk: int) -> list[SquishPattern]:
         """Load the stored patterns of one chunk (empty for shard-less chunks).
 
-        Resolves against this writer's chunks first (all chunks for v1); on
-        a merged v2 view a bare chunk index must be unambiguous across
-        writers — use :meth:`load_record_patterns` otherwise.
+        Resolves against this writer's chunks first; otherwise a bare chunk
+        index must be unambiguous across writers — use
+        :meth:`load_record_patterns` for the rest.
 
         Raises
         ------
@@ -713,7 +673,7 @@ class PatternLibrary:
             is missing/truncated.
         """
         record = self.chunk_records.get(chunk)
-        if record is None and self._v2:
+        if record is None:
             matches = [r for r in self.records_in_order() if r.chunk == chunk]
             if len(matches) > 1:
                 writers = sorted({r.writer or LEGACY_WRITER for r in matches})
@@ -815,9 +775,8 @@ class PatternLibrary:
           definite misses without touching any sidecar.
         * ``writer`` — restrict to one writer's chunks.
         """
-        if topology_hash is not None and self._v2:
-            if not self._index.has_topology(topology_hash):
-                return []
+        if topology_hash is not None and not self._index.has_topology(topology_hash):
+            return []
         lo, hi = (None, None) if complexity_band is None else complexity_band
         handles: list[PatternHandle] = []
         for record in self.records_in_order():
@@ -862,11 +821,8 @@ class PatternLibrary:
         return handles
 
     def _regime_matches(self, record: ChunkRecord, rule_regime: str) -> bool:
-        if self._v2:
-            ledger = self._ledgers.get(record.writer or LEGACY_WRITER)
-            fingerprint = ledger.fingerprint if ledger is not None else {}
-        else:
-            fingerprint = self.fingerprint
+        ledger = self._ledgers.get(record.writer or LEGACY_WRITER)
+        fingerprint = ledger.fingerprint if ledger is not None else {}
         return rule_regime in json.dumps(fingerprint, sort_keys=True)
 
     def _load_handle(self, handle: PatternHandle) -> SquishPattern:
@@ -901,10 +857,11 @@ class PatternLibrary:
     ) -> CompactionReport:
         """Merge small shards, drop superseded duplicates, rewrite the index.
 
-        Runs under the library lock.  A pure-v1 library is migrated to the
-        v2 layout first (its ``manifest.json`` becomes
-        ``manifests/legacy.json`` with sidecars computed for every shard —
-        the only operation that rewrites a v1 library).  Records keep their
+        Runs under the library lock.  A legacy v1 library is migrated first
+        (its ``manifest.json`` becomes ``manifests/legacy.json`` with
+        sidecars computed for every shard — the only operation that
+        rewrites a v1 library, and what lets writer ``legacy`` continue its
+        history).  Records keep their
         ``seq``; small consecutive records are packed into ``merged_*.npz``
         shards of up to ``target_shard_patterns`` patterns each.  With
         ``drop_duplicates`` (default: the library's dedup flag) any pattern
@@ -917,10 +874,7 @@ class PatternLibrary:
         deleted only after every ledger has been rewritten.
         """
         with LibraryLock(self.root):
-            self._v2 = True
-            if self._index is None:
-                self._index = LibraryIndex(self.root)
-            self._refresh_v2()
+            self._refresh()
             drop = self.dedup if drop_duplicates is None else bool(drop_duplicates)
             records = self.records_in_order()
             report = CompactionReport(records=len(records))
@@ -1072,7 +1026,7 @@ class PatternLibrary:
                     stale.unlink(missing_ok=True)
             fault_point("compact:index-rebuild")
             self._index.rebuild(self.records_in_order(), self._record_hashes)
-            self._refresh_v2()
+            self._refresh()
             report.shards_after = len(
                 {r.shard for r in self.records_in_order() if r.shard is not None}
             )
@@ -1098,7 +1052,7 @@ class PatternLibrary:
     @staticmethod
     def _migrate_record_counts(record: ChunkRecord) -> None:
         """Freeze a legacy record's introduced counts and drop its hash lists
-        (their v2 home is the sidecar written alongside)."""
+        (their ledger-era home is the sidecar written alongside)."""
         if record.num_new_patterns < 0:
             record.num_new_patterns = len(record.new_pattern_hashes)
         if record.num_new_topologies < 0:
@@ -1133,33 +1087,28 @@ class PatternLibrary:
         return highest + 1
 
     def rebuild_index(self) -> dict:
-        """Regenerate the on-disk index from the ledgers/shards (locked)."""
-        if not self._v2:
-            raise LibraryError(
-                "a pure v1 library has no on-disk index; open it with "
-                "writer=<id> or compact() it first"
-            )
+        """Regenerate the on-disk index from the ledgers/shards (locked).
+
+        Raises
+        ------
+        LibraryError
+            If the library's only history is an unmigrated v1 manifest
+            (:meth:`compact` migrates it and builds the index).
+        """
         with LibraryLock(self.root):
-            self._refresh_v2()
+            self._refresh()
+            if self._legacy_unmigrated and len(self._ledgers) == 1:
+                raise LibraryError(
+                    "a pure v1 library has no on-disk index; compact() it "
+                    f"first (`repro compact-library {self.root}`)"
+                )
             self._index.rebuild(self.records_in_order(), self._record_hashes)
-            self._refresh_v2()
+            self._refresh()
             return self._index.stats()
 
     # ------------------------------------------------------------------ #
-    # manifest plumbing (v1)
+    # legacy v1 manifest (read only)
     # ------------------------------------------------------------------ #
-    def _write_manifest(self) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "version": MANIFEST_VERSION,
-            "fingerprint": self.fingerprint,
-            "dedup": self.dedup,
-            "chunks": [record.as_dict() for record in self.own_records()],
-        }
-        atomic_write_text(
-            self.manifest_path, json.dumps(payload, indent=1, sort_keys=True) + "\n"
-        )
-
     def _read_manifest_payload(self) -> dict:
         try:
             payload = json.loads(self.manifest_path.read_text())
@@ -1173,23 +1122,6 @@ class PatternLibrary:
                 f"{payload.get('version')!r} (expected {MANIFEST_VERSION})"
             )
         return payload
-
-    def _load_manifest(self) -> None:
-        payload = self._read_manifest_payload()
-        self.fingerprint = payload.get("fingerprint", {})
-        # The persisted mode wins: continuing a deduplicated library without
-        # dedup (or vice versa) would silently change what gets stored.
-        self.dedup = bool(payload.get("dedup", self.dedup))
-        self.chunk_records = {
-            record["chunk"]: ChunkRecord.from_dict(record)
-            for record in payload.get("chunks", [])
-        }
-        # The hash registry is the union of every chunk's contribution.
-        self._pattern_hashes = set()
-        self._topology_hashes = set()
-        for record in self.chunk_records.values():
-            self._pattern_hashes.update(record.new_pattern_hashes)
-            self._topology_hashes.update(record.new_topology_hashes)
 
 
 # --------------------------------------------------------------------------- #
@@ -1233,13 +1165,18 @@ def load_shard_slice(
                     f"shard {path} holds {total} pattern(s); cannot load "
                     f"{count} at offset {start}"
                 )
+            # One pass over the key list: ``p<i>_<name>`` -> members["p<i>"].
+            members: dict[str, list[str]] = {}
+            for key in data.files:
+                head, sep, _ = key.partition("_")
+                if sep:
+                    members.setdefault(head, []).append(key)
             patterns = []
             for index in range(start, start + count):
                 prefix = f"p{index}_"
                 arrays = {
                     key.removeprefix(prefix): data[key]
-                    for key in data.files
-                    if key.startswith(prefix)
+                    for key in members.get(f"p{index}", ())
                 }
                 try:
                     patterns.append(

@@ -26,23 +26,25 @@ def _split_axis(
 
     Splitting an interval of length L into two intervals (ceil(L/2),
     floor(L/2)) and duplicating the corresponding row/column keeps the decoded
-    geometry identical, because the duplicated cells carry the same bit.
+    geometry identical, because the duplicated cells carry the same bit.  The
+    splits are replayed on the delta list alone, tracking which source
+    row/column each interval copies, and the topology is gathered once.
     """
-    topo = topology.copy()
-    d = list(int(v) for v in delta)
+    d = [int(v) for v in delta]
+    source = list(range(len(d)))
     while len(d) < target:
-        # Split the widest interval that can still be split into two >=1 parts.
-        order = sorted(range(len(d)), key=lambda i: -d[i])
-        idx = next((i for i in order if d[i] >= 2), None)
-        if idx is None:
+        # Split the widest interval (the first one on ties) if it can still
+        # be split into two >=1 parts.
+        widest = max(d, default=0)
+        if widest < 2:
             raise PaddingError(
                 "cannot extend pattern: all intervals already have length 1"
             )
-        left = (d[idx] + 1) // 2
-        right = d[idx] - left
-        d[idx : idx + 1] = [left, right]
-        topo = np.insert(topo, idx, topo.take(idx, axis=axis), axis=axis)
-    return topo, np.asarray(d, dtype=np.int64)
+        idx = d.index(widest)
+        left = (widest + 1) // 2
+        d[idx : idx + 1] = [left, widest - left]
+        source.insert(idx, source[idx])
+    return topology.take(source, axis=axis), np.asarray(d, dtype=np.int64)
 
 
 def _merge_axis(

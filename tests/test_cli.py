@@ -31,7 +31,7 @@ def generated_library(tmp_path_factory, smoke_args):
 
 class TestGenerate:
     def test_writes_resumable_library(self, generated_library):
-        assert (generated_library / "manifest.json").exists()
+        assert (generated_library / "manifests" / "main.json").exists()
         library = PatternLibrary(generated_library)
         assert library.num_chunks == 2               # 6 samples / chunks of 4
         assert library.fingerprint["num_samples"] == 6

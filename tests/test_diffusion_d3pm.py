@@ -1,5 +1,7 @@
 """Unit and behaviour tests for the discrete diffusion generator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,28 @@ class TestLoss:
         assert grads and any(np.abs(g).sum() > 0 for g in grads)
 
 
+class TestAbsorbingTransitions:
+    """States a clean pixel can never reach must not turn the loss into NaN."""
+
+    @pytest.fixture(scope="class")
+    def absorbing(self):
+        config = DiffusionConfig(num_steps=8, num_states=3, transition_kind="absorbing")
+        return DiscreteDiffusion(tiny_unet(classes=3), config)
+
+    @pytest.mark.parametrize("step", [1, 4, 8])
+    def test_loss_is_finite(self, absorbing, data, step):
+        loss, metrics = absorbing.loss(data[:4], rng=0, k=step)
+        assert np.isfinite(loss.item())
+        assert np.isfinite(metrics["kl"]) and np.isfinite(metrics["ce"])
+
+    def test_sampling_raises_no_runtime_warning(self, absorbing):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            samples = absorbing.sample(2, rng=0)
+        assert samples.shape == (2, 4, 8, 8)
+        assert ((samples >= 0) & (samples < 3)).all()
+
+
 def taped_hybrid_loss(logits, posterior_all, target_prev, onehot_x0, lambda_ce):
     """Oracle: the hybrid loss composed from primitive tape ops, as it was
     written before it became one fused node."""
@@ -110,7 +134,10 @@ def taped_hybrid_loss(logits, posterior_all, target_prev, onehot_x0, lambda_ce):
 class TestFusedLoss:
     @pytest.mark.parametrize(
         "kind,num_states,step",
-        [("binary", 2, 1), ("binary", 2, 5), ("uniform", 3, 4), ("uniform", 3, 8)],
+        [
+            ("binary", 2, 1), ("binary", 2, 5), ("uniform", 3, 4), ("uniform", 3, 8),
+            ("absorbing", 3, 1), ("absorbing", 3, 4), ("absorbing", 3, 8),
+        ],
     )
     def test_matches_taped_composition(self, kind, num_states, step):
         rng = np.random.default_rng(step)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.diffusion import (
     DiscreteTransitionModel,
+    RespacedSchedule,
     binary_flip_probability,
     linear_schedule,
     one_hot,
@@ -63,6 +64,23 @@ class TestConstruction:
         np.testing.assert_array_equal(stationary, [0.0, 0.0, 1.0])
         q = model.q_matrix(1)
         np.testing.assert_allclose(q[-1], [0.0, 0.0, 1.0])
+
+    def test_absorbing_posterior_tables_are_distributions(self, schedule):
+        model = DiscreteTransitionModel(schedule, num_states=3, kind="absorbing")
+        respaced = RespacedSchedule(model, steps=4)
+        tables = [model.posterior_table(k) for k in range(1, model.num_steps + 1)]
+        tables += [
+            respaced.posterior_table(cur, prev) for cur, prev in respaced.jumps if prev >= 1
+        ]
+        for table in tables:
+            assert np.isfinite(table).all()
+            np.testing.assert_allclose(table.sum(axis=-1), 1.0)
+        # x_0 = 0 never reaches x_k = 1: the point mass on x_{k-1} = x_k
+        np.testing.assert_array_equal(model.posterior_table(5)[1, 0], [0.0, 1.0, 0.0])
+        cur, prev = respaced.jumps[0]
+        np.testing.assert_array_equal(
+            respaced.posterior_table(cur, prev)[1, 0], [0.0, 1.0, 0.0]
+        )
 
     def test_invalid_configurations(self, schedule):
         with pytest.raises(ValueError):

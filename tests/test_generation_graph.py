@@ -18,7 +18,7 @@ import pytest
 
 from repro.drc import DesignRuleChecker
 from repro.legalization import LegalizationEngine
-from repro.library import LibraryError, PatternLibrary
+from repro.library import LEGACY_WRITER, ChunkRecord, LibraryError, PatternLibrary
 from repro.pipeline import (
     DiffPatternConfig,
     DiffPatternPipeline,
@@ -225,6 +225,40 @@ class TestLibraryResume:
             np.testing.assert_array_equal(pa.topology, pb.topology)
             np.testing.assert_array_equal(pa.delta_x, pb.delta_x)
             np.testing.assert_array_equal(pa.delta_y, pb.delta_y)
+
+    def test_compacted_v1_library_resumes_as_legacy_writer(
+        self, graph_parts, rules, tmp_path, write_v1_library
+    ):
+        uninterrupted = build_graph(
+            graph_parts, rules, chunk_size=5, library=PatternLibrary(tmp_path / "full")
+        ).run(NUM_SAMPLES, seed=11)
+
+        # A v1 library holding the first 2 of 4 chunks of a killed run.
+        partial = PatternLibrary(tmp_path / "partial")
+        build_graph(graph_parts, rules, chunk_size=5, library=partial).run(
+            NUM_SAMPLES, seed=11, stop_after_chunks=2
+        )
+        chunks = [
+            (ChunkRecord.from_dict(record.as_dict()), partial.load_record_patterns(record))
+            for record in partial.own_records()
+        ]
+        root = write_v1_library(tmp_path / "v1", chunks, fingerprint=partial.fingerprint)
+
+        def resume(writer):
+            library = PatternLibrary(root, writer=writer)
+            graph = build_graph(graph_parts, rules, chunk_size=5, library=library)
+            return graph, graph.run(NUM_SAMPLES, seed=11, resume=True)
+
+        # Unmigrated, neither the default writer nor `legacy` may continue it.
+        for writer in (None, LEGACY_WRITER):
+            with pytest.raises(LibraryError, match="compact-library"):
+                resume(writer)
+        PatternLibrary(root).compact()
+        graph, resumed = resume(LEGACY_WRITER)
+        assert graph.last_report.chunks_resumed == 2
+        assert graph.last_report.chunks_live == 2
+        assert_results_identical(uninterrupted, resumed, compare_topologies=False)
+        assert PatternLibrary(root).summary() == PatternLibrary(tmp_path / "full").summary()
 
     def test_library_accounting_matches_result(self, graph_parts, rules, tmp_path):
         library = PatternLibrary(tmp_path / "lib")

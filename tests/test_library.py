@@ -10,6 +10,7 @@ from repro.library import (
     LibraryError,
     PatternLibrary,
     load_shard,
+    load_shard_slice,
     pattern_hash,
     save_shard,
     topology_hash,
@@ -56,6 +57,21 @@ class TestShardCodec:
             np.testing.assert_array_equal(copy.delta_x, original.delta_x)
             np.testing.assert_array_equal(copy.delta_y, original.delta_y)
             assert copy.origin == original.origin
+
+    def test_mid_shard_slice(self, tmp_path):
+        # 12 patterns: p1_ is a key prefix of p10_/p11_, so a slice must
+        # pick its members by exact index, not by string prefix alone.
+        patterns = [make_pattern(i) for i in range(12)]
+        path = tmp_path / "shard.npz"
+        save_shard(path, patterns)
+        loaded, total = load_shard_slice(path, 1, 10)
+        assert total == 12
+        assert [pattern_hash(p) for p in loaded] == [
+            pattern_hash(p) for p in patterns[1:11]
+        ]
+        assert loaded[0].origin == patterns[1].origin
+        with pytest.raises(LibraryError, match="cannot load"):
+            load_shard_slice(path, 5, 8)
 
     def test_empty_shard(self, tmp_path):
         path = tmp_path / "empty.npz"

@@ -1,15 +1,13 @@
 """Crash-consistency tests: kill the library at every fault point, resume.
 
 The library's durable writes call :func:`repro.faults.fault_point` with a
-stable label before executing (``append:shard``, ``manifest.json:replace``,
+stable label before executing (``append:shard``, ``alpha.json:replace``,
 ...).  These suites first record the full label sequence of an operation,
 then replay the identical operation once per point with a hook that raises
 :class:`InjectedCrash` there — simulating a ``kill -9`` between any two
 filesystem steps — and assert the reopened library resumes losslessly:
 
-* **v1 appends** (satellite: the PR 3 atomic manifest write): the recovered
-  library's ``manifest.json`` is byte-identical to a never-crashed run's.
-* **v2 appends**: every pattern lands exactly once, the ledger seq stays
+* **appends**: every pattern lands exactly once, the ledger seq stays
   gap-free, and the dedup decisions match the serial run.
 * **compaction**: the pattern multiset (in commit order) survives a crash
   at any point of the rewrite, including mid-migration of a v1 library.
@@ -104,34 +102,6 @@ def assert_matches_serial(recovered: PatternLibrary, serial: PatternLibrary):
     )
 
 
-class TestV1AppendCrashes:
-    """Satellite: the v1 atomic manifest write, killed around every rename."""
-
-    def test_covers_the_manifest_write_points(self, tmp_path):
-        points = enumerate_points(tmp_path, "probe", None)
-        assert "manifest.json:tmp-write" in points
-        assert "manifest.json:replace" in points
-        assert any(p.endswith(".npz:tmp-write") for p in points)
-        assert any(p.endswith(".npz:replace") for p in points)
-
-    def test_every_kill_point_resumes_to_identical_manifest(self, tmp_path):
-        serial = run_appends(tmp_path / "serial", None)
-        reference = (serial.root / "manifest.json").read_bytes()
-        points = enumerate_points(tmp_path, "probe", None)
-        assert points
-        for index, label in enumerate(points):
-            root = tmp_path / f"kill-{index}"
-            install_fault_hook(crash_at(index))
-            with pytest.raises(InjectedCrash):
-                run_appends(root, None)
-            install_fault_hook(None)
-            recovered = run_appends(root, None)
-            assert_matches_serial(recovered, serial)
-            assert (root / "manifest.json").read_bytes() == reference, label
-            # no temp-file litter survives recovery
-            assert not list(root.glob("**/*.tmp")), label
-
-
 class TestV2AppendCrashes:
     def test_covers_the_durability_points(self, tmp_path):
         points = enumerate_points(tmp_path, "probe", "alpha")
@@ -212,13 +182,14 @@ class TestCompactionCrashes:
                 pattern_hash(p) for p in recovered.load_patterns()
             ] == expected, label
 
-    def test_v1_migration_survives_crashes(self, tmp_path):
+    def test_v1_migration_survives_crashes(self, tmp_path, write_v1_library):
         def build_v1(root):
-            library = PatternLibrary(root, dedup=True)
+            chunks = []
             for chunk, fills in enumerate([[1, 2], [3, 4]]):
                 patterns = [make_pattern(f) for f in fills]
-                library.append_chunk(make_record(chunk, patterns), patterns)
-            return library
+                chunks.append((make_record(chunk, patterns), patterns))
+            write_v1_library(root, chunks, dedup=True)
+            return PatternLibrary(root)
 
         reference = build_v1(tmp_path / "serial")
         expected = [pattern_hash(p) for p in reference.load_patterns()]

@@ -1,8 +1,8 @@
-"""Property-based tests: the indexed v2 library against brute-force oracles.
+"""Property-based tests: the indexed library against brute-force oracles.
 
 The central property the index must uphold: for any append sequence, the
-sidecar/bloom/mmap probe path produces **bit-equal dedup decisions** to the
-v1 in-memory hash sets.  Hypothesis drives randomized chunk sequences with
+sidecar/bloom/mmap probe path produces **bit-equal dedup decisions** to plain
+in-memory hash sets.  Hypothesis drives randomized chunk sequences with
 heavy hash collisions; oracles are plain Python sets and list scans.
 """
 
@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.library import ChunkRecord, PatternLibrary, pattern_hash
+from repro.library import ChunkRecord, PatternLibrary, pattern_hash, topology_hash
 from repro.metrics import pattern_complexity
 from repro.squish import SquishPattern
 
@@ -71,32 +71,26 @@ def append_plan(root: Path, plan, writer):
 class TestDedupEquivalence:
     @SETTINGS
     @given(chunk_plans)
-    def test_indexed_dedup_equals_v1_in_memory_sets(self, plan):
-        with tempfile.TemporaryDirectory() as scratch:
-            scratch = Path(scratch)
-            v1, v1_decisions = append_plan(scratch / "v1", plan, writer=None)
-            v2, v2_decisions = append_plan(scratch / "v2", plan, writer="w")
-            assert v2_decisions == v1_decisions
-            assert [pattern_hash(p) for p in v2.load_patterns()] == [
-                pattern_hash(p) for p in v1.load_patterns()
-            ]
-            assert v2.num_unique_topologies == v1.num_unique_topologies
-
-    @SETTINGS
-    @given(chunk_plans)
     def test_dedup_decisions_match_a_set_oracle(self, plan):
         with tempfile.TemporaryDirectory() as scratch:
-            _, decisions = append_plan(Path(scratch), plan, writer="w")
+            library, decisions = append_plan(Path(scratch), plan, writer="w")
             seen: set[str] = set()
+            stored_order: list[str] = []
+            topologies: set[str] = set()
             for fills, (stored, skipped) in zip(plan, decisions):
                 expected_stored = 0
                 for fill in fills:
-                    digest = pattern_hash(make_pattern(fill))
+                    pattern = make_pattern(fill)
+                    digest = pattern_hash(pattern)
                     if digest not in seen:
                         seen.add(digest)
+                        stored_order.append(digest)
+                        topologies.add(topology_hash(pattern.topology))
                         expected_stored += 1
                 assert stored == expected_stored
                 assert skipped == len(fills) - expected_stored
+            assert [pattern_hash(p) for p in library.load_patterns()] == stored_order
+            assert library.num_unique_topologies == len(topologies)
 
     @SETTINGS
     @given(chunk_plans)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.library import (
+    DEFAULT_WRITER,
     LEGACY_WRITER,
     MANIFEST_DIR,
     BloomFilter,
@@ -163,12 +164,20 @@ class TestMultiWriter:
             r.duplicates_skipped for r in serial.records_in_order()
         )
 
-    def test_merged_view_rejects_append_without_writer(self, tmp_path):
+    def test_writerless_open_appends_as_default_writer(self, tmp_path):
         fill_writer(tmp_path, "alpha", [1])
         merged = PatternLibrary(tmp_path)
+        assert merged.writer == DEFAULT_WRITER
         patterns = [make_pattern(7)]
-        with pytest.raises(LibraryError, match="writer"):
-            merged.append_chunk(make_record(9, patterns), patterns)
+        merged.append_chunk(make_record(9, patterns), patterns)
+        assert (tmp_path / MANIFEST_DIR / f"{DEFAULT_WRITER}.json").exists()
+        assert not (tmp_path / "manifest.json").exists()
+        reread = PatternLibrary(tmp_path)
+        assert reread.writers == ["alpha", DEFAULT_WRITER]
+        assert [(r.writer, r.seq) for r in reread.records_in_order()] == [
+            ("alpha", 0),
+            (DEFAULT_WRITER, 1),
+        ]
 
     def test_histogram_and_summary_cover_all_writers(self, tmp_path):
         fill_writer(tmp_path, "alpha", [1, 2])
@@ -178,32 +187,26 @@ class TestMultiWriter:
         assert merged.summary()["chunks"] == 2
 
 
-class TestV1Compat:
-    def test_v1_output_is_unchanged_without_writer(self, tmp_path):
-        patterns = [make_pattern(i) for i in range(3)]
-        library = PatternLibrary(tmp_path, dedup=True)
-        library.append_chunk(make_record(0, patterns), patterns)
-        assert not (tmp_path / MANIFEST_DIR).exists()
-        payload = json.loads((tmp_path / "manifest.json").read_text())
-        assert payload["version"] == 1
-        (record,) = payload["chunks"]
-        # byte-compatible v1 schema: no v2-only keys leak into the manifest
-        assert "seq" not in record and "writer" not in record
-        assert record["new_pattern_hashes"]  # v1 keeps inline hash lists
+def write_v1(write_v1_library, root, fills, dedup=False, fingerprint=None, chunk_size=2):
+    """A legacy v1 library holding ``fills``, ``chunk_size`` patterns per chunk."""
+    patterns = [make_pattern(f) for f in fills]
+    chunks = []
+    for chunk, start in enumerate(range(0, len(patterns), chunk_size)):
+        batch = patterns[start : start + chunk_size]
+        chunks.append((make_record(chunk, batch), batch))
+    write_v1_library(root, chunks, dedup=dedup, fingerprint=fingerprint)
+    return PatternLibrary(root)
 
-    def test_v1_library_readable_as_merged_view(self, tmp_path):
-        patterns = [make_pattern(i) for i in range(4)]
-        v1 = PatternLibrary(tmp_path, dedup=True)
-        v1.append_chunk(make_record(0, patterns[:2]), patterns[:2])
-        v1.append_chunk(make_record(1, patterns[2:]), patterns[2:])
-        reread = PatternLibrary(tmp_path)
+
+class TestV1Compat:
+    def test_v1_library_readable_as_merged_view(self, tmp_path, write_v1_library):
+        reread = write_v1(write_v1_library, tmp_path, range(4), dedup=True)
         assert reread.num_patterns == 4
         assert reread.load_patterns()  # loads through the v1 shard names
+        assert reread.writers == [LEGACY_WRITER]
 
-    def test_v1_library_joined_by_new_writer(self, tmp_path):
-        patterns = [make_pattern(i) for i in range(2)]
-        v1 = PatternLibrary(tmp_path, dedup=True)
-        v1.append_chunk(make_record(0, patterns), patterns)
+    def test_v1_library_joined_by_new_writer(self, tmp_path, write_v1_library):
+        write_v1(write_v1_library, tmp_path, range(2), dedup=True)
         joined = fill_writer(tmp_path, "late", [1, 7], dedup=True)
         # pattern 1 already exists in the legacy manifest -> deduplicated
         assert joined.num_patterns == 3
@@ -212,15 +215,52 @@ class TestV1Compat:
         # joining never rewrites the legacy manifest itself
         assert (tmp_path / "manifest.json").exists()
 
-    def test_legacy_records_keep_seq_order_before_new_writers(self, tmp_path):
-        patterns = [make_pattern(i) for i in range(2)]
-        v1 = PatternLibrary(tmp_path)
-        v1.append_chunk(make_record(0, patterns[:1]), patterns[:1])
-        v1.append_chunk(make_record(1, patterns[1:]), patterns[1:])
+    def test_legacy_records_keep_seq_order_before_new_writers(
+        self, tmp_path, write_v1_library
+    ):
+        write_v1(write_v1_library, tmp_path, range(2), chunk_size=1)
         fill_writer(tmp_path, "late", [7])
         merged = PatternLibrary(tmp_path)
         order = [(r.writer, r.seq) for r in merged.records_in_order()]
         assert order == [(LEGACY_WRITER, 0), (LEGACY_WRITER, 1), ("late", 2)]
+
+    def test_resuming_the_v1_run_as_a_new_writer_raises(self, tmp_path, write_v1_library):
+        write_v1(write_v1_library, tmp_path, range(6), fingerprint={"seed": 7})
+        with pytest.raises(LibraryError, match="compact-library") as error:
+            PatternLibrary(tmp_path).bind({"seed": 7}, resume=True)
+        assert "--writer legacy" in str(error.value)
+        # another run joining the library is not a continuation
+        assert PatternLibrary(tmp_path, writer="other").bind({"seed": 8}, resume=True) == []
+
+    def test_legacy_writer_cannot_continue_before_compaction(
+        self, tmp_path, write_v1_library
+    ):
+        write_v1(write_v1_library, tmp_path, range(6), fingerprint={"seed": 7})
+        legacy = PatternLibrary(tmp_path, writer=LEGACY_WRITER)
+        with pytest.raises(LibraryError, match="compact-library"):
+            legacy.bind({"seed": 7}, resume=True)
+        patterns = [make_pattern(9)]
+        with pytest.raises(LibraryError, match="--writer legacy"):
+            legacy.append_chunk(make_record(3, patterns), patterns)
+        assert not (tmp_path / MANIFEST_DIR).exists()
+        topologies = {topology_hash(make_pattern(f).topology) for f in range(6)}
+        assert PatternLibrary(tmp_path).summary()["unique_topologies"] == len(topologies)
+
+    def test_compacted_history_continues_as_legacy_writer(
+        self, tmp_path, write_v1_library
+    ):
+        write_v1(write_v1_library, tmp_path, range(6), fingerprint={"seed": 7})
+        PatternLibrary(tmp_path).compact(target_shard_patterns=2)
+        legacy = PatternLibrary(tmp_path, writer=LEGACY_WRITER)
+        records = legacy.bind({"seed": 7}, resume=True)
+        assert [r.chunk for r in records] == [0, 1, 2]
+        patterns = [make_pattern(f) for f in (4, 8)]
+        legacy.append_chunk(make_record(3, patterns), patterns)
+        reread = PatternLibrary(tmp_path)
+        assert reread.writers == [LEGACY_WRITER]
+        assert [r.seq for r in reread.records_in_order()] == [0, 1, 2, 3]
+        stored = {topology_hash(p.topology) for p in reread.load_patterns()}
+        assert reread.summary()["unique_topologies"] == len(stored)
 
 
 class TestQuery:
@@ -264,12 +304,11 @@ class TestQuery:
             assert pattern_hash(pattern) == handle.pattern_hash
             assert topology_hash(pattern.topology) == handle.topology_hash
 
-    def test_query_on_v1_library(self, tmp_path):
-        patterns = [make_pattern(i) for i in range(3)]
-        v1 = PatternLibrary(tmp_path)
-        v1.append_chunk(make_record(0, patterns), patterns)
-        handles = v1.query(topology_hash=topology_hash(patterns[1].topology))
-        assert [h.pattern_hash for h in handles] == [pattern_hash(patterns[1])]
+    def test_query_on_v1_library(self, tmp_path, write_v1_library):
+        v1 = write_v1(write_v1_library, tmp_path, range(3), chunk_size=3)
+        target = make_pattern(1)
+        handles = v1.query(topology_hash=topology_hash(target.topology))
+        assert [h.pattern_hash for h in handles] == [pattern_hash(target)]
 
 
 class TestIndex:
@@ -304,10 +343,8 @@ class TestIndex:
         stats = reread.rebuild_index()
         assert stats["merged_patterns"] == reread.num_patterns
 
-    def test_rebuild_index_refuses_pure_v1(self, tmp_path):
-        patterns = [make_pattern(0)]
-        v1 = PatternLibrary(tmp_path)
-        v1.append_chunk(make_record(0, patterns), patterns)
+    def test_rebuild_index_refuses_pure_v1(self, tmp_path, write_v1_library):
+        v1 = write_v1(write_v1_library, tmp_path, [0])
         with pytest.raises(LibraryError, match="v1"):
             v1.rebuild_index()
 
@@ -353,11 +390,8 @@ class TestCompaction:
         hashes = [pattern_hash(p) for p in library.load_patterns()]
         assert hashes == [pattern_hash(make_pattern(f)) for f in [1, 2, 3]]
 
-    def test_migrates_v1_library(self, tmp_path):
-        patterns = [make_pattern(i) for i in range(4)]
-        v1 = PatternLibrary(tmp_path, dedup=True)
-        v1.append_chunk(make_record(0, patterns[:2]), patterns[:2])
-        v1.append_chunk(make_record(1, patterns[2:]), patterns[2:])
+    def test_migrates_v1_library(self, tmp_path, write_v1_library):
+        v1 = write_v1(write_v1_library, tmp_path, range(4), dedup=True)
         before = [pattern_hash(p) for p in v1.load_patterns()]
         report = PatternLibrary(tmp_path).compact(target_shard_patterns=16)
         assert report.migrated == 2

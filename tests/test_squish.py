@@ -143,7 +143,56 @@ class TestSquishRoundtrip:
         assert not pattern.is_equivalent_to(other)
 
 
+def _split_axis_by_inserts(topology, delta, target, axis):
+    """Oracle: grow ``axis`` one ``np.insert`` per split (the original loop)."""
+    topo = topology.copy()
+    d = [int(v) for v in delta]
+    while len(d) < target:
+        order = sorted(range(len(d)), key=lambda i: -d[i])
+        idx = next((i for i in order if d[i] >= 2), None)
+        if idx is None:
+            raise PaddingError("cannot extend pattern: all intervals already have length 1")
+        left = (d[idx] + 1) // 2
+        d[idx : idx + 1] = [left, d[idx] - left]
+        topo = np.insert(topo, idx, topo.take(idx, axis=axis), axis=axis)
+    return topo, np.asarray(d, dtype=np.int64)
+
+
+def _pad_by_inserts(pattern, size):
+    topo, dx = _split_axis_by_inserts(pattern.topology, pattern.delta_x, size, axis=1)
+    topo, dy = _split_axis_by_inserts(topo, pattern.delta_y, size, axis=0)
+    return topo, dx, dy
+
+
 class TestPadding:
+    def _assert_matches_insert_oracle(self, pattern, size):
+        padded = pad_to_size(pattern, size)
+        topo, dx, dy = _pad_by_inserts(pattern, size)
+        for ours, oracle in ((padded.topology, topo), (padded.delta_x, dx), (padded.delta_y, dy)):
+            assert ours.dtype == oracle.dtype
+            np.testing.assert_array_equal(ours, oracle)
+
+    def test_gather_matches_insert_oracle_on_synthesized_patterns(self, synthetic_patterns):
+        for pattern in synthetic_patterns:
+            for size in (16, 24):
+                if max(pattern.topology.shape) <= size:
+                    self._assert_matches_insert_oracle(pattern, size)
+
+    def test_gather_matches_insert_oracle_on_width_ties(self):
+        # Equal widths everywhere: every split must take the first widest.
+        topo = np.arange(12, dtype=np.uint8).reshape(3, 4) % 2
+        pattern = SquishPattern(topo, np.full(4, 6, dtype=np.int64), np.array([4, 7, 7]))
+        self._assert_matches_insert_oracle(pattern, 11)
+
+    def test_all_ones_intervals_raise_like_the_oracle(self):
+        pattern = SquishPattern(
+            np.eye(3, dtype=np.uint8), np.ones(3, dtype=np.int64), np.ones(3, dtype=np.int64)
+        )
+        with pytest.raises(PaddingError):
+            _pad_by_inserts(pattern, 4)
+        with pytest.raises(PaddingError):
+            pad_to_size(pattern, 4)
+
     def test_pad_preserves_geometry(self):
         layout = _sample_layout()
         pattern = squish(layout)
