@@ -24,7 +24,8 @@ Gated claims (``check_regression.py`` against ``baselines.json``; the
   (``exact`` gate),
 * the engine-level whole-chunk legalization clears >= 2x the
   topologies/second of chunks of one, with the solver-level (no result
-  assembly) ratio gated alongside,
+  assembly) ratio gated alongside, and its absolute topologies/second
+  stays within the throughput band of the committed baseline,
 * the run is 100% fast path and every fast-path pattern is DRC-clean.
 """
 
@@ -245,6 +246,7 @@ def bench_batched_legalization(benchmark, bench_dataset, bench_config):
             "distinct_matrices": len(pool),
             "seconds_serial_engine": engine_serial_s,
             "seconds_batched_engine": engine_batched_s,
+            "topologies_per_second_batched": BATCH_TOPOLOGIES / engine_batched_s,
             "speedup_batched_over_serial": engine_speedup,
             "seconds_serial_solver": solver_serial_s,
             "seconds_batched_solver": solver_batched_s,

@@ -10,11 +10,12 @@ latents easily decode to topologies that violate design rules.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn import Adam, Conv2d, Linear, Module, SiLU, Tensor
+from ..nn import Adam, Conv2d, Linear, Module, Sigmoid, SiLU, Tensor
 from ..nn import functional as F
 from ..utils import as_rng
 from .base import TopologyGenerator, validate_matrices
@@ -45,14 +46,20 @@ class ConvEncoder(Module):
         self.conv1 = Conv2d(1, base_channels, 3, stride=2, padding=1, rng=rng)
         self.conv2 = Conv2d(base_channels, base_channels * 2, 3, stride=2, padding=1, rng=rng)
         self.act = SiLU()
-        self.flat_dim = base_channels * 2 * (size // 4) * (size // 4)
-        self.proj = Linear(self.flat_dim, latent_dim, rng=rng)
+        self.hidden_shape = (base_channels * 2, size // 4, size // 4)
+        self.proj = Linear(math.prod(self.hidden_shape), latent_dim, rng=rng)
 
-    def forward(self, x: Tensor) -> Tensor:
-        hidden = self.act(self.conv1(x))
-        hidden = self.act(self.conv2(hidden))
-        flat = hidden.reshape(hidden.shape[0], self.flat_dim)
-        return self.proj(flat)
+    def infer(self, x: np.ndarray, cache: "list | None" = None, train: bool = False) -> np.ndarray:
+        hidden = self.act.infer(self.conv1.infer(x, cache), cache)
+        hidden = self.act.infer(self.conv2.infer(hidden, cache), cache)
+        return self.proj.infer(hidden.reshape(hidden.shape[0], -1), cache)
+
+    def backward(
+        self, grad: np.ndarray, cache: list, input_grad: bool = True
+    ) -> "np.ndarray | None":
+        grad = self.proj.backward(grad, cache).reshape(grad.shape[0], *self.hidden_shape)
+        grad = self.conv2.backward(self.act.backward(grad, cache), cache)
+        return self.conv1.backward(self.act.backward(grad, cache), cache, input_grad)
 
 
 class ConvDecoder(Module):
@@ -60,21 +67,28 @@ class ConvDecoder(Module):
 
     def __init__(self, size: int, base_channels: int, latent_dim: int, rng) -> None:
         super().__init__()
-        self.size = size
-        self.base_channels = base_channels
-        self.expand = Linear(latent_dim, base_channels * 2 * (size // 4) * (size // 4), rng=rng)
+        self.hidden_shape = (base_channels * 2, size // 4, size // 4)
+        self.expand = Linear(latent_dim, math.prod(self.hidden_shape), rng=rng)
         self.conv1 = Conv2d(base_channels * 2, base_channels, 3, padding=1, rng=rng)
         self.conv2 = Conv2d(base_channels, base_channels, 3, padding=1, rng=rng)
         self.head = Conv2d(base_channels, 1, 3, padding=1, rng=rng)
         self.act = SiLU()
+        self.sigmoid = Sigmoid()
 
-    def forward(self, z: Tensor) -> Tensor:
-        quarter = self.size // 4
-        hidden = self.act(self.expand(z))
-        hidden = hidden.reshape(z.shape[0], self.base_channels * 2, quarter, quarter)
-        hidden = self.act(self.conv1(F.upsample_nearest(hidden, 2)))
-        hidden = self.act(self.conv2(F.upsample_nearest(hidden, 2)))
-        return self.head(hidden).sigmoid()
+    def infer(self, z: np.ndarray, cache: "list | None" = None, train: bool = False) -> np.ndarray:
+        hidden = self.act.infer(self.expand.infer(z, cache), cache)
+        hidden = hidden.reshape(z.shape[0], *self.hidden_shape)
+        for conv in (self.conv1, self.conv2):
+            hidden = self.act.infer(conv.infer(F.upsample_nearest_array(hidden, 2), cache), cache)
+        return self.sigmoid.infer(self.head.infer(hidden, cache), cache)
+
+    def backward(self, grad: np.ndarray, cache: list, input_grad: bool = True) -> np.ndarray:
+        grad = self.head.backward(self.sigmoid.backward(grad, cache), cache)
+        for conv in (self.conv2, self.conv1):
+            grad = conv.backward(self.act.backward(grad, cache), cache)
+            grad = F.upsample_nearest_backward(grad, 2)
+        grad = self.act.backward(grad.reshape(grad.shape[0], -1), cache)
+        return self.expand.backward(grad, cache)
 
 
 @dataclass
@@ -139,7 +153,7 @@ class CAEGenerator(TopologyGenerator):
         latents = []
         for start in range(0, arr.shape[0], cfg.batch_size):
             chunk = arr[start : start + cfg.batch_size]
-            latents.append(self.encoder(Tensor(chunk[:, None].astype(np.float32))).numpy())
+            latents.append(self.encoder.infer(chunk[:, None].astype(np.float32)))
         self._train_latents = np.concatenate(latents, axis=0)
         return self
 
@@ -157,6 +171,6 @@ class CAEGenerator(TopologyGenerator):
             base = self._train_latents[gen.integers(0, self._train_latents.shape[0], size=batch)]
             noise = gen.standard_normal(base.shape).astype(np.float32)
             z = base + cfg.perturbation_scale * latent_std * noise
-            probs = self.decoder(Tensor(z.astype(np.float32))).numpy()[:, 0]
+            probs = self.decoder.infer(z.astype(np.float32))[:, 0]
             outputs.append(binarize(probs, cfg.threshold, self._train_fill))
         return np.concatenate(outputs, axis=0)

@@ -18,17 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn import Adam, Conv2d, Module, Sequential, SiLU, Tensor
+from ..nn import Adam, Conv2d, Sequential, Sigmoid, SiLU, Tensor
 from ..utils import as_rng
 from .base import TopologyGenerator, validate_matrices
 
 
-class _DenoisingCNN(Module):
-    """A small fully-convolutional cleanup network."""
+class _DenoisingCNN(Sequential):
+    """A small fully-convolutional cleanup network with a sigmoid output."""
 
     def __init__(self, base_channels: int, rng) -> None:
-        super().__init__()
-        self.body = Sequential(
+        super().__init__(
             Conv2d(1, base_channels, 3, padding=1, rng=rng),
             SiLU(),
             Conv2d(base_channels, base_channels, 3, padding=1, rng=rng),
@@ -36,10 +35,8 @@ class _DenoisingCNN(Module):
             Conv2d(base_channels, base_channels, 3, padding=1, rng=rng),
             SiLU(),
             Conv2d(base_channels, 1, 3, padding=1, rng=rng),
+            Sigmoid(),
         )
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self.body(x).sigmoid()
 
 
 @dataclass
@@ -97,7 +94,7 @@ class LegalGANPostProcessor:
         outputs = []
         for start in range(0, arr.shape[0], cfg.batch_size):
             chunk = arr[start : start + cfg.batch_size]
-            probs = self._model(Tensor(chunk[:, None])).numpy()[:, 0]
+            probs = self._model.infer(chunk[:, None])[:, 0]
             outputs.append((probs > cfg.threshold).astype(np.uint8))
         return np.concatenate(outputs, axis=0)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..geometry import runs_of_value
-from ..nn import Embedding, LayerNorm, Linear, Module, Tensor
+from ..nn import Embedding, LayerNorm, Linear, Module, SiLU, Tensor, no_grad
 from ..nn import functional as F
 from ..nn.optim import Adam
 from ..utils import as_rng
@@ -95,12 +95,12 @@ class TransformerBlock(Module):
         self.attn = CausalSelfAttention(dim, rng)
         self.norm2 = LayerNorm(dim)
         self.mlp_in = Linear(dim, dim * hidden_mult, rng=rng)
+        self.act = SiLU()
         self.mlp_out = Linear(dim * hidden_mult, dim, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
         x = x + self.attn(self.norm1(x))
-        hidden = self.mlp_in(self.norm2(x)).silu()
-        return x + self.mlp_out(hidden)
+        return x + self.mlp_out(self.act(self.mlp_in(self.norm2(x))))
 
 
 class SequenceModel(Module):
@@ -204,17 +204,18 @@ class LayouTransformerGenerator(TopologyGenerator):
         grid_size = self._grid_size
         bos, eos = grid_size, grid_size + 1
         outputs = []
-        for _ in range(count):
-            tokens = [bos]
-            for _ in range(self._max_len - 1):
-                logits = self.model(np.asarray([tokens], dtype=np.int64)).numpy()[0, -1]
-                logits = logits / max(cfg.temperature, 1e-6)
-                logits -= logits.max()
-                probs = np.exp(logits)
-                probs /= probs.sum()
-                token = int(gen.choice(len(probs), p=probs))
-                tokens.append(token)
-                if token == eos:
-                    break
-            outputs.append(tokens_to_matrix(tokens, grid_size))
+        with no_grad():
+            for _ in range(count):
+                tokens = [bos]
+                for _ in range(self._max_len - 1):
+                    logits = self.model(np.asarray([tokens], dtype=np.int64)).numpy()[0, -1]
+                    logits = logits / max(cfg.temperature, 1e-6)
+                    logits -= logits.max()
+                    probs = np.exp(logits)
+                    probs /= probs.sum()
+                    token = int(gen.choice(len(probs), p=probs))
+                    tokens.append(token)
+                    if token == eos:
+                        break
+                outputs.append(tokens_to_matrix(tokens, grid_size))
         return np.stack(outputs, axis=0)

@@ -105,6 +105,6 @@ class VCAEGenerator(TopologyGenerator):
         for start in range(0, count, cfg.batch_size):
             batch = min(cfg.batch_size, count - start)
             z = gen.standard_normal((batch, cfg.latent_dim)).astype(np.float32)
-            probs = self.decoder(Tensor(z)).numpy()[:, 0]
+            probs = self.decoder.infer(z)[:, 0]
             outputs.append(binarize(probs, cfg.threshold, self._train_fill))
         return np.concatenate(outputs, axis=0)

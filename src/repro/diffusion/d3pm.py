@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn import Adam, Tensor, UNet, UNetConfig, clip_grad_norm, no_grad
+from ..nn import Adam, Tensor, UNet, UNetConfig, clip_grad_norm
 from ..nn import functional as F
 from ..utils import as_rng
 from .schedule import NoiseSchedule, linear_schedule
@@ -106,6 +106,11 @@ def _hybrid_loss(
     return logits._make(np.asarray(total), (logits,), backward_fn), float(kl), float(ce)
 
 
+def _timesteps(xk: np.ndarray, k: "int | np.ndarray") -> np.ndarray:
+    """One timestep per sample of ``xk``: ``k`` broadcast, or ``k`` as given."""
+    return np.full(xk.shape[0], k, dtype=np.int64) if np.isscalar(k) else np.asarray(k)
+
+
 class DiscreteDiffusion:
     """Discrete diffusion generator over ``(C, M, M)`` topology tensors."""
 
@@ -172,32 +177,20 @@ class DiscreteDiffusion:
         np.put_along_axis(encoded, xk[:, :, None, :, :], 1.0, axis=2)
         return encoded.reshape(batch, channels * num_states, height, width)
 
-    def _model_input(self, xk: np.ndarray) -> Tensor:
-        return Tensor(self._model_input_array(xk))
-
     def predict_x0_logits(self, xk: np.ndarray, k: "int | np.ndarray") -> Tensor:
-        """Network forward pass: logits of ``p_θ(x_0 | x_k)``.
+        """Network forward pass: logits of ``p_θ(x_0 | x_k)``, one tape node.
 
         Returns a tensor of shape ``(N, C, S, M, M)``.
         """
-        timesteps = np.full(xk.shape[0], k, dtype=np.int64) if np.isscalar(k) else np.asarray(k)
-        return self.model(self._model_input(xk), timesteps)
+        return self.model(Tensor(self._model_input_array(xk)), _timesteps(xk, k))
 
-    def predict_x0_probs(
-        self, xk: np.ndarray, k: "int | np.ndarray", inference: bool = False
-    ) -> np.ndarray:
-        """Softmax of :meth:`predict_x0_logits` as a plain array.
+    def predict_x0_probs(self, xk: np.ndarray, k: "int | np.ndarray") -> np.ndarray:
+        """Softmax of the ``p_θ(x_0 | x_k)`` logits as a plain array.
 
-        With ``inference=True`` the forward pass runs through the
-        gradient-free array kernels (:meth:`UNet.infer`): no tape, no Tensor
-        wrappers — the hot path of the batched sampling engine.
+        Runs :meth:`UNet.infer`, off the tape: the hot path of the samplers.
         """
-        if inference:
-            timesteps = np.full(xk.shape[0], k, dtype=np.int64) if np.isscalar(k) else np.asarray(k)
-            logits = self.model.infer(self._model_input_array(xk), timesteps)
-            return F.softmax_array(logits, axis=2)
-        logits = self.predict_x0_logits(xk, k)
-        return F.softmax(logits, axis=2).numpy()
+        logits = self.model.infer(self._model_input_array(xk), _timesteps(xk, k))
+        return F.softmax_array(logits, axis=2)
 
     # ------------------------------------------------------------------ #
     # training loss (Eq. 9)
@@ -323,7 +316,6 @@ class DiscreteDiffusion:
         return_chain: bool = False,
         chain_stride: int = 1,
         greedy_final: bool = True,
-        inference: bool = True,
         batch_size: "int | None" = None,
     ) -> "np.ndarray | tuple[np.ndarray, list[np.ndarray]]":
         """Generate fresh topology tensors by reverse diffusion.
@@ -335,13 +327,11 @@ class DiscreteDiffusion:
         instead of sampling it, which removes residual salt-and-pepper noise
         (standard practice for discrete diffusion samplers).
 
-        ``inference=True`` (the default) runs the denoising network through
-        the gradient-free array kernels; ``inference=False`` keeps the taped
-        forward pass (useful for parity checks).  ``batch_size`` caps how
-        many samples are denoised per reverse pass: larger batches amortise
-        the per-step Python overhead, smaller ones bound peak memory.  For
-        chunk-*invariant* results under a shared seed use
-        :class:`repro.pipeline.SamplingEngine`, which seeds every sample
+        The denoising network runs off the tape (:meth:`predict_x0_probs`).
+        ``batch_size`` caps how many samples are denoised per reverse pass:
+        larger batches amortise the per-step Python overhead, smaller ones
+        bound peak memory.  For chunk-*invariant* results under a shared seed
+        use :class:`repro.pipeline.SamplingEngine`, which seeds every sample
         independently.
         """
         gen = as_rng(rng)
@@ -354,7 +344,7 @@ class DiscreteDiffusion:
             for start in range(0, num_samples, chunk):
                 count = min(chunk, num_samples - start)
                 final, chain = self._sample_chunk(
-                    count, gen, return_chain, chain_stride, greedy_final, inference
+                    count, gen, return_chain, chain_stride, greedy_final
                 )
                 finals.append(final)
                 chains.append(chain)
@@ -377,33 +367,31 @@ class DiscreteDiffusion:
         return_chain: bool,
         chain_stride: int,
         greedy_final: bool,
-        inference: bool,
     ) -> tuple[np.ndarray, list[np.ndarray]]:
         """Denoise one batch of ``num_samples`` states from ``x_K`` to ``x_0``."""
         cfg = self.model.config
         shape = (num_samples, cfg.in_channels, cfg.image_size, cfg.image_size)
         xk = self.transition.sample_stationary(shape, gen)
         chain: list[np.ndarray] = [xk.copy()] if return_chain else []
-        with no_grad():
-            for step in range(self.config.num_steps, 0, -1):
-                probs_x0 = self.predict_x0_probs(xk, step, inference=inference)
-                probs_x0 = np.moveaxis(probs_x0, 2, -1)  # (N, C, M, M, S)
-                if step == 1:
-                    # p_theta(x_0 | x_1): emit the clean tensor directly.
-                    if greedy_final:
-                        xk = probs_x0.argmax(axis=-1).astype(np.int64)
-                        if return_chain:
-                            chain.append(xk.copy())
-                        break
-                    probs_prev = probs_x0
-                else:
-                    posterior_all = self.transition.posterior_probs_all_x0(xk, step)
-                    probs_prev = np.einsum("...i,...ij->...j", probs_x0, posterior_all)
-                xk = sample_categorical(probs_prev, gen)
-                if return_chain and (
-                    (self.config.num_steps - step) % chain_stride == 0 or step == 1
-                ):
-                    chain.append(xk.copy())
+        for step in range(self.config.num_steps, 0, -1):
+            probs_x0 = self.predict_x0_probs(xk, step)
+            probs_x0 = np.moveaxis(probs_x0, 2, -1)  # (N, C, M, M, S)
+            if step == 1:
+                # p_theta(x_0 | x_1): emit the clean tensor directly.
+                if greedy_final:
+                    xk = probs_x0.argmax(axis=-1).astype(np.int64)
+                    if return_chain:
+                        chain.append(xk.copy())
+                    break
+                probs_prev = probs_x0
+            else:
+                posterior_all = self.transition.posterior_probs_all_x0(xk, step)
+                probs_prev = np.einsum("...i,...ij->...j", probs_x0, posterior_all)
+            xk = sample_categorical(probs_prev, gen)
+            if return_chain and (
+                (self.config.num_steps - step) % chain_stride == 0 or step == 1
+            ):
+                chain.append(xk.copy())
         return xk, chain
 
     # ------------------------------------------------------------------ #

@@ -53,9 +53,8 @@ class GaussianTopologyDiffusion:
 
     def _predict_eps(self, x: np.ndarray, k: int) -> np.ndarray:
         timesteps = np.full(x.shape[0], k, dtype=np.int64)
-        out = self.model(Tensor(x.astype(np.float32)), timesteps)
         # UNet emits (N, C, 1, M, M); drop the singleton class axis.
-        return out.numpy()[:, :, 0]
+        return self.model.infer(x, timesteps)[:, :, 0]
 
     def _predict_eps_tensor(self, x: np.ndarray, k: int) -> Tensor:
         timesteps = np.full(x.shape[0], k, dtype=np.int64)

@@ -14,30 +14,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn import Adam, Linear, Module, Sequential, Sigmoid, SiLU, Tensor
+from ..nn import Adam, Linear, Sequential, Sigmoid, SiLU, Tensor
 from ..utils import as_rng
 
 
-class _MLPAutoencoder(Module):
+class _MLPAutoencoder(Sequential):
     """A small fully-connected autoencoder over flattened topology matrices."""
 
     def __init__(self, input_dim: int, hidden_dim: int, latent_dim: int, rng) -> None:
-        super().__init__()
-        self.encoder = Sequential(
+        encoder = Sequential(
             Linear(input_dim, hidden_dim, rng=rng),
             SiLU(),
             Linear(hidden_dim, latent_dim, rng=rng),
             SiLU(),
         )
-        self.decoder = Sequential(
+        decoder = Sequential(
             Linear(latent_dim, hidden_dim, rng=rng),
             SiLU(),
             Linear(hidden_dim, input_dim, rng=rng),
             Sigmoid(),
         )
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self.decoder(self.encoder(x))
+        super().__init__(encoder, decoder)
 
 
 @dataclass
@@ -77,7 +74,7 @@ class ValidityScorer:
 
     def _errors(self, flat: np.ndarray) -> np.ndarray:
         assert self._model is not None
-        recon = self._model(Tensor(flat)).numpy()
+        recon = self._model.infer(flat)
         return ((recon - flat) ** 2).mean(axis=1)
 
     # ------------------------------------------------------------------ #

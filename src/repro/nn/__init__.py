@@ -5,6 +5,13 @@ by diffusion U-Nets (convolution, group norm, attention), optimisers and
 checkpointing.  This replaces PyTorch, which is not available in the
 reproduction environment; the mathematical behaviour is identical, only the
 throughput differs.
+
+Every layer is an array kernel with its vector-Jacobian product
+(:mod:`~repro.nn.functional`), wrapped once as a module's ``infer`` and
+``backward``; calling a module records it as one tape node
+(:meth:`Module.forward`).  The tape itself only carries the arithmetic that
+glues modules together: losses, residual sums and LayouTransformer's
+attention.
 """
 
 from . import functional
@@ -18,7 +25,6 @@ from .modules import (
     Linear,
     Module,
     Parameter,
-    ReLU,
     Sequential,
     Sigmoid,
     SiLU,
@@ -62,7 +68,6 @@ __all__ = [
     "Dropout",
     "Embedding",
     "SiLU",
-    "ReLU",
     "Sigmoid",
     "Optimizer",
     "SGD",

@@ -1,22 +1,19 @@
-"""Differentiable functional operators built on :class:`repro.nn.Tensor`.
+"""Array kernels with their vector-Jacobian products, and the taped softmax ops.
 
-Contains the operations the U-Net backbone and the baseline generators need:
-2-D convolution, nearest-neighbour upsampling, average pooling, normalisation,
-stable softmax / log-softmax, SiLU, categorical losses and dropout.
+Each layer operator is written once, as two parts:
 
-Each layer operator has three parts, each written once:
-
-* a gradient-free array kernel (``conv2d_array``, ``linear_array``, ...),
-  the forward ``UNet.infer`` runs;
+* a gradient-free array kernel (``conv2d_array``, ``linear_array``, ...);
 * a vector-Jacobian product over the values that kernel produced
   (``conv2d_backward``, ``linear_backward``, ``group_norm_backward``,
-  ``silu_backward``, ``softmax_backward``, ``upsample_nearest_backward``);
-* a taped operator (``conv2d``, ``linear``, ...) that records ONE tape node
-  whose forward is the kernel and whose backward is the VJP.
+  ``layer_norm_backward``, ``silu_backward``, ``softmax_backward``,
+  ``upsample_nearest_backward``).
 
-The baselines train through the taped operators; the U-Net is one tape node
-whose reverse pass calls the VJPs directly (see :mod:`repro.nn.unet`).  The
-convolution input gradient is itself a stride-1 convolution, so it runs
+The layers of :mod:`repro.nn.modules` call them from ``infer`` and
+``backward``, and :meth:`repro.nn.Module.forward` records a layer call as one
+tape node, so nothing here builds a tape node per layer.  The taped
+operators left are general arithmetic: ``softmax``, ``log_softmax`` and
+``cross_entropy_with_logits`` serve LayouTransformer's attention and loss.
+The convolution input gradient is itself a stride-1 convolution, so it runs
 through the same gather + matmul as the forward.
 """
 
@@ -27,79 +24,6 @@ import functools
 import numpy as np
 
 from .tensor import Tensor, _DTYPE
-
-
-def conv2d(
-    x: Tensor,
-    weight: Tensor,
-    bias: "Tensor | None" = None,
-    stride: int = 1,
-    padding: int = 0,
-) -> Tensor:
-    """2-D convolution over ``(N, C, H, W)`` input.
-
-    ``weight`` has shape ``(out_channels, in_channels, kh, kw)`` and ``bias``
-    shape ``(out_channels,)``.
-    """
-    out, cols = _conv2d_forward(
-        x.data, weight.data, None if bias is None else bias.data, stride, padding
-    )
-
-    def backward_fn(grad: np.ndarray) -> None:
-        grad_x, grad_w, grad_b = conv2d_backward(
-            grad, weight.data, cols, x.shape, stride, padding, input_grad=x.requires_grad
-        )
-        weight._accumulate(grad_w)
-        if bias is not None:
-            bias._accumulate(grad_b)
-        if grad_x is not None:
-            x._accumulate(grad_x)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return x._make(out, parents, backward_fn)
-
-
-def linear(x: Tensor, weight: Tensor, bias: "Tensor | None" = None) -> Tensor:
-    """Affine map ``x @ weight.T + bias`` for ``(..., in_features)`` input."""
-    out = linear_array(x.data, weight.data, None if bias is None else bias.data)
-
-    def backward_fn(grad: np.ndarray) -> None:
-        grad_x, grad_w, grad_b = linear_backward(grad, x.data, weight.data)
-        x._accumulate(grad_x)
-        weight._accumulate(grad_w)
-        if bias is not None:
-            bias._accumulate(grad_b)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return x._make(out, parents, backward_fn)
-
-
-def silu(x: Tensor) -> Tensor:
-    """``x * sigmoid(x)``, the activation used by DDPM U-Nets."""
-    out = silu_array(x.data)
-
-    def backward_fn(grad: np.ndarray) -> None:
-        x._accumulate(silu_backward(grad, x.data, out))
-
-    return x._make(out, (x,), backward_fn)
-
-
-def upsample_nearest(x: Tensor, scale: int = 2) -> Tensor:
-    """Nearest-neighbour upsampling of ``(N, C, H, W)`` by integer ``scale``."""
-
-    def backward_fn(grad: np.ndarray) -> None:
-        x._accumulate(upsample_nearest_backward(grad, scale))
-
-    return x._make(upsample_nearest_array(x.data, scale), (x,), backward_fn)
-
-
-def avg_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
-    """Non-overlapping average pooling with a square ``kernel``."""
-    n, c, h, w = x.shape
-    if h % kernel or w % kernel:
-        raise ValueError(f"spatial dims {h}x{w} not divisible by kernel {kernel}")
-    reshaped = x.reshape(n, c, h // kernel, kernel, w // kernel, kernel)
-    return reshaped.mean(axis=(3, 5))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -134,59 +58,6 @@ def cross_entropy_with_logits(logits: Tensor, targets: np.ndarray, axis: int = -
     return per_element.mean()
 
 
-def kl_divergence_categorical(
-    target_probs: np.ndarray, logits: Tensor, axis: int = -1, eps: float = 1e-10
-) -> Tensor:
-    """Mean ``KL(target || softmax(logits))`` for fixed target distributions.
-
-    The target is treated as a constant (exactly the role of the forward
-    posterior ``q(x_{k-1} | x_k, x_0)`` in the diffusion loss).
-    """
-    target = np.asarray(target_probs, dtype=_DTYPE)
-    log_probs = log_softmax(logits, axis=axis)
-    entropy_term = float((target * np.log(np.clip(target, eps, 1.0))).sum(axis=axis).mean())
-    cross_term = -(Tensor(target) * log_probs).sum(axis=axis).mean()
-    return cross_term + entropy_term
-
-
-def group_norm(
-    x: Tensor, num_groups: int, weight: Tensor, bias: Tensor, eps: float = 1e-5
-) -> Tensor:
-    """Group normalisation for ``(N, C, H, W)`` tensors."""
-    out, centred, inv_std = _group_norm_forward(x.data, num_groups, weight.data, bias.data, eps)
-
-    def backward_fn(grad: np.ndarray) -> None:
-        grad_x, grad_w, grad_b = group_norm_backward(grad, centred, inv_std, weight.data)
-        x._accumulate(grad_x)
-        weight._accumulate(grad_w)
-        bias._accumulate(grad_b)
-
-    return x._make(out, (x, weight, bias), backward_fn)
-
-
-def layer_norm(x: Tensor, weight: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Layer normalisation over the last dimension."""
-    mean = x.mean(axis=-1, keepdims=True)
-    centred = x - mean
-    var = (centred * centred).mean(axis=-1, keepdims=True)
-    normed = centred / ((var + eps) ** 0.5)
-    return normed * weight + bias
-
-
-def dropout(
-    x: Tensor, rate: float, rng: np.random.Generator, training: bool = True
-) -> Tensor:
-    """Inverted dropout; identity when not training or ``rate`` is 0."""
-    if not training or rate <= 0.0:
-        return x
-    mask = dropout_mask(x.shape, rate, rng)
-
-    def backward_fn(grad: np.ndarray) -> None:
-        x._accumulate(grad * mask)
-
-    return x._make(x.data * mask, (x,), backward_fn)
-
-
 def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> np.ndarray:
     """Inverted-dropout multiplier: ``0`` where a unit drops, ``1/(1-rate)`` elsewhere."""
     if not 0.0 <= rate < 1.0:
@@ -195,13 +66,11 @@ def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) 
 
 
 # ---------------------------------------------------------------------- #
-# gradient-free array kernels (shared forward of the taped operators)
+# gradient-free array kernels, each followed by its VJP
 # ---------------------------------------------------------------------- #
 # Array-in / array-out: no Tensor wrappers, no backward closures, contiguous
 # float32 throughout, and matmul instead of einsum (which re-derives a
-# contraction path on every call).  The batched sampling engine runs the
-# whole U-Net through these; the taped operators above wrap the same calls.
-# Each kernel's vector-Jacobian product follows it.
+# contraction path on every call).
 
 
 def conv2d_array(
@@ -211,7 +80,7 @@ def conv2d_array(
     stride: int = 1,
     padding: int = 0,
 ) -> np.ndarray:
-    """2-D convolution on plain arrays (the forward of :func:`conv2d`)."""
+    """2-D convolution over ``(N, C, H, W)`` input with ``(out, in, kh, kw)`` weights."""
     return _conv2d_forward(x, weight, bias, stride, padding)[0]
 
 
@@ -385,7 +254,7 @@ def softmax_backward(grad: np.ndarray, probs: np.ndarray, axis: int = -1) -> np.
 def group_norm_array(
     x: np.ndarray, num_groups: int, weight: np.ndarray, bias: np.ndarray, eps: float = 1e-5
 ) -> np.ndarray:
-    """Group normalisation on plain arrays (the forward of :func:`group_norm`)."""
+    """Group normalisation of ``(N, C, H, W)`` input on plain arrays."""
     return _group_norm_forward(x, num_groups, weight, bias, eps)[0]
 
 
@@ -441,18 +310,41 @@ def group_norm_backward(
     return grad_x.reshape(n, c, h, w), np.add.reduce(sum_gx, axis=0), np.add.reduce(sum_g, axis=0)
 
 
-def layer_norm_array(
-    x: np.ndarray, weight: np.ndarray, bias: np.ndarray, eps: float = 1e-5
-) -> np.ndarray:
-    """Gradient-free twin of :func:`layer_norm` on plain arrays."""
-    mean = x.mean(axis=-1, keepdims=True, dtype=_DTYPE)
-    centred = x - mean
-    var = np.mean(centred * centred, axis=-1, keepdims=True, dtype=_DTYPE)
-    return (centred / np.sqrt(var + eps)) * weight + bias
+def _layer_norm_forward(
+    x: np.ndarray, weight: np.ndarray, bias: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer norm over the last axis, plus the normalised input and ``(..., 1)`` std.
+
+    The arithmetic is that of the primitive tape ops the layer used to be
+    composed of (a mean is a sum times ``1/count``, the std is
+    ``(var + eps) ** 0.5``), which kept LayouTransformer's forward values.
+    """
+    inv_count = _DTYPE(1.0 / x.shape[-1])
+    centred = x - np.add.reduce(x, axis=-1, keepdims=True) * inv_count
+    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) * inv_count
+    std = (var + _DTYPE(eps)) ** 0.5
+    normed = centred / std
+    return normed * weight + bias, normed, std
+
+
+def layer_norm_backward(
+    grad: np.ndarray, normed: np.ndarray, std: np.ndarray, weight: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """VJP of layer normalisation over the values its forward cached: ``(dx, dweight, dbias)``."""
+    # With g = grad * weight over the last axis:
+    #   dx = (g - mean(g) - normed * mean(g * normed)) / std
+    inv_count = _DTYPE(1.0 / normed.shape[-1])
+    grad_normed = grad * weight
+    grad_x = grad_normed - np.add.reduce(grad_normed, axis=-1, keepdims=True) * inv_count
+    grad_x -= normed * (np.add.reduce(grad_normed * normed, axis=-1, keepdims=True) * inv_count)
+    grad_x /= std
+    rows = grad.reshape(-1, grad.shape[-1])
+    grad_w = np.add.reduce(rows * normed.reshape(rows.shape), axis=0)
+    return grad_x, grad_w, np.add.reduce(rows, axis=0)
 
 
 def upsample_nearest_array(x: np.ndarray, scale: int = 2) -> np.ndarray:
-    """Nearest-neighbour upsampling on plain arrays (the forward of :func:`upsample_nearest`)."""
+    """Nearest-neighbour upsampling of ``(N, C, H, W)`` input by integer ``scale``."""
     if scale < 1:
         raise ValueError("scale must be >= 1")
     return np.repeat(np.repeat(x, scale, axis=2), scale, axis=3)
@@ -465,7 +357,7 @@ def upsample_nearest_backward(grad: np.ndarray, scale: int = 2) -> np.ndarray:
 
 
 def linear_array(x: np.ndarray, weight: np.ndarray, bias: "np.ndarray | None" = None) -> np.ndarray:
-    """Affine map on plain arrays (the forward of :func:`linear`)."""
+    """Affine map ``x @ weight.T + bias`` for ``(..., in_features)`` input."""
     out = x @ weight.T
     if bias is not None:
         out += bias

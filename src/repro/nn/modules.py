@@ -4,11 +4,20 @@ A thin PyTorch-like module layer on top of the autograd engine: parameter
 registration, recursive traversal, train/eval mode, state-dict extraction, and
 the concrete layers used by the U-Net and the baselines.
 
-Every layer has a taped ``forward`` (for the baselines) and an array
-``infer``.  ``Linear``, ``Conv2d`` and ``GroupNorm`` also serve the U-Net's
-one-node reverse pass: given a ``cache`` list, ``infer`` pushes what the
-layer's VJP needs, and ``backward(grad, cache)`` pops it, accumulates the
-parameter gradients and returns the input gradient.
+Every layer is written once, as two methods on plain arrays:
+
+* ``infer(x, *args, cache=None, train=False)`` is the forward pass.  Given a
+  ``cache`` list it also pushes what its reverse needs; ``train`` applies
+  dropout, which inference never does.
+* ``backward(grad, cache, input_grad=True)`` pops the entries of the last
+  call still in ``cache``, accumulates the parameter gradients and returns
+  the input gradient.  A layer may return ``None`` for it when
+  ``input_grad`` is false and skipping it saves work.
+
+:meth:`Module.forward` records one call of that pair as ONE tape node, so a
+module is one node whatever it contains.  Composite modules get ``infer`` and
+``backward`` by composing their children's; the cache is a stack owned by
+the call, never state on a module.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from . import functional as F
-from .tensor import Tensor, _DTYPE, no_grad
+from .tensor import Tensor, _DTYPE, is_grad_enabled
 
 
 class Parameter(Tensor):
@@ -105,26 +114,35 @@ class Module:
                 )
             param.data[...] = value
 
-    # -- call ------------------------------------------------------------ #
-    def forward(self, *args, **kwargs):
-        raise NotImplementedError
+    # -- call: one tape node over infer and backward -------------------- #
+    def forward(self, x: "Tensor | np.ndarray", *args) -> Tensor:
+        """Differentiable forward pass: ONE tape node.
+
+        Its forward is :meth:`infer` with a cache of its own (dropout
+        following :attr:`training`), so in eval mode a taped call equals
+        inference bit for bit; its backward is :meth:`backward` over that
+        cache.  ``x`` is a tensor, or an array the node treats as a constant
+        (token indices); further arguments pass to ``infer`` unchanged.
+        Nothing is cached when the node is not recorded.
+        """
+        taped = isinstance(x, Tensor)
+        parents = ((x,) if taped else ()) + tuple(self.parameters())
+        cache = [] if is_grad_enabled() and any(p.requires_grad for p in parents) else None
+        out = self.infer(x.data if taped else x, *args, cache=cache, train=self.training)
+        if cache is None:
+            return Tensor(out)
+
+        def backward_fn(grad: np.ndarray) -> None:
+            input_grad = taped and x.requires_grad
+            # A copy of the cache: the node may be differentiated twice.
+            grad_x = self.backward(grad, list(cache), input_grad=input_grad)
+            if input_grad:
+                x._accumulate(grad_x)
+
+        return Tensor(out, requires_grad=True, _parents=parents, _backward_fn=backward_fn)
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
-
-    # -- inference -------------------------------------------------------- #
-    def infer(self, *args, **kwargs):
-        """Gradient-free array-in / array-out forward pass.
-
-        The generic fallback wraps array arguments in constant tensors and
-        runs :meth:`forward` under :func:`~repro.nn.tensor.no_grad`, so every
-        module has a tape-free path.  Hot-path layers override this with a
-        pure-NumPy kernel that skips the Tensor machinery entirely.
-        """
-        with no_grad():
-            wrapped = [Tensor(a) if isinstance(a, np.ndarray) else a for a in args]
-            out = self.forward(*wrapped, **kwargs)
-        return out.data if isinstance(out, Tensor) else out
 
 
 class Sequential(Module):
@@ -136,27 +154,26 @@ class Sequential(Module):
         for idx, layer in enumerate(layers):
             setattr(self, f"layer_{idx}", layer)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def infer(self, x: np.ndarray, cache: "list | None" = None, train: bool = False) -> np.ndarray:
         for layer in self.layers:
-            x = layer(x)
+            x = layer.infer(x, cache, train)
         return x
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        for layer in self.layers:
-            x = layer.infer(x)
-        return x
+    def backward(
+        self, grad: np.ndarray, cache: list, input_grad: bool = True
+    ) -> "np.ndarray | None":
+        for index in reversed(range(len(self.layers))):
+            grad = self.layers[index].backward(grad, cache, input_grad or index > 0)
+        return grad
 
 
 class Identity(Module):
     """No-op layer (used for optional skip projections)."""
 
-    def forward(self, x: Tensor) -> Tensor:
+    def infer(self, x: np.ndarray, cache: "list | None" = None, train: bool = False) -> np.ndarray:
         return x
 
-    def infer(self, x: np.ndarray, cache: "list | None" = None) -> np.ndarray:
-        return x
-
-    def backward(self, grad: np.ndarray, cache: list) -> np.ndarray:
+    def backward(self, grad: np.ndarray, cache: list, input_grad: bool = True) -> np.ndarray:
         return grad
 
 
@@ -184,20 +201,12 @@ class Linear(Module):
         self.in_features = in_features
         self.out_features = out_features
 
-    def forward(self, x: Tensor) -> Tensor:
-        return F.linear(x, self.weight, self.bias)
-
-    def infer(self, x: np.ndarray, cache: "list | None" = None) -> np.ndarray:
+    def infer(self, x: np.ndarray, cache: "list | None" = None, train: bool = False) -> np.ndarray:
         if cache is not None:
             cache.append(x)
         return F.linear_array(x, self.weight.data, None if self.bias is None else self.bias.data)
 
-    def backward(self, grad: np.ndarray, cache: list) -> np.ndarray:
-        """Reverse of the last :meth:`infer` call recorded in ``cache``.
-
-        Pops that call's saved input, accumulates the parameter gradients and
-        returns the input gradient.
-        """
+    def backward(self, grad: np.ndarray, cache: list, input_grad: bool = True) -> np.ndarray:
         grad_x, grad_w, grad_b = F.linear_backward(grad, cache.pop(), self.weight.data)
         self.weight._accumulate(grad_w)
         if self.bias is not None:
@@ -238,10 +247,7 @@ class Conv2d(Module):
         self.out_channels = out_channels
         self.kernel_size = kernel_size
 
-    def forward(self, x: Tensor) -> Tensor:
-        return F.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
-
-    def infer(self, x: np.ndarray, cache: "list | None" = None) -> np.ndarray:
+    def infer(self, x: np.ndarray, cache: "list | None" = None, train: bool = False) -> np.ndarray:
         out, cols = F._conv2d_forward(
             x,
             self.weight.data,
@@ -256,11 +262,6 @@ class Conv2d(Module):
     def backward(
         self, grad: np.ndarray, cache: list, input_grad: bool = True
     ) -> "np.ndarray | None":
-        """Reverse of the last :meth:`infer` call recorded in ``cache``.
-
-        Accumulates the parameter gradients and returns the input gradient
-        (``None`` when ``input_grad`` is false).
-        """
         x_shape, cols = cache.pop()
         grad_x, grad_w, grad_b = F.conv2d_backward(
             grad, self.weight.data, cols, x_shape, self.stride, self.padding, input_grad
@@ -286,10 +287,7 @@ class GroupNorm(Module):
         self.weight = Parameter(np.ones(num_channels, dtype=_DTYPE))
         self.bias = Parameter(np.zeros(num_channels, dtype=_DTYPE))
 
-    def forward(self, x: Tensor) -> Tensor:
-        return F.group_norm(x, self.num_groups, self.weight, self.bias, eps=self.eps)
-
-    def infer(self, x: np.ndarray, cache: "list | None" = None) -> np.ndarray:
+    def infer(self, x: np.ndarray, cache: "list | None" = None, train: bool = False) -> np.ndarray:
         out, centred, inv_std = F._group_norm_forward(
             x, self.num_groups, self.weight.data, self.bias.data, self.eps
         )
@@ -297,8 +295,7 @@ class GroupNorm(Module):
             cache.append((centred, inv_std))
         return out
 
-    def backward(self, grad: np.ndarray, cache: list) -> np.ndarray:
-        """Reverse of the last :meth:`infer` call recorded in ``cache``."""
+    def backward(self, grad: np.ndarray, cache: list, input_grad: bool = True) -> np.ndarray:
         centred, inv_std = cache.pop()
         grad_x, grad_w, grad_b = F.group_norm_backward(grad, centred, inv_std, self.weight.data)
         self.weight._accumulate(grad_w)
@@ -316,11 +313,18 @@ class LayerNorm(Module):
         self.weight = Parameter(np.ones(dim, dtype=_DTYPE))
         self.bias = Parameter(np.zeros(dim, dtype=_DTYPE))
 
-    def forward(self, x: Tensor) -> Tensor:
-        return F.layer_norm(x, self.weight, self.bias, eps=self.eps)
+    def infer(self, x: np.ndarray, cache: "list | None" = None, train: bool = False) -> np.ndarray:
+        out, normed, std = F._layer_norm_forward(x, self.weight.data, self.bias.data, self.eps)
+        if cache is not None:
+            cache.append((normed, std))
+        return out
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return F.layer_norm_array(x, self.weight.data, self.bias.data, eps=self.eps)
+    def backward(self, grad: np.ndarray, cache: list, input_grad: bool = True) -> np.ndarray:
+        normed, std = cache.pop()
+        grad_x, grad_w, grad_b = F.layer_norm_backward(grad, normed, std, self.weight.data)
+        self.weight._accumulate(grad_w)
+        self.bias._accumulate(grad_b)
+        return grad_x
 
 
 class Dropout(Module):
@@ -331,16 +335,16 @@ class Dropout(Module):
         self.rate = rate
         self._rng = rng if rng is not None else np.random.default_rng()
 
-    def forward(self, x: Tensor) -> Tensor:
-        return F.dropout(x, self.rate, self._rng, training=self.training)
+    def infer(self, x: np.ndarray, cache: "list | None" = None, train: bool = False) -> np.ndarray:
+        """``x`` times a fresh mask when ``train`` is set; ``x`` itself otherwise."""
+        mask = F.dropout_mask(x.shape, self.rate, self._rng) if train and self.rate > 0.0 else None
+        if cache is not None:
+            cache.append(mask)
+        return x if mask is None else x * mask
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        # Inference never drops units: identity regardless of training mode.
-        return x
-
-    def mask(self, shape: tuple[int, ...]) -> np.ndarray:
-        """The next training-mode mask, drawn exactly as :meth:`forward` draws it."""
-        return F.dropout_mask(shape, self.rate, self._rng)
+    def backward(self, grad: np.ndarray, cache: list, input_grad: bool = True) -> np.ndarray:
+        mask = cache.pop()
+        return grad if mask is None else grad * mask
 
 
 class Embedding(Module):
@@ -358,34 +362,44 @@ class Embedding(Module):
         self.num_embeddings = num_embeddings
         self.dim = dim
 
-    def forward(self, indices: np.ndarray) -> Tensor:
+    def infer(
+        self, indices: np.ndarray, cache: "list | None" = None, train: bool = False
+    ) -> np.ndarray:
         idx = np.asarray(indices)
         if (idx < 0).any() or (idx >= self.num_embeddings).any():
             raise IndexError("embedding index out of range")
-        return self.weight[idx]
+        if cache is not None:
+            cache.append(idx)
+        return self.weight.data[idx]
+
+    def backward(self, grad: np.ndarray, cache: list, input_grad: bool = True) -> None:
+        """Scatter-add ``grad`` onto the rows looked up; indices get no gradient."""
+        grad_w = np.zeros_like(self.weight.data)
+        np.add.at(grad_w, cache.pop(), grad)
+        self.weight._accumulate(grad_w)
 
 
 class SiLU(Module):
     """The SiLU / swish activation used throughout the U-Net."""
 
-    def forward(self, x: Tensor) -> Tensor:
-        return x.silu()
+    def infer(self, x: np.ndarray, cache: "list | None" = None, train: bool = False) -> np.ndarray:
+        out = F.silu_array(x)
+        if cache is not None:
+            cache.append((x, out))
+        return out
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return F.silu_array(x)
-
-
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(x, 0.0)
+    def backward(self, grad: np.ndarray, cache: list, input_grad: bool = True) -> np.ndarray:
+        x, out = cache.pop()
+        return F.silu_backward(grad, x, out)
 
 
 class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
+    def infer(self, x: np.ndarray, cache: "list | None" = None, train: bool = False) -> np.ndarray:
+        out = 1.0 / (1.0 + np.exp(-x))
+        if cache is not None:
+            cache.append(out)
+        return out
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-x))
+    def backward(self, grad: np.ndarray, cache: list, input_grad: bool = True) -> np.ndarray:
+        out = cache.pop()
+        return grad * out * (1.0 - out)

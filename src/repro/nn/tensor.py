@@ -308,12 +308,6 @@ class Tensor:
 
         return self._make(self.data * mask, (self,), backward_fn)
 
-    def silu(self) -> "Tensor":
-        """x * sigmoid(x), the activation used by DDPM U-Nets."""
-        from .functional import silu  # deferred: functional imports this module
-
-        return silu(self)
-
     # ------------------------------------------------------------------ #
     # reductions and shape ops
     # ------------------------------------------------------------------ #

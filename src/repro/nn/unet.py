@@ -16,15 +16,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import functional as F
-from .modules import Conv2d, Dropout, GroupNorm, Identity, Linear, Module
-from .tensor import Tensor, is_grad_enabled
+from .modules import Conv2d, Dropout, GroupNorm, Identity, Linear, Module, SiLU
 
-# Training runs the whole network as ONE tape node (:meth:`UNet.forward`).
+# Training runs the whole network as ONE tape node (:meth:`Module.forward`).
 # Its forward is ``infer`` with a per-call ``cache``: a list every layer
 # appends what its backward needs to, in forward order.  The reverse pass
 # (each module's ``backward``) pops those entries in reverse order, so the
 # cache is a stack owned by the call, never state on a module.  Without a
 # cache ``infer`` records nothing and is the sampling hot path.
+
+# SiLU has no parameters, so one instance serves every block.
+_silu = SiLU()
 
 
 def _norm_groups(channels: int) -> int:
@@ -33,18 +35,6 @@ def _norm_groups(channels: int) -> int:
         if channels % groups == 0:
             return groups
     return 1
-
-
-def _silu(x: np.ndarray, cache: "list | None") -> np.ndarray:
-    out = F.silu_array(x)
-    if cache is not None:
-        cache.append((x, out))
-    return out
-
-
-def _silu_backward(grad: np.ndarray, cache: list) -> np.ndarray:
-    x, out = cache.pop()
-    return F.silu_backward(grad, x, out)
 
 
 class TimestepEmbedding(Module):
@@ -58,13 +48,13 @@ class TimestepEmbedding(Module):
 
     def infer(self, timesteps: np.ndarray, cache: "list | None" = None) -> np.ndarray:
         base = F.sinusoidal_embedding(timesteps, self.model_channels)
-        hidden = _silu(self.dense_in.infer(base, cache), cache)
-        return _silu(self.dense_out.infer(hidden, cache), cache)
+        hidden = _silu.infer(self.dense_in.infer(base, cache), cache)
+        return _silu.infer(self.dense_out.infer(hidden, cache), cache)
 
     def backward(self, grad: np.ndarray, cache: list) -> None:
         """Reverse of :meth:`infer`; the timesteps are constants, so no input gradient."""
-        grad = self.dense_out.backward(_silu_backward(grad, cache), cache)
-        self.dense_in.backward(_silu_backward(grad, cache), cache)
+        grad = self.dense_out.backward(_silu.backward(grad, cache), cache)
+        self.dense_in.backward(_silu.backward(grad, cache), cache)
 
 
 class ResidualBlock(Module):
@@ -101,35 +91,29 @@ class ResidualBlock(Module):
 
         ``time_emb`` has one row per sample or a single row shared by all.
         """
-        hidden = self.conv1.infer(_silu(self.norm1.infer(x, cache), cache), cache)
-        time_term = self.time_proj.infer(_silu(time_emb, cache), cache)
+        hidden = self.conv1.infer(_silu.infer(self.norm1.infer(x, cache), cache), cache)
+        time_term = self.time_proj.infer(_silu.infer(time_emb, cache), cache)
         batch, channels = time_term.shape
         hidden += time_term.reshape(batch, channels, 1, 1)
-        hidden = _silu(self.norm2.infer(hidden, cache), cache)
-        mask = None
-        if train and self.dropout.rate > 0.0:
-            mask = self.dropout.mask(hidden.shape)
-            hidden = hidden * mask
         if cache is not None:
-            cache.append((batch, mask))
-        hidden = self.conv2.infer(hidden, cache)
+            cache.append(batch)
+        hidden = _silu.infer(self.norm2.infer(hidden, cache), cache)
+        hidden = self.conv2.infer(self.dropout.infer(hidden, cache, train), cache)
         hidden += self.skip.infer(x, cache)
         return hidden
 
     def backward(self, grad: np.ndarray, cache: list) -> tuple[np.ndarray, np.ndarray]:
         """Reverse of :meth:`infer`: the input and time-embedding gradients."""
         grad_x = self.skip.backward(grad, cache)
-        grad = self.conv2.backward(grad, cache)
-        time_rows, mask = cache.pop()
-        if mask is not None:
-            grad = grad * mask
-        grad = self.norm2.backward(_silu_backward(grad, cache), cache)
+        grad = self.dropout.backward(self.conv2.backward(grad, cache), cache)
+        grad = self.norm2.backward(_silu.backward(grad, cache), cache)
+        time_rows = cache.pop()
         grad_time = grad.sum(axis=(2, 3))
         if time_rows != grad_time.shape[0]:
             grad_time = grad_time.sum(axis=0, keepdims=True)
-        grad_time = _silu_backward(self.time_proj.backward(grad_time, cache), cache)
+        grad_time = _silu.backward(self.time_proj.backward(grad_time, cache), cache)
         grad = self.conv1.backward(grad, cache)
-        grad_x = grad_x + self.norm1.backward(_silu_backward(grad, cache), cache)
+        grad_x = grad_x + self.norm1.backward(_silu.backward(grad, cache), cache)
         return grad_x, grad_time
 
 
@@ -247,6 +231,10 @@ class UNet(Module):
 
     Input  : one-hot noisy tensor, shape ``(N, in_channels * num_classes, M, M)``.
     Output : logits, shape ``(N, in_channels, num_classes, M, M)``.
+
+    Calling the model records ONE tape node (:meth:`Module.forward`): its
+    forward is :meth:`infer` and its backward the explicit reverse pass
+    :meth:`backward`.
     """
 
     def __init__(self, config: UNetConfig) -> None:
@@ -320,27 +308,6 @@ class UNet(Module):
         setattr(self, name, module)
         self.up_blocks.append((kind, module))
 
-    # -- forward: one tape node over infer ------------------------------ #
-    def forward(self, x_onehot: Tensor, timesteps: np.ndarray) -> Tensor:
-        """Differentiable forward pass: ONE tape node.
-
-        Its forward is :meth:`infer` (so a taped forward equals inference bit
-        for bit) plus, in training mode, dropout; its backward is
-        :meth:`backward` over the values that call cached.  The cache belongs
-        to the node, so several calls can share one graph; with the tape off
-        nothing is cached.
-        """
-        params = tuple(self.parameters())
-        cache = [] if is_grad_enabled() else None
-        out = self.infer(x_onehot.data, timesteps, cache, train=self.training)
-
-        def backward_fn(grad: np.ndarray) -> None:
-            grad_x = self.backward(grad, list(cache), input_grad=x_onehot.requires_grad)
-            if grad_x is not None:
-                x_onehot._accumulate(grad_x)
-
-        return x_onehot._make(out, (x_onehot, *params), backward_fn)
-
     # -- inference ---------------------------------------------------------- #
     def infer(
         self,
@@ -395,7 +362,7 @@ class UNet(Module):
             else:  # attention or upsample
                 hidden = module.infer(hidden, cache)
 
-        out = self.conv_out.infer(_silu(self.norm_out.infer(hidden, cache), cache), cache)
+        out = self.conv_out.infer(_silu.infer(self.norm_out.infer(hidden, cache), cache), cache)
         return out.reshape(
             batch, config.in_channels, config.num_classes, config.image_size, config.image_size
         )
@@ -411,7 +378,7 @@ class UNet(Module):
         """
         grad = grad.reshape(grad.shape[0], -1, *grad.shape[3:])
         grad = self.conv_out.backward(grad, cache)
-        grad = self.norm_out.backward(_silu_backward(grad, cache), cache)
+        grad = self.norm_out.backward(_silu.backward(grad, cache), cache)
         time_grads: list[np.ndarray] = []
 
         def res_backward(block: ResidualBlock, grad: np.ndarray) -> np.ndarray:

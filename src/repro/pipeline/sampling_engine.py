@@ -8,8 +8,7 @@ from calling ``DiscreteDiffusion.sample`` directly in three ways:
 * **Gradient-free batched hot path** — every denoising step runs the whole
   chunk through ``UNet.infer`` (raw float32 arrays, no autodiff tape) and
   mixes the predicted ``p_θ(x_0 | x_k)`` with cached posterior transition
-  tables, so the per-step cost is a handful of large NumPy kernels instead of
-  thousands of small taped operations.
+  tables, so the per-step cost is a handful of large NumPy kernels.
 
 * **Chunk-invariant determinism** — every sample index owns an independent
   random stream seeded from ``(seed, index)``.  The result of drawing sample
@@ -42,7 +41,6 @@ import numpy as np
 
 from ..diffusion import DiscreteDiffusion, RespacedSchedule
 from ..diffusion.transition import categorical_from_uniforms
-from ..nn import no_grad
 from ..utils import resolve_seed
 
 __all__ = ["SamplingEngine", "SamplingReport", "resolve_seed"]
@@ -150,9 +148,6 @@ class SamplingEngine:
     batch_size:
         Samples denoised per reverse pass; a pure memory/throughput knob
         (per-index seeding keeps the output identical for any value).
-    inference:
-        ``False`` routes the network through the taped forward pass —
-        slower, used only to cross-check the array kernels.
     steps:
         Denoising steps to walk per sample.  ``None`` (default) walks the
         full trained chain; a smaller value samples the evenly respaced
@@ -176,7 +171,6 @@ class SamplingEngine:
         self,
         diffusion: DiscreteDiffusion,
         batch_size: int = 32,
-        inference: bool = True,
         steps: "int | None" = None,
         schedule: "RespacedSchedule | None" = None,
     ) -> None:
@@ -193,9 +187,6 @@ class SamplingEngine:
             schedule = RespacedSchedule(diffusion.transition, steps=steps)
         self.diffusion = diffusion
         self.batch_size = int(batch_size)
-        #: ``False`` routes the network through the taped forward pass —
-        #: slower, used only to cross-check the array kernels.
-        self.inference = inference
         #: The reverse-sampling schedule every run walks (full chain when no
         #: ``steps`` was given).
         self.schedule = schedule
@@ -379,41 +370,38 @@ class SamplingEngine:
             recorder = _ChainRecorder(stride=recorder_stride, num_steps=schedule.chain_steps)
             recorder.record_initial(xk)
 
-        # no_grad also covers the inference=False cross-check path, which
-        # would otherwise build a full autodiff tape every denoising step.
-        with no_grad():
-            for cur, prev in schedule.jumps:
-                tic = time.perf_counter()
-                probs_x0 = diffusion.predict_x0_probs(xk, cur, inference=self.inference)
-                report.model_seconds += time.perf_counter() - tic
-                report.model_evals += 1
+        for cur, prev in schedule.jumps:
+            tic = time.perf_counter()
+            probs_x0 = diffusion.predict_x0_probs(xk, cur)
+            report.model_seconds += time.perf_counter() - tic
+            report.model_evals += 1
 
-                tic = time.perf_counter()
-                probs_x0 = np.moveaxis(probs_x0, 2, -1)  # (N, C, M, M, S)
-                if prev == 0 and greedy_final:
-                    xk = probs_x0.argmax(axis=-1).astype(np.int64)
-                    report.mixing_seconds += time.perf_counter() - tic
-                    if recorder is not None:
-                        recorder.record_final(xk)
-                    break
-                if prev == 0:
-                    # q(x_0 | x_cur, x_0 = i) is the delta at i, so the
-                    # mixture collapses to the model posterior itself.
-                    probs_prev = probs_x0
-                else:
-                    posterior_all = schedule.posterior_table(cur, prev, dtype=np.float32)[xk]
-                    if posterior_all.shape[-1] == 2:
-                        # Binary topologies: writing out the 2-state mixture is
-                        # cheaper than dispatching einsum every step.
-                        probs_prev = probs_x0[..., 0, None] * posterior_all[..., 0, :]
-                        probs_prev += probs_x0[..., 1, None] * posterior_all[..., 1, :]
-                    else:
-                        probs_prev = np.einsum("...i,...ij->...j", probs_x0, posterior_all)
-                uniforms = np.stack([g.random(sample_shape) for g in gens], axis=0)
-                xk = categorical_from_uniforms(probs_prev, uniforms)
+            tic = time.perf_counter()
+            probs_x0 = np.moveaxis(probs_x0, 2, -1)  # (N, C, M, M, S)
+            if prev == 0 and greedy_final:
+                xk = probs_x0.argmax(axis=-1).astype(np.int64)
                 report.mixing_seconds += time.perf_counter() - tic
                 if recorder is not None:
-                    recorder.maybe_record(xk, cur)
+                    recorder.record_final(xk)
+                break
+            if prev == 0:
+                # q(x_0 | x_cur, x_0 = i) is the delta at i, so the
+                # mixture collapses to the model posterior itself.
+                probs_prev = probs_x0
+            else:
+                posterior_all = schedule.posterior_table(cur, prev, dtype=np.float32)[xk]
+                if posterior_all.shape[-1] == 2:
+                    # Binary topologies: writing out the 2-state mixture is
+                    # cheaper than dispatching einsum every step.
+                    probs_prev = probs_x0[..., 0, None] * posterior_all[..., 0, :]
+                    probs_prev += probs_x0[..., 1, None] * posterior_all[..., 1, :]
+                else:
+                    probs_prev = np.einsum("...i,...ij->...j", probs_x0, posterior_all)
+            uniforms = np.stack([g.random(sample_shape) for g in gens], axis=0)
+            xk = categorical_from_uniforms(probs_prev, uniforms)
+            report.mixing_seconds += time.perf_counter() - tic
+            if recorder is not None:
+                recorder.maybe_record(xk, cur)
 
         finals.append(xk)
         return recorder.states if recorder is not None else []

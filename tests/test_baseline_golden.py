@@ -1,0 +1,207 @@
+"""Golden record of the Table I baselines: training and generation.
+
+Each baseline trains on the NumPy ``repro.nn`` stack.  This file pins what a
+small fixed-seed fit on the 48 training topologies of the ``tiny_dataset``
+fixture produces, so a change to a layer kernel or to the module protocol
+that moves a baseline's numbers fails here even when two code paths still
+agree with each other.  The values were computed with every layer on the
+per-layer tape (before ``Module.forward`` became one node over ``infer``)
+and held identically under one and two BLAS threads:
+
+* CAE, VCAE, the LegalGAN post-processor and the validity scorer: SHA-256
+  of the trained parameters (in ``parameters()`` order) and of one output —
+  ``generate`` for the generators, ``legalize`` for LegalGAN, the
+  per-pattern reconstruction errors for the scorer.  These must hold bit
+  for bit.
+* The Gaussian-diffusion ablation: SHA-256 of one ``sample`` call.
+* LayouTransformer: the per-iteration training loss at ``atol=1e-5`` (its
+  ``LayerNorm`` gradient moved at rounding level when the layer got a
+  closed-form VJP) and the digest of one ``generate`` call on the untrained
+  model, whose forward did not move.
+
+Generation and scoring run without a tape, so every output test also checks
+that no tape node is recorded.  A failure prints the new values, ready to
+paste here once a change of numerics is intended and documented in
+``docs/architecture.md``.
+"""
+
+import contextlib
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.baselines import (
+    CAEConfig,
+    CAEGenerator,
+    LayouTransformerConfig,
+    LayouTransformerGenerator,
+    LegalGANConfig,
+    LegalGANPostProcessor,
+    VCAEConfig,
+    VCAEGenerator,
+)
+from repro.diffusion.gaussian import (
+    GaussianDiffusionConfig,
+    GaussianTopologyDiffusion,
+    gaussian_unet_config,
+)
+from repro.metrics import ValidityConfig, ValidityScorer
+from repro.nn import Tensor, UNet
+from repro.nn import functional as F
+
+LOSS_ATOL = 1e-5
+
+PARAM_DIGESTS = {
+    "cae": "8fdbd99d6122b0ce2564dbaf48bdf4b23de2452abb73369963162d728494412a",
+    "vcae": "2eddfe55ccb0ecbe23946d83a99deb63c9d69c83350685afd0e9c3ac771f4c4e",
+    "legalgan": "2cc877019760cb202d27b6c82efa6f98a3cbdd5fedda8d1177ec6742d2ac6585",
+    "validity": "7be730ec09c8b4a4045f330ddeb3d611eeb1d896064b6bfe6446abee334701e6",
+}
+
+OUTPUT_DIGESTS = {
+    "cae": "4df86572010fa1325b81c8b9e51573e7db5009709f29dd2c28ba66ab45daaf9e",
+    "vcae": "1a638ff9c58e8e8a17f899476d526ec6966e6c68256061ac3ff3ecba0a419d26",
+    "legalgan": "b5c6a74b8c43f2ecdfb202c43d55f5afd6653b954d107383ab708f07bf711b26",
+    "validity": "95f31a59fc15621e3df00806e106ec51382a32911857c1152ba66e162678d374",
+    "gaussian": "3ba11b6d0fb86b8b9777c2fea1c5e6ab60f0638383d73b6bd36d569f851108f8",
+    "layoutransformer": "58046ed5ee46047c88d67316a8c5113971d3421261e1f7e0eba0a72a99449354",
+}
+
+TRANSFORMER_LOSSES = [
+    2.97722363, 2.9660151, 2.95450401, 2.90251875, 2.84822226, 2.80558395,
+    2.84535241, 2.82146621, 2.65490937, 2.87556052, 2.82475424, 2.65320992,
+    2.67452121, 2.75862956, 2.50343204, 2.59240198, 2.7802887, 2.59295177,
+    2.61542583, 2.61776924,
+]
+
+
+def _digest(arrays) -> str:
+    sha = hashlib.sha256()
+    for array in arrays:
+        sha.update(np.ascontiguousarray(array).tobytes())
+    return sha.hexdigest()
+
+
+@contextlib.contextmanager
+def _tape_spy():
+    """Collect every tensor created with a backward closure (a tape node)."""
+    nodes = []
+    original = Tensor.__init__
+
+    def init(self, data, requires_grad=False, _parents=(), _backward_fn=None):
+        if _backward_fn is not None:
+            nodes.append(self)
+        original(self, data, requires_grad, _parents, _backward_fn)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Tensor, "__init__", init)
+        yield nodes
+
+
+@pytest.fixture(scope="module")
+def train_matrices(tiny_dataset):
+    matrices = tiny_dataset.topology_matrices("train")
+    assert matrices.shape[0] == 48
+    return matrices
+
+
+def _corrupted(matrices):
+    flips = np.random.default_rng(5).random(matrices.shape) < 0.08
+    return np.abs(matrices.astype(np.int64) - flips).astype(np.uint8)
+
+
+def _fit(name, matrices):
+    """``(trained parameters, zero-argument output call)`` of one baseline."""
+    if name == "cae":
+        model = CAEGenerator(CAEConfig(iterations=20, base_channels=8, latent_dim=8, threshold=None))
+        model.fit(matrices, rng=0)
+        params = [*model.encoder.parameters(), *model.decoder.parameters()]
+        return params, lambda: model.generate(6, rng=1)
+    if name == "vcae":
+        model = VCAEGenerator(VCAEConfig(iterations=20, base_channels=8, latent_dim=8, threshold=None))
+        model.fit(matrices, rng=0)
+        params = [
+            *model.encoder.parameters(),
+            *model.mu_head.parameters(),
+            *model.logvar_head.parameters(),
+            *model.decoder.parameters(),
+        ]
+        return params, lambda: model.generate(6, rng=1)
+    if name == "legalgan":
+        model = LegalGANPostProcessor(LegalGANConfig(iterations=20, base_channels=8, threshold=0.42))
+        model.fit(matrices, rng=0)
+        return list(model._model.parameters()), lambda: model.legalize(_corrupted(matrices[:6]))
+    model = ValidityScorer(ValidityConfig(iterations=20, hidden_dim=32, latent_dim=8))
+    model.fit(matrices, rng=0)
+    flat = model._flatten(_corrupted(matrices[:12]))
+    return list(model._model.parameters()), lambda: model._errors(flat)
+
+
+@pytest.fixture(scope="module")
+def fitted(train_matrices):
+    return {name: _fit(name, train_matrices) for name in PARAM_DIGESTS}
+
+
+@pytest.mark.parametrize("name", sorted(PARAM_DIGESTS))
+def test_trained_parameters(fitted, name):
+    digest = _digest(p.data for p in fitted[name][0])
+    assert digest == PARAM_DIGESTS[name], f"new parameter digest for {name}: {digest}"
+
+
+@pytest.mark.parametrize("name", sorted(PARAM_DIGESTS))
+def test_output_runs_off_the_tape(fitted, name):
+    with _tape_spy() as nodes:
+        out = fitted[name][1]()
+    digest = _digest([out])
+    assert digest == OUTPUT_DIGESTS[name], f"new output digest for {name}: {digest}"
+    assert nodes == []
+
+
+def test_gaussian_sample_runs_off_the_tape():
+    config = gaussian_unet_config(
+        4, 8, model_channels=8, channel_mult=(1, 2), num_res_blocks=1,
+        attention_resolutions=(4,), dropout=0.1, seed=2,
+    )
+    diffusion = GaussianTopologyDiffusion(UNet(config), GaussianDiffusionConfig(num_steps=6))
+    with _tape_spy() as nodes:
+        out = diffusion.sample(3, rng=0)
+    digest = _digest([out])
+    assert digest == OUTPUT_DIGESTS["gaussian"], f"new output digest for gaussian: {digest}"
+    assert nodes == []
+    assert diffusion.model.training
+
+
+def _transformer_config(iterations):
+    return LayouTransformerConfig(iterations=iterations, dim=16, layers=1, max_runs=10)
+
+
+def test_layoutransformer_generate_runs_off_the_tape(train_matrices):
+    model = LayouTransformerGenerator(_transformer_config(0)).fit(train_matrices, rng=0)
+    with _tape_spy() as nodes:
+        out = model.generate(3, rng=1)
+    digest = _digest([out])
+    assert digest == OUTPUT_DIGESTS["layoutransformer"], (
+        f"new output digest for layoutransformer: {digest}"
+    )
+    assert nodes == []
+
+
+def test_layoutransformer_training_losses(train_matrices, monkeypatch):
+    losses = []
+    cross_entropy = F.cross_entropy_with_logits
+
+    def recording(*args, **kwargs):
+        loss = cross_entropy(*args, **kwargs)
+        losses.append(loss.item())
+        return loss
+
+    monkeypatch.setattr(F, "cross_entropy_with_logits", recording)
+    LayouTransformerGenerator(_transformer_config(20)).fit(train_matrices, rng=0)
+    np.testing.assert_allclose(
+        losses,
+        TRANSFORMER_LOSSES,
+        rtol=0,
+        atol=LOSS_ATOL,
+        err_msg="new losses: " + ", ".join(f"{v:.9g}" for v in losses),
+    )

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from taped_oracles import ref_embedding, ref_layer_norm, ref_silu, ref_upsample_nearest
 
 from repro.baselines import (
     CAEConfig,
@@ -18,6 +19,11 @@ from repro.baselines import (
     tokens_to_matrix,
     validate_matrices,
 )
+from repro.baselines.cae import ConvDecoder, ConvEncoder
+from repro.baselines.legalgan import _DenoisingCNN
+from repro.baselines.transformer import SequenceModel
+from repro.metrics.validity import _MLPAutoencoder
+from repro.nn import Tensor
 
 
 @pytest.fixture(scope="module")
@@ -189,3 +195,102 @@ class TestLayouTransformer:
         trained_loss = F.cross_entropy_with_logits(logits, one_hot_targets, axis=-1).item()
         vocab = train_matrices.shape[1] + 2
         assert trained_loss < np.log(vocab)
+
+
+# --------------------------------------------------------------------------- #
+# Composite modules against the per-layer tape they replaced
+# --------------------------------------------------------------------------- #
+# Each baseline network is one tape node whose backward chains its layers'
+# VJPs by hand.  The oracles are the deleted taped ``forward`` methods, with
+# every layer its own node and SiLU / sigmoid / upsampling on the primitive
+# tape.  Rounding may differ, so the comparison is at float32 tolerance.
+GRAD_RTOL = 1e-5
+
+
+def taped_encoder(encoder, x):
+    hidden = ref_silu(encoder.conv2(ref_silu(encoder.conv1(x))))
+    return encoder.proj(hidden.reshape(hidden.shape[0], -1))
+
+
+def taped_decoder(decoder, z):
+    hidden = ref_silu(decoder.expand(z)).reshape(z.shape[0], *decoder.hidden_shape)
+    hidden = ref_silu(decoder.conv1(ref_upsample_nearest(hidden, 2)))
+    hidden = ref_silu(decoder.conv2(ref_upsample_nearest(hidden, 2)))
+    return decoder.head(hidden).sigmoid()
+
+
+def taped_sequential(net, x):
+    for layer in net.layers:
+        x = taped_sequential(layer, x) if hasattr(layer, "layers") else layer(x)
+    return x
+
+
+def taped_sequence_model(model, tokens):
+    """The transformer's forward with LayerNorm and Embedding on the primitive tape."""
+
+    def norm(layer, x):
+        return ref_layer_norm(x, layer.weight, layer.bias, layer.eps)
+
+    positions = np.arange(tokens.shape[1])
+    x = ref_embedding(model.token_embedding.weight, tokens)
+    x = x + ref_embedding(model.position_embedding.weight, positions)
+    for block in model.blocks:
+        x = x + block.attn(norm(block.norm1, x))
+        x = x + block.mlp_out(block.act(block.mlp_in(norm(block.norm2, x))))
+    return model.head(norm(model.norm, x))
+
+
+def _run(module, forward, inputs, input_grad):
+    module.zero_grad()
+    leaf = Tensor(inputs, requires_grad=True) if input_grad else inputs
+    out = forward(module, leaf)
+    out.backward(np.random.default_rng(9).normal(size=out.shape).astype(np.float32))
+    return out.data, [p.grad for p in module.parameters()], getattr(leaf, "grad", None)
+
+
+def assert_matches_per_layer_tape(module, oracle, inputs, input_grad=True):
+    out, grads, dx = _run(module, lambda m, x: m(x), inputs, input_grad)
+    ref_out, ref_grads, ref_dx = _run(module, oracle, inputs, input_grad)
+    np.testing.assert_allclose(out, ref_out, rtol=GRAD_RTOL, atol=GRAD_RTOL)
+    assert all(g is not None for g in grads)
+    flat = np.concatenate([g.ravel() for g in grads])
+    ref_flat = np.concatenate([g.ravel() for g in ref_grads])
+    scale = np.linalg.norm(ref_flat)
+    assert np.linalg.norm(flat - ref_flat) <= GRAD_RTOL * scale
+    for grad, ref in zip(grads, ref_grads):
+        assert np.linalg.norm(grad - ref) <= GRAD_RTOL * scale
+    if input_grad:
+        assert np.linalg.norm(dx - ref_dx) <= GRAD_RTOL * np.linalg.norm(ref_dx)
+
+
+class TestCompositeReversePass:
+    def _images(self, channels=1):
+        return np.random.default_rng(0).random((3, channels, 16, 16), dtype=np.float32)
+
+    def test_cae_encoder(self):
+        encoder = ConvEncoder(16, 4, 8, np.random.default_rng(1))
+        assert_matches_per_layer_tape(encoder, taped_encoder, self._images(), input_grad=False)
+        assert_matches_per_layer_tape(encoder, taped_encoder, self._images())
+
+    def test_cae_decoder(self):
+        decoder = ConvDecoder(16, 4, 8, np.random.default_rng(2))
+        z = np.random.default_rng(3).normal(size=(3, 8)).astype(np.float32)
+        assert_matches_per_layer_tape(decoder, taped_decoder, z)
+
+    def test_legalgan_network(self):
+        net = _DenoisingCNN(4, np.random.default_rng(4))
+        assert_matches_per_layer_tape(net, taped_sequential, self._images(), input_grad=False)
+
+    def test_validity_autoencoder(self):
+        net = _MLPAutoencoder(64, 16, 4, np.random.default_rng(5))
+        flat = np.random.default_rng(6).random((5, 64), dtype=np.float32)
+        assert_matches_per_layer_tape(net, taped_sequential, flat)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_layoutransformer_layer_norm_and_embedding(self, layers):
+        # LayerNorm's closed-form VJP and Embedding's scatter-add against the
+        # primitive-op composition and the tape's gather.  Repeated tokens
+        # exercise the scatter-add.
+        model = SequenceModel(18, 32, 16, layers, np.random.default_rng(7))
+        tokens = np.random.default_rng(8).integers(0, 18, size=(3, 12))
+        assert_matches_per_layer_tape(model, taped_sequence_model, tokens, input_grad=False)

@@ -1,10 +1,21 @@
-"""Unit tests for repro.nn.functional (conv2d, norms, softmax, losses)."""
+"""Unit tests for repro.nn.functional: the array kernels, their VJPs through
+the layers that wrap them, and the taped softmax / loss operators."""
 
 import numpy as np
 import pytest
+from taped_oracles import (
+    ref_conv2d,
+    ref_embedding,
+    ref_group_norm,
+    ref_layer_norm,
+    ref_linear,
+    ref_log_softmax,
+    ref_silu,
+    ref_softmax,
+)
 
 from repro.diffusion import DiscreteDiffusion
-from repro.nn import Tensor, UNet
+from repro.nn import Conv2d, Dropout, Embedding, GroupNorm, LayerNorm, Linear, SiLU, Tensor, UNet
 from repro.nn import functional as F
 from repro.scenarios import builtin_registry
 
@@ -33,33 +44,34 @@ class TestConv2d:
         x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
         w = rng.normal(size=(4, 3, 3, 3)).astype(np.float32)
         b = rng.normal(size=(4,)).astype(np.float32)
-        out = F.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
+        out = F.conv2d_array(x, w, b, stride=stride, padding=padding)
         expected = naive_conv2d(x, w, b, stride, padding)
-        np.testing.assert_allclose(out.numpy(), expected, rtol=1e-4, atol=1e-4)
+        np.testing.assert_allclose(out, expected, rtol=1e-4, atol=1e-4)
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ValueError):
-            F.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((3, 4, 3, 3))))
+            F.conv2d_array(np.zeros((1, 2, 4, 4)), np.zeros((3, 4, 3, 3)))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(1, 2, 4, 4)).astype(np.float64)
         w = rng.normal(size=(2, 2, 3, 3)).astype(np.float64)
         b = rng.normal(size=(2,)).astype(np.float64)
+        layer = Conv2d(2, 2, 3, padding=1)
 
         def loss_value(xv, wv, bv):
-            out = F.conv2d(Tensor(xv.astype(np.float32)), Tensor(wv.astype(np.float32)),
-                           Tensor(bv.astype(np.float32)), stride=1, padding=1)
-            return float((out.numpy() ** 2).sum())
+            layer.weight.data[...] = wv
+            layer.bias.data[...] = bv
+            return float((layer.infer(xv.astype(np.float32)) ** 2).sum())
 
+        layer.weight.data[...] = w
+        layer.bias.data[...] = b
         xt = Tensor(x.astype(np.float32), requires_grad=True)
-        wt = Tensor(w.astype(np.float32), requires_grad=True)
-        bt = Tensor(b.astype(np.float32), requires_grad=True)
-        out = F.conv2d(xt, wt, bt, stride=1, padding=1)
+        out = layer(xt)
         (out * out).sum().backward()
 
         eps = 1e-3
-        for target, grad in ((x, xt.grad), (w, wt.grad), (b, bt.grad)):
+        for target, grad in ((x, xt.grad), (w, layer.weight.grad), (b, layer.bias.grad)):
             flat = target.reshape(-1)
             numeric = np.zeros_like(flat)
             for i in range(flat.size):
@@ -75,25 +87,14 @@ class TestConv2d:
 
 class TestPoolingAndUpsampling:
     def test_upsample_nearest_values(self):
-        x = Tensor(np.arange(4, dtype=np.float32).reshape(1, 1, 2, 2))
-        up = F.upsample_nearest(x, 2)
+        up = F.upsample_nearest_array(np.arange(4, dtype=np.float32).reshape(1, 1, 2, 2), 2)
         assert up.shape == (1, 1, 4, 4)
-        np.testing.assert_array_equal(up.numpy()[0, 0, :2, :2], np.zeros((2, 2)))
-        np.testing.assert_array_equal(up.numpy()[0, 0, 2:, 2:], np.full((2, 2), 3.0))
+        np.testing.assert_array_equal(up[0, 0, :2, :2], np.zeros((2, 2)))
+        np.testing.assert_array_equal(up[0, 0, 2:, 2:], np.full((2, 2), 3.0))
 
     def test_upsample_gradient_sums_blocks(self):
-        x = Tensor(np.ones((1, 1, 2, 2), dtype=np.float32), requires_grad=True)
-        F.upsample_nearest(x, 2).sum().backward()
-        np.testing.assert_array_equal(x.grad, np.full((1, 1, 2, 2), 4.0))
-
-    def test_avg_pool_values(self):
-        x = Tensor(np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4))
-        pooled = F.avg_pool2d(x, 2)
-        np.testing.assert_allclose(pooled.numpy()[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_avg_pool_requires_divisible(self):
-        with pytest.raises(ValueError):
-            F.avg_pool2d(Tensor(np.zeros((1, 1, 5, 4))), 2)
+        grad = F.upsample_nearest_backward(np.ones((1, 1, 4, 4), dtype=np.float32), 2)
+        np.testing.assert_array_equal(grad, np.full((1, 1, 2, 2), 4.0))
 
 
 class TestSoftmaxAndLosses:
@@ -123,55 +124,44 @@ class TestSoftmaxAndLosses:
         targets = np.eye(2, dtype=np.float32)[np.zeros(5, dtype=int)]
         assert F.cross_entropy_with_logits(logits, targets).item() == pytest.approx(np.log(2), rel=1e-3)
 
-    def test_kl_divergence_zero_when_matching(self):
-        target = np.array([[0.25, 0.75]], dtype=np.float32)
-        logits = Tensor(np.log(target))
-        kl = F.kl_divergence_categorical(target, logits).item()
-        assert abs(kl) < 1e-4
-
-    def test_kl_divergence_positive_when_mismatched(self):
-        target = np.array([[0.9, 0.1]], dtype=np.float32)
-        logits = Tensor(np.zeros((1, 2), dtype=np.float32))
-        assert F.kl_divergence_categorical(target, logits).item() > 0.1
-
 
 class TestNormalisation:
     def test_group_norm_normalises_groups(self):
         rng = np.random.default_rng(2)
-        x = Tensor(rng.normal(loc=3.0, scale=2.0, size=(2, 4, 5, 5)).astype(np.float32))
-        weight = Tensor(np.ones(4, dtype=np.float32))
-        bias = Tensor(np.zeros(4, dtype=np.float32))
-        out = F.group_norm(x, 2, weight, bias).numpy()
+        x = rng.normal(loc=3.0, scale=2.0, size=(2, 4, 5, 5)).astype(np.float32)
+        out = F.group_norm_array(x, 2, np.ones(4, np.float32), np.zeros(4, np.float32))
         grouped = out.reshape(2, 2, -1)
         np.testing.assert_allclose(grouped.mean(axis=-1), np.zeros((2, 2)), atol=1e-4)
         np.testing.assert_allclose(grouped.std(axis=-1), np.ones((2, 2)), atol=1e-2)
 
     def test_group_norm_rejects_bad_groups(self):
         with pytest.raises(ValueError):
-            F.group_norm(Tensor(np.zeros((1, 3, 2, 2))), 2, Tensor(np.ones(3)), Tensor(np.zeros(3)))
+            F.group_norm_array(np.zeros((1, 3, 2, 2)), 2, np.ones(3), np.zeros(3))
 
     def test_layer_norm_normalises_last_axis(self):
         rng = np.random.default_rng(3)
-        x = Tensor(rng.normal(loc=-1.0, scale=3.0, size=(4, 8)).astype(np.float32))
-        out = F.layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8))).numpy()
+        x = rng.normal(loc=-1.0, scale=3.0, size=(4, 8)).astype(np.float32)
+        out = LayerNorm(8).infer(x)
         np.testing.assert_allclose(out.mean(axis=-1), np.zeros(4), atol=1e-4)
 
 
 class TestDropoutAndEmbeddingInputs:
     def test_dropout_identity_in_eval(self):
         x = Tensor(np.ones((4, 4), dtype=np.float32))
-        out = F.dropout(x, 0.5, np.random.default_rng(0), training=False)
+        out = Dropout(0.5, np.random.default_rng(0)).eval()(x)
         np.testing.assert_array_equal(out.numpy(), x.numpy())
 
     def test_dropout_scales_surviving_units(self):
-        x = Tensor(np.ones((1000,), dtype=np.float32))
-        out = F.dropout(x, 0.5, np.random.default_rng(0), training=True).numpy()
-        assert set(np.unique(out)).issubset({0.0, 2.0})
-        assert abs(out.mean() - 1.0) < 0.15
+        x = Tensor(np.ones((1000,), dtype=np.float32), requires_grad=True)
+        out = Dropout(0.5, np.random.default_rng(0))(x)
+        assert set(np.unique(out.numpy())).issubset({0.0, 2.0})
+        assert abs(out.numpy().mean() - 1.0) < 0.15
+        out.sum().backward()
+        np.testing.assert_array_equal(x.grad, out.numpy())
 
     def test_dropout_invalid_rate(self):
         with pytest.raises(ValueError):
-            F.dropout(Tensor(np.ones(3)), 1.0, np.random.default_rng(0), training=True)
+            Dropout(1.0, np.random.default_rng(0))(Tensor(np.ones(3)))
 
     def test_sinusoidal_embedding_shape_and_range(self):
         emb = F.sinusoidal_embedding(np.array([0, 1, 100]), 16)
@@ -188,99 +178,14 @@ class TestDropoutAndEmbeddingInputs:
 
 
 # --------------------------------------------------------------------------- #
-# Single-node operators against the primitive-op compositions they replaced
+# One-node layers against the primitive-op compositions they replaced
 # --------------------------------------------------------------------------- #
-# The references below are the taped implementations the one-node operators
+# Each layer call is one tape node over an array kernel and its VJP.  The
+# references (tests/taped_oracles.py) are the taped implementations it
 # superseded: an as_strided im2col + einsum convolution with a col2im
-# backward, and group_norm / linear / softmax / log_softmax / silu composed
-# from primitive Tensor ops.  VJPs must agree to a tolerance fixed up front.
+# backward, and the other layers composed from primitive Tensor ops.  VJPs
+# must agree to a tolerance fixed up front.
 VJP_TOL = {"rtol": 1e-5, "atol": 1e-6}
-
-
-def _ref_im2col(x, kh, kw, stride, pad):
-    n, c = x.shape[:2]
-    x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    out_h = (x.shape[2] - kh) // stride + 1
-    out_w = (x.shape[3] - kw) // stride + 1
-    s0, s1, s2, s3 = x.strides
-    view = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, kh, kw, out_h, out_w),
-        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
-        writeable=False,
-    )
-    return np.ascontiguousarray(view).reshape(n, c * kh * kw, out_h * out_w), out_h, out_w
-
-
-def _ref_col2im(cols, x_shape, kh, kw, stride, pad):
-    n, c, h, w = x_shape
-    hp, wp = h + 2 * pad, w + 2 * pad
-    out_h = (hp - kh) // stride + 1
-    out_w = (wp - kw) // stride + 1
-    cols = cols.reshape(n, c, kh, kw, out_h, out_w)
-    padded = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            padded[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += cols[
-                :, :, i, j
-            ]
-    return padded[:, :, pad : pad + h, pad : pad + w]
-
-
-def ref_conv2d(x, weight, bias=None, stride=1, padding=0):
-    n, c, h, w = x.shape
-    oc, _, kh, kw = weight.shape
-    cols, out_h, out_w = _ref_im2col(x.data, kh, kw, stride, padding)
-    w_mat = weight.data.reshape(oc, -1)
-    out = np.einsum("ok,nkl->nol", w_mat, cols, optimize=True)
-    if bias is not None:
-        out = out + bias.data.reshape(1, oc, 1)
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward_fn(grad):
-        grad_mat = grad.reshape(n, oc, out_h * out_w)
-        if bias is not None:
-            bias._accumulate(grad_mat.sum(axis=(0, 2)))
-        grad_w = np.einsum("nol,nkl->ok", grad_mat, cols, optimize=True)
-        weight._accumulate(grad_w.reshape(weight.shape))
-        grad_cols = np.einsum("ok,nol->nkl", w_mat, grad_mat, optimize=True)
-        x._accumulate(_ref_col2im(grad_cols, (n, c, h, w), kh, kw, stride, padding))
-
-    return x._make(out.reshape(n, oc, out_h, out_w), parents, backward_fn)
-
-
-def ref_linear(x, weight, bias=None):
-    out = x @ weight.transpose()
-    return out if bias is None else out + bias
-
-
-def ref_group_norm(x, num_groups, weight, bias, eps=1e-5):
-    n, c, h, w = x.shape
-    grouped = x.reshape(n, num_groups, c // num_groups * h * w)
-    mean = grouped.mean(axis=2, keepdims=True)
-    centred = grouped - mean
-    var = (centred * centred).mean(axis=2, keepdims=True)
-    normed = (centred / ((var + eps) ** 0.5)).reshape(n, c, h, w)
-    return normed * weight.reshape(1, c, 1, 1) + bias.reshape(1, c, 1, 1)
-
-
-def ref_softmax(x, axis=-1):
-    exp = (x - Tensor(x.data.max(axis=axis, keepdims=True))).exp()
-    return exp / exp.sum(axis=axis, keepdims=True)
-
-
-def ref_log_softmax(x, axis=-1):
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
-
-
-def ref_silu(x):
-    sig = 1.0 / (1.0 + np.exp(-x.data))
-
-    def backward_fn(grad):
-        x._accumulate(grad * (sig + x.data * sig * (1.0 - sig)))
-
-    return x._make(x.data * sig, (x,), backward_fn)
 
 
 def _leaves(arrays, grad_flags):
@@ -324,6 +229,23 @@ def assert_matches_finite_differences(op, arrays, out, leaves, upstream, seed=1,
     assert numeric == pytest.approx(analytic, rel=2e-2, abs=2e-2)
 
 
+def layer_op(layer):
+    """``op(x, *params)``: one call of ``layer`` with ``params`` as its parameters.
+
+    The given tensors replace the layer's parameters, so its VJP accumulates
+    into them and the helpers above can treat the layer like a function.
+    """
+    names = [name for name, _ in layer.named_parameters()]
+
+    def op(x, *params):
+        for name, param in zip(names, params):
+            layer._parameters[name] = param
+            object.__setattr__(layer, name, param)
+        return layer(x)
+
+    return op
+
+
 def _array(rng, shape, scale=1.0):
     return (rng.normal(size=shape) * scale).astype(np.float32)
 
@@ -338,6 +260,11 @@ CONV_CASES = {
 }
 
 
+def _conv_layer(spec):
+    oc, ic, k, _ = spec["w"]
+    return Conv2d(ic, oc, k, stride=spec["stride"], padding=spec["padding"], bias=spec["bias"])
+
+
 class TestSingleNodeConv2d:
     @pytest.mark.parametrize("case", sorted(CONV_CASES))
     def test_forward_is_the_array_kernel(self, case):
@@ -345,10 +272,8 @@ class TestSingleNodeConv2d:
         rng = np.random.default_rng(0)
         x, w = _array(rng, spec["x"]), _array(rng, spec["w"])
         b = _array(rng, spec["w"][:1]) if spec["bias"] else None
-        taped = F.conv2d(
-            Tensor(x), Tensor(w), None if b is None else Tensor(b),
-            stride=spec["stride"], padding=spec["padding"],
-        )
+        params = [Tensor(w)] + ([] if b is None else [Tensor(b)])
+        taped = layer_op(_conv_layer(spec))(Tensor(x), *params)
         np.testing.assert_array_equal(
             taped.data, F.conv2d_array(x, w, b, stride=spec["stride"], padding=spec["padding"])
         )
@@ -360,13 +285,10 @@ class TestSingleNodeConv2d:
         arrays = [_array(rng, spec["x"]), _array(rng, spec["w"], 0.5)]
         if spec["bias"]:
             arrays.append(_array(rng, spec["w"][:1]))
-        kwargs = dict(stride=spec["stride"], padding=spec["padding"])
-
-        def op(*t):
-            return F.conv2d(*t, **kwargs)
+        op = layer_op(_conv_layer(spec))
 
         def ref(*t):
-            return ref_conv2d(*t, **kwargs)
+            return ref_conv2d(*t, stride=spec["stride"], padding=spec["padding"])
 
         out, leaves, upstream = assert_vjp_matches(op, ref, arrays)
         assert_matches_finite_differences(op, arrays, out, leaves, upstream)
@@ -375,7 +297,7 @@ class TestSingleNodeConv2d:
         rng = np.random.default_rng(2)
         arrays = [_array(rng, (2, 3, 6, 6)), _array(rng, (4, 3, 3, 3)), _array(rng, (4,))]
         assert_vjp_matches(
-            lambda *t: F.conv2d(*t, padding=1),
+            layer_op(Conv2d(3, 4, 3, padding=1)),
             lambda *t: ref_conv2d(*t, padding=1),
             arrays,
             grad_flags=[False, True, True],
@@ -390,15 +312,18 @@ class TestSingleNodeLinear:
         arrays = [_array(rng, x_shape), _array(rng, (6, 4))]
         if bias:
             arrays.append(_array(rng, (6,)))
-        taped = F.linear(*(Tensor(a) for a in arrays))
+        op = layer_op(Linear(4, 6, bias=bias))
+        taped = op(*(Tensor(a) for a in arrays))
         np.testing.assert_array_equal(taped.data, F.linear_array(*arrays))
-        out, leaves, upstream = assert_vjp_matches(F.linear, ref_linear, arrays)
-        assert_matches_finite_differences(F.linear, arrays, out, leaves, upstream)
+        out, leaves, upstream = assert_vjp_matches(op, ref_linear, arrays)
+        assert_matches_finite_differences(op, arrays, out, leaves, upstream)
 
     def test_input_without_grad_gets_none(self):
         rng = np.random.default_rng(4)
         arrays = [_array(rng, (3, 7, 4)), _array(rng, (6, 4)), _array(rng, (6,))]
-        assert_vjp_matches(F.linear, ref_linear, arrays, grad_flags=[False, True, True])
+        assert_vjp_matches(
+            layer_op(Linear(4, 6)), ref_linear, arrays, grad_flags=[False, True, True]
+        )
 
 
 class TestSingleNodeGroupNorm:
@@ -410,9 +335,7 @@ class TestSingleNodeGroupNorm:
             (1.0 + _array(rng, (8,), 0.3)).astype(np.float32),
             _array(rng, (8,), 0.3),
         ]
-
-        def op(*t):
-            return F.group_norm(t[0], groups, t[1], t[2])
+        op = layer_op(GroupNorm(groups, 8))
 
         def ref(*t):
             return ref_group_norm(t[0], groups, t[1], t[2])
@@ -427,11 +350,54 @@ class TestSingleNodeGroupNorm:
         rng = np.random.default_rng(6)
         arrays = [_array(rng, (2, 8, 3, 3)), np.ones(8, np.float32), np.zeros(8, np.float32)]
         assert_vjp_matches(
-            lambda *t: F.group_norm(t[0], 2, t[1], t[2]),
+            layer_op(GroupNorm(2, 8)),
             lambda *t: ref_group_norm(t[0], 2, t[1], t[2]),
             arrays,
             grad_flags=[False, True, True],
         )
+
+
+class TestSingleNodeLayerNorm:
+    @pytest.mark.parametrize("x_shape", [(5, 8), (3, 7, 8)], ids=["2d", "3d"])
+    def test_forward_is_the_tape_and_vjp_matches(self, x_shape):
+        rng = np.random.default_rng(10)
+        arrays = [
+            (_array(rng, x_shape, 3.0) - 1.0).astype(np.float32),
+            (1.0 + _array(rng, (8,), 0.3)).astype(np.float32),
+            _array(rng, (8,), 0.3),
+        ]
+        op = layer_op(LayerNorm(8))
+        # The kernel keeps the composition's arithmetic, so forwards agree bit for bit.
+        np.testing.assert_array_equal(
+            op(*(Tensor(a) for a in arrays)).data,
+            ref_layer_norm(*(Tensor(a) for a in arrays)).data,
+        )
+        out, leaves, upstream = assert_vjp_matches(op, ref_layer_norm, arrays)
+        assert_matches_finite_differences(op, arrays, out, leaves, upstream)
+
+    def test_input_without_grad_gets_none(self):
+        rng = np.random.default_rng(11)
+        arrays = [_array(rng, (4, 8)), np.ones(8, np.float32), np.zeros(8, np.float32)]
+        assert_vjp_matches(
+            layer_op(LayerNorm(8)), ref_layer_norm, arrays, grad_flags=[False, True, True]
+        )
+
+
+class TestSingleNodeEmbedding:
+    def test_forward_and_vjp_match_the_gather(self):
+        # Repeated indices: the VJP must add, not assign, into a row.
+        indices = np.array([[1, 4, 1], [0, 4, 4]])
+        weight = _array(np.random.default_rng(12), (6, 5))
+        layer, new, old = Embedding(6, 5), Tensor(weight, True), Tensor(weight, True)
+        out = layer_op(layer)(indices, new)
+        expected = ref_embedding(old, indices)
+        np.testing.assert_array_equal(out.data, expected.data)
+        assert out._parents == (new,)
+        upstream = np.random.default_rng(13).normal(size=out.shape).astype(np.float32)
+        out.backward(upstream)
+        expected.backward(upstream)
+        np.testing.assert_allclose(new.grad, old.grad, **VJP_TOL)
+        assert not new.grad[[2, 3, 5]].any()
 
 
 class TestSingleNodeSoftmaxAndSilu:
@@ -465,14 +431,17 @@ class TestSingleNodeSoftmaxAndSilu:
 
     def test_silu(self):
         arrays = [_array(np.random.default_rng(9), (4, 6), 2.0)]
-        np.testing.assert_array_equal(Tensor(arrays[0]).silu().data, F.silu_array(arrays[0]))
-        out, leaves, upstream = assert_vjp_matches(lambda t: t.silu(), ref_silu, arrays)
-        assert_matches_finite_differences(lambda t: t.silu(), arrays, out, leaves, upstream)
+        silu = SiLU()
+        np.testing.assert_array_equal(silu(Tensor(arrays[0])).data, F.silu_array(arrays[0]))
+        out, leaves, upstream = assert_vjp_matches(silu, ref_silu, arrays)
+        assert_matches_finite_differences(silu, arrays, out, leaves, upstream)
 
     def test_each_is_one_node(self):
         x = Tensor(np.zeros((2, 3), np.float32), requires_grad=True)
-        for out in (F.softmax(x), F.log_softmax(x), x.silu()):
+        for out in (F.softmax(x), F.log_softmax(x), SiLU()(x)):
             assert out._parents == (x,)
+        layer = Linear(3, 4)
+        assert layer(x)._parents == (x, layer.weight, layer.bias)
 
 
 def test_hotspot_training_step_graph_stays_small():

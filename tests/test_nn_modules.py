@@ -16,9 +16,11 @@ from repro.nn import (
     Module,
     Parameter,
     Sequential,
+    Sigmoid,
     SiLU,
     Tensor,
     clip_grad_norm,
+    no_grad,
     load_checkpoint,
     save_checkpoint,
 )
@@ -138,6 +140,68 @@ class TestLayers:
         np.testing.assert_array_equal(layer(x).numpy(), x.numpy())
         layer.train()
         assert (layer(x).numpy() == 0.0).any()
+
+
+def _protocol_net(seed=0):
+    rng = np.random.default_rng(seed)
+    return Sequential(
+        Conv2d(2, 3, 3, padding=1, rng=rng),
+        GroupNorm(1, 3),
+        SiLU(),
+        Dropout(0.3, rng=rng),
+        Conv2d(3, 1, 3, stride=2, padding=1, rng=rng),
+        Sigmoid(),
+    )
+
+
+def _call_and_grads(net, forward, input_grad=True):
+    x = Tensor(np.random.default_rng(1).normal(size=(2, 2, 6, 6)), requires_grad=input_grad)
+    out = forward(net, x)
+    out.backward(np.random.default_rng(2).normal(size=out.shape).astype(np.float32))
+    return out, x.grad, [p.grad for p in net.parameters()]
+
+
+def _per_layer(net, x):
+    for layer in net.layers:
+        x = layer(x)
+    return x
+
+
+class TestModuleProtocol:
+    """A module call is ONE tape node over ``infer`` and ``backward``."""
+
+    def test_composite_call_records_one_node(self):
+        net = _protocol_net()
+        x = Tensor(np.ones((2, 2, 6, 6), dtype=np.float32), requires_grad=True)
+        out = net(x)
+        assert out._parents == (x, *net.parameters())
+        assert sum(1 for node in out.graph() if node._backward_fn is not None) == 1
+
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_composite_equals_per_layer_tape(self, input_grad):
+        # Same kernels and VJPs, chained by Sequential.backward instead of by
+        # the tape: values, dropout draws and gradients agree bit for bit.
+        out, dx, grads = _call_and_grads(_protocol_net(), lambda n, x: n(x), input_grad)
+        ref_out, ref_dx, ref_grads = _call_and_grads(_protocol_net(), _per_layer, input_grad)
+        np.testing.assert_array_equal(out.data, ref_out.data)
+        for grad, ref in zip(grads, ref_grads):
+            np.testing.assert_array_equal(grad, ref)
+        if input_grad:
+            np.testing.assert_array_equal(dx, ref_dx)
+        else:
+            assert dx is None and ref_dx is None
+
+    def test_eval_call_is_infer(self):
+        net = _protocol_net().eval()
+        x = np.random.default_rng(3).normal(size=(2, 2, 6, 6)).astype(np.float32)
+        np.testing.assert_array_equal(net(Tensor(x)).data, net.infer(x))
+
+    def test_no_grad_call_records_nothing(self):
+        net = _protocol_net()
+        with no_grad():
+            out = net(Tensor(np.ones((1, 2, 6, 6), dtype=np.float32), requires_grad=True))
+        assert not out.requires_grad
+        assert out._parents == () and out._backward_fn is None
 
 
 class TestOptimisers:

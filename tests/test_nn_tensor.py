@@ -7,7 +7,7 @@ activations and matrix multiplication.
 
 import numpy as np
 
-from repro.nn import Tensor, concatenate, ones, randn, stack, tensor, zeros
+from repro.nn import SiLU, Tensor, concatenate, ones, randn, stack, tensor, zeros
 
 
 def numerical_grad(func, x: np.ndarray, eps: float = 1e-3) -> np.ndarray:
@@ -122,7 +122,7 @@ class TestActivationsGradients:
         check_gradient(lambda t: t.relu().sum(), x)
 
     def test_silu(self):
-        check_gradient(lambda t: t.silu().sum(), np.random.default_rng(11).normal(size=(5,)))
+        check_gradient(lambda t: SiLU()(t).sum(), np.random.default_rng(11).normal(size=(5,)))
 
     def test_clip_gradient_mask(self):
         t = Tensor(np.array([-2.0, 0.0, 2.0], dtype=np.float32), requires_grad=True)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from taped_oracles import ref_silu, ref_upsample_nearest
+
 from repro.nn import Tensor, UNet, UNetConfig, concatenate, no_grad
 from repro.nn import functional as F
 from repro.nn.unet import ResidualBlock, SelfAttention2d, TimestepEmbedding, _norm_groups
@@ -117,23 +119,25 @@ class TestUNetForwardBackward:
 # --------------------------------------------------------------------------- #
 # Oracle: the per-layer taped forward the one-node U-Net replaced
 # --------------------------------------------------------------------------- #
-# These are the deleted ``forward`` methods of the U-Net submodules, composed
-# from the taped layer operators, so the tape differentiates them layer by
-# layer.  The one-node reverse pass must reproduce their gradients.
+# These are the deleted ``forward`` methods of the U-Net submodules: each
+# layer is its own tape node (SiLU and upsampling primitive tape ops), so the
+# tape differentiates the network layer by layer and sums the skip and
+# time-embedding gradients itself.  The one-node reverse pass must reproduce
+# their gradients.
 
 
 def taped_time_embedding(emb, timesteps):
     base = F.sinusoidal_embedding(timesteps, emb.model_channels)
-    hidden = emb.dense_in(Tensor(base)).silu()
-    return emb.dense_out(hidden).silu()
+    hidden = ref_silu(emb.dense_in(Tensor(base)))
+    return ref_silu(emb.dense_out(hidden))
 
 
 def taped_residual_block(block, x, time_emb):
-    hidden = block.conv1(block.norm1(x).silu())
-    time_term = block.time_proj(time_emb.silu())
+    hidden = block.conv1(ref_silu(block.norm1(x)))
+    time_term = block.time_proj(ref_silu(time_emb))
     batch, channels = time_term.shape
     hidden = hidden + time_term.reshape(batch, channels, 1, 1)
-    hidden = block.conv2(block.dropout(block.norm2(hidden).silu()))
+    hidden = block.conv2(block.dropout(ref_silu(block.norm2(hidden))))
     return hidden + block.skip(x)
 
 
@@ -155,7 +159,7 @@ def taped_block(kind, module, hidden, time_emb):
         return taped_attention(module, hidden)
     if kind == "down":
         return module.conv(hidden)
-    return module.conv(F.upsample_nearest(hidden, 2))
+    return module.conv(ref_upsample_nearest(hidden, 2))
 
 
 def taped_unet(net, x_onehot, timesteps):
@@ -176,7 +180,7 @@ def taped_unet(net, x_onehot, timesteps):
         if kind == "res":
             hidden = concatenate([hidden, skips.pop()], axis=1)
         hidden = taped_block(kind, module, hidden, time_emb)
-    out = net.conv_out(net.norm_out(hidden).silu())
+    out = net.conv_out(ref_silu(net.norm_out(hidden)))
     return out.reshape(
         x_onehot.shape[0],
         config.in_channels,

@@ -3,8 +3,8 @@
 The engine's contract is strong: for a fixed seed, the generated topology
 tensors are *element-wise identical* no matter how the samples are chunked —
 one at a time (the sequential sampler), one big batch, or any chunk size in
-between.  The gradient-free forward pass must also equal the taped forward
-pass bit for bit, while building no autodiff tape at all.
+between.  The gradient-free forward pass must also equal a taped U-Net call
+bit for bit, while building no autodiff tape at all.
 """
 
 import numpy as np
@@ -12,6 +12,7 @@ import pytest
 
 from repro.diffusion import DiffusionConfig, DiscreteDiffusion
 from repro.nn import Tensor, UNet, UNetConfig, is_grad_enabled, no_grad
+from repro.nn import functional as F
 from repro.pipeline import SamplingEngine, resolve_seed
 
 
@@ -96,14 +97,15 @@ class TestInferenceForwardParity:
     def test_group_norm_array_matches_taped_on_large_mean_inputs(self):
         # Regression: a two-moment variance (E[x²]−E[x]²) cancels in float32
         # once a feature map's mean dwarfs its spread; the array kernel must
-        # use the centred variance, like the taped group_norm.
-        from repro.nn import functional as F
+        # use the centred variance, like the primitive-op composition.
+        from taped_oracles import ref_group_norm
+
         from repro.nn.modules import GroupNorm
 
         norm = GroupNorm(4, 8)
         rng = np.random.default_rng(0)
         x = (rng.normal(0.0, 0.01, size=(2, 8, 6, 6)) + 30.0).astype(np.float32)
-        taped = norm(Tensor(x)).numpy()
+        taped = ref_group_norm(Tensor(x), 4, norm.weight, norm.bias).numpy()
         inferred = norm.infer(x)
         np.testing.assert_allclose(taped, inferred, rtol=1e-3, atol=1e-3)
         assert F.group_norm_array(x, 4, norm.weight.data, norm.bias.data).shape == x.shape
@@ -144,10 +146,17 @@ class TestEngineParity:
         with pytest.raises(ValueError):
             engine.sample(2, seed=0, first_index=-1)
 
-    def test_inference_and_taped_paths_agree(self, diffusion):
-        fast = SamplingEngine(diffusion, batch_size=4, inference=True)
-        slow = SamplingEngine(diffusion, batch_size=4, inference=False)
-        np.testing.assert_array_equal(fast.sample(4, seed=5), slow.sample(4, seed=5))
+    def test_inference_and_taped_paths_agree(self, diffusion, monkeypatch):
+        # The engine runs UNet.infer; a taped U-Net call (one node over
+        # infer) must draw the same samples.
+        fast = SamplingEngine(diffusion, batch_size=4).sample(4, seed=5)
+
+        def taped_probs(xk, k):
+            return F.softmax(diffusion.predict_x0_logits(xk, k), axis=2).numpy()
+
+        monkeypatch.setattr(diffusion, "predict_x0_probs", taped_probs)
+        slow = SamplingEngine(diffusion, batch_size=4).sample(4, seed=5)
+        np.testing.assert_array_equal(fast, slow)
 
     def test_shapes_and_values(self, engine):
         samples = engine.sample(3, seed=0)
