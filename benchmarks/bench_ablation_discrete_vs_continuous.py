@@ -22,6 +22,7 @@ from repro.diffusion import (
     gaussian_unet_config,
 )
 from repro.nn import UNet, UNetConfig
+from repro.pipeline import SamplingEngine
 from repro.prefilter import TopologyPrefilter
 from repro.squish import unfold
 
@@ -63,7 +64,7 @@ def bench_ablation_discrete_vs_continuous(benchmark, bench_dataset):
     )
     discrete.fit(tensors, iterations=_ITERATIONS, batch_size=8, rng=0)
     discrete_samples = benchmark.pedantic(
-        lambda: discrete.sample(_NUM_SAMPLES, rng=0), rounds=1, iterations=1
+        lambda: SamplingEngine(discrete).sample(_NUM_SAMPLES, seed=0), rounds=1, iterations=1
     )
     discrete_quality = _sample_quality(discrete_samples)
 

@@ -40,8 +40,8 @@ from repro.legalization import (
     LegalizationEngine,
     SolverOptions,
     clear_compilation_cache,
+    compilation_cache_info,
     compiled_for_topology,
-    set_compilation_cache_capacity,
     solve_geometry,
     solve_geometry_chunk,
 )
@@ -141,12 +141,13 @@ def bench_batched_legalization(benchmark, bench_dataset, bench_config):
     # Hold the whole working set in the compile cache and pre-warm it once,
     # so both sides measure solver throughput rather than constraint
     # compilation (identical either way, and bench_solver_kernel's job).
-    set_compilation_cache_capacity(max(2 * BATCH_TOPOLOGIES, 32))
+    # The cache holds a fixed number of kernels, so the pool of distinct
+    # matrices is capped at that (fast mode's pool is half of it).
     clear_compilation_cache()
     try:
         pool = _fast_path_pool(
             list(bench_dataset.topology_matrices("train")), rules, options
-        )
+        )[: compilation_cache_info()["capacity"]]
         assert pool, "no repair-eligible topology in the benchmark dataset"
         topologies = _cycle(pool, BATCH_TOPOLOGIES)
         compiled = [compiled_for_topology(t, rules) for t in topologies]
@@ -196,7 +197,6 @@ def bench_batched_legalization(benchmark, bench_dataset, bench_config):
         engine_speedup = engine_serial_s / engine_batched_s
     finally:
         clear_compilation_cache()
-        set_compilation_cache_capacity(None)
 
     # Chunking changes throughput only: identical output, every field.
     parity = _signatures(batched_results) == _signatures(serial_results)

@@ -77,9 +77,10 @@ def main() -> int:
         "--chunk-size",
         type=int,
         default=None,
-        help="samples per streamed graph step (memory knob only — the "
-        "generated patterns are identical for any value; the --generate "
-        "count runs one barrier chunk)",
+        help="samples denoised per reverse pass and pulled per streamed "
+        "graph step (memory knob only — the generated patterns are "
+        "identical for any value; the --generate count runs one barrier "
+        "chunk)",
     )
     parser.add_argument(
         "--library",
@@ -131,13 +132,9 @@ def main() -> int:
         if args.library is not None
         else None
     )
-    chunk = (
-        plan.config.stream_chunk_size
-        if plan.config.stream_chunk_size is not None
-        else plan.config.sample_batch_size
-    )
     print(f"[3/4] generation graph: sample -> prefilter -> legalize -> DRC "
-          f"(chunks of {chunk}, workers={plan.config.workers}) ...")
+          f"(chunks of {plan.config.sample_batch_size}, "
+          f"workers={plan.config.workers}) ...")
     result = pipeline.generate_and_legalize(
         plan.num_generated,
         num_solutions=plan.num_solutions,

@@ -83,7 +83,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--chunk-size", type=int, default=None, metavar="N",
-        help="override engine.stream_chunk_size (memory knob only)",
+        help="override engine.sample_batch_size (memory knob only)",
     )
     parser.add_argument(
         "--solver-mode", choices=("auto", "slsqp"), default=None,
@@ -297,7 +297,7 @@ def knob_overrides(
     if workers is not None:
         engine["workers"] = workers
     if chunk_size is not None:
-        engine["stream_chunk_size"] = chunk_size
+        engine["sample_batch_size"] = chunk_size
     if solver_mode is not None:
         engine["solver_mode"] = solver_mode
     sampling = {}

@@ -2,11 +2,11 @@
 
 :class:`DiscreteDiffusion` couples a U-Net ``x_0``-posterior predictor with a
 :class:`~repro.diffusion.transition.DiscreteTransitionModel` and implements
-
-* the hybrid training loss of Eq. (9):
-  ``KL(q(x_{k-1}|x_k,x_0) || p_θ(x_{k-1}|x_k)) − λ log p_θ(x_0 | x_k)``,
-* ancestral sampling (Eq. 13) from the uniform stationary distribution down
-  to a fresh binary topology tensor.
+the hybrid training loss of Eq. (9):
+``KL(q(x_{k-1}|x_k,x_0) || p_θ(x_{k-1}|x_k)) − λ log p_θ(x_0 | x_k)``.
+Ancestral sampling (Eq. 13) from the stationary distribution down to a fresh
+topology tensor is :class:`repro.pipeline.SamplingEngine`, which reads the
+model through :meth:`DiscreteDiffusion.predict_x0_probs`.
 
 The state arrays handled here are integer tensors of shape ``(N, C, M, M)``
 where ``C`` is the deep-squish channel count and every entry is in
@@ -23,7 +23,7 @@ from ..nn import Adam, Tensor, UNet, UNetConfig, clip_grad_norm
 from ..nn import functional as F
 from ..utils import as_rng
 from .schedule import NoiseSchedule, linear_schedule
-from .transition import DiscreteTransitionModel, one_hot, sample_categorical
+from .transition import DiscreteTransitionModel, one_hot
 
 
 @dataclass
@@ -187,7 +187,7 @@ class DiscreteDiffusion:
     def predict_x0_probs(self, xk: np.ndarray, k: "int | np.ndarray") -> np.ndarray:
         """Softmax of the ``p_θ(x_0 | x_k)`` logits as a plain array.
 
-        Runs :meth:`UNet.infer`, off the tape: the hot path of the samplers.
+        Runs :meth:`UNet.infer`, off the tape: the hot path of the sampler.
         """
         logits = self.model.infer(self._model_input_array(xk), _timesteps(xk, k))
         return F.softmax_array(logits, axis=2)
@@ -305,94 +305,6 @@ class DiscreteDiffusion:
             if callback is not None:
                 callback(iteration, metrics)
         return history
-
-    # ------------------------------------------------------------------ #
-    # sampling (Eq. 13)
-    # ------------------------------------------------------------------ #
-    def sample(
-        self,
-        num_samples: int,
-        rng: "int | np.random.Generator | None" = None,
-        return_chain: bool = False,
-        chain_stride: int = 1,
-        greedy_final: bool = True,
-        batch_size: "int | None" = None,
-    ) -> "np.ndarray | tuple[np.ndarray, list[np.ndarray]]":
-        """Generate fresh topology tensors by reverse diffusion.
-
-        Returns an integer array of shape ``(num_samples, C, M, M)``; with
-        ``return_chain=True`` also the list of intermediate states (every
-        ``chain_stride`` steps, ending with the final sample) for Fig. 6.
-        ``greedy_final`` takes the mode of ``p_θ(x_0 | x_1)`` at the last step
-        instead of sampling it, which removes residual salt-and-pepper noise
-        (standard practice for discrete diffusion samplers).
-
-        The denoising network runs off the tape (:meth:`predict_x0_probs`).
-        ``batch_size`` caps how many samples are denoised per reverse pass:
-        larger batches amortise the per-step Python overhead, smaller ones
-        bound peak memory.  For chunk-*invariant* results under a shared seed
-        use :class:`repro.pipeline.SamplingEngine`, which seeds every sample
-        independently.
-        """
-        gen = as_rng(rng)
-        was_training = self.model.training
-        self.model.eval()
-        try:
-            chunk = num_samples if batch_size is None else max(1, int(batch_size))
-            finals: list[np.ndarray] = []
-            chains: list[list[np.ndarray]] = []
-            for start in range(0, num_samples, chunk):
-                count = min(chunk, num_samples - start)
-                final, chain = self._sample_chunk(
-                    count, gen, return_chain, chain_stride, greedy_final
-                )
-                finals.append(final)
-                chains.append(chain)
-            xk = finals[0] if len(finals) == 1 else np.concatenate(finals, axis=0)
-        finally:
-            if was_training:
-                self.model.train()
-        if return_chain:
-            merged = [
-                parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
-                for parts in zip(*chains)
-            ]
-            return xk, merged
-        return xk
-
-    def _sample_chunk(
-        self,
-        num_samples: int,
-        gen: np.random.Generator,
-        return_chain: bool,
-        chain_stride: int,
-        greedy_final: bool,
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Denoise one batch of ``num_samples`` states from ``x_K`` to ``x_0``."""
-        cfg = self.model.config
-        shape = (num_samples, cfg.in_channels, cfg.image_size, cfg.image_size)
-        xk = self.transition.sample_stationary(shape, gen)
-        chain: list[np.ndarray] = [xk.copy()] if return_chain else []
-        for step in range(self.config.num_steps, 0, -1):
-            probs_x0 = self.predict_x0_probs(xk, step)
-            probs_x0 = np.moveaxis(probs_x0, 2, -1)  # (N, C, M, M, S)
-            if step == 1:
-                # p_theta(x_0 | x_1): emit the clean tensor directly.
-                if greedy_final:
-                    xk = probs_x0.argmax(axis=-1).astype(np.int64)
-                    if return_chain:
-                        chain.append(xk.copy())
-                    break
-                probs_prev = probs_x0
-            else:
-                posterior_all = self.transition.posterior_probs_all_x0(xk, step)
-                probs_prev = np.einsum("...i,...ij->...j", probs_x0, posterior_all)
-            xk = sample_categorical(probs_prev, gen)
-            if return_chain and (
-                (self.config.num_steps - step) % chain_stride == 0 or step == 1
-            ):
-                chain.append(xk.copy())
-        return xk, chain
 
     # ------------------------------------------------------------------ #
     # convenience constructors

@@ -186,17 +186,6 @@ class DiscreteTransitionModel:
             raise ValueError("xk and x0 must have the same shape")
         return self.posterior_table(k)[xk, x0]
 
-    def posterior_probs_all_x0(self, xk: np.ndarray, k: int) -> np.ndarray:
-        """``q(x_{k-1} | x_k, x_0 = i)`` for every possible clean state ``i``.
-
-        Returns an array of shape ``xk.shape + (S, S)`` indexed as
-        ``[..., i, s]`` — the posterior over ``x_{k-1}=s`` assuming ``x_0=i``.
-        Used to marginalise the model's ``p_θ(x_0 | x_k)`` into
-        ``p_θ(x_{k-1} | x_k)`` (Eq. 11).
-        """
-        xk = self._validate_states(xk)
-        return self.posterior_table(k)[xk]
-
     # ------------------------------------------------------------------ #
     # helpers
     # ------------------------------------------------------------------ #
@@ -241,7 +230,7 @@ def categorical_from_uniforms(probs: np.ndarray, uniforms: np.ndarray) -> np.nda
     Splitting the random draw from the inversion lets callers control the
     uniform stream per sample — the batched sampling engine uses one
     deterministic stream per sample index so a batch of any size reproduces
-    the sequential sampler bit for bit.
+    one-at-a-time sampling bit for bit.
     """
     probs = np.asarray(probs, dtype=np.float64)
     cumulative = probs.cumsum(axis=-1)

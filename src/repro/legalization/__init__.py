@@ -14,7 +14,6 @@ from .compiled import (
     compilation_cache_info,
     compile_constraints,
     compiled_for_topology,
-    set_compilation_cache_capacity,
 )
 from .constraints import (
     IntervalConstraint,
@@ -51,7 +50,6 @@ __all__ = [
     "compiled_for_topology",
     "compilation_cache_info",
     "clear_compilation_cache",
-    "set_compilation_cache_capacity",
     "BatchCompiledConstraints",
     "ChunkSolveOutcome",
     "solve_geometry_chunk",

@@ -45,7 +45,6 @@ topologies in a batch.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 
 import numpy as np
@@ -60,7 +59,6 @@ __all__ = [
     "compiled_for_topology",
     "compilation_cache_info",
     "clear_compilation_cache",
-    "set_compilation_cache_capacity",
 ]
 
 
@@ -334,61 +332,9 @@ def compile_constraints(
 # only cross-call repeats of the same topology go through the LRU — so a
 # small window captures it.
 _CACHE: "OrderedDict[tuple, CompiledConstraints]" = OrderedDict()
-_CACHE_CAPACITY_DEFAULT = 32
+_CACHE_CAPACITY = 32
 _CACHE_HITS = 0
 _CACHE_MISSES = 0
-
-
-def _env_capacity(strict: bool) -> int:
-    """Resolve the capacity from ``REPRO_COMPILE_CACHE`` (or the default).
-
-    Serve workloads that interleave many scenarios (and hence many distinct
-    topologies per process) can raise the window without code changes.  At
-    import time a malformed value silently falls back to the default so that
-    ``import repro`` never fails; :func:`set_compilation_cache_capacity`
-    re-reads it strictly.
-    """
-    env = os.environ.get("REPRO_COMPILE_CACHE", "").strip()
-    if not env:
-        return _CACHE_CAPACITY_DEFAULT
-    try:
-        capacity = int(env)
-    except ValueError:
-        if strict:
-            raise ValueError(
-                f"REPRO_COMPILE_CACHE must be a positive integer, got {env!r}"
-            ) from None
-        return _CACHE_CAPACITY_DEFAULT
-    if capacity < 1:
-        if strict:
-            raise ValueError(
-                f"REPRO_COMPILE_CACHE must be a positive integer, got {env!r}"
-            )
-        return _CACHE_CAPACITY_DEFAULT
-    return capacity
-
-
-_CACHE_CAPACITY = _env_capacity(strict=False)
-
-
-def set_compilation_cache_capacity(capacity: "int | None" = None) -> int:
-    """Resize the process-local compilation LRU; returns the new capacity.
-
-    ``None`` re-reads ``REPRO_COMPILE_CACHE`` (strictly — a malformed value
-    raises here) and falls back to the built-in default of
-    ``_CACHE_CAPACITY_DEFAULT`` entries.  Shrinking evicts the
-    least-recently-used kernels immediately; counters are untouched.
-    """
-    global _CACHE_CAPACITY
-    if capacity is None:
-        capacity = _env_capacity(strict=True)
-    capacity = int(capacity)
-    if capacity < 1:
-        raise ValueError(f"compilation cache capacity must be >= 1, got {capacity}")
-    _CACHE_CAPACITY = capacity
-    while len(_CACHE) > _CACHE_CAPACITY:
-        _CACHE.popitem(last=False)
-    return _CACHE_CAPACITY
 
 
 def compiled_for_topology(
@@ -407,7 +353,7 @@ def compiled_for_topology(
     constraints = extract_constraints(grid, rules.width_min, rules.space_min)
     compiled = compile_constraints(constraints, rules)
     _CACHE[key] = compiled
-    while len(_CACHE) > _CACHE_CAPACITY:
+    if len(_CACHE) > _CACHE_CAPACITY:
         _CACHE.popitem(last=False)
     return compiled
 

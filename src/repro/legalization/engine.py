@@ -8,7 +8,8 @@ mirrors the design of :class:`~repro.pipeline.SamplingEngine`:
 * **Embarrassingly parallel hot path** — each topology needs one independent
   nonlinear solve (or several, in DiffPattern-L mode), so the batch is
   sharded across a ``concurrent.futures.ProcessPoolExecutor``.  At
-  ``workers=1`` the engine runs serially in-process with zero pool overhead.
+  ``workers=1`` the engine runs in-process with zero pool overhead, and
+  each call is one chunk solve over the whole batch.
 
 * **Shard-invariant determinism** — every topology index owns an independent
   random stream spawned from ``(seed, index)`` via
@@ -24,9 +25,9 @@ mirrors the design of :class:`~repro.pipeline.SamplingEngine`:
   reports topologies/second, patterns/second and how much aggregate solver
   time the wall-clock run amortised.
 
-The ``chunk_size`` knob trades scheduling overhead against load balance:
-smaller chunks keep slow solves from starving idle workers, without changing
-any output value.
+Across the pool the batch is split into about four chunks per worker, so
+one hard solve cannot starve idle workers; the ``chunk_size`` constructor
+argument fixes the chunk length instead.  Neither changes any output value.
 
 The pool is created per batch call and torn down with it — forking is cheap
 on Linux and nothing can leak between runs; the reference library is shipped
@@ -165,10 +166,16 @@ def _init_worker(
 
 def _legalize_shard(
     payload: "tuple[int, list[np.ndarray], int, int]",
+    legalizer: "Legalizer | None" = None,
 ) -> "tuple[int, list[LegalizedTopology], LegalizationStats]":
-    """Legalise one chunk inside a worker; returns ``(start_index, results, stats)``."""
+    """Legalise one chunk; returns ``(start_index, results, stats)``.
+
+    Runs on ``legalizer`` in-process, or on the worker's own legaliser
+    inside the pool.
+    """
     start_index, topologies, num_solutions, base_seed = payload
-    legalizer = _WORKER_LEGALIZER
+    if legalizer is None:
+        legalizer = _WORKER_LEGALIZER
     if legalizer is None:  # pragma: no cover - initializer always ran
         raise RuntimeError("worker process was not initialised")
     legalizer.stats = LegalizationStats()
@@ -191,11 +198,12 @@ class LegalizationEngine:
     options:
         Numerical solver options.
     workers:
-        Process-pool width.  ``1`` (the default) runs serially in-process;
-        ``None`` uses :func:`default_workers`.
+        Process-pool width.  ``1`` (the default) runs in-process; ``None``
+        uses :func:`default_workers`.
     chunk_size:
-        Topologies per pool task.  ``None`` derives a balanced default from
-        the batch and worker count.  Output never depends on this value.
+        Topologies per chunk solve.  ``None`` solves an in-process call as
+        one chunk and splits a pooled call into about four chunks per
+        worker.  Output never depends on this value.
     """
 
     def __init__(
@@ -228,7 +236,6 @@ class LegalizationEngine:
         topologies: "np.ndarray | list[np.ndarray]",
         num_solutions: int = 1,
         seed: "int | np.random.Generator | None" = 0,
-        chunk_size: "int | None" = None,
         first_index: int = 0,
     ) -> list[LegalizedTopology]:
         """Legalise a batch; element ``i`` depends only on ``(seed, i)``.
@@ -239,11 +246,7 @@ class LegalizationEngine:
         windows reproduces one monolithic call bit for bit.
         """
         results, _ = self.legalize_batch_with_report(
-            topologies,
-            num_solutions=num_solutions,
-            seed=seed,
-            chunk_size=chunk_size,
-            first_index=first_index,
+            topologies, num_solutions=num_solutions, seed=seed, first_index=first_index
         )
         return results
 
@@ -252,7 +255,6 @@ class LegalizationEngine:
         topologies: "np.ndarray | list[np.ndarray]",
         num_solutions: int = 1,
         seed: "int | np.random.Generator | None" = 0,
-        chunk_size: "int | None" = None,
         first_index: int = 0,
     ) -> tuple[list[LegalizedTopology], LegalizationReport]:
         """Like :meth:`legalize_batch` but also returns the throughput report."""
@@ -260,7 +262,7 @@ class LegalizationEngine:
             raise ValueError("first_index must be >= 0")
         batch = [np.asarray(t) for t in topologies]
         base_seed = resolve_seed(seed)
-        chunk = self._resolve_chunk_size(len(batch), chunk_size)
+        chunk = self._chunk_size(len(batch))
         shards = [
             (first_index + start, batch[start : start + chunk], int(num_solutions), base_seed)
             for start in range(0, len(batch), chunk)
@@ -283,7 +285,7 @@ class LegalizationEngine:
                 reference_geometries=self.reference_geometries,
                 options=self.options,
             )
-            outputs = [self._run_shard_serial(shard, legalizer) for shard in shards]
+            outputs = [_legalize_shard(shard, legalizer) for shard in shards]
         else:
             outputs = self._run_shards_parallel(shards)
         report.total_seconds = time.perf_counter() - start_total
@@ -329,12 +331,9 @@ class LegalizationEngine:
         topologies: "np.ndarray | list[np.ndarray]",
         num_solutions: int = 1,
         seed: "int | np.random.Generator | None" = 0,
-        chunk_size: "int | None" = None,
     ) -> list[SquishPattern]:
         """Flatten :meth:`legalize_batch` into the final pattern library."""
-        results = self.legalize_batch(
-            topologies, num_solutions=num_solutions, seed=seed, chunk_size=chunk_size
-        )
+        results = self.legalize_batch(topologies, num_solutions=num_solutions, seed=seed)
         return [pattern for result in results for pattern in result.patterns]
 
     @property
@@ -350,27 +349,14 @@ class LegalizationEngine:
         supervised serve worker), which may not start a pool."""
         return self.workers == 1 or multiprocessing.current_process().daemon
 
-    def _resolve_chunk_size(self, num_topologies: int, chunk_size: "int | None") -> int:
-        chunk = chunk_size if chunk_size is not None else self.chunk_size
-        if chunk is None:
-            # Aim for ~4 chunks per worker so one hard solve cannot starve
-            # the pool, without drowning it in per-task overhead.
-            chunk = max(1, -(-num_topologies // (4 * self.workers)))
-        if chunk < 1:
-            raise ValueError("chunk_size must be >= 1")
-        return int(chunk)
-
-    def _run_shard_serial(
-        self,
-        shard: "tuple[int, list[np.ndarray], int, int]",
-        legalizer: Legalizer,
-    ) -> "tuple[int, list[LegalizedTopology], LegalizationStats]":
-        start_index, topologies, num_solutions, base_seed = shard
-        legalizer.stats = LegalizationStats()
-        results = legalizer.legalize_batch(
-            topologies, num_solutions=num_solutions, rng=base_seed, first_index=start_index
-        )
-        return start_index, results, legalizer.stats
+    def _chunk_size(self, num_topologies: int) -> int:
+        if self.chunk_size is not None:
+            return int(self.chunk_size)
+        if self._in_process():
+            return max(1, num_topologies)
+        # Aim for ~4 chunks per worker so one hard solve cannot starve the
+        # pool, without drowning it in per-task overhead.
+        return max(1, -(-num_topologies // (4 * self.workers)))
 
     def _run_shards_parallel(
         self, shards: "list[tuple[int, list[np.ndarray], int, int]]"

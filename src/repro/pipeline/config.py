@@ -51,31 +51,25 @@ class DiffPatternConfig:
     train_iterations: int = 200
     #: Training mini-batch size.
     batch_size: int = 16
-    #: Chunk size of the batched sampling engine: how many topologies are
-    #: denoised per reverse pass.  Purely a memory/throughput trade-off — the
-    #: generated samples are identical for any value (per-sample seeding).
+    #: Samples denoised per reverse pass of the sampling engine, and pulled
+    #: per step of the streaming generation graph.  Purely a
+    #: memory/throughput trade-off — the generated samples are identical for
+    #: any value (per-sample seeding).
     sample_batch_size: int = 32
     #: Process-pool width of the legalization engine.  ``1`` legalises
     #: serially in-process; ``None`` sizes the pool to the host CPU count
     #: (capped at 8 — see ``repro.legalization.default_workers``).  Output is
     #: element-wise identical for any value (per-index seeding).
     workers: "int | None" = 1
-    #: Topologies per legalization pool task; ``None`` derives a balanced
-    #: default from the batch and worker count.  Never changes output values.
-    legalize_chunk_size: "int | None" = None
     #: Legalisation solve strategy: ``"auto"`` tries the deterministic repair
     #: projection before falling back to SLSQP (fastest; deterministic per
     #: seed), ``"slsqp"`` always runs the full solve (bit-identical to the
     #: historical solver — the ``paper-tables`` scenario pins it).
     solver_mode: str = "auto"
-    #: Samples pulled per streaming-generation-graph step (``None`` falls
-    #: back to ``sample_batch_size``).  Bounds peak memory of a streamed
-    #: ``run()``; the generated result is identical for any value.
-    stream_chunk_size: "int | None" = None
     #: Denoising steps the sampler walks per sample.  ``None`` walks the
     #: full trained chain; a smaller value samples the evenly respaced
     #: few-step chain (that many U-Net evaluations per sample — see
-    #: ``docs/sampling.md``).  Unlike the chunk/worker knobs this *changes
+    #: ``docs/sampling.md``).  Unlike the batch/worker knobs this *changes
     #: the sampled values* (except at the full chain length, which is
     #: bit-identical to ``None``); the few-step quality gate in
     #: ``benchmarks/bench_fewstep_sampling.py`` bounds the cost.

@@ -251,30 +251,19 @@ class DiffPatternPipeline:
         self,
         use_reference_geometries: bool = True,
         workers: "int | None" = None,
-        chunk_size: "int | None" = None,
     ) -> LegalizationEngine:
         """A legalization engine configured for this pipeline.
 
-        ``workers`` / ``chunk_size`` default to the config knobs
-        (:attr:`DiffPatternConfig.workers`,
-        :attr:`DiffPatternConfig.legalize_chunk_size`).  The engine is
-        cached until the dataset or a knob changes, so repeated legalise
-        calls skip re-extracting the reference geometries from the dataset
-        (the engine itself re-buckets them once per batch call).
+        ``workers`` defaults to :attr:`DiffPatternConfig.workers`.  The
+        engine is cached until the dataset or a knob changes, so repeated
+        legalise calls skip re-extracting the reference geometries from the
+        dataset (the engine itself re-buckets them once per batch call).
         """
         workers = workers if workers is not None else self.config.workers
-        chunk_size = (
-            chunk_size if chunk_size is not None else self.config.legalize_chunk_size
-        )
         # The dataset is compared by identity (and retained, so a freed
         # object's address can never alias it); dataclass equality would
         # compare whole pattern arrays.
-        key = (
-            use_reference_geometries,
-            workers,
-            chunk_size,
-            self.config.solver_mode,
-        )
+        key = (use_reference_geometries, workers, self.config.solver_mode)
         if (
             self._legalization_engine is None
             or self._legalization_engine_dataset is not self.dataset
@@ -290,7 +279,6 @@ class DiffPatternPipeline:
                 reference_geometries=references,
                 options=SolverOptions(solver_mode=self.config.solver_mode),
                 workers=workers,
-                chunk_size=chunk_size,
             )
             self._legalization_engine_key = key
             self._legalization_engine_dataset = self.dataset
@@ -308,13 +296,12 @@ class DiffPatternPipeline:
         use_reference_geometries: bool = True,
         rng: "int | np.random.Generator | None" = None,
         workers: "int | None" = None,
-        chunk_size: "int | None" = None,
     ) -> GenerationResult:
         """Pre-filter and legalise generated topologies into a pattern library.
 
         ``num_solutions=1`` is DiffPattern-S; larger values give DiffPattern-L.
         The batch is sharded across ``workers`` processes (config default);
-        results are element-wise identical for any worker count / chunk size.
+        results are element-wise identical for any worker count.
 
         Returns
         -------
@@ -325,9 +312,7 @@ class DiffPatternPipeline:
         """
         filtered = self.prefilter.filter(list(topologies))
         engine = self.legalization_engine(
-            use_reference_geometries=use_reference_geometries,
-            workers=workers,
-            chunk_size=chunk_size,
+            use_reference_geometries=use_reference_geometries, workers=workers
         )
         results, report = engine.legalize_batch_with_report(
             filtered.kept, num_solutions=num_solutions, seed=rng
@@ -356,31 +341,26 @@ class DiffPatternPipeline:
         chunk_size: "int | None" = None,
         num_solutions: int = 1,
         workers: "int | None" = None,
-        legalize_chunk_size: "int | None" = None,
         retain_topologies: bool = True,
         library=None,
         on_chunk=None,
     ):
         """A :class:`~repro.pipeline.GenerationGraph` over this pipeline's stages.
 
-        ``chunk_size`` defaults to :attr:`DiffPatternConfig.stream_chunk_size`
-        (falling back to ``sample_batch_size``); it only bounds peak memory —
-        the generated result is element-wise identical for any value.
+        ``chunk_size`` defaults to :attr:`DiffPatternConfig.sample_batch_size`;
+        it only bounds peak memory — the generated result is element-wise
+        identical for any value.
         ``on_chunk`` is forwarded to the graph: a callback fired with each
         live :class:`~repro.pipeline.StreamChunk` as it completes.
         """
         from .stages import GenerationGraph
 
-        if chunk_size is None:
-            chunk_size = self.config.stream_chunk_size
-        if chunk_size is None:
-            chunk_size = self.config.sample_batch_size
         return GenerationGraph(
             self.sampling_engine(),
             self.prefilter,
-            self.legalization_engine(workers=workers, chunk_size=legalize_chunk_size),
+            self.legalization_engine(workers=workers),
             self.checker,
-            chunk_size=chunk_size,
+            chunk_size=chunk_size if chunk_size is not None else self.config.sample_batch_size,
             num_solutions=num_solutions,
             retain_topologies=retain_topologies,
             library=library,

@@ -120,7 +120,6 @@ def measure_batch_legalization(
     options: "SolverOptions | None" = None,
     num_solutions: int = 1,
     workers: "int | None" = 1,
-    chunk_size: "int | None" = None,
     seed: "int | np.random.Generator | None" = 0,
 ) -> LegalizationReport:
     """Wall-clock throughput of the sharded legalization engine on a batch.
@@ -134,7 +133,6 @@ def measure_batch_legalization(
         reference_geometries=reference_geometries,
         options=options,
         workers=workers,
-        chunk_size=chunk_size,
     )
     _, report = engine.legalize_batch_with_report(
         list(topologies), num_solutions=num_solutions, seed=seed
@@ -236,7 +234,6 @@ def run_efficiency_experiment(
         reference_geometries=references,
         options=options,
         workers=workers if workers is not None else pipeline.config.workers,
-        chunk_size=pipeline.config.legalize_chunk_size,
         seed=gen,
     )
     return EfficiencyReport(

@@ -1,9 +1,9 @@
 """Batched, gradient-free inference engine for topology-tensor sampling.
 
-:class:`SamplingEngine` is the single entry point the pipeline, the Table II
-efficiency harness and the benchmark scripts use to draw topology tensors
-from a trained :class:`~repro.diffusion.DiscreteDiffusion` model.  It differs
-from calling ``DiscreteDiffusion.sample`` directly in three ways:
+:class:`SamplingEngine` is the one reverse-diffusion (Eq. 13) sampler of a
+trained :class:`~repro.diffusion.DiscreteDiffusion` model: the pipeline, the
+Table II efficiency harness and the benchmark scripts all draw topology
+tensors through it.  It has four properties:
 
 * **Gradient-free batched hot path** — every denoising step runs the whole
   chunk through ``UNet.infer`` (raw float32 arrays, no autodiff tape) and
@@ -13,9 +13,8 @@ from calling ``DiscreteDiffusion.sample`` directly in three ways:
 * **Chunk-invariant determinism** — every sample index owns an independent
   random stream seeded from ``(seed, index)``.  The result of drawing sample
   ``i`` is therefore bitwise identical whether it is generated alone, inside
-  a batch of 8, or as part of chunk 3 of a thousand-sample run.  Batched
-  output is element-wise equal to the sequential sampler under the same seed,
-  which is what the parity tests assert.
+  a batch of 8, or as part of chunk 3 of a thousand-sample run, which is
+  what the parity tests assert.
 
 * **Per-phase throughput accounting** — the engine reports how long was
   spent in the network (``model``) versus the categorical mixing / RNG work
@@ -205,7 +204,6 @@ class SamplingEngine:
         num_samples: int,
         seed: "int | np.random.Generator | None" = 0,
         greedy_final: bool = True,
-        batch_size: "int | None" = None,
         first_index: int = 0,
     ) -> np.ndarray:
         """Draw ``num_samples`` topology tensors; shape ``(N, C, M, M)``.
@@ -214,6 +212,9 @@ class SamplingEngine:
         samples owned by indices ``[first_index, first_index + num_samples)``
         of the seed's virtual sequence, so a streaming caller pulling
         consecutive windows reproduces one monolithic call bit for bit.
+        ``greedy_final`` takes the mode of ``p_θ(x_0 | x_1)`` at the last
+        step instead of sampling it, which removes residual salt-and-pepper
+        noise (standard practice for discrete diffusion samplers).
 
         Raises
         ------
@@ -221,11 +222,7 @@ class SamplingEngine:
             If ``num_samples`` < 1 or ``first_index`` < 0.
         """
         samples, _ = self.sample_with_report(
-            num_samples,
-            seed=seed,
-            greedy_final=greedy_final,
-            batch_size=batch_size,
-            first_index=first_index,
+            num_samples, seed=seed, greedy_final=greedy_final, first_index=first_index
         )
         return samples
 
@@ -234,17 +231,11 @@ class SamplingEngine:
         num_samples: int,
         seed: "int | np.random.Generator | None" = 0,
         greedy_final: bool = True,
-        batch_size: "int | None" = None,
         first_index: int = 0,
     ) -> tuple[np.ndarray, SamplingReport]:
         """Like :meth:`sample` but also returns the per-phase throughput."""
         samples, _, report = self._run(
-            num_samples,
-            seed=seed,
-            greedy_final=greedy_final,
-            batch_size=batch_size,
-            recorder=None,
-            first_index=first_index,
+            num_samples, seed, greedy_final, recorder=None, first_index=first_index
         )
         return samples, report
 
@@ -254,7 +245,6 @@ class SamplingEngine:
         seed: "int | np.random.Generator | None" = 0,
         chain_stride: int = 1,
         greedy_final: bool = True,
-        batch_size: "int | None" = None,
     ) -> tuple[np.ndarray, list[np.ndarray]]:
         """Sample and keep the intermediate chain states (for Fig. 6).
 
@@ -262,14 +252,8 @@ class SamplingEngine:
         ``(N, C, M, M)`` states starting at ``x_K`` and ending at the final
         sample, recorded every ``chain_stride`` steps.
         """
-        recorder_stride = max(1, int(chain_stride))
         samples, chains, _ = self._run(
-            num_samples,
-            seed=seed,
-            greedy_final=greedy_final,
-            batch_size=batch_size,
-            recorder=recorder_stride,
-            first_index=0,
+            num_samples, seed, greedy_final, recorder=max(1, int(chain_stride))
         )
         return samples, chains
 
@@ -281,7 +265,6 @@ class SamplingEngine:
         num_samples: int,
         seed: "int | np.random.Generator | None",
         greedy_final: bool,
-        batch_size: "int | None",
         recorder: "int | None",
         first_index: int = 0,
     ) -> tuple[np.ndarray, list[np.ndarray], SamplingReport]:
@@ -290,13 +273,12 @@ class SamplingEngine:
         if first_index < 0:
             raise ValueError("first_index must be >= 0")
         base_seed = resolve_seed(seed)
-        chunk_size = self.batch_size if batch_size is None else max(1, int(batch_size))
-        num_chunks = (num_samples + chunk_size - 1) // chunk_size
+        chunk_size = self.batch_size
         report = SamplingReport(
             num_samples=num_samples,
             num_steps=self.schedule.num_steps,
             batch_size=chunk_size,
-            num_chunks=num_chunks,
+            num_chunks=-(-num_samples // chunk_size),
             chain_steps=self.schedule.chain_steps,
         )
 

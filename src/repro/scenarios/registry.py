@@ -42,7 +42,7 @@ BUILTIN_SCENARIOS: dict[str, dict] = {
         "description": "Seconds-scale end-to-end smoke run (CI gate scale)",
         "preset": "tiny",
         "training": {"iterations": 150, "num_patterns": 48},
-        "engine": {"stream_chunk_size": 4},
+        "engine": {"sample_batch_size": 4},
         "run": {"num_generated": 8, "num_solutions": 1, "seed": 0},
     },
     "paper-tables": {
@@ -68,7 +68,7 @@ BUILTIN_SCENARIOS: dict[str, dict] = {
         "description": "High-volume DiffPattern-L library build under normal rules",
         "preset": "laptop",
         "training": {"num_patterns": 512},
-        "engine": {"workers": 0, "stream_chunk_size": 32},
+        "engine": {"workers": 0},
         "run": {"num_generated": 256, "num_solutions": 4, "dedup": True, "seed": 0},
     },
     "sparse": {

@@ -73,13 +73,7 @@ _MODEL_KEYS = (
 )
 
 #: DiffPatternConfig fields settable through the ``engine`` section.
-_ENGINE_KEYS = (
-    "sample_batch_size",
-    "workers",
-    "legalize_chunk_size",
-    "stream_chunk_size",
-    "solver_mode",
-)
+_ENGINE_KEYS = ("sample_batch_size", "workers", "solver_mode")
 
 #: Engine fields that hold strings (everything else coerces through int).
 _ENGINE_STR_KEYS = ("solver_mode",)
@@ -123,9 +117,19 @@ _TOP_LEVEL_KEYS = ("description", "extends", "preset")
 #: Config fields that are tuples of ints; TOML/JSON deliver lists.
 _TUPLE_KEYS = ("channel_mult", "attention_resolutions")
 
-#: Engine fields where ``0`` in a scenario file means "auto" (``None`` in the
-#: config) — TOML has no null literal.
-_AUTO_KEYS = ("workers", "legalize_chunk_size", "stream_chunk_size")
+#: Smallest legal value of each integer size a scenario may set.  Checked at
+#: lowering, so an out-of-range size fails before any training starts.
+#: ``engine.workers: 0`` means "one per CPU" and is coerced to ``None``
+#: before the check.
+_MINIMUMS = {
+    ("engine", "sample_batch_size"): 1,
+    ("engine", "workers"): 0,
+    ("training", "iterations"): 0,
+    ("training", "batch_size"): 1,
+    ("training", "num_patterns"): 1,
+    ("run", "num_generated"): 1,
+    ("run", "num_solutions"): 1,
+}
 
 
 def _numeric(key: str, value: Any) -> "int | float":
@@ -142,7 +146,8 @@ def _numeric(key: str, value: Any) -> "int | float":
 def _coerce(section: str, key: str, value: Any) -> Any:
     if key in _TUPLE_KEYS and isinstance(value, (list, tuple)):
         return tuple(int(v) for v in value)
-    if section == "engine" and key in _AUTO_KEYS and value == 0:
+    # ``0`` means "auto" (``None`` in the config): TOML has no null literal.
+    if section == "engine" and key == "workers" and value == 0:
         return None
     if section == "sampling" and key == "steps" and value == 0:
         return None
@@ -285,8 +290,9 @@ class ScenarioSpec:
         Raises
         ------
         ScenarioError
-            If the spec still carries an unresolved ``extends`` link, or a
-            value fails the underlying config dataclass validation.
+            If the spec still carries an unresolved ``extends`` link, a size
+            is out of range, or a value fails the underlying config
+            dataclass validation.
         """
         from ..pipeline import DiffPatternConfig
 
@@ -297,6 +303,13 @@ class ScenarioSpec:
             )
         preset = self.preset if self.preset is not None else "tiny"
         try:
+            for (section, key), minimum in _MINIMUMS.items():
+                value = self.sections.get(section, {}).get(key)
+                if value is not None and int(value) < minimum:
+                    raise ScenarioError(
+                        f"scenario {self.name!r}: {section}.{key} must be "
+                        f">= {minimum}, got {value}"
+                    )
             rules = DesignRules(**self.sections.get("rules", {}))
             config = getattr(DiffPatternConfig, preset)(rules=rules)
             dataset_overrides = self.sections.get("dataset", {})
@@ -399,7 +412,7 @@ class RunPlan:
             f"  generation       {self.num_generated} topologies x "
             f"{self.num_solutions} solution(s), seed {self.seed}",
             f"  engine           sample_batch={cfg.sample_batch_size}, "
-            f"workers={cfg.workers}, stream_chunk={cfg.stream_chunk_size}, "
+            f"workers={cfg.workers}, "
             f"solver={cfg.solver_mode}, "
             f"dedup={'on' if self.dedup else 'off'}",
             f"  sampling         "

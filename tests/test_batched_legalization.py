@@ -30,7 +30,6 @@ from repro.legalization import (
     compilation_cache_info,
     compiled_for_topology,
     default_workers,
-    set_compilation_cache_capacity,
     solve_geometry,
     solve_geometry_chunk,
 )
@@ -387,39 +386,27 @@ class TestWorkersEnvOverride:
             default_workers()
 
 
-@pytest.fixture
-def restore_cache_capacity(monkeypatch):
-    yield monkeypatch
-    monkeypatch.delenv("REPRO_COMPILE_CACHE", raising=False)
-    clear_compilation_cache()
-    set_compilation_cache_capacity(None)
-
-
 class TestCompileCacheCapacity:
-    def test_capacity_evicts_lru(self, rules, restore_cache_capacity):
+    def test_capacity_evicts_lru(self, rules):
         clear_compilation_cache()
-        set_compilation_cache_capacity(2)
-        grids = [_blocky(8, 8, [(1, 1 + i, 1, 4)]) for i in range(1, 5)]
-        for grid in grids:
-            compiled_for_topology(grid, rules)
-        info = compilation_cache_info()
-        assert info["size"] == 2
-        assert info["capacity"] == 2
-        assert info["misses"] == 4
-
-    def test_env_var_sets_capacity(self, rules, restore_cache_capacity):
-        restore_cache_capacity.setenv("REPRO_COMPILE_CACHE", "3")
-        assert set_compilation_cache_capacity(None) == 3
-        assert compilation_cache_info()["capacity"] == 3
-
-    def test_malformed_env_raises_on_explicit_resize(self, restore_cache_capacity):
-        restore_cache_capacity.setenv("REPRO_COMPILE_CACHE", "lots")
-        with pytest.raises(ValueError):
-            set_compilation_cache_capacity(None)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            set_compilation_cache_capacity(0)
+        try:
+            capacity = compilation_cache_info()["capacity"]
+            assert capacity == 32
+            grids = [
+                _blocky(8, 8, [(row, row + 1, col, col + 1)])
+                for row in range(1, 7)
+                for col in range(1, 7)
+            ][: capacity + 2]
+            for grid in grids:
+                compiled_for_topology(grid, rules)
+            info = compilation_cache_info()
+            assert (info["size"], info["misses"]) == (capacity, capacity + 2)
+            compiled_for_topology(grids[-1], rules)  # newest: still cached
+            compiled_for_topology(grids[0], rules)  # oldest: evicted
+            info = compilation_cache_info()
+            assert (info["hits"], info["misses"]) == (1, capacity + 3)
+        finally:
+            clear_compilation_cache()
 
 
 class TestServeMetricsLegalization:

@@ -10,6 +10,7 @@ from repro.diffusion.d3pm import _hybrid_loss
 from repro.diffusion.transition import DiscreteTransitionModel, one_hot
 from repro.nn import Tensor, UNet, UNetConfig
 from repro.nn import functional as F
+from repro.pipeline import SamplingEngine
 
 
 def tiny_unet(channels=4, size=8, classes=2):
@@ -108,7 +109,7 @@ class TestAbsorbingTransitions:
     def test_sampling_raises_no_runtime_warning(self, absorbing):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            samples = absorbing.sample(2, rng=0)
+            samples = SamplingEngine(absorbing).sample(2, seed=0)
         assert samples.shape == (2, 4, 8, 8)
         assert ((samples >= 0) & (samples < 3)).all()
 
@@ -192,29 +193,32 @@ class TestTraining:
 
 
 class TestSampling:
+    """The model sampled through :class:`SamplingEngine`, its only sampler."""
+
     def test_sample_shape_and_binary_values(self, model):
-        samples = model.sample(3, rng=0)
+        samples = SamplingEngine(model).sample(3, seed=0)
         assert samples.shape == (3, 4, 8, 8)
         assert set(np.unique(samples)).issubset({0, 1})
 
     def test_sample_reproducible_with_seed(self, model):
-        a = model.sample(2, rng=42)
-        b = model.sample(2, rng=42)
+        a = SamplingEngine(model).sample(2, seed=42)
+        b = SamplingEngine(model, batch_size=1).sample(2, seed=42)
         np.testing.assert_array_equal(a, b)
 
     def test_sample_chain_returned(self, model):
-        final, chain = model.sample(1, rng=0, return_chain=True, chain_stride=2)
+        final, chain = SamplingEngine(model).sample_chain(1, seed=0, chain_stride=2)
         assert len(chain) >= 2
-        np.testing.assert_array_equal(chain[-1][0], final[0])
+        np.testing.assert_array_equal(chain[-1], final)
         # the chain starts from (roughly uniform) noise
         assert 0.2 < chain[0].mean() < 0.8
 
     def test_greedy_final_step_is_deterministic_given_chain(self, model):
-        a = model.sample(1, rng=7, greedy_final=True)
-        b = model.sample(1, rng=7, greedy_final=True)
-        np.testing.assert_array_equal(a, b)
+        # The greedy last step emits the mode of p(x_0 | x_1) for the chain's
+        # x_1, with no draw.
+        final, chain = SamplingEngine(model).sample_chain(2, seed=7, greedy_final=True)
+        np.testing.assert_array_equal(final, model.predict_x0_probs(chain[-2], 1).argmax(axis=2))
 
     def test_sampling_leaves_model_in_train_mode(self, model):
         model.model.train()
-        model.sample(1, rng=0)
+        SamplingEngine(model).sample(1, seed=0)
         assert model.model.training

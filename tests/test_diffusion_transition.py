@@ -156,7 +156,8 @@ class TestPosterior:
     def test_posterior_all_x0_matches_individual(self, binary_model):
         rng = np.random.default_rng(1)
         xk = rng.integers(0, 2, size=(3, 3))
-        all_post = binary_model.posterior_probs_all_x0(xk, 5)
+        # The gather the loss and the sampler use: [..., x_0, x_{k-1}].
+        all_post = binary_model.posterior_table(5)[xk]
         for clean_state in (0, 1):
             x0 = np.full_like(xk, clean_state)
             individual = binary_model.posterior_probs(xk, x0, 5)

@@ -75,10 +75,33 @@ class TestShardInvariance:
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 6])
     def test_chunk_size_does_not_change_output(self, rules, topology_batch, chunk):
-        engine = LegalizationEngine(rules, workers=1)
-        reference = engine.legalize_batch(topology_batch, num_solutions=2, seed=5)
-        chunked = engine.legalize_batch(topology_batch, num_solutions=2, seed=5, chunk_size=chunk)
+        reference = LegalizationEngine(rules, workers=1).legalize_batch(
+            topology_batch, num_solutions=2, seed=5
+        )
+        chunked = LegalizationEngine(rules, workers=1, chunk_size=chunk).legalize_batch(
+            topology_batch, num_solutions=2, seed=5
+        )
         assert signatures(reference) == signatures(chunked)
+
+    def test_in_process_call_is_one_chunk(self, rules, topology_batch):
+        # Without a pool there is nothing to balance: the whole call is one
+        # chunk solve, element-wise identical to chunks of one and to the
+        # pooled run.
+        batch = topology_batch + topology_batch[:2]
+        assert len(batch) == 8
+        whole, report = LegalizationEngine(rules, workers=1).legalize_batch_with_report(
+            batch, num_solutions=2, seed=6
+        )
+        assert (report.num_chunks, report.chunk_size) == (1, 8)
+        singles, single_report = LegalizationEngine(
+            rules, workers=1, chunk_size=1
+        ).legalize_batch_with_report(batch, num_solutions=2, seed=6)
+        assert single_report.num_chunks == 8
+        pooled, pooled_report = LegalizationEngine(rules, workers=2).legalize_batch_with_report(
+            batch, num_solutions=2, seed=6
+        )
+        assert pooled_report.num_chunks == 8  # ~4 tasks per worker
+        assert signatures(whole) == signatures(singles) == signatures(pooled)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_first_index_offsets_the_streams(self, rules, topology_batch, workers):
@@ -161,9 +184,11 @@ class TestShardInvariance:
         self, rules, topology_batch, references
     ):
         serial = LegalizationEngine(rules, reference_geometries=references, workers=1)
-        parallel = LegalizationEngine(rules, reference_geometries=references, workers=2)
+        parallel = LegalizationEngine(
+            rules, reference_geometries=references, workers=2, chunk_size=1
+        )
         a = serial.legalize_batch(topology_batch, num_solutions=2, seed=0)
-        b = parallel.legalize_batch(topology_batch, num_solutions=2, seed=0, chunk_size=1)
+        b = parallel.legalize_batch(topology_batch, num_solutions=2, seed=0)
         assert signatures(a) == signatures(b)
 
     def test_engine_reference_update_respected_serially(
@@ -176,10 +201,10 @@ class TestShardInvariance:
         engine.reference_geometries = references
         warm = engine.legalize_batch(topology_batch[:2], num_solutions=1, seed=0)
         assert signatures(cold) != signatures(warm)
-        parallel = LegalizationEngine(rules, reference_geometries=references, workers=2)
-        warm_parallel = parallel.legalize_batch(
-            topology_batch[:2], num_solutions=1, seed=0, chunk_size=1
+        parallel = LegalizationEngine(
+            rules, reference_geometries=references, workers=2, chunk_size=1
         )
+        warm_parallel = parallel.legalize_batch(topology_batch[:2], num_solutions=1, seed=0)
         assert signatures(warm) == signatures(warm_parallel)
 
     def test_prefix_stability(self, rules, topology_batch):
@@ -253,8 +278,8 @@ class TestStatsAndReport:
         assert "topologies/s" in report.format()
 
     def test_merged_stats_match_monolithic_run(self, rules, topology_batch):
-        engine = LegalizationEngine(rules, workers=2)
-        _, sharded = engine.legalize_batch_with_report(topology_batch, seed=1, chunk_size=1)
+        engine = LegalizationEngine(rules, workers=2, chunk_size=1)
+        _, sharded = engine.legalize_batch_with_report(topology_batch, seed=1)
         legalizer = Legalizer(rules)
         legalizer.legalize_batch(topology_batch, rng=1)
         mono = legalizer.stats
@@ -294,9 +319,6 @@ class TestArguments:
     def test_rejects_bad_chunk_size(self, rules):
         with pytest.raises(ValueError):
             LegalizationEngine(rules, chunk_size=0)
-        engine = LegalizationEngine(rules, workers=1)
-        with pytest.raises(ValueError):
-            engine.legalize_batch([np.ones((2, 2), dtype=np.uint8)], chunk_size=0)
 
     def test_workers_none_uses_host_default(self, rules):
         from repro.legalization import default_workers
@@ -368,9 +390,7 @@ class TestPipelineIntegration:
     def test_pipeline_legalize_worker_invariant(self, trained_tiny_pipeline, tiny_dataset):
         topologies = tiny_dataset.topology_matrices("test")[:4]
         serial = trained_tiny_pipeline.legalize(topologies, num_solutions=1, rng=0, workers=1)
-        parallel = trained_tiny_pipeline.legalize(
-            topologies, num_solutions=1, rng=0, workers=2, chunk_size=1
-        )
+        parallel = trained_tiny_pipeline.legalize(topologies, num_solutions=1, rng=0, workers=2)
         assert len(serial.patterns) == len(parallel.patterns)
         for a, b in zip(serial.patterns, parallel.patterns):
             np.testing.assert_array_equal(a.delta_x, b.delta_x)
@@ -386,15 +406,16 @@ class TestPipelineIntegration:
 
     def test_pipeline_engine_uses_config_knobs(self, trained_tiny_pipeline):
         config = trained_tiny_pipeline.config
-        original = (config.workers, config.legalize_chunk_size)
+        original = (config.workers, config.solver_mode)
         try:
             config.workers = 3
-            config.legalize_chunk_size = 2
+            config.solver_mode = "slsqp"
             engine = trained_tiny_pipeline.legalization_engine()
             assert engine.workers == 3
-            assert engine.chunk_size == 2
+            assert engine.options.solver_mode == "slsqp"
+            assert engine.chunk_size is None  # chunking is derived per call
         finally:
-            config.workers, config.legalize_chunk_size = original
+            config.workers, config.solver_mode = original
 
     def test_measure_batch_legalization(self, tiny_dataset, rules):
         from repro.pipeline import measure_batch_legalization

@@ -154,10 +154,8 @@ class TestEngineBitIdentity:
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     def test_bit_identity_holds_at_every_chunk_size(self, diffusion, chunk):
         reference = SamplingEngine(diffusion, batch_size=8).sample(7, seed=3)
-        respaced = SamplingEngine(diffusion, batch_size=8, steps=8)
-        np.testing.assert_array_equal(
-            reference, respaced.sample(7, seed=3, batch_size=chunk)
-        )
+        respaced = SamplingEngine(diffusion, batch_size=chunk, steps=8)
+        np.testing.assert_array_equal(reference, respaced.sample(7, seed=3))
 
     def test_strided_changes_values_deterministically(self, diffusion):
         full = SamplingEngine(diffusion, batch_size=8)
@@ -168,11 +166,9 @@ class TestEngineBitIdentity:
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
     def test_strided_is_chunk_invariant(self, diffusion, chunk):
-        strided = SamplingEngine(diffusion, batch_size=8, steps=3)
-        reference = strided.sample(7, seed=11)
-        np.testing.assert_array_equal(
-            reference, strided.sample(7, seed=11, batch_size=chunk)
-        )
+        reference = SamplingEngine(diffusion, batch_size=8, steps=3).sample(7, seed=11)
+        strided = SamplingEngine(diffusion, batch_size=chunk, steps=3)
+        np.testing.assert_array_equal(reference, strided.sample(7, seed=11))
 
     def test_strided_first_index_windows(self, diffusion):
         strided = SamplingEngine(diffusion, batch_size=8, steps=3)

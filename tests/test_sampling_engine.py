@@ -120,15 +120,16 @@ class TestInferenceForwardParity:
 
 
 class TestEngineParity:
-    def test_batched_equals_sequential(self, engine):
+    def test_batched_equals_sequential(self, diffusion, engine):
         batched = engine.sample(6, seed=0)
-        sequential = engine.sample(6, seed=0, batch_size=1)
+        sequential = SamplingEngine(diffusion, batch_size=1).sample(6, seed=0)
         np.testing.assert_array_equal(batched, sequential)
 
-    def test_chunking_does_not_change_samples(self, engine):
+    def test_chunking_does_not_change_samples(self, diffusion, engine):
         reference = engine.sample(7, seed=11)
         for chunk in (2, 3, 5, 7):
-            np.testing.assert_array_equal(reference, engine.sample(7, seed=11, batch_size=chunk))
+            chunked = SamplingEngine(diffusion, batch_size=chunk).sample(7, seed=11)
+            np.testing.assert_array_equal(reference, chunked)
 
     def test_prefix_stability(self, engine):
         many = engine.sample(6, seed=4)
@@ -163,9 +164,11 @@ class TestEngineParity:
         assert samples.shape == (3, 4, 8, 8)
         assert set(np.unique(samples)).issubset({0, 1})
 
-    def test_chain_parity_and_consistency(self, engine):
+    def test_chain_parity_and_consistency(self, diffusion, engine):
         samples, chain = engine.sample_chain(2, seed=0, chain_stride=2)
-        _, chain_seq = engine.sample_chain(2, seed=0, chain_stride=2, batch_size=1)
+        _, chain_seq = SamplingEngine(diffusion, batch_size=1).sample_chain(
+            2, seed=0, chain_stride=2
+        )
         assert len(chain) == len(chain_seq) >= 2
         for batched_state, seq_state in zip(chain, chain_seq):
             np.testing.assert_array_equal(batched_state, seq_state)
@@ -183,8 +186,6 @@ class TestEngineParity:
         diffusion.model.eval()
         engine.sample(1, seed=0)
         assert not diffusion.model.training
-        diffusion.sample(1, rng=0)
-        assert not diffusion.model.training
         diffusion.model.train()
 
     def test_rejects_bad_arguments(self, diffusion, engine):
@@ -195,8 +196,9 @@ class TestEngineParity:
 
 
 class TestEngineReport:
-    def test_report_phases_and_throughput(self, engine):
-        samples, report = engine.sample_with_report(5, seed=0, batch_size=2)
+    def test_report_phases_and_throughput(self, diffusion):
+        engine = SamplingEngine(diffusion, batch_size=2)
+        samples, report = engine.sample_with_report(5, seed=0)
         assert samples.shape[0] == 5
         assert report.num_samples == 5
         assert report.num_chunks == 3
@@ -247,7 +249,7 @@ class TestPosteriorTables:
         transition = diffusion.transition
         rng = np.random.default_rng(0)
         xk = rng.integers(0, 2, size=(2, 4, 8, 8))
-        probs = transition.posterior_probs_all_x0(xk, 3)
+        probs = transition.posterior_table(3)[xk]
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_float32_table_cached_separately(self, diffusion):
@@ -273,7 +275,7 @@ class TestPipelineIntegration:
     def test_generation_is_chunk_invariant(self, trained_tiny_pipeline):
         engine = trained_tiny_pipeline.sampling_engine()
         wide = engine.sample(5, seed=1)
-        narrow = engine.sample(5, seed=1, batch_size=2)
+        narrow = SamplingEngine(engine.diffusion, batch_size=2).sample(5, seed=1)
         np.testing.assert_array_equal(wide, narrow)
 
     def test_last_sampling_report_populated(self, trained_tiny_pipeline):

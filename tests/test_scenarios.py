@@ -33,6 +33,8 @@ class TestSpecValidation:
             # Removed knobs are unknown keys like any typo.
             ({"engine": {"batch_solve": False}}, "batch_solve"),
             ({"run": {"stream": False}}, "stream"),
+            ({"engine": {"stream_chunk_size": 4}}, "stream_chunk_size"),
+            ({"engine": {"legalize_chunk_size": 2}}, "legalize_chunk_size"),
         ):
             with pytest.raises(ScenarioError, match=key):
                 ScenarioSpec.from_dict("bad", payload)
@@ -93,6 +95,37 @@ class TestSpecValidation:
         spec = ScenarioSpec.from_dict("bad", {"engine": {"solver_mode": "newton"}})
         with pytest.raises(ScenarioError, match="newton"):
             spec.lower()
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("engine", "sample_batch_size", 0),
+            ("engine", "workers", -1),
+            ("training", "batch_size", 0),
+            ("training", "num_patterns", 0),
+            ("training", "iterations", -1),
+            ("run", "num_generated", 0),
+            ("run", "num_solutions", 0),
+        ],
+    )
+    def test_out_of_range_size_fails_at_lowering(self, section, key, value):
+        # Rejected at lowering, before a run spends its training time.
+        spec = builtin_registry().resolve("smoke").with_overrides({section: {key: value}})
+        with pytest.raises(ScenarioError, match=rf"'smoke': {section}\.{key} must be >="):
+            spec.lower()
+
+    def test_smallest_sizes_lower(self):
+        spec = ScenarioSpec.from_dict(
+            "small",
+            {
+                "engine": {"sample_batch_size": 1, "workers": 1},
+                "training": {"batch_size": 1, "num_patterns": 1, "iterations": 0},
+                "run": {"num_generated": 1, "num_solutions": 1},
+            },
+        )
+        plan = spec.lower()
+        assert (plan.config.sample_batch_size, plan.config.train_iterations) == (1, 0)
+        assert (plan.num_training_patterns, plan.num_generated) == (1, 1)
 
 
 # --------------------------------------------------------------------------- #
@@ -268,6 +301,12 @@ class TestLoweringParity:
     def test_lowering_is_repeatable(self):
         spec = builtin_registry().resolve("rule-migration")
         assert spec.lower().config == spec.lower().config
+
+    def test_stream_pulls_sample_batch_size_per_step(self):
+        registry = builtin_registry()
+        assert registry.resolve("smoke").lower().config.sample_batch_size == 4
+        assert registry.resolve("dense").lower().config.sample_batch_size == 32
+        assert "sample_batch=4," in registry.resolve("smoke").lower().summary()
 
     def test_paper_tables_lineage_pins_slsqp_but_hotspot_opts_out(self):
         registry = builtin_registry()

@@ -12,23 +12,33 @@ Usage::
     REPRO_BENCH_FAST=1 python -m pytest benchmarks/ -q --benchmark-disable
     python tools/collect_bench.py PR7                 # writes BENCH_PR7.json
     python tools/collect_bench.py PR7 --only fewstep_sampling table2
+    python tools/collect_bench.py LABEL --perfbench RESULTS_DIR
 
-The snapshot records no timestamps or host details on purpose: fast-mode
-metrics are deterministic per seed, so re-running the harnesses must
-reproduce the committed file bit-for-bit (timing-valued metrics are the
+The fast-mode part records no timestamps or host details on purpose:
+fast-mode metrics are deterministic per seed, so re-running the harnesses
+must reproduce that part bit-for-bit (timing-valued metrics are the
 exception and are expected to drift — the regression gate, not the snapshot,
 bounds those).
+
+``--perfbench RESULTS_DIR`` also folds in the results ``perfbench/run.py``
+saved under ``--results RESULTS_DIR``: per workload, the median of every
+end-to-end metric of ``BENCHMARK.json`` with its unit, the seeds and run
+count, the attempted/failed totals and the runs' ``host`` blocks (CPU,
+BLAS, thread pin, commit, source digest).  Wall-clock medians are only
+comparable between snapshots whose host blocks agree.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_DIR = REPO_ROOT / "benchmarks" / "results"
+BENCHMARK_JSON = REPO_ROOT / "BENCHMARK.json"
 
 
 def collect(results_dir: Path, only: "list[str] | None" = None) -> dict:
@@ -58,6 +68,51 @@ def collect(results_dir: Path, only: "list[str] | None" = None) -> dict:
     return metrics
 
 
+def collect_perfbench(results_dir: Path, benchmark: Path = BENCHMARK_JSON) -> dict:
+    """Per-workload medians of the correct, untraced perfbench results.
+
+    Traced runs are skipped (they report per-layer spans, not the gated
+    metrics); a workload whose runs used different ``--seconds`` did
+    different amounts of work, so its medians would mean nothing.
+    """
+    units = {m["name"]: m["unit"] for m in json.loads(benchmark.read_text())["end_to_end"]}
+    runs: dict[str, list[dict]] = {}
+    for path in sorted(results_dir.rglob("*.json")):
+        result = json.loads(path.read_text())
+        if result.get("trace") == 0 and result.get("correct"):
+            runs.setdefault(result["workload"], []).append(result)
+    if not runs:
+        raise FileNotFoundError(
+            f"no correct untraced perfbench results under {results_dir}; run "
+            "perfbench/run.py --trace 0 --results DIR first"
+        )
+    snapshot: dict[str, dict] = {}
+    for workload, results in sorted(runs.items()):
+        seconds = sorted({r["seconds"] for r in results})
+        if len(seconds) > 1:
+            raise ValueError(f"{workload}: runs mix --seconds {seconds}")
+        hosts: list[dict] = []
+        for result in results:
+            if result["host"] not in hosts:
+                hosts.append(result["host"])
+        snapshot[workload] = {
+            "seconds": seconds[0],
+            "seeds": sorted({r["seed"] for r in results}),
+            "runs": len(results),
+            "attempted": sum(r["attempted"] for r in results),
+            "failed": sum(r["failed"] for r in results),
+            "metrics": {
+                name: {
+                    "median": statistics.median(r["metrics"][name] for r in results),
+                    "unit": unit,
+                }
+                for name, unit in units.items()
+            },
+            "hosts": hosts,
+        }
+    return snapshot
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -73,17 +128,25 @@ def main(argv: "list[str] | None" = None) -> int:
         "--only", nargs="+", default=None, metavar="NAME",
         help="restrict the snapshot to these benchmark names",
     )
+    parser.add_argument(
+        "--perfbench", type=Path, default=None, metavar="DIR",
+        help="also fold in the perfbench results saved under DIR (run.py --results DIR)",
+    )
     args = parser.parse_args(argv)
 
     try:
         metrics = collect(args.results, args.only)
-    except FileNotFoundError as error:
+        snapshot = {"label": args.label, "benchmarks": metrics}
+        if args.perfbench is not None:
+            snapshot["perfbench"] = collect_perfbench(args.perfbench)
+    except (FileNotFoundError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
-    snapshot = {"label": args.label, "benchmarks": metrics}
     out = args.out if args.out is not None else REPO_ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
     print(f"{out}: {len(metrics)} benchmark(s) snapshotted: {', '.join(sorted(metrics))}")
+    if "perfbench" in snapshot:
+        print(f"  perfbench workloads: {', '.join(snapshot['perfbench'])}")
     return 0
 
 
