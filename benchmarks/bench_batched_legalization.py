@@ -6,7 +6,7 @@ fast-path successes and a residual tail, and the tail's SLSQP restart rounds
 share stacked rounding + integer verification over a residual-only
 block-diagonal system.  One topology is a chunk of one (K=1), which is the
 serial reference here: the engine at ``chunk_size=1`` and per-topology
-``solve_geometry`` calls.  A topology's output does not depend on its chunk,
+``solve_geometry_chunk`` calls.  A topology's output does not depend on its chunk,
 so chunking is a pure throughput choice, never a numerics change.
 
 The workload is the fast-path regime: dataset topologies filtered to a
@@ -42,7 +42,6 @@ from repro.legalization import (
     clear_compilation_cache,
     compilation_cache_info,
     compiled_for_topology,
-    solve_geometry,
     solve_geometry_chunk,
 )
 from repro.utils import child_rng
@@ -157,7 +156,9 @@ def bench_batched_legalization(benchmark, bench_dataset, bench_config):
             rngs = [child_rng(0, i) for i in range(BATCH_TOPOLOGIES)]
             return [
                 [
-                    solve_geometry(compiled[i], rules, rng=rngs[i], options=options)
+                    solve_geometry_chunk(
+                        [compiled[i]], rules, [rngs[i]], options=options
+                    ).solutions[0][0]
                     for _ in range(BATCH_SOLUTIONS)
                 ]
                 for i in range(BATCH_TOPOLOGIES)

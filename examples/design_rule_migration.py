@@ -26,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.data import DatasetConfig, LayoutPatternDataset
 from repro.drc import DesignRuleChecker
-from repro.legalization import Legalizer
+from repro.legalization import LegalizationEngine
 from repro.scenarios import builtin_registry
 
 
@@ -54,12 +54,12 @@ def main() -> int:
         # Naive migration: keep the old geometric vectors and hope they pass.
         reused_legality = checker.legality_rate(old_patterns)
         # DiffPattern migration: re-run the white-box legaliser under the new rules.
-        legalizer = Legalizer(rules)
-        migrated = legalizer.legal_patterns(topologies, num_solutions=1, rng=0)
+        engine = LegalizationEngine(rules)
+        migrated = engine.legal_patterns(topologies, num_solutions=1, seed=0)
         migrated_legality = checker.legality_rate(migrated) if migrated else 0.0
         print(
             f"{name:<20}{reused_legality:>21.1%}{migrated_legality:>15.1%}"
-            f"{legalizer.stats.success_rate:>11.1%}"
+            f"{engine.stats.success_rate:>11.1%}"
         )
 
     print(

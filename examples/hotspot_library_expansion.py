@@ -37,7 +37,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.data import DatasetConfig, LayoutPatternDataset
 from repro.drc import DesignRuleChecker
-from repro.legalization import Legalizer
+from repro.legalization import LegalizationEngine
 from repro.library import ChunkRecord, PatternLibrary
 from repro.metrics import ComplexityHistogram, pattern_complexity, pattern_diversity
 from repro.prefilter import TopologyPrefilter
@@ -114,17 +114,17 @@ def main() -> int:
     prefilter = TopologyPrefilter()
     topologies = prefilter.filter(list(dataset.topology_matrices("all"))).kept
 
-    legalizer = Legalizer(rules, reference_geometries=dataset.reference_geometries("all"))
-    expanded = legalizer.legal_patterns(
-        topologies, num_solutions=args.solutions_per_topology, rng=args.seed
+    engine = LegalizationEngine(rules, reference_geometries=dataset.reference_geometries("all"))
+    expanded = engine.legal_patterns(
+        topologies, num_solutions=args.solutions_per_topology, seed=args.seed
     )
 
     print(f"expanded library: {len(expanded)} patterns "
           f"({args.solutions_per_topology} geometries per topology)")
     print(f"  diversity H = {pattern_diversity(expanded):.4f}")
     print(f"  legality    = {checker.legality_rate(expanded):.1%}")
-    print(f"  solver success rate = {legalizer.stats.success_rate:.1%}, "
-          f"avg {legalizer.stats.average_time_per_solution * 1e3:.1f} ms per solution")
+    print(f"  solver success rate = {engine.stats.success_rate:.1%}, "
+          f"avg {engine.stats.average_time_per_solution * 1e3:.1f} ms per solution")
 
     root = args.library or Path(tempfile.mkdtemp(prefix="hotspot-library-"))
     library = persist_expansion(root, rules, expanded)

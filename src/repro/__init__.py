@@ -36,13 +36,13 @@ from . import (
 from .data import DatasetConfig, LayoutPatternDataset, SyntheticLayoutGenerator
 from .diffusion import DiffusionConfig, DiscreteDiffusion
 from .drc import DesignRuleChecker
-from .legalization import DesignRules, Legalizer
+from .legalization import DesignRules, LegalizationEngine
 from .library import PatternLibrary
 from .pipeline import DiffPatternConfig, DiffPatternPipeline, GenerationResult
 from .scenarios import RunPlan, ScenarioRegistry, ScenarioSpec, builtin_registry
 from .squish import SquishPattern
 
-__version__ = "1.0.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "geometry",
@@ -65,7 +65,7 @@ __all__ = [
     "PatternLibrary",
     "SquishPattern",
     "DesignRules",
-    "Legalizer",
+    "LegalizationEngine",
     "DesignRuleChecker",
     "DiscreteDiffusion",
     "DiffusionConfig",

@@ -43,7 +43,7 @@ from .scenarios import (
     load_scenarios,
 )
 
-__all__ = ["main", "build_parser", "knob_overrides"]
+__all__ = ["main", "serve_main", "build_parser", "knob_overrides"]
 
 
 # --------------------------------------------------------------------------- #
@@ -237,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
-        help="default per-request deadline (requests may set their own)",
+        help="default per-request deadline, finite and > 0 (requests may "
+        "set their own)",
     )
     p_serve.add_argument(
         "--retry-budget", type=int, default=2, metavar="N",
@@ -595,7 +596,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve.server import _serve_until_interrupted, service_from_args
 
     registry = _registry_for(args)
-    service = service_from_args(args, registry)
+    try:
+        service = service_from_args(args, registry)
+    except ValueError as error:  # an out-of-range option, e.g. --deadline nan
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     server = ServeServer(service, host=args.host, port=args.port)
     try:
         asyncio.run(_serve_until_interrupted(server))
@@ -635,6 +640,11 @@ def main(argv: "list[str] | None" = None) -> int:
         # flushing the dead pipe.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+
+
+def serve_main(argv: "list[str] | None" = None) -> int:
+    """The ``repro-serve`` console script: ``python -m repro serve ARGS``."""
+    return main(["serve", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

@@ -1,4 +1,8 @@
-"""White-box 2D legal pattern assessment (design rules, constraints, solver)."""
+"""White-box 2D legal pattern assessment (design rules, constraints, solver).
+
+:class:`LegalizationEngine` is the entry point; each of its chunks is one
+:func:`solve_geometry_chunk` call, and a single topology is a chunk of one.
+"""
 
 from .batched import (
     SOLVER_MODES,
@@ -12,7 +16,6 @@ from .compiled import (
     CompiledConstraints,
     clear_compilation_cache,
     compilation_cache_info,
-    compile_constraints,
     compiled_for_topology,
 )
 from .constraints import (
@@ -21,12 +24,13 @@ from .constraints import (
     extract_constraints,
     polygon_area,
 )
-from .engine import LegalizationEngine, LegalizationReport, default_workers
-from .legalizer import (
+from .engine import (
+    LegalizationEngine,
+    LegalizationReport,
     LegalizationStats,
     LegalizedTopology,
-    Legalizer,
     ReferenceIndex,
+    default_workers,
 )
 from .rules import (
     LARGER_SPACE_RULES,
@@ -34,7 +38,6 @@ from .rules import (
     SMALLER_AREA_RULES,
     DesignRules,
 )
-from .solver import solve_geometry, solve_topology
 
 __all__ = [
     "DesignRules",
@@ -46,7 +49,6 @@ __all__ = [
     "extract_constraints",
     "polygon_area",
     "CompiledConstraints",
-    "compile_constraints",
     "compiled_for_topology",
     "compilation_cache_info",
     "clear_compilation_cache",
@@ -56,9 +58,6 @@ __all__ = [
     "SOLVER_MODES",
     "SolverOptions",
     "GeometrySolution",
-    "solve_geometry",
-    "solve_topology",
-    "Legalizer",
     "LegalizedTopology",
     "LegalizationStats",
     "LegalizationEngine",

@@ -1,11 +1,20 @@
 """The legalization solve: a chunk of topologies through stacked kernels.
 
-Every legalization in the package runs :func:`solve_geometry_chunk`: one
-topology through :func:`~repro.legalization.solve_geometry`, the solution
-slots of :meth:`~repro.legalization.Legalizer.legalize_topology`, and each
-engine chunk.  A single topology is a chunk of one.  The chunk's compiled
-constraint systems are stacked block-diagonally with per-topology variable
-offsets, and each solution slot runs a constant number of numpy passes:
+One topology's system (Eq. 14) has the geometric vectors ``delta_x`` (one
+entry per topology column) and ``delta_y`` (one per row) as unknowns, under
+positivity of every interval, both vectors summing to the pattern window
+size, linear lower bounds for every width / space run and nonlinear
+two-sided bounds on every polygon area.  The objective is a least-squares
+pull towards a *target* geometry, which makes the solution set explorable:
+different random targets give different legal geometries for the same
+topology (DiffPattern-L), and targets taken from existing dataset
+geometries give the accelerated ``Solving-E`` variant of Table II.
+
+Every legalization in the package runs :func:`solve_geometry_chunk`, one
+call per :class:`~repro.legalization.LegalizationEngine` chunk; a single
+topology is a chunk of one.  The chunk's compiled constraint systems are
+stacked block-diagonally with per-topology variable offsets, and each
+solution slot runs a constant number of numpy passes:
 
 * **Whole-chunk repair sweep** (``solver_mode="auto"``) — every target is
   scaled onto the sum equality, lifted onto the rounding-safe per-index

@@ -1,8 +1,8 @@
 """Compiled constraint kernels for the 2D legal pattern assessment.
 
-:func:`~repro.legalization.solve_geometry` historically registered one Python
-lambda per width/space/area constraint and SLSQP re-invoked every one of them
-(plus its jacobian) on every iteration — a scalar-Python tax of hundreds of
+The SLSQP solve historically registered one Python lambda per
+width/space/area constraint and re-invoked every one of them (plus its
+jacobian) on every iteration — a scalar-Python tax of hundreds of
 interpreter round-trips per solve.  This module compiles a
 :class:`~repro.legalization.TopologyConstraints` into stacked index arrays
 **once per topology** so that each SLSQP iteration evaluates
@@ -37,10 +37,11 @@ Hence constraints are grouped by exact segment length / polygon cell count;
 each group evaluates in one vectorized shot with no padding.
 
 The module also hosts the repair-first fast path's building blocks
-(per-index lower bounds, exact integer verification) and a topology-hash
-compilation cache that dedupes extraction + compilation across Solving-R
-restart attempts, multi-solution (DiffPattern-L) solves, and repeated
-topologies in a batch.
+(per-index lower bounds, exact integer verification) and
+:func:`compiled_for_topology`, the topology-hash compilation cache through
+which the :class:`~repro.legalization.LegalizationEngine` compiles every
+topology it legalises: it dedupes extraction + compilation across repeated
+topologies in a batch and across calls.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .rules import DesignRules
 
 __all__ = [
     "CompiledConstraints",
-    "compile_constraints",
     "compiled_for_topology",
     "compilation_cache_info",
     "clear_compilation_cache",
@@ -310,26 +310,18 @@ class CompiledConstraints:
         return True
 
 
-def compile_constraints(
-    constraints: TopologyConstraints, rules: DesignRules
-) -> CompiledConstraints:
-    """Lower one extracted constraint set to its stacked-array kernel."""
-    return CompiledConstraints(constraints, rules)
-
-
 # --------------------------------------------------------------------------- #
 # topology-hash compilation cache
 # --------------------------------------------------------------------------- #
 # Constraint extraction + compilation is pure in (topology bytes, rules), so
-# one bounded LRU dedupes the work across Solving-R restart attempts,
-# DiffPattern-L multi-solution solves, and repeated topologies in a batch.
-# Worker processes each hold their own cache (no cross-process sharing).
-# The capacity bounds memory, not correctness: a compiled kernel holds a
-# dense (n_intervals, n_vars) jacobian, which reaches a few MB per entry at
-# paper scale (128x128 grids), and every pool worker owns a cache.  The
-# reuse the cache targets is temporally local — restart attempts and
-# multi-solution solves reuse the object handed to solve_geometry directly;
-# only cross-call repeats of the same topology go through the LRU — so a
+# one bounded LRU dedupes the work across repeated topologies in a batch and
+# across calls.  Worker processes each hold their own cache (no
+# cross-process sharing).  The capacity bounds memory, not correctness: a
+# compiled kernel holds a dense (n_intervals, n_vars) jacobian, which
+# reaches a few MB per entry at paper scale (128x128 grids), and every pool
+# worker owns a cache.  The reuse the cache targets is temporally local —
+# restart attempts and multi-solution solves reuse the object a chunk solve
+# already holds; only repeats of the same topology go through the LRU — so a
 # small window captures it.
 _CACHE: "OrderedDict[tuple, CompiledConstraints]" = OrderedDict()
 _CACHE_CAPACITY = 32
@@ -351,7 +343,7 @@ def compiled_for_topology(
         return cached
     _CACHE_MISSES += 1
     constraints = extract_constraints(grid, rules.width_min, rules.space_min)
-    compiled = compile_constraints(constraints, rules)
+    compiled = CompiledConstraints(constraints, rules)
     _CACHE[key] = compiled
     if len(_CACHE) > _CACHE_CAPACITY:
         _CACHE.popitem(last=False)

@@ -1,9 +1,14 @@
-"""Parallel legalization engine with deterministic sharding.
+"""The legalization entry point: a sharded, deterministic batch legaliser.
 
-:class:`LegalizationEngine` is the batch entry point for the "2D Legal
-Pattern Assessment" phase (Section III-D): the pipeline, the Table I/II
-harnesses and the benchmarks all legalise topology batches through it.  It
-mirrors the design of :class:`~repro.pipeline.SamplingEngine`:
+:class:`LegalizationEngine` implements the "2D Legal Pattern Assessment"
+phase (Section III-D): every generated topology receives one
+(DiffPattern-S) or many (DiffPattern-L) legal geometric-vector assignments
+under the active design rules, and a topology the solver cannot legalise is
+kept with an empty pattern list so callers can count it.  It is the only
+way the package legalises — the pipeline, the Table I/II harnesses, the
+examples and the benchmarks all call it — and each of its chunks is one
+:func:`~repro.legalization.solve_geometry_chunk` call.  It mirrors the
+design of :class:`~repro.pipeline.SamplingEngine`:
 
 * **Embarrassingly parallel hot path** — each topology needs one independent
   nonlinear solve (or several, in DiffPattern-L mode), so the batch is
@@ -20,10 +25,10 @@ mirrors the design of :class:`~repro.pipeline.SamplingEngine`:
   the parity tests assert.
 
 * **Merged statistics and per-phase throughput** — per-shard
-  :class:`~repro.legalization.LegalizationStats` are folded into one block,
-  and a :class:`LegalizationReport` (analogous to ``SamplingReport``)
-  reports topologies/second, patterns/second and how much aggregate solver
-  time the wall-clock run amortised.
+  :class:`LegalizationStats` are folded into one block, and a
+  :class:`LegalizationReport` (analogous to ``SamplingReport``) reports
+  topologies/second, patterns/second and how much aggregate solver time the
+  wall-clock run amortised.
 
 Across the pool the batch is split into about four chunks per worker, so
 one hard solve cannot starve idle workers; the ``chunk_size`` constructor
@@ -48,10 +53,131 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..squish import SquishPattern
-from ..utils import resolve_seed
-from .batched import SolverOptions
-from .legalizer import LegalizationStats, LegalizedTopology, Legalizer
+from ..utils import child_rng, resolve_seed
+from .batched import GeometrySolution, SolverOptions, solve_geometry_chunk
+from .compiled import compiled_for_topology
 from .rules import DesignRules
+
+
+@dataclass
+class LegalizationStats:
+    """Aggregate statistics of a legalisation run (feeds Table II)."""
+
+    attempted: int = 0
+    solved: int = 0
+    failed: int = 0
+    total_solver_time: float = 0.0
+    total_iterations: int = 0
+    solutions: int = 0
+    #: How many of ``solutions`` the repair-first projection produced without
+    #: an SLSQP call (always 0 under ``solver_mode="slsqp"``).
+    fast_path_solutions: int = 0
+    #: Whole-chunk vectorized repair sweeps (one per solution slot per chunk
+    #: under ``solver_mode="auto"``).
+    batched_sweeps: int = 0
+    #: Topologies covered by those sweeps (sum of sweep sizes); divide by
+    #: ``batched_sweeps`` for the mean sweep width.
+    batched_sweep_topologies: int = 0
+    #: Per-topology SLSQP calls issued by the restart-round tail.
+    batched_tail_solves: int = 0
+
+    @property
+    def average_time_per_solution(self) -> float:
+        return self.total_solver_time / self.solutions if self.solutions else 0.0
+
+    @property
+    def success_rate(self) -> float:
+        return self.solved / self.attempted if self.attempted else 0.0
+
+    @property
+    def fast_path_fraction(self) -> float:
+        """Fraction of solutions legalised by the repair fast path."""
+        return self.fast_path_solutions / self.solutions if self.solutions else 0.0
+
+    @property
+    def batched_sweep_mean_size(self) -> float:
+        """Mean number of topologies per whole-chunk repair sweep."""
+        return (
+            self.batched_sweep_topologies / self.batched_sweeps
+            if self.batched_sweeps
+            else 0.0
+        )
+
+    def merge(self, other: "LegalizationStats") -> "LegalizationStats":
+        """Fold another stats block into this one (shard aggregation)."""
+        self.attempted += other.attempted
+        self.solved += other.solved
+        self.failed += other.failed
+        self.total_solver_time += other.total_solver_time
+        self.total_iterations += other.total_iterations
+        self.solutions += other.solutions
+        self.fast_path_solutions += other.fast_path_solutions
+        self.batched_sweeps += other.batched_sweeps
+        self.batched_sweep_topologies += other.batched_sweep_topologies
+        self.batched_tail_solves += other.batched_tail_solves
+        return self
+
+
+class ReferenceIndex:
+    """Warm-start target index: reference geometries bucketed by shape.
+
+    The engine picks its ``Solving-E`` warm-start target uniformly among
+    the reference pairs whose vector lengths match the topology's constraint
+    shape.  Bucketing the library by ``(rows, cols)`` once turns that pick
+    from an O(library) rescan per topology into an O(1) lookup, while
+    preserving the original candidate ordering inside each bucket (so the
+    uniform draw selects the same pair as the linear scan did).
+    """
+
+    def __init__(
+        self, references: "list[tuple[np.ndarray, np.ndarray]] | None" = None
+    ) -> None:
+        self._buckets: dict[tuple[int, int], list[tuple[np.ndarray, np.ndarray]]] = {}
+        self._size = 0
+        for dx, dy in references or []:
+            self.add(dx, dy)
+
+    def add(self, delta_x: np.ndarray, delta_y: np.ndarray) -> None:
+        """Register one ``(delta_x, delta_y)`` pair under its shape bucket."""
+        pair = (
+            np.asarray(delta_x, dtype=np.float64),
+            np.asarray(delta_y, dtype=np.float64),
+        )
+        key = (len(pair[1]), len(pair[0]))  # (rows, cols)
+        self._buckets.setdefault(key, []).append(pair)
+        self._size += 1
+
+    def __len__(self) -> int:
+        return self._size
+
+    def candidates(
+        self, shape: tuple[int, int]
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """All reference pairs matching a ``(rows, cols)`` constraint shape."""
+        return self._buckets.get((int(shape[0]), int(shape[1])), [])
+
+    def pick(
+        self, shape: tuple[int, int], rng: np.random.Generator
+    ) -> "tuple[np.ndarray | None, np.ndarray | None]":
+        """Uniformly draw a matching pair, or ``(None, None)`` when none fit."""
+        candidates = self.candidates(shape)
+        if not candidates:
+            return None, None
+        dx, dy = candidates[int(rng.integers(0, len(candidates)))]
+        return dx, dy
+
+
+@dataclass
+class LegalizedTopology:
+    """All legal patterns produced from one topology matrix."""
+
+    topology: np.ndarray
+    patterns: list[SquishPattern] = field(default_factory=list)
+    solutions: list[GeometrySolution] = field(default_factory=list)
+
+    @property
+    def solved(self) -> bool:
+        return bool(self.patterns)
 
 
 def default_workers() -> int:
@@ -147,42 +273,89 @@ class LegalizationReport:
 
 
 # --------------------------------------------------------------------------- #
-# worker-process plumbing
+# the chunk body
 # --------------------------------------------------------------------------- #
-# One Legalizer per worker process, built once by the pool initializer so the
+#: What every chunk is solved under: ``(rules, reference index, options)``.
+_Context = tuple[DesignRules, ReferenceIndex, SolverOptions]
+
+# A pool worker's context, built once by the pool initializer so the
 # (potentially large) reference-geometry library is shipped to each worker a
 # single time instead of once per chunk.
-_WORKER_LEGALIZER: "Legalizer | None" = None
+_WORKER_CONTEXT: "_Context | None" = None
 
 
 def _init_worker(
     rules: DesignRules,
-    references: "list[tuple[np.ndarray, np.ndarray]] | None",
+    references: "list[tuple[np.ndarray, np.ndarray]]",
     options: SolverOptions,
 ) -> None:
-    global _WORKER_LEGALIZER
-    _WORKER_LEGALIZER = Legalizer(rules, reference_geometries=references, options=options)
+    global _WORKER_CONTEXT
+    _WORKER_CONTEXT = (rules, ReferenceIndex(references), options)
 
 
 def _legalize_shard(
     payload: "tuple[int, list[np.ndarray], int, int]",
-    legalizer: "Legalizer | None" = None,
+    context: "_Context | None" = None,
 ) -> "tuple[int, list[LegalizedTopology], LegalizationStats]":
-    """Legalise one chunk; returns ``(start_index, results, stats)``.
+    """Legalise one chunk as one chunk solve; returns ``(start_index, results, stats)``.
 
-    Runs on ``legalizer`` in-process, or on the worker's own legaliser
-    inside the pool.
+    Topology ``i`` of the chunk draws from ``child_rng(base_seed,
+    start_index + i)``.  In process the engine passes its own ``context``;
+    inside the pool the worker's initializer-built copy is used.
     """
     start_index, topologies, num_solutions, base_seed = payload
-    if legalizer is None:
-        legalizer = _WORKER_LEGALIZER
-    if legalizer is None:  # pragma: no cover - initializer always ran
+    if context is None:
+        context = _WORKER_CONTEXT
+    if context is None:  # pragma: no cover - initializer always ran
         raise RuntimeError("worker process was not initialised")
-    legalizer.stats = LegalizationStats()
-    results = legalizer.legalize_batch(
-        topologies, num_solutions=num_solutions, rng=base_seed, first_index=start_index
+    rules, references, options = context
+    # The compiled kernel is cached by topology content + rules, so the
+    # constraint extraction and array compilation are paid once even
+    # across repeats of the same topology.
+    compiled = [compiled_for_topology(topology, rules) for topology in topologies]
+    outcome = solve_geometry_chunk(
+        compiled,
+        rules,
+        [child_rng(base_seed, start_index + i) for i in range(len(compiled))],
+        options=options,
+        num_solutions=num_solutions,
+        # The Solving-E warm start draws one uniform when a reference pair
+        # of the topology's shape exists, and nothing otherwise.
+        initial_targets=lambda i, rng: references.pick(compiled[i].shape, rng),
     )
-    return start_index, results, legalizer.stats
+    stats = LegalizationStats(
+        batched_sweeps=outcome.sweeps,
+        batched_sweep_topologies=outcome.sweep_topologies,
+        batched_tail_solves=outcome.tail_solves,
+    )
+    results: list[LegalizedTopology] = []
+    for topology, slots in zip(topologies, outcome.solutions):
+        result = LegalizedTopology(topology=topology.astype(np.uint8))
+        stats.attempted += 1
+        for solution in slots:
+            stats.total_solver_time += solution.elapsed_seconds
+            stats.total_iterations += solution.iterations
+            if not solution.success:
+                # Unsolved slots are skipped; the remaining slots are
+                # still tried with fresh random targets.
+                continue
+            stats.solutions += 1
+            if solution.method == "repair":
+                stats.fast_path_solutions += 1
+            result.solutions.append(solution)
+            result.patterns.append(
+                SquishPattern(
+                    topology=result.topology,
+                    delta_x=solution.delta_x,
+                    delta_y=solution.delta_y,
+                )
+            )
+        if result.solved:
+            stats.solved += 1
+        else:
+            stats.failed += 1
+        results.append(result)
+    return start_index, results, stats
 
 
 class LegalizationEngine:
@@ -193,8 +366,14 @@ class LegalizationEngine:
     rules:
         Active design rules.
     reference_geometries:
-        Optional warm-start library (``Solving-E``); bucketed by shape once
-        per worker via :class:`~repro.legalization.ReferenceIndex`.
+        Optional list of ``(delta_x, delta_y)`` pairs from the existing
+        pattern library.  When given, each topology's first solution is
+        warm-started from a randomly chosen pair of its shape
+        (``Solving-E``); otherwise random targets are used (``Solving-R``).
+        The list is bucketed by shape (:class:`ReferenceIndex`) at every
+        call, once per worker in a pool, so changing
+        ``engine.reference_geometries`` — in place or by assignment — takes
+        effect on the next call outside :meth:`pool`.
     options:
         Numerical solver options.
     workers:
@@ -277,15 +456,12 @@ class LegalizationEngine:
 
         start_total = time.perf_counter()
         if self._in_process() or len(batch) <= 1:
-            # One legaliser per call, like the parallel path ships the
-            # reference library per call: reassigning engine attributes
+            # The reference index is rebuilt per call, like the parallel
+            # path ships the reference library per call: changing the
+            # engine's attributes (or the elements of its reference list)
             # between calls affects serial and parallel runs identically.
-            legalizer = Legalizer(
-                self.rules,
-                reference_geometries=self.reference_geometries,
-                options=self.options,
-            )
-            outputs = [_legalize_shard(shard, legalizer) for shard in shards]
+            context = (self.rules, ReferenceIndex(self.reference_geometries), self.options)
+            outputs = [_legalize_shard(shard, context) for shard in shards]
         else:
             outputs = self._run_shards_parallel(shards)
         report.total_seconds = time.perf_counter() - start_total

@@ -1,17 +1,14 @@
 """Evaluation metrics: pattern complexity, library diversity, validity."""
 
-from .complexity import (
-    complexity_distribution,
-    pattern_complexity,
-    topology_complexity,
-)
+from .complexity import pattern_complexity, topology_complexity
 from .diversity import (
+    ComplexityHistogram,
+    complexity_distribution,
     diversity_from_complexities,
     pattern_diversity,
     shannon_entropy,
     topology_diversity,
 )
-from .streaming import ComplexityHistogram
 from .validity import ValidityConfig, ValidityScorer
 
 __all__ = [

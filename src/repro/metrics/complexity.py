@@ -34,35 +34,3 @@ def pattern_complexity(pattern: SquishPattern) -> tuple[int, int]:
     canonical = canonicalize(pattern)
     cx, cy = canonical.complexity
     return max(cx - 1, 0), max(cy - 1, 0)
-
-
-def complexity_distribution(
-    complexities: "list[tuple[int, int]]", bins: "int | None" = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Joint empirical distribution of complexities.
-
-    Returns ``(probabilities, x_values, y_values)`` where ``probabilities``
-    is a 2-D array over the observed ``cx`` (rows) and ``cy`` (columns)
-    values.  With ``bins`` set, a fixed ``bins x bins`` grid starting at zero
-    is used instead (as in Fig. 9, which uses a 128x128 grid).
-    """
-    if not complexities:
-        raise ValueError("complexity list is empty")
-    arr = np.asarray(complexities, dtype=np.int64)
-    if bins is None:
-        x_values = np.unique(arr[:, 0])
-        y_values = np.unique(arr[:, 1])
-    else:
-        x_values = np.arange(bins)
-        y_values = np.arange(bins)
-    counts = np.zeros((len(x_values), len(y_values)), dtype=np.float64)
-    x_index = {v: i for i, v in enumerate(x_values.tolist())}
-    y_index = {v: i for i, v in enumerate(y_values.tolist())}
-    for cx, cy in arr:
-        xi = x_index.get(int(cx))
-        yi = y_index.get(int(cy))
-        if xi is not None and yi is not None:
-            counts[xi, yi] += 1.0
-    total = counts.sum()
-    probabilities = counts / total if total else counts
-    return probabilities, x_values, y_values

@@ -3,7 +3,6 @@
 from .comparison import (
     MethodRow,
     attach_reference_geometry,
-    complexity_histogram,
     evaluate_baseline,
     evaluate_diffpattern,
     evaluate_real_patterns,
@@ -52,7 +51,6 @@ __all__ = [
     "evaluate_diffpattern",
     "attach_reference_geometry",
     "format_table",
-    "complexity_histogram",
     "EfficiencyRow",
     "EfficiencyReport",
     "StreamingMeasurement",

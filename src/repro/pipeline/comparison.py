@@ -17,7 +17,7 @@ from ..baselines.base import TopologyGenerator
 from ..data import LayoutPatternDataset
 from ..drc import DesignRuleChecker
 from ..legalization import DesignRules
-from ..metrics import pattern_complexity, pattern_diversity
+from ..metrics import pattern_diversity
 from ..squish import SquishPattern
 from ..utils import as_rng
 from .diffpattern import DiffPatternPipeline
@@ -167,16 +167,3 @@ def format_table(rows: list[MethodRow]) -> str:
             f"{100.0 * row.legality:>11.2f}{row.legal_diversity:>10.4f}"
         )
     return "\n".join(lines)
-
-
-def complexity_histogram(
-    patterns: list[SquishPattern], bins: int
-) -> np.ndarray:
-    """2-D complexity histogram used by the Fig. 9 reproduction."""
-    histogram = np.zeros((bins, bins), dtype=np.float64)
-    for pattern in patterns:
-        cx, cy = pattern_complexity(pattern)
-        if cx < bins and cy < bins:
-            histogram[cx, cy] += 1.0
-    total = histogram.sum()
-    return histogram / total if total else histogram

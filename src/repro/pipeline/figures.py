@@ -13,7 +13,7 @@ import numpy as np
 
 from ..drc import DesignRuleChecker
 from ..legalization import DesignRules, LegalizationEngine
-from ..metrics import ComplexityHistogram, complexity_distribution, pattern_complexity
+from ..metrics import ComplexityHistogram, pattern_complexity
 from ..squish import SquishPattern, unfold
 from ..utils import child_rng, resolve_seed
 from .diffpattern import DiffPatternPipeline
@@ -176,16 +176,12 @@ def compare_complexity_distributions(
     generated_patterns: list[SquishPattern],
     bins: "int | None" = None,
 ) -> ComplexityComparison:
-    """Build the two 2-D complexity histograms of Fig. 9."""
-    real = [pattern_complexity(p) for p in real_patterns]
-    generated = [pattern_complexity(p) for p in generated_patterns]
-    if bins is None:
-        largest = max(max((c for pair in real + generated for c in pair), default=0) + 1, 2)
-        bins = largest
-    real_dist, _, _ = complexity_distribution(real, bins=bins)
-    generated_dist, _, _ = complexity_distribution(generated, bins=bins)
-    return ComplexityComparison(
-        real_distribution=real_dist, generated_distribution=generated_dist, bins=bins
+    """Build the two 2-D complexity histograms of Fig. 9
+    (:func:`compare_complexity_histograms` over the patterns' complexities)."""
+    return compare_complexity_histograms(
+        ComplexityHistogram([pattern_complexity(p) for p in real_patterns]),
+        ComplexityHistogram([pattern_complexity(p) for p in generated_patterns]),
+        bins=bins,
     )
 
 
@@ -198,9 +194,9 @@ def compare_complexity_histograms(
 
     A streamed run (or a resumed :class:`~repro.library.PatternLibrary`)
     carries :class:`~repro.metrics.ComplexityHistogram` accumulators; this
-    builds the same two 2-D distributions without materialising the pattern
-    libraries, and matches :func:`compare_complexity_distributions` exactly
-    on the same complexity multisets.
+    builds the two 2-D distributions without materialising the pattern
+    libraries.  ``bins`` defaults to one more than the largest coordinate
+    of either histogram (at least 2).
     """
     if bins is None:
         largest = max(real.max_coordinate(), generated.max_coordinate(), 0)

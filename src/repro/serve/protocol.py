@@ -25,6 +25,7 @@ to a 400 response.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -162,8 +163,9 @@ class GenerateRequest:
         if deadline is not None:
             if isinstance(deadline, bool) or not isinstance(deadline, (int, float)):
                 raise ProtocolError(f"deadline must be a number, got {deadline!r}")
-            if deadline <= 0:
-                raise ProtocolError(f"deadline must be > 0, got {deadline}")
+            # json.loads accepts NaN and Infinity; NaN fails every comparison.
+            if not 0 < deadline <= sys.float_info.max:
+                raise ProtocolError(f"deadline must be a finite number > 0, got {deadline}")
             deadline = float(deadline)
         return cls(
             scenario=scenario,

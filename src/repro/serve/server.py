@@ -1,8 +1,9 @@
 """Minimal HTTP/1.1 transport over the generation service.
 
-``python -m repro serve`` (and the ``repro-serve`` console script) runs
-:class:`ServeServer`: a dependency-free asyncio HTTP daemon — stdlib only,
-hand-rolled request parsing over :func:`asyncio.start_server` — exposing
+``python -m repro serve`` (also installed as the ``repro-serve`` console
+script, :func:`repro.cli.serve_main`) runs :class:`ServeServer`: a
+dependency-free asyncio HTTP daemon — stdlib only, hand-rolled request
+parsing over :func:`asyncio.start_server` — exposing
 
 * ``GET /healthz`` — combined health: service state (``ok`` / ``degraded``
   / ``stopping``), liveness, readiness and the pending-request gauge;
@@ -31,14 +32,11 @@ failure model.
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import json
 import signal
-import sys
-from pathlib import Path
 
-from ..scenarios import ScenarioError, builtin_registry, load_scenarios
+from ..scenarios import ScenarioError
 from .protocol import GenerateRequest, ProtocolError, RequestSummary
 from .service import (
     GenerationService,
@@ -48,7 +46,7 @@ from .service import (
 )
 from .supervisor import WorkerConfig
 
-__all__ = ["ServeServer", "main", "scenario_listing", "servable_note", "service_from_args"]
+__all__ = ["ServeServer", "scenario_listing", "servable_note", "service_from_args"]
 
 _MAX_BODY = 4 * 1024 * 1024
 
@@ -284,84 +282,8 @@ class ServeServer:
 
 
 # ---------------------------------------------------------------------- #
-# entry point
+# entry point (``python -m repro serve`` parses the options)
 # ---------------------------------------------------------------------- #
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-serve",
-        description="Long-running generation daemon with cross-request batching.",
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8181, help="0 picks a free port")
-    parser.add_argument(
-        "--scenario-file",
-        type=Path,
-        action="append",
-        default=[],
-        help="extra scenario TOML/JSON file(s) layered over the builtins",
-    )
-    parser.add_argument(
-        "--max-pending",
-        type=int,
-        default=8,
-        help="backpressure bound: in-flight requests before submits get 429",
-    )
-    parser.add_argument(
-        "--max-batch",
-        type=int,
-        default=64,
-        help="largest coalesced sampling/legalization batch (memory knob)",
-    )
-    parser.add_argument(
-        "--library",
-        type=Path,
-        default=None,
-        help=(
-            "pattern-library directory backing the serve cache: generated "
-            "chunks are persisted per stream writer and restored on restart"
-        ),
-    )
-    parser.add_argument(
-        "--supervised",
-        action="store_true",
-        help=(
-            "run generation in supervised child worker processes: crashes "
-            "and hangs are detected, the worker restarts, and the in-flight "
-            "window is resubmitted deterministically"
-        ),
-    )
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="default per-request deadline (requests may override per call)",
-    )
-    parser.add_argument(
-        "--retry-budget",
-        type=int,
-        default=2,
-        help="failed warmup/advance retries before a request group fails",
-    )
-    parser.add_argument(
-        "--advance-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help=(
-            "supervised only: wall-clock budget per generation batch; a "
-            "worker exceeding it is treated as hung and restarted"
-        ),
-    )
-    parser.add_argument(
-        "--max-restarts",
-        type=int,
-        default=2,
-        help="supervised only: worker restarts tolerated per batch",
-    )
-    return parser
-
-
 def service_from_args(args, registry) -> GenerationService:
     """Construct the :class:`GenerationService` a parsed CLI asks for."""
     worker_config = None
@@ -395,26 +317,3 @@ async def _serve_until_interrupted(server: ServeServer) -> None:
     await stop.wait()
     print("repro serve: shutting down", flush=True)
     await server.stop()
-
-
-def main(argv: "list[str] | None" = None) -> int:
-    """Console entry point (``repro-serve`` / ``python -m repro serve``)."""
-    args = build_parser().parse_args(argv)
-    registry = builtin_registry()
-    try:
-        for path in args.scenario_file:
-            load_scenarios(path, registry=registry)
-    except ScenarioError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    service = service_from_args(args, registry)
-    server = ServeServer(service, host=args.host, port=args.port)
-    try:
-        asyncio.run(_serve_until_interrupted(server))
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

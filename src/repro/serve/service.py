@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -197,8 +198,9 @@ class GenerationService:
         :class:`~repro.serve.supervisor.WorkerConfig` supervision knobs
         (heartbeats, timeouts, restart budget); defaults when ``None``.
     deadline_seconds:
-        Service-wide default per-request deadline (``None``: no deadline).
-        A request's own ``deadline`` field overrides it.
+        Service-wide default per-request deadline in seconds, finite and
+        > 0 (``None``: no deadline).  A request's own ``deadline`` field
+        overrides it.
     retry_budget:
         Failed warmup/advance calls are retried this many times (with
         exponential backoff + jitter) before the group's requests fail.
@@ -236,6 +238,10 @@ class GenerationService:
             raise ValueError("retry_budget must be >= 0")
         if breaker_threshold < 1:
             raise ValueError("breaker_threshold must be >= 1")
+        if deadline_seconds is not None and not 0 < deadline_seconds <= sys.float_info.max:
+            raise ValueError(
+                f"deadline must be a finite number of seconds > 0, got {deadline_seconds}"
+            )
         self.registry = registry if registry is not None else builtin_registry()
         self.max_pending = int(max_pending)
         self.max_batch = int(max_batch)

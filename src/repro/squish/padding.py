@@ -110,28 +110,17 @@ def canonicalize(pattern: SquishPattern) -> SquishPattern:
     complexity: adjacent identical rows/columns carry no topology information
     and are collapsed, so (cx, cy) reflect true scan-line structure.
     """
-    topo = pattern.topology.copy()
-    dx = list(int(v) for v in pattern.delta_x)
-    dy = list(int(v) for v in pattern.delta_y)
+    topo, dx = _merge_equal_runs(pattern.topology, pattern.delta_x, axis=1)
+    topo, dy = _merge_equal_runs(topo, pattern.delta_y, axis=0)
+    return SquishPattern(topo, dx, dy, origin=pattern.origin)
 
-    def merge_all(topo: np.ndarray, d: list[int], axis: int):
-        i = 0
-        while i < len(d) - 1:
-            a = topo.take(i, axis=axis)
-            b = topo.take(i + 1, axis=axis)
-            if np.array_equal(a, b):
-                d[i] += d[i + 1]
-                del d[i + 1]
-                topo = np.delete(topo, i + 1, axis=axis)
-            else:
-                i += 1
-        return topo, d
 
-    topo, dx = merge_all(topo, dx, axis=1)
-    topo, dy = merge_all(topo, dy, axis=0)
-    return SquishPattern(
-        topo,
-        np.asarray(dx, dtype=np.int64),
-        np.asarray(dy, dtype=np.int64),
-        origin=pattern.origin,
-    )
+def _merge_equal_runs(
+    topo: np.ndarray, delta: np.ndarray, axis: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Collapse each run of identical adjacent lines along ``axis`` into its
+    first line, summing the run's interval lengths."""
+    lines = np.moveaxis(topo, axis, 0)
+    differs = (lines[1:] != lines[:-1]).any(axis=1)
+    starts = np.flatnonzero(np.concatenate(([True], differs)))
+    return topo.take(starts, axis=axis), np.add.reduceat(delta, starts)

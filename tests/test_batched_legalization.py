@@ -5,9 +5,9 @@ one vectorized repair sweep partitions the chunk into fast-path successes
 and a residual tail, and the tail's SLSQP restart rounds share stacked
 rounding + verification.  Its contract is that a topology's solutions do
 not depend on the chunk around it: any chunk size, worker count and batch
-composition gives the output of the serial per-topology loop
-(``Legalizer.legalize_topology`` on each topology's own ``(seed, index)``
-stream, a chunk of one each), in both ``auto`` and ``slsqp`` modes —
+composition gives the output of the serial per-topology loop (each
+topology solved alone as a chunk of one on its own ``(seed, index)``
+stream), in both ``auto`` and ``slsqp`` modes —
 asserted element-wise here on adversarial batches (mixed shapes,
 duplicates, unsolvable topologies, multi-solution runs, warm-start
 references, restart-heavy rule sets).  ``tests/test_legalization_golden.py``
@@ -18,19 +18,18 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from legalization_helpers import legalize_alone, solve_alone
 
 from repro.legalization import (
     BatchCompiledConstraints,
     DesignRules,
     LegalizationEngine,
     LegalizationStats,
-    Legalizer,
     SolverOptions,
     clear_compilation_cache,
     compilation_cache_info,
     compiled_for_topology,
     default_workers,
-    solve_geometry,
     solve_geometry_chunk,
 )
 from repro.legalization import batched
@@ -127,15 +126,9 @@ def run_engine(
 
 def run_serial(rules, batch, *, mode="auto", num_solutions=1, refs=None, seed=7):
     """The per-topology loop: each topology alone on its ``(seed, index)`` stream."""
-    legalizer = Legalizer(
-        rules, reference_geometries=refs, options=SolverOptions(solver_mode=mode)
+    return legalize_alone(
+        batch, rules, seed, num_solutions, SolverOptions(solver_mode=mode), refs
     )
-    return [
-        legalizer.legalize_topology(
-            topology, num_solutions=num_solutions, rng=child_rng(seed, index)
-        )
-        for index, topology in enumerate(batch)
-    ]
 
 
 # --------------------------------------------------------------------------- #
@@ -201,8 +194,10 @@ class TestBitIdentity:
         assert engine.stats.batched_tail_solves > 0
 
     def test_empty_batch(self, rules):
-        legalizer = Legalizer(rules)
-        assert legalizer.legalize_batch([]) == []
+        engine = LegalizationEngine(rules)
+        assert engine.legalize_batch([]) == []
+        outcome = solve_geometry_chunk([], rules, [])
+        assert outcome.solutions == [] and outcome.sweeps == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -481,9 +476,7 @@ class TestSolveTiming:
     @pytest.mark.parametrize("mode", ["auto", "slsqp"])
     def test_single_solve_reports_the_whole_call(self, rules, two_shape_topology, clock, mode):
         compiled = compiled_for_topology(two_shape_topology, rules)
-        solution = solve_geometry(
-            compiled, rules, rng=0, options=SolverOptions(solver_mode=mode)
-        )
+        solution = solve_alone(compiled, rules, rng=0, options=SolverOptions(solver_mode=mode))
         assert solution.success
         assert solution.elapsed_seconds == clock.span
 

@@ -13,18 +13,17 @@ Three contracts are asserted here:
 
 import numpy as np
 import pytest
+from legalization_helpers import solve_alone
 from scipy import optimize
 
 from repro.data import SyntheticLayoutGenerator
 from repro.drc import DesignRuleChecker
 from repro.legalization import (
+    CompiledConstraints,
     DesignRules,
     SolverOptions,
-    compile_constraints,
     compiled_for_topology,
     extract_constraints,
-    solve_geometry,
-    solve_topology,
 )
 from repro.legalization.batched import _round_rows
 from repro.legalization.compiled import (
@@ -135,7 +134,7 @@ def legacy_constraint_dicts(constraints, rules, opts):
 
 
 def legacy_solve_geometry(constraints, rules, rng=None, options=None):
-    """Faithful re-implementation of the pre-kernel ``solve_geometry``."""
+    """Faithful re-implementation of the pre-kernel single-topology solve."""
     opts = options or SolverOptions()
     gen = as_rng(rng)
     rows, cols = constraints.shape
@@ -205,7 +204,7 @@ class TestKernelParity:
         rng = np.random.default_rng(3)
         for topology in random_topologies:
             constraints = extract_constraints(topology, rules.width_min, rules.space_min)
-            compiled = compile_constraints(constraints, rules)
+            compiled = CompiledConstraints(constraints, rules)
             legacy = legacy_constraint_dicts(constraints, rules, opts)
             new = compiled.slsqp_constraints(opts.margin)
             for _ in range(3):
@@ -217,7 +216,7 @@ class TestKernelParity:
         rng = np.random.default_rng(4)
         topology = random_topologies[0]
         constraints = extract_constraints(topology, rules.width_min, rules.space_min)
-        compiled = compile_constraints(constraints, rules)
+        compiled = CompiledConstraints(constraints, rules)
         cols = constraints.shape[1]
         v = rng.uniform(0.5, 300.0, size=compiled.n_vars)
         values = compiled.interval_values(v)
@@ -229,7 +228,7 @@ class TestKernelParity:
         rng = np.random.default_rng(5)
         for topology in random_topologies[:6]:
             constraints = extract_constraints(topology, rules.width_min, rules.space_min)
-            compiled = compile_constraints(constraints, rules)
+            compiled = CompiledConstraints(constraints, rules)
             cols = constraints.shape[1]
             v = rng.uniform(0.5, 300.0, size=compiled.n_vars)
             areas = compiled.polygon_areas(v)
@@ -240,7 +239,7 @@ class TestKernelParity:
         rng = np.random.default_rng(6)
         for topology in random_topologies[:8]:
             constraints = extract_constraints(topology, rules.width_min, rules.space_min)
-            compiled = compile_constraints(constraints, rules)
+            compiled = CompiledConstraints(constraints, rules)
             rows, cols = constraints.shape
             for _ in range(4):
                 # A mix of legal-ish and clearly illegal integer vectors.
@@ -264,7 +263,9 @@ class TestSlsqpBitIdentity:
             ok, dx, dy, iterations, attempts = legacy_solve_geometry(
                 constraints, rules, rng=seed, options=opts
             )
-            solution = solve_geometry(constraints, rules, rng=seed, options=opts)
+            solution = solve_alone(
+                CompiledConstraints(constraints, rules), rules, rng=seed, options=opts
+            )
             assert solution.success == ok
             assert solution.iterations == iterations
             assert solution.attempts == attempts
@@ -273,7 +274,7 @@ class TestSlsqpBitIdentity:
                 np.testing.assert_array_equal(solution.delta_y, dy)
 
     def test_slsqp_mode_never_uses_fast_path(self, rules, two_shape_topology):
-        solution = solve_topology(
+        solution = solve_alone(
             two_shape_topology, rules, rng=0, options=SolverOptions(solver_mode="slsqp")
         )
         assert solution.success
@@ -291,7 +292,7 @@ class TestAutoMode:
         fast = 0
         for seed, topology in enumerate(random_topologies):
             constraints = extract_constraints(topology, rules.width_min, rules.space_min)
-            solution = solve_geometry(constraints, rules, rng=seed, options=options)
+            solution = solve_alone(topology, rules, rng=seed, options=options)
             assert solution.success
             assert _verify_integer_solution(
                 constraints, rules, solution.delta_x, solution.delta_y
@@ -310,16 +311,16 @@ class TestAutoMode:
     def test_deterministic_per_seed(self, rules, random_topologies):
         options = SolverOptions(solver_mode="auto")
         topology = random_topologies[0]
-        a = solve_topology(topology, rules, rng=123, options=options)
-        b = solve_topology(topology, rules, rng=123, options=options)
+        a = solve_alone(topology, rules, rng=123, options=options)
+        b = solve_alone(topology, rules, rng=123, options=options)
         np.testing.assert_array_equal(a.delta_x, b.delta_x)
         np.testing.assert_array_equal(a.delta_y, b.delta_y)
         assert a.method == b.method
 
     def test_distinct_seeds_give_distinct_geometries(self, rules, two_shape_topology):
         options = SolverOptions(solver_mode="auto")
-        a = solve_topology(two_shape_topology, rules, rng=1, options=options)
-        b = solve_topology(two_shape_topology, rules, rng=2, options=options)
+        a = solve_alone(two_shape_topology, rules, rng=1, options=options)
+        b = solve_alone(two_shape_topology, rules, rng=2, options=options)
         assert a.success and b.success
         assert not np.array_equal(a.delta_x, b.delta_x)
 
@@ -328,7 +329,7 @@ class TestAutoMode:
         # dense 8x8 fixture sits near the default area_max, where repair
         # legitimately falls back for many targets).
         wide_rules = DesignRules(area_max=1_200_000)
-        solution = solve_topology(
+        solution = solve_alone(
             two_shape_topology, wide_rules, rng=0, options=SolverOptions(solver_mode="auto")
         )
         assert solution.success
@@ -342,8 +343,8 @@ class TestAutoMode:
         rules = DesignRules(area_min=3_000, area_max=9_000, pattern_size=2_048)
         topology = np.zeros((8, 8), dtype=np.uint8)
         topology[3:5, 3:5] = 1
-        auto = solve_topology(topology, rules, rng=0, options=SolverOptions(solver_mode="auto"))
-        pinned = solve_topology(topology, rules, rng=0, options=SolverOptions(solver_mode="slsqp"))
+        auto = solve_alone(topology, rules, rng=0, options=SolverOptions(solver_mode="auto"))
+        pinned = solve_alone(topology, rules, rng=0, options=SolverOptions(solver_mode="slsqp"))
         assert auto.method == "slsqp"
         assert auto.success == pinned.success
         if auto.success:
@@ -351,7 +352,7 @@ class TestAutoMode:
 
     def test_infeasible_topology_still_fails_cleanly(self):
         rules = DesignRules(area_max=10_000)
-        solution = solve_topology(
+        solution = solve_alone(
             np.ones((4, 4), dtype=np.uint8), rules, rng=0,
             options=SolverOptions(solver_mode="auto"),
         )
@@ -360,7 +361,7 @@ class TestAutoMode:
 
     def test_unknown_mode_rejected(self, rules, two_shape_topology):
         with pytest.raises(ValueError, match="solver_mode"):
-            solve_topology(
+            solve_alone(
                 two_shape_topology, rules, rng=0,
                 options=SolverOptions(solver_mode="newton"),
             )

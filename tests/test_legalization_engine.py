@@ -13,13 +13,10 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from legalization_helpers import legalize_alone
 
-from repro.legalization import (
-    LegalizationEngine,
-    LegalizationStats,
-    Legalizer,
-    ReferenceIndex,
-)
+from repro.legalization import LegalizationEngine, LegalizationStats, ReferenceIndex
+from repro.utils import resolve_seed
 
 
 @pytest.fixture(scope="module")
@@ -218,10 +215,7 @@ class TestShardInvariance:
         # index, independent of batch composition (the RNG-accounting fix).
         engine = LegalizationEngine(rules, workers=1)
         batch = engine.legalize_batch(topology_batch, seed=9)
-        legalizer = Legalizer(rules)
-        lone = legalizer.legalize_batch(
-            [topology_batch[3]], num_solutions=1, rng=9, first_index=3
-        )
+        lone = engine.legalize_batch([topology_batch[3]], seed=9, first_index=3)
         assert signatures([batch[3]]) == signatures(lone)
 
     def test_batch_composition_does_not_leak_between_elements(self, rules, topology_batch):
@@ -234,24 +228,27 @@ class TestShardInvariance:
 
 
 class TestLegalizerBatchSeeding:
-    def test_engine_serial_matches_legalizer_batch(self, rules, topology_batch):
-        engine = LegalizationEngine(rules, workers=1)
-        legalizer = Legalizer(rules)
+    def test_engine_serial_matches_legalizer_batch(self, rules, topology_batch, references):
+        engine = LegalizationEngine(rules, reference_geometries=references, workers=1)
         a = engine.legalize_batch(topology_batch, num_solutions=2, seed=4)
-        b = legalizer.legalize_batch(topology_batch, num_solutions=2, rng=4)
+        b = legalize_alone(topology_batch, rules, 4, num_solutions=2, references=references)
         assert signatures(a) == signatures(b)
 
     def test_int_seed_reproducible(self, rules, topology_batch):
-        legalizer = Legalizer(rules)
-        a = legalizer.legalize_batch(topology_batch, rng=6)
-        b = legalizer.legalize_batch(topology_batch, rng=6)
+        engine = LegalizationEngine(rules)
+        a = engine.legalize_batch(topology_batch, seed=6)
+        b = engine.legalize_batch(topology_batch, seed=6)
         assert signatures(a) == signatures(b)
 
     def test_generator_seed_draws_once(self, rules, topology_batch):
-        legalizer = Legalizer(rules)
-        a = legalizer.legalize_batch(topology_batch, rng=np.random.default_rng(1))
-        b = legalizer.legalize_batch(topology_batch, rng=np.random.default_rng(1))
+        # A generator seed contributes one draw, so equal generators give
+        # equal runs, and the run equals the int seed that draw resolves to.
+        engine = LegalizationEngine(rules)
+        a = engine.legalize_batch(topology_batch, seed=np.random.default_rng(1))
+        b = engine.legalize_batch(topology_batch, seed=np.random.default_rng(1))
         assert signatures(a) == signatures(b)
+        c = engine.legalize_batch(topology_batch, seed=resolve_seed(np.random.default_rng(1)))
+        assert signatures(a) == signatures(c)
 
 
 class TestStatsAndReport:
@@ -280,9 +277,11 @@ class TestStatsAndReport:
     def test_merged_stats_match_monolithic_run(self, rules, topology_batch):
         engine = LegalizationEngine(rules, workers=2, chunk_size=1)
         _, sharded = engine.legalize_batch_with_report(topology_batch, seed=1)
-        legalizer = Legalizer(rules)
-        legalizer.legalize_batch(topology_batch, rng=1)
-        mono = legalizer.stats
+        _, monolithic = LegalizationEngine(rules, workers=1).legalize_batch_with_report(
+            topology_batch, seed=1
+        )
+        assert monolithic.num_chunks == 1
+        mono = monolithic.stats
         assert sharded.stats.attempted == mono.attempted
         assert sharded.stats.solved == mono.solved
         assert sharded.stats.failed == mono.failed
@@ -365,25 +364,43 @@ class TestReferenceIndex:
         assert index.pick((4, 4), rng) == (None, None)
         assert rng.bit_generator.state == before
 
-    def test_legalizer_uses_index(self, rules, references, two_shape_topology):
-        legalizer = Legalizer(rules, reference_geometries=references)
-        assert len(legalizer.reference_index) == len(references)
-        result = legalizer.legalize_topology(two_shape_topology, num_solutions=1, rng=0)
-        assert result.solved
+    def test_legalizer_uses_index(self, rules, references, topology_batch):
+        # The engine's warm start is the index's pick on each topology's stream.
+        engine = LegalizationEngine(rules, reference_geometries=references)
+        warm = engine.legalize_batch(topology_batch, seed=0)
+        assert all(result.solved for result in warm)
+        assert signatures(warm) == signatures(
+            legalize_alone(topology_batch, rules, 0, references=references)
+        )
+        assert signatures(warm) != signatures(legalize_alone(topology_batch, rules, 0))
 
-    def test_reassigning_references_rebuilds_index(self, rules, references):
-        legalizer = Legalizer(rules)
-        assert len(legalizer.reference_index) == 0
-        legalizer.reference_geometries = references
-        assert len(legalizer.reference_index) == len(references)
-        assert len(legalizer.reference_index.candidates((8, 8))) == 2
+    def test_reassigning_references_rebuilds_index(self, rules, references, topology_batch):
+        engine = LegalizationEngine(rules)
+        cold = engine.legalize_batch(topology_batch, seed=0)
+        engine.reference_geometries = references
+        after = engine.legalize_batch(topology_batch, seed=0)
+        fresh = LegalizationEngine(rules, reference_geometries=references)
+        assert signatures(after) == signatures(fresh.legalize_batch(topology_batch, seed=0))
+        assert signatures(after) != signatures(cold)
 
-    def test_in_place_append_is_picked_up(self, rules, references):
-        legalizer = Legalizer(rules, reference_geometries=references[:1])
-        legalizer.reference_geometries.append(references[1])
-        dx, dy = legalizer._pick_targets((8, 8), np.random.default_rng(0))
-        assert dx is not None and dy is not None
-        assert len(legalizer.reference_index) == 2
+    def test_in_place_append_is_picked_up(self, rules, references, topology_batch):
+        engine = LegalizationEngine(rules, reference_geometries=references[:1])
+        engine.legalize_batch(topology_batch, seed=0)
+        engine.reference_geometries.append(references[1])
+        after = engine.legalize_batch(topology_batch, seed=0)
+        fresh = LegalizationEngine(rules, reference_geometries=references[:2])
+        assert signatures(after) == signatures(fresh.legalize_batch(topology_batch, seed=0))
+
+    def test_in_place_replacement_is_picked_up(self, rules, references, topology_batch):
+        # Replacing an element keeps the list's length: the next call must
+        # still warm-start from the new pair, not the replaced one.
+        engine = LegalizationEngine(rules, reference_geometries=references[:1])
+        before = engine.legalize_batch(topology_batch, seed=0)
+        engine.reference_geometries[0] = references[1]
+        after = engine.legalize_batch(topology_batch, seed=0)
+        fresh = LegalizationEngine(rules, reference_geometries=[references[1]])
+        assert signatures(after) == signatures(fresh.legalize_batch(topology_batch, seed=0))
+        assert signatures(after) != signatures(before)
 
 
 class TestPipelineIntegration:

@@ -3,10 +3,18 @@
 Every other legalization test compares two paths of the same code (chunk 1
 against chunk 7, one worker against two), so a kernel change that moves
 every path at once would pass them all.  This file pins the outcome itself:
-for three rule sets, both solver modes and three entry points
-(``solve_geometry``, ``Legalizer.legalize_topology`` on a shared generator,
-``LegalizationEngine.legalize_batch`` at several chunk sizes) it hashes a
-canonical record and compares it with a digest committed below.
+for three rule sets and both solver modes it hashes a canonical record of
+three runs and compares each with a digest committed below:
+
+* ``solve_geometry/*`` — ``solve_geometry_chunk`` on one topology per chunk,
+  each on its own ``np.random.default_rng(seed)``;
+* ``legalize_topology/*`` — the same one-topology chunks threading one
+  shared generator, warm-started by ``ReferenceIndex.pick``;
+* ``engine/*`` — ``LegalizationEngine.legalize_batch`` at several chunk
+  sizes.
+
+The first two keys name the single-topology front ends the records were
+first computed with.
 
 Only fields the BLAS thread count cannot move are pinned.  The continuous
 SLSQP iterate depends on it (``OPENBLAS_NUM_THREADS=1`` against two threads
@@ -35,10 +43,10 @@ from repro.legalization import (
     SMALLER_AREA_RULES,
     DesignRules,
     LegalizationEngine,
-    Legalizer,
+    ReferenceIndex,
     SolverOptions,
-    extract_constraints,
-    solve_geometry,
+    compiled_for_topology,
+    solve_geometry_chunk,
 )
 
 RULES = {
@@ -160,6 +168,19 @@ def _stats(stats) -> list[int]:
     ]
 
 
+def _slot_stats(slots) -> list[int]:
+    """:func:`_stats` of a run given as per-topology solution slot lists."""
+    solved = sum(any(s.success for s in topology_slots) for topology_slots in slots)
+    successes = [s for topology_slots in slots for s in topology_slots if s.success]
+    return [
+        len(slots),
+        solved,
+        len(slots) - solved,
+        len(successes),
+        sum(s.method == "repair" for s in successes),
+    ]
+
+
 def _digest(record) -> str:
     return hashlib.sha256(json.dumps(record, separators=(",", ":")).encode()).hexdigest()
 
@@ -176,8 +197,13 @@ def test_solve_geometry(rules_name, mode):
     options = SolverOptions(solver_mode=mode)
     record = []
     for seed, topology in enumerate(TOPOLOGIES):
-        constraints = extract_constraints(topology, rules.width_min, rules.space_min)
-        record.append(_slot(solve_geometry(constraints, rules, rng=seed, options=options)))
+        outcome = solve_geometry_chunk(
+            [compiled_for_topology(topology, rules)],
+            rules,
+            [np.random.default_rng(seed)],
+            options,
+        )
+        record.append(_slot(outcome.solutions[0][0]))
     _check(f"solve_geometry/{rules_name}/{mode}", record)
 
 
@@ -185,25 +211,27 @@ def test_solve_geometry(rules_name, mode):
 @pytest.mark.parametrize("rules_name", list(RULES))
 def test_legalize_topology_shared_generator(rules_name, mode):
     rules = RULES[rules_name]
+    options = SolverOptions(solver_mode=mode)
     record = []
     for references in (None, _references(rules)):
+        index = ReferenceIndex(references)
         for num_solutions in (1, 3):
-            legalizer = Legalizer(
-                rules,
-                reference_geometries=references,
-                options=SolverOptions(solver_mode=mode),
-            )
             gen = np.random.default_rng(11)
-            slots = [
-                [
-                    _slot(solution)
-                    for solution in legalizer.legalize_topology(
-                        topology, num_solutions=num_solutions, rng=gen
-                    ).solutions
-                ]
-                for topology in TOPOLOGIES
-            ]
-            record.append([slots, _stats(legalizer.stats)])
+            slots = []
+            for topology in TOPOLOGIES:
+                compiled = compiled_for_topology(topology, rules)
+                outcome = solve_geometry_chunk(
+                    [compiled],
+                    rules,
+                    [gen],
+                    options,
+                    num_solutions=num_solutions,
+                    initial_targets=lambda _i, rng: index.pick(compiled.shape, rng),
+                )
+                slots.append(outcome.solutions[0])
+            # A topology's record keeps its successful solutions only.
+            solved = [[_slot(s) for s in topology_slots if s.success] for topology_slots in slots]
+            record.append([solved, _slot_stats(slots)])
     _check(f"legalize_topology/{rules_name}/{mode}", record)
 
 

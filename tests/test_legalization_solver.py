@@ -1,17 +1,21 @@
-"""Unit tests for the nonlinear legalisation solver and the Legalizer API."""
+"""Unit tests for the nonlinear legalisation solve and single-topology legalization.
+
+``TestSolveTopology`` solves one topology as a chunk of one through
+``solve_geometry_chunk``; ``TestLegalizer`` legalizes single topologies and
+small batches through ``LegalizationEngine``, the package's entry point.
+"""
 
 import numpy as np
 import pytest
+from legalization_helpers import solve_alone
 
 from repro.drc import DesignRuleChecker
 from repro.legalization import (
     DesignRules,
-    Legalizer,
+    LegalizationEngine,
     SolverOptions,
     extract_constraints,
     polygon_area,
-    solve_geometry,
-    solve_topology,
 )
 from repro.legalization.batched import _round_rows
 
@@ -111,13 +115,13 @@ class TestPolygonArea:
 
 class TestSolveTopology:
     def test_two_shape_topology_is_solvable(self, rules, two_shape_topology):
-        solution = solve_topology(two_shape_topology, rules, rng=0)
+        solution = solve_alone(two_shape_topology, rules, rng=0)
         assert solution.success
         assert solution.delta_x.sum() == rules.pattern_size
         assert solution.delta_y.sum() == rules.pattern_size
 
     def test_solution_satisfies_every_constraint(self, rules, two_shape_topology):
-        solution = solve_topology(two_shape_topology, rules, rng=1)
+        solution = solve_alone(two_shape_topology, rules, rng=1)
         constraints = extract_constraints(two_shape_topology, rules.width_min, rules.space_min)
         for constraint in constraints.all_interval_constraints:
             delta = solution.delta_x if constraint.axis == "x" else solution.delta_y
@@ -127,83 +131,95 @@ class TestSolveTopology:
             assert rules.area_min <= area <= rules.area_max
 
     def test_empty_topology_trivially_solvable(self, rules):
-        solution = solve_topology(np.zeros((8, 8), dtype=np.uint8), rules, rng=0)
+        solution = solve_alone(np.zeros((8, 8), dtype=np.uint8), rules, rng=0)
         assert solution.success
 
     def test_full_topology_infeasible_under_small_area_max(self):
         rules = DesignRules(area_max=10_000)
-        solution = solve_topology(np.ones((4, 4), dtype=np.uint8), rules, rng=0)
+        solution = solve_alone(np.ones((4, 4), dtype=np.uint8), rules, rng=0)
         assert not solution.success
         assert solution.delta_x is None
 
     def test_target_vector_length_validated(self, rules, two_shape_topology):
-        constraints = extract_constraints(two_shape_topology, rules.width_min, rules.space_min)
-        with pytest.raises(ValueError):
-            solve_geometry(constraints, rules, target_x=np.ones(3), target_y=np.ones(8), rng=0)
+        with pytest.raises(ValueError, match="wrong length"):
+            solve_alone(
+                two_shape_topology, rules, rng=0, target_x=np.ones(3), target_y=np.ones(8)
+            )
 
     def test_existing_target_accelerates_or_matches(self, rules, two_shape_topology):
         # Warm start from an already feasible geometry: uniform intervals.
         uniform = np.full(8, rules.pattern_size // 8, dtype=np.float64)
-        warm = solve_topology(two_shape_topology, rules, target_x=uniform, target_y=uniform, rng=0)
+        warm = solve_alone(
+            two_shape_topology, rules, rng=0, target_x=uniform, target_y=uniform
+        )
         assert warm.success
 
     def test_different_seeds_give_different_geometries(self, rules, two_shape_topology):
-        a = solve_topology(two_shape_topology, rules, rng=1)
-        b = solve_topology(two_shape_topology, rules, rng=2)
+        a = solve_alone(two_shape_topology, rules, rng=1)
+        b = solve_alone(two_shape_topology, rules, rng=2)
         assert a.success and b.success
         assert not np.array_equal(a.delta_x, b.delta_x)
 
 
 class TestLegalizer:
     def test_single_solution_mode(self, rules, two_shape_topology):
-        legalizer = Legalizer(rules)
-        result = legalizer.legalize_topology(two_shape_topology, num_solutions=1, rng=0)
+        (result,) = LegalizationEngine(rules).legalize_batch(
+            [two_shape_topology], num_solutions=1, seed=0
+        )
         assert result.solved
         assert len(result.patterns) == 1
 
     def test_multi_solution_mode_produces_distinct_patterns(self, rules, two_shape_topology):
-        legalizer = Legalizer(rules)
-        result = legalizer.legalize_topology(two_shape_topology, num_solutions=4, rng=0)
+        (result,) = LegalizationEngine(rules).legalize_batch(
+            [two_shape_topology], num_solutions=4, seed=0
+        )
         assert len(result.patterns) == 4
         signatures = {tuple(p.delta_x.tolist()) for p in result.patterns}
         assert len(signatures) > 1
 
     def test_all_solutions_are_drc_clean(self, rules, two_shape_topology):
-        legalizer = Legalizer(rules)
         checker = DesignRuleChecker(rules)
-        result = legalizer.legalize_topology(two_shape_topology, num_solutions=3, rng=0)
+        (result,) = LegalizationEngine(rules).legalize_batch(
+            [two_shape_topology], num_solutions=3, seed=0
+        )
         assert all(checker.is_legal(p) for p in result.patterns)
 
     def test_reference_geometries_are_used_when_shapes_match(self, rules, two_shape_topology):
         uniform = np.full(8, rules.pattern_size // 8, dtype=np.int64)
-        legalizer = Legalizer(rules, reference_geometries=[(uniform, uniform)])
-        result = legalizer.legalize_topology(two_shape_topology, num_solutions=1, rng=0)
+        engine = LegalizationEngine(rules, reference_geometries=[(uniform, uniform)])
+        (result,) = engine.legalize_batch([two_shape_topology], num_solutions=1, seed=0)
         assert result.solved
+        # The warm start pulls the solve towards the uniform pair instead of
+        # a random target.
+        (cold,) = LegalizationEngine(rules).legalize_batch(
+            [two_shape_topology], num_solutions=1, seed=0
+        )
+        assert not np.array_equal(result.patterns[0].delta_x, cold.patterns[0].delta_x)
 
     def test_stats_accumulate(self, rules, two_shape_topology):
-        legalizer = Legalizer(rules)
-        legalizer.legalize_batch([two_shape_topology, two_shape_topology], rng=0)
-        assert legalizer.stats.attempted == 2
-        assert legalizer.stats.solved == 2
-        assert legalizer.stats.solutions == 2
-        assert legalizer.stats.average_time_per_solution > 0
-        assert legalizer.stats.success_rate == 1.0
+        engine = LegalizationEngine(rules)
+        engine.legalize_batch([two_shape_topology, two_shape_topology], seed=0)
+        assert engine.stats.attempted == 2
+        assert engine.stats.solved == 2
+        assert engine.stats.solutions == 2
+        assert engine.stats.average_time_per_solution > 0
+        assert engine.stats.success_rate == 1.0
 
     def test_unsolvable_topology_reported_not_raised(self):
         rules = DesignRules(area_max=10_000)
-        legalizer = Legalizer(rules)
-        result = legalizer.legalize_topology(np.ones((4, 4), dtype=np.uint8), rng=0)
+        engine = LegalizationEngine(rules)
+        (result,) = engine.legalize_batch([np.ones((4, 4), dtype=np.uint8)], seed=0)
         assert not result.solved
-        assert legalizer.stats.failed == 1
+        assert engine.stats.failed == 1
 
     def test_legal_patterns_flattens_batches(self, rules, two_shape_topology):
-        legalizer = Legalizer(rules)
-        patterns = legalizer.legal_patterns([two_shape_topology] * 2, num_solutions=2, rng=0)
+        engine = LegalizationEngine(rules)
+        patterns = engine.legal_patterns([two_shape_topology] * 2, num_solutions=2, seed=0)
         assert len(patterns) == 4
 
     def test_solver_options_respected(self, rules, two_shape_topology):
         options = SolverOptions(max_attempts=1, max_iterations=50)
-        legalizer = Legalizer(rules, options=options)
-        result = legalizer.legalize_topology(two_shape_topology, rng=0)
+        engine = LegalizationEngine(rules, options=options)
+        (result,) = engine.legalize_batch([two_shape_topology], seed=0)
         assert result.solved
         assert result.solutions[0].attempts == 1

@@ -136,7 +136,10 @@ class TestComplexityHistogram:
         histogram = ComplexityHistogram()
         for pair in self.PAIRS:
             histogram.add(*pair)
-        assert histogram.diversity() == diversity_from_complexities(self.PAIRS)
+        # The batch oracle: the entropy over np.unique row counts.
+        _, counts = np.unique(np.asarray(self.PAIRS), axis=0, return_counts=True)
+        assert histogram.diversity() == shannon_entropy(counts.astype(np.float64))
+        assert diversity_from_complexities(self.PAIRS) == histogram.diversity()
         # Insertion order is irrelevant: the counts sort like np.unique rows.
         shuffled = ComplexityHistogram(list(reversed(self.PAIRS)))
         assert shuffled.diversity() == histogram.diversity()
@@ -171,9 +174,20 @@ class TestComplexityHistogram:
         histogram = ComplexityHistogram(self.PAIRS)
         probs_a, xs_a, ys_a = histogram.distribution(bins=8)
         probs_b, xs_b, ys_b = complexity_distribution(sorted(self.PAIRS), bins=8)
+        # The batch oracle: one count per pair on the fixed grid.
+        expected = np.zeros((8, 8))
+        for cx, cy in self.PAIRS:
+            expected[cx, cy] += 1.0
+        np.testing.assert_array_equal(probs_a, expected / expected.sum())
         np.testing.assert_array_equal(probs_a, probs_b)
+        np.testing.assert_array_equal(xs_a, np.arange(8))
         np.testing.assert_array_equal(xs_a, xs_b)
         np.testing.assert_array_equal(ys_a, ys_b)
+        # Without bins the axes are the observed values.
+        probs, xs, ys = complexity_distribution(self.PAIRS)
+        np.testing.assert_array_equal(xs, [0, 1, 3, 7])
+        np.testing.assert_array_equal(ys, [0, 1, 2, 5])
+        assert probs[2, 2] == 3 / 7 and probs.sum() == pytest.approx(1.0)
 
     def test_rejects_nonpositive_count(self):
         with pytest.raises(ValueError):

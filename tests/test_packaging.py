@@ -1,4 +1,5 @@
-"""Packaging: every third-party module ``src/repro`` imports is a declared dependency.
+"""Packaging: every third-party module ``src/repro`` imports is a declared
+dependency, and ``repro.__version__`` is the version ``pip`` installs.
 
 ``pip install -e .`` installs only ``[project] dependencies``; a module the
 package imports but does not declare leaves an install where ``import repro``
@@ -58,3 +59,20 @@ def test_third_party_imports_are_declared():
         if name.lower() not in declared_dependencies()
     }
     assert not undeclared, f"imported but not in [project] dependencies: {undeclared}"
+
+
+def test_package_version_matches_the_installed_metadata():
+    import repro
+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert repro.__version__ == project["version"]
+
+
+def test_console_scripts_resolve():
+    import importlib
+
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    assert set(scripts) == {"repro", "repro-serve"}
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name

@@ -841,11 +841,13 @@ def test_client_does_not_retry_logic_errors():
     assert calls == [400]
 
 
-def test_service_from_args_wires_the_failure_knobs(serve_env):
-    from repro.serve.server import build_parser, service_from_args
+def test_service_from_args_wires_the_failure_knobs(serve_env, capsys):
+    from repro.cli import build_parser, main
+    from repro.serve.server import service_from_args
 
     args = build_parser().parse_args(
         [
+            "serve",
             "--supervised",
             "--deadline", "5",
             "--retry-budget", "1",
@@ -860,9 +862,22 @@ def test_service_from_args_wires_the_failure_knobs(serve_env):
     assert service.worker_config.advance_timeout == 3.0
     assert service.worker_config.max_restarts == 4
 
-    plain = service_from_args(build_parser().parse_args([]), serve_env.registry)
+    plain = service_from_args(build_parser().parse_args(["serve"]), serve_env.registry)
     assert plain.supervised is False
     assert plain.worker_config is None
+
+    # A default deadline that is non-finite or not positive would cancel
+    # every request (NaN and <= 0 fire at once) or none (inf): rejected
+    # before the daemon binds, as one error line.
+    for bad in ("nan", "inf", "0", "-1"):
+        args = build_parser().parse_args(["serve", "--deadline", bad])
+        with pytest.raises(ValueError, match="deadline"):
+            service_from_args(args, serve_env.registry)
+        assert main(["serve", "--port", "0", "--deadline", bad]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: deadline") and err.count("\n") == 1
+    with pytest.raises(ValueError, match="deadline"):
+        GenerationService(deadline_seconds=float("nan"))
 
 
 def test_metrics_snapshot_has_failure_counters():
@@ -897,9 +912,15 @@ def test_deadline_request_round_trips_and_validates():
         {"scenario": "smoke", "deadline": -1.0},
         {"scenario": "smoke", "deadline": True},
         {"scenario": "smoke", "deadline": "soon"},
+        {"scenario": "smoke", "deadline": 10**400},
     ):
         with pytest.raises(ProtocolError):
             GenerateRequest.from_dict(bad)
+    # The server decodes bodies with json.loads, which accepts these.
+    for literal in ("NaN", "Infinity", "-Infinity"):
+        body = json.loads(f'{{"scenario": "smoke", "deadline": {literal}}}')
+        with pytest.raises(ProtocolError, match="finite"):
+            GenerateRequest.from_dict(body)
 
 
 def test_summary_error_code_round_trips():

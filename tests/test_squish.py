@@ -16,6 +16,30 @@ from repro.squish import (
 )
 
 
+def _canonicalize_loop(pattern: SquishPattern) -> SquishPattern:
+    """The original per-line merge loop, kept as the oracle for ``canonicalize``."""
+    topo = pattern.topology.copy()
+    dx = list(int(v) for v in pattern.delta_x)
+    dy = list(int(v) for v in pattern.delta_y)
+
+    def merge_all(topo, d, axis):
+        i = 0
+        while i < len(d) - 1:
+            if np.array_equal(topo.take(i, axis=axis), topo.take(i + 1, axis=axis)):
+                d[i] += d[i + 1]
+                del d[i + 1]
+                topo = np.delete(topo, i + 1, axis=axis)
+            else:
+                i += 1
+        return topo, d
+
+    topo, dx = merge_all(topo, dx, axis=1)
+    topo, dy = merge_all(topo, dy, axis=0)
+    return SquishPattern(
+        topo, np.asarray(dx, dtype=np.int64), np.asarray(dy, dtype=np.int64), pattern.origin
+    )
+
+
 def _sample_layout() -> Layout:
     window = Rect(0, 0, 1000, 1000)
     polys = [
@@ -251,3 +275,33 @@ class TestCanonicalize:
         canonical = canonicalize(pattern)
         assert canonical.topology.shape == (1, 1)
         assert canonical.width == 64
+
+    def test_matches_the_merge_loop(self):
+        rng = np.random.default_rng(17)
+        patterns = []
+        for _ in range(300):
+            rows, cols = (int(n) for n in rng.integers(1, 13, size=2))
+            # Few distinct lines, repeated, so most grids have mergeable runs.
+            base = rng.integers(0, 2, size=(int(rng.integers(1, 4)), cols))
+            grid = base[rng.integers(0, len(base), size=rows)]
+            grid = grid[:, np.sort(rng.integers(0, cols, size=cols))]
+            dx = rng.integers(1, 500, size=cols)
+            dy = rng.integers(1, 500, size=rows)
+            origin = (int(rng.integers(-50, 50)), int(rng.integers(-50, 50)))
+            patterns.append(SquishPattern(grid, dx, dy, origin=origin))
+        patterns += [
+            SquishPattern(np.ones((1, 1)), [7], [9]),
+            SquishPattern(np.array([[1, 1, 0, 0, 1]]), [1, 2, 3, 4, 5], [10]),
+            SquishPattern(np.array([[0], [1], [1]]), [4], [1, 2, 3]),
+            SquishPattern(np.ones((5, 6)), np.arange(1, 7), np.arange(1, 6)),
+            empty_pattern(64, 8),
+            squish(_sample_layout()),
+            pad_to_size(squish(_sample_layout()), 16),
+        ]
+        for pattern in patterns:
+            fast, loop = canonicalize(pattern), _canonicalize_loop(pattern)
+            assert fast.origin == loop.origin
+            for name in ("topology", "delta_x", "delta_y"):
+                a, b = getattr(fast, name), getattr(loop, name)
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
