@@ -48,7 +48,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -105,17 +105,22 @@ class LegalizationStats:
 
     def merge(self, other: "LegalizationStats") -> "LegalizationStats":
         """Fold another stats block into this one (shard aggregation)."""
-        self.attempted += other.attempted
-        self.solved += other.solved
-        self.failed += other.failed
-        self.total_solver_time += other.total_solver_time
-        self.total_iterations += other.total_iterations
-        self.solutions += other.solutions
-        self.fast_path_solutions += other.fast_path_solutions
-        self.batched_sweeps += other.batched_sweeps
-        self.batched_sweep_topologies += other.batched_sweep_topologies
-        self.batched_tail_solves += other.batched_tail_solves
+        for counter in fields(self):
+            name = counter.name
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
+
+    def as_dict(self) -> dict:
+        """Every counter by field name (a library chunk record's ``stats``)."""
+        return {counter.name: getattr(self, counter.name) for counter in fields(self)}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "LegalizationStats":
+        """Decode :meth:`as_dict`; a counter an older record lacks reads as 0."""
+        return cls(**{
+            counter.name: type(counter.default)(data.get(counter.name, 0))
+            for counter in fields(cls)
+        })
 
 
 class ReferenceIndex:
@@ -215,10 +220,6 @@ class LegalizationReport:
     #: workers — it exceeds ``total_seconds`` when parallelism is winning.
     solver_seconds: float = 0.0
     stats: LegalizationStats = field(default_factory=LegalizationStats)
-
-    @property
-    def seconds_per_topology(self) -> float:
-        return self.total_seconds / self.num_topologies if self.num_topologies else 0.0
 
     @property
     def topologies_per_second(self) -> float:

@@ -200,14 +200,8 @@ class ChunkRecord:
     )
 
     @property
-    def introduced_patterns(self) -> int:
-        """Patterns this chunk registered first (count, or legacy hash list)."""
-        if self.num_new_patterns >= 0:
-            return self.num_new_patterns
-        return len(self.new_pattern_hashes)
-
-    @property
     def introduced_topologies(self) -> int:
+        """Topologies this chunk registered first (count, or legacy hash list)."""
         if self.num_new_topologies >= 0:
             return self.num_new_topologies
         return len(self.new_topology_hashes)

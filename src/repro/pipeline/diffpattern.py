@@ -343,15 +343,12 @@ class DiffPatternPipeline:
         workers: "int | None" = None,
         retain_topologies: bool = True,
         library=None,
-        on_chunk=None,
     ):
         """A :class:`~repro.pipeline.GenerationGraph` over this pipeline's stages.
 
         ``chunk_size`` defaults to :attr:`DiffPatternConfig.sample_batch_size`;
         it only bounds peak memory — the generated result is element-wise
         identical for any value.
-        ``on_chunk`` is forwarded to the graph: a callback fired with each
-        live :class:`~repro.pipeline.StreamChunk` as it completes.
         """
         from .stages import GenerationGraph
 
@@ -364,7 +361,6 @@ class DiffPatternPipeline:
             num_solutions=num_solutions,
             retain_topologies=retain_topologies,
             library=library,
-            on_chunk=on_chunk,
         )
 
     def generate_and_legalize(

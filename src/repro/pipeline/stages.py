@@ -149,7 +149,12 @@ class _Accumulators:
 class StreamChunk:
     """Everything one completed graph chunk produced, with per-sample attribution.
 
-    Produced by :meth:`GenerationStream.advance`.  Beyond the aggregate
+    Produced by :meth:`GenerationStream.advance`, and the one description of
+    a chunk downstream of it: the graph folds it into a run,
+    :meth:`record` turns it into the library's chunk record, and a
+    supervised ``repro serve`` worker sends it over its pipe as is (a graph
+    built with ``retain_topologies=False`` leaves the raw matrices out, so
+    the pickle carries only what is served).  Beyond the aggregate
     accounting the batch path needs, every pattern carries the absolute
     sample index it descends from (:attr:`pattern_sources`), so a consumer
     sharing one stream between several clients — the ``repro serve``
@@ -163,16 +168,17 @@ class StreamChunk:
     start: int
     #: Number of samples pulled for this chunk.
     size: int
-    #: Raw unfolded topology matrices, shape ``(size, H, W)``.
+    #: Raw unfolded topology matrices, shape ``(size, H, W)``; empty unless
+    #: the graph retains topologies.
     matrices: np.ndarray = field(repr=False)
     #: Absolute sample indices that survived the prefilter, in order.
     kept_indices: list[int]
-    #: The surviving topology matrices (aligned with :attr:`kept_indices`).
+    #: The surviving topology matrices (aligned with :attr:`kept_indices`);
+    #: empty unless the graph retains topologies.
     kept: list[np.ndarray] = field(repr=False)
     num_rejected: int
-    #: One ``LegalizedTopology`` per kept topology (aligned with
-    #: :attr:`kept_indices`); unsolved entries carry no patterns.
-    results: list = field(repr=False)
+    #: Kept topologies for which no legal geometry was found.
+    unsolved: int
     #: Every legal pattern the chunk produced, before any dedup planning.
     chunk_patterns: list[SquishPattern] = field(repr=False)
     #: The patterns the caller keeps (identical to :attr:`chunk_patterns`
@@ -199,12 +205,33 @@ class StreamChunk:
     @property
     def num_kept(self) -> int:
         """Topologies that survived the prefilter in this chunk."""
-        return len(self.kept)
+        return len(self.kept_indices)
 
-    @property
-    def unsolved(self) -> int:
-        """Kept topologies for which no legal geometry was found."""
-        return sum(1 for result in self.results if not result.solved)
+    def record(self) -> ChunkRecord:
+        """This chunk's library accounting record.
+
+        The storage fields (``num_stored``, ``duplicates_skipped``,
+        ``shard`` and the rest) are filled in by
+        :meth:`~repro.library.PatternLibrary.append_chunk`; ``stats``
+        carries every :class:`~repro.legalization.LegalizationStats`
+        counter.
+        """
+        return ChunkRecord(
+            chunk=self.chunk,
+            start=self.start,
+            num_sampled=self.size,
+            num_kept=self.num_kept,
+            num_rejected=self.num_rejected,
+            unsolved=self.unsolved,
+            num_patterns=len(self.chunk_patterns),
+            num_stored=0,
+            duplicates_skipped=0,
+            num_clean=self.num_clean,
+            shard=None,
+            topology_complexity_counts=self.topology_histogram.as_records(),
+            pattern_complexity_counts=self.pattern_histogram.as_records(),
+            stats=self.legalization_report.stats.as_dict(),
+        )
 
 
 class GenerationStream:
@@ -316,15 +343,16 @@ class GenerationStream:
         )
         drc_seconds = time.perf_counter() - tic
 
+        retain = graph.retain_topologies
         chunk = StreamChunk(
             chunk=self.next_chunk,
             start=start,
             size=size,
-            matrices=matrices,
+            matrices=matrices if retain else matrices[:0].copy(),
             kept_indices=kept_indices,
-            kept=kept,
+            kept=kept if retain else [],
             num_rejected=num_rejected,
-            results=results,
+            unsolved=sum(1 for result in results if not result.solved),
             chunk_patterns=chunk_patterns,
             patterns=patterns,
             pattern_sources=pattern_sources,
@@ -346,16 +374,17 @@ class GenerationStream:
         self.num_kept += len(kept)
         return chunk
 
-    def skip_record(self, record: ChunkRecord) -> None:
-        """Advance the stream counters over one resumed (already-stored) chunk.
+    def seek(self, frontier: "tuple[int, int, int]") -> None:
+        """Move the stream to ``frontier = (next_start, next_chunk, num_kept)``.
 
-        The chunk's samples are never re-generated; only the index frontier,
-        chunk counter and legalization offset move, so the chunks that follow
-        stay bit-identical to the uninterrupted run.
+        Those three counters are all the state a stream carries (every
+        sample owns ``(sample_seed, index)`` and every kept topology
+        ``(legal_seed, kept_index)``), so the next :meth:`advance` produces
+        exactly the chunk an uninterrupted stream would produce there.  A
+        resumed run seeks past its stored chunks; a serve batcher seeks to
+        its committed frontier, in process or in a restarted worker.
         """
-        self.next_start += record.num_sampled
-        self.next_chunk += 1
-        self.num_kept += record.num_kept
+        self.next_start, self.next_chunk, self.num_kept = (int(value) for value in frontier)
 
 
 class GenerationGraph:
@@ -382,13 +411,6 @@ class GenerationGraph:
         the shared library lock, so several graphs (or serve workers) can
         grow one library concurrently — each run resumes against its own
         writer ledger.
-    on_chunk:
-        Optional callback invoked with each live :class:`StreamChunk` right
-        after it has been folded into the run (and, when a library is
-        attached, after the chunk's shard has been committed).  Resumed
-        chunks do not fire it — their samples were never re-generated.  This
-        is the hook the serving layer uses to stream per-chunk results to
-        waiting requests.
     """
 
     def __init__(
@@ -401,7 +423,6 @@ class GenerationGraph:
         num_solutions: int = 1,
         retain_topologies: bool = True,
         library: "PatternLibrary | None" = None,
-        on_chunk: "callable | None" = None,
     ) -> None:
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
@@ -415,7 +436,6 @@ class GenerationGraph:
         self.num_solutions = int(num_solutions)
         self.retain_topologies = bool(retain_topologies)
         self.library = library
-        self.on_chunk = on_chunk
         self.last_report: "GenerationGraphReport | None" = None
 
     # ------------------------------------------------------------------ #
@@ -527,14 +547,14 @@ class GenerationGraph:
                 size = min(self.chunk_size, num_samples - start)
                 if chunk_index in resumed:
                     self._fold_record(resumed[chunk_index], acc, resumed_stats)
-                    stream.skip_record(resumed[chunk_index])
                     report.chunks_resumed += 1
                     continue
+                # Past any resumed chunks: the legalization offset is every
+                # topology kept so far, stored or live.
+                stream.seek((start, chunk_index, acc.num_kept))
                 chunk = stream.advance(size)
                 self._fold_chunk(chunk, acc, report)
                 report.chunks_live += 1
-                if self.on_chunk is not None:
-                    self.on_chunk(chunk)
         report.total_seconds = time.perf_counter() - start_total
 
         if report.chunks_resumed:
@@ -597,7 +617,7 @@ class GenerationGraph:
         report.drc_seconds += chunk.drc_seconds
 
         acc.num_sampled += chunk.size
-        acc.num_kept += len(chunk.kept)
+        acc.num_kept += chunk.num_kept
         acc.num_rejected += chunk.num_rejected
         acc.unsolved += chunk.unsolved
         acc.num_patterns += len(chunk.patterns)
@@ -610,30 +630,7 @@ class GenerationGraph:
 
         stored = chunk.patterns
         if self.library is not None:
-            record = ChunkRecord(
-                chunk=chunk.chunk,
-                start=chunk.start,
-                num_sampled=chunk.size,
-                num_kept=len(chunk.kept),
-                num_rejected=chunk.num_rejected,
-                unsolved=chunk.unsolved,
-                num_patterns=len(chunk.chunk_patterns),
-                num_stored=0,
-                duplicates_skipped=0,
-                num_clean=chunk.num_clean,
-                shard=None,
-                topology_complexity_counts=chunk.topology_histogram.as_records(),
-                pattern_complexity_counts=chunk.pattern_histogram.as_records(),
-                stats={
-                    "attempted": chunk.legalization_report.stats.attempted,
-                    "solved": chunk.legalization_report.stats.solved,
-                    "failed": chunk.legalization_report.stats.failed,
-                    "solutions": chunk.legalization_report.stats.solutions,
-                    "total_iterations": chunk.legalization_report.stats.total_iterations,
-                    "total_solver_time": chunk.legalization_report.stats.total_solver_time,
-                },
-            )
-            stored = self.library.append_chunk(record, chunk.chunk_patterns)
+            stored = self.library.append_chunk(chunk.record(), chunk.chunk_patterns)
         acc.patterns.extend(stored)
 
     def _fold_record(
@@ -656,15 +653,4 @@ class GenerationGraph:
             ComplexityHistogram.from_records(record.pattern_complexity_counts)
         )
         acc.patterns.extend(self.library.load_record_patterns(record))
-        stats = record.stats
-        if stats:
-            resumed_stats.merge(
-                LegalizationStats(
-                    attempted=int(stats.get("attempted", 0)),
-                    solved=int(stats.get("solved", 0)),
-                    failed=int(stats.get("failed", 0)),
-                    total_solver_time=float(stats.get("total_solver_time", 0.0)),
-                    total_iterations=int(stats.get("total_iterations", 0)),
-                    solutions=int(stats.get("solutions", 0)),
-                )
-            )
+        resumed_stats.merge(LegalizationStats.from_dict(record.stats))

@@ -53,7 +53,6 @@ from .service import (
 from .supervisor import (
     SupervisedStreamBatcher,
     SupervisedWorker,
-    WorkerChunk,
     WorkerConfig,
     WorkerCrash,
     WorkerError,
@@ -79,7 +78,6 @@ __all__ = [
     "StreamBatcher",
     "SupervisedStreamBatcher",
     "SupervisedWorker",
-    "WorkerChunk",
     "WorkerConfig",
     "WorkerCrash",
     "WorkerError",

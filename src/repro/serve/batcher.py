@@ -10,13 +10,24 @@ gives each group one :class:`StreamBatcher`.  The batcher owns:
 * the single :class:`~repro.pipeline.GenerationStream` all requests share —
   every ``advance`` is one coalesced sampling/legalization batch covering
   whichever request windows are waiting;
+* the **committed frontier**: the stream counters ``(next_start,
+  next_chunk, num_kept)`` as of the last chunk folded into the cache.  It
+  is the one record of where the served stream stands; every advance
+  seeks the stream to it (:meth:`~repro.pipeline.GenerationStream.seek`),
+  in process or — for the supervised batcher — in the worker process;
 * the **window ledger**: a reservation frontier handing each tail request
   the next unclaimed ``[start, start + count)`` window, and the ``done``
-  frontier of samples already generated;
+  frontier of samples already generated (the committed ``next_start``);
 * the **pattern cache**: per-chunk hash records (via
   :func:`repro.library.pattern_hash` — the same dedup identity the
   :class:`~repro.library.PatternLibrary` uses) plus one shared pattern
   store, so a repeat window is answered without touching the engines.
+
+Every path that opens a served stream — this batcher, and the supervised
+worker process of :mod:`repro.serve.supervisor` — goes through
+:func:`open_plan_stream` and :func:`stream_fingerprint`, and every
+:class:`~repro.pipeline.StreamChunk` reaches the library through
+:meth:`~repro.pipeline.StreamChunk.record`.
 
 Thread model: the service's event loop calls :meth:`reserve` /
 :meth:`cover` / :meth:`covered_through`; :meth:`ensure_ready` and
@@ -31,11 +42,17 @@ import threading
 from dataclasses import dataclass, field
 
 from ..faults import declare_fault_points, fault_point
-from ..library import ChunkRecord, LibraryError, PatternLibrary, pattern_hash
+from ..library import LibraryError, PatternLibrary, pattern_hash
 from ..pipeline import DiffPatternPipeline
 from ..utils import as_rng
 
-__all__ = ["CachedChunk", "StreamBatcher", "stream_key"]
+__all__ = [
+    "CachedChunk",
+    "StreamBatcher",
+    "open_plan_stream",
+    "stream_fingerprint",
+    "stream_key",
+]
 
 declare_fault_points(
     "serve:warmup",
@@ -98,6 +115,34 @@ def _default_pipeline_factory(plan):
     return pipeline, gen
 
 
+def open_plan_stream(plan, pipeline_factory=None):
+    """Warm the plan's pipeline and open the stream its windows are served from.
+
+    ``pipeline_factory`` is the ``plan -> (trained pipeline, generator)``
+    hook of :class:`StreamBatcher` (``None`` trains from scratch).  The graph
+    takes the plan's worker count, not the (possibly injected) pipeline's:
+    output is worker-count invariant, so only the served cost changes.  It
+    retains no raw topologies, so a chunk carries only what is served.  The
+    stream resolves the same two base seeds the one-shot run draws from the
+    post-training generator: bit-identity with ``repro generate``.
+    """
+    pipeline, gen = (pipeline_factory or _default_pipeline_factory)(plan)
+    graph = pipeline.generation_graph(
+        num_solutions=plan.num_solutions,
+        workers=plan.config.workers,
+        retain_topologies=False,
+    )
+    return graph.open_stream(gen)
+
+
+def stream_fingerprint(stream) -> dict:
+    """The graph fingerprint of a served stream (seeds, rules, knobs).
+
+    ``num_samples`` is -1: a served stream is open-ended.
+    """
+    return stream.graph.fingerprint(-1, stream.sample_seed, stream.legal_seed)
+
+
 class StreamBatcher:
     """Shared generation stream + window ledger + pattern cache.
 
@@ -120,8 +165,9 @@ class StreamBatcher:
         ``serve-<stream key>`` of that library: every generated chunk is
         persisted with per-pattern source/DRC attribution, and on warmup the
         writer's committed chunks are restored into the pattern cache — the
-        stream fast-forwards over them — so repeat windows survive a server
-        restart, and concurrently running servers/CLI runs grow one library.
+        committed frontier moves past them — so repeat windows survive a
+        server restart, and concurrently running servers/CLI runs grow one
+        library.
     metrics:
         Optional :class:`~repro.serve.ServeMetrics` receiving the library
         restore/persist counters.
@@ -142,7 +188,7 @@ class StreamBatcher:
         self.max_batch = int(max_batch)
         self.library_root = library_root
         self.metrics = metrics
-        self._pipeline_factory = pipeline_factory or _default_pipeline_factory
+        self._pipeline_factory = pipeline_factory
         self._lock = threading.Lock()
         self._stream = None
         self._library = None
@@ -152,8 +198,9 @@ class StreamBatcher:
         self.persisted_chunks = 0
         #: Next unclaimed sample index (grows at reservation time).
         self.reserved = 0
-        #: Samples generated so far (grows as chunks complete).
-        self.done = 0
+        #: Stream counters ``(next_start, next_chunk, num_kept)`` as of the
+        #: last chunk committed to the cache (and library, when backed).
+        self._committed = (0, 0, 0)
         self._chunks: "list[CachedChunk]" = []
         self._patterns: dict = {}
         # Crash-atomicity latches for :meth:`advance`: a chunk that was
@@ -171,6 +218,11 @@ class StreamBatcher:
         """True once the pipeline is trained and the stream is open."""
         return self._stream is not None
 
+    @property
+    def done(self) -> int:
+        """Samples generated so far: the committed frontier's ``next_start``."""
+        return self._committed[0]
+
     def ensure_ready(self) -> None:
         """Train (if needed) and open the shared stream.  Idempotent.
 
@@ -180,19 +232,9 @@ class StreamBatcher:
         if self._stream is not None:
             return
         fault_point("serve:warmup")
-        pipeline, gen = self._pipeline_factory(self.plan)
-        # The plan's worker count, not the (possibly injected) pipeline's:
-        # output is worker-count invariant, so only the served cost changes.
-        graph = pipeline.generation_graph(
-            num_solutions=self.plan.num_solutions,
-            workers=self.plan.config.workers,
-            retain_topologies=False,
-        )
-        # Resolves the same two base seeds the one-shot run draws from the
-        # post-training generator: bit-identity with `repro generate`.
-        self._stream = graph.open_stream(gen)
+        self._stream = open_plan_stream(self.plan, self._pipeline_factory)
         if self.library_root is not None:
-            self._attach_library()
+            self._attach_library(stream_fingerprint(self._stream))
 
     # ------------------------------------------------------------------ #
     # persistent backing
@@ -202,31 +244,18 @@ class StreamBatcher:
         """This stream's writer identity in the shared pattern library."""
         return f"serve-{self.key[:12]}"
 
-    def _library_fingerprint(self) -> dict:
-        """The resume-safety identity of this served stream.
-
-        The graph fingerprint pins seeds/rules/knobs (``num_samples`` is -1:
-        a served stream is open-ended); the stream key pins the scenario
-        identity the server groups by.
-        """
-        stream = self._stream
-        fingerprint = stream.graph.fingerprint(
-            -1, stream.sample_seed, stream.legal_seed
-        )
-        fingerprint["stream_key"] = self.key
-        return fingerprint
-
-    def _attach_library(self) -> None:
+    def _attach_library(self, fingerprint: dict) -> None:
         """Bind the stream's writer ledger and restore its cached chunks.
 
-        Restored chunks replay exactly like live ones — patterns enter the
-        shared store, the window ledger's ``done`` frontier advances, and
-        the stream's counters skip forward — so a window served before the
-        restart is answered from the cache, bit-identical, without touching
-        the engines.
+        ``fingerprint`` is the served stream's :func:`stream_fingerprint`;
+        the ledger binds it plus the stream key, the scenario identity the
+        server groups by.  Restored chunks replay exactly like live ones —
+        patterns enter the shared store and the committed frontier moves
+        past them — so a window served before the restart is answered from
+        the cache, bit-identical, without touching the engines.
         """
         library = PatternLibrary(self.library_root, writer=self.writer_id)
-        records = library.bind(self._library_fingerprint(), resume=True)
+        records = library.bind({**fingerprint, "stream_key": self.key}, resume=True)
         with self._lock:
             for record in records:
                 patterns = library.load_record_patterns(record)
@@ -240,58 +269,21 @@ class StreamBatcher:
                         "carries no per-pattern attribution; the library was "
                         "not written by a serve batcher"
                     )
-                cached = CachedChunk(
-                    start=record.start, end=record.start + record.num_sampled
+                self._cache_chunk(
+                    record.start, record.num_sampled, record.num_kept,
+                    patterns, record.pattern_sources, record.pattern_clean,
                 )
-                for pattern, source, flag in zip(
-                    patterns, record.pattern_sources, record.pattern_clean
-                ):
-                    digest = pattern_hash(pattern)
-                    self._patterns.setdefault(digest, pattern)
-                    cached.hashes.append(digest)
-                    cached.sources.append(int(source))
-                    cached.clean.append(bool(flag))
-                self._chunks.append(cached)
-                self._skip_record(record)
-                self.done = cached.end
                 self.restored_samples += record.num_sampled
         self._library = library
         if self.metrics is not None and self.restored_samples:
             self.metrics.record_library_restored(self.restored_samples)
 
-    def _skip_record(self, record) -> None:
-        """Fast-forward the generation state over one restored chunk."""
-        self._stream.skip_record(record)
-
     def _persist_chunk(self, chunk) -> None:
         """Commit one generated chunk to the shared library (with attribution)."""
         fault_point("serve:persist")
-        stats = chunk.legalization_report.stats
-        record = ChunkRecord(
-            chunk=chunk.chunk,
-            start=chunk.start,
-            num_sampled=chunk.size,
-            num_kept=chunk.num_kept,
-            num_rejected=chunk.num_rejected,
-            unsolved=chunk.unsolved,
-            num_patterns=len(chunk.chunk_patterns),
-            num_stored=0,
-            duplicates_skipped=0,
-            num_clean=chunk.num_clean,
-            shard=None,
-            topology_complexity_counts=chunk.topology_histogram.as_records(),
-            pattern_complexity_counts=chunk.pattern_histogram.as_records(),
-            stats={
-                "attempted": stats.attempted,
-                "solved": stats.solved,
-                "failed": stats.failed,
-                "solutions": stats.solutions,
-                "total_iterations": stats.total_iterations,
-                "total_solver_time": stats.total_solver_time,
-            },
-            pattern_sources=[int(source) for source in chunk.pattern_sources],
-            pattern_clean=[int(bool(flag)) for flag in chunk.clean_mask],
-        )
+        record = chunk.record()
+        record.pattern_sources = [int(source) for source in chunk.pattern_sources]
+        record.pattern_clean = [int(bool(flag)) for flag in chunk.clean_mask]
         self._library.append_chunk(record, chunk.patterns)
         self.persisted_chunks += 1
         if self.metrics is not None:
@@ -358,24 +350,32 @@ class StreamBatcher:
         return chunk
 
     def _compute_chunk(self, size: int):
-        """Run the engines for the next ``size`` samples (overridable)."""
+        """Run the engines for ``size`` samples at the committed frontier."""
+        self._stream.seek(self._committed)
         return self._stream.advance(size)
 
     def _commit_chunk(self, chunk) -> None:
-        """Fold a computed chunk into the pattern cache and ``done`` frontier."""
+        """Fold a computed chunk into the pattern cache and committed frontier."""
         fault_point("serve:cache-commit")
-        record = CachedChunk(start=chunk.start, end=chunk.end)
         with self._lock:
-            for pattern, source, clean in zip(
-                chunk.patterns, chunk.pattern_sources, chunk.clean_mask
-            ):
-                digest = pattern_hash(pattern)
-                self._patterns.setdefault(digest, pattern)
-                record.hashes.append(digest)
-                record.sources.append(int(source))
-                record.clean.append(bool(clean))
-            self._chunks.append(record)
-            self.done = chunk.end
+            self._cache_chunk(
+                chunk.start, chunk.size, chunk.num_kept,
+                chunk.patterns, chunk.pattern_sources, chunk.clean_mask,
+            )
+
+    def _cache_chunk(self, start, size, num_kept, patterns, sources, clean) -> None:
+        """Cache one live or restored chunk and move the committed frontier
+        past it (the caller holds the lock)."""
+        cached = CachedChunk(start=start, end=start + size)
+        for pattern, source, flag in zip(patterns, sources, clean):
+            digest = pattern_hash(pattern)
+            self._patterns.setdefault(digest, pattern)
+            cached.hashes.append(digest)
+            cached.sources.append(int(source))
+            cached.clean.append(bool(flag))
+        self._chunks.append(cached)
+        _, next_chunk, kept = self._committed
+        self._committed = (cached.end, next_chunk + 1, kept + num_kept)
 
     def close(self) -> None:
         """Release generation resources (the supervised batcher's worker)."""

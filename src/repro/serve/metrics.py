@@ -30,7 +30,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 
-from ..legalization import compilation_cache_info
+from ..legalization import LegalizationStats, compilation_cache_info
 
 __all__ = ["ServeMetrics"]
 
@@ -69,13 +69,8 @@ class ServeMetrics:
         self.library_restored_samples = 0
         self.library_persisted_chunks = 0
         self.library_persisted_patterns = 0
-        self.legalize_attempted = 0
-        self.legalize_solved = 0
-        self.legalize_solutions = 0
-        self.legalize_fast_path_solutions = 0
-        self.legalize_batched_sweeps = 0
-        self.legalize_batched_sweep_topologies = 0
-        self.legalize_batched_tail_solves = 0
+        #: Every generated chunk's legalization counters, merged.
+        self.legalization = LegalizationStats()
 
     # ------------------------------------------------------------------ #
     # recording
@@ -156,13 +151,7 @@ class ServeMetrics:
     def record_legalization(self, stats) -> None:
         """Fold one chunk's :class:`~repro.legalization.LegalizationStats` in."""
         with self._lock:
-            self.legalize_attempted += stats.attempted
-            self.legalize_solved += stats.solved
-            self.legalize_solutions += stats.solutions
-            self.legalize_fast_path_solutions += stats.fast_path_solutions
-            self.legalize_batched_sweeps += stats.batched_sweeps
-            self.legalize_batched_sweep_topologies += stats.batched_sweep_topologies
-            self.legalize_batched_tail_solves += stats.batched_tail_solves
+            self.legalization.merge(stats)
 
     # ------------------------------------------------------------------ #
     # reporting
@@ -174,6 +163,7 @@ class ServeMetrics:
             batch_sizes = list(self._batch_sizes)
             batch_requests = list(self._batch_requests)
             served = self.samples_generated + self.samples_cached
+            legal = self.legalization
             return {
                 "requests_admitted": self.requests_admitted,
                 "requests_rejected": self.requests_rejected,
@@ -202,21 +192,12 @@ class ServeMetrics:
                 "library_restored_samples": self.library_restored_samples,
                 "library_persisted_chunks": self.library_persisted_chunks,
                 "library_persisted_patterns": self.library_persisted_patterns,
-                "legalize_attempted": self.legalize_attempted,
-                "legalize_solved": self.legalize_solved,
-                "legalize_solutions": self.legalize_solutions,
-                "legalize_fast_path_fraction": (
-                    self.legalize_fast_path_solutions / self.legalize_solutions
-                    if self.legalize_solutions
-                    else 0.0
-                ),
-                "legalize_batched_sweeps": self.legalize_batched_sweeps,
-                "legalize_batched_sweep_size_mean": (
-                    self.legalize_batched_sweep_topologies
-                    / self.legalize_batched_sweeps
-                    if self.legalize_batched_sweeps
-                    else 0.0
-                ),
-                "legalize_batched_tail_solves": self.legalize_batched_tail_solves,
+                "legalize_attempted": legal.attempted,
+                "legalize_solved": legal.solved,
+                "legalize_solutions": legal.solutions,
+                "legalize_fast_path_fraction": legal.fast_path_fraction,
+                "legalize_batched_sweeps": legal.batched_sweeps,
+                "legalize_batched_sweep_size_mean": legal.batched_sweep_mean_size,
+                "legalize_batched_tail_solves": legal.batched_tail_solves,
                 "compile_cache": compilation_cache_info(),
             }

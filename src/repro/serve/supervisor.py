@@ -18,18 +18,27 @@ first-class event:
   :class:`~repro.serve.StreamBatcher` whose engine calls go through the
   worker.
 
+The child opens its stream with the batcher's own
+:func:`~repro.serve.batcher.open_plan_stream` and answers each advance with
+the :class:`~repro.pipeline.StreamChunk` itself: the served graph retains
+no raw topologies, so the chunk pickles to the patterns, their
+attribution and the chunk's accounting — the same object the in-process
+batcher caches and persists.
+
 **Why resubmission is safe (the determinism argument).**  A generation
 stream's entire future is determined by three counters — ``next_start``,
 ``next_chunk`` and ``num_kept`` — because every sample owns
 ``SeedSequence(sample_seed, index)`` and every kept topology owns
 ``SeedSequence(legal_seed, kept_index)``; there is no other carried state.
-The supervisor therefore tracks the **committed frontier**: the counters as
-of the last chunk that was persisted and folded into the pattern cache.  A
-restarted worker is synced to exactly that frontier, so recomputing the
-window that was in flight when the old worker died reproduces it bit for
-bit — the client-visible stream is indistinguishable from a run with no
-failure at all (gated by ``tests/test_serve_chaos.py`` at every registered
-fault point).
+The batcher therefore keeps the **committed frontier**: the counters as of
+the last chunk that was persisted and folded into the pattern cache (the
+base class's ``_committed``, shared with the in-process batcher).  A
+restarted worker seeks its stream to exactly that frontier
+(:meth:`~repro.pipeline.GenerationStream.seek`), so recomputing the window
+that was in flight when the old worker died reproduces it bit for bit —
+the client-visible stream is indistinguishable from a run with no failure
+at all (gated by ``tests/test_serve_chaos.py`` at every registered fault
+point).
 
 Two idempotence latches close the remaining races:
 
@@ -52,15 +61,14 @@ from __future__ import annotations
 import multiprocessing
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..faults import InjectedCrash, declare_fault_points, fault_point
-from .batcher import StreamBatcher, _default_pipeline_factory
+from .batcher import StreamBatcher, open_plan_stream, stream_fingerprint
 
 __all__ = [
     "SupervisedStreamBatcher",
     "SupervisedWorker",
-    "WorkerChunk",
     "WorkerConfig",
     "WorkerCrash",
     "WorkerError",
@@ -126,62 +134,6 @@ class WorkerConfig:
         return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
-@dataclass
-class WorkerChunk:
-    """The picklable projection of a :class:`~repro.pipeline.StreamChunk`.
-
-    Carries everything the serving side consumes — patterns with source/DRC
-    attribution, the accounting the metrics and the persistent library
-    record need — and drops the bulky intermediates (raw topology matrices,
-    per-topology solver results) that would otherwise cross the pipe with
-    every batch.
-    """
-
-    chunk: int
-    start: int
-    size: int
-    num_kept: int
-    num_rejected: int
-    unsolved: int
-    patterns: list = field(repr=False)
-    pattern_sources: list
-    clean_mask: object = field(repr=False)
-    num_clean: int
-    topology_histogram: object = field(repr=False)
-    pattern_histogram: object = field(repr=False)
-    sampling_report: object = field(repr=False)
-    legalization_report: object = field(repr=False)
-
-    @property
-    def end(self) -> int:
-        return self.start + self.size
-
-    @property
-    def chunk_patterns(self) -> list:
-        # The serve graph never attaches a deduplicating library, so the
-        # kept patterns are exactly the produced patterns.
-        return self.patterns
-
-    @classmethod
-    def from_stream_chunk(cls, chunk) -> "WorkerChunk":
-        return cls(
-            chunk=chunk.chunk,
-            start=chunk.start,
-            size=chunk.size,
-            num_kept=chunk.num_kept,
-            num_rejected=chunk.num_rejected,
-            unsolved=chunk.unsolved,
-            patterns=chunk.patterns,
-            pattern_sources=chunk.pattern_sources,
-            clean_mask=chunk.clean_mask,
-            num_clean=chunk.num_clean,
-            topology_histogram=chunk.topology_histogram,
-            pattern_histogram=chunk.pattern_histogram,
-            sampling_report=chunk.sampling_report,
-            legalization_report=chunk.legalization_report,
-        )
-
-
 # --------------------------------------------------------------------------- #
 # the child
 # --------------------------------------------------------------------------- #
@@ -213,7 +165,7 @@ def _worker_main(conn, plan, pipeline_factory, heartbeat_interval: float) -> Non
     threading.Thread(target=beat, name="worker-heartbeat", daemon=True).start()
 
     stream = None
-    #: Idempotent-resend latch: ``(start, size, WorkerChunk)`` of the last
+    #: Idempotent-resend latch: ``(start, size, StreamChunk)`` of the last
     #: computed chunk, until the next command proves the parent moved on.
     last = None
     while True:
@@ -225,23 +177,10 @@ def _worker_main(conn, plan, pipeline_factory, heartbeat_interval: float) -> Non
             if verb == "warmup":
                 fault_point("worker:warmup")
                 if stream is None:
-                    factory = pipeline_factory or _default_pipeline_factory
-                    pipeline, gen = factory(plan)
-                    graph = pipeline.generation_graph(
-                        num_solutions=plan.num_solutions,
-                        workers=plan.config.workers,
-                        retain_topologies=False,
-                    )
-                    stream = graph.open_stream(gen)
-                fingerprint = stream.graph.fingerprint(
-                    -1, stream.sample_seed, stream.legal_seed
-                )
-                send(("ready", fingerprint))
+                    stream = open_plan_stream(plan, pipeline_factory)
+                send(("ready", stream_fingerprint(stream)))
             elif verb == "sync":
-                next_start, next_chunk, num_kept = payload
-                stream.next_start = int(next_start)
-                stream.next_chunk = int(next_chunk)
-                stream.num_kept = int(num_kept)
+                stream.seek(payload)
                 last = None
                 send(("synced", payload))
             elif verb == "advance":
@@ -250,7 +189,7 @@ def _worker_main(conn, plan, pipeline_factory, heartbeat_interval: float) -> Non
                     send(("chunk", last[2]))
                 elif stream.next_start == expected_start:
                     fault_point("worker:advance")
-                    chunk = WorkerChunk.from_stream_chunk(stream.advance(size))
+                    chunk = stream.advance(size)
                     last = (expected_start, size, chunk)
                     fault_point("worker:send")
                     send(("chunk", chunk))
@@ -291,7 +230,6 @@ class SupervisedWorker:
         self.pipeline_factory = pipeline_factory
         self.config = config or WorkerConfig()
         self.metrics = metrics
-        self.fingerprint: "dict | None" = None
         #: Lifetime restart count (exported on ``/metrics`` via the service).
         self.restarts = 0
         #: Windows recomputed after a restart.
@@ -326,7 +264,6 @@ class SupervisedWorker:
         kind, payload = self._request(("warmup", None), self.config.warmup_timeout)
         if kind != "ready":
             raise WorkerCrash(f"warmup answered {kind!r}: {payload}")
-        self.fingerprint = payload
         self.sync(committed)
         return payload
 
@@ -396,9 +333,10 @@ class SupervisedWorker:
             raise WorkerCrash(f"sync answered {kind!r}: {payload}")
 
     # -- the supervised call ---------------------------------------------- #
-    def advance(self, size: int, committed: "tuple[int, int, int]") -> WorkerChunk:
+    def advance(self, size: int, committed: "tuple[int, int, int]"):
         """One supervised advance of ``size`` samples at the committed frontier.
 
+        Returns the child's :class:`~repro.pipeline.StreamChunk`, unpickled.
         Crashes and hangs consume the per-call restart budget; a restarted
         child is resynced to ``committed`` and the window is recomputed —
         bit-identical, per the stream's counter-determinism.  A
@@ -456,14 +394,14 @@ class SupervisedWorker:
 class SupervisedStreamBatcher(StreamBatcher):
     """A :class:`~repro.serve.StreamBatcher` whose engines run out-of-process.
 
-    Same ledger, same cache, same persistent-library protocol — but
-    :meth:`ensure_ready` spawns a supervised child instead of opening a
-    local stream, and each advance round-trips the worker.  The committed
-    frontier (counters as of the last cache-committed chunk) is the sync
-    point every worker (re)start pins the child to; because the base class
-    latches computed-but-uncommitted chunks, a parent-side failure between
-    compute and commit replays the same chunk rather than advancing the
-    frontier twice.
+    Same ledger, same cache, same committed frontier, same
+    persistent-library protocol — but :meth:`ensure_ready` spawns a
+    supervised child instead of opening a local stream, and each advance
+    round-trips the worker.  The base class's committed frontier is the
+    sync point every worker (re)start pins the child to; because the base
+    class latches computed-but-uncommitted chunks, a parent-side failure
+    between compute and commit replays the same chunk rather than advancing
+    the frontier twice.
     """
 
     def __init__(self, plan, pipeline_factory=None, max_batch: int = 64,
@@ -473,9 +411,6 @@ class SupervisedStreamBatcher(StreamBatcher):
                          library_root=library_root, metrics=metrics)
         self.worker_config = worker_config or WorkerConfig()
         self._worker: "SupervisedWorker | None" = None
-        #: Stream counters ``(next_start, next_chunk, num_kept)`` as of the
-        #: last chunk committed to the cache (and library, when backed).
-        self._committed = (0, 0, 0)
 
     @property
     def ready(self) -> bool:
@@ -496,36 +431,18 @@ class SupervisedStreamBatcher(StreamBatcher):
             config=self.worker_config,
             metrics=self.metrics,
         )
-        worker.start(self._committed)
+        fingerprint = worker.start(self._committed)
         self._worker = worker
         if self.library_root is not None:
-            self._attach_library()
+            self._attach_library(fingerprint)
             # Restored chunks moved the committed frontier; the child is
             # still at the pre-restore counters.
             worker.sync(self._committed)
 
-    def _library_fingerprint(self) -> dict:
-        fingerprint = dict(self._worker.fingerprint)
-        fingerprint["stream_key"] = self.key
-        return fingerprint
-
-    def _skip_record(self, record) -> None:
-        start, chunk, kept = self._committed
-        self._committed = (
-            start + record.num_sampled,
-            chunk + 1,
-            kept + record.num_kept,
-        )
-
-    def _compute_chunk(self, size: int) -> WorkerChunk:
+    def _compute_chunk(self, size: int):
         if self._worker is None:
             raise RuntimeError("SupervisedStreamBatcher.advance before ensure_ready")
         return self._worker.advance(size, self._committed)
-
-    def _commit_chunk(self, chunk) -> None:
-        super()._commit_chunk(chunk)
-        start, index, kept = self._committed
-        self._committed = (start + chunk.size, index + 1, kept + chunk.num_kept)
 
     def close(self) -> None:
         """Stop the worker process (idempotent)."""

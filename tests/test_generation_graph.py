@@ -213,9 +213,12 @@ class TestLibraryResume:
         assert resumed.topologies.size == 0
         assert resumed.kept_topologies == []
         assert_results_identical(uninterrupted, resumed, compare_topologies=False)
-        stats = resumed.legalization_report.stats
-        assert stats.attempted == uninterrupted.legalization_report.stats.attempted
-        assert stats.solutions == uninterrupted.legalization_report.stats.solutions
+        # Every legalization counter replays from the manifest; solver time
+        # is measured per run, so only it may differ.
+        stats = resumed.legalization_report.stats.as_dict()
+        expected = uninterrupted.legalization_report.stats.as_dict()
+        del stats["total_solver_time"], expected["total_solver_time"]
+        assert stats == expected
 
         # Both libraries hold identical pattern sequences on disk.
         full = PatternLibrary(tmp_path / "full").load_patterns()
@@ -431,34 +434,6 @@ class TestGenerationStream:
         # Every pattern's source survived the prefilter.
         assert set(chunk.pattern_sources) <= set(chunk.kept_indices)
         assert chunk.num_clean == int(chunk.clean_mask.sum())
-
-    def test_on_chunk_hook_sees_every_live_chunk(self, graph_parts, rules, batch_result):
-        seen = []
-        graph = build_graph(graph_parts, rules, chunk_size=7)
-        graph.on_chunk = seen.append
-        result = graph.run(NUM_SAMPLES, seed=11)
-        assert [c.chunk for c in seen] == [0, 1, 2]
-        assert [c.start for c in seen] == [0, 7, 14]
-        assert sum(c.size for c in seen) == NUM_SAMPLES
-        hook_patterns = [p for c in seen for p in c.patterns]
-        assert len(hook_patterns) == result.num_patterns == batch_result.num_patterns
-        for ours, theirs in zip(hook_patterns, result.patterns):
-            np.testing.assert_array_equal(ours.delta_x, theirs.delta_x)
-
-    def test_on_chunk_not_fired_for_resumed_chunks(self, graph_parts, rules, tmp_path):
-        library = PatternLibrary(tmp_path / "lib")
-        graph = build_graph(graph_parts, rules, chunk_size=6, library=library)
-        graph.run(NUM_SAMPLES, seed=11, stop_after_chunks=2)
-
-        seen = []
-        resumed_library = PatternLibrary(tmp_path / "lib")
-        graph2 = build_graph(graph_parts, rules, chunk_size=6, library=resumed_library)
-        graph2.on_chunk = seen.append
-        result = graph2.run(NUM_SAMPLES, seed=11, resume=True)
-        # Two chunks came from the manifest; only the third was live.
-        assert [c.chunk for c in seen] == [2]
-        assert graph2.last_report.chunks_resumed == 2
-        assert result.num_patterns > 0
 
     def test_stream_rejects_bad_size(self, graph_parts, rules):
         stream = build_graph(graph_parts, rules, chunk_size=4).open_stream(seed=11)

@@ -9,6 +9,8 @@ topology's result depends only on ``(seed, index)``, never on the batch
 around it.
 """
 
+import dataclasses
+import json
 import multiprocessing
 
 import numpy as np
@@ -261,6 +263,25 @@ class TestStatsAndReport:
         assert a.attempted == 5 and a.solved == 4 and a.failed == 1
         assert a.total_solver_time == 2.0
         assert a.total_iterations == 30 and a.solutions == 7
+
+    def test_stats_dict_round_trips_every_counter(self):
+        stats = LegalizationStats(
+            attempted=9, solved=8, failed=1, total_solver_time=0.25,
+            total_iterations=70, solutions=16, fast_path_solutions=12,
+            batched_sweeps=2, batched_sweep_topologies=9, batched_tail_solves=3,
+        )
+        payload = json.loads(json.dumps(stats.as_dict()))
+        assert set(payload) == {f.name for f in dataclasses.fields(LegalizationStats)}
+        assert LegalizationStats.from_dict(payload) == stats
+
+    def test_stats_from_an_older_record_read_missing_counters_as_zero(self):
+        old = {"attempted": 4, "solved": 3, "failed": 1, "solutions": 6,
+               "total_iterations": 40, "total_solver_time": 0.5}
+        stats = LegalizationStats.from_dict(old)
+        assert stats == LegalizationStats(**old)
+        assert (stats.fast_path_solutions, stats.batched_sweeps,
+                stats.batched_sweep_topologies, stats.batched_tail_solves) == (0, 0, 0, 0)
+        assert type(stats.total_solver_time) is float and type(stats.attempted) is int
 
     def test_report_counts_and_throughput(self, rules, topology_batch):
         engine = LegalizationEngine(rules, workers=1)

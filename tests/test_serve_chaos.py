@@ -19,6 +19,7 @@ from __future__ import annotations
 import asyncio
 import json
 import multiprocessing
+import pickle
 import threading
 import time
 from types import SimpleNamespace
@@ -34,7 +35,7 @@ from repro.faults import (
     install_fault_hook,
     registered_fault_points,
 )
-from repro.pipeline import DiffPatternPipeline
+from repro.pipeline import DiffPatternPipeline, StreamChunk
 from repro.scenarios import ScenarioRegistry
 from repro.serve import (
     GenerateRequest,
@@ -42,9 +43,9 @@ from repro.serve import (
     ServeClient,
     ServeServer,
     ServiceDegradedError,
-    WorkerChunk,
     WorkerConfig,
 )
+from repro.serve.batcher import open_plan_stream
 from repro.serve.supervisor import _worker_main
 from repro.utils import as_rng
 
@@ -451,7 +452,7 @@ def test_worker_main_protocol_honesty(serve_env):
 
         kind, chunk = ask(("advance", (6, 0)))
         assert kind == "chunk"
-        assert isinstance(chunk, WorkerChunk)
+        assert isinstance(chunk, StreamChunk)
         assert (chunk.start, chunk.size, chunk.end) == (0, 6, 6)
         assert chunk.chunk_patterns is chunk.patterns
         _assert_same_patterns(
@@ -487,18 +488,21 @@ def test_worker_main_protocol_honesty(serve_env):
     assert not thread.is_alive()
 
 
-def test_worker_chunk_projects_a_stream_chunk(serve_env):
-    pipeline, gen = serve_env.factory(serve_env.plan)
-    graph = pipeline.generation_graph(
-        num_solutions=serve_env.plan.num_solutions, retain_topologies=False
+def test_stream_chunk_crosses_the_worker_pipe(serve_env):
+    """The served chunk pickles whole: accounting, attribution and patterns
+    survive the round trip, and no raw topology matrix travels with it."""
+    chunk = open_plan_stream(serve_env.plan, serve_env.factory).advance(NUM_REFERENCE)
+    assert chunk.num_kept > 0 and chunk.patterns
+    again = pickle.loads(pickle.dumps(chunk))
+    assert (again.chunk, again.start, again.size, again.end) == (
+        chunk.chunk, chunk.start, chunk.size, chunk.end,
     )
-    stream = graph.open_stream(gen)
-    raw = stream.advance(4)
-    projected = WorkerChunk.from_stream_chunk(raw)
-    assert (projected.chunk, projected.start, projected.size) == (
-        raw.chunk, raw.start, raw.size,
-    )
-    assert projected.end == raw.start + raw.size
-    assert projected.num_kept == raw.num_kept
-    assert projected.pattern_sources == raw.pattern_sources
-    _assert_same_patterns(projected.patterns, raw.patterns)
+    assert (again.num_kept, again.unsolved) == (chunk.num_kept, chunk.unsolved)
+    assert again.pattern_sources == chunk.pattern_sources
+    assert again.chunk_patterns is again.patterns
+    assert again.matrices.size == 0 and again.kept == []
+    assert len(again.patterns) == len(serve_env.reference.patterns)
+    for ours, theirs in zip(again.patterns, serve_env.reference.patterns):
+        for name in ("topology", "delta_x", "delta_y"):
+            a, b = getattr(ours, name), getattr(theirs, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
