@@ -12,7 +12,7 @@ This harness measures that claim end to end on the shared trained pipeline:
   requests submitted before the worker starts, so the whole workload is
   generated in ``max_batch``-sized shared chunks;
 * **supervised coalesced** — the same coalesced workload through the
-  fault-tolerant pool (``supervised=True``): generation runs in a child
+  fault-tolerant pool (a ``worker_config``): generation runs in a child
   process under :class:`~repro.serve.SupervisedWorker`, so the measured
   speedup prices in the IPC round-trips and chunk pickling that crash
   isolation costs;
@@ -152,7 +152,6 @@ def bench_serve_throughput(benchmark, trained_pipeline):
     # The supervised pool: same coalesced submission plan, but every engine
     # call crosses a process boundary to a heartbeat-watched child worker.
     supervised_service = service(
-        supervised=True,
         worker_config=WorkerConfig(heartbeat_interval=0.2, restart_backoff=0.01),
     )
     start = time.perf_counter()

@@ -44,6 +44,7 @@ __all__ = [
     "BloomFilter",
     "INDEX_DIR",
     "LibraryIndex",
+    "SIDECAR_COLUMNS",
     "sidecar_name",
     "load_sidecar",
     "write_sidecar",
@@ -58,6 +59,10 @@ BLOOM_FILE = "bloom.npz"
 #: Fixed-width dtype of a sha1 hex digest; lexicographic byte order equals
 #: hex-value order, so ``np.searchsorted`` is a correct membership probe.
 HASH_DTYPE = "S40"
+
+#: The aligned per-pattern arrays of every sidecar, all derived from the
+#: shard's patterns.
+SIDECAR_COLUMNS = ("pattern_hash", "topology_hash", "cx", "cy")
 
 #: Delta chunks tolerated before an append folds them into the merged files.
 FLUSH_DELTA_CHUNKS = 8
@@ -162,23 +167,18 @@ def load_sidecar(path: "str | Path") -> "dict[str, np.ndarray] | None":
         return None
 
 
-def sidecar_arrays(patterns, sources=None, clean=None) -> dict[str, np.ndarray]:
-    """Compute the aligned sidecar arrays for ``patterns``."""
+def sidecar_arrays(patterns) -> dict[str, np.ndarray]:
+    """Compute the aligned :data:`SIDECAR_COLUMNS` for ``patterns``."""
     from ..metrics import pattern_complexity
     from .store import pattern_hash, topology_hash
 
     complexities = [pattern_complexity(p) for p in patterns]
-    arrays = {
+    return {
         "pattern_hash": _as_hash_array(pattern_hash(p) for p in patterns),
         "topology_hash": _as_hash_array(topology_hash(p.topology) for p in patterns),
         "cx": np.asarray([c[0] for c in complexities], dtype=np.int64),
         "cy": np.asarray([c[1] for c in complexities], dtype=np.int64),
     }
-    if sources is not None:
-        arrays["source"] = np.asarray(sources, dtype=np.int64)
-    if clean is not None:
-        arrays["clean"] = np.asarray(clean, dtype=np.uint8)
-    return arrays
 
 
 # --------------------------------------------------------------------------- #

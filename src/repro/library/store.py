@@ -50,6 +50,7 @@ from ..faults import declare_fault_points, fault_point
 from .index import (
     INDEX_DIR,
     LibraryIndex,
+    SIDECAR_COLUMNS,
     load_sidecar,
     sidecar_arrays,
     sidecar_name,
@@ -308,15 +309,19 @@ class PatternLibrary:
         return meta["pattern_hash"], meta["topology_hash"]
 
     def _record_metadata(self, record: ChunkRecord) -> dict[str, np.ndarray]:
-        """Aligned per-pattern metadata arrays for one record's shard slice."""
-        empty = sidecar_arrays([])
+        """The :data:`SIDECAR_COLUMNS` of one record's shard slice.
+
+        Columns a sidecar carries beyond those (older serve appends also
+        wrote per-pattern attribution, which the ledger holds) are ignored.
+        """
         if record.shard is None or record.num_stored == 0:
-            return empty
+            return sidecar_arrays([])
         sidecar = load_sidecar(self._sidecar_path(record.shard))
         lo, hi = record.shard_start, record.shard_start + record.num_stored
-        if sidecar is not None and sidecar.get("pattern_hash") is not None:
-            if sidecar["pattern_hash"].shape[0] >= hi:
-                return {key: value[lo:hi] for key, value in sidecar.items()}
+        if sidecar is not None and all(
+            key in sidecar and sidecar[key].shape[0] >= hi for key in SIDECAR_COLUMNS
+        ):
+            return {key: sidecar[key][lo:hi] for key in SIDECAR_COLUMNS}
         # No (or torn) sidecar — recompute from the shard itself.
         patterns = self.load_record_patterns(record)
         return sidecar_arrays(patterns)
@@ -627,14 +632,7 @@ class PatternLibrary:
             atomic_write_bytes(path, lambda fh: _savez_patterns(fh, stored))
             record.shard = path.name
             fault_point("append:sidecar")
-            write_sidecar(
-                self._sidecar_path(record.shard),
-                sidecar_arrays(
-                    stored,
-                    sources=kept_sources or None,
-                    clean=kept_clean or None,
-                ),
-            )
+            write_sidecar(self._sidecar_path(record.shard), sidecar_arrays(stored))
         else:
             record.shard = None
         ledger = self._ledgers.get(self.writer)
@@ -924,16 +922,12 @@ class PatternLibrary:
                     self.shard_dir / name,
                     lambda fh: _savez_patterns(fh, merged_patterns),
                 )
-                keys = merged_meta[0].keys() if merged_meta else []
-                shared = [
-                    key for key in keys if all(key in m for m in merged_meta)
-                ]
                 fault_point("compact:merged-sidecar")
                 write_sidecar(
                     self._sidecar_path(name),
                     {
                         key: np.concatenate([m[key] for m in merged_meta])
-                        for key in shared
+                        for key in SIDECAR_COLUMNS
                     },
                 )
                 pending = []

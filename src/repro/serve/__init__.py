@@ -5,7 +5,7 @@ clients ask for sample windows of a named scenario, the service coalesces
 every waiting window into shared sampling/legalization batches over one
 :class:`~repro.pipeline.GenerationStream` per scenario identity, streams
 per-chunk results back as they complete, answers repeat windows from a
-pattern-hash cache, and rejects load beyond a bounded pending count instead
+pattern cache, and rejects load beyond a bounded pending count instead
 of queueing it.
 
 Layering (one module per concern):

@@ -14,14 +14,18 @@ gives each group one :class:`StreamBatcher`.  The batcher owns:
   next_chunk, num_kept)`` as of the last chunk folded into the cache.  It
   is the one record of where the served stream stands; every advance
   seeks the stream to it (:meth:`~repro.pipeline.GenerationStream.seek`),
-  in process or — for the supervised batcher — in the worker process;
+  in process or — for the supervised batcher, whose advance command
+  carries it — in the worker process;
 * the **window ledger**: a reservation frontier handing each tail request
   the next unclaimed ``[start, start + count)`` window, and the ``done``
   frontier of samples already generated (the committed ``next_start``);
-* the **pattern cache**: per-chunk hash records (via
-  :func:`repro.library.pattern_hash` — the same dedup identity the
-  :class:`~repro.library.PatternLibrary` uses) plus one shared pattern
-  store, so a repeat window is answered without touching the engines.
+* the **pattern cache**: every committed chunk as it was generated (or
+  restored) — patterns, source sample indices and DRC verdicts — so a
+  repeat window is answered without touching the engines.
+
+A batcher is :attr:`~StreamBatcher.ready` once its stream is open and, when
+a library backs it, the library is attached and restored: a failed attach
+is retried by the next :meth:`~StreamBatcher.ensure_ready`, never skipped.
 
 Every path that opens a served stream — this batcher, and the supervised
 worker process of :mod:`repro.serve.supervisor` — goes through
@@ -39,10 +43,10 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..faults import declare_fault_points, fault_point
-from ..library import LibraryError, PatternLibrary, pattern_hash
+from ..library import LibraryError, PatternLibrary
 from ..pipeline import DiffPatternPipeline
 from ..utils import as_rng
 
@@ -82,22 +86,17 @@ def stream_key(plan) -> str:
 
 @dataclass
 class CachedChunk:
-    """Cache record of one generated chunk (hashes, not patterns).
-
-    Patterns themselves live once in the batcher's shared store keyed by
-    :func:`repro.library.pattern_hash`; the chunk keeps the hash sequence so
-    a window replay reconstructs the exact pattern order.
-    """
+    """Cache record of one generated chunk, in stream order."""
 
     #: Absolute sample window ``[start, end)`` the chunk covered.
     start: int
     end: int
-    #: Pattern hash per produced pattern, in stream order.
-    hashes: list = field(default_factory=list)
+    #: The chunk's patterns.
+    patterns: list
     #: Absolute source sample index per pattern.
-    sources: list = field(default_factory=list)
+    sources: list
     #: DRC verdict per pattern.
-    clean: list = field(default_factory=list)
+    clean: list
 
 
 def _default_pipeline_factory(plan):
@@ -191,22 +190,19 @@ class StreamBatcher:
         self._pipeline_factory = pipeline_factory
         self._lock = threading.Lock()
         self._stream = None
+        #: The open stream's fingerprint (``None`` until it is open).
+        self._fingerprint: "dict | None" = None
         self._library = None
-        #: Samples recovered from the persistent library at warmup.
-        self.restored_samples = 0
-        #: Chunks committed to the persistent library by this batcher.
-        self.persisted_chunks = 0
         #: Next unclaimed sample index (grows at reservation time).
         self.reserved = 0
         #: Stream counters ``(next_start, next_chunk, num_kept)`` as of the
         #: last chunk committed to the cache (and library, when backed).
         self._committed = (0, 0, 0)
         self._chunks: "list[CachedChunk]" = []
-        self._patterns: dict = {}
         # Crash-atomicity latches for :meth:`advance`: a chunk that was
         # computed but not yet committed to the cache survives here, so a
         # retried advance re-exposes the same chunk instead of re-running
-        # the engines (which would skip a window of samples).
+        # the engines, and a chunk already persisted is not appended twice.
         self._pending_chunk = None
         self._pending_persisted = False
 
@@ -215,8 +211,10 @@ class StreamBatcher:
     # ------------------------------------------------------------------ #
     @property
     def ready(self) -> bool:
-        """True once the pipeline is trained and the stream is open."""
-        return self._stream is not None
+        """True once the stream is open and any backing library attached."""
+        return self._fingerprint is not None and (
+            self.library_root is None or self._library is not None
+        )
 
     @property
     def done(self) -> int:
@@ -224,17 +222,25 @@ class StreamBatcher:
         return self._committed[0]
 
     def ensure_ready(self) -> None:
-        """Train (if needed) and open the shared stream.  Idempotent.
+        """Open the shared stream (once), then attach the library.  Idempotent.
 
         Runs on the service's executor thread — warmup for a paper-scale
         scenario is minutes of training, and must not block the event loop.
+        A retry after a failed attach retries only the attach.
         """
-        if self._stream is not None:
+        if self.ready:
             return
         fault_point("serve:warmup")
-        self._stream = open_plan_stream(self.plan, self._pipeline_factory)
+        if self._fingerprint is None:
+            self._fingerprint = self._open()
         if self.library_root is not None:
-            self._attach_library(stream_fingerprint(self._stream))
+            self._attach_library(self._fingerprint)
+
+    def _open(self) -> dict:
+        """Train and open the stream the engines run on; return its
+        :func:`stream_fingerprint`."""
+        self._stream = open_plan_stream(self.plan, self._pipeline_factory)
+        return stream_fingerprint(self._stream)
 
     # ------------------------------------------------------------------ #
     # persistent backing
@@ -250,33 +256,38 @@ class StreamBatcher:
         ``fingerprint`` is the served stream's :func:`stream_fingerprint`;
         the ledger binds it plus the stream key, the scenario identity the
         server groups by.  Restored chunks replay exactly like live ones —
-        patterns enter the shared store and the committed frontier moves
-        past them — so a window served before the restart is answered from
-        the cache, bit-identical, without touching the engines.
+        they enter the cache and the committed frontier moves past them —
+        so a window served before the restart is answered from the cache,
+        bit-identical, without touching the engines.  Every record is
+        loaded before any is cached: a restore that fails part-way leaves
+        the cache and frontier untouched.
         """
         library = PatternLibrary(self.library_root, writer=self.writer_id)
         records = library.bind({**fingerprint, "stream_key": self.key}, resume=True)
+        restored = []
+        for record in records:
+            patterns = library.load_record_patterns(record)
+            if not (
+                len(record.pattern_sources)
+                == len(record.pattern_clean)
+                == len(patterns)
+            ):
+                raise LibraryError(
+                    f"chunk {record.chunk} of writer {self.writer_id!r} "
+                    "carries no per-pattern attribution; the library was "
+                    "not written by a serve batcher"
+                )
+            restored.append((record, patterns))
         with self._lock:
-            for record in records:
-                patterns = library.load_record_patterns(record)
-                if not (
-                    len(record.pattern_sources)
-                    == len(record.pattern_clean)
-                    == len(patterns)
-                ):
-                    raise LibraryError(
-                        f"chunk {record.chunk} of writer {self.writer_id!r} "
-                        "carries no per-pattern attribution; the library was "
-                        "not written by a serve batcher"
-                    )
+            for record, patterns in restored:
                 self._cache_chunk(
                     record.start, record.num_sampled, record.num_kept,
                     patterns, record.pattern_sources, record.pattern_clean,
                 )
-                self.restored_samples += record.num_sampled
-        self._library = library
-        if self.metrics is not None and self.restored_samples:
-            self.metrics.record_library_restored(self.restored_samples)
+            self._library = library
+        samples = sum(record.num_sampled for record in records)
+        if self.metrics is not None and samples:
+            self.metrics.record_library_restored(samples)
 
     def _persist_chunk(self, chunk) -> None:
         """Commit one generated chunk to the shared library (with attribution)."""
@@ -285,7 +296,6 @@ class StreamBatcher:
         record.pattern_sources = [int(source) for source in chunk.pattern_sources]
         record.pattern_clean = [int(bool(flag)) for flag in chunk.clean_mask]
         self._library.append_chunk(record, chunk.patterns)
-        self.persisted_chunks += 1
         if self.metrics is not None:
             self.metrics.record_library_persisted(len(chunk.patterns))
 
@@ -366,16 +376,17 @@ class StreamBatcher:
     def _cache_chunk(self, start, size, num_kept, patterns, sources, clean) -> None:
         """Cache one live or restored chunk and move the committed frontier
         past it (the caller holds the lock)."""
-        cached = CachedChunk(start=start, end=start + size)
-        for pattern, source, flag in zip(patterns, sources, clean):
-            digest = pattern_hash(pattern)
-            self._patterns.setdefault(digest, pattern)
-            cached.hashes.append(digest)
-            cached.sources.append(int(source))
-            cached.clean.append(bool(flag))
-        self._chunks.append(cached)
+        self._chunks.append(
+            CachedChunk(
+                start=start,
+                end=start + size,
+                patterns=list(patterns),
+                sources=[int(source) for source in sources],
+                clean=[bool(flag) for flag in clean],
+            )
+        )
         _, next_chunk, kept = self._committed
-        self._committed = (cached.end, next_chunk + 1, kept + num_kept)
+        self._committed = (start + size, next_chunk + 1, kept + num_kept)
 
     def close(self) -> None:
         """Release generation resources (the supervised batcher's worker)."""
@@ -398,11 +409,11 @@ class StreamBatcher:
                 if record.end <= start or record.start >= end:
                     continue
                 patterns, sources, clean = [], [], []
-                for digest, source, flag in zip(
-                    record.hashes, record.sources, record.clean
+                for pattern, source, flag in zip(
+                    record.patterns, record.sources, record.clean
                 ):
                     if start <= source < end:
-                        patterns.append(self._patterns[digest])
+                        patterns.append(pattern)
                         sources.append(source)
                         clean.append(flag)
                 slices.append((record, patterns, sources, clean))

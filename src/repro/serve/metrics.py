@@ -1,7 +1,7 @@
 """Operational metrics of the generation service (the ``/metrics`` payload).
 
 One :class:`ServeMetrics` instance per :class:`~repro.serve.GenerationService`
-accumulates the four signals the ISSUE's serving contract names:
+accumulates the four signals of the serving contract:
 
 * **request latency** — submit-to-summary wall clock, reported as p50/p95
   over a bounded window of recent requests;
@@ -13,7 +13,7 @@ accumulates the four signals the ISSUE's serving contract names:
 * **queue depth** — requests admitted but not yet finished (the value the
   backpressure bound caps).
 
-PR 8 adds the **legalization** signals: aggregated
+It also carries the **legalization** signals: aggregated
 :class:`~repro.legalization.LegalizationStats` counters per generated chunk
 (fast-path fraction, batched sweep sizes, SLSQP tail volume) plus the
 process-local ``compilation_cache_info()`` hits/misses, so the solver's
@@ -34,6 +34,10 @@ from ..legalization import LegalizationStats, compilation_cache_info
 
 __all__ = ["ServeMetrics"]
 
+#: Recent requests (latency percentiles) and batches (occupancy and size
+#: means) the snapshot summarises.
+WINDOW = 512
+
 
 def _percentile(values: "list[float]", fraction: float) -> float:
     """Nearest-rank percentile (no interpolation, stable for tiny windows)."""
@@ -47,11 +51,11 @@ def _percentile(values: "list[float]", fraction: float) -> float:
 class ServeMetrics:
     """Thread-safe counters and windows behind the ``/metrics`` endpoint."""
 
-    def __init__(self, window: int = 512) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._latencies: "deque[float]" = deque(maxlen=window)
-        self._batch_sizes: "deque[int]" = deque(maxlen=window)
-        self._batch_requests: "deque[int]" = deque(maxlen=window)
+        self._latencies: "deque[float]" = deque(maxlen=WINDOW)
+        self._batch_sizes: "deque[int]" = deque(maxlen=WINDOW)
+        self._batch_requests: "deque[int]" = deque(maxlen=WINDOW)
         self.requests_admitted = 0
         self.requests_rejected = 0
         self.requests_completed = 0

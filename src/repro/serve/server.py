@@ -297,7 +297,6 @@ def service_from_args(args, registry) -> GenerationService:
         max_pending=args.max_pending,
         max_batch=args.max_batch,
         library_root=args.library,
-        supervised=args.supervised,
         worker_config=worker_config,
         deadline_seconds=args.deadline,
         retry_budget=args.retry_budget,

@@ -32,10 +32,11 @@ HTTP daemon in :mod:`repro.serve.server` is a thin transport over it):
   exponential backoff + jitter at the admission layer; repeated group
   failures trip a **circuit breaker** that rejects non-cached windows with
   :class:`ServiceDegradedError` (503 + ``Retry-After``) while continuing to
-  serve fully cached windows; with ``supervised=True`` each stream's
+  serve fully cached windows; with a ``worker_config`` each stream's
   engines run in a child process under
   :class:`~repro.serve.supervisor.SupervisedWorker`, which restarts dead or
-  hung workers and deterministically resubmits the in-flight window.
+  hung workers and resubmits the in-flight advance — every advance carries
+  the batcher's committed frontier, so the resubmitted window is the same.
 
 Determinism contract (asserted by ``tests/test_serve.py`` and the
 ``serve_parity`` benchmark gate): the patterns served for window
@@ -67,6 +68,12 @@ __all__ = [
     "ServiceClosedError",
     "ServiceDegradedError",
 ]
+
+
+#: Base and cap, in seconds, of the exponential backoff between retries of
+#: a failed warmup/advance call.
+RETRY_BACKOFF = 0.05
+RETRY_BACKOFF_CAP = 2.0
 
 
 class ServiceBusyError(RuntimeError):
@@ -189,23 +196,22 @@ class GenerationService:
         with per-pattern attribution and restored into the pattern cache on
         warmup, so the serve cache survives restarts and many servers/CLI
         runs can grow one library concurrently.
-    supervised:
-        Run each stream's engines in a supervised child process
-        (:class:`~repro.serve.supervisor.SupervisedStreamBatcher`): worker
-        death and hangs are detected, the worker is restarted, and the
-        in-flight window is deterministically resubmitted.
     worker_config:
-        :class:`~repro.serve.supervisor.WorkerConfig` supervision knobs
-        (heartbeats, timeouts, restart budget); defaults when ``None``.
+        A :class:`~repro.serve.supervisor.WorkerConfig` runs each stream's
+        engines in a supervised child process
+        (:class:`~repro.serve.supervisor.SupervisedStreamBatcher`) under
+        those knobs (heartbeats, timeouts, restart budget): worker death and
+        hangs are detected, the worker is restarted, and the in-flight
+        window is deterministically resubmitted.  ``None`` (default) runs
+        the engines in process.
     deadline_seconds:
         Service-wide default per-request deadline in seconds, finite and
         > 0 (``None``: no deadline).  A request's own ``deadline`` field
         overrides it.
     retry_budget:
         Failed warmup/advance calls are retried this many times (with
-        exponential backoff + jitter) before the group's requests fail.
-    retry_backoff / retry_backoff_cap:
-        Base and cap of the retry backoff, in seconds.
+        exponential backoff + jitter, :data:`RETRY_BACKOFF` up to
+        :data:`RETRY_BACKOFF_CAP` seconds) before the group's requests fail.
     breaker_threshold:
         Consecutive retry-exhausted group failures that trip the circuit
         breaker.
@@ -221,12 +227,9 @@ class GenerationService:
         pipeline_factory=None,
         metrics: "ServeMetrics | None" = None,
         library_root=None,
-        supervised: bool = False,
         worker_config: "WorkerConfig | None" = None,
         deadline_seconds: "float | None" = None,
         retry_budget: int = 2,
-        retry_backoff: float = 0.05,
-        retry_backoff_cap: float = 2.0,
         breaker_threshold: int = 3,
         breaker_reset_seconds: float = 30.0,
     ) -> None:
@@ -248,12 +251,9 @@ class GenerationService:
         self.pipeline_factory = pipeline_factory
         self.metrics = metrics if metrics is not None else ServeMetrics()
         self.library_root = library_root
-        self.supervised = bool(supervised)
         self.worker_config = worker_config
         self.deadline_seconds = deadline_seconds
         self.retry_budget = int(retry_budget)
-        self.retry_backoff = float(retry_backoff)
-        self.retry_backoff_cap = float(retry_backoff_cap)
         self.breaker_threshold = int(breaker_threshold)
         self.breaker_reset_seconds = float(breaker_reset_seconds)
         self._batchers: "dict[str, StreamBatcher]" = {}
@@ -456,22 +456,16 @@ class GenerationService:
         existing = self._batchers.get(key)
         if existing is not None:
             return existing
-        if self.supervised:
-            batcher: StreamBatcher = SupervisedStreamBatcher(
-                plan,
-                self.pipeline_factory,
-                max_batch=self.max_batch,
-                library_root=self.library_root,
-                metrics=self.metrics,
-                worker_config=self.worker_config,
-            )
+        options = dict(
+            max_batch=self.max_batch,
+            library_root=self.library_root,
+            metrics=self.metrics,
+        )
+        if self.worker_config is None:
+            batcher = StreamBatcher(plan, self.pipeline_factory, **options)
         else:
-            batcher = StreamBatcher(
-                plan,
-                self.pipeline_factory,
-                max_batch=self.max_batch,
-                library_root=self.library_root,
-                metrics=self.metrics,
+            batcher = SupervisedStreamBatcher(
+                plan, self.pipeline_factory, worker_config=self.worker_config, **options
             )
         self._batchers[key] = batcher
         return batcher
@@ -535,9 +529,7 @@ class GenerationService:
                 if self._stopping or attempt > self.retry_budget:
                     raise
                 self.metrics.record_generation_retry()
-                delay = min(
-                    self.retry_backoff * (2 ** (attempt - 1)), self.retry_backoff_cap
-                )
+                delay = min(RETRY_BACKOFF * (2 ** (attempt - 1)), RETRY_BACKOFF_CAP)
                 await asyncio.sleep(delay * (1.0 + 0.25 * self._retry_rng.random()))
 
     async def _process_group(

@@ -6,19 +6,21 @@ takes the whole daemon down with it.  This module moves advancement into a
 **child process** under a supervisor that treats worker death as a
 first-class event:
 
-* :func:`_worker_main` — the child: owns the trained pipeline and the
-  generation stream, answers ``advance`` commands over a duplex pipe, and
-  emits heartbeats from a side thread so the parent can tell *dead* from
-  *slow* from *busy*.
+* :func:`_worker_main` — the child: a stateless advance server.  It owns
+  the trained pipeline and an open generation stream, answers each
+  ``advance`` by seeking the stream to the frontier the command carries
+  and advancing it, and emits heartbeats from a side thread so the parent
+  can tell *dead* from *slow* from *busy*.
 * :class:`SupervisedWorker` — the parent-side handle: spawns/respawns the
   child, watches heartbeats and per-call wall-clock budgets, and on a crash
-  or hang kills the child, restarts it, **resyncs it to the committed
-  stream frontier**, and resubmits the in-flight window.
+  or hang kills the child, restarts it and resubmits the in-flight advance.
 * :class:`SupervisedStreamBatcher` — a drop-in
   :class:`~repro.serve.StreamBatcher` whose engine calls go through the
   worker.
 
-The child opens its stream with the batcher's own
+The protocol has three verbs: ``warmup`` (open the stream; the reply
+carries its fingerprint), ``advance`` with payload ``(size, frontier)``,
+and ``stop``.  The child opens its stream with the batcher's own
 :func:`~repro.serve.batcher.open_plan_stream` and answers each advance with
 the :class:`~repro.pipeline.StreamChunk` itself: the served graph retains
 no raw topologies, so the chunk pickles to the patterns, their
@@ -30,25 +32,16 @@ stream's entire future is determined by three counters — ``next_start``,
 ``next_chunk`` and ``num_kept`` — because every sample owns
 ``SeedSequence(sample_seed, index)`` and every kept topology owns
 ``SeedSequence(legal_seed, kept_index)``; there is no other carried state.
-The batcher therefore keeps the **committed frontier**: the counters as of
-the last chunk that was persisted and folded into the pattern cache (the
-base class's ``_committed``, shared with the in-process batcher).  A
-restarted worker seeks its stream to exactly that frontier
-(:meth:`~repro.pipeline.GenerationStream.seek`), so recomputing the window
-that was in flight when the old worker died reproduces it bit for bit —
-the client-visible stream is indistinguishable from a run with no failure
-at all (gated by ``tests/test_serve_chaos.py`` at every registered fault
-point).
-
-Two idempotence latches close the remaining races:
-
-* the child caches its **last computed chunk** and resends it when the
-  parent retries the same ``(start, size)`` — so a reply lost to a pipe
-  error is not recomputed, and a worker that advanced past the parent's
-  view is never double-advanced;
-* the parent sends its **expected start** with every advance — a child
-  whose counters disagree (e.g. a stale pre-restart process) answers
-  ``desync`` and is resynced instead of generating the wrong window.
+Those counters as of the last chunk the batcher committed — the
+**committed frontier**, the base class's ``_committed`` — travel with every
+advance, and the child seeks to them before it advances
+(:meth:`~repro.pipeline.GenerationStream.seek`), exactly like the
+in-process batcher.  A child can therefore only compute the window at the
+frontier it is sent, and a retried or resubmitted advance — against the
+same child or a restarted one — recomputes that window bit for bit: the
+client-visible stream is indistinguishable from a run with no failure at
+all (gated by ``tests/test_serve_chaos.py`` at every registered fault
+point).  The served stream's state lives only in the batcher.
 
 Start method: **fork** where available (Linux — inherits the installed
 fault hook and closure-based pipeline factories), ``spawn`` otherwise
@@ -59,6 +52,7 @@ fault hook and closure-based pipeline factories), ``spawn`` otherwise
 from __future__ import annotations
 
 import multiprocessing
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -77,6 +71,10 @@ __all__ = [
 
 declare_fault_points("worker:warmup", "worker:advance", "worker:send")
 
+#: Call budget of the warmup command: none, heartbeats alone — training
+#: legitimately takes minutes at paper scale.
+WARMUP_TIMEOUT = None
+
 
 class WorkerCrash(RuntimeError):
     """The child died or went silent; the supervisor may restart it."""
@@ -92,29 +90,29 @@ class WorkerFailure(RuntimeError):
 
 @dataclass
 class WorkerConfig:
-    """Supervision knobs for one worker process.
+    """Supervision knobs for one worker process, range-checked on creation.
 
     Parameters
     ----------
     heartbeat_interval:
-        Cadence of the child's liveness beacon.
+        Cadence of the child's liveness beacon (finite, > 0).
     heartbeat_timeout:
         Silence (no heartbeat, no reply) after which the child is declared
-        dead.  Generous by default: warmup trains a model, and the beacon
-        thread beats straight through it.
+        dead; finite and longer than ``heartbeat_interval``.  Generous by
+        default: warmup trains a model, and the beacon thread beats straight
+        through it.
     advance_timeout:
-        Optional wall-clock budget for one ``advance`` call.  Heartbeats
-        prove the process is *alive*, not that it is *making progress*; this
-        cap is what catches a wedged solver or an injected delay.  ``None``
-        (default) trusts heartbeats alone.
-    warmup_timeout:
-        Same, for the warmup call (``None``: heartbeats only — training
-        legitimately takes minutes at paper scale).
+        Optional wall-clock budget for one ``advance`` call (finite, > 0).
+        Heartbeats prove the process is *alive*, not that it is *making
+        progress*; this cap is what catches a wedged solver or an injected
+        delay.  ``None`` (default) trusts heartbeats alone.
     max_restarts:
         Worker restarts tolerated **per advance call** before the failure is
-        surfaced to the admission layer (which has its own retry budget).
+        surfaced to the admission layer (which has its own retry budget);
+        >= 0.
     restart_backoff:
-        Base of the exponential backoff slept before each respawn.
+        Base of the exponential backoff slept before each respawn (finite,
+        >= 0).
     start_method:
         ``multiprocessing`` start method; ``None`` picks ``fork`` when the
         platform offers it, else ``spawn``.
@@ -123,10 +121,33 @@ class WorkerConfig:
     heartbeat_interval: float = 0.2
     heartbeat_timeout: float = 30.0
     advance_timeout: "float | None" = None
-    warmup_timeout: "float | None" = None
     max_restarts: int = 2
     restart_backoff: float = 0.05
     start_method: "str | None" = None
+
+    def __post_init__(self) -> None:
+        # Each check is false for NaN (it fails every comparison) and for
+        # inf (above the largest float), so neither disables a budget.
+        top = sys.float_info.max
+        if not (self.advance_timeout is None or 0 < self.advance_timeout <= top):
+            raise ValueError(
+                f"advance_timeout must be finite and > 0, got {self.advance_timeout}"
+            )
+        if not 0 < self.heartbeat_interval <= top:
+            raise ValueError(
+                f"heartbeat_interval must be finite and > 0, got {self.heartbeat_interval}"
+            )
+        if not self.heartbeat_interval < self.heartbeat_timeout <= top:
+            raise ValueError(
+                "heartbeat_timeout must be finite and > heartbeat_interval "
+                f"({self.heartbeat_interval}), got {self.heartbeat_timeout}"
+            )
+        if not self.max_restarts >= 0:
+            raise ValueError(f"max_restarts must be >= 0, got {self.max_restarts}")
+        if not 0 <= self.restart_backoff <= top:
+            raise ValueError(
+                f"restart_backoff must be finite and >= 0, got {self.restart_backoff}"
+            )
 
     def resolved_start_method(self) -> str:
         if self.start_method is not None:
@@ -165,9 +186,6 @@ def _worker_main(conn, plan, pipeline_factory, heartbeat_interval: float) -> Non
     threading.Thread(target=beat, name="worker-heartbeat", daemon=True).start()
 
     stream = None
-    #: Idempotent-resend latch: ``(start, size, StreamChunk)`` of the last
-    #: computed chunk, until the next command proves the parent moved on.
-    last = None
     while True:
         try:
             verb, payload = conn.recv()
@@ -179,24 +197,13 @@ def _worker_main(conn, plan, pipeline_factory, heartbeat_interval: float) -> Non
                 if stream is None:
                     stream = open_plan_stream(plan, pipeline_factory)
                 send(("ready", stream_fingerprint(stream)))
-            elif verb == "sync":
-                stream.seek(payload)
-                last = None
-                send(("synced", payload))
             elif verb == "advance":
-                size, expected_start = payload
-                if last is not None and (last[0], last[1]) == (expected_start, size):
-                    send(("chunk", last[2]))
-                elif stream.next_start == expected_start:
-                    fault_point("worker:advance")
-                    chunk = stream.advance(size)
-                    last = (expected_start, size, chunk)
-                    fault_point("worker:send")
-                    send(("chunk", chunk))
-                else:
-                    send(("desync", (stream.next_start, expected_start)))
-            elif verb == "ping":
-                send(("pong", None))
+                size, frontier = payload
+                fault_point("worker:advance")
+                stream.seek(frontier)
+                chunk = stream.advance(size)
+                fault_point("worker:send")
+                send(("chunk", chunk))
             elif verb == "stop":
                 send(("stopped", None))
                 break
@@ -219,9 +226,9 @@ class SupervisedWorker:
 
     All methods run on the service's executor thread (never the event
     loop).  The restart loop lives in :meth:`advance`: a crash or hang is
-    retried against a fresh child synced to ``committed`` — the stream
-    frontier as of the last chunk the batcher durably exposed — up to
-    ``config.max_restarts`` times per call.
+    retried against a fresh child, up to ``config.max_restarts`` times per
+    call.  The child holds no frontier of its own, so a fresh child needs
+    nothing but its warmup.
     """
 
     def __init__(self, plan, pipeline_factory=None, config: "WorkerConfig | None" = None,
@@ -230,10 +237,6 @@ class SupervisedWorker:
         self.pipeline_factory = pipeline_factory
         self.config = config or WorkerConfig()
         self.metrics = metrics
-        #: Lifetime restart count (exported on ``/metrics`` via the service).
-        self.restarts = 0
-        #: Windows recomputed after a restart.
-        self.resubmissions = 0
         self._ctx = multiprocessing.get_context(self.config.resolved_start_method())
         self._process = None
         self._conn = None
@@ -243,12 +246,13 @@ class SupervisedWorker:
     def alive(self) -> bool:
         return self._process is not None and self._process.is_alive()
 
-    def start(self, committed: "tuple[int, int, int]" = (0, 0, 0)) -> dict:
-        """Spawn the child, run warmup, sync to ``committed``.
+    def start(self) -> dict:
+        """Spawn the child and run its warmup.
 
         Returns the stream fingerprint the child resolved — the parent has
         no stream of its own, so this is what the persistent library binds
-        against.
+        against.  A child whose warmup fails is stopped before the error
+        propagates.
         """
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         self._process = self._ctx.Process(
@@ -261,10 +265,13 @@ class SupervisedWorker:
         self._process.start()
         child_conn.close()
         self._conn = parent_conn
-        kind, payload = self._request(("warmup", None), self.config.warmup_timeout)
-        if kind != "ready":
-            raise WorkerCrash(f"warmup answered {kind!r}: {payload}")
-        self.sync(committed)
+        try:
+            kind, payload = self._request(("warmup", None), WARMUP_TIMEOUT)
+            if kind != "ready":
+                raise WorkerCrash(f"warmup answered {kind!r}: {payload}")
+        except WorkerCrash:
+            self.stop()
+            raise
         return payload
 
     def stop(self) -> None:
@@ -325,67 +332,45 @@ class SupervisedWorker:
         except (EOFError, BrokenPipeError, ConnectionResetError, OSError) as error:
             raise WorkerCrash(f"worker connection lost: {error}") from error
 
-    def sync(self, committed: "tuple[int, int, int]") -> None:
-        """Pin the child's stream counters to the committed frontier."""
-        kind, payload = self._request(("sync", tuple(committed)),
-                                      self.config.heartbeat_timeout)
-        if kind != "synced":
-            raise WorkerCrash(f"sync answered {kind!r}: {payload}")
-
     # -- the supervised call ---------------------------------------------- #
-    def advance(self, size: int, committed: "tuple[int, int, int]"):
-        """One supervised advance of ``size`` samples at the committed frontier.
+    def advance(self, size: int, frontier: "tuple[int, int, int]"):
+        """One supervised advance of ``size`` samples at ``frontier``.
 
         Returns the child's :class:`~repro.pipeline.StreamChunk`, unpickled.
-        Crashes and hangs consume the per-call restart budget; a restarted
-        child is resynced to ``committed`` and the window is recomputed —
-        bit-identical, per the stream's counter-determinism.  A
-        deterministic child-side exception raises :class:`WorkerError`
-        without a restart (the child is fine; the admission layer owns that
-        retry policy).
+        Crashes and hangs consume the per-call restart budget; the same
+        command is resubmitted to a restarted child and recomputes the same
+        window, bit for bit.  A deterministic child-side exception raises
+        :class:`WorkerError` without a restart (the child is fine; the
+        admission layer owns that retry policy).
         """
-        expected_start = int(committed[0])
+        message = ("advance", (int(size), tuple(frontier)))
         restarts_used = 0
-        resyncs = 0
         while True:
             try:
                 if not self.alive:
                     raise WorkerCrash("worker process is not alive")
-                kind, payload = self._request(
-                    ("advance", (size, expected_start)), self.config.advance_timeout
-                )
+                kind, payload = self._request(message, self.config.advance_timeout)
                 if kind == "chunk":
                     return payload
                 if kind == "error":
                     raise WorkerError(payload)
-                if kind == "desync":
-                    # Alive but at the wrong frontier (lost sync reply, stale
-                    # process): repin and retry.  Bounded: a child that keeps
-                    # desyncing after a successful sync is broken.
-                    resyncs += 1
-                    if resyncs > self.config.max_restarts + 1:
-                        raise WorkerCrash(f"worker desynced {resyncs} times")
-                    self.sync(committed)
-                    continue
                 raise WorkerCrash(f"advance answered {kind!r}: {payload}")
             except WorkerCrash as crash:
                 restarts_used += 1
                 if restarts_used > self.config.max_restarts:
+                    start = int(frontier[0])
                     raise WorkerFailure(
                         f"worker failed {restarts_used} times advancing "
-                        f"[{expected_start}, {expected_start + size}); "
-                        f"last cause: {crash}"
+                        f"[{start}, {start + size}); last cause: {crash}"
                     ) from crash
-                self._restart(committed, restarts_used)
+                self._restart(restarts_used)
 
-    def _restart(self, committed: "tuple[int, int, int]", attempt: int) -> None:
+    def _restart(self, attempt: int) -> None:
         self.stop()
-        self.restarts += 1
-        self.resubmissions += 1
         if self.metrics is not None:
             self.metrics.record_worker_restart()
         time.sleep(self.config.restart_backoff * (2 ** (attempt - 1)))
-        self.start(committed)
+        self.start()
 
 
 # --------------------------------------------------------------------------- #
@@ -395,13 +380,12 @@ class SupervisedStreamBatcher(StreamBatcher):
     """A :class:`~repro.serve.StreamBatcher` whose engines run out-of-process.
 
     Same ledger, same cache, same committed frontier, same
-    persistent-library protocol — but :meth:`ensure_ready` spawns a
-    supervised child instead of opening a local stream, and each advance
-    round-trips the worker.  The base class's committed frontier is the
-    sync point every worker (re)start pins the child to; because the base
-    class latches computed-but-uncommitted chunks, a parent-side failure
-    between compute and commit replays the same chunk rather than advancing
-    the frontier twice.
+    persistent-library protocol — but opening the stream spawns and warms a
+    supervised child, and each advance round-trips the worker with the
+    committed frontier.  Because the base class latches
+    computed-but-uncommitted chunks, a parent-side failure between compute
+    and commit replays the same chunk rather than advancing the frontier
+    twice.
     """
 
     def __init__(self, plan, pipeline_factory=None, max_batch: int = 64,
@@ -409,43 +393,19 @@ class SupervisedStreamBatcher(StreamBatcher):
                  worker_config: "WorkerConfig | None" = None) -> None:
         super().__init__(plan, pipeline_factory, max_batch=max_batch,
                          library_root=library_root, metrics=metrics)
-        self.worker_config = worker_config or WorkerConfig()
-        self._worker: "SupervisedWorker | None" = None
-
-    @property
-    def ready(self) -> bool:
-        return self._worker is not None
-
-    @property
-    def worker(self) -> "SupervisedWorker | None":
-        return self._worker
-
-    def ensure_ready(self) -> None:
-        """Spawn + warm the supervised worker.  Idempotent."""
-        if self._worker is not None:
-            return
-        fault_point("serve:warmup")
-        worker = SupervisedWorker(
-            self.plan,
-            pipeline_factory=self._pipeline_factory,
-            config=self.worker_config,
-            metrics=self.metrics,
+        self._worker = SupervisedWorker(
+            plan,
+            pipeline_factory=pipeline_factory,
+            config=worker_config,
+            metrics=metrics,
         )
-        fingerprint = worker.start(self._committed)
-        self._worker = worker
-        if self.library_root is not None:
-            self._attach_library(fingerprint)
-            # Restored chunks moved the committed frontier; the child is
-            # still at the pre-restore counters.
-            worker.sync(self._committed)
+
+    def _open(self) -> dict:
+        return self._worker.start()
 
     def _compute_chunk(self, size: int):
-        if self._worker is None:
-            raise RuntimeError("SupervisedStreamBatcher.advance before ensure_ready")
         return self._worker.advance(size, self._committed)
 
     def close(self) -> None:
         """Stop the worker process (idempotent)."""
-        worker, self._worker = self._worker, None
-        if worker is not None:
-            worker.stop()
+        self._worker.stop()

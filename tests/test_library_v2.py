@@ -20,6 +20,7 @@ from repro.library import (
     pattern_hash,
     topology_hash,
 )
+from repro.library.index import SIDECAR_COLUMNS, load_sidecar, write_sidecar
 from repro.library.manifest import (
     ledger_path,
     load_ledger,
@@ -416,6 +417,29 @@ class TestCompaction:
         assert report.merged_shards_written == 0
         assert report.patterns_dropped == 0
         assert [pattern_hash(p) for p in library.load_patterns()] == before
+
+    def test_sidecars_with_attribution_columns_query_and_compact(self, tmp_path):
+        # Older serve appends also wrote per-pattern ``source``/``clean``
+        # arrays into the sidecar (the ledger holds them too): they are
+        # ignored, and compaction writes the fixed columns only.
+        library = fill_writer(tmp_path, "alpha", list(range(8)), chunk_size=2)
+        before = [pattern_hash(p) for p in library.load_patterns()]
+        sidecars = sorted(library.index_dir.glob("*.idx.npz"))
+        assert len(sidecars) == 4
+        for path in sidecars[::2]:  # a mix of old and new sidecars
+            arrays = load_sidecar(path)
+            count = arrays["pattern_hash"].shape[0]
+            arrays["source"] = np.arange(count, dtype=np.int64)
+            arrays["clean"] = np.ones(count, dtype=np.uint8)
+            write_sidecar(path, arrays)
+        reopened = PatternLibrary(tmp_path)
+        assert len(reopened.query(complexity_band=(0, None))) == 8
+        report = reopened.compact(target_shard_patterns=8)
+        assert report.merged_shards_written == 1
+        assert [pattern_hash(p) for p in reopened.load_patterns()] == before
+        assert len(reopened.query(complexity_band=(0, None))) == 8
+        (merged,) = reopened.index_dir.glob("merged_*.idx.npz")
+        assert tuple(load_sidecar(merged)) == SIDECAR_COLUMNS
 
     def test_query_and_dedup_survive_compaction(self, tmp_path):
         library = fill_writer(tmp_path, "alpha", [1, 2, 3, 4], dedup=True)

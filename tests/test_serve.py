@@ -36,6 +36,8 @@ from repro.serve import (
     ServeServer,
     ServiceBusyError,
     ServiceClosedError,
+    StreamBatcher,
+    SupervisedStreamBatcher,
     WorkerConfig,
     pattern_from_json,
     pattern_to_json,
@@ -510,9 +512,9 @@ def test_metrics_snapshot_shape():
 # --------------------------------------------------------------------------- #
 # persistent library backing (PR 9)
 # --------------------------------------------------------------------------- #
-def _run_window(env, root, count=12, start=None):
+def _run_window(env, root, count=12, start=None, **service_kwargs):
     async def scenario():
-        service = _service(env, max_batch=6, library_root=root)
+        service = _service(env, max_batch=6, library_root=root, **service_kwargs)
         await service.start()
         ticket = service.submit(
             GenerateRequest(scenario="serve-test", count=count, start=start)
@@ -543,6 +545,53 @@ def test_library_persists_generated_chunks(serve_env, tmp_path):
     for record in library.records_in_order():
         assert len(record.pattern_sources) == record.num_stored
         assert len(record.pattern_clean) == record.num_stored
+
+
+def test_serve_sidecars_hold_only_the_index_columns(serve_env, tmp_path):
+    """Attribution is stored once, in the ledger: a serve append's index
+    sidecar carries only what can be rebuilt from the shard."""
+    from repro.library import PatternLibrary
+    from repro.library.index import load_sidecar, sidecar_name
+
+    root = tmp_path / "library"
+    window, _ = _run_window(serve_env, root, count=NUM_REFERENCE)
+    assert window.ok and window.patterns
+    library = PatternLibrary(root)
+    shards = {record.shard for record in library.records_in_order() if record.shard}
+    assert shards
+    for shard in shards:
+        sidecar = load_sidecar(library.index_dir / sidecar_name(shard))
+        assert sorted(sidecar) == ["cx", "cy", "pattern_hash", "topology_hash"]
+
+
+@pytest.mark.parametrize("supervised", [False, True], ids=["in-process", "supervised"])
+def test_failed_library_attach_is_never_served_unbacked(serve_env, tmp_path, supervised):
+    """A restore that cannot load a shard fails the warmup, retries and all:
+    nothing is generated into a batcher that would persist nothing, and the
+    writer's ledger is left as it was."""
+    root = tmp_path / "library"
+    first, _ = _run_window(serve_env, root, count=NUM_REFERENCE)
+    assert first.ok and first.patterns
+    (ledger,) = (root / "manifests").glob("serve-*.json")
+    committed = ledger.read_bytes()
+    assert len(json.loads(committed)["chunks"]) == 3
+    shard = sorted((root / "shards").glob("*.npz"))[-1]
+    shard.write_bytes(b"not a shard")
+
+    worker_config = (
+        WorkerConfig(heartbeat_interval=0.05, restart_backoff=0.01) if supervised else None
+    )
+    window, snapshot = _run_window(
+        serve_env, root, count=30, start=0, worker_config=worker_config
+    )
+    assert not window.ok
+    assert window.summary.error_code == "warmup_failed"
+    assert window.patterns == []
+    assert snapshot["generation_retries"] == 2
+    assert snapshot["samples_generated"] == 0
+    assert snapshot["library_restored_samples"] == 0
+    assert snapshot["library_persisted_chunks"] == 0
+    assert ledger.read_bytes() == committed
 
 
 def test_restart_restores_cache_from_library(serve_env, tmp_path):
@@ -599,7 +648,6 @@ def test_supervised_service_parity(serve_env):
     async def scenario():
         service = _service(
             serve_env,
-            supervised=True,
             max_batch=7,
             worker_config=WorkerConfig(heartbeat_interval=0.05, restart_backoff=0.01),
         )
@@ -856,15 +904,34 @@ def test_service_from_args_wires_the_failure_knobs(serve_env, capsys):
         ]
     )
     service = service_from_args(args, serve_env.registry)
-    assert service.supervised is True
     assert service.deadline_seconds == 5.0
     assert service.retry_budget == 1
     assert service.worker_config.advance_timeout == 3.0
     assert service.worker_config.max_restarts == 4
+    # the worker config is what selects the supervised pool
+    assert type(service._batcher_for(serve_env.plan)) is SupervisedStreamBatcher
 
     plain = service_from_args(build_parser().parse_args(["serve"]), serve_env.registry)
-    assert plain.supervised is False
     assert plain.worker_config is None
+    assert type(plain._batcher_for(serve_env.plan)) is StreamBatcher
+
+    # A call budget of 0 or below fails every advance and a NaN one is no
+    # budget at all; a negative restart budget is meaningless.  Each is
+    # rejected before the daemon binds, as one error line.
+    for flag, bad in [
+        ("--advance-timeout", "0"),
+        ("--advance-timeout", "-1"),
+        ("--advance-timeout", "nan"),
+        ("--advance-timeout", "inf"),
+        ("--max-restarts", "-1"),
+    ]:
+        name = flag[2:].replace("-", "_")
+        args = build_parser().parse_args(["serve", "--supervised", flag, bad])
+        with pytest.raises(ValueError, match=name):
+            service_from_args(args, serve_env.registry)
+        assert main(["serve", "--supervised", "--port", "0", flag, bad]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name}") and err.count("\n") == 1
 
     # A default deadline that is non-finite or not positive would cancel
     # every request (NaN and <= 0 fire at once) or none (inf): rejected
@@ -878,6 +945,23 @@ def test_service_from_args_wires_the_failure_knobs(serve_env, capsys):
         assert err.startswith("error: deadline") and err.count("\n") == 1
     with pytest.raises(ValueError, match="deadline"):
         GenerationService(deadline_seconds=float("nan"))
+
+
+def test_worker_config_rejects_out_of_range_knobs():
+    """NaN fails every comparison and inf is no budget: both are rejected
+    with the out-of-range values, so no knob is silently switched off."""
+    nan, inf = float("nan"), float("inf")
+    for name, values in [
+        ("advance_timeout", (0, -1.0, nan, inf)),
+        ("heartbeat_interval", (0, -1.0, nan, inf)),
+        ("heartbeat_timeout", (0.2, 0.1, nan, inf)),
+        ("max_restarts", (-1,)),
+        ("restart_backoff", (-0.01, nan, inf)),
+    ]:
+        for value in values:
+            with pytest.raises(ValueError, match=name):
+                WorkerConfig(**{name: value})
+    WorkerConfig(advance_timeout=0.5, max_restarts=0, restart_backoff=0.0)
 
 
 def test_metrics_snapshot_has_failure_counters():
@@ -937,8 +1021,6 @@ def test_summary_error_code_round_trips():
 
 def test_stream_uses_the_served_plans_worker_count(serve_env):
     """An injected pipeline's own worker knob does not leak into the stream."""
-    from repro.serve import StreamBatcher
-
     plan = serve_env.registry.resolve("serve-test").with_overrides(
         {"engine": {"workers": 2}}
     ).lower()

@@ -5,8 +5,9 @@ registered serve-path fault point (``serve:*`` in the batcher, ``worker:*``
 in the supervised child, ``stream:advance`` in the engine), killing or
 delaying at that point must leave the client-visible stream bit-identical
 to a run with no fault at all.  The argument is the stream's
-counter-determinism (see :mod:`repro.serve.supervisor`): a restarted worker
-synced to the committed frontier recomputes the in-flight window exactly.
+counter-determinism (see :mod:`repro.serve.supervisor`): every advance
+carries the committed frontier, so a restarted worker recomputes the
+in-flight window exactly.
 
 Worker children are forked, so the fault hook installed in the test process
 is inherited; ``marker`` files make each fault one-shot *across* restarts —
@@ -19,7 +20,9 @@ from __future__ import annotations
 import asyncio
 import json
 import multiprocessing
+import os
 import pickle
+import signal
 import threading
 import time
 from types import SimpleNamespace
@@ -140,8 +143,14 @@ def _run(
     worker_config: "WorkerConfig | None" = None,
     **service_kwargs,
 ):
-    """Run one request through a fresh service; return (window, metrics)."""
-    if supervised and worker_config is None:
+    """Run one request through a fresh service; return (window, metrics).
+
+    ``supervised`` runs the engines in a worker process (under
+    ``worker_config``, fast heartbeats by default), else in process.
+    """
+    if not supervised:
+        worker_config = None
+    elif worker_config is None:
         worker_config = _fast_worker_config()
 
     async def scenario():
@@ -149,7 +158,6 @@ def _run(
             registry=_registry(),
             pipeline_factory=env.factory,
             max_batch=max_batch,
-            supervised=supervised,
             library_root=library_root,
             worker_config=worker_config,
             **service_kwargs,
@@ -254,6 +262,33 @@ def test_hung_worker_is_detected_and_restarted(serve_env, tmp_path):
     assert snapshot["worker_restarts"] >= 1
 
 
+@pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs SIGSTOP")
+def test_silent_worker_is_declared_dead(serve_env, tmp_path):
+    """A stopped child sends nothing — no reply and no heartbeat.
+
+    Only heartbeat silence can catch it (no call budget is set): the
+    supervisor declares it dead after ``heartbeat_timeout``, restarts it,
+    and the restarted child (which finds the marker) recomputes the window.
+    """
+    marker = tmp_path / "stopped"
+
+    def stop_once(label):
+        if label == "worker:advance" and not marker.exists():
+            marker.touch()
+            os.kill(os.getpid(), signal.SIGSTOP)
+
+    config = _fast_worker_config(heartbeat_timeout=0.5)
+    install_fault_hook(stop_once)
+    try:
+        window, snapshot = _run(serve_env, worker_config=config)
+    finally:
+        install_fault_hook(None)
+    assert marker.exists()
+    assert window.ok, window.summary.error
+    _assert_same_patterns(_in_source_order([window]), serve_env.reference.patterns)
+    assert snapshot["worker_restarts"] >= 1
+
+
 def test_deterministic_child_error_retries_without_restart(serve_env):
     """An ``error`` fault is a failing dependency, not a dead process.
 
@@ -296,7 +331,6 @@ def test_breaker_trips_serves_cache_and_recovers(serve_env):
             registry=_registry(),
             pipeline_factory=serve_env.factory,
             max_batch=NUM_REFERENCE,
-            supervised=True,
             worker_config=_fast_worker_config(),
             retry_budget=0,
             breaker_threshold=1,
@@ -378,7 +412,6 @@ def test_http_ndjson_is_bit_identical_through_a_worker_crash(serve_env, tmp_path
                 registry=_registry(),
                 pipeline_factory=serve_env.factory,
                 max_batch=6,
-                supervised=True,
                 worker_config=_fast_worker_config(),
             )
             server = ServeServer(service, port=0)
@@ -419,13 +452,33 @@ def test_http_ndjson_is_bit_identical_through_a_worker_crash(serve_env, tmp_path
 # --------------------------------------------------------------------------- #
 # the child protocol, run in-process for reachability and coverage
 # --------------------------------------------------------------------------- #
+def _assert_same_bytes(ours, theirs) -> None:
+    """Two pattern lists agree array by array: dtype, shape and bytes."""
+    assert len(ours) == len(theirs)
+    for a, b in zip(ours, theirs):
+        for name in ("topology", "delta_x", "delta_y"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
+def _assert_same_chunk(ours, theirs) -> None:
+    """Same window, accounting, attribution and pattern bytes."""
+    assert (ours.chunk, ours.start, ours.size, ours.num_kept, ours.unsolved) == (
+        theirs.chunk, theirs.start, theirs.size, theirs.num_kept, theirs.unsolved,
+    )
+    assert list(ours.pattern_sources) == list(theirs.pattern_sources)
+    assert list(ours.clean_mask) == list(theirs.clean_mask)
+    _assert_same_bytes(ours.patterns, theirs.patterns)
+
+
 def test_worker_main_protocol_honesty(serve_env):
     """Drive ``_worker_main`` in a thread: the child code paths, observable.
 
     Subprocess bodies are invisible to in-process coverage; running the real
     loop over a real duplex pipe in a thread proves every verb — warmup,
-    sync, advance, idempotent resend, desync, ping, error, stop — without a
-    fork.
+    advance, an unknown verb, stop — without a fork.  The child keeps no
+    frontier of its own: each advance computes the window at the frontier
+    it carries, whatever the child computed before.
     """
     parent, child = multiprocessing.Pipe(duplex=True)
     thread = threading.Thread(
@@ -448,34 +501,38 @@ def test_worker_main_protocol_honesty(serve_env):
         assert isinstance(fingerprint, dict)
         # warmup is idempotent: the stream is opened once
         assert ask(("warmup", None))[0] == "ready"
-        assert ask(("sync", (0, 0, 0))) == ("synced", (0, 0, 0))
 
-        kind, chunk = ask(("advance", (6, 0)))
+        kind, first = ask(("advance", (6, (0, 0, 0))))
         assert kind == "chunk"
-        assert isinstance(chunk, StreamChunk)
-        assert (chunk.start, chunk.size, chunk.end) == (0, 6, 6)
-        assert chunk.chunk_patterns is chunk.patterns
-        _assert_same_patterns(
-            chunk.patterns,
-            serve_env.reference.patterns[: len(chunk.patterns)],
+        assert isinstance(first, StreamChunk)
+        assert (first.chunk, first.start, first.size, first.end) == (0, 0, 6, 6)
+        assert first.chunk_patterns is first.patterns
+        reference = serve_env.reference.patterns
+        _assert_same_bytes(first.patterns, reference[: len(first.patterns)])
+
+        # the same advance again recomputes the same window, byte for byte
+        kind, again = ask(("advance", (6, (0, 0, 0))))
+        assert kind == "chunk"
+        _assert_same_chunk(again, first)
+
+        # the next frontier gives the next window of the one-shot run
+        frontier = (first.end, first.chunk + 1, first.num_kept)
+        kind, second = ask(("advance", (6, frontier)))
+        assert kind == "chunk"
+        assert (second.chunk, second.start, second.end) == (1, 6, 12)
+        done = len(first.patterns)
+        _assert_same_bytes(
+            second.patterns, reference[done : done + len(second.patterns)]
         )
 
-        # idempotent resend: a retried (start, size) returns the latched
-        # chunk without recomputing
-        kind, again = ask(("advance", (6, 0)))
+        # back at the first frontier, the first window is recomputed
+        kind, rewound = ask(("advance", (6, (0, 0, 0))))
         assert kind == "chunk"
-        assert (again.start, again.size) == (0, 6)
-        _assert_same_patterns(again.patterns, chunk.patterns)
-
-        # a frontier mismatch is reported, never silently generated
-        assert ask(("advance", (6, 3))) == ("desync", (6, 3))
-
-        assert ask(("ping", None)) == ("pong", None)
+        _assert_same_chunk(rewound, first)
 
         # deterministic exceptions are reported and the loop survives
-        kind, message = ask(("advance", (-1, 6)))
+        kind, message = ask(("advance", (-1, (0, 0, 0))))
         assert kind == "error"
-        assert ask(("ping", None)) == ("pong", None)
 
         kind, message = ask(("frobnicate", None))
         assert kind == "error"
@@ -501,8 +558,4 @@ def test_stream_chunk_crosses_the_worker_pipe(serve_env):
     assert again.pattern_sources == chunk.pattern_sources
     assert again.chunk_patterns is again.patterns
     assert again.matrices.size == 0 and again.kept == []
-    assert len(again.patterns) == len(serve_env.reference.patterns)
-    for ours, theirs in zip(again.patterns, serve_env.reference.patterns):
-        for name in ("topology", "delta_x", "delta_y"):
-            a, b = getattr(ours, name), getattr(theirs, name)
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    _assert_same_bytes(again.patterns, serve_env.reference.patterns)
