@@ -12,8 +12,9 @@ Subcommands:
 * ``inspect-library`` — summarise an on-disk library (chunks, patterns,
   unique topologies, diversity H, legality, per-chunk accounting) and run
   indexed queries (``--band``/``--topology``/``--regime``/``--from-writer``).
-* ``compact-library`` — merge small shards, drop superseded duplicates and
-  rebuild the on-disk index; migrates a legacy v1 ``manifest.json`` to a ledger.
+* ``compact-library`` — migrate a legacy v1 ``manifest.json`` to a ledger,
+  then merge small shards, drop superseded duplicates and rebuild the
+  on-disk index.
 * ``bench``           — run a scenario and report per-stage throughput
   (sampling, legalization, graph), optionally as machine-readable JSON.
 * ``serve``           — run the long-lived generation daemon: concurrent
@@ -104,8 +105,8 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         "--writer", default=None, metavar="ID",
         help="writer id for --out (default: main); each writer keeps its "
         "own manifest ledger, so several producers can append to one "
-        "library concurrently.  `--writer legacy` continues a v1 library's "
-        "history after compact-library has migrated it",
+        "library concurrently.  `--writer legacy` continues the history of "
+        "a v1 library that compact-library has migrated",
     )
 
 
@@ -152,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ins = sub.add_parser("inspect-library", help="summarise an on-disk pattern library")
     p_ins.add_argument(
         "library", type=Path,
-        help="library directory (holds manifests/, or a legacy v1 manifest.json)",
+        help="library directory (holds manifests/)",
     )
     p_ins.add_argument(
         "--chunks", action="store_true", help="print the per-chunk accounting table"
@@ -182,8 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser(
         "compact-library",
-        help="merge small shards, drop superseded duplicates, rebuild the "
-        "index (migrates a legacy v1 manifest.json to a ledger)",
+        help="migrate a legacy v1 manifest.json to a ledger, then merge "
+        "small shards, drop superseded duplicates and rebuild the index",
     )
     p_cmp.add_argument("library", type=Path, help="library directory")
     p_cmp.add_argument(
@@ -387,7 +388,10 @@ def _execute_plan(
 
     Mirrors :meth:`~repro.pipeline.DiffPatternPipeline.run` (one rng drives
     data → train → generate, so a resumed run replays the identical seeds)
-    with the plan's dedup / retention knobs applied.
+    with the plan's dedup / retention knobs applied.  The library opens
+    before any data is synthesised, so a bad writer id, a corrupt ledger or
+    an unmigrated v1 directory fails at once; the fingerprint is checked
+    once generation binds the run.
     """
     from .library import PatternLibrary
     from .pipeline import DiffPatternPipeline
@@ -397,15 +401,18 @@ def _execute_plan(
         raise ScenarioError("--resume needs --out: the manifest is what a run resumes from")
     if writer is not None and out is None:
         raise ScenarioError("--writer needs --out: a writer id names a library ledger")
+    library = None
+    if out is not None:
+        try:
+            library = PatternLibrary(out, dedup=plan.dedup, writer=writer)
+        except ValueError as error:  # an unsafe --writer id
+            raise ScenarioError(str(error)) from None
     pipeline = DiffPatternPipeline(plan.config)
     gen = as_rng(plan.seed)
     print(f"[1/3] dataset: {plan.num_training_patterns} synthetic training patterns ...")
     pipeline.prepare_data(plan.num_training_patterns, rng=gen)
     print(f"[2/3] training: {plan.config.train_iterations} iterations ...")
     pipeline.train(rng=gen)
-    library = (
-        PatternLibrary(out, dedup=plan.dedup, writer=writer) if out is not None else None
-    )
     print(
         f"[3/3] generation graph: {plan.num_generated} topologies "
         f"x {plan.num_solutions} solution(s) ..."
@@ -457,7 +464,11 @@ def _parse_band(text: str) -> tuple:
 
 
 def _open_existing_library(root: Path):
-    """Open ``root`` as a pattern library; a clean error if it holds none."""
+    """Open ``root`` as a pattern library; a clean error if it holds none.
+
+    A v1 ``manifest.json`` counts as a library here, so opening it raises
+    the store's error naming ``compact-library``.
+    """
     from .library import MANIFEST_DIR, LibraryError, PatternLibrary
 
     manifest = root / "manifest.json"
@@ -470,19 +481,12 @@ def _open_existing_library(root: Path):
 
 
 def _cmd_inspect_library(args: argparse.Namespace) -> int:
-    from .library import LEGACY_WRITER
-
     library = _open_existing_library(args.library)
     summary = library.summary()
     print(f"pattern library at {args.library}")
     for key, value in summary.items():
         rendered = f"{value:.4f}" if isinstance(value, float) else str(value)
         print(f"  {key:<18} {rendered}")
-    if library.manifest_path.exists() and library.writers == [LEGACY_WRITER]:
-        layout = "v1 (legacy manifest.json; compact-library migrates it)"
-    else:
-        layout = f"v2 (sharded, {len(library.writers)} writer(s))"
-    print(f"  {'layout':<18} {layout}")
     print(f"  {'writers':<18} {', '.join(library.writers)}")
     stats = library.index_stats()
     print(
@@ -534,13 +538,16 @@ def _cmd_inspect_library(args: argparse.Namespace) -> int:
 
 
 def _cmd_compact_library(args: argparse.Namespace) -> int:
+    from .library import migrate_v1_library
+
+    migrated = migrate_v1_library(args.library)
     library = _open_existing_library(args.library)
     report = library.compact(
         target_shard_patterns=args.target_shard_patterns,
         drop_duplicates=False if args.keep_duplicates else None,
     )
     print(f"compacted pattern library at {args.library}")
-    for key, value in sorted(report.as_dict().items()):
+    for key, value in sorted({**report.as_dict(), "migrated": migrated}.items()):
         print(f"  {key:<22} {value}")
     return 0
 

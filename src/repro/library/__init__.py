@@ -3,7 +3,6 @@
 from .index import BloomFilter, LibraryIndex
 from .manifest import (
     DEFAULT_WRITER,
-    LEGACY_WRITER,
     MANIFEST_DIR,
     LibraryLock,
     WriterLedger,
@@ -16,6 +15,7 @@ from .store import (
     PatternLibrary,
     load_shard,
     load_shard_slice,
+    migrate_v1_library,
     pattern_hash,
     save_shard,
     topology_hash,
@@ -32,11 +32,11 @@ __all__ = [
     "LibraryLock",
     "WriterLedger",
     "DEFAULT_WRITER",
-    "LEGACY_WRITER",
     "MANIFEST_DIR",
     "save_shard",
     "load_shard",
     "load_shard_slice",
+    "migrate_v1_library",
     "pattern_hash",
     "topology_hash",
 ]

@@ -14,10 +14,6 @@ one library concurrently:
   the on-disk index sidecars (:mod:`repro.library.index`), keeping ledger
   parse time proportional to the chunk count, not the pattern count.
 
-A legacy **v1** library (one ``manifest.json`` whose records inline their
-introduced hashes) is still read, as the implicit writer
-:data:`LEGACY_WRITER`; nothing writes that layout any more.
-
 The advisory lock is a ``flock``-ed ``library.lock`` file: writers hold it
 across the refresh → dedup-probe → shard write → ledger commit critical
 section, which is what makes concurrent appends equivalent to *some* serial
@@ -42,7 +38,6 @@ __all__ = [
     "ChunkRecord",
     "DEFAULT_WRITER",
     "LEDGER_VERSION",
-    "LEGACY_WRITER",
     "LibraryLock",
     "MANIFEST_DIR",
     "WriterLedger",
@@ -57,10 +52,6 @@ __all__ = [
 MANIFEST_DIR = "manifests"
 LOCK_NAME = "library.lock"
 LEDGER_VERSION = 2
-#: Writer id assigned to the chunks of a legacy single-manifest library when
-#: it participates in the merge (read-side migration; ``manifest.json``
-#: itself is only ever removed, by the ``compact()`` that migrates it).
-LEGACY_WRITER = "legacy"
 #: Writer id of a library opened without one.
 DEFAULT_WRITER = "main"
 
@@ -156,9 +147,6 @@ class ChunkRecord:
     (``[cx, cy, count]`` rows).  A record keeps only the *counts* of the
     hashes it introduced plus its global commit ``seq`` and owning
     ``writer``; the hashes themselves live in the chunk's index sidecar.
-    Records read from a legacy v1 ``manifest.json`` carry the introduced
-    hashes inline instead (``new_pattern_hashes`` / ``new_topology_hashes``)
-    until :meth:`~repro.library.PatternLibrary.compact` migrates them.
     """
 
     chunk: int                      # chunk index within the owning writer's run
@@ -174,45 +162,25 @@ class ChunkRecord:
     shard: "str | None"             # shard file name, None for empty chunks
     topology_complexity_counts: list[list[int]] = field(default_factory=list)
     pattern_complexity_counts: list[list[int]] = field(default_factory=list)
-    # Introduced hashes, read from legacy v1 records only (never serialised).
-    new_pattern_hashes: list[str] = field(default_factory=list)
-    new_topology_hashes: list[str] = field(default_factory=list)
     stats: dict[str, float] = field(default_factory=dict)
-    # -- absent from legacy v1 manifests (defaults on load) ---------------- #
+    # -- assigned by the append that commits the record --------------------- #
     seq: "int | None" = None        # global commit order across all writers
     writer: "str | None" = None     # owning writer id
     shard_start: int = 0            # offset of this record's patterns in shard
-    num_new_patterns: int = -1      # introduced counts (-1: derive from lists)
-    num_new_topologies: int = -1
+    num_new_patterns: int = 0       # hashes this record registered first
+    num_new_topologies: int = 0
     #: Optional per-pattern attribution a serving writer persists so its
     #: window cache survives restarts (absolute source sample index and DRC
     #: verdict per stored pattern, aligned with the shard slice).
     pattern_sources: list[int] = field(default_factory=list)
     pattern_clean: list[int] = field(default_factory=list)
 
-    #: Field names a ledger serialises (the optional attribution lists are
-    #: added only when present).
-    LEDGER_FIELDS = (
-        "chunk", "start", "num_sampled", "num_kept", "num_rejected", "unsolved",
-        "num_patterns", "num_stored", "duplicates_skipped", "num_clean", "shard",
-        "topology_complexity_counts", "pattern_complexity_counts", "stats",
-        "seq", "writer", "shard_start", "num_new_patterns", "num_new_topologies",
-    )
-
-    @property
-    def introduced_topologies(self) -> int:
-        """Topologies this chunk registered first (count, or legacy hash list)."""
-        if self.num_new_topologies >= 0:
-            return self.num_new_topologies
-        return len(self.new_topology_hashes)
-
     def as_dict(self) -> dict:
-        """The ledger serialisation: counts instead of hash lists."""
-        payload = {key: getattr(self, key) for key in self.LEDGER_FIELDS}
-        if self.pattern_sources:
-            payload["pattern_sources"] = self.pattern_sources
-        if self.pattern_clean:
-            payload["pattern_clean"] = self.pattern_clean
+        """The ledger serialisation (attribution lists only when present)."""
+        payload = {key: getattr(self, key) for key in self.__dataclass_fields__}
+        for key in ("pattern_sources", "pattern_clean"):
+            if not payload[key]:
+                del payload[key]
         return payload
 
     @classmethod

@@ -28,10 +28,9 @@ persistent artefact instead of an in-memory list that dies with the process:
   ``num_unique_topologies`` either way.
 
 A legacy **v1** library (one ``manifest.json`` plus ``shard_<chunk>.npz``
-files) is read, queried and joined by new writers unchanged on disk: its
-records take part in the merge as writer :data:`LEGACY_WRITER`.  Its own
-history can only be continued after :meth:`PatternLibrary.compact` has
-migrated it to a ledger.
+files) is not opened: :func:`migrate_v1_library`, which ``repro
+compact-library`` runs first, turns it into the ledger of writer
+``legacy``.
 """
 
 from __future__ import annotations
@@ -58,17 +57,17 @@ from .index import (
 )
 from .manifest import (
     DEFAULT_WRITER,
-    LEGACY_WRITER,
     ChunkRecord,
     LibraryLock,
     WriterLedger,
     atomic_write_bytes,
+    ledger_path,
     load_ledger,
     scan_ledgers,
     validate_writer_id,
 )
 
-#: The single manifest of a legacy v1 library (read and migrated, never written).
+#: The single manifest of a legacy v1 library (migrated, never opened).
 MANIFEST_NAME = "manifest.json"
 SHARD_DIR = "shards"
 MANIFEST_VERSION = 1
@@ -86,8 +85,10 @@ declare_fault_points(
     "compact:merged-shard",
     "compact:merged-sidecar",
     "compact:index-invalidate",
-    "compact:drop-manifest",
     "compact:index-rebuild",
+    "migrate:sidecar",
+    "migrate:ledger",
+    "migrate:drop-manifest",
 )
 
 __all__ = [
@@ -98,6 +99,7 @@ __all__ = [
     "PatternLibrary",
     "load_shard",
     "load_shard_slice",
+    "migrate_v1_library",
     "pattern_hash",
     "save_shard",
     "topology_hash",
@@ -160,7 +162,6 @@ class CompactionReport:
     """What one :meth:`PatternLibrary.compact` call changed."""
 
     records: int = 0            # chunk records in the merged history
-    migrated: int = 0           # legacy manifest.json records moved to a ledger
     shards_before: int = 0
     shards_after: int = 0
     merged_shards_written: int = 0
@@ -190,9 +191,13 @@ class PatternLibrary:
         :data:`DEFAULT_WRITER`).  Appends go to the writer's own
         ``manifests/<writer>.json`` under the advisory library lock, and
         dedup probes go through the on-disk hash index; every read sees the
-        merged history of all writers.  A legacy v1 ``manifest.json`` takes
-        part as writer :data:`LEGACY_WRITER`; continuing that history before
-        :meth:`compact` has migrated it raises :class:`LibraryError`.
+        merged history of all writers.
+
+    Raises
+    ------
+    LibraryError
+        On a corrupt ledger, or a legacy v1 ``manifest.json`` that
+        :func:`migrate_v1_library` has not yet migrated.
     """
 
     def __init__(
@@ -204,19 +209,19 @@ class PatternLibrary:
         self.fingerprint: dict = {}
         self.chunk_records: dict[int, ChunkRecord] = {}
         self._ledgers: dict[str, WriterLedger] = {}
-        self._legacy_unmigrated = False
         self._shard_cache: "OrderedDict[str, list[SquishPattern]]" = OrderedDict()
         self._index = LibraryIndex(self.root)
+        if (self.root / MANIFEST_NAME).exists():
+            raise LibraryError(
+                f"library at {self.root} holds a v1 manifest.json; run "
+                f"`repro compact-library {self.root}` to migrate it, then "
+                "continue its history with `--writer legacy`"
+            )
         self._refresh()
 
     # ------------------------------------------------------------------ #
     # paths
     # ------------------------------------------------------------------ #
-    @property
-    def manifest_path(self) -> Path:
-        """The legacy v1 manifest (present only until compaction migrates it)."""
-        return self.root / MANIFEST_NAME
-
     @property
     def shard_dir(self) -> Path:
         return self.root / SHARD_DIR
@@ -241,18 +246,10 @@ class PatternLibrary:
         writer always merges against the latest committed state of its
         peers.  The merged history is a pure function of the on-disk files.
         """
-        ledgers: dict[str, WriterLedger] = {}
-        for writer_id, path in scan_ledgers(self.root).items():
-            ledgers[writer_id] = load_ledger(path)
-        # ``manifest.json`` participates as the implicit "legacy" writer
-        # until compact() migrates it; once manifests/legacy.json exists it
-        # supersedes the (then stale) v1 manifest.
-        self._legacy_unmigrated = (
-            LEGACY_WRITER not in ledgers and self.manifest_path.exists()
-        )
-        if self._legacy_unmigrated:
-            ledgers[LEGACY_WRITER] = self._load_legacy_ledger()
-        self._ledgers = ledgers
+        self._ledgers = ledgers = {
+            writer_id: load_ledger(path)
+            for writer_id, path in scan_ledgers(self.root).items()
+        }
         own = ledgers.get(self.writer)
         if own is not None:
             # Persisted state wins: a reopened writer keeps its mode and run.
@@ -262,47 +259,18 @@ class PatternLibrary:
             self.chunk_records = {record.chunk: record for record in own.chunks}
         else:
             if ledgers:
-                anchor = ledgers.get(LEGACY_WRITER) or ledgers[sorted(ledgers)[0]]
-                self.dedup = anchor.dedup
+                self.dedup = ledgers[min(ledgers)].dedup
             self.chunk_records = {}
         self._shard_cache.clear()
         self._index.reload_meta()
         self._index.refresh_delta(self.records_in_order(), self._record_hashes)
 
-    def _load_legacy_ledger(self) -> WriterLedger:
-        """The v1 ``manifest.json`` viewed as a ledger (read-side migration).
-
-        Records are assigned the implicit commit seqs ``0..n-1`` — they
-        predate every ledger append, whose seqs start at ``n`` — but the
-        file itself is left untouched.
-        """
-        payload = self._read_manifest_payload()
-        records = sorted(
-            (ChunkRecord.from_dict(data) for data in payload.get("chunks", [])),
-            key=lambda record: record.chunk,
-        )
-        for seq, record in enumerate(records):
-            record.seq = seq
-            record.writer = LEGACY_WRITER
-        return WriterLedger(
-            writer=LEGACY_WRITER,
-            fingerprint=payload.get("fingerprint", {}),
-            dedup=bool(payload.get("dedup", False)),
-            chunks=records,
-        )
-
     def _record_hashes(self, record: ChunkRecord):
         """``(pattern_hashes, topology_hashes)`` for one record's slice.
 
-        The index delta/rebuild loader: sidecar-backed for ledger records,
-        inline hash lists for unmigrated legacy records (collectively
-        complete — every hash was introduced by exactly one record), shard
-        recomputation as the last resort.
+        The index delta/rebuild loader: sidecar-backed, with shard
+        recomputation as the fallback.
         """
-        if record.num_new_patterns < 0 and (
-            record.new_pattern_hashes or record.new_topology_hashes
-        ):
-            return record.new_pattern_hashes, record.new_topology_hashes
         if record.shard is None or record.num_stored == 0:
             return [], []
         meta = self._record_metadata(record)
@@ -345,11 +313,11 @@ class PatternLibrary:
     def num_unique_topologies(self) -> int:
         # Exact: appends are lock-serialised, so each topology is counted as
         # "introduced" by exactly one record across all writers.
-        return sum(record.introduced_topologies for record in self.records_in_order())
+        return sum(record.num_new_topologies for record in self.records_in_order())
 
     @property
     def writers(self) -> list[str]:
-        """Writer ids contributing to this library (``legacy`` for a v1 manifest)."""
+        """Writer ids contributing to this library."""
         return sorted(self._ledgers)
 
     def completed_chunks(self) -> list[int]:
@@ -364,8 +332,7 @@ class PatternLibrary:
         """The merged chunk history, in global commit order.
 
         The ledger shards are merged by commit ``seq`` — a deterministic pure
-        function of the on-disk state, whatever order the writers ran in (a
-        legacy manifest's records take seqs ``0..n-1`` in chunk order).
+        function of the on-disk state, whatever order the writers ran in.
         """
         merged = [
             record for ledger in self._ledgers.values() for record in ledger.chunks
@@ -442,11 +409,8 @@ class PatternLibrary:
         ------
         LibraryError
             On a fingerprint mismatch, a populated writer bound without
-            ``resume``, a bad shard, or an attempt to continue an unmigrated
-            v1 history (writer ``legacy``, or a new writer resuming the
-            legacy run's fingerprint) — see :meth:`compact`.
+            ``resume``, or a bad shard.
         """
-        self._refuse_legacy_continuation(fingerprint if resume else None)
         if not self.fingerprint:
             self.fingerprint = dict(fingerprint)
             return []
@@ -543,37 +507,11 @@ class PatternLibrary:
         Raises
         ------
         LibraryError
-            If ``record.chunk`` is already recorded for this writer, or the
-            writer is ``legacy`` on a library whose v1 manifest is not yet
-            migrated.
+            If ``record.chunk`` is already recorded for this writer.
         """
         with LibraryLock(self.root):
             self._refresh()
-            self._refuse_legacy_continuation()
             return self._append_locked(record, patterns)
-
-    def _refuse_legacy_continuation(self, fingerprint: "dict | None" = None) -> None:
-        """Raise if this writer would continue an unmigrated v1 history.
-
-        The v1 records keep their introduced hashes inline; only
-        :meth:`compact` turns them into the counts a ledger carries, so the
-        ``legacy`` writer cannot append before that.  A new writer resuming
-        with the legacy run's ``fingerprint`` would restart that run from
-        chunk 0 instead of continuing it.
-        """
-        if not self._legacy_unmigrated:
-            return
-        legacy = self._ledgers[LEGACY_WRITER]
-        if self.writer == LEGACY_WRITER or (
-            fingerprint is not None
-            and self.writer not in self._ledgers
-            and legacy.fingerprint == dict(fingerprint)
-        ):
-            raise LibraryError(
-                f"library at {self.root} holds an unmigrated v1 manifest.json; "
-                f"run `repro compact-library {self.root}` to migrate it, then "
-                "continue its history with `--writer legacy`"
-            )
 
     def _append_locked(
         self, record: ChunkRecord, patterns: list[SquishPattern]
@@ -616,10 +554,6 @@ class PatternLibrary:
         record.duplicates_skipped = skipped
         record.num_new_patterns = len(new_patterns)
         record.num_new_topologies = len(new_topologies)
-        # Ledgers carry counts, not hash lists — the sidecar is the durable
-        # home of the per-pattern hashes.
-        record.new_pattern_hashes = []
-        record.new_topology_hashes = []
         record.pattern_sources = kept_sources
         record.pattern_clean = kept_clean
         record.writer = self.writer
@@ -674,7 +608,7 @@ class PatternLibrary:
         if record is None:
             matches = [r for r in self.records_in_order() if r.chunk == chunk]
             if len(matches) > 1:
-                writers = sorted({r.writer or LEGACY_WRITER for r in matches})
+                writers = sorted({r.writer for r in matches})
                 raise LibraryError(
                     f"chunk {chunk} is recorded by {len(matches)} writers "
                     f"({', '.join(writers)}); load by record instead"
@@ -761,8 +695,7 @@ class PatternLibrary:
         """Indexed pattern lookup returning lazy :class:`PatternHandle`\\ s.
 
         Filters compose (AND); none loads a shard — selection runs entirely
-        over the index sidecars (or, for an unmigrated v1 record, a one-off
-        in-memory recomputation that is never written back):
+        over the index sidecars:
 
         * ``complexity_band=(lo, hi)`` — inclusive band on the canonical
           total complexity ``cx + cy`` (either bound may be ``None``).
@@ -780,7 +713,7 @@ class PatternLibrary:
         for record in self.records_in_order():
             if record.shard is None or record.num_stored == 0:
                 continue
-            if writer is not None and (record.writer or LEGACY_WRITER) != writer:
+            if writer is not None and record.writer != writer:
                 continue
             if rule_regime is not None and not self._regime_matches(
                 record, rule_regime
@@ -819,7 +752,7 @@ class PatternLibrary:
         return handles
 
     def _regime_matches(self, record: ChunkRecord, rule_regime: str) -> bool:
-        ledger = self._ledgers.get(record.writer or LEGACY_WRITER)
+        ledger = self._ledgers.get(record.writer)
         fingerprint = ledger.fingerprint if ledger is not None else {}
         return rule_regime in json.dumps(fingerprint, sort_keys=True)
 
@@ -855,15 +788,13 @@ class PatternLibrary:
     ) -> CompactionReport:
         """Merge small shards, drop superseded duplicates, rewrite the index.
 
-        Runs under the library lock.  A legacy v1 library is migrated first
-        (its ``manifest.json`` becomes ``manifests/legacy.json`` with
-        sidecars computed for every shard — the only operation that
-        rewrites a v1 library, and what lets writer ``legacy`` continue its
-        history).  Records keep their
-        ``seq``; small consecutive records are packed into ``merged_*.npz``
-        shards of up to ``target_shard_patterns`` patterns each.  With
-        ``drop_duplicates`` (default: the library's dedup flag) any pattern
-        whose hash already appeared earlier in commit order is removed.
+        Runs under the library lock.  Records keep their ``seq``; small
+        consecutive records are packed into ``merged_*.npz`` shards of up to
+        ``target_shard_patterns`` patterns each.  With ``drop_duplicates``
+        (default: the library's dedup flag) any pattern whose hash already
+        appeared earlier in commit order is removed, and the affected
+        records' stored counts and complexity histograms are rebuilt from
+        the patterns they keep.
 
         Crash safety: new shards and sidecars are committed before any
         ledger references them; the index is invalidated *before* a
@@ -876,8 +807,6 @@ class PatternLibrary:
             drop = self.dedup if drop_duplicates is None else bool(drop_duplicates)
             records = self.records_in_order()
             report = CompactionReport(records=len(records))
-            if self._legacy_unmigrated:
-                report.migrated = len(self._ledgers[LEGACY_WRITER].chunks)
 
             old_shards = {r.shard for r in records if r.shard is not None}
             report.shards_before = len(old_shards)
@@ -910,10 +839,9 @@ class PatternLibrary:
                 offset = 0
                 for record, kept, patterns, meta in slices:
                     merged_patterns.extend(patterns[i] for i in kept)
-                    merged_meta.append(
-                        {key: value[kept] for key, value in meta.items()}
-                    )
-                    self._apply_drop(record, kept)
+                    kept_meta = {key: value[kept] for key, value in meta.items()}
+                    merged_meta.append(kept_meta)
+                    self._apply_drop(record, kept, kept_meta)
                     record.shard = name
                     record.shard_start = offset
                     offset += len(kept)
@@ -936,7 +864,6 @@ class PatternLibrary:
             seen: set[str] = set()
             plans: list[tuple[ChunkRecord, list[int]]] = []
             for record in records:
-                self._migrate_record_counts(record)
                 if record.shard is None or record.num_stored == 0:
                     record.shard = None
                     record.shard_start = 0
@@ -986,7 +913,7 @@ class PatternLibrary:
                     continue
                 for record, kept in members:
                     if not kept:
-                        self._apply_drop(record, kept)
+                        self._apply_drop(record, kept, sidecar_arrays([]))
                         record.shard = None
                         record.shard_start = 0
                         continue
@@ -1005,11 +932,6 @@ class PatternLibrary:
             for writer_id in sorted(self._ledgers):
                 fault_point(f"compact:ledger:{writer_id}")
                 self._ledgers[writer_id].write(self.root)
-            if self._legacy_unmigrated and self.manifest_path.exists():
-                # manifests/legacy.json now supersedes it (readers prefer
-                # the ledger whenever both exist).
-                fault_point("compact:drop-manifest")
-                self.manifest_path.unlink()
             retired = old_shards - keep_shards
             for shard_name in sorted(retired):
                 for stale in (
@@ -1044,22 +966,21 @@ class PatternLibrary:
         return int(sidecar["pattern_hash"].size) == offset
 
     @staticmethod
-    def _migrate_record_counts(record: ChunkRecord) -> None:
-        """Freeze a legacy record's introduced counts and drop its hash lists
-        (their ledger-era home is the sidecar written alongside)."""
-        if record.num_new_patterns < 0:
-            record.num_new_patterns = len(record.new_pattern_hashes)
-        if record.num_new_topologies < 0:
-            record.num_new_topologies = len(record.new_topology_hashes)
-        record.new_pattern_hashes = []
-        record.new_topology_hashes = []
+    def _apply_drop(
+        record: ChunkRecord, kept: list[int], kept_meta: dict[str, np.ndarray]
+    ) -> None:
+        """Account a compaction keep-list into the record's stored stats.
 
-    @staticmethod
-    def _apply_drop(record: ChunkRecord, kept: list[int]) -> None:
-        """Account a compaction keep-list into the record's stored stats."""
+        ``kept_meta`` holds the :data:`SIDECAR_COLUMNS` of the kept
+        patterns; their ``cx``/``cy`` become the record's pattern
+        complexity histogram.
+        """
         dropped = record.num_stored - len(kept)
         if dropped <= 0:
             return
+        record.pattern_complexity_counts = ComplexityHistogram(
+            list(zip(kept_meta["cx"].tolist(), kept_meta["cy"].tolist()))
+        ).as_records()
         if record.pattern_clean:
             record.pattern_clean = [record.pattern_clean[i] for i in kept]
             record.num_clean = sum(1 for c in record.pattern_clean if c)
@@ -1081,41 +1002,72 @@ class PatternLibrary:
         return highest + 1
 
     def rebuild_index(self) -> dict:
-        """Regenerate the on-disk index from the ledgers/shards (locked).
-
-        Raises
-        ------
-        LibraryError
-            If the library's only history is an unmigrated v1 manifest
-            (:meth:`compact` migrates it and builds the index).
-        """
+        """Regenerate the on-disk index from the ledgers/shards (locked)."""
         with LibraryLock(self.root):
             self._refresh()
-            if self._legacy_unmigrated and len(self._ledgers) == 1:
-                raise LibraryError(
-                    "a pure v1 library has no on-disk index; compact() it "
-                    f"first (`repro compact-library {self.root}`)"
-                )
             self._index.rebuild(self.records_in_order(), self._record_hashes)
             self._refresh()
             return self._index.stats()
 
-    # ------------------------------------------------------------------ #
-    # legacy v1 manifest (read only)
-    # ------------------------------------------------------------------ #
-    def _read_manifest_payload(self) -> dict:
-        try:
-            payload = json.loads(self.manifest_path.read_text())
-        except (OSError, json.JSONDecodeError) as error:
-            raise LibraryError(
-                f"cannot read manifest {self.manifest_path}: {error}"
-            ) from error
-        if payload.get("version") != MANIFEST_VERSION:
-            raise LibraryError(
-                f"manifest {self.manifest_path} has unsupported version "
-                f"{payload.get('version')!r} (expected {MANIFEST_VERSION})"
-            )
-        return payload
+
+# --------------------------------------------------------------------------- #
+# legacy v1 migration
+# --------------------------------------------------------------------------- #
+def migrate_v1_library(root: "str | Path") -> int:
+    """Turn a v1 library into writer ``legacy``'s ledger; returns its records.
+
+    A v1 library keeps one ``manifest.json`` whose records carry no commit
+    ``seq`` and inline the hashes each chunk introduced.  Under the library
+    lock, the records (sorted by chunk) become ``manifests/legacy.json``
+    with seqs ``0..n-1`` and the lengths of those lists as their introduced
+    counts; every shard gets its index sidecar, and the shards themselves
+    (``shard_<chunk>.npz``) stay where they are.  The manifest is removed
+    last, so a crash leaves a root that either still refuses to open or is
+    fully migrated, and a rerun after the ledger commit only removes the
+    manifest.  Returns 0 when ``root`` holds no v1 manifest.
+    """
+    root = Path(root)
+    manifest = root / MANIFEST_NAME
+    if not manifest.exists():
+        return 0
+    with LibraryLock(root):
+        legacy = ledger_path(root, "legacy")
+        if not legacy.exists():
+            try:
+                payload = json.loads(manifest.read_text())
+            except (OSError, json.JSONDecodeError) as error:
+                raise LibraryError(f"cannot read manifest {manifest}: {error}") from error
+            if payload.get("version") != MANIFEST_VERSION:
+                raise LibraryError(
+                    f"manifest {manifest} has unsupported version "
+                    f"{payload.get('version')!r} (expected {MANIFEST_VERSION})"
+                )
+            entries = sorted(payload.get("chunks", []), key=lambda data: data["chunk"])
+            records = []
+            for seq, data in enumerate(entries):
+                record = ChunkRecord.from_dict(data)
+                record.seq, record.writer = seq, "legacy"
+                record.num_new_patterns = len(data.get("new_pattern_hashes", []))
+                record.num_new_topologies = len(data.get("new_topology_hashes", []))
+                if record.shard is not None and record.num_stored:
+                    patterns = load_shard(root / SHARD_DIR / record.shard)
+                    fault_point("migrate:sidecar")
+                    write_sidecar(
+                        root / INDEX_DIR / sidecar_name(record.shard),
+                        sidecar_arrays(patterns),
+                    )
+                records.append(record)
+            fault_point("migrate:ledger")
+            WriterLedger(
+                writer="legacy",
+                fingerprint=payload.get("fingerprint", {}),
+                dedup=bool(payload.get("dedup", False)),
+                chunks=records,
+            ).write(root)
+        migrated = len(load_ledger(legacy).chunks)
+        fault_point("migrate:drop-manifest")
+        manifest.unlink(missing_ok=True)  # a concurrent run may have won
+    return migrated
 
 
 # --------------------------------------------------------------------------- #

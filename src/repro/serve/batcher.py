@@ -159,7 +159,7 @@ class StreamBatcher:
         knob, like the graph's ``chunk_size`` — output is identical for any
         value).
     library_root:
-        Optional directory of a (possibly shared) v2
+        Optional directory of a (possibly shared), non-deduplicating
         :class:`~repro.library.PatternLibrary`.  The batcher becomes writer
         ``serve-<stream key>`` of that library: every generated chunk is
         persisted with per-pattern source/DRC attribution, and on warmup the
@@ -261,8 +261,19 @@ class StreamBatcher:
         bit-identical, without touching the engines.  Every record is
         loaded before any is cached: a restore that fails part-way leaves
         the cache and frontier untouched.
+
+        A deduplicating library is refused: its writers skip patterns
+        another writer already stored, so a restored window (this writer's
+        records alone) would lack patterns the live window served.
         """
         library = PatternLibrary(self.library_root, writer=self.writer_id)
+        if library.dedup:
+            raise LibraryError(
+                f"library at {self.library_root} deduplicates across writers; "
+                f"serve writer {self.writer_id!r} could not restore the "
+                "windows it serves bit for bit (use a library written "
+                "without --dedup)"
+            )
         records = library.bind({**fingerprint, "stream_key": self.key}, resume=True)
         restored = []
         for record in records:

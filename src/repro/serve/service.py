@@ -190,7 +190,7 @@ class GenerationService:
     metrics:
         A :class:`~repro.serve.ServeMetrics`; a fresh one by default.
     library_root:
-        Optional directory of a shared v2
+        Optional directory of a shared, non-deduplicating
         :class:`~repro.library.PatternLibrary`.  Each stream batcher
         becomes a writer of that library: generated chunks are persisted
         with per-pattern attribution and restored into the pattern cache on

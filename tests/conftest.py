@@ -8,15 +8,12 @@ path, not sample quality (sample quality is exercised by the benchmarks).
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 
+import v1_fixture
 from repro.data import DatasetConfig, LayoutPatternDataset, SyntheticLayoutGenerator
 from repro.legalization import DesignRules
-from repro.library import pattern_hash, save_shard, topology_hash
 from repro.pipeline import DiffPatternConfig, DiffPatternPipeline
 
 
@@ -69,67 +66,7 @@ def trained_tiny_pipeline(tiny_dataset):
     return pipeline
 
 
-#: The chunk-record fields of a legacy v1 ``manifest.json``.
-V1_FIELDS = (
-    "chunk", "start", "num_sampled", "num_kept", "num_rejected", "unsolved",
-    "num_patterns", "num_stored", "duplicates_skipped", "num_clean", "shard",
-    "topology_complexity_counts", "pattern_complexity_counts",
-    "new_pattern_hashes", "new_topology_hashes", "stats",
-)
-
-
-def _write_v1_library(root, chunks, dedup: bool = False, fingerprint=None) -> Path:
-    """Write a legacy v1 library: ``shards/shard_<chunk>.npz`` + ``manifest.json``.
-
-    ``chunks`` is a sequence of ``(ChunkRecord, patterns)`` pairs, appended in
-    order with the retired single-manifest writer's accounting: in-memory
-    pattern/topology hash sets, dedup against them, and the hashes each
-    chunk introduced inlined into its record.  The records are mutated in
-    place, exactly as that writer's ``append_chunk`` did.
-    """
-    root = Path(root)
-    pattern_hashes: set[str] = set()
-    topology_hashes: set[str] = set()
-    records = []
-    for record, patterns in chunks:
-        stored, skipped, new_patterns, new_topologies = [], 0, [], []
-        for pattern in patterns:
-            digest = pattern_hash(pattern)
-            if dedup and digest in pattern_hashes:
-                skipped += 1
-                continue
-            if digest not in pattern_hashes:
-                new_patterns.append(digest)
-                pattern_hashes.add(digest)
-            topo_digest = topology_hash(pattern.topology)
-            if topo_digest not in topology_hashes:
-                new_topologies.append(topo_digest)
-                topology_hashes.add(topo_digest)
-            stored.append(pattern)
-        record.num_stored = len(stored)
-        record.duplicates_skipped = skipped
-        record.new_pattern_hashes = new_patterns
-        record.new_topology_hashes = new_topologies
-        record.shard = f"shard_{record.chunk:05d}.npz" if stored else None
-        if stored:
-            (root / "shards").mkdir(parents=True, exist_ok=True)
-            save_shard(root / "shards" / record.shard, stored)
-        records.append(record)
-    payload = {
-        "version": 1,
-        "fingerprint": dict(fingerprint or {}),
-        "dedup": bool(dedup),
-        "chunks": [
-            {key: getattr(record, key) for key in V1_FIELDS}
-            for record in sorted(records, key=lambda r: r.chunk)
-        ],
-    }
-    root.mkdir(parents=True, exist_ok=True)
-    (root / "manifest.json").write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    return root
-
-
 @pytest.fixture(scope="session")
 def write_v1_library():
-    """Factory for legacy v1 library fixtures (see :func:`_write_v1_library`)."""
-    return _write_v1_library
+    """Factory for legacy v1 library fixtures (see :mod:`v1_fixture`)."""
+    return v1_fixture.write_v1_library

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
 from repro.library import PatternLibrary
+from repro.pipeline import DiffPatternPipeline
 
 
 @pytest.fixture(scope="module")
@@ -201,8 +203,7 @@ class TestV2CliSurface:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "v2 (sharded" in out
-        assert "alpha" in out
+        assert "writers            alpha\n" in out
         assert "index" in out
         assert "query matched" in out
         assert "seq" in out
@@ -228,3 +229,81 @@ class TestV2CliSurface:
     def test_serve_parser_takes_library(self):
         args = build_parser().parse_args(["serve", "--library", "/tmp/lib"])
         assert str(args.library) == "/tmp/lib"
+
+
+def _one_error_line(err: str) -> str:
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+class TestLibraryOpensBeforeTraining:
+    """`generate`/`resume` open the output library before any data or
+    training, so a library that cannot be opened costs nothing."""
+
+    @pytest.fixture
+    def train_calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            DiffPatternPipeline, "train", lambda *args, **kwargs: calls.append(args)
+        )
+        return calls
+
+    def _expect_error(self, argv, capsys, train_calls) -> str:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "[1/3]" not in captured.out
+        assert train_calls == []
+        return _one_error_line(captured.err)
+
+    def test_bad_writer_id(self, tmp_path, smoke_args, capsys, train_calls):
+        error = self._expect_error(
+            ["generate", "--scenario", "smoke", "--out", str(tmp_path / "lib"),
+             "--writer", "../evil", *smoke_args],
+            capsys, train_calls,
+        )
+        assert "writer id" in error
+        assert not (tmp_path / "lib").exists()
+
+    def test_corrupt_ledger(self, tmp_path, smoke_args, capsys, train_calls):
+        (tmp_path / "lib" / "manifests").mkdir(parents=True)
+        (tmp_path / "lib" / "manifests" / "main.json").write_text("{not json")
+        error = self._expect_error(
+            ["resume", "--scenario", "smoke", "--out", str(tmp_path / "lib"), *smoke_args],
+            capsys, train_calls,
+        )
+        assert "main.json" in error
+
+    def test_v1_directory(self, tmp_path, smoke_args, capsys, train_calls, write_v1_library):
+        root = write_v1_library(tmp_path / "lib", [])
+        error = self._expect_error(
+            ["resume", "--scenario", "smoke", "--out", str(root), *smoke_args],
+            capsys, train_calls,
+        )
+        assert "compact-library" in error
+
+
+class TestV1Library:
+    def test_refused_then_migrated_by_compact_library(
+        self, tmp_path, capsys, write_v1_library
+    ):
+        from repro.library import ChunkRecord
+        from repro.squish import SquishPattern
+
+        topology = np.eye(2, dtype=np.uint8)
+        pattern = SquishPattern(topology, np.array([64, 64]), np.array([48, 80]))
+        record = ChunkRecord(
+            chunk=0, start=0, num_sampled=1, num_kept=1, num_rejected=0,
+            unsolved=0, num_patterns=1, num_stored=0, duplicates_skipped=0,
+            num_clean=1, shard=None,
+        )
+        root = write_v1_library(tmp_path / "lib", [(record, [pattern])])
+        assert main(["inspect-library", str(root)]) == 1
+        assert "compact-library" in _one_error_line(capsys.readouterr().err)
+
+        assert main(["compact-library", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert "migrated               1\n" in out
+        assert not (root / "manifest.json").exists()
+        assert main(["inspect-library", str(root)]) == 0
+        assert "writers            legacy\n" in capsys.readouterr().out

@@ -18,7 +18,13 @@ import pytest
 
 from repro.drc import DesignRuleChecker
 from repro.legalization import LegalizationEngine
-from repro.library import LEGACY_WRITER, ChunkRecord, LibraryError, PatternLibrary
+from repro.library import (
+    ChunkRecord,
+    LibraryError,
+    PatternLibrary,
+    migrate_v1_library,
+    pattern_hash,
+)
 from repro.pipeline import (
     DiffPatternConfig,
     DiffPatternPipeline,
@@ -253,15 +259,31 @@ class TestLibraryResume:
             return graph, graph.run(NUM_SAMPLES, seed=11, resume=True)
 
         # Unmigrated, neither the default writer nor `legacy` may continue it.
-        for writer in (None, LEGACY_WRITER):
+        for writer in (None, "legacy"):
             with pytest.raises(LibraryError, match="compact-library"):
                 resume(writer)
+        # What `repro compact-library` runs.  The migrated library reads as
+        # the store that read v1 in place did (summary pinned from it) and
+        # holds the killed run's patterns.
+        assert migrate_v1_library(root) == 2
         PatternLibrary(root).compact()
-        graph, resumed = resume(LEGACY_WRITER)
+        migrated = PatternLibrary(root)
+        assert migrated.summary() == {
+            "chunks": 2, "patterns": 20, "unique_topologies": 9,
+            "diversity": 3.121928094887362, "legality": 1.0,
+        }
+        assert [pattern_hash(p) for p in migrated.load_patterns()] == [
+            pattern_hash(p) for p in partial.load_patterns()
+        ]
+        graph, resumed = resume("legacy")
         assert graph.last_report.chunks_resumed == 2
         assert graph.last_report.chunks_live == 2
         assert_results_identical(uninterrupted, resumed, compare_topologies=False)
         assert PatternLibrary(root).summary() == PatternLibrary(tmp_path / "full").summary()
+        assert PatternLibrary(root).summary() == {
+            "chunks": 4, "patterns": 36, "unique_topologies": 16,
+            "diversity": 3.614369445886757, "legality": 1.0,
+        }
 
     def test_library_accounting_matches_result(self, graph_parts, rules, tmp_path):
         library = PatternLibrary(tmp_path / "lib")

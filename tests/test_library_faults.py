@@ -10,7 +10,10 @@ filesystem steps — and assert the reopened library resumes losslessly:
 * **appends**: every pattern lands exactly once, the ledger seq stays
   gap-free, and the dedup decisions match the serial run.
 * **compaction**: the pattern multiset (in commit order) survives a crash
-  at any point of the rewrite, including mid-migration of a v1 library.
+  at any point of the rewrite.
+* **v1 migration**: a crash at any point of ``repro compact-library`` on a
+  v1 library leaves a root that refuses to open or opens fully migrated,
+  and a rerun converges to the reference library.
 """
 
 from __future__ import annotations
@@ -19,7 +22,13 @@ import numpy as np
 import pytest
 
 from repro.faults import InjectedCrash, install_fault_hook, record_fault_points
-from repro.library import ChunkRecord, PatternLibrary, pattern_hash
+from repro.library import (
+    ChunkRecord,
+    LibraryError,
+    PatternLibrary,
+    migrate_v1_library,
+    pattern_hash,
+)
 from repro.squish import SquishPattern
 
 
@@ -188,28 +197,39 @@ class TestCompactionCrashes:
             for chunk, fills in enumerate([[1, 2], [3, 4]]):
                 patterns = [make_pattern(f) for f in fills]
                 chunks.append((make_record(chunk, patterns), patterns))
-            write_v1_library(root, chunks, dedup=True)
-            return PatternLibrary(root)
+            return write_v1_library(root, chunks, dedup=True)
+
+        def compact_library(root):
+            """What `repro compact-library ROOT` runs."""
+            migrate_v1_library(root)
+            PatternLibrary(root).compact(target_shard_patterns=8)
 
         reference = build_v1(tmp_path / "serial")
-        expected = [pattern_hash(p) for p in reference.load_patterns()]
-        probe = build_v1(tmp_path / "probe")
+        compact_library(reference)
+        expected = [pattern_hash(p) for p in PatternLibrary(reference).load_patterns()]
         with record_fault_points() as points:
-            probe.compact(target_shard_patterns=8)
-        assert "compact:drop-manifest" in points
+            compact_library(build_v1(tmp_path / "probe"))
+        assert {"migrate:sidecar", "migrate:ledger", "migrate:drop-manifest"} <= set(points)
 
         for index, label in enumerate(points):
-            root = tmp_path / f"kill-{index}"
-            library = build_v1(root)
+            root = build_v1(tmp_path / f"kill-{index}")
             install_fault_hook(crash_at(index))
             with pytest.raises(InjectedCrash):
-                library.compact(target_shard_patterns=8)
+                compact_library(root)
             install_fault_hook(None)
-            recovered = PatternLibrary(root)
-            assert [
-                pattern_hash(p) for p in recovered.load_patterns()
-            ] == expected, label
-            recovered.compact(target_shard_patterns=8)
+            # The root still refuses to open (its manifest is removed last)
+            # or it opens fully migrated.
+            if (root / "manifest.json").exists():
+                with pytest.raises(LibraryError, match="compact-library"):
+                    PatternLibrary(root)
+            else:
+                assert [
+                    pattern_hash(p) for p in PatternLibrary(root).load_patterns()
+                ] == expected, label
+            compact_library(root)
             assert [
                 pattern_hash(p) for p in PatternLibrary(root).load_patterns()
             ] == expected, label
+            assert (
+                PatternLibrary(root).summary() == PatternLibrary(reference).summary()
+            ), label

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import tracemalloc
 
@@ -10,23 +11,24 @@ import pytest
 
 from repro.library import (
     DEFAULT_WRITER,
-    LEGACY_WRITER,
     MANIFEST_DIR,
     BloomFilter,
     ChunkRecord,
     LibraryError,
     LibraryLock,
     PatternLibrary,
+    migrate_v1_library,
     pattern_hash,
     topology_hash,
 )
-from repro.library.index import SIDECAR_COLUMNS, load_sidecar, write_sidecar
+from repro.library.index import SIDECAR_COLUMNS, load_sidecar, sidecar_name, write_sidecar
 from repro.library.manifest import (
     ledger_path,
     load_ledger,
     scan_ledgers,
     validate_writer_id,
 )
+from repro.metrics import ComplexityHistogram, pattern_complexity, pattern_diversity
 from repro.squish import SquishPattern
 
 
@@ -195,73 +197,278 @@ def write_v1(write_v1_library, root, fills, dedup=False, fingerprint=None, chunk
     for chunk, start in enumerate(range(0, len(patterns), chunk_size)):
         batch = patterns[start : start + chunk_size]
         chunks.append((make_record(chunk, batch), batch))
-    write_v1_library(root, chunks, dedup=dedup, fingerprint=fingerprint)
-    return PatternLibrary(root)
+    return write_v1_library(root, chunks, dedup=dedup, fingerprint=fingerprint)
+
+
+def tree_bytes(root) -> dict:
+    """Every file under ``root`` with its bytes (what a refusal must not touch)."""
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
 
 
 class TestV1Compat:
+    """A v1 library is refused at open, migrated, then read and continued."""
+
     def test_v1_library_readable_as_merged_view(self, tmp_path, write_v1_library):
-        reread = write_v1(write_v1_library, tmp_path, range(4), dedup=True)
+        write_v1(write_v1_library, tmp_path, range(4), dedup=True)
+        assert migrate_v1_library(tmp_path) == 2
+        reread = PatternLibrary(tmp_path)
         assert reread.num_patterns == 4
         assert reread.load_patterns()  # loads through the v1 shard names
-        assert reread.writers == [LEGACY_WRITER]
+        assert reread.writers == ["legacy"]
+        assert reread.dedup
 
     def test_v1_library_joined_by_new_writer(self, tmp_path, write_v1_library):
         write_v1(write_v1_library, tmp_path, range(2), dedup=True)
+        migrate_v1_library(tmp_path)
         joined = fill_writer(tmp_path, "late", [1, 7], dedup=True)
-        # pattern 1 already exists in the legacy manifest -> deduplicated
+        # pattern 1 already exists in the migrated ledger -> deduplicated
         assert joined.num_patterns == 3
         merged = PatternLibrary(tmp_path)
-        assert {r.writer for r in merged.records_in_order()} == {LEGACY_WRITER, "late"}
-        # joining never rewrites the legacy manifest itself
-        assert (tmp_path / "manifest.json").exists()
+        assert {r.writer for r in merged.records_in_order()} == {"legacy", "late"}
 
     def test_legacy_records_keep_seq_order_before_new_writers(
         self, tmp_path, write_v1_library
     ):
         write_v1(write_v1_library, tmp_path, range(2), chunk_size=1)
+        migrate_v1_library(tmp_path)
         fill_writer(tmp_path, "late", [7])
         merged = PatternLibrary(tmp_path)
         order = [(r.writer, r.seq) for r in merged.records_in_order()]
-        assert order == [(LEGACY_WRITER, 0), (LEGACY_WRITER, 1), ("late", 2)]
+        assert order == [("legacy", 0), ("legacy", 1), ("late", 2)]
 
     def test_resuming_the_v1_run_as_a_new_writer_raises(self, tmp_path, write_v1_library):
         write_v1(write_v1_library, tmp_path, range(6), fingerprint={"seed": 7})
-        with pytest.raises(LibraryError, match="compact-library") as error:
-            PatternLibrary(tmp_path).bind({"seed": 7}, resume=True)
-        assert "--writer legacy" in str(error.value)
-        # another run joining the library is not a continuation
-        assert PatternLibrary(tmp_path, writer="other").bind({"seed": 8}, resume=True) == []
+        for writer in (None, "legacy", "other"):
+            with pytest.raises(LibraryError, match="compact-library") as error:
+                PatternLibrary(tmp_path, writer=writer)
+            assert "--writer legacy" in str(error.value)
 
     def test_legacy_writer_cannot_continue_before_compaction(
         self, tmp_path, write_v1_library
     ):
-        write_v1(write_v1_library, tmp_path, range(6), fingerprint={"seed": 7})
-        legacy = PatternLibrary(tmp_path, writer=LEGACY_WRITER)
+        root = write_v1(write_v1_library, tmp_path, range(6), fingerprint={"seed": 7})
+        before = tree_bytes(root)
         with pytest.raises(LibraryError, match="compact-library"):
-            legacy.bind({"seed": 7}, resume=True)
-        patterns = [make_pattern(9)]
-        with pytest.raises(LibraryError, match="--writer legacy"):
-            legacy.append_chunk(make_record(3, patterns), patterns)
-        assert not (tmp_path / MANIFEST_DIR).exists()
-        topologies = {topology_hash(make_pattern(f).topology) for f in range(6)}
-        assert PatternLibrary(tmp_path).summary()["unique_topologies"] == len(topologies)
+            PatternLibrary(root, writer="legacy")
+        assert tree_bytes(root) == before  # no ledger, index or lock appears
 
     def test_compacted_history_continues_as_legacy_writer(
         self, tmp_path, write_v1_library
     ):
         write_v1(write_v1_library, tmp_path, range(6), fingerprint={"seed": 7})
+        migrate_v1_library(tmp_path)
         PatternLibrary(tmp_path).compact(target_shard_patterns=2)
-        legacy = PatternLibrary(tmp_path, writer=LEGACY_WRITER)
+        legacy = PatternLibrary(tmp_path, writer="legacy")
         records = legacy.bind({"seed": 7}, resume=True)
         assert [r.chunk for r in records] == [0, 1, 2]
         patterns = [make_pattern(f) for f in (4, 8)]
         legacy.append_chunk(make_record(3, patterns), patterns)
         reread = PatternLibrary(tmp_path)
-        assert reread.writers == [LEGACY_WRITER]
+        assert reread.writers == ["legacy"]
         assert [r.seq for r in reread.records_in_order()] == [0, 1, 2, 3]
         stored = {topology_hash(p.topology) for p in reread.load_patterns()}
         assert reread.summary()["unique_topologies"] == len(stored)
+
+
+def patterns_digest(patterns) -> str:
+    """SHA-256 over every pattern's codec arrays, in order."""
+    digest = hashlib.sha256()
+    for pattern in patterns:
+        for _, value in sorted(pattern.as_arrays().items()):
+            digest.update(np.ascontiguousarray(value).tobytes())
+    return digest.hexdigest()
+
+
+def handles_digest(handles) -> str:
+    """SHA-256 over ``(seq, position, pattern_hash, topology_hash, cx, cy)`` rows."""
+    rows = [
+        [h.record.seq, h.position, h.pattern_hash, h.topology_hash, h.cx, h.cy]
+        for h in handles
+    ]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def library_view(library) -> dict:
+    return {
+        "summary": library.summary(),
+        "patterns": patterns_digest(library.load_patterns()),
+        "order": [(r.writer, r.seq, r.chunk) for r in library.records_in_order()],
+    }
+
+
+#: Every v1 fixture the library suites build (``crash`` is the one of
+#: ``tests/test_library_faults.py``): ``write_v1`` arguments, then the
+#: ``(writer, fills, dedup)`` writers that join it.
+V1_FIXTURES = {
+    "dedup": dict(fills=range(4), dedup=True),
+    "joined": dict(fills=range(2), dedup=True, joins=[("late", [1, 7], True)]),
+    "joined-per-pattern": dict(
+        fills=range(2), chunk_size=1, joins=[("late", [7], False)]
+    ),
+    "seeded": dict(fills=range(6), fingerprint={"seed": 7}),
+    "single-chunk": dict(fills=range(3), chunk_size=3),
+    "one-pattern": dict(fills=[0]),
+    "crash": dict(fills=[1, 2, 3, 4], dedup=True),
+}
+
+#: Pinned from the store as it was when it still read v1 libraries in place:
+#: each fixture read unmigrated (joined writers appended next to its
+#: manifest), then after ``compact()`` migrated it and writer ``legacy``
+#: appended ``(8, 9)`` as its next chunk (``bound``: the chunks
+#: ``bind(resume=True)`` returned).  The "joined" legality of 4/3 is what
+#: that store read: ``make_record`` reports every offered pattern as clean,
+#: including the one dedup skipped.
+V1_PARITY = {
+    "dedup": {
+        "summary": dict(
+            chunks=2, patterns=4, unique_topologies=4, diversity=-0.0, legality=1.0,
+        ),
+        "patterns": "286fca3b3220151a8bec464bb0c96626c97a049583b309049f8bc1610d111385",
+        "handles": "2407f09a5207d4e0b9c295bf331ae900cd911d0b3194a38457e7333c2db74b49",
+        "order": [("legacy", 0, 0), ("legacy", 1, 1)],
+        "resumed": {
+            "bound": [],
+            "summary": dict(
+                chunks=3, patterns=6, unique_topologies=6, diversity=-0.0, legality=1.0,
+            ),
+            "patterns": "f05e18b52b498ed58c372608e34ec77fffe575b6cf0a0b63e698cc6bc309fbfa",
+            "order": [("legacy", 0, 0), ("legacy", 1, 1), ("legacy", 2, 2)],
+        },
+    },
+    "joined": {
+        "summary": dict(
+            chunks=2, patterns=3, unique_topologies=3, diversity=-0.0, legality=1.3333333333333333,
+        ),
+        "patterns": "c59fe61f4ffa59221124f2b800aadfc91f6455cd71d4bb4c76ae0e4747b26650",
+        "handles": "44691556509869ab5a7ef9bd905048b210afe9abfcd66f2242d0b42aa9df8736",
+        "order": [("legacy", 0, 0), ("late", 1, 0)],
+        "resumed": {
+            "bound": [],
+            "summary": dict(
+                chunks=3, patterns=5, unique_topologies=5, diversity=-0.0, legality=1.2,
+            ),
+            "patterns": "7e9ddb62907c742aa4413ddd4471740e986bd85d4d5a9a770bd4fc0b5c4878d3",
+            "order": [("legacy", 0, 0), ("late", 1, 0), ("legacy", 2, 1)],
+        },
+    },
+    "joined-per-pattern": {
+        "summary": dict(
+            chunks=3, patterns=3, unique_topologies=3, diversity=-0.0, legality=1.0,
+        ),
+        "patterns": "c59fe61f4ffa59221124f2b800aadfc91f6455cd71d4bb4c76ae0e4747b26650",
+        "handles": "565586f5b58c017aa2254d0c36328132c2f382ad6db391ad56f91607b74ff4ce",
+        "order": [("legacy", 0, 0), ("legacy", 1, 1), ("late", 2, 0)],
+        "resumed": {
+            "bound": [],
+            "summary": dict(
+                chunks=4, patterns=5, unique_topologies=5, diversity=-0.0, legality=1.0,
+            ),
+            "patterns": "7e9ddb62907c742aa4413ddd4471740e986bd85d4d5a9a770bd4fc0b5c4878d3",
+            "order": [("legacy", 0, 0), ("legacy", 1, 1), ("late", 2, 0), ("legacy", 3, 2)],
+        },
+    },
+    "seeded": {
+        "summary": dict(
+            chunks=3, patterns=6, unique_topologies=6, diversity=-0.0, legality=1.0,
+        ),
+        "patterns": "cd67df9142f1c0e896b4f670b07a694cf87f6c54fd992bd074d0f5748cc21e9c",
+        "handles": "c2df40777f26bb0cf7fbd485436cb9199986726f8b4ac9ab66d33e73cad8549d",
+        "order": [("legacy", 0, 0), ("legacy", 1, 1), ("legacy", 2, 2)],
+        "resumed": {
+            "bound": [0, 1, 2],
+            "summary": dict(
+                chunks=4, patterns=8, unique_topologies=8, diversity=-0.0, legality=1.0,
+            ),
+            "patterns": "a563b0003b55df07d8bfba687ab440b314a27ee9e70713ed18943e1b793bbd80",
+            "order": [("legacy", 0, 0), ("legacy", 1, 1), ("legacy", 2, 2), ("legacy", 3, 3)],
+        },
+    },
+    "single-chunk": {
+        "summary": dict(
+            chunks=1, patterns=3, unique_topologies=3, diversity=-0.0, legality=1.0,
+        ),
+        "patterns": "6b0517917e5fa78649e8b4505b8b1cfd73684e1dbc79639b38337c807af147e2",
+        "handles": "fbb5062c0696dccb269ddd9e47897e9ca2ac01e76caeb55dd3e893e1464a2e09",
+        "order": [("legacy", 0, 0)],
+        "resumed": {
+            "bound": [],
+            "summary": dict(
+                chunks=2, patterns=5, unique_topologies=5, diversity=-0.0, legality=1.0,
+            ),
+            "patterns": "c4a566ae237d1d05f6ed2295c349fffe0585029036d0d91c6d4db116d25407f5",
+            "order": [("legacy", 0, 0), ("legacy", 1, 1)],
+        },
+    },
+    "one-pattern": {
+        "summary": dict(
+            chunks=1, patterns=1, unique_topologies=1, diversity=-0.0, legality=1.0,
+        ),
+        "patterns": "052c1d002f4e5851030bde474954da7ceea6dc502c7f631b4462cf9b2551902e",
+        "handles": "79835085aeaa6ce10c7c9c8f4ba72145491405410b978d5b76337ac59aacd500",
+        "order": [("legacy", 0, 0)],
+        "resumed": {
+            "bound": [],
+            "summary": dict(
+                chunks=2, patterns=3, unique_topologies=3, diversity=-0.0, legality=1.0,
+            ),
+            "patterns": "c34f3a40a64c48568a5e036499589acab56ae1157db27fdd1e4310ec8e4ebf56",
+            "order": [("legacy", 0, 0), ("legacy", 1, 1)],
+        },
+    },
+    "crash": {
+        "summary": dict(
+            chunks=2, patterns=4, unique_topologies=4, diversity=-0.0, legality=1.0,
+        ),
+        "patterns": "a41ede7917f3f3f41d2af1a1dadb90176038bf3be71492ff0b3fa932df1dc4ba",
+        "handles": "9b470da0bfc0121e899016902234de6e364af24a5d10567abc87c771e216a15a",
+        "order": [("legacy", 0, 0), ("legacy", 1, 1)],
+        "resumed": {
+            "bound": [],
+            "summary": dict(
+                chunks=3, patterns=6, unique_topologies=6, diversity=-0.0, legality=1.0,
+            ),
+            "patterns": "991828330aa96fe9f95dfa2ea6b727fc84ec881fc0a203e6c1a7bc9890a17f75",
+            "order": [("legacy", 0, 0), ("legacy", 1, 1), ("legacy", 2, 2)],
+        },
+    },
+}
+
+
+class TestV1MigrationParity:
+    """A migrated v1 library reads exactly as the in-place v1 reader did."""
+
+    @pytest.mark.parametrize("name", sorted(V1_FIXTURES))
+    def test_migrated_fixture_matches_in_place_read(
+        self, tmp_path, write_v1_library, name
+    ):
+        spec = dict(V1_FIXTURES[name])
+        joins = spec.pop("joins", [])
+        root = write_v1(write_v1_library, tmp_path, **spec)
+        v1_chunks = len(json.loads((root / "manifest.json").read_text())["chunks"])
+        with pytest.raises(LibraryError, match="compact-library"):
+            PatternLibrary(root)
+        assert migrate_v1_library(root) == v1_chunks
+        for writer, fills, dedup in joins:
+            fill_writer(root, writer, fills, dedup=dedup)
+        expected = V1_PARITY[name]
+        library = PatternLibrary(root)
+        view = library_view(library)
+        assert view == {key: expected[key] for key in view}
+        assert handles_digest(library.query()) == expected["handles"]
+
+        legacy = PatternLibrary(root, writer="legacy")
+        bound = legacy.bind(dict(spec.get("fingerprint") or {}), resume=True)
+        batch = [make_pattern(f) for f in (8, 9)]
+        legacy.append_chunk(make_record(v1_chunks, batch), batch)
+        resumed = {
+            "bound": [record.chunk for record in bound],
+            **library_view(PatternLibrary(root)),
+        }
+        assert resumed == expected["resumed"]
 
 
 class TestQuery:
@@ -306,9 +513,10 @@ class TestQuery:
             assert topology_hash(pattern.topology) == handle.topology_hash
 
     def test_query_on_v1_library(self, tmp_path, write_v1_library):
-        v1 = write_v1(write_v1_library, tmp_path, range(3), chunk_size=3)
+        write_v1(write_v1_library, tmp_path, range(3), chunk_size=3)
+        migrate_v1_library(tmp_path)
         target = make_pattern(1)
-        handles = v1.query(topology_hash=topology_hash(target.topology))
+        handles = PatternLibrary(tmp_path).query(topology_hash=topology_hash(target.topology))
         assert [h.pattern_hash for h in handles] == [pattern_hash(target)]
 
 
@@ -345,9 +553,11 @@ class TestIndex:
         assert stats["merged_patterns"] == reread.num_patterns
 
     def test_rebuild_index_refuses_pure_v1(self, tmp_path, write_v1_library):
-        v1 = write_v1(write_v1_library, tmp_path, [0])
-        with pytest.raises(LibraryError, match="v1"):
-            v1.rebuild_index()
+        write_v1(write_v1_library, tmp_path, [0])
+        with pytest.raises(LibraryError, match="compact-library"):
+            PatternLibrary(tmp_path).rebuild_index()
+        migrate_v1_library(tmp_path)
+        assert PatternLibrary(tmp_path).rebuild_index()["merged_patterns"] == 1
 
     def test_second_process_sees_new_appends(self, tmp_path):
         first = fill_writer(tmp_path, "alpha", [1, 2], dedup=True)
@@ -392,15 +602,42 @@ class TestCompaction:
         assert hashes == [pattern_hash(make_pattern(f)) for f in [1, 2, 3]]
 
     def test_migrates_v1_library(self, tmp_path, write_v1_library):
-        v1 = write_v1(write_v1_library, tmp_path, range(4), dedup=True)
-        before = [pattern_hash(p) for p in v1.load_patterns()]
-        report = PatternLibrary(tmp_path).compact(target_shard_patterns=16)
-        assert report.migrated == 2
+        write_v1(write_v1_library, tmp_path, range(4), dedup=True)
+        assert migrate_v1_library(tmp_path) == 2
         assert not (tmp_path / "manifest.json").exists()
-        assert (tmp_path / MANIFEST_DIR / f"{LEGACY_WRITER}.json").exists()
+        ledger = load_ledger(ledger_path(tmp_path, "legacy"))
+        assert ledger.dedup
+        assert [
+            (r.seq, r.writer, r.shard, r.num_new_patterns, r.num_new_topologies)
+            for r in ledger.chunks
+        ] == [
+            (0, "legacy", "shard_00000.npz", 2, 2),
+            (1, "legacy", "shard_00001.npz", 2, 2),
+        ]
+        for record in ledger.chunks:
+            sidecar = load_sidecar(tmp_path / "index" / sidecar_name(record.shard))
+            assert sorted(sidecar) == sorted(SIDECAR_COLUMNS)
+        assert migrate_v1_library(tmp_path) == 0  # nothing left to migrate
         migrated = PatternLibrary(tmp_path)
-        assert [pattern_hash(p) for p in migrated.load_patterns()] == before
-        assert migrated.num_unique_topologies == v1.num_unique_topologies
+        migrated.compact(target_shard_patterns=16)
+        expected = [pattern_hash(make_pattern(f)) for f in range(4)]
+        assert [pattern_hash(p) for p in migrated.load_patterns()] == expected
+        assert migrated.num_unique_topologies == 4
+
+    def test_dropping_compaction_rebuilds_complexity_counts(self, tmp_path):
+        library = PatternLibrary(tmp_path, writer="alpha")
+        for chunk, fills in enumerate([[1, 2], [1, 2], [3, 5]]):
+            patterns = [make_pattern(f) for f in fills]
+            counts = ComplexityHistogram(
+                [pattern_complexity(p) for p in patterns]
+            ).as_records()
+            record = make_record(chunk, patterns, pattern_complexity_counts=counts)
+            library.append_chunk(record, patterns)
+        report = library.compact(target_shard_patterns=8, drop_duplicates=True)
+        assert report.patterns_dropped == 2
+        assert library.num_patterns == 4
+        assert library.pattern_histogram().total == library.num_patterns
+        assert library.diversity() == pattern_diversity(library.load_patterns())
 
     def test_keeps_big_exclusive_shards_in_place(self, tmp_path):
         library = fill_writer(tmp_path, "alpha", list(range(6)), chunk_size=6)

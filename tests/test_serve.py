@@ -594,6 +594,39 @@ def test_failed_library_attach_is_never_served_unbacked(serve_env, tmp_path, sup
     assert ledger.read_bytes() == committed
 
 
+@pytest.mark.parametrize("supervised", [False, True], ids=["in-process", "supervised"])
+def test_deduplicating_library_is_refused(serve_env, tmp_path, supervised):
+    """A serve writer over a deduplicating library would skip patterns the
+    library already holds, so a restored window could not match the live
+    one: the warmup fails, nothing is generated and nothing is written."""
+    from repro.library import PatternLibrary
+
+    root = tmp_path / "library"
+    pipeline, gen = serve_env.factory(serve_env.plan)
+    pipeline.generate_and_legalize(
+        8,
+        num_solutions=serve_env.plan.num_solutions,
+        rng=gen,
+        retain_topologies=False,
+        library=PatternLibrary(root, dedup=True),
+    )
+    before = {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+    worker_config = (
+        WorkerConfig(heartbeat_interval=0.05, restart_backoff=0.01) if supervised else None
+    )
+    window, snapshot = _run_window(
+        serve_env, root, count=8, start=0, worker_config=worker_config
+    )
+    assert not window.ok
+    assert window.summary.error_code == "warmup_failed"
+    assert "deduplicates" in window.summary.error
+    assert snapshot["samples_generated"] == 0
+    assert not list((root / "manifests").glob("serve-*.json"))
+    after = {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+    assert after == before
+
+
 def test_restart_restores_cache_from_library(serve_env, tmp_path):
     root = tmp_path / "library"
     first, first_snapshot = _run_window(serve_env, root)
