@@ -10,6 +10,7 @@ from .batched import (
     ChunkSolveOutcome,
     GeometrySolution,
     SolverOptions,
+    scipy_optimize,
     solve_geometry_chunk,
 )
 from .compiled import (
@@ -55,6 +56,7 @@ __all__ = [
     "BatchCompiledConstraints",
     "ChunkSolveOutcome",
     "solve_geometry_chunk",
+    "scipy_optimize",
     "SOLVER_MODES",
     "SolverOptions",
     "GeometrySolution",

@@ -53,6 +53,10 @@ blocks, coupling the iterates, so a topology's result would depend on its
 chunk.  The tail batches everything around scipy (target assembly, restart
 grouping, stacked rounding and verification) and keeps the solver calls per
 topology, which is where nearly all of the tail's time goes.
+
+SciPy is imported at the first SLSQP solve (:func:`scipy_optimize`), not
+with the package: the repair sweep legalizes many chunks without it, and a
+process that never reaches the tail never pays for it.
 """
 
 from __future__ import annotations
@@ -61,7 +65,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .compiled import CompiledConstraints
 from .rules import DesignRules
@@ -73,6 +76,7 @@ __all__ = [
     "BatchCompiledConstraints",
     "ChunkSolveOutcome",
     "solve_geometry_chunk",
+    "scipy_optimize",
 ]
 
 #: Valid values of :attr:`SolverOptions.solver_mode`.
@@ -109,6 +113,19 @@ class GeometrySolution:
     #: Which path produced the solution: ``"slsqp"`` for the full nonlinear
     #: solve, ``"repair"`` for the projection fast path.
     method: str = "slsqp"
+
+
+def scipy_optimize():
+    """``scipy.optimize``, imported on the first call.
+
+    ``import repro`` does not load SciPy (about half a second and 50 MB on
+    a cold start); the SLSQP tail loads it here.  Code that forks solver
+    processes calls this first, so the children inherit the module instead
+    of importing it each.
+    """
+    from scipy import optimize
+
+    return optimize
 
 
 def _random_partition(total: int, parts: int, rng: np.random.Generator) -> np.ndarray:
@@ -152,7 +169,7 @@ def _solve_once(
     x0[:cols] = total / cols
     x0[cols:] = total / rows
 
-    result = optimize.minimize(
+    result = scipy_optimize().minimize(
         objective,
         x0,
         jac=objective_grad,

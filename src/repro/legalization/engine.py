@@ -37,6 +37,9 @@ argument fixes the chunk length instead.  Neither changes any output value.
 The pool is created per batch call and torn down with it — forking is cheap
 on Linux and nothing can leak between runs; the reference library is shipped
 to each worker once per call via the pool initializer, not once per chunk.
+Before a pool forks, the engine loads ``scipy.optimize``
+(:func:`~repro.legalization.scipy_optimize`) so every worker inherits it
+rather than importing SciPy itself on each call.
 Callers that legalise repeatedly should hold on to one engine (the pipeline
 caches its engine per dataset/knob combination).
 """
@@ -54,7 +57,7 @@ import numpy as np
 
 from ..squish import SquishPattern
 from ..utils import child_rng, resolve_seed
-from .batched import GeometrySolution, SolverOptions, solve_geometry_chunk
+from .batched import GeometrySolution, SolverOptions, scipy_optimize, solve_geometry_chunk
 from .compiled import compiled_for_topology
 from .rules import DesignRules
 
@@ -492,6 +495,7 @@ class LegalizationEngine:
         if self._in_process() or self._pool is not None:
             yield self
             return
+        scipy_optimize()  # the forked workers inherit it
         self._pool = ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_init_worker,
@@ -541,6 +545,7 @@ class LegalizationEngine:
         if self._pool is not None:
             return list(self._pool.map(_legalize_shard, shards))
         max_workers = min(self.workers, len(shards))
+        scipy_optimize()  # the forked workers inherit it
         with ProcessPoolExecutor(
             max_workers=max_workers,
             initializer=_init_worker,

@@ -213,9 +213,9 @@ class WriterLedger:
         """Atomically commit this ledger to its ``manifests/<writer>.json``."""
         path = ledger_path(root, self.writer)
         path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(
-            path, json.dumps(self.as_payload(), indent=1, sort_keys=True) + "\n"
-        )
+        # No ``indent``: it forces the pure-Python encoder, and every append
+        # rewrites the whole ledger.
+        atomic_write_text(path, json.dumps(self.as_payload(), sort_keys=True) + "\n")
 
 
 def ledger_path(root: "str | Path", writer: str) -> Path:

@@ -523,39 +523,30 @@ class PatternLibrary:
                 f"{self.writer!r}"
             )
         stored = []
-        kept_sources: list[int] = []
-        kept_clean: list[int] = []
-        skipped = 0
-        new_patterns: list[str] = []
-        new_topologies: list[str] = []
+        kept: list[int] = []
         seen_patterns: set[str] = set()
         seen_topologies: set[str] = set()
         for position, pattern in enumerate(patterns):
             digest = pattern_hash(pattern)
             known = digest in seen_patterns or self._index.has_pattern(digest)
             if self.dedup and known:
-                skipped += 1
                 continue
             if not known:
-                new_patterns.append(digest)
                 seen_patterns.add(digest)
             topo_digest = topology_hash(pattern.topology)
-            if topo_digest not in seen_topologies and not self._index.has_topology(
-                topo_digest
-            ):
-                new_topologies.append(topo_digest)
+            if not self._index.has_topology(topo_digest):
                 seen_topologies.add(topo_digest)
             stored.append(pattern)
-            if record.pattern_sources:
-                kept_sources.append(record.pattern_sources[position])
-            if record.pattern_clean:
-                kept_clean.append(record.pattern_clean[position])
-        record.num_stored = len(stored)
-        record.duplicates_skipped = skipped
-        record.num_new_patterns = len(new_patterns)
-        record.num_new_topologies = len(new_topologies)
-        record.pattern_sources = kept_sources
-        record.pattern_clean = kept_clean
+            kept.append(position)
+        # Another writer may have stored some of these patterns since the
+        # caller's plan_chunk probe: account what is stored, not what was
+        # offered.
+        stored_meta = sidecar_arrays(stored)
+        record.num_stored = len(patterns)
+        record.duplicates_skipped = 0
+        self._apply_drop(record, kept, stored_meta)
+        record.num_new_patterns = len(seen_patterns)
+        record.num_new_topologies = len(seen_topologies)
         record.writer = self.writer
         record.seq = self._next_seq()
         record.shard_start = 0
@@ -566,7 +557,7 @@ class PatternLibrary:
             atomic_write_bytes(path, lambda fh: _savez_patterns(fh, stored))
             record.shard = path.name
             fault_point("append:sidecar")
-            write_sidecar(self._sidecar_path(record.shard), sidecar_arrays(stored))
+            write_sidecar(self._sidecar_path(record.shard), stored_meta)
         else:
             record.shard = None
         ledger = self._ledgers.get(self.writer)
@@ -969,11 +960,14 @@ class PatternLibrary:
     def _apply_drop(
         record: ChunkRecord, kept: list[int], kept_meta: dict[str, np.ndarray]
     ) -> None:
-        """Account a compaction keep-list into the record's stored stats.
+        """Account a keep-list into the record's stored stats.
 
-        ``kept_meta`` holds the :data:`SIDECAR_COLUMNS` of the kept
-        patterns; their ``cx``/``cy`` become the record's pattern
-        complexity histogram.
+        ``kept`` indexes the record's ``num_stored`` patterns (the offered
+        ones at append, where dedup skips some; the stored slice at a
+        dropping compaction).  ``kept_meta`` holds the
+        :data:`SIDECAR_COLUMNS` of the kept patterns; their ``cx``/``cy``
+        become the record's pattern complexity histogram.  A record that
+        keeps every pattern is left as it is.
         """
         dropped = record.num_stored - len(kept)
         if dropped <= 0:

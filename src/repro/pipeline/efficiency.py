@@ -24,6 +24,7 @@ from ..legalization import (
     LegalizationEngine,
     LegalizationReport,
     SolverOptions,
+    scipy_optimize,
 )
 from ..utils import Timer, as_rng
 from .diffpattern import DiffPatternPipeline, GenerationResult
@@ -102,8 +103,11 @@ def measure_solving_time(
     """Average seconds per solved topology (failures excluded from the mean).
 
     Each topology is timed alone: one in-process chunk of one per topology,
-    its targets drawn from its own ``(seed, index)`` stream.
+    its targets drawn from its own ``(seed, index)`` stream.  SciPy is
+    loaded first, so a fresh process does not charge its one-time import to
+    the first solve.
     """
+    scipy_optimize()
     engine = LegalizationEngine(
         rules,
         reference_geometries=reference_geometries,

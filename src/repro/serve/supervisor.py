@@ -58,6 +58,7 @@ import time
 from dataclasses import dataclass
 
 from ..faults import InjectedCrash, declare_fault_points, fault_point
+from ..legalization import scipy_optimize
 from .batcher import StreamBatcher, open_plan_stream, stream_fingerprint
 
 __all__ = [
@@ -254,6 +255,9 @@ class SupervisedWorker:
         against.  A child whose warmup fails is stopped before the error
         propagates.
         """
+        # A forked child inherits SciPy, so a restarted worker's first tail
+        # solve does not spend its hang budget importing it.
+        scipy_optimize()
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         self._process = self._ctx.Process(
             target=_worker_main,

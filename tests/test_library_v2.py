@@ -107,6 +107,33 @@ class TestWriterLedgers:
         with pytest.raises(LibraryError, match="already recorded"):
             library.append_chunk(make_record(0, patterns), patterns)
 
+    def test_indented_ledger_opens_and_resumes(self, tmp_path):
+        """Ledgers used to be written with ``indent=1``; whitespace is not
+        part of the format, so such a ledger resumes like a compact one."""
+        fingerprint = {"seed": 3}
+        for root in (tmp_path / "compact", tmp_path / "indented"):
+            library = PatternLibrary(root, writer="alpha")
+            library.bind(fingerprint)
+            for chunk, fills in enumerate([[1, 2], [3]]):
+                patterns = [make_pattern(f) for f in fills]
+                library.append_chunk(make_record(chunk, patterns), patterns)
+        path = ledger_path(tmp_path / "indented", "alpha")
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        assert "\n " in path.read_text()
+
+        views = []
+        for root in (tmp_path / "compact", tmp_path / "indented"):
+            library = PatternLibrary(root, writer="alpha")
+            assert [r.chunk for r in library.bind(fingerprint, resume=True)] == [0, 1]
+            patterns = [make_pattern(f) for f in (4, 5)]
+            library.append_chunk(make_record(2, patterns), patterns)
+            views.append(
+                (library_view(PatternLibrary(root)), ledger_path(root, "alpha").read_text())
+            )
+        assert views[0] == views[1]
+        assert "\n " not in views[1][1]  # the resumed append rewrote it compactly
+
     def test_lock_is_exclusive(self, tmp_path):
         fcntl = pytest.importorskip("fcntl")
         import os
@@ -188,6 +215,60 @@ class TestMultiWriter:
         merged = PatternLibrary(tmp_path)
         assert merged.pattern_histogram().total == 3
         assert merged.summary()["chunks"] == 2
+
+
+def counted_record(chunk: int, patterns: list[SquishPattern], **overrides) -> ChunkRecord:
+    """``make_record`` with the patterns' true complexity histogram."""
+    counts = ComplexityHistogram([pattern_complexity(p) for p in patterns]).as_records()
+    return make_record(chunk, patterns, pattern_complexity_counts=counts, **overrides)
+
+
+class TestDedupAccounting:
+    """An append accounts the patterns it stores, not the ones it was offered."""
+
+    @pytest.mark.parametrize("attributed", [False, True], ids=["counts", "pattern_clean"])
+    def test_pattern_stored_after_the_plan_is_not_counted(self, tmp_path, attributed):
+        beta = PatternLibrary(tmp_path, dedup=True, writer="beta")
+        patterns = [make_pattern(f) for f in (1, 2, 3)]
+        # beta probes before alpha stores pattern 1: the generation graph
+        # runs plan_chunk outside the library lock.
+        assert beta.plan_chunk(patterns) == [True, True, True]
+        alpha = PatternLibrary(tmp_path, dedup=True, writer="alpha")
+        first = [make_pattern(1)]
+        alpha.append_chunk(counted_record(0, first), first)
+
+        extra = {"pattern_clean": [1, 1, 0], "pattern_sources": [4, 5, 6]} if attributed else {}
+        record = counted_record(0, patterns, num_clean=2 if attributed else 3, **extra)
+        stored = beta.append_chunk(record, patterns)
+
+        assert [pattern_hash(p) for p in stored] == [
+            pattern_hash(p) for p in patterns[1:]
+        ]
+        assert (record.num_stored, record.duplicates_skipped) == (2, 1)
+        if attributed:
+            assert record.pattern_clean == [1, 0]
+            assert record.pattern_sources == [5, 6]
+            assert record.num_clean == 1
+        merged = PatternLibrary(tmp_path)
+        assert merged.num_patterns == 3
+        assert merged.legality() <= 1.0
+        assert merged.pattern_histogram().total == merged.num_patterns
+        assert merged.diversity() == pattern_diversity(merged.load_patterns())
+
+    def test_append_without_skips_keeps_the_offered_entry(self, tmp_path):
+        patterns = [make_pattern(f) for f in (1, 2)]
+        # Deliberately not the patterns' true histogram: nothing is recomputed.
+        record = make_record(
+            0, patterns, num_clean=1, pattern_clean=[1, 0], pattern_sources=[7, 9]
+        )
+        offered = record.as_dict()
+        PatternLibrary(tmp_path, dedup=True, writer="alpha").append_chunk(record, patterns)
+        (entry,) = json.loads(ledger_path(tmp_path, "alpha").read_text())["chunks"]
+        for key in (
+            "num_clean", "pattern_complexity_counts", "pattern_clean",
+            "pattern_sources", "duplicates_skipped",
+        ):
+            assert entry[key] == offered[key], key
 
 
 def write_v1(write_v1_library, root, fills, dedup=False, fingerprint=None, chunk_size=2):
@@ -319,9 +400,11 @@ V1_FIXTURES = {
 #: each fixture read unmigrated (joined writers appended next to its
 #: manifest), then after ``compact()`` migrated it and writer ``legacy``
 #: appended ``(8, 9)`` as its next chunk (``bound``: the chunks
-#: ``bind(resume=True)`` returned).  The "joined" legality of 4/3 is what
-#: that store read: ``make_record`` reports every offered pattern as clean,
-#: including the one dedup skipped.
+#: ``bind(resume=True)`` returned).  That store read the "joined" legality
+#: as 4/3 (6/5 resumed): ``make_record`` reports every offered pattern as
+#: clean, and writer ``late``'s append kept the offered count although
+#: dedup skipped pattern 1, which the migrated chunk already stores.  An
+#: append now accounts only the patterns it stores, so it reads 1.0.
 V1_PARITY = {
     "dedup": {
         "summary": dict(
@@ -341,7 +424,7 @@ V1_PARITY = {
     },
     "joined": {
         "summary": dict(
-            chunks=2, patterns=3, unique_topologies=3, diversity=-0.0, legality=1.3333333333333333,
+            chunks=2, patterns=3, unique_topologies=3, diversity=-0.0, legality=1.0,
         ),
         "patterns": "c59fe61f4ffa59221124f2b800aadfc91f6455cd71d4bb4c76ae0e4747b26650",
         "handles": "44691556509869ab5a7ef9bd905048b210afe9abfcd66f2242d0b42aa9df8736",
@@ -349,7 +432,7 @@ V1_PARITY = {
         "resumed": {
             "bound": [],
             "summary": dict(
-                chunks=3, patterns=5, unique_topologies=5, diversity=-0.0, legality=1.2,
+                chunks=3, patterns=5, unique_topologies=5, diversity=-0.0, legality=1.0,
             ),
             "patterns": "7e9ddb62907c742aa4413ddd4471740e986bd85d4d5a9a770bd4fc0b5c4878d3",
             "order": [("legacy", 0, 0), ("late", 1, 0), ("legacy", 2, 1)],
