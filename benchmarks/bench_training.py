@@ -5,8 +5,6 @@ it is most of the wall time.  This harness trains a fresh model of the
 benchmark scenario on the shared dataset and records:
 
 * ``iterations_per_second`` — fit throughput (host-dependent, ratio-gated),
-* ``backward_nodes_per_step`` — tape nodes with a backward closure in one
-  training step's loss graph (one for the hybrid loss, one for the U-Net),
 * ``loss_decreased`` — whether the hybrid loss on a fixed evaluation batch
   (fixed noise, every chain step) fell over the fit.
 """
@@ -36,8 +34,6 @@ def bench_training_fit(benchmark, bench_config, bench_dataset):
     tensors = bench_dataset.topology_tensors("train")
     batch = tensors[: bench_config.batch_size]
 
-    step_loss, _ = diffusion.loss(batch, rng=0)
-    nodes = sum(1 for node in step_loss.graph() if node._backward_fn is not None)
     loss_before = _evaluation_loss(diffusion, batch)
 
     def fit() -> float:
@@ -55,7 +51,6 @@ def bench_training_fit(benchmark, bench_config, bench_dataset):
             [
                 f"fit: {TRAIN_ITERATIONS} iterations in {seconds:.2f} s "
                 f"({throughput:.1f} it/s, batch {bench_config.batch_size})",
-                f"backward nodes per step: {nodes}",
                 f"evaluation loss: {loss_before:.5f} -> {loss_after:.5f}",
             ]
         ),
@@ -66,7 +61,6 @@ def bench_training_fit(benchmark, bench_config, bench_dataset):
             "fast_mode": FAST_MODE,
             "iterations": TRAIN_ITERATIONS,
             "iterations_per_second": throughput,
-            "backward_nodes_per_step": nodes,
             "loss_before": loss_before,
             "loss_after": loss_after,
             "loss_decreased": loss_after < loss_before,

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from ..nn import Adam, Conv2d, Linear, Module, Sigmoid, SiLU, Tensor
+from .. import nn
+from ..nn import Conv2d, Linear, Module, Sigmoid, SiLU
 from ..nn import functional as F
 from ..utils import as_rng
 from .base import TopologyGenerator, validate_matrices
@@ -124,12 +126,19 @@ class CAEGenerator(TopologyGenerator):
         self._size: "int | None" = None
 
     # ------------------------------------------------------------------ #
-    def _reconstruction_loss(self, batch: np.ndarray) -> Tensor:
-        x = Tensor(batch[:, None].astype(np.float32))
-        z = self.encoder(x)
-        recon = self.decoder(z)
-        diff = recon - x
-        return (diff * diff).mean()
+    def loss(
+        self, batch: np.ndarray, rng: np.random.Generator
+    ) -> tuple[Callable[[], None], dict[str, float]]:
+        """Reconstruction MSE of one batch: ``(reverse pass through both networks, metrics)``."""
+        x = batch[:, None].astype(np.float32)
+        cache: list = []
+        recon = self.decoder.infer(self.encoder.infer(x, cache, True), cache, True)
+        value, grad = F.mse_loss(recon, x)
+
+        def backward() -> None:
+            self.encoder.backward(self.decoder.backward(grad, cache), cache, input_grad=False)
+
+        return backward, {"loss": value}
 
     def fit(
         self, matrices: np.ndarray, rng: "int | np.random.Generator | None" = None
@@ -142,13 +151,10 @@ class CAEGenerator(TopologyGenerator):
         self.encoder = ConvEncoder(self._size, cfg.base_channels, cfg.latent_dim, gen)
         self.decoder = ConvDecoder(self._size, cfg.base_channels, cfg.latent_dim, gen)
         params = list(self.encoder.parameters()) + list(self.decoder.parameters())
-        optimizer = Adam(params, lr=cfg.learning_rate)
-        for _ in range(cfg.iterations):
-            idx = gen.integers(0, arr.shape[0], size=min(cfg.batch_size, arr.shape[0]))
-            loss = self._reconstruction_loss(arr[idx])
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
+        nn.fit(
+            self.loss, arr, params, cfg.iterations, cfg.batch_size, gen,
+            lr=cfg.learning_rate,
+        )
         # Cache latent codes of the whole training set for perturbation sampling.
         latents = []
         for start in range(0, arr.shape[0], cfg.batch_size):

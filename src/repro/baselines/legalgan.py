@@ -15,10 +15,13 @@ substantially but tends to homogenise patterns, lowering diversity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from ..nn import Adam, Conv2d, Sequential, Sigmoid, SiLU, Tensor
+from .. import nn
+from ..nn import Conv2d, Sequential, Sigmoid, SiLU
+from ..nn import functional as F
 from ..utils import as_rng
 from .base import TopologyGenerator, validate_matrices
 
@@ -62,6 +65,21 @@ class LegalGANPostProcessor:
         self._model: "_DenoisingCNN | None" = None
 
     # ------------------------------------------------------------------ #
+    def loss(
+        self, clean: np.ndarray, rng: np.random.Generator
+    ) -> tuple[Callable[[], None], dict[str, float]]:
+        """Corrupt ``clean`` with random bit flips: ``(reverse pass, metrics)`` of the cleanup MSE."""
+        flips = (rng.random(clean.shape) < self.config.corruption_rate).astype(np.float32)
+        corrupted = np.abs(clean - flips)
+        cache: list = []
+        prediction = self._model.infer(corrupted[:, None], cache, True)
+        value, grad = F.mse_loss(prediction, clean[:, None])
+
+        def backward() -> None:
+            self._model.backward(grad, cache, input_grad=False)
+
+        return backward, {"loss": value}
+
     def fit(
         self, matrices: np.ndarray, rng: "int | np.random.Generator | None" = None
     ) -> "LegalGANPostProcessor":
@@ -70,19 +88,10 @@ class LegalGANPostProcessor:
         arr = validate_matrices(matrices).astype(np.float32)
         gen = as_rng(rng if rng is not None else cfg.seed)
         self._model = _DenoisingCNN(cfg.base_channels, gen)
-        optimizer = Adam(self._model.parameters(), lr=cfg.learning_rate)
-        for _ in range(cfg.iterations):
-            idx = gen.integers(0, arr.shape[0], size=min(cfg.batch_size, arr.shape[0]))
-            clean = arr[idx]
-            flips = (gen.random(clean.shape) < cfg.corruption_rate).astype(np.float32)
-            corrupted = np.abs(clean - flips)
-            prediction = self._model(Tensor(corrupted[:, None]))
-            target = Tensor(clean[:, None])
-            diff = prediction - target
-            loss = (diff * diff).mean()
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
+        nn.fit(
+            self.loss, arr, self._model.parameters(), cfg.iterations,
+            cfg.batch_size, gen, lr=cfg.learning_rate,
+        )
         return self
 
     def legalize(self, matrices: np.ndarray) -> np.ndarray:

@@ -15,13 +15,14 @@ explicit legalisation, so a fraction of its outputs violates design rules.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from .. import nn
 from ..geometry import runs_of_value
-from ..nn import Embedding, LayerNorm, Linear, Module, SiLU, Tensor, no_grad
+from ..nn import Embedding, LayerNorm, Linear, Module, SiLU
 from ..nn import functional as F
-from ..nn.optim import Adam
 from ..utils import as_rng
 from .base import TopologyGenerator, validate_matrices
 
@@ -75,15 +76,32 @@ class CausalSelfAttention(Module):
         self.value = Linear(dim, dim, rng=rng)
         self.proj = Linear(dim, dim, rng=rng)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def infer(self, x: np.ndarray, cache: "list | None" = None, train: bool = False) -> np.ndarray:
         _, seq_len, dim = x.shape
-        q = self.query(x)
-        k = self.key(x)
-        v = self.value(x)
-        scores = (q @ k.transpose(0, 2, 1)) * (1.0 / np.sqrt(dim))
-        mask = np.triu(np.full((seq_len, seq_len), -1e9, dtype=np.float32), k=1)
-        attn = F.softmax(scores + Tensor(mask), axis=-1)
-        return self.proj(attn @ v)
+        q = self.query.infer(x, cache)
+        k = self.key.infer(x, cache)
+        v = self.value.infer(x, cache)
+        scores = (q @ k.transpose(0, 2, 1)) * np.float32(1.0 / np.sqrt(dim))
+        scores += np.triu(np.full((seq_len, seq_len), -1e9, dtype=np.float32), k=1)
+        attn = F.softmax_array(scores, axis=-1)
+        if cache is not None:
+            cache.append((q, k, v, attn))
+        return self.proj.infer(attn @ v, cache)
+
+    def backward(self, grad: np.ndarray, cache: list, input_grad: bool = True) -> np.ndarray:
+        """Reverse of :meth:`infer`: the input gradient, summed over q, k, v in that order."""
+        grad_out = self.proj.backward(grad, cache)
+        q, k, v, attn = cache.pop()
+        # out = attn @ v and scores = scale * q @ k^T, attn = softmax(scores).
+        grad_v = np.swapaxes(attn, -1, -2) @ grad_out
+        grad_scores = F.softmax_backward(grad_out @ np.swapaxes(v, -1, -2), attn)
+        grad_scores = grad_scores * np.float32(1.0 / np.sqrt(self.dim))
+        grad_q = grad_scores @ k
+        grad_k = np.swapaxes(grad_scores, -1, -2) @ q
+        grad_x_v = self.value.backward(grad_v, cache)
+        grad_x_k = self.key.backward(grad_k, cache)
+        grad_x_q = self.query.backward(grad_q, cache)
+        return (grad_x_q + grad_x_k) + grad_x_v
 
 
 class TransformerBlock(Module):
@@ -98,9 +116,15 @@ class TransformerBlock(Module):
         self.act = SiLU()
         self.mlp_out = Linear(dim * hidden_mult, dim, rng=rng)
 
-    def forward(self, x: Tensor) -> Tensor:
-        x = x + self.attn(self.norm1(x))
-        return x + self.mlp_out(self.act(self.mlp_in(self.norm2(x))))
+    def infer(self, x: np.ndarray, cache: "list | None" = None, train: bool = False) -> np.ndarray:
+        x = x + self.attn.infer(self.norm1.infer(x, cache), cache)
+        hidden = self.act.infer(self.mlp_in.infer(self.norm2.infer(x, cache), cache), cache)
+        return x + self.mlp_out.infer(hidden, cache)
+
+    def backward(self, grad: np.ndarray, cache: list, input_grad: bool = True) -> np.ndarray:
+        hidden = self.act.backward(self.mlp_out.backward(grad, cache), cache)
+        grad = grad + self.norm2.backward(self.mlp_in.backward(hidden, cache), cache)
+        return grad + self.norm1.backward(self.attn.backward(grad, cache), cache)
 
 
 class SequenceModel(Module):
@@ -120,13 +144,26 @@ class SequenceModel(Module):
         self.norm = LayerNorm(dim)
         self.head = Linear(dim, vocab, rng=rng)
 
-    def forward(self, tokens: np.ndarray) -> Tensor:
-        _, seq_len = tokens.shape
-        positions = np.arange(seq_len)
-        x = self.token_embedding(tokens) + self.position_embedding(positions)
+    def infer(
+        self, tokens: np.ndarray, cache: "list | None" = None, train: bool = False
+    ) -> np.ndarray:
+        """Next-token logits ``(B, T, vocab)`` for ``(B, T)`` token indices."""
+        positions = np.arange(tokens.shape[1])
+        x = self.token_embedding.infer(tokens, cache) + self.position_embedding.infer(
+            positions, cache
+        )
         for block in self.blocks:
-            x = block(x)
-        return self.head(self.norm(x))
+            x = block.infer(x, cache)
+        return self.head.infer(self.norm.infer(x, cache), cache)
+
+    def backward(self, grad: np.ndarray, cache: list, input_grad: bool = False) -> None:
+        """Reverse of :meth:`infer`; token indices get no gradient."""
+        grad = self.norm.backward(self.head.backward(grad, cache), cache)
+        for block in reversed(self.blocks):
+            grad = block.backward(grad, cache)
+        # The positions broadcast over the batch, so their rows sum over it.
+        self.position_embedding.backward(grad.sum(axis=(0,)), cache)
+        self.token_embedding.backward(grad, cache)
 
 
 # --------------------------------------------------------------------------- #
@@ -154,6 +191,8 @@ class LayouTransformerGenerator(TopologyGenerator):
     def __init__(self, config: "LayouTransformerConfig | None" = None) -> None:
         self.config = config if config is not None else LayouTransformerConfig()
         self.model: "SequenceModel | None" = None
+        #: Per-iteration metrics of the last :meth:`fit` (see :func:`repro.nn.fit`).
+        self.training_history: list[dict[str, float]] = []
         self._grid_size: "int | None" = None
         self._max_len: "int | None" = None
 
@@ -179,20 +218,27 @@ class LayouTransformerGenerator(TopologyGenerator):
         self._max_len = 2 + 3 * cfg.max_runs
         vocab = self._grid_size + 2
         self.model = SequenceModel(vocab, self._max_len, cfg.dim, cfg.layers, gen)
-        tokens = self._encode_batch(arr)
-        optimizer = Adam(self.model.parameters(), lr=cfg.learning_rate)
-        for _ in range(cfg.iterations):
-            idx = gen.integers(0, tokens.shape[0], size=min(cfg.batch_size, tokens.shape[0]))
-            batch = tokens[idx]
-            inputs, targets = batch[:, :-1], batch[:, 1:]
-            logits = self.model(inputs)
-            one_hot_targets = np.zeros(logits.shape, dtype=np.float32)
-            np.put_along_axis(one_hot_targets, targets[..., None], 1.0, axis=-1)
-            loss = F.cross_entropy_with_logits(logits, one_hot_targets, axis=-1)
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
+        self.training_history = nn.fit(
+            self.loss, self._encode_batch(arr), self.model.parameters(),
+            cfg.iterations, cfg.batch_size, gen, lr=cfg.learning_rate,
+        )
         return self
+
+    def loss(
+        self, batch: np.ndarray, rng: np.random.Generator
+    ) -> tuple[Callable[[], None], dict[str, float]]:
+        """Next-token cross-entropy of one token batch: ``(reverse pass, metrics)``."""
+        inputs, targets = batch[:, :-1], batch[:, 1:]
+        cache: list = []
+        logits = self.model.infer(inputs, cache)
+        one_hot_targets = np.zeros(logits.shape, dtype=np.float32)
+        np.put_along_axis(one_hot_targets, targets[..., None], 1.0, axis=-1)
+        value, grad = F.cross_entropy(logits, one_hot_targets)
+
+        def backward() -> None:
+            self.model.backward(grad, cache)
+
+        return backward, {"loss": value}
 
     def generate(
         self, count: int, rng: "int | np.random.Generator | None" = None
@@ -204,18 +250,17 @@ class LayouTransformerGenerator(TopologyGenerator):
         grid_size = self._grid_size
         bos, eos = grid_size, grid_size + 1
         outputs = []
-        with no_grad():
-            for _ in range(count):
-                tokens = [bos]
-                for _ in range(self._max_len - 1):
-                    logits = self.model(np.asarray([tokens], dtype=np.int64)).numpy()[0, -1]
-                    logits = logits / max(cfg.temperature, 1e-6)
-                    logits -= logits.max()
-                    probs = np.exp(logits)
-                    probs /= probs.sum()
-                    token = int(gen.choice(len(probs), p=probs))
-                    tokens.append(token)
-                    if token == eos:
-                        break
-                outputs.append(tokens_to_matrix(tokens, grid_size))
+        for _ in range(count):
+            tokens = [bos]
+            for _ in range(self._max_len - 1):
+                logits = self.model.infer(np.asarray([tokens], dtype=np.int64))[0, -1]
+                logits = logits / max(cfg.temperature, 1e-6)
+                logits -= logits.max()
+                probs = np.exp(logits)
+                probs /= probs.sum()
+                token = int(gen.choice(len(probs), p=probs))
+                tokens.append(token)
+                if token == eos:
+                    break
+            outputs.append(tokens_to_matrix(tokens, grid_size))
         return np.stack(outputs, axis=0)

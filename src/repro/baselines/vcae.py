@@ -11,10 +11,13 @@ densely sampled) but still no legality guarantee — matching its Table I row
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from ..nn import Adam, Linear, Tensor
+from .. import nn
+from ..nn import Linear
+from ..nn import functional as F
 from ..utils import as_rng
 from .base import TopologyGenerator, validate_matrices
 from .cae import ConvDecoder, ConvEncoder, binarize
@@ -53,19 +56,51 @@ class VCAEGenerator(TopologyGenerator):
         self._size: "int | None" = None
 
     # ------------------------------------------------------------------ #
-    def _elbo_loss(self, batch: np.ndarray, gen: np.random.Generator) -> Tensor:
+    def loss(
+        self, batch: np.ndarray, rng: np.random.Generator
+    ) -> tuple[Callable[[], None], dict[str, float]]:
+        """Negative ELBO of one batch (reparameterised): ``(reverse pass, metrics)``.
+
+        ``loss = mse(decode(mu + exp(logvar/2)·eps), x)
+        + kl_weight · mean((mu² + exp(logvar) − logvar − 1) / 2)`` with
+        ``logvar`` clipped to ``[-8, 8]``.  Gradients reaching ``mu`` and
+        ``logvar`` from several terms are summed in the order their terms
+        are differentiated: the sample path first, then the KL terms.
+        """
         cfg = self.config
-        x = Tensor(batch[:, None].astype(np.float32))
-        features = self.encoder(x)
-        mu = self.mu_head(features)
-        logvar = self.logvar_head(features).clip(-8.0, 8.0)
-        eps = Tensor(gen.standard_normal(mu.shape).astype(np.float32))
-        z = mu + (logvar * 0.5).exp() * eps
-        recon = self.decoder(z)
-        diff = recon - x
-        recon_loss = (diff * diff).mean()
-        kl = (((mu * mu) + logvar.exp() - logvar - 1.0) * 0.5).mean()
-        return recon_loss + cfg.kl_weight * kl
+        x = batch[:, None].astype(np.float32)
+        cache: list = []
+        features = self.encoder.infer(x, cache, True)
+        mu = self.mu_head.infer(features, cache, True)
+        raw_logvar = self.logvar_head.infer(features, cache, True)
+        logvar = np.clip(raw_logvar, -8.0, 8.0)
+        eps = rng.standard_normal(mu.shape).astype(np.float32)
+        half = np.float32(0.5)
+        std = np.exp(logvar * half)
+        recon = self.decoder.infer(mu + std * eps, cache, True)
+        recon_loss, grad_recon = F.mse_loss(recon, x)
+        var = np.exp(logvar)
+        kl_terms = (((mu * mu) + var) + -logvar) + np.float32(-1.0)
+        kl_scale = np.float32(1.0 / kl_terms.size)
+        kl = (kl_terms * half).sum() * kl_scale
+        kl_weight = np.float32(cfg.kl_weight)
+        value = float(np.float32(recon_loss) + kl * kl_weight)
+        # d(kl_weight · kl) / d(kl_terms), the same for every element.
+        grad_terms = kl_weight * kl_scale * half
+
+        def backward() -> None:
+            grad_z = self.decoder.backward(grad_recon, cache)
+            grad_mu = grad_z + grad_terms * mu
+            grad_mu += grad_terms * mu
+            grad_logvar = grad_z * eps * std * half
+            grad_logvar += grad_terms * var
+            grad_logvar += -grad_terms
+            grad_logvar *= ((raw_logvar >= -8.0) & (raw_logvar <= 8.0)).astype(np.float32)
+            grad_features = self.logvar_head.backward(grad_logvar, cache)
+            grad_features = self.mu_head.backward(grad_mu, cache) + grad_features
+            self.encoder.backward(grad_features, cache, input_grad=False)
+
+        return backward, {"loss": value}
 
     def fit(
         self, matrices: np.ndarray, rng: "int | np.random.Generator | None" = None
@@ -85,13 +120,10 @@ class VCAEGenerator(TopologyGenerator):
             + list(self.logvar_head.parameters())
             + list(self.decoder.parameters())
         )
-        optimizer = Adam(params, lr=cfg.learning_rate)
-        for _ in range(cfg.iterations):
-            idx = gen.integers(0, arr.shape[0], size=min(cfg.batch_size, arr.shape[0]))
-            loss = self._elbo_loss(arr[idx], gen)
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
+        nn.fit(
+            self.loss, arr, params, cfg.iterations, cfg.batch_size, gen,
+            lr=cfg.learning_rate,
+        )
         return self
 
     def generate(

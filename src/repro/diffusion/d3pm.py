@@ -16,10 +16,12 @@ where ``C`` is the deep-squish channel count and every entry is in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from ..nn import Adam, Tensor, UNet, UNetConfig, clip_grad_norm
+from .. import nn
+from ..nn import UNet, UNetConfig
 from ..nn import functional as F
 from ..utils import as_rng
 from .schedule import NoiseSchedule, linear_schedule
@@ -56,19 +58,20 @@ class DiffusionConfig:
 
 
 def _hybrid_loss(
-    logits: Tensor,
+    logits: np.ndarray,
     posterior_all: np.ndarray,
     target_prev: np.ndarray,
     onehot_x0: np.ndarray,
     lambda_ce: float,
-) -> tuple[Tensor, float, float]:
-    """Eq. (9) as ONE tape node on the U-Net logits: ``(loss, kl, ce)``.
+) -> tuple[float, float, float, Callable[[], np.ndarray]]:
+    """Eq. (9) on the U-Net logits: ``(loss, kl, ce, gradient)``.
 
     ``logits`` is ``(N, C, S, M, M)``; ``posterior_all[..., i, j]`` is
     ``q(x_{k-1}=j | x_k, x_0=i)``, ``target_prev`` the true posterior and
-    ``onehot_x0`` the clean states, each with the state axis last.  With
+    ``onehot_x0`` the clean states, each with the state axis last.
+    ``gradient()`` returns the loss gradient w.r.t. ``logits``.  With
     ``p = softmax(z)`` and ``pred = Σ_i p_i·posterior_all[i]`` (the model's
-    ``p_θ(x_{k-1} | x_k)``) over ``P`` pixels, the backward is
+    ``p_θ(x_{k-1} | x_k)``) over ``P`` pixels, it is
 
     * ``g_i = -(1/P) Σ_j t_j·posterior_all[i, j] / pred_j`` (KL w.r.t. ``p``),
     * ``dz = p·(g − Σ p·g) + (λ/P)·(p − onehot)``,
@@ -77,7 +80,7 @@ def _hybrid_loss(
     """
     eps = 1e-10
     num_states = logits.shape[2]
-    z = np.moveaxis(logits.data, 2, -1)  # (N, C, M, M, S)
+    z = np.moveaxis(logits, 2, -1)  # (N, C, M, M, S)
     inv_pixels = np.float32(1.0 / (z.size // num_states))
     probs = F.softmax_array(z, axis=-1)
     predicted = probs[..., 0, None] * posterior_all[..., 0, :]
@@ -92,7 +95,7 @@ def _hybrid_loss(
     ce = -(onehot_x0 * log_probs).sum(axis=-1).sum() * inv_pixels
     total = kl + ce * np.float32(lambda_ce)
 
-    def backward_fn(grad: np.ndarray) -> None:
+    def gradient() -> np.ndarray:
         ratio = target / predicted
         grad_probs = np.empty_like(probs)
         for state in range(num_states):
@@ -100,10 +103,9 @@ def _hybrid_loss(
         grad_probs *= -inv_pixels
         grad_z = probs * (grad_probs - (probs * grad_probs).sum(axis=-1, keepdims=True))
         grad_z += (probs - onehot_x0) * (np.float32(lambda_ce) * inv_pixels)
-        grad_z *= grad
-        logits._accumulate(np.moveaxis(grad_z, -1, 2))
+        return np.ascontiguousarray(np.moveaxis(grad_z, -1, 2))
 
-    return logits._make(np.asarray(total), (logits,), backward_fn), float(kl), float(ce)
+    return float(total), float(kl), float(ce), gradient
 
 
 def _timesteps(xk: np.ndarray, k: "int | np.ndarray") -> np.ndarray:
@@ -177,17 +179,10 @@ class DiscreteDiffusion:
         np.put_along_axis(encoded, xk[:, :, None, :, :], 1.0, axis=2)
         return encoded.reshape(batch, channels * num_states, height, width)
 
-    def predict_x0_logits(self, xk: np.ndarray, k: "int | np.ndarray") -> Tensor:
-        """Network forward pass: logits of ``p_θ(x_0 | x_k)``, one tape node.
-
-        Returns a tensor of shape ``(N, C, S, M, M)``.
-        """
-        return self.model(Tensor(self._model_input_array(xk)), _timesteps(xk, k))
-
     def predict_x0_probs(self, xk: np.ndarray, k: "int | np.ndarray") -> np.ndarray:
         """Softmax of the ``p_θ(x_0 | x_k)`` logits as a plain array.
 
-        Runs :meth:`UNet.infer`, off the tape: the hot path of the sampler.
+        Runs :meth:`UNet.infer` without a cache: the hot path of the sampler.
         """
         logits = self.model.infer(self._model_input_array(xk), _timesteps(xk, k))
         return F.softmax_array(logits, axis=2)
@@ -200,8 +195,10 @@ class DiscreteDiffusion:
         x0: np.ndarray,
         rng: "int | np.random.Generator | None" = None,
         k: "int | None" = None,
-    ) -> tuple[Tensor, dict[str, float]]:
+    ) -> tuple[Callable[[], None], dict[str, float]]:
         """Hybrid loss on a batch of clean topology tensors ``x0``.
+
+        Runs the U-Net forward in training mode (dropout on) with a cache.
 
         Parameters
         ----------
@@ -215,8 +212,9 @@ class DiscreteDiffusion:
 
         Returns
         -------
-        tuple[Tensor, dict[str, float]]
-            The scalar loss tensor (differentiable) and a metrics dict with
+        tuple[Callable[[], None], dict[str, float]]
+            The reverse pass of this loss, which accumulates every U-Net
+            parameter gradient when called, and a metrics dict with
             ``loss`` / ``kl`` / ``ce`` / ``step`` entries.
         """
         gen = as_rng(rng)
@@ -226,16 +224,22 @@ class DiscreteDiffusion:
         step = int(gen.integers(1, self.config.num_steps + 1)) if k is None else int(k)
 
         xk = self.transition.sample_xk(x0, step, gen)
-        logits = self.predict_x0_logits(xk, step)  # (N, C, S, M, M)
-        total, kl, ce = _hybrid_loss(
+        cache: list = []
+        logits = self.model.infer(  # (N, C, S, M, M)
+            self._model_input_array(xk), _timesteps(xk, step), cache, train=True
+        )
+        total, kl, ce, gradient = _hybrid_loss(
             logits,
             self.transition.posterior_table(step, np.float32)[xk],
             self.transition.posterior_probs(xk, x0, step),
             one_hot(x0, self.config.num_states),
             self.config.lambda_ce,
         )
-        metrics = {"loss": float(total.item()), "kl": kl, "ce": ce, "step": float(step)}
-        return total, metrics
+
+        def backward() -> None:
+            self.model.backward(gradient(), cache)
+
+        return backward, {"loss": total, "kl": kl, "ce": ce, "step": float(step)}
 
     # ------------------------------------------------------------------ #
     # training loop
@@ -246,11 +250,12 @@ class DiscreteDiffusion:
         iterations: int,
         batch_size: int = 16,
         rng: "int | np.random.Generator | None" = None,
-        optimizer: "Adam | None" = None,
-        log_every: int = 0,
-        callback=None,
     ) -> list[dict[str, float]]:
         """Train the backbone on a dataset of clean topology tensors.
+
+        Runs :func:`repro.nn.fit` over :meth:`loss` with Adam at
+        ``config.learning_rate`` and the gradient norm clipped to
+        ``config.grad_clip``.
 
         Parameters
         ----------
@@ -262,13 +267,6 @@ class DiscreteDiffusion:
             Mini-batch size, capped at the dataset size.
         rng:
             Randomness for batch selection, timesteps and forward corruption.
-        optimizer:
-            Optional pre-built optimiser (resuming training keeps its
-            moments); defaults to Adam at ``config.learning_rate``.
-        log_every:
-            Print a progress line every that-many iterations (0 = silent).
-        callback:
-            Optional ``callback(iteration, metrics)`` hook per iteration.
 
         Returns
         -------
@@ -281,30 +279,19 @@ class DiscreteDiffusion:
         ValueError
             If ``dataset`` is not 4-dimensional.
         """
-        gen = as_rng(rng)
         data = np.asarray(dataset, dtype=np.int64)
         if data.ndim != 4:
             raise ValueError(f"dataset must have shape (N, C, M, M), got {data.shape}")
-        if optimizer is None:
-            optimizer = Adam(self.model.parameters(), lr=self.config.learning_rate)
-        history: list[dict[str, float]] = []
-        self.model.train()
-        for iteration in range(iterations):
-            indices = gen.integers(0, data.shape[0], size=min(batch_size, data.shape[0]))
-            batch = data[indices]
-            loss, metrics = self.loss(batch, rng=gen)
-            optimizer.zero_grad()
-            loss.backward()
-            grad_norm = clip_grad_norm(optimizer.parameters, self.config.grad_clip)
-            optimizer.step()
-            metrics["grad_norm"] = grad_norm
-            metrics["iteration"] = float(iteration)
-            history.append(metrics)
-            if log_every and iteration % log_every == 0:
-                print(f"[diffusion] iter={iteration} loss={metrics['loss']:.4f}")
-            if callback is not None:
-                callback(iteration, metrics)
-        return history
+        return nn.fit(
+            self.loss,
+            data,
+            self.model.parameters(),
+            iterations,
+            batch_size,
+            as_rng(rng),
+            lr=self.config.learning_rate,
+            grad_clip=self.config.grad_clip,
+        )
 
     # ------------------------------------------------------------------ #
     # convenience constructors

@@ -11,10 +11,13 @@ only difference being the continuous state space plus a final threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from ..nn import Adam, Tensor, UNet, UNetConfig, clip_grad_norm
+from .. import nn
+from ..nn import UNet, UNetConfig
+from ..nn import functional as F
 from ..utils import as_rng
 
 
@@ -56,27 +59,34 @@ class GaussianTopologyDiffusion:
         # UNet emits (N, C, 1, M, M); drop the singleton class axis.
         return self.model.infer(x, timesteps)[:, :, 0]
 
-    def _predict_eps_tensor(self, x: np.ndarray, k: int) -> Tensor:
-        timesteps = np.full(x.shape[0], k, dtype=np.int64)
-        out = self.model(Tensor(x.astype(np.float32)), timesteps)
-        batch, channels, _, height, width = out.shape
-        return out.reshape(batch, channels, height, width)
-
     # -- training ---------------------------------------------------------- #
     def loss(
         self, x0: np.ndarray, rng: "int | np.random.Generator | None" = None, k: "int | None" = None
-    ) -> tuple[Tensor, dict[str, float]]:
-        """Simple DDPM noise-prediction MSE loss."""
+    ) -> tuple[Callable[[], None], dict[str, float]]:
+        """Simple DDPM noise-prediction MSE loss: ``(reverse pass, metrics)``.
+
+        Mirrors :meth:`DiscreteDiffusion.loss`; ``k`` must lie in
+        ``[1, num_steps]`` (``IndexError`` otherwise).
+        """
         gen = as_rng(rng)
+        num_steps = self.config.num_steps
         x0_cont = self._to_continuous(x0)
-        step = int(gen.integers(1, self.config.num_steps + 1)) if k is None else int(k)
+        step = int(gen.integers(1, num_steps + 1)) if k is None else int(k)
+        if not 1 <= step <= num_steps:
+            raise IndexError(f"k={step} outside [1, {num_steps}]")
         alpha_bar = self.alpha_bars[step - 1]
         noise = gen.standard_normal(x0_cont.shape).astype(np.float32)
         xk = np.sqrt(alpha_bar) * x0_cont + np.sqrt(1.0 - alpha_bar) * noise
-        predicted = self._predict_eps_tensor(xk, step)
-        diff = predicted - Tensor(noise)
-        mse = (diff * diff).mean()
-        return mse, {"loss": float(mse.item()), "step": float(step)}
+        timesteps = np.full(xk.shape[0], step, dtype=np.int64)
+        cache: list = []
+        # UNet emits (N, C, 1, M, M); the loss sees the singleton class axis dropped.
+        out = self.model.infer(xk.astype(np.float32), timesteps, cache, train=True)
+        mse, grad = F.mse_loss(out.reshape(noise.shape), noise)
+
+        def backward() -> None:
+            self.model.backward(grad.reshape(out.shape), cache)
+
+        return backward, {"loss": mse, "step": float(step)}
 
     def fit(
         self,
@@ -86,20 +96,16 @@ class GaussianTopologyDiffusion:
         rng: "int | np.random.Generator | None" = None,
     ) -> list[dict[str, float]]:
         """Train the noise predictor; mirrors :meth:`DiscreteDiffusion.fit`."""
-        gen = as_rng(rng)
-        data = np.asarray(dataset, dtype=np.int64)
-        optimizer = Adam(self.model.parameters(), lr=self.config.learning_rate)
-        history = []
-        self.model.train()
-        for _ in range(iterations):
-            indices = gen.integers(0, data.shape[0], size=min(batch_size, data.shape[0]))
-            loss, metrics = self.loss(data[indices], rng=gen)
-            optimizer.zero_grad()
-            loss.backward()
-            clip_grad_norm(optimizer.parameters, self.config.grad_clip)
-            optimizer.step()
-            history.append(metrics)
-        return history
+        return nn.fit(
+            self.loss,
+            np.asarray(dataset, dtype=np.int64),
+            self.model.parameters(),
+            iterations,
+            batch_size,
+            as_rng(rng),
+            lr=self.config.learning_rate,
+            grad_clip=self.config.grad_clip,
+        )
 
     # -- sampling ----------------------------------------------------------- #
     def sample(
@@ -110,7 +116,6 @@ class GaussianTopologyDiffusion:
         cfg = self.model.config
         shape = (num_samples, cfg.in_channels, cfg.image_size, cfg.image_size)
         x = gen.standard_normal(shape).astype(np.float32)
-        self.model.eval()
         for step in range(self.config.num_steps, 0, -1):
             alpha = self.alphas[step - 1]
             alpha_bar = self.alpha_bars[step - 1]
@@ -122,7 +127,6 @@ class GaussianTopologyDiffusion:
                 x = mean + np.sqrt(beta) * noise
             else:
                 x = mean
-        self.model.train()
         return self._to_binary(x)
 
 

@@ -11,10 +11,13 @@ generated ones).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from ..nn import Adam, Linear, Sequential, Sigmoid, SiLU, Tensor
+from .. import nn
+from ..nn import Linear, Sequential, Sigmoid, SiLU
+from ..nn import functional as F
 from ..utils import as_rng
 
 
@@ -78,6 +81,18 @@ class ValidityScorer:
         return ((recon - flat) ** 2).mean(axis=1)
 
     # ------------------------------------------------------------------ #
+    def loss(
+        self, batch: np.ndarray, rng: np.random.Generator
+    ) -> tuple[Callable[[], None], dict[str, float]]:
+        """Reconstruction MSE of one flattened batch: ``(reverse pass, metrics)``."""
+        cache: list = []
+        value, grad = F.mse_loss(self._model.infer(batch, cache, True), batch)
+
+        def backward() -> None:
+            self._model.backward(grad, cache, input_grad=False)
+
+        return backward, {"loss": value}
+
     def fit(self, topologies: np.ndarray, rng: "int | np.random.Generator | None" = None) -> "ValidityScorer":
         """Train on real topologies and calibrate the error threshold."""
         cfg = self.config
@@ -85,16 +100,10 @@ class ValidityScorer:
         flat = self._flatten(topologies)
         self._input_dim = flat.shape[1]
         self._model = _MLPAutoencoder(flat.shape[1], cfg.hidden_dim, cfg.latent_dim, gen)
-        optimizer = Adam(self._model.parameters(), lr=cfg.learning_rate)
-        for _ in range(cfg.iterations):
-            idx = gen.integers(0, flat.shape[0], size=min(cfg.batch_size, flat.shape[0]))
-            batch = Tensor(flat[idx])
-            recon = self._model(batch)
-            diff = recon - batch
-            loss = (diff * diff).mean()
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
+        nn.fit(
+            self.loss, flat, self._model.parameters(), cfg.iterations,
+            cfg.batch_size, gen, lr=cfg.learning_rate,
+        )
         self._threshold = float(np.quantile(self._errors(flat), cfg.threshold_quantile))
         return self
 

@@ -1,17 +1,17 @@
 """Pure-NumPy neural-network substrate.
 
-Provides a tape-based autograd engine, a module system with the layers used
-by diffusion U-Nets (convolution, group norm, attention), optimisers and
-checkpointing.  This replaces PyTorch, which is not available in the
-reproduction environment; the mathematical behaviour is identical, only the
-throughput differs.
+Provides a module system with the layers used by diffusion U-Nets
+(convolution, group norm, attention), the Adam optimiser, the one training
+loop and checkpointing.  This replaces PyTorch, which is not available in
+the reproduction environment; the mathematical behaviour is identical, only
+the throughput differs.
 
 Every layer is an array kernel with its vector-Jacobian product
 (:mod:`~repro.nn.functional`), wrapped once as a module's ``infer`` and
-``backward``; calling a module records it as one tape node
-(:meth:`Module.forward`).  The tape itself only carries the arithmetic that
-glues modules together: losses, residual sums and LayouTransformer's
-attention.
+``backward``.  That is the only gradient mechanism: a trainer's ``loss``
+runs ``infer`` with a cache and computes the loss and its gradient in closed
+form; the reverse pass it returns calls ``backward``, and :func:`fit` runs
+those steps under Adam.
 """
 
 from . import functional
@@ -29,34 +29,12 @@ from .modules import (
     Sigmoid,
     SiLU,
 )
-from .optim import SGD, Adam, Optimizer, clip_grad_norm
+from .optim import Adam, clip_grad_norm, fit
 from .serialization import load_checkpoint, save_checkpoint
-from .tensor import (
-    Tensor,
-    concatenate,
-    is_grad_enabled,
-    no_grad,
-    ones,
-    randn,
-    set_grad_enabled,
-    stack,
-    tensor,
-    zeros,
-)
 from .unet import UNet, UNetConfig
 
 __all__ = [
     "functional",
-    "Tensor",
-    "tensor",
-    "zeros",
-    "ones",
-    "randn",
-    "concatenate",
-    "stack",
-    "no_grad",
-    "is_grad_enabled",
-    "set_grad_enabled",
     "Module",
     "Parameter",
     "Sequential",
@@ -69,10 +47,9 @@ __all__ = [
     "Embedding",
     "SiLU",
     "Sigmoid",
-    "Optimizer",
-    "SGD",
     "Adam",
     "clip_grad_norm",
+    "fit",
     "save_checkpoint",
     "load_checkpoint",
     "UNet",

@@ -1,4 +1,4 @@
-"""Array kernels with their vector-Jacobian products, and the taped softmax ops.
+"""Array kernels with their vector-Jacobian products, and the training losses.
 
 Each layer operator is written once, as two parts:
 
@@ -9,12 +9,11 @@ Each layer operator is written once, as two parts:
   ``upsample_nearest_backward``).
 
 The layers of :mod:`repro.nn.modules` call them from ``infer`` and
-``backward``, and :meth:`repro.nn.Module.forward` records a layer call as one
-tape node, so nothing here builds a tape node per layer.  The taped
-operators left are general arithmetic: ``softmax``, ``log_softmax`` and
-``cross_entropy_with_logits`` serve LayouTransformer's attention and loss.
-The convolution input gradient is itself a stride-1 convolution, so it runs
-through the same gather + matmul as the forward.
+``backward``.  The losses (``mse_loss``, ``cross_entropy``) return their
+value together with their gradient in closed form, which a trainer hands to
+the model's ``backward``.  The convolution input gradient is itself a
+stride-1 convolution, so it runs through the same gather + matmul as the
+forward.
 """
 
 from __future__ import annotations
@@ -23,39 +22,39 @@ import functools
 
 import numpy as np
 
-from .tensor import Tensor, _DTYPE
+_DTYPE = np.float32
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
-    probs = softmax_array(x.data, axis=axis)
+def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean squared error of ``pred`` against ``target``, and its gradient w.r.t. ``pred``.
 
-    def backward_fn(grad: np.ndarray) -> None:
-        x._accumulate(softmax_backward(grad, probs, axis))
-
-    return x._make(probs, (x,), backward_fn)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable log-softmax along ``axis``."""
-    out = x.data - x.data.max(axis=axis, keepdims=True)
-    out -= np.log(np.exp(out).sum(axis=axis, keepdims=True))
-
-    def backward_fn(grad: np.ndarray) -> None:
-        x._accumulate(grad - np.exp(out) * grad.sum(axis=axis, keepdims=True))
-
-    return x._make(out, (x,), backward_fn)
-
-
-def cross_entropy_with_logits(logits: Tensor, targets: np.ndarray, axis: int = -1) -> Tensor:
-    """Mean cross-entropy between ``logits`` and one-hot ``targets``.
-
-    ``targets`` is a plain NumPy array of the same shape as ``logits`` whose
-    entries along ``axis`` form a probability vector (usually one-hot).
+    The gradient ``2·(pred − target)/n`` is summed as ``d/n + d/n``, the two
+    factors of ``d·d`` one after the other, so it is bit-identical to
+    differentiating ``mean(d * d)`` factor by factor.
     """
-    log_probs = log_softmax(logits, axis=axis)
-    per_element = -(Tensor(np.asarray(targets, dtype=_DTYPE)) * log_probs).sum(axis=axis)
-    return per_element.mean()
+    diff = pred - target
+    scale = _DTYPE(1.0 / diff.size)
+    grad = diff * scale
+    grad += grad
+    return float((diff * diff).sum() * scale), grad
+
+
+def cross_entropy(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy over the last axis, and its gradient w.r.t. ``logits``.
+
+    ``targets`` has the shape of ``logits`` and holds a probability vector
+    (usually one-hot) along the last axis; the mean runs over the other
+    axes.  With ``g = -targets/n`` the gradient is ``g − softmax·Σg``, the
+    log-softmax VJP of that upstream.
+    """
+    targets = np.asarray(targets, dtype=_DTYPE)
+    log_probs = logits - logits.max(axis=-1, keepdims=True)
+    log_probs -= np.log(np.exp(log_probs).sum(axis=-1, keepdims=True))
+    per_row = -(targets * log_probs).sum(axis=-1)
+    scale = _DTYPE(1.0 / per_row.size)
+    upstream = targets * -scale
+    grad = upstream - np.exp(log_probs) * upstream.sum(axis=-1, keepdims=True)
+    return float(per_row.sum() * scale), grad
 
 
 def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -68,7 +67,7 @@ def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) 
 # ---------------------------------------------------------------------- #
 # gradient-free array kernels, each followed by its VJP
 # ---------------------------------------------------------------------- #
-# Array-in / array-out: no Tensor wrappers, no backward closures, contiguous
+# Array-in / array-out: no wrappers, no backward closures, contiguous
 # float32 throughout, and matmul instead of einsum (which re-derives a
 # contraction path on every call).
 
@@ -315,9 +314,9 @@ def _layer_norm_forward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Layer norm over the last axis, plus the normalised input and ``(..., 1)`` std.
 
-    The arithmetic is that of the primitive tape ops the layer used to be
-    composed of (a mean is a sum times ``1/count``, the std is
-    ``(var + eps) ** 0.5``), which kept LayouTransformer's forward values.
+    The arithmetic is that of the primitive-op composition the layer used to
+    be (a mean is a sum times ``1/count``, the std is ``(var + eps) ** 0.5``),
+    which kept LayouTransformer's forward values.
     """
     inv_count = _DTYPE(1.0 / x.shape[-1])
     centred = x - np.add.reduce(x, axis=-1, keepdims=True) * inv_count

@@ -1,8 +1,8 @@
 """Module system and standard layers.
 
-A thin PyTorch-like module layer on top of the autograd engine: parameter
-registration, recursive traversal, train/eval mode, state-dict extraction, and
-the concrete layers used by the U-Net and the baselines.
+A thin PyTorch-like module layer: parameter registration, recursive
+traversal, state-dict extraction, and the concrete layers used by the U-Net
+and the baselines.
 
 Every layer is written once, as two methods on plain arrays:
 
@@ -14,10 +14,10 @@ Every layer is written once, as two methods on plain arrays:
   the input gradient.  A layer may return ``None`` for it when
   ``input_grad`` is false and skipping it saves work.
 
-:meth:`Module.forward` records one call of that pair as ONE tape node, so a
-module is one node whatever it contains.  Composite modules get ``infer`` and
-``backward`` by composing their children's; the cache is a stack owned by
-the call, never state on a module.
+Composite modules get ``infer`` and ``backward`` by composing their
+children's; the cache is a stack owned by the call, never state on a module.
+A trainer runs ``infer`` with a cache, computes its loss gradient in closed
+form and hands it to ``backward`` (see :func:`repro.nn.fit`).
 """
 
 from __future__ import annotations
@@ -28,14 +28,36 @@ from typing import Iterator
 import numpy as np
 
 from . import functional as F
-from .tensor import Tensor, _DTYPE, is_grad_enabled
+from .functional import _DTYPE
 
 
-class Parameter(Tensor):
-    """A tensor that is registered as a learnable parameter of a module."""
+class Parameter:
+    """A learnable float32 array ``data`` and the gradient ``grad`` summed into it."""
+
+    __slots__ = ("data", "grad")
 
     def __init__(self, data: np.ndarray) -> None:
-        super().__init__(data, requires_grad=True)
+        self.data = np.asarray(data, dtype=_DTYPE)
+        self.grad: np.ndarray | None = None
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.data.shape
+
+    @property
+    def size(self) -> int:
+        return self.data.size
+
+    def accumulate(self, grad: np.ndarray) -> None:
+        """Add ``grad`` (shaped like ``data``) to :attr:`grad`, which starts as a copy."""
+        grad = np.asarray(grad, dtype=_DTYPE)
+        if self.grad is None:
+            self.grad = grad.copy()
+        else:
+            self.grad += grad
+
+    def zero_grad(self) -> None:
+        self.grad = None
 
 
 class Module:
@@ -44,7 +66,6 @@ class Module:
     def __init__(self) -> None:
         self._parameters: dict[str, Parameter] = {}
         self._modules: dict[str, "Module"] = {}
-        self.training = True
 
     # -- registration ------------------------------------------------- #
     def __setattr__(self, name: str, value: object) -> None:
@@ -68,25 +89,9 @@ class Module:
         for child_name, child in self._modules.items():
             yield from child.named_parameters(prefix=f"{prefix}{child_name}.")
 
-    def modules(self) -> Iterator["Module"]:
-        yield self
-        for child in self._modules.values():
-            yield from child.modules()
-
     def num_parameters(self) -> int:
         """Total number of scalar parameters."""
         return sum(p.size for p in self.parameters())
-
-    # -- modes ---------------------------------------------------------- #
-    def train(self) -> "Module":
-        for module in self.modules():
-            module.training = True
-        return self
-
-    def eval(self) -> "Module":
-        for module in self.modules():
-            module.training = False
-        return self
 
     def zero_grad(self) -> None:
         for param in self.parameters():
@@ -113,36 +118,6 @@ class Module:
                     f"shape mismatch for '{name}': expected {param.shape}, got {value.shape}"
                 )
             param.data[...] = value
-
-    # -- call: one tape node over infer and backward -------------------- #
-    def forward(self, x: "Tensor | np.ndarray", *args) -> Tensor:
-        """Differentiable forward pass: ONE tape node.
-
-        Its forward is :meth:`infer` with a cache of its own (dropout
-        following :attr:`training`), so in eval mode a taped call equals
-        inference bit for bit; its backward is :meth:`backward` over that
-        cache.  ``x`` is a tensor, or an array the node treats as a constant
-        (token indices); further arguments pass to ``infer`` unchanged.
-        Nothing is cached when the node is not recorded.
-        """
-        taped = isinstance(x, Tensor)
-        parents = ((x,) if taped else ()) + tuple(self.parameters())
-        cache = [] if is_grad_enabled() and any(p.requires_grad for p in parents) else None
-        out = self.infer(x.data if taped else x, *args, cache=cache, train=self.training)
-        if cache is None:
-            return Tensor(out)
-
-        def backward_fn(grad: np.ndarray) -> None:
-            input_grad = taped and x.requires_grad
-            # A copy of the cache: the node may be differentiated twice.
-            grad_x = self.backward(grad, list(cache), input_grad=input_grad)
-            if input_grad:
-                x._accumulate(grad_x)
-
-        return Tensor(out, requires_grad=True, _parents=parents, _backward_fn=backward_fn)
-
-    def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
 
 
 class Sequential(Module):
@@ -208,9 +183,9 @@ class Linear(Module):
 
     def backward(self, grad: np.ndarray, cache: list, input_grad: bool = True) -> np.ndarray:
         grad_x, grad_w, grad_b = F.linear_backward(grad, cache.pop(), self.weight.data)
-        self.weight._accumulate(grad_w)
+        self.weight.accumulate(grad_w)
         if self.bias is not None:
-            self.bias._accumulate(grad_b)
+            self.bias.accumulate(grad_b)
         return grad_x
 
 
@@ -266,9 +241,9 @@ class Conv2d(Module):
         grad_x, grad_w, grad_b = F.conv2d_backward(
             grad, self.weight.data, cols, x_shape, self.stride, self.padding, input_grad
         )
-        self.weight._accumulate(grad_w)
+        self.weight.accumulate(grad_w)
         if self.bias is not None:
-            self.bias._accumulate(grad_b)
+            self.bias.accumulate(grad_b)
         return grad_x
 
 
@@ -298,8 +273,8 @@ class GroupNorm(Module):
     def backward(self, grad: np.ndarray, cache: list, input_grad: bool = True) -> np.ndarray:
         centred, inv_std = cache.pop()
         grad_x, grad_w, grad_b = F.group_norm_backward(grad, centred, inv_std, self.weight.data)
-        self.weight._accumulate(grad_w)
-        self.bias._accumulate(grad_b)
+        self.weight.accumulate(grad_w)
+        self.bias.accumulate(grad_b)
         return grad_x
 
 
@@ -322,8 +297,8 @@ class LayerNorm(Module):
     def backward(self, grad: np.ndarray, cache: list, input_grad: bool = True) -> np.ndarray:
         normed, std = cache.pop()
         grad_x, grad_w, grad_b = F.layer_norm_backward(grad, normed, std, self.weight.data)
-        self.weight._accumulate(grad_w)
-        self.bias._accumulate(grad_b)
+        self.weight.accumulate(grad_w)
+        self.bias.accumulate(grad_b)
         return grad_x
 
 
@@ -376,7 +351,7 @@ class Embedding(Module):
         """Scatter-add ``grad`` onto the rows looked up; indices get no gradient."""
         grad_w = np.zeros_like(self.weight.data)
         np.add.at(grad_w, cache.pop(), grad)
-        self.weight._accumulate(grad_w)
+        self.weight.accumulate(grad_w)
 
 
 class SiLU(Module):

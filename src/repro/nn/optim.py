@@ -1,15 +1,19 @@
-"""Optimisers and gradient utilities.
+"""The optimiser, gradient clipping and the one training loop.
 
-The paper trains with Adam (learning rate 2e-4) and gradient clipping at 1.0;
-both are provided here, plus plain SGD for the smaller baseline models.
+The paper trains with Adam (learning rate 2e-4) and gradient clipping at
+1.0.  :func:`fit` is the loop every trainer in the package runs: the
+diffusion model, the Gaussian ablation, the Table I baselines and the
+validity scorer differ only in the ``loss`` step they hand it.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Iterable
+
 import numpy as np
 
+from .functional import _DTYPE
 from .modules import Parameter
-from .tensor import _DTYPE
 
 
 def clip_grad_norm(parameters: "list[Parameter]", max_norm: float) -> float:
@@ -31,44 +35,51 @@ def clip_grad_norm(parameters: "list[Parameter]", max_norm: float) -> float:
     return total
 
 
-class Optimizer:
-    """Base class holding the parameter list."""
+def fit(
+    loss: "Callable[[np.ndarray, np.random.Generator], tuple[Callable[[], None], dict]]",
+    data: np.ndarray,
+    parameters: "Iterable[Parameter]",
+    iterations: int,
+    batch_size: int,
+    rng: np.random.Generator,
+    lr: float,
+    grad_clip: "float | None" = None,
+) -> list[dict[str, float]]:
+    """Train ``parameters`` with Adam on random mini-batches of ``data``.
 
-    def __init__(self, parameters) -> None:
-        self.parameters = list(parameters)
-        if not self.parameters:
-            raise ValueError("optimizer received no parameters")
+    Each iteration draws ``min(batch_size, len(data))`` row indices from
+    ``rng`` (with replacement) and calls ``loss(data[indices], rng)``.  That
+    step runs the model's forward with a cache and computes the loss and its
+    gradient in closed form; it returns the reverse pass, which hands that
+    gradient to the model's ``backward``, and its metrics (at least
+    ``"loss"``).  The loop clears the gradients and runs the reverse pass.
+    With ``grad_clip`` the global gradient norm is then clipped and recorded
+    as ``"grad_norm"``.  Last comes one Adam step at ``lr``.
 
-    def zero_grad(self) -> None:
-        for p in self.parameters:
-            p.zero_grad()
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, parameters, lr: float = 1e-2, momentum: float = 0.0) -> None:
-        super().__init__(parameters)
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for p, vel in zip(self.parameters, self._velocity):
-            if p.grad is None:
-                continue
-            if self.momentum:
-                vel *= self.momentum
-                vel += p.grad
-                p.data -= self.lr * vel
-            else:
-                p.data -= self.lr * p.grad
+    Returns the per-iteration metrics, each with its ``"iteration"`` index.
+    """
+    params = list(parameters)
+    optimizer = Adam(params, lr=lr)
+    history: list[dict[str, float]] = []
+    for iteration in range(iterations):
+        indices = rng.integers(0, data.shape[0], size=min(batch_size, data.shape[0]))
+        # The previous step's reverse pass, and what it holds, is released
+        # only here, after this step's forward.  Releasing a step's whole
+        # working set before the next forward lets malloc return the heap
+        # top to the OS, which the forward then page-faults back: ~550 minor
+        # faults per hotspot-expansion step and ~10 % of fit throughput.
+        backward, metrics = loss(data[indices], rng)
+        optimizer.zero_grad()
+        backward()
+        if grad_clip is not None:
+            metrics["grad_norm"] = clip_grad_norm(params, grad_clip)
+        optimizer.step()
+        metrics["iteration"] = float(iteration)
+        history.append(metrics)
+    return history
 
 
-class Adam(Optimizer):
+class Adam:
     """Adam optimiser (Kingma & Ba) with bias correction.
 
     Parameters, gradients and both moments live in flat float32 buffers, so
@@ -88,7 +99,9 @@ class Adam(Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
-        super().__init__(parameters)
+        self.parameters = list(parameters)
+        if not self.parameters:
+            raise ValueError("optimizer received no parameters")
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
@@ -110,6 +123,10 @@ class Adam(Optimizer):
             part[...] = p.data.ravel()
             p.data = part.reshape(p.shape)
         self._views = [p.data for p in self.parameters]
+
+    def zero_grad(self) -> None:
+        for p in self.parameters:
+            p.zero_grad()
 
     def step(self) -> None:
         self._step_count += 1

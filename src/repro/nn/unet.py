@@ -18,8 +18,7 @@ import numpy as np
 from . import functional as F
 from .modules import Conv2d, Dropout, GroupNorm, Identity, Linear, Module, SiLU
 
-# Training runs the whole network as ONE tape node (:meth:`Module.forward`).
-# Its forward is ``infer`` with a per-call ``cache``: a list every layer
+# Training runs ``infer`` with a per-call ``cache``: a list every layer
 # appends what its backward needs to, in forward order.  The reverse pass
 # (each module's ``backward``) pops those entries in reverse order, so the
 # cache is a stack owned by the call, never state on a module.  Without a
@@ -232,9 +231,8 @@ class UNet(Module):
     Input  : one-hot noisy tensor, shape ``(N, in_channels * num_classes, M, M)``.
     Output : logits, shape ``(N, in_channels, num_classes, M, M)``.
 
-    Calling the model records ONE tape node (:meth:`Module.forward`): its
-    forward is :meth:`infer` and its backward the explicit reverse pass
-    :meth:`backward`.
+    Training runs :meth:`infer` with a cache and hands the loss gradient to
+    the explicit reverse pass :meth:`backward`.
     """
 
     def __init__(self, config: UNetConfig) -> None:
@@ -320,7 +318,7 @@ class UNet(Module):
 
         With a ``cache`` every layer also records what :meth:`backward`
         needs; ``train`` applies dropout.  Sampling passes neither: no
-        tape, no dropout, raw float32 arrays and matmul-based kernels.
+        cache, no dropout, raw float32 arrays and matmul-based kernels.
         """
         config = self.config
         x = np.ascontiguousarray(x_onehot, dtype=np.float32)

@@ -6,7 +6,7 @@ Table II efficiency harness and the benchmark scripts all draw topology
 tensors through it.  It has four properties:
 
 * **Gradient-free batched hot path** — every denoising step runs the whole
-  chunk through ``UNet.infer`` (raw float32 arrays, no autodiff tape) and
+  chunk through ``UNet.infer`` (raw float32 arrays, no cache, no dropout) and
   mixes the predicted ``p_θ(x_0 | x_k)`` with cached posterior transition
   tables, so the per-step cost is a handful of large NumPy kernels.
 
@@ -282,26 +282,17 @@ class SamplingEngine:
             chain_steps=self.schedule.chain_steps,
         )
 
-        model = self.diffusion.model
-        was_training = model.training
-        model.eval()
         start_total = time.perf_counter()
         finals: list[np.ndarray] = []
         chunk_chains: list[list[np.ndarray]] = []
-        try:
-            for start in range(0, num_samples, chunk_size):
-                indices = range(
-                    first_index + start,
-                    first_index + min(start + chunk_size, num_samples),
-                )
-                chain = self._denoise_chunk(
-                    base_seed, indices, greedy_final, recorder, report, finals
-                )
-                if recorder is not None:
-                    chunk_chains.append(chain)
-        finally:
-            if was_training:
-                model.train()
+        for start in range(0, num_samples, chunk_size):
+            indices = range(
+                first_index + start,
+                first_index + min(start + chunk_size, num_samples),
+            )
+            chain = self._denoise_chunk(base_seed, indices, greedy_final, recorder, report, finals)
+            if recorder is not None:
+                chunk_chains.append(chain)
         report.total_seconds = time.perf_counter() - start_total
         self.last_report = report
 

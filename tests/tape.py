@@ -1,53 +1,24 @@
-"""A small tape-based automatic-differentiation engine on NumPy arrays.
+"""A small tape-based reverse-mode autodiff engine on NumPy arrays: the test oracle.
 
-The paper trains its discrete diffusion model with PyTorch.  PyTorch is not
-available in this environment, so the library ships its own reverse-mode
-autodiff substrate: a :class:`Tensor` wrapping a ``float32`` NumPy array plus
-the operators needed by the U-Net backbone (convolutions, normalisation,
-attention, categorical losses).  The API deliberately mirrors a small subset
-of PyTorch so the model code reads naturally.
+The library computes every gradient one way: each layer's ``backward`` is a
+hand-written vector-Jacobian product, and each trainer's loss gradient is a
+closed form.  The tests check those against this tape, which differentiates
+the same computations one primitive operation at a time.  ``Tensor`` wraps a
+``float32`` array; leaves with ``requires_grad`` receive gradients in
+:meth:`Tensor.backward`.  :func:`module_node` records one call of a module's
+``infer``/``backward`` pair as a single node, so a module can sit inside a
+taped reference computation.
 """
 
 from __future__ import annotations
 
-import contextlib
 from typing import Callable, Iterable
 
 import numpy as np
 
+from repro.nn import functional as F
+
 _DTYPE = np.float32
-
-# Global autograd switch.  A single mutable cell (instead of a bare module
-# global) lets the context manager below restore the previous state even when
-# `no_grad` blocks are nested or raise.
-_GRAD_ENABLED: list[bool] = [True]
-
-
-def is_grad_enabled() -> bool:
-    """Whether new operations record themselves on the autodiff tape."""
-    return _GRAD_ENABLED[0]
-
-
-def set_grad_enabled(enabled: bool) -> None:
-    """Globally enable or disable tape construction (mirrors PyTorch)."""
-    _GRAD_ENABLED[0] = bool(enabled)
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Context manager disabling tape construction for inference hot paths.
-
-    Inside the block every operation returns a constant tensor: no parents are
-    retained, no backward closures are allocated, and no gradient buffers can
-    be populated.  Nesting is supported and the previous state is restored on
-    exit, including on exceptions.
-    """
-    previous = _GRAD_ENABLED[0]
-    _GRAD_ENABLED[0] = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED[0] = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -134,7 +105,7 @@ class Tensor:
         parents: tuple["Tensor", ...],
         backward_fn: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        requires = _GRAD_ENABLED[0] and any(p.requires_grad for p in parents)
+        requires = any(p.requires_grad for p in parents)
         return Tensor(
             data,
             requires_grad=requires,
@@ -142,7 +113,8 @@ class Tensor:
             _backward_fn=backward_fn if requires else None,
         )
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def accumulate(self, grad: np.ndarray) -> None:
+        """Add ``grad`` (un-broadcast to this shape) to :attr:`grad`."""
         if not self.requires_grad:
             return
         grad = _unbroadcast(np.asarray(grad, dtype=_DTYPE), self.data.shape)
@@ -161,7 +133,7 @@ class Tensor:
         """
         if grad is None:
             grad = np.ones_like(self.data)
-        self._accumulate(grad)
+        self.accumulate(grad)
         for node in reversed(self.graph()):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
@@ -196,8 +168,8 @@ class Tensor:
         out_data = self.data + other.data
 
         def backward_fn(grad: np.ndarray) -> None:
-            self._accumulate(grad)
-            other._accumulate(grad)
+            self.accumulate(grad)
+            other.accumulate(grad)
 
         return self._make(out_data, (self, other), backward_fn)
 
@@ -205,7 +177,7 @@ class Tensor:
 
     def __neg__(self) -> "Tensor":
         def backward_fn(grad: np.ndarray) -> None:
-            self._accumulate(-grad)
+            self.accumulate(-grad)
 
         return self._make(-self.data, (self,), backward_fn)
 
@@ -220,8 +192,8 @@ class Tensor:
         out_data = self.data * other.data
 
         def backward_fn(grad: np.ndarray) -> None:
-            self._accumulate(grad * other.data)
-            other._accumulate(grad * self.data)
+            self.accumulate(grad * other.data)
+            other.accumulate(grad * self.data)
 
         return self._make(out_data, (self, other), backward_fn)
 
@@ -232,8 +204,8 @@ class Tensor:
         out_data = self.data / other.data
 
         def backward_fn(grad: np.ndarray) -> None:
-            self._accumulate(grad / other.data)
-            other._accumulate(-grad * self.data / (other.data**2))
+            self.accumulate(grad / other.data)
+            other.accumulate(-grad * self.data / (other.data**2))
 
         return self._make(out_data, (self, other), backward_fn)
 
@@ -246,7 +218,7 @@ class Tensor:
         out_data = self.data**exponent
 
         def backward_fn(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1))
+            self.accumulate(grad * exponent * self.data ** (exponent - 1))
 
         return self._make(out_data, (self,), backward_fn)
 
@@ -256,9 +228,9 @@ class Tensor:
 
         def backward_fn(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad @ np.swapaxes(other.data, -1, -2))
+                self.accumulate(grad @ np.swapaxes(other.data, -1, -2))
             if other.requires_grad:
-                other._accumulate(np.swapaxes(self.data, -1, -2) @ grad)
+                other.accumulate(np.swapaxes(self.data, -1, -2) @ grad)
 
         return self._make(out_data, (self, other), backward_fn)
 
@@ -269,7 +241,7 @@ class Tensor:
         out_data = np.exp(self.data)
 
         def backward_fn(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data)
+            self.accumulate(grad * out_data)
 
         return self._make(out_data, (self,), backward_fn)
 
@@ -277,7 +249,7 @@ class Tensor:
         out_data = np.log(self.data)
 
         def backward_fn(grad: np.ndarray) -> None:
-            self._accumulate(grad / self.data)
+            self.accumulate(grad / self.data)
 
         return self._make(out_data, (self,), backward_fn)
 
@@ -288,7 +260,7 @@ class Tensor:
         out_data = 1.0 / (1.0 + np.exp(-self.data))
 
         def backward_fn(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data * (1.0 - out_data))
+            self.accumulate(grad * out_data * (1.0 - out_data))
 
         return self._make(out_data, (self,), backward_fn)
 
@@ -296,7 +268,7 @@ class Tensor:
         out_data = np.tanh(self.data)
 
         def backward_fn(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1.0 - out_data**2))
+            self.accumulate(grad * (1.0 - out_data**2))
 
         return self._make(out_data, (self,), backward_fn)
 
@@ -304,7 +276,7 @@ class Tensor:
         mask = (self.data > 0).astype(_DTYPE)
 
         def backward_fn(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
+            self.accumulate(grad * mask)
 
         return self._make(self.data * mask, (self,), backward_fn)
 
@@ -325,7 +297,7 @@ class Tensor:
                     for a in sorted(axes):
                         g = np.expand_dims(g, a)
                 expanded = np.broadcast_to(g, self.data.shape)
-            self._accumulate(expanded)
+            self.accumulate(expanded)
 
         return self._make(out_data, (self,), backward_fn)
 
@@ -343,7 +315,7 @@ class Tensor:
         out_data = self.data.reshape(shape)
 
         def backward_fn(grad: np.ndarray) -> None:
-            self._accumulate(grad.reshape(self.data.shape))
+            self.accumulate(grad.reshape(self.data.shape))
 
         return self._make(out_data, (self,), backward_fn)
 
@@ -356,7 +328,7 @@ class Tensor:
         inverse = np.argsort(axes)
 
         def backward_fn(grad: np.ndarray) -> None:
-            self._accumulate(grad.transpose(inverse))
+            self.accumulate(grad.transpose(inverse))
 
         return self._make(out_data, (self,), backward_fn)
 
@@ -376,7 +348,7 @@ class Tensor:
                 full[index] = grad
             else:
                 np.add.at(full, index, grad)
-            self._accumulate(full)
+            self.accumulate(full)
 
         return self._make(out_data, (self,), backward_fn)
 
@@ -385,7 +357,7 @@ class Tensor:
         out_data = np.clip(self.data, low, high)
 
         def backward_fn(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
+            self.accumulate(grad * mask)
 
         return self._make(out_data, (self,), backward_fn)
 
@@ -397,7 +369,7 @@ class Tensor:
 
         def backward_fn(grad: np.ndarray) -> None:
             g = grad if keepdims else np.expand_dims(grad, axis)
-            self._accumulate(mask * g)
+            self.accumulate(mask * g)
 
         return self._make(out_data, (self,), backward_fn)
 
@@ -442,9 +414,9 @@ def concatenate(tensors: list[Tensor], axis: int = 0) -> Tensor:
         for t, start, end in zip(tensors, offsets[:-1], offsets[1:]):
             index = [slice(None)] * grad.ndim
             index[axis] = slice(start, end)
-            t._accumulate(grad[tuple(index)])
+            t.accumulate(grad[tuple(index)])
 
-    requires = _GRAD_ENABLED[0] and any(t.requires_grad for t in tensors)
+    requires = any(t.requires_grad for t in tensors)
     return Tensor(
         out_data,
         requires_grad=requires,
@@ -460,12 +432,80 @@ def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
     def backward_fn(grad: np.ndarray) -> None:
         slices = np.split(grad, len(tensors), axis=axis)
         for t, piece in zip(tensors, slices):
-            t._accumulate(np.squeeze(piece, axis=axis))
+            t.accumulate(np.squeeze(piece, axis=axis))
 
-    requires = _GRAD_ENABLED[0] and any(t.requires_grad for t in tensors)
+    requires = any(t.requires_grad for t in tensors)
     return Tensor(
         out_data,
         requires_grad=requires,
         _parents=tuple(tensors) if requires else (),
         _backward_fn=backward_fn if requires else None,
     )
+
+
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Softmax as one node over the library's array kernel and its VJP."""
+    probs = F.softmax_array(x.data, axis=axis)
+
+    def backward_fn(grad: np.ndarray) -> None:
+        x.accumulate(F.softmax_backward(grad, probs, axis))
+
+    return x._make(probs, (x,), backward_fn)
+
+
+def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Numerically stable log-softmax along ``axis``, as one node."""
+    out = x.data - x.data.max(axis=axis, keepdims=True)
+    out -= np.log(np.exp(out).sum(axis=axis, keepdims=True))
+
+    def backward_fn(grad: np.ndarray) -> None:
+        x.accumulate(grad - np.exp(out) * grad.sum(axis=axis, keepdims=True))
+
+    return x._make(out, (x,), backward_fn)
+
+
+def cross_entropy_with_logits(logits: Tensor, targets: np.ndarray, axis: int = -1) -> Tensor:
+    """Mean cross-entropy between ``logits`` and probability-vector ``targets`` along ``axis``."""
+    log_probs = log_softmax(logits, axis=axis)
+    per_element = -(Tensor(np.asarray(targets, dtype=_DTYPE)) * log_probs).sum(axis=axis)
+    return per_element.mean()
+
+
+class ParameterLeaf(Tensor):
+    """A tape leaf over a module ``Parameter``; the gradient it receives lands in the parameter."""
+
+    __slots__ = ("parameter",)
+
+    def __init__(self, parameter) -> None:
+        super().__init__(parameter.data, requires_grad=True)
+        self.parameter = parameter
+
+    def accumulate(self, grad: np.ndarray) -> None:
+        self.parameter.accumulate(_unbroadcast(np.asarray(grad, dtype=_DTYPE), self.data.shape))
+
+
+def module_node(module, x: "Tensor | np.ndarray", *args, train: bool = True) -> Tensor:
+    """One call of ``module`` recorded as ONE tape node over ``infer`` and ``backward``.
+
+    The forward is ``module.infer`` with a cache of the node's own; the
+    backward is ``module.backward`` over a copy of that cache (so the node
+    can be differentiated twice), which accumulates the module's parameter
+    gradients and, when ``x`` requires one, the input gradient.  ``x`` is a
+    tensor, or an array the node treats as a constant (token indices);
+    further arguments pass to ``infer`` unchanged.  A parameter slot may
+    hold a :class:`Tensor` leaf instead of a ``Parameter``: the module's
+    backward then accumulates into it, and it is one of the node's parents.
+    """
+    taped = isinstance(x, Tensor)
+    cache: list = []
+    out = module.infer(x.data if taped else x, *args, cache=cache, train=train)
+
+    def backward_fn(grad: np.ndarray) -> None:
+        input_grad = taped and x.requires_grad
+        grad_x = module.backward(grad, list(cache), input_grad=input_grad)
+        if input_grad:
+            x.accumulate(grad_x)
+
+    leaves = tuple(p for p in module.parameters() if isinstance(p, Tensor))
+    parents = ((x,) if taped else ()) + leaves
+    return Tensor(out, requires_grad=True, _parents=parents, _backward_fn=backward_fn)

@@ -1,16 +1,16 @@
 """Reference layers on the primitive-op tape, for checking the layers' VJPs.
 
-Each layer of :mod:`repro.nn` is one tape node over an array kernel and a
-hand-written vector-Jacobian product.  The functions here compute the same
-layers from primitive :class:`~repro.nn.Tensor` operations (or, for the
-convolution, an ``as_strided`` im2col with an einsum and a col2im scatter),
-so the tape differentiates them op by op.  They are the implementations the
-one-node layers replaced; tests run both on the same values and compare.
+Each layer of :mod:`repro.nn` is an array kernel with a hand-written
+vector-Jacobian product.  The functions here compute the same layers from
+primitive :class:`tape.Tensor` operations (or, for the convolution, an
+``as_strided`` im2col with an einsum and a col2im scatter), so the tape
+differentiates them op by op.  They are the implementations the kernels
+replaced; tests run both on the same values and compare.
 """
 
 import numpy as np
 
-from repro.nn import Tensor
+from tape import Tensor
 
 
 def _im2col(x, kh, kw, stride, pad):
@@ -56,11 +56,11 @@ def ref_conv2d(x, weight, bias=None, stride=1, padding=0):
     def backward_fn(grad):
         grad_mat = grad.reshape(n, oc, out_h * out_w)
         if bias is not None:
-            bias._accumulate(grad_mat.sum(axis=(0, 2)))
+            bias.accumulate(grad_mat.sum(axis=(0, 2)))
         grad_w = np.einsum("nol,nkl->ok", grad_mat, cols, optimize=True)
-        weight._accumulate(grad_w.reshape(weight.shape))
+        weight.accumulate(grad_w.reshape(weight.shape))
         grad_cols = np.einsum("ok,nol->nkl", w_mat, grad_mat, optimize=True)
-        x._accumulate(_col2im(grad_cols, (n, c, h, w), kh, kw, stride, padding))
+        x.accumulate(_col2im(grad_cols, (n, c, h, w), kh, kw, stride, padding))
 
     return x._make(out.reshape(n, oc, out_h, out_w), parents, backward_fn)
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from tape import ParameterLeaf, Tensor, module_node, softmax
 from taped_oracles import ref_embedding, ref_layer_norm, ref_silu, ref_upsample_nearest
 
 from repro.baselines import (
@@ -23,7 +24,7 @@ from repro.baselines.cae import ConvDecoder, ConvEncoder
 from repro.baselines.legalgan import _DenoisingCNN
 from repro.baselines.transformer import SequenceModel
 from repro.metrics.validity import _MLPAutoencoder
-from repro.nn import Tensor
+from repro.nn import functional as F
 
 
 @pytest.fixture(scope="module")
@@ -91,10 +92,8 @@ class TestCAEAndVCAE:
         long.fit(train_matrices, rng=0)
 
         def reconstruction_error(generator):
-            from repro.nn import Tensor
-
             x = train_matrices[:8, None].astype(np.float32)
-            recon = generator.decoder(generator.encoder(Tensor(x))).numpy()
+            recon = generator.decoder.infer(generator.encoder.infer(x))
             return float(((recon - x) ** 2).mean())
 
         assert reconstruction_error(long) < reconstruction_error(short)
@@ -110,15 +109,13 @@ class TestCAEAndVCAE:
         assert set(np.unique(out)).issubset({0, 1})
 
     def test_vcae_decoder_output_varies_with_latent(self, train_matrices):
-        from repro.nn import Tensor
-
         generator = VCAEGenerator(VCAEConfig(iterations=15, base_channels=8, latent_dim=8))
         generator.fit(train_matrices, rng=0)
         rng = np.random.default_rng(0)
         z_a = rng.standard_normal((1, 8)).astype(np.float32)
         z_b = rng.standard_normal((1, 8)).astype(np.float32)
-        probs_a = generator.decoder(Tensor(z_a)).numpy()
-        probs_b = generator.decoder(Tensor(z_b)).numpy()
+        probs_a = generator.decoder.infer(z_a)
+        probs_b = generator.decoder.infer(z_b)
         assert not np.allclose(probs_a, probs_b)
 
     def test_vcae_generate_before_fit_raises(self):
@@ -182,17 +179,15 @@ class TestLayouTransformer:
             LayouTransformerGenerator().generate(1)
 
     def test_training_reduces_sequence_loss(self, train_matrices):
-        from repro.nn import functional as F
-
         config = LayouTransformerConfig(iterations=60, dim=16, layers=1, max_runs=10, seed=0)
         generator = LayouTransformerGenerator(config)
         generator.fit(train_matrices, rng=0)
         tokens = generator._encode_batch(train_matrices[:8])
         inputs, targets = tokens[:, :-1], tokens[:, 1:]
-        logits = generator.model(inputs)
+        logits = generator.model.infer(inputs)
         one_hot_targets = np.zeros(logits.shape, dtype=np.float32)
         np.put_along_axis(one_hot_targets, targets[..., None], 1.0, axis=-1)
-        trained_loss = F.cross_entropy_with_logits(logits, one_hot_targets, axis=-1).item()
+        trained_loss, _ = F.cross_entropy(logits, one_hot_targets)
         vocab = train_matrices.shape[1] + 2
         assert trained_loss < np.log(vocab)
 
@@ -200,44 +195,56 @@ class TestLayouTransformer:
 # --------------------------------------------------------------------------- #
 # Composite modules against the per-layer tape they replaced
 # --------------------------------------------------------------------------- #
-# Each baseline network is one tape node whose backward chains its layers'
-# VJPs by hand.  The oracles are the deleted taped ``forward`` methods, with
-# every layer its own node and SiLU / sigmoid / upsampling on the primitive
+# Each baseline network's ``backward`` chains its layers' VJPs by hand.  The
+# oracles are the deleted taped ``forward`` methods, with every layer its own
+# oracle node and SiLU / sigmoid / upsampling / attention on the primitive
 # tape.  Rounding may differ, so the comparison is at float32 tolerance.
 GRAD_RTOL = 1e-5
 
 
+def call(module, x):
+    return module_node(module, x)
+
+
 def taped_encoder(encoder, x):
-    hidden = ref_silu(encoder.conv2(ref_silu(encoder.conv1(x))))
-    return encoder.proj(hidden.reshape(hidden.shape[0], -1))
+    hidden = ref_silu(call(encoder.conv2, ref_silu(call(encoder.conv1, x))))
+    return call(encoder.proj, hidden.reshape(hidden.shape[0], -1))
 
 
 def taped_decoder(decoder, z):
-    hidden = ref_silu(decoder.expand(z)).reshape(z.shape[0], *decoder.hidden_shape)
-    hidden = ref_silu(decoder.conv1(ref_upsample_nearest(hidden, 2)))
-    hidden = ref_silu(decoder.conv2(ref_upsample_nearest(hidden, 2)))
-    return decoder.head(hidden).sigmoid()
+    hidden = ref_silu(call(decoder.expand, z)).reshape(z.shape[0], *decoder.hidden_shape)
+    hidden = ref_silu(call(decoder.conv1, ref_upsample_nearest(hidden, 2)))
+    hidden = ref_silu(call(decoder.conv2, ref_upsample_nearest(hidden, 2)))
+    return call(decoder.head, hidden).sigmoid()
 
 
 def taped_sequential(net, x):
     for layer in net.layers:
-        x = taped_sequential(layer, x) if hasattr(layer, "layers") else layer(x)
+        x = taped_sequential(layer, x) if hasattr(layer, "layers") else call(layer, x)
     return x
 
 
+def taped_attention(attn, x):
+    _, seq_len, dim = x.shape
+    q, k, v = (call(layer, x) for layer in (attn.query, attn.key, attn.value))
+    scores = (q @ k.transpose(0, 2, 1)) * (1.0 / np.sqrt(dim))
+    mask = np.triu(np.full((seq_len, seq_len), -1e9, dtype=np.float32), k=1)
+    return call(attn.proj, softmax(scores + Tensor(mask), axis=-1) @ v)
+
+
 def taped_sequence_model(model, tokens):
-    """The transformer's forward with LayerNorm and Embedding on the primitive tape."""
+    """The transformer's forward with attention, LayerNorm and Embedding on the primitive tape."""
 
     def norm(layer, x):
-        return ref_layer_norm(x, layer.weight, layer.bias, layer.eps)
+        return ref_layer_norm(x, ParameterLeaf(layer.weight), ParameterLeaf(layer.bias), layer.eps)
 
     positions = np.arange(tokens.shape[1])
-    x = ref_embedding(model.token_embedding.weight, tokens)
-    x = x + ref_embedding(model.position_embedding.weight, positions)
+    x = ref_embedding(ParameterLeaf(model.token_embedding.weight), tokens)
+    x = x + ref_embedding(ParameterLeaf(model.position_embedding.weight), positions)
     for block in model.blocks:
-        x = x + block.attn(norm(block.norm1, x))
-        x = x + block.mlp_out(block.act(block.mlp_in(norm(block.norm2, x))))
-    return model.head(norm(model.norm, x))
+        x = x + taped_attention(block.attn, norm(block.norm1, x))
+        x = x + call(block.mlp_out, call(block.act, call(block.mlp_in, norm(block.norm2, x))))
+    return call(model.head, norm(model.norm, x))
 
 
 def _run(module, forward, inputs, input_grad):
@@ -249,7 +256,7 @@ def _run(module, forward, inputs, input_grad):
 
 
 def assert_matches_per_layer_tape(module, oracle, inputs, input_grad=True):
-    out, grads, dx = _run(module, lambda m, x: m(x), inputs, input_grad)
+    out, grads, dx = _run(module, call, inputs, input_grad)
     ref_out, ref_grads, ref_dx = _run(module, oracle, inputs, input_grad)
     np.testing.assert_allclose(out, ref_out, rtol=GRAD_RTOL, atol=GRAD_RTOL)
     assert all(g is not None for g in grads)
@@ -288,9 +295,9 @@ class TestCompositeReversePass:
 
     @pytest.mark.parametrize("layers", [1, 2])
     def test_layoutransformer_layer_norm_and_embedding(self, layers):
-        # LayerNorm's closed-form VJP and Embedding's scatter-add against the
-        # primitive-op composition and the tape's gather.  Repeated tokens
-        # exercise the scatter-add.
+        # The attention's reverse pass, LayerNorm's closed-form VJP and
+        # Embedding's scatter-add against the primitive-op composition and
+        # the tape's gather.  Repeated tokens exercise the scatter-add.
         model = SequenceModel(18, 32, 16, layers, np.random.default_rng(7))
         tokens = np.random.default_rng(8).integers(0, 18, size=(3, 12))
         assert_matches_per_layer_tape(model, taped_sequence_model, tokens, input_grad=False)

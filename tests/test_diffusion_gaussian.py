@@ -41,9 +41,20 @@ class TestGaussianDiffusion:
     def test_loss_is_finite(self):
         model = tiny_gaussian_model()
         x0 = np.random.default_rng(0).integers(0, 2, size=(4, 4, 8, 8))
-        loss, metrics = model.loss(x0, rng=0)
-        assert np.isfinite(loss.item())
+        _, metrics = model.loss(x0, rng=0)
+        assert np.isfinite(metrics["loss"])
         assert metrics["loss"] >= 0.0
+
+    @pytest.mark.parametrize("offset", [0, -1, 9], ids=["0", "-1", "K+1"])
+    def test_loss_rejects_timestep_outside_chain(self, offset):
+        # k=0 and k=-1 used to index alpha_bars[-1] and [-2], the chain's
+        # last steps; K+1 raised a bare numpy IndexError.
+        model = tiny_gaussian_model(num_steps=8)
+        x0 = np.zeros((2, 4, 8, 8), dtype=np.int64)
+        with pytest.raises(IndexError, match=rf"k={offset} outside \[1, 8\]"):
+            model.loss(x0, rng=0, k=offset)
+        for k in (1, 8):
+            assert model.loss(x0, rng=0, k=k)[1]["step"] == k
 
     def test_fit_runs_and_returns_history(self):
         model = tiny_gaussian_model()

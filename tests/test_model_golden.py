@@ -15,6 +15,10 @@ threads there:
   iterations.  Training numerics may move at rounding level (reduction
   order in the reverse pass and the gradient-norm clip), so the trajectory
   is checked at the documented tolerance of ``atol=1e-5``.
+* The SHA-256 of the hotspot-expansion U-Net parameters after those 100
+  iterations, computed with the tape-glued loss and held identically under
+  one and two BLAS threads.  The losses alone would let the weights drift
+  at rounding level; this pins them bit for bit.
 
 A failure prints the new values, ready to paste here once a change of
 numerics is intended and documented in ``docs/architecture.md``.
@@ -66,6 +70,8 @@ INFER_DIGESTS = {
     "gaussian/single": "bc38676358c2fbbc9ed05c707ad7458217cb6b35c0427331343e634d9acad604",
 }
 
+HOTSPOT_TRAINED_DIGEST = "93723425ce3c94c95c689e1c24c9e4b1c6e3472b2c94239beb9822cfcf75f4be"
+
 HOTSPOT_LOSSES = [
     0.134785891, 0.470250547, 0.0342468023, 0.0345108807, 0.0337505452, 0.0342782177,
     0.0338575952, 0.0336983688, 0.0338603668, 0.0336146764, 0.0342575274, 0.132764861,
@@ -108,11 +114,18 @@ def test_infer_digest(models, key):
     assert digest == INFER_DIGESTS[key], f"new digest for {key}: {digest}"
 
 
-def test_hotspot_training_losses():
+@pytest.fixture(scope="module")
+def hotspot_fit():
+    """``(per-iteration losses, trained U-Net)`` of the hotspot-expansion fit."""
     plan = builtin_registry().resolve("hotspot-expansion").lower()
     pipeline = DiffPatternPipeline(plan.config)
     pipeline.prepare_data(num_patterns=plan.num_training_patterns)
     losses = [entry["loss"] for entry in pipeline.train(iterations=len(HOTSPOT_LOSSES))]
+    return losses, pipeline.diffusion.model
+
+
+def test_hotspot_training_losses(hotspot_fit):
+    losses, _ = hotspot_fit
     np.testing.assert_allclose(
         losses,
         HOTSPOT_LOSSES,
@@ -120,3 +133,11 @@ def test_hotspot_training_losses():
         atol=LOSS_ATOL,
         err_msg="new losses: " + ", ".join(f"{v:.9g}" for v in losses),
     )
+
+
+def test_hotspot_trained_parameters(hotspot_fit):
+    sha = hashlib.sha256()
+    for param in hotspot_fit[1].parameters():
+        sha.update(np.ascontiguousarray(param.data).tobytes())
+    digest = sha.hexdigest()
+    assert digest == HOTSPOT_TRAINED_DIGEST, f"new trained-parameter digest: {digest}"

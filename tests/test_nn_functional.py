@@ -1,8 +1,9 @@
 """Unit tests for repro.nn.functional: the array kernels, their VJPs through
-the layers that wrap them, and the taped softmax / loss operators."""
+the layers that wrap them, and the closed-form losses."""
 
 import numpy as np
 import pytest
+from tape import Tensor, module_node, softmax
 from taped_oracles import (
     ref_conv2d,
     ref_embedding,
@@ -15,7 +16,7 @@ from taped_oracles import (
 )
 
 from repro.diffusion import DiscreteDiffusion
-from repro.nn import Conv2d, Dropout, Embedding, GroupNorm, LayerNorm, Linear, SiLU, Tensor, UNet
+from repro.nn import Conv2d, Dropout, Embedding, GroupNorm, LayerNorm, Linear, SiLU, UNet
 from repro.nn import functional as F
 from repro.scenarios import builtin_registry
 
@@ -67,7 +68,7 @@ class TestConv2d:
         layer.weight.data[...] = w
         layer.bias.data[...] = b
         xt = Tensor(x.astype(np.float32), requires_grad=True)
-        out = layer(xt)
+        out = module_node(layer, xt)
         (out * out).sum().backward()
 
         eps = 1e-3
@@ -99,30 +100,31 @@ class TestPoolingAndUpsampling:
 
 class TestSoftmaxAndLosses:
     def test_softmax_sums_to_one(self):
-        x = Tensor(np.random.default_rng(0).normal(size=(3, 5)).astype(np.float32))
-        probs = F.softmax(x, axis=-1).numpy()
+        x = np.random.default_rng(0).normal(size=(3, 5)).astype(np.float32)
+        probs = F.softmax_array(x, axis=-1)
         np.testing.assert_allclose(probs.sum(axis=-1), np.ones(3), rtol=1e-5)
 
     def test_softmax_stability_with_large_logits(self):
-        x = Tensor(np.array([[1000.0, 1000.0]], dtype=np.float32))
-        probs = F.softmax(x, axis=-1).numpy()
+        probs = F.softmax_array(np.array([[1000.0, 1000.0]], dtype=np.float32), axis=-1)
         np.testing.assert_allclose(probs, [[0.5, 0.5]], rtol=1e-5)
 
     def test_log_softmax_consistency(self):
-        x = Tensor(np.random.default_rng(1).normal(size=(4, 3)).astype(np.float32))
-        np.testing.assert_allclose(
-            F.log_softmax(x).numpy(), np.log(F.softmax(x).numpy() + 1e-12), atol=1e-4
-        )
+        # The log-softmax inside the cross-entropy agrees with log(softmax).
+        x = np.random.default_rng(1).normal(size=(4, 3)).astype(np.float32)
+        targets = np.eye(3, dtype=np.float32)[[0, 2, 1, 1]]
+        loss, _ = F.cross_entropy(x, targets)
+        expected = -(targets * np.log(F.softmax_array(x) + 1e-12)).sum(axis=-1).mean()
+        assert loss == pytest.approx(expected, abs=1e-4)
 
     def test_cross_entropy_perfect_prediction_is_small(self):
-        logits = Tensor(np.array([[10.0, -10.0], [-10.0, 10.0]], dtype=np.float32))
+        logits = np.array([[10.0, -10.0], [-10.0, 10.0]], dtype=np.float32)
         targets = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
-        assert F.cross_entropy_with_logits(logits, targets).item() < 1e-3
+        assert F.cross_entropy(logits, targets)[0] < 1e-3
 
     def test_cross_entropy_uniform_prediction(self):
-        logits = Tensor(np.zeros((5, 2), dtype=np.float32))
+        logits = np.zeros((5, 2), dtype=np.float32)
         targets = np.eye(2, dtype=np.float32)[np.zeros(5, dtype=int)]
-        assert F.cross_entropy_with_logits(logits, targets).item() == pytest.approx(np.log(2), rel=1e-3)
+        assert F.cross_entropy(logits, targets)[0] == pytest.approx(np.log(2), rel=1e-3)
 
 
 class TestNormalisation:
@@ -147,13 +149,12 @@ class TestNormalisation:
 
 class TestDropoutAndEmbeddingInputs:
     def test_dropout_identity_in_eval(self):
-        x = Tensor(np.ones((4, 4), dtype=np.float32))
-        out = Dropout(0.5, np.random.default_rng(0)).eval()(x)
-        np.testing.assert_array_equal(out.numpy(), x.numpy())
+        x = np.ones((4, 4), dtype=np.float32)
+        np.testing.assert_array_equal(Dropout(0.5, np.random.default_rng(0)).infer(x), x)
 
     def test_dropout_scales_surviving_units(self):
         x = Tensor(np.ones((1000,), dtype=np.float32), requires_grad=True)
-        out = Dropout(0.5, np.random.default_rng(0))(x)
+        out = module_node(Dropout(0.5, np.random.default_rng(0)), x, train=True)
         assert set(np.unique(out.numpy())).issubset({0.0, 2.0})
         assert abs(out.numpy().mean() - 1.0) < 0.15
         out.sum().backward()
@@ -161,7 +162,7 @@ class TestDropoutAndEmbeddingInputs:
 
     def test_dropout_invalid_rate(self):
         with pytest.raises(ValueError):
-            Dropout(1.0, np.random.default_rng(0))(Tensor(np.ones(3)))
+            Dropout(1.0, np.random.default_rng(0)).infer(np.ones(3, np.float32), train=True)
 
     def test_sinusoidal_embedding_shape_and_range(self):
         emb = F.sinusoidal_embedding(np.array([0, 1, 100]), 16)
@@ -180,11 +181,11 @@ class TestDropoutAndEmbeddingInputs:
 # --------------------------------------------------------------------------- #
 # One-node layers against the primitive-op compositions they replaced
 # --------------------------------------------------------------------------- #
-# Each layer call is one tape node over an array kernel and its VJP.  The
-# references (tests/taped_oracles.py) are the taped implementations it
-# superseded: an as_strided im2col + einsum convolution with a col2im
-# backward, and the other layers composed from primitive Tensor ops.  VJPs
-# must agree to a tolerance fixed up front.
+# Each layer call is wrapped as one oracle tape node over its infer and
+# backward (tests/tape.py).  The references (tests/taped_oracles.py) are the
+# taped implementations the kernels superseded: an as_strided im2col +
+# einsum convolution with a col2im backward, and the other layers composed
+# from primitive Tensor ops.  VJPs must agree to a tolerance fixed up front.
 VJP_TOL = {"rtol": 1e-5, "atol": 1e-6}
 
 
@@ -241,7 +242,7 @@ def layer_op(layer):
         for name, param in zip(names, params):
             layer._parameters[name] = param
             object.__setattr__(layer, name, param)
-        return layer(x)
+        return module_node(layer, x)
 
     return op
 
@@ -403,52 +404,61 @@ class TestSingleNodeEmbedding:
 class TestSingleNodeSoftmaxAndSilu:
     @pytest.mark.parametrize("axis", [-1, 1])
     def test_softmax(self, axis):
+        # The oracle node runs the library's softmax_array and softmax_backward.
         arrays = [_array(np.random.default_rng(7), (3, 4, 5), 2.0)]
-        taped = F.softmax(Tensor(arrays[0]), axis=axis)
+        taped = softmax(Tensor(arrays[0]), axis=axis)
         np.testing.assert_array_equal(taped.data, F.softmax_array(arrays[0], axis=axis))
         out, leaves, upstream = assert_vjp_matches(
-            lambda t: F.softmax(t, axis=axis), lambda t: ref_softmax(t, axis=axis), arrays
+            lambda t: softmax(t, axis=axis), lambda t: ref_softmax(t, axis=axis), arrays
         )
         assert_matches_finite_differences(
-            lambda t: F.softmax(t, axis=axis), arrays, out, leaves, upstream
+            lambda t: softmax(t, axis=axis), arrays, out, leaves, upstream
         )
 
     @pytest.mark.parametrize("axis", [-1, 1])
     def test_log_softmax(self, axis):
-        arrays = [_array(np.random.default_rng(8), (3, 4, 5), 2.0)]
-        # No separate array kernel: the node computes exactly the old
-        # composition's values, so the forward is compared bit for bit.
-        np.testing.assert_array_equal(
-            F.log_softmax(Tensor(arrays[0]), axis=axis).data,
-            ref_log_softmax(Tensor(arrays[0]), axis=axis).data,
+        # The closed-form cross-entropy (log-softmax and its VJP) against the
+        # primitive composition, on soft targets along ``axis``.
+        rng = np.random.default_rng(8)
+        logits = _array(rng, (3, 4, 5), 2.0)
+        targets = F.softmax_array(_array(rng, (3, 4, 5), 2.0), axis=axis)
+        loss, grad = F.cross_entropy(
+            np.moveaxis(logits, axis, -1), np.moveaxis(targets, axis, -1)
         )
-        out, leaves, upstream = assert_vjp_matches(
-            lambda t: F.log_softmax(t, axis=axis), lambda t: ref_log_softmax(t, axis=axis), arrays
-        )
-        assert_matches_finite_differences(
-            lambda t: F.log_softmax(t, axis=axis), arrays, out, leaves, upstream
-        )
+        leaf = Tensor(logits, requires_grad=True)
+        expected = -(Tensor(targets) * ref_log_softmax(leaf, axis=axis)).sum(axis=axis).mean()
+        expected.backward()
+        assert loss == pytest.approx(expected.item(), rel=1e-6)
+        np.testing.assert_allclose(np.moveaxis(grad, -1, axis), leaf.grad, **VJP_TOL)
 
     def test_silu(self):
         arrays = [_array(np.random.default_rng(9), (4, 6), 2.0)]
         silu = SiLU()
-        np.testing.assert_array_equal(silu(Tensor(arrays[0])).data, F.silu_array(arrays[0]))
-        out, leaves, upstream = assert_vjp_matches(silu, ref_silu, arrays)
-        assert_matches_finite_differences(silu, arrays, out, leaves, upstream)
+
+        def op(t):
+            return module_node(silu, t)
+
+        np.testing.assert_array_equal(op(Tensor(arrays[0])).data, F.silu_array(arrays[0]))
+        out, leaves, upstream = assert_vjp_matches(op, ref_silu, arrays)
+        assert_matches_finite_differences(op, arrays, out, leaves, upstream)
 
     def test_each_is_one_node(self):
+        # The oracle wrappers record one node per call, so each VJP under
+        # test runs whole; substituted parameter leaves are parents too.
         x = Tensor(np.zeros((2, 3), np.float32), requires_grad=True)
-        for out in (F.softmax(x), F.log_softmax(x), SiLU()(x)):
+        for out in (softmax(x), module_node(SiLU(), x)):
             assert out._parents == (x,)
-        layer = Linear(3, 4)
-        assert layer(x)._parents == (x, layer.weight, layer.bias)
+        weight = Tensor(np.zeros((4, 3), np.float32), requires_grad=True)
+        bias = Tensor(np.zeros(4, np.float32), requires_grad=True)
+        assert layer_op(Linear(3, 4))(x, weight, bias)._parents == (x, weight, bias)
 
 
-def test_hotspot_training_step_graph_stays_small():
-    """One hotspot-expansion loss graph: at most 8 nodes with a backward.
+def test_hotspot_training_step_graph_stays_small(monkeypatch):
+    """One hotspot-expansion training iteration runs ONE U-Net reverse pass.
 
-    The loss and the U-Net are one node each; the per-layer tape recorded 192
-    for the same step, and the primitive-op tape before it 547.
+    The loss gradient is closed form and the U-Net is one ``backward`` call.
+    The per-layer tape recorded 192 nodes for the same step, and the
+    primitive-op tape before it 547.
     """
     plan = builtin_registry().resolve("hotspot-expansion").lower()
     config = plan.config
@@ -457,6 +467,14 @@ def test_hotspot_training_step_graph_stays_small():
     x0 = np.random.default_rng(0).integers(
         0, 2, size=(config.batch_size, unet.in_channels, unet.image_size, unet.image_size)
     )
-    loss, _ = diffusion.loss(x0, rng=0)
-    nodes = sum(1 for node in loss.graph() if node._backward_fn is not None)
-    assert 0 < nodes <= 8
+    calls = []
+    reverse = UNet.backward
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return reverse(self, *args, **kwargs)
+
+    monkeypatch.setattr(UNet, "backward", counting)
+    history = diffusion.fit(x0, iterations=1, batch_size=config.batch_size, rng=0)
+    assert calls == [diffusion.model]
+    assert history[0]["grad_norm"] > 0.0

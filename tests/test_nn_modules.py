@@ -1,10 +1,10 @@
-"""Unit tests for the module system, layers, optimisers and serialisation."""
+"""Unit tests for the module system, layers, optimiser, fit loop and serialisation."""
 
 import numpy as np
 import pytest
+from tape import Tensor, module_node
 
 from repro.nn import (
-    SGD,
     Adam,
     Conv2d,
     Dropout,
@@ -18,12 +18,12 @@ from repro.nn import (
     Sequential,
     Sigmoid,
     SiLU,
-    Tensor,
     clip_grad_norm,
-    no_grad,
+    fit,
     load_checkpoint,
     save_checkpoint,
 )
+from repro.nn import functional as F
 
 
 class TinyNet(Module):
@@ -33,8 +33,18 @@ class TinyNet(Module):
         self.act = SiLU()
         self.fc2 = Linear(8, 2, rng=np.random.default_rng(1))
 
-    def forward(self, x):
-        return self.fc2(self.act(self.fc1(x)))
+    def infer(self, x, cache=None, train=False):
+        return self.fc2.infer(self.act.infer(self.fc1.infer(x, cache), cache), cache)
+
+    def backward(self, grad, cache, input_grad=True):
+        return self.fc1.backward(self.act.backward(self.fc2.backward(grad, cache), cache), cache)
+
+
+def _sum_backward(net, x):
+    """Accumulate the gradients of ``net.infer(x).sum()`` into ``net``'s parameters."""
+    cache = []
+    out = net.infer(x, cache)
+    net.backward(np.ones_like(out), cache)
 
 
 class TestModuleSystem:
@@ -44,17 +54,9 @@ class TestModuleSystem:
         assert "fc1.weight" in names and "fc2.bias" in names
         assert net.num_parameters() == 4 * 8 + 8 + 8 * 2 + 2
 
-    def test_train_eval_propagates(self):
-        net = Sequential(Dropout(0.5), Linear(2, 2))
-        net.eval()
-        assert all(not m.training for m in net.modules())
-        net.train()
-        assert all(m.training for m in net.modules())
-
     def test_zero_grad_clears_all(self):
         net = TinyNet()
-        out = net(Tensor(np.ones((3, 4), dtype=np.float32)))
-        out.sum().backward()
+        _sum_backward(net, np.ones((3, 4), dtype=np.float32))
         assert any(p.grad is not None for p in net.parameters())
         net.zero_grad()
         assert all(p.grad is None for p in net.parameters())
@@ -87,14 +89,14 @@ class TestModuleSystem:
         save_checkpoint(net, path)
         other = TinyNet()
         load_checkpoint(other, path)
-        x = Tensor(np.ones((2, 4), dtype=np.float32))
-        np.testing.assert_allclose(net(x).numpy(), other(x).numpy())
+        x = np.ones((2, 4), dtype=np.float32)
+        np.testing.assert_allclose(net.infer(x), other.infer(x))
 
 
 class TestLayers:
     def test_linear_shapes(self):
         layer = Linear(5, 3, rng=np.random.default_rng(0))
-        out = layer(Tensor(np.ones((7, 5), dtype=np.float32)))
+        out = layer.infer(np.ones((7, 5), dtype=np.float32))
         assert out.shape == (7, 3)
 
     def test_linear_without_bias(self):
@@ -104,7 +106,7 @@ class TestLayers:
 
     def test_conv2d_output_shape(self):
         layer = Conv2d(3, 8, 3, stride=2, padding=1, rng=np.random.default_rng(0))
-        out = layer(Tensor(np.zeros((2, 3, 8, 8), dtype=np.float32)))
+        out = layer.infer(np.zeros((2, 3, 8, 8), dtype=np.float32))
         assert out.shape == (2, 8, 4, 4)
 
     def test_groupnorm_validates_divisibility(self):
@@ -113,33 +115,32 @@ class TestLayers:
 
     def test_groupnorm_identity_stats(self):
         layer = GroupNorm(2, 4)
-        x = Tensor(np.random.default_rng(0).normal(size=(2, 4, 3, 3)).astype(np.float32))
-        out = layer(x).numpy()
+        x = np.random.default_rng(0).normal(size=(2, 4, 3, 3)).astype(np.float32)
+        out = layer.infer(x)
         assert abs(out.mean()) < 0.1
 
     def test_layernorm_shape(self):
         layer = LayerNorm(6)
-        out = layer(Tensor(np.ones((2, 5, 6), dtype=np.float32)))
+        out = layer.infer(np.ones((2, 5, 6), dtype=np.float32))
         assert out.shape == (2, 5, 6)
 
     def test_identity_passthrough(self):
-        x = Tensor(np.arange(4, dtype=np.float32))
-        assert np.array_equal(Identity()(x).numpy(), x.numpy())
+        x = np.arange(4, dtype=np.float32)
+        assert np.array_equal(Identity().infer(x), x)
 
     def test_embedding_lookup_and_range_check(self):
         layer = Embedding(10, 4, rng=np.random.default_rng(0))
-        out = layer(np.array([[1, 2], [3, 4]]))
+        out = layer.infer(np.array([[1, 2], [3, 4]]))
         assert out.shape == (2, 2, 4)
         with pytest.raises(IndexError):
-            layer(np.array([10]))
+            layer.infer(np.array([10]))
 
     def test_dropout_respects_training_flag(self):
         layer = Dropout(0.9, rng=np.random.default_rng(0))
-        x = Tensor(np.ones((100,), dtype=np.float32))
-        layer.eval()
-        np.testing.assert_array_equal(layer(x).numpy(), x.numpy())
-        layer.train()
-        assert (layer(x).numpy() == 0.0).any()
+        x = np.ones((100,), dtype=np.float32)
+        np.testing.assert_array_equal(layer.infer(x), x)
+        np.testing.assert_array_equal(layer.infer(x, train=False), x)
+        assert (layer.infer(x, train=True) == 0.0).any()
 
 
 def _protocol_net(seed=0):
@@ -163,25 +164,26 @@ def _call_and_grads(net, forward, input_grad=True):
 
 def _per_layer(net, x):
     for layer in net.layers:
-        x = layer(x)
+        x = module_node(layer, x)
     return x
 
 
 class TestModuleProtocol:
-    """A module call is ONE tape node over ``infer`` and ``backward``."""
+    """A composite's ``infer``/``backward`` equal its layers chained one by one."""
 
     def test_composite_call_records_one_node(self):
+        # The oracle wraps a whole composite as one node over its reverse pass.
         net = _protocol_net()
         x = Tensor(np.ones((2, 2, 6, 6), dtype=np.float32), requires_grad=True)
-        out = net(x)
-        assert out._parents == (x, *net.parameters())
+        out = module_node(net, x)
+        assert out._parents == (x,)
         assert sum(1 for node in out.graph() if node._backward_fn is not None) == 1
 
     @pytest.mark.parametrize("input_grad", [True, False])
     def test_composite_equals_per_layer_tape(self, input_grad):
         # Same kernels and VJPs, chained by Sequential.backward instead of by
         # the tape: values, dropout draws and gradients agree bit for bit.
-        out, dx, grads = _call_and_grads(_protocol_net(), lambda n, x: n(x), input_grad)
+        out, dx, grads = _call_and_grads(_protocol_net(), module_node, input_grad)
         ref_out, ref_dx, ref_grads = _call_and_grads(_protocol_net(), _per_layer, input_grad)
         np.testing.assert_array_equal(out.data, ref_out.data)
         for grad, ref in zip(grads, ref_grads):
@@ -191,57 +193,24 @@ class TestModuleProtocol:
         else:
             assert dx is None and ref_dx is None
 
-    def test_eval_call_is_infer(self):
-        net = _protocol_net().eval()
-        x = np.random.default_rng(3).normal(size=(2, 2, 6, 6)).astype(np.float32)
-        np.testing.assert_array_equal(net(Tensor(x)).data, net.infer(x))
-
-    def test_no_grad_call_records_nothing(self):
-        net = _protocol_net()
-        with no_grad():
-            out = net(Tensor(np.ones((1, 2, 6, 6), dtype=np.float32), requires_grad=True))
-        assert not out.requires_grad
-        assert out._parents == () and out._backward_fn is None
-
 
 class TestOptimisers:
     def _quadratic_problem(self):
         target = np.array([3.0, -2.0], dtype=np.float32)
         param = Parameter(np.zeros(2, dtype=np.float32))
 
-        def loss_fn():
-            diff = param - Tensor(target)
-            return (diff * diff).sum()
+        def backward():
+            # The gradient of sum((param - target)²).
+            param.accumulate(2.0 * (param.data - target))
 
-        return param, target, loss_fn
-
-    def test_sgd_converges_on_quadratic(self):
-        param, target, loss_fn = self._quadratic_problem()
-        opt = SGD([param], lr=0.1)
-        for _ in range(200):
-            loss = loss_fn()
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-        np.testing.assert_allclose(param.data, target, atol=1e-2)
-
-    def test_sgd_momentum_converges(self):
-        param, target, loss_fn = self._quadratic_problem()
-        opt = SGD([param], lr=0.05, momentum=0.9)
-        for _ in range(200):
-            loss = loss_fn()
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-        np.testing.assert_allclose(param.data, target, atol=1e-2)
+        return param, target, backward
 
     def test_adam_converges_on_quadratic(self):
-        param, target, loss_fn = self._quadratic_problem()
+        param, target, backward = self._quadratic_problem()
         opt = Adam([param], lr=0.1)
         for _ in range(300):
-            loss = loss_fn()
             opt.zero_grad()
-            loss.backward()
+            backward()
             opt.step()
         np.testing.assert_allclose(param.data, target, atol=5e-2)
 
@@ -249,9 +218,8 @@ class TestOptimisers:
         param = Parameter(np.full(4, 10.0, dtype=np.float32))
         opt = Adam([param], lr=0.1, weight_decay=0.5)
         for _ in range(100):
-            loss = (param * 0.0).sum()
             opt.zero_grad()
-            loss.backward()
+            param.accumulate(np.zeros(4, dtype=np.float32))
             opt.step()
         assert np.abs(param.data).max() < 10.0
 
@@ -281,18 +249,28 @@ class TestTraining:
         net = Sequential(
             Linear(4, 16, rng=rng), SiLU(), Linear(16, 1, rng=rng)
         )
-        opt = Adam(net.parameters(), lr=1e-2)
-        first_loss = None
-        for _ in range(300):
-            pred = net(Tensor(x))
-            diff = pred - Tensor(y)
-            loss = (diff * diff).mean()
-            if first_loss is None:
-                first_loss = loss.item()
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-        assert loss.item() < first_loss * 0.2
+        rows = np.concatenate([x, y], axis=1)
+
+        def loss(batch, gen):
+            cache = []
+            value, grad = F.mse_loss(net.infer(batch[:, :4], cache), batch[:, 4:])
+            return lambda: net.backward(grad, cache, input_grad=False), {"loss": value}
+
+        history = fit(loss, rows, net.parameters(), 300, 64, rng, lr=1e-2)
+        assert [entry["iteration"] for entry in history] == list(range(300))
+        assert "grad_norm" not in history[0]
+        assert history[-1]["loss"] < history[0]["loss"] * 0.2
+
+    def test_fit_clips_only_when_asked(self):
+        param = Parameter(np.zeros(3, dtype=np.float32))
+
+        def loss(batch, gen):
+            return lambda: param.accumulate(np.array([30.0, 40.0, 0.0], np.float32)), {"loss": 0.0}
+
+        data = np.zeros((4, 1), dtype=np.float32)
+        history = fit(loss, data, [param], 2, 2, np.random.default_rng(0), lr=0.1, grad_clip=1.0)
+        assert [entry["grad_norm"] for entry in history] == [pytest.approx(50.0)] * 2
+        assert np.linalg.norm(param.grad) == pytest.approx(1.0, rel=1e-4)
 
 
 class ReferenceAdam:
@@ -381,7 +359,7 @@ class TestFlatAdam:
             for a, b in zip(net.parameters(), source.parameters()):
                 np.testing.assert_array_equal(a.data, b.data)
             loaded = [p.data.copy() for p in net.parameters()]
-            net(Tensor(np.ones((3, 4), dtype=np.float32))).sum().backward()
+            _sum_backward(net, np.ones((3, 4), dtype=np.float32))
             opt.step()
             opt.zero_grad()
             for p, start in zip(net.parameters(), loaded):
@@ -393,11 +371,11 @@ class TestFlatAdam:
         net = TinyNet()
         first = Adam(net.parameters(), lr=0.1)
         second = Adam(net.parameters(), lr=0.1)
-        x = Tensor(np.ones((3, 4), dtype=np.float32))
+        x = np.ones((3, 4), dtype=np.float32)
         for opt in (first, second, first):
             before = [p.data.copy() for p in net.parameters()]
             net.zero_grad()
-            net(x).sum().backward()
+            _sum_backward(net, x)
             opt.step()
             assert all(not np.array_equal(p.data, b) for p, b in zip(net.parameters(), before))
 

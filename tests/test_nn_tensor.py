@@ -1,13 +1,15 @@
-"""Unit tests for the autograd engine (repro.nn.tensor).
+"""Unit tests for the test-oracle autodiff tape (tests/tape.py).
 
-Gradient correctness is verified against central finite differences for every
-primitive that participates in the U-Net: arithmetic, reductions, reshapes,
-activations and matrix multiplication.
+The tape is the reference the layer VJPs and closed-form loss gradients are
+checked against, so its own gradients are verified against central finite
+differences for every primitive the oracles use: arithmetic, reductions,
+reshapes, activations and matrix multiplication.
 """
 
 import numpy as np
+from tape import Tensor, concatenate, module_node, ones, randn, stack, tensor, zeros
 
-from repro.nn import SiLU, Tensor, concatenate, ones, randn, stack, tensor, zeros
+from repro.nn import SiLU
 
 
 def numerical_grad(func, x: np.ndarray, eps: float = 1e-3) -> np.ndarray:
@@ -122,7 +124,9 @@ class TestActivationsGradients:
         check_gradient(lambda t: t.relu().sum(), x)
 
     def test_silu(self):
-        check_gradient(lambda t: SiLU()(t).sum(), np.random.default_rng(11).normal(size=(5,)))
+        check_gradient(
+            lambda t: module_node(SiLU(), t).sum(), np.random.default_rng(11).normal(size=(5,))
+        )
 
     def test_clip_gradient_mask(self):
         t = Tensor(np.array([-2.0, 0.0, 2.0], dtype=np.float32), requires_grad=True)

@@ -1,11 +1,11 @@
-"""Unit tests for the U-Net backbone and its one-node reverse pass."""
+"""Unit tests for the U-Net backbone and its reverse pass."""
 
 import numpy as np
 import pytest
-
+from tape import Tensor, concatenate, module_node, softmax
 from taped_oracles import ref_silu, ref_upsample_nearest
 
-from repro.nn import Tensor, UNet, UNetConfig, concatenate, no_grad
+from repro.nn import UNet, UNetConfig
 from repro.nn import functional as F
 from repro.nn.unet import ResidualBlock, SelfAttention2d, TimestepEmbedding, _norm_groups
 
@@ -31,7 +31,12 @@ def one_hot_input(x, num_classes=2):
     encoded = np.zeros((n, c, num_classes, h, w), dtype=np.float32)
     for cls in range(num_classes):
         encoded[:, :, cls][x == cls] = 1.0
-    return Tensor(encoded.reshape(n, c * num_classes, h, w))
+    return encoded.reshape(n, c * num_classes, h, w)
+
+
+def call(module, x, *args):
+    """One training-mode call of ``module`` as an oracle tape node."""
+    return module_node(module, x, *args, train=True)
 
 
 class TestHelpers:
@@ -74,40 +79,41 @@ class TestUNetForwardBackward:
     def test_output_shape(self):
         net = UNet(tiny_config())
         x = np.random.default_rng(0).integers(0, 2, size=(2, 4, 8, 8))
-        out = net(one_hot_input(x), np.array([1, 3]))
+        out = net.infer(one_hot_input(x), np.array([1, 3]))
         assert out.shape == (2, 4, 2, 8, 8)
 
     def test_output_depends_on_timestep(self):
         net = UNet(tiny_config())
-        net.eval()
         x = np.random.default_rng(0).integers(0, 2, size=(1, 4, 8, 8))
-        out_a = net(one_hot_input(x), np.array([1])).numpy()
-        out_b = net(one_hot_input(x), np.array([7])).numpy()
+        out_a = net.infer(one_hot_input(x), np.array([1]))
+        out_b = net.infer(one_hot_input(x), np.array([7]))
         assert not np.allclose(out_a, out_b)
 
     def test_gradients_reach_every_parameter(self):
         net = UNet(tiny_config())
         x = np.random.default_rng(0).integers(0, 2, size=(2, 4, 8, 8))
-        logits = net(one_hot_input(x), np.array([2, 5]))
+        cache = []
+        logits = net.infer(one_hot_input(x), np.array([2, 5]), cache, train=True)
         target = np.zeros(logits.shape, dtype=np.float32)
         target[:, :, 0] = 1.0
-        loss = F.cross_entropy_with_logits(logits, target, axis=2)
-        loss.backward()
+        _, grad = F.cross_entropy(np.moveaxis(logits, 2, -1), np.moveaxis(target, 2, -1))
+        net.backward(np.moveaxis(grad, -1, 2), cache)
+        assert cache == []
         missing = [name for name, p in net.named_parameters() if p.grad is None]
         assert missing == []
 
     def test_three_level_configuration_runs(self):
         net = UNet(tiny_config(image_size=16, channel_mult=(1, 2, 2), in_channels=1))
         x = np.random.default_rng(0).integers(0, 2, size=(1, 1, 16, 16))
-        out = net(one_hot_input(x), np.array([1]))
+        out = net.infer(one_hot_input(x), np.array([1]))
         assert out.shape == (1, 1, 2, 16, 16)
 
     def test_deterministic_given_seed(self):
         cfg = tiny_config()
         net_a, net_b = UNet(cfg), UNet(cfg)
         x = np.random.default_rng(1).integers(0, 2, size=(1, 4, 8, 8))
-        out_a = net_a(one_hot_input(x), np.array([3])).numpy()
-        out_b = net_b(one_hot_input(x), np.array([3])).numpy()
+        out_a = net_a.infer(one_hot_input(x), np.array([3]))
+        out_b = net_b.infer(one_hot_input(x), np.array([3]))
         np.testing.assert_allclose(out_a, out_b)
 
     def test_parameter_count_grows_with_width(self):
@@ -122,34 +128,34 @@ class TestUNetForwardBackward:
 # These are the deleted ``forward`` methods of the U-Net submodules: each
 # layer is its own tape node (SiLU and upsampling primitive tape ops), so the
 # tape differentiates the network layer by layer and sums the skip and
-# time-embedding gradients itself.  The one-node reverse pass must reproduce
-# their gradients.
+# time-embedding gradients itself.  ``UNet.backward`` must reproduce their
+# gradients.
 
 
 def taped_time_embedding(emb, timesteps):
     base = F.sinusoidal_embedding(timesteps, emb.model_channels)
-    hidden = ref_silu(emb.dense_in(Tensor(base)))
-    return ref_silu(emb.dense_out(hidden))
+    hidden = ref_silu(call(emb.dense_in, Tensor(base)))
+    return ref_silu(call(emb.dense_out, hidden))
 
 
 def taped_residual_block(block, x, time_emb):
-    hidden = block.conv1(ref_silu(block.norm1(x)))
-    time_term = block.time_proj(ref_silu(time_emb))
+    hidden = call(block.conv1, ref_silu(call(block.norm1, x)))
+    time_term = call(block.time_proj, ref_silu(time_emb))
     batch, channels = time_term.shape
     hidden = hidden + time_term.reshape(batch, channels, 1, 1)
-    hidden = block.conv2(block.dropout(ref_silu(block.norm2(hidden))))
-    return hidden + block.skip(x)
+    hidden = call(block.conv2, call(block.dropout, ref_silu(call(block.norm2, hidden))))
+    return hidden + call(block.skip, x)
 
 
 def taped_attention(attn, x):
     batch, channels, height, width = x.shape
-    qkv = attn.qkv(attn.norm(x))
+    qkv = call(attn.qkv, call(attn.norm, x))
     qkv_flat = qkv.reshape(batch, 3, channels, height * width)
     q, k, v = qkv_flat[:, 0], qkv_flat[:, 1], qkv_flat[:, 2]
     scale = 1.0 / np.sqrt(channels)
-    weights = F.softmax((q.transpose(0, 2, 1) @ k) * scale, axis=-1)
+    weights = softmax((q.transpose(0, 2, 1) @ k) * scale, axis=-1)
     out = (v @ weights.transpose(0, 2, 1)).reshape(batch, channels, height, width)
-    return x + attn.proj(out)
+    return x + call(attn.proj, out)
 
 
 def taped_block(kind, module, hidden, time_emb):
@@ -158,14 +164,14 @@ def taped_block(kind, module, hidden, time_emb):
     if kind == "attn":
         return taped_attention(module, hidden)
     if kind == "down":
-        return module.conv(hidden)
-    return module.conv(ref_upsample_nearest(hidden, 2))
+        return call(module.conv, hidden)
+    return call(module.conv, ref_upsample_nearest(hidden, 2))
 
 
 def taped_unet(net, x_onehot, timesteps):
     config = net.config
     time_emb = taped_time_embedding(net.time_embedding, timesteps)
-    hidden = net.conv_in(x_onehot)
+    hidden = call(net.conv_in, x_onehot)
     skips = [hidden]
     for kind, module in net.down_blocks:
         hidden = taped_block(kind, module, hidden, time_emb)
@@ -180,7 +186,7 @@ def taped_unet(net, x_onehot, timesteps):
         if kind == "res":
             hidden = concatenate([hidden, skips.pop()], axis=1)
         hidden = taped_block(kind, module, hidden, time_emb)
-    out = net.conv_out(ref_silu(net.norm_out(hidden)))
+    out = call(net.conv_out, ref_silu(call(net.norm_out, hidden)))
     return out.reshape(
         x_onehot.shape[0],
         config.in_channels,
@@ -222,7 +228,7 @@ def assert_reverse_pass_matches_oracle(config, timesteps, input_grad=True):
     inputs = [_input(config, len(steps), seed=i) for i, steps in enumerate(timesteps)]
     results = [
         _run(UNet(config), forward, inputs, timesteps, input_grad)
-        for forward in (lambda net, x, t: net(x, t), taped_unet)
+        for forward in (call, taped_unet)
     ]
     (outs, grads, input_grads), (ref_outs, ref_grads, ref_input_grads) = results
     for out, ref in zip(outs, ref_outs):
@@ -262,7 +268,7 @@ class TestReversePass:
         # Both forwards consumed the same draws from the shared generator.
         nets = [UNet(config), UNet(config)]
         x = _input(config, 2)
-        nets[0](Tensor(x), np.full(2, 4))
+        call(nets[0], Tensor(x), np.full(2, 4))
         taped_unet(nets[1], Tensor(x), np.full(2, 4))
         assert nets[0].mid_block1.dropout._rng.random() == nets[1].mid_block1.dropout._rng.random()
 
@@ -279,9 +285,9 @@ class TestReversePass:
         assert_reverse_pass_matches_oracle(tiny_config(), [np.full(2, 3)], input_grad=False)
 
     def test_backward_can_run_twice(self):
-        # The reverse pass pops a copy of the node's cache, not the cache.
+        # The oracle node pops a copy of its cache, not the cache.
         net = UNet(tiny_config())
-        out = net(Tensor(_input(net.config, 2)), np.full(2, 3))
+        out = call(net, Tensor(_input(net.config, 2)), np.full(2, 3))
         out.backward(np.ones(out.shape, dtype=np.float32))
         first = {name: p.grad for name, p in net.named_parameters()}
         net.zero_grad()
@@ -292,28 +298,13 @@ class TestReversePass:
 
 
 class TestOneNode:
-    @pytest.mark.parametrize("dropout", [0.0, 0.1])
-    def test_forward_is_infer_bit_for_bit(self, dropout):
-        net = UNet(tiny_config(dropout=dropout))
-        if dropout:
-            net.eval()
-        x = _input(net.config, 3)
-        for steps in (np.full(3, 5), np.array([1, 4, 7])):
-            np.testing.assert_array_equal(net(Tensor(x), steps).data, net.infer(x, steps))
-
     def test_forward_records_one_node(self):
+        # The whole network is one oracle node over infer and backward.
         net = UNet(tiny_config())
         x = Tensor(_input(net.config, 2))
-        out = net(x, np.full(2, 3))
-        assert out._parents == (x, *net.parameters())
+        out = call(net, x, np.full(2, 3))
+        assert out._parents == (x,)
         assert sum(1 for node in out.graph() if node._backward_fn is not None) == 1
-
-    def test_no_grad_call_records_nothing(self):
-        net = UNet(tiny_config())
-        with no_grad():
-            out = net(Tensor(_input(net.config, 2), requires_grad=True), np.full(2, 3))
-        assert not out.requires_grad
-        assert out._parents == () and out._backward_fn is None
 
 
 # --------------------------------------------------------------------------- #
