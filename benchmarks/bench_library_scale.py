@@ -1,9 +1,10 @@
 """Pattern-library v2 at scale — indexed probes, query latency, writer throughput.
 
 The v2 store's claim is that dedup membership and metadata queries stay fast
-as the library grows: the bloom filter answers absent probes without touching
-a shard, and the sorted per-shard hash sidecars bound present probes by a
-binary search.  This harness builds a library far larger than any unit-test
+as the library grows: an indexed probe checks the in-memory hash sets of the
+chunks committed since the last index flush, then binary-searches the
+memory-mapped sorted hash file, present and absent digests alike, without
+touching a shard.  This harness builds a library far larger than any unit-test
 fixture (100k patterns at full scale) and measures:
 
 * **indexed probe speedup** — ``has_pattern`` through the on-disk index

@@ -492,8 +492,7 @@ def _cmd_inspect_library(args: argparse.Namespace) -> int:
     print(
         f"  {'index':<18} covered_seq={stats['covered_seq']} "
         f"merged={stats['merged_patterns']} "
-        f"delta_chunks={stats['delta_chunks']} "
-        f"bloom_bits={stats['bloom_bits']}"
+        f"delta_chunks={stats['delta_chunks']}"
     )
     if library.fingerprint:
         print("  fingerprint:")

@@ -1,6 +1,6 @@
 """Persistent pattern library: npz shards, writer ledgers, on-disk index."""
 
-from .index import BloomFilter, LibraryIndex
+from .index import LibraryIndex
 from .manifest import (
     DEFAULT_WRITER,
     MANIFEST_DIR,
@@ -27,7 +27,6 @@ __all__ = [
     "CompactionReport",
     "LibraryError",
     "PatternHandle",
-    "BloomFilter",
     "LibraryIndex",
     "LibraryLock",
     "WriterLedger",

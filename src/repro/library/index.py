@@ -1,8 +1,8 @@
-"""On-disk hash index: per-shard sidecars, merged sorted files, bloom filter.
+"""On-disk hash index: per-shard sidecars and merged sorted hash files.
 
 Dedup probes must not cost O(library) work per open (parsing every stored
 hash into in-memory sets would dominate long before the solver does).  The
-index answers them from three on-disk structures, all derived data
+index answers them from two on-disk structures, both derived data
 (rebuildable from the shards at any time):
 
 * **sidecars** — each shard commit writes ``index/<shard>.idx.npz`` holding,
@@ -13,26 +13,22 @@ index answers them from three on-disk structures, all derived data
 * **merged sorted hash files** — ``index/pattern_hashes.npy`` and
   ``index/topology_hashes.npy``: one lexicographically sorted ``S40`` array
   each, memory-mapped on open and probed by binary search.
-* **bloom filter** — ``index/bloom.npz``, a classic double-hashing Bloom
-  filter over the pattern hashes.  A negative probe (the overwhelmingly
-  common case while generating fresh patterns) costs ``k`` bit tests and
-  never touches the sorted files.
 
-**Consistency watermark.**  ``index/meta.json`` records ``covered_seq``:
-the merged files and bloom cover exactly the chunk records with
+**Consistency watermark.**  ``index/index_meta.json`` records ``covered_seq``:
+the merged files cover exactly the chunk records with
 ``ChunkRecord.seq <= covered_seq``.  Records beyond the watermark are the
 *delta*: their sidecars are loaded into small in-memory sets on refresh, so
-a probe is ``delta ∪ bloom/sorted`` — exact at every moment.  The index is
-flushed (delta folded into the merged files, watermark advanced) only
-*after* the covered records are durably committed, so every crash leaves the
-watermark at or below the truth: a stale index loses speed, never
-correctness.  ``rebuild()`` regenerates everything from sidecars/shards.
+a probe checks the delta sets, then binary-searches the sorted file — exact
+at every moment.  The index is flushed (delta folded into the merged files,
+watermark advanced) only *after* the covered records are durably committed,
+so every crash leaves the watermark at or below the truth: a stale index
+loses speed, never correctness.  ``rebuild()`` regenerates everything from
+sidecars/shards.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +37,6 @@ from ..faults import declare_fault_points, fault_point
 from .manifest import atomic_write_bytes, atomic_write_text
 
 __all__ = [
-    "BloomFilter",
     "INDEX_DIR",
     "LibraryIndex",
     "SIDECAR_COLUMNS",
@@ -54,7 +49,6 @@ INDEX_DIR = "index"
 META_NAME = "index_meta.json"
 PATTERN_FILE = "pattern_hashes.npy"
 TOPOLOGY_FILE = "topology_hashes.npy"
-BLOOM_FILE = "bloom.npz"
 
 #: Fixed-width dtype of a sha1 hex digest; lexicographic byte order equals
 #: hex-value order, so ``np.searchsorted`` is a correct membership probe.
@@ -67,7 +61,7 @@ SIDECAR_COLUMNS = ("pattern_hash", "topology_hash", "cx", "cy")
 #: Delta chunks tolerated before an append folds them into the merged files.
 FLUSH_DELTA_CHUNKS = 8
 
-declare_fault_points("index:arrays", "index:bloom", "index:meta")
+declare_fault_points("index:arrays", "index:meta")
 
 
 def _as_hash_array(hashes) -> np.ndarray:
@@ -82,56 +76,9 @@ def _as_key(digest) -> bytes:
 def _sorted_contains(arr: np.ndarray, key: bytes) -> bool:
     if arr.size == 0:
         return False
-    position = int(np.searchsorted(arr, np.asarray(key, dtype=HASH_DTYPE)))
-    return position < arr.size and arr[position] == np.asarray(key, dtype=HASH_DTYPE)
-
-
-# --------------------------------------------------------------------------- #
-# bloom filter
-# --------------------------------------------------------------------------- #
-class BloomFilter:
-    """Double-hashing Bloom filter over sha1 hex digests.
-
-    The two base hashes are carved straight out of the digest (a sha1 is
-    already uniform), so membership is deterministic across processes and
-    platforms: ``index_i = (h1 + i * h2) mod num_bits``.
-    """
-
-    def __init__(self, bits: np.ndarray, num_hashes: int, capacity: int) -> None:
-        self.bits = np.asarray(bits, dtype=np.uint8)
-        self.num_bits = int(self.bits.size) * 8
-        self.num_hashes = int(num_hashes)
-        self.capacity = int(capacity)
-
-    @classmethod
-    def from_capacity(cls, capacity: int, fp_rate: float = 0.01) -> "BloomFilter":
-        """Size for ``capacity`` insertions at ``fp_rate`` false positives."""
-        capacity = max(1, int(capacity))
-        num_bits = max(64, int(math.ceil(-capacity * math.log(fp_rate) / math.log(2) ** 2)))
-        num_bytes = (num_bits + 7) // 8
-        num_hashes = max(1, int(round(num_bits / capacity * math.log(2))))
-        return cls(np.zeros(num_bytes, dtype=np.uint8), num_hashes, capacity)
-
-    def _indices(self, digest: bytes) -> "list[int]":
-        value = int(digest, 16)
-        h1 = value & 0xFFFFFFFFFFFFFFFF
-        h2 = ((value >> 64) & 0xFFFFFFFFFFFFFFFF) | 1
-        return [(h1 + i * h2) % self.num_bits for i in range(self.num_hashes)]
-
-    def add(self, digest: bytes) -> None:
-        for index in self._indices(digest):
-            self.bits[index >> 3] |= 1 << (index & 7)
-
-    def add_many(self, hashes: np.ndarray) -> None:
-        for digest in hashes:
-            self.add(_as_key(digest))
-
-    def might_contain(self, digest: bytes) -> bool:
-        bits = self.bits
-        for index in self._indices(digest):
-            if not bits[index >> 3] & (1 << (index & 7)):
-                return False
-        return True
+    needle = np.asarray(key, dtype=HASH_DTYPE)
+    position = int(np.searchsorted(arr, needle))
+    return position < arr.size and arr[position] == needle
 
 
 # --------------------------------------------------------------------------- #
@@ -185,7 +132,7 @@ def sidecar_arrays(patterns) -> dict[str, np.ndarray]:
 # the index
 # --------------------------------------------------------------------------- #
 class LibraryIndex:
-    """Merged sorted hash files + bloom + in-memory delta for one library.
+    """Merged sorted hash files + in-memory delta for one library.
 
     The owning :class:`~repro.library.PatternLibrary` drives the lifecycle:
     :meth:`refresh_delta` after every ledger re-read, :meth:`note_committed`
@@ -200,7 +147,6 @@ class LibraryIndex:
         self.generation = 0      # bumped on every on-disk rewrite
         self._patterns: "np.ndarray | None" = None     # sorted S40, mmap
         self._topologies: "np.ndarray | None" = None
-        self._bloom: "BloomFilter | None" = None
         #: seq -> (pattern hash set, topology hash set) beyond the watermark.
         self._delta: "dict[int, tuple[set, set]]" = {}
         self._load_meta()
@@ -227,14 +173,13 @@ class LibraryIndex:
         """Re-read the watermark; drop caches if another process rewrote it.
 
         Renames swap the files under our memory maps without changing their
-        contents, so any generation bump means the cached arrays/bloom no
-        longer describe the on-disk index.
+        contents, so any generation bump means the cached arrays no longer
+        describe the on-disk index.
         """
         previous = self.generation
         self._load_meta()
         if self.generation != previous:
             self._patterns = self._topologies = None
-            self._bloom = None
 
     def _merged_patterns(self) -> np.ndarray:
         if self._patterns is None:
@@ -254,19 +199,6 @@ class LibraryIndex:
             return np.load(path, mmap_mode="r")
         except Exception:
             return np.empty(0, dtype=HASH_DTYPE)
-
-    def _bloom_filter(self) -> "BloomFilter | None":
-        if self._bloom is None and self.covered_seq >= 0:
-            path = self.dir / BLOOM_FILE
-            if path.exists():
-                try:
-                    with np.load(path) as data:
-                        self._bloom = BloomFilter(
-                            data["bits"], int(data["num_hashes"]), int(data["capacity"])
-                        )
-                except Exception:
-                    self._bloom = None
-        return self._bloom
 
     # ------------------------------------------------------------------ #
     # delta maintenance
@@ -309,17 +241,14 @@ class LibraryIndex:
     # probes
     # ------------------------------------------------------------------ #
     def has_pattern(self, digest: "str | bytes") -> bool:
-        key = digest.encode() if isinstance(digest, str) else bytes(digest)
+        key = _as_key(digest)
         for patterns, _ in self._delta.values():
             if key in patterns:
                 return True
-        bloom = self._bloom_filter()
-        if bloom is not None and not bloom.might_contain(key):
-            return False
         return _sorted_contains(self._merged_patterns(), key)
 
     def has_topology(self, digest: "str | bytes") -> bool:
-        key = digest.encode() if isinstance(digest, str) else bytes(digest)
+        key = _as_key(digest)
         for _, topologies in self._delta.values():
             if key in topologies:
                 return True
@@ -335,7 +264,7 @@ class LibraryIndex:
         """Fold every committed record into the merged files (watermark = max).
 
         Caller must hold the library lock and must only pass records that
-        are durably committed — the write order (arrays, bloom, meta last)
+        are durably committed — the write order (arrays, meta last)
         guarantees a crash leaves ``covered_seq`` at or below the truth.
         """
         self.refresh_delta(records, hash_loader)
@@ -378,7 +307,6 @@ class LibraryIndex:
         self.covered_seq = -1
         self.generation += 1
         self._patterns = self._topologies = None
-        self._bloom = None
         meta = {"version": 2, "covered_seq": -1, "generation": self.generation}
         self.dir.mkdir(parents=True, exist_ok=True)
         atomic_write_text(self.dir / META_NAME, json.dumps(meta, sort_keys=True) + "\n")
@@ -399,26 +327,17 @@ class LibraryIndex:
         fault_point("index:arrays")
         atomic_write_bytes(self.dir / PATTERN_FILE, lambda fh: np.save(fh, patterns))
         atomic_write_bytes(self.dir / TOPOLOGY_FILE, lambda fh: np.save(fh, topologies))
-        bloom = BloomFilter.from_capacity(max(64, 2 * patterns.size))
-        bloom.add_many(patterns)
-        fault_point("index:bloom")
-        atomic_write_bytes(
-            self.dir / BLOOM_FILE,
-            lambda fh: np.savez_compressed(
-                fh,
-                bits=bloom.bits,
-                num_hashes=np.asarray(bloom.num_hashes, dtype=np.int64),
-                capacity=np.asarray(bloom.capacity, dtype=np.int64),
-            ),
-        )
+        # Older releases also kept a Bloom filter over the pattern hashes
+        # here, and a process still running one reads it whenever
+        # covered_seq >= 0.  Unlink it before the new watermark commits:
+        # that filter misses every hash this write adds.
+        (self.dir / "bloom.npz").unlink(missing_ok=True)
         meta = {
             "version": 2,
             "covered_seq": int(covered),
             "generation": self.generation + 1,
             "pattern_count": int(patterns.size),
             "topology_count": int(topologies.size),
-            "bloom_bits": bloom.num_bits,
-            "bloom_hashes": bloom.num_hashes,
         }
         fault_point("index:meta")
         atomic_write_text(self.dir / META_NAME, json.dumps(meta, sort_keys=True) + "\n")
@@ -426,7 +345,6 @@ class LibraryIndex:
         self.generation += 1
         self.covered_seq = int(covered)
         self._patterns = self._topologies = None
-        self._bloom = None
         self._delta = {
             seq: sets for seq, sets in self._delta.items() if seq > self.covered_seq
         }
@@ -439,5 +357,4 @@ class LibraryIndex:
             "delta_chunks": self.delta_chunks,
             "merged_patterns": int(self._merged_patterns().size),
             "merged_topologies": int(self._merged_topologies().size),
-            "bloom_bits": self._bloom_filter().num_bits if self._bloom_filter() else 0,
         }

@@ -15,8 +15,8 @@ persistent artefact instead of an in-memory list that dies with the process:
   order — see :mod:`repro.library.manifest` — so many runs and serve
   workers can append to one library concurrently.
 * **Index** — dedup probes go through the on-disk hash index
-  (:mod:`repro.library.index`): bloom filter + sorted hash files + sidecar
-  deltas.
+  (:mod:`repro.library.index`): in-memory sets of the unflushed chunks'
+  sidecar hashes, then a binary search of the sorted hash files.
 * **Resume** — a :class:`~repro.pipeline.GenerationGraph` run handed an
   existing library validates the fingerprint *and the shard files of every
   completed chunk*, folds the stored records into its accumulators and
@@ -1088,18 +1088,21 @@ def save_shard(path: "str | Path", patterns: list[SquishPattern]) -> None:
 
 
 def load_shard_slice(
-    path: "str | Path", start: int, count: int
+    path: "str | Path", start: int, count: "int | None" = None
 ) -> tuple[list[SquishPattern], int]:
     """Load ``count`` patterns at offset ``start`` of one shard.
 
-    Returns ``(patterns, total)`` where ``total`` is the shard's full
-    pattern count (callers validate it against their manifest record).
+    ``count=None`` loads through the shard's last pattern.  Returns
+    ``(patterns, total)`` where ``total`` is the shard's full pattern count
+    (callers validate it against their manifest record).
     """
     try:
         with np.load(path) as data:
             if "count" not in data.files:
                 raise LibraryError(f"{path} is not a pattern shard (no count array)")
             total = int(data["count"])
+            if count is None:
+                count = max(total - start, 0)
             if start + count > total:
                 raise LibraryError(
                     f"shard {path} holds {total} pattern(s); cannot load "
@@ -1135,16 +1138,4 @@ def load_shard_slice(
 
 def load_shard(path: "str | Path") -> list[SquishPattern]:
     """Load the patterns of one shard written by :func:`save_shard`."""
-    try:
-        with np.load(path) as data:
-            if "count" not in data.files:
-                raise LibraryError(f"{path} is not a pattern shard (no count array)")
-            total = int(data["count"])
-    except LibraryError:
-        raise
-    except Exception as error:
-        raise LibraryError(
-            f"shard {path} is truncated or corrupt ({error})"
-        ) from error
-    patterns, _ = load_shard_slice(path, 0, total)
-    return patterns
+    return load_shard_slice(path, 0)[0]

@@ -1,9 +1,9 @@
 """Property-based tests: the indexed library against brute-force oracles.
 
 The central property the index must uphold: for any append sequence, the
-sidecar/bloom/mmap probe path produces **bit-equal dedup decisions** to plain
-in-memory hash sets.  Hypothesis drives randomized chunk sequences with
-heavy hash collisions; oracles are plain Python sets and list scans.
+sidecar-delta/sorted-file probe path produces **bit-equal dedup decisions**
+to plain in-memory hash sets.  Hypothesis drives randomized chunk sequences
+with heavy hash collisions; oracles are plain Python sets and list scans.
 """
 
 from __future__ import annotations

@@ -9,10 +9,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.faults import Fault, InjectedCrash, inject_faults
 from repro.library import (
     DEFAULT_WRITER,
     MANIFEST_DIR,
-    BloomFilter,
     ChunkRecord,
     LibraryError,
     LibraryLock,
@@ -67,6 +67,28 @@ def fill_writer(root, writer: str, fills, dedup: bool = False, chunk_size: int =
         batch = patterns[start : start + chunk_size]
         library.append_chunk(make_record(chunk, batch), batch)
     return library
+
+
+def write_bloom_era_index(root):
+    """Add what releases with a Bloom filter kept in a flushed index.
+
+    Those releases wrote ``index/bloom.npz`` next to the sorted hash files
+    and its size into ``index_meta.json``.  The filter written here has no
+    bit set, so a reader that still consulted it would call every covered
+    pattern absent.  Returns the filter's path.
+    """
+    path = root / "index" / "bloom.npz"
+    np.savez_compressed(
+        path,
+        bits=np.zeros(77, dtype=np.uint8),
+        num_hashes=np.asarray(7, dtype=np.int64),
+        capacity=np.asarray(64, dtype=np.int64),
+    )
+    meta_path = root / "index" / "index_meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta.update(bloom_bits=616, bloom_hashes=7)
+    meta_path.write_text(json.dumps(meta, sort_keys=True) + "\n")
+    return path
 
 
 class TestWriterLedgers:
@@ -604,18 +626,40 @@ class TestQuery:
 
 
 class TestIndex:
-    def test_bloom_has_no_false_negatives(self):
-        digests = [pattern_hash(make_pattern(i)) for i in range(200)]
-        bloom = BloomFilter.from_capacity(len(digests))
-        bloom.add_many(digests)
-        assert all(bloom.might_contain(d) for d in digests)
-        absent = [topology_hash(make_pattern(i).topology) for i in range(50)]
-        false_positives = sum(bloom.might_contain(d) for d in absent)
-        assert false_positives <= 10  # ~1% target rate, generous bound
+    def test_older_library_bloom_file_is_ignored_then_removed(self, tmp_path):
+        library = fill_writer(tmp_path, "alpha", [0, 1])
+        library.rebuild_index()
+        bloom = write_bloom_era_index(tmp_path)
+        library = PatternLibrary(tmp_path, writer="alpha")
+        assert library.has_pattern(pattern_hash(make_pattern(1)))
+        assert not library.has_pattern(pattern_hash(make_pattern(2)))
+        # The first chunk is covered, so the ninth is the one whose append
+        # holds eight delta chunks and flushes.
+        for chunk in range(1, 9):
+            assert bloom.exists()
+            batch = [make_pattern(2 * chunk), make_pattern(2 * chunk + 1)]
+            library.append_chunk(make_record(chunk, batch), batch)
+        assert library.index_stats()["covered_seq"] == 8
+        assert not bloom.exists()
+        meta = json.loads((library.index_dir / "index_meta.json").read_text())
+        assert not {"bloom_bits", "bloom_hashes"} & set(meta)
+        assert all(library.has_pattern(pattern_hash(make_pattern(f))) for f in range(18))
+        assert not library.has_pattern(pattern_hash(make_pattern(18)))
+
+        write_bloom_era_index(tmp_path)
+        library.rebuild_index()
+        assert not bloom.exists()
+
+        # An older process reads the file whenever the watermark is >= 0, so
+        # it must be gone before the new watermark commits.
+        write_bloom_era_index(tmp_path)
+        with inject_faults(Fault("index:meta")), pytest.raises(InjectedCrash):
+            library.rebuild_index()
+        assert not bloom.exists()
 
     def test_probe_agrees_with_disk_after_flush(self, tmp_path):
         # 9 chunks crosses the flush threshold, so probes mix the merged
-        # mmap arrays, the bloom filter and the unflushed delta sets.
+        # mmap arrays and the unflushed delta sets.
         library = fill_writer(tmp_path, "alpha", list(range(18)), chunk_size=2)
         stats = library.index_stats()
         assert stats["covered_seq"] >= 0
