@@ -28,9 +28,9 @@ def bench_fig6_denoising_chain(benchmark, trained_pipeline):
     )
 
     fills = chain.fill_ratios()
-    lines = ["step_index  fill_ratio  has_bowtie"]
-    for index, (matrix, fill) in enumerate(zip(chain.matrices, fills)):
-        lines.append(f"{index:>10}  {fill:>10.3f}  {str(has_bowtie(matrix)):>10}")
+    lines = ["  timestep  fill_ratio  has_bowtie"]
+    for step, matrix, fill in zip(chain.steps, chain.matrices, fills):
+        lines.append(f"{step:>10}  {fill:>10.3f}  {str(has_bowtie(matrix)):>10}")
     lines.append("")
     lines.append("initial state (T_K):")
     lines.append(render_topology(chain.matrices[0]))

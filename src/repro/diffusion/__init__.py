@@ -7,7 +7,7 @@ from .gaussian import (
     gaussian_unet_config,
 )
 from .respacing import RespacedSchedule, respaced_timesteps
-from .schedule import NoiseSchedule, cosine_schedule, linear_schedule
+from .schedule import NoiseSchedule, linear_schedule
 from .transition import (
     DiscreteTransitionModel,
     binary_flip_probability,
@@ -19,7 +19,6 @@ from .transition import (
 __all__ = [
     "NoiseSchedule",
     "linear_schedule",
-    "cosine_schedule",
     "DiscreteTransitionModel",
     "sample_categorical",
     "categorical_from_uniforms",

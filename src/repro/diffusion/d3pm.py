@@ -9,8 +9,7 @@ topology tensor is :class:`repro.pipeline.SamplingEngine`, which reads the
 model through :meth:`DiscreteDiffusion.predict_x0_probs`.
 
 The state arrays handled here are integer tensors of shape ``(N, C, M, M)``
-where ``C`` is the deep-squish channel count and every entry is in
-``{0, .., S-1}`` (``S = 2`` for layout topologies).
+where ``C`` is the deep-squish channel count and every entry is 0 or 1.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ from .. import nn
 from ..nn import UNet, UNetConfig
 from ..nn import functional as F
 from ..utils import as_rng
-from .schedule import NoiseSchedule, linear_schedule
-from .transition import DiscreteTransitionModel, one_hot
+from .schedule import linear_schedule
+from .transition import NUM_STATES, DiscreteTransitionModel, one_hot
 
 
 @dataclass
@@ -50,11 +49,6 @@ class DiffusionConfig:
     learning_rate: float = 2e-4
     #: Global gradient-norm clip applied per training step.
     grad_clip: float = 1.0
-    #: Discrete state count ``S`` (2 for binary layout topologies).
-    num_states: int = 2
-    #: Transition family: ``"binary"``, ``"uniform"`` or ``"absorbing"``
-    #: (see :class:`~repro.diffusion.transition.DiscreteTransitionModel`).
-    transition_kind: str = "binary"
 
 
 def _hybrid_loss(
@@ -116,50 +110,36 @@ def _timesteps(xk: np.ndarray, k: "int | np.ndarray") -> np.ndarray:
 class DiscreteDiffusion:
     """Discrete diffusion generator over ``(C, M, M)`` topology tensors."""
 
-    def __init__(
-        self,
-        model: UNet,
-        config: "DiffusionConfig | None" = None,
-        schedule: "NoiseSchedule | None" = None,
-    ) -> None:
-        """Couple a U-Net posterior predictor with a transition model.
+    def __init__(self, model: UNet, config: "DiffusionConfig | None" = None) -> None:
+        """Couple a U-Net posterior predictor with the binary transition model.
+
+        The chain is the paper's linear schedule (Eq. 8) over
+        ``config.num_steps`` steps from ``config.beta_start`` to
+        ``config.beta_end``.
 
         Parameters
         ----------
         model:
-            The ``x_0``-posterior backbone; its ``num_classes`` must equal
-            the diffusion state count.
+            The ``x_0``-posterior backbone; its ``num_classes`` must be 2
+            (one logit per binary state).
         config:
             Hyper-parameters; defaults to :class:`DiffusionConfig`.
-        schedule:
-            Explicit noise schedule; defaults to the paper's linear schedule
-            over ``config.num_steps`` steps.
 
         Raises
         ------
         ValueError
-            If the schedule length disagrees with ``config.num_steps``, or
-            the U-Net's class count disagrees with ``config.num_states``.
+            If the U-Net's class count is not 2.
         """
         self.config = config if config is not None else DiffusionConfig()
         self.model = model
-        if schedule is None:
-            schedule = linear_schedule(
-                self.config.num_steps, self.config.beta_start, self.config.beta_end
-            )
-        if schedule.num_steps != self.config.num_steps:
-            raise ValueError(
-                f"schedule has {schedule.num_steps} steps but config asks for "
-                f"{self.config.num_steps}"
-            )
         self.transition = DiscreteTransitionModel(
-            schedule, num_states=self.config.num_states, kind=self.config.transition_kind
+            linear_schedule(self.config.num_steps, self.config.beta_start, self.config.beta_end)
         )
         unet_cfg: UNetConfig = model.config
-        if unet_cfg.num_classes != self.config.num_states:
+        if unet_cfg.num_classes != NUM_STATES:
             raise ValueError(
                 "UNet num_classes must equal the diffusion state count "
-                f"({unet_cfg.num_classes} != {self.config.num_states})"
+                f"({unet_cfg.num_classes} != {NUM_STATES})"
             )
 
     # ------------------------------------------------------------------ #
@@ -172,12 +152,11 @@ class DiscreteDiffusion:
         so no transpose copy is needed (the sampler calls this every step).
         """
         batch, channels, height, width = xk.shape
-        num_states = self.config.num_states
-        if xk.min() < 0 or xk.max() >= num_states:
-            raise ValueError(f"states must lie in [0, {num_states})")
-        encoded = np.zeros((batch, channels, num_states, height, width), dtype=np.float32)
+        if xk.min() < 0 or xk.max() >= NUM_STATES:
+            raise ValueError(f"states must lie in [0, {NUM_STATES})")
+        encoded = np.zeros((batch, channels, NUM_STATES, height, width), dtype=np.float32)
         np.put_along_axis(encoded, xk[:, :, None, :, :], 1.0, axis=2)
-        return encoded.reshape(batch, channels * num_states, height, width)
+        return encoded.reshape(batch, channels * NUM_STATES, height, width)
 
     def predict_x0_probs(self, xk: np.ndarray, k: "int | np.ndarray") -> np.ndarray:
         """Softmax of the ``p_θ(x_0 | x_k)`` logits as a plain array.
@@ -232,7 +211,7 @@ class DiscreteDiffusion:
             logits,
             self.transition.posterior_table(step, np.float32)[xk],
             self.transition.posterior_probs(xk, x0, step),
-            one_hot(x0, self.config.num_states),
+            one_hot(x0, NUM_STATES),
             self.config.lambda_ce,
         )
 

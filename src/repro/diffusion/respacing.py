@@ -1,4 +1,4 @@
-"""Few-step respaced sampling schedules for the discrete D3PM chain.
+"""The reverse-sampling schedule of the binary D3PM chain, full or respaced.
 
 The full reverse sampler walks every step of the ``K``-step chain, calling
 the denoising network once per step.  Because the forward process is a
@@ -7,7 +7,9 @@ Markov chain of known transition matrices, any *subsequence* of timesteps
 jump transitions are products of the per-step matrices — the discrete
 analogue of DDIM respacing (Austin et al., NeurIPS 2021; Nichol & Dhariwal's
 timestep-respacing trick).  Sampling the respaced chain needs only ``S``
-network evaluations instead of ``K``.
+network evaluations instead of ``K``.  :class:`RespacedSchedule` retains the
+``S`` evenly spaced timesteps of :func:`respaced_timesteps`; ``S = K`` is the
+full chain.
 
 For a jump from retained step ``b`` down to retained step ``a < b`` the
 composed transition and jump posterior are
@@ -20,7 +22,7 @@ composed transition and jump posterior are
         = \\frac{Q_{a→b}[s, v] \\; \\bar Q_a[i, s]}{\\bar Q_b[i, v]},
 
 exactly the per-step posterior of Eq. (12) with ``Q_b`` replaced by the
-product matrix.  :class:`RespacedSchedule` precomputes one such ``(S, S, S)``
+product matrix.  :class:`RespacedSchedule` precomputes one such ``(2, 2, 2)``
 lookup table per jump — the same cheap gather shape the full-chain sampler
 already uses — and renormalizes composed tables against float drift.
 
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .transition import DiscreteTransitionModel, posterior_ratio
+from .transition import NUM_STATES, DiscreteTransitionModel
 
 __all__ = ["RespacedSchedule", "respaced_timesteps"]
 
@@ -89,45 +91,18 @@ class RespacedSchedule:
         The :class:`~repro.diffusion.transition.DiscreteTransitionModel`
         whose cached cumulative matrices the jump tables are composed from.
     steps:
-        Number of retained timesteps; ``None`` keeps the full chain.
-        Mutually exclusive with ``timesteps``.
-    timesteps:
-        Explicit strictly-increasing retained timesteps; must end at the
-        chain length ``K`` (the reverse walk starts from the stationary
-        ``x_K``).  Mutually exclusive with ``steps``.
+        Number of retained timesteps (:func:`respaced_timesteps`); ``None``
+        keeps the full chain.
 
     Raises
     ------
     ValueError
-        If both ``steps`` and ``timesteps`` are given, or either fails
-        validation.
+        If ``steps`` is not an integer in ``[1, K]``.
     """
 
-    def __init__(
-        self,
-        transition: DiscreteTransitionModel,
-        steps: "int | None" = None,
-        timesteps: "tuple[int, ...] | list[int] | None" = None,
-    ) -> None:
-        if steps is not None and timesteps is not None:
-            raise ValueError("pass either steps or timesteps, not both")
+    def __init__(self, transition: DiscreteTransitionModel, steps: "int | None" = None) -> None:
         chain_steps = transition.num_steps
-        if timesteps is None:
-            taus = respaced_timesteps(chain_steps, chain_steps if steps is None else steps)
-        else:
-            taus = tuple(int(t) for t in timesteps)
-            if not taus:
-                raise ValueError("timesteps must be non-empty")
-            if any(not 1 <= t <= chain_steps for t in taus):
-                raise ValueError(f"every timestep must lie in [1, {chain_steps}]")
-            if any(b <= a for a, b in zip(taus, taus[1:])):
-                raise ValueError("timesteps must be strictly increasing")
-            if taus[-1] != chain_steps:
-                raise ValueError(
-                    f"the last timestep must be the chain length {chain_steps} "
-                    "(the reverse walk starts from the stationary x_K), "
-                    f"got {taus[-1]}"
-                )
+        taus = respaced_timesteps(chain_steps, chain_steps if steps is None else steps)
         self.transition = transition
         #: Retained timesteps, ascending; ``timesteps[-1] == chain_steps``.
         self.timesteps: tuple[int, ...] = taus
@@ -150,11 +125,6 @@ class RespacedSchedule:
         """Length ``K`` of the underlying trained chain."""
         return self.transition.num_steps
 
-    @property
-    def is_full(self) -> bool:
-        """``True`` when every chain step is retained (no striding)."""
-        return self.num_steps == self.chain_steps
-
     # ------------------------------------------------------------------ #
     def jump_matrix(self, cur: int, prev: int) -> np.ndarray:
         """Composed transition ``Q_{prev→cur} = Q_{prev+1} ... Q_cur``.
@@ -169,7 +139,7 @@ class RespacedSchedule:
                 f"jump must satisfy 0 <= prev < cur <= {self.chain_steps}, "
                 f"got prev={prev}, cur={cur}"
             )
-        matrix = np.eye(self.transition.num_states)
+        matrix = np.eye(NUM_STATES)
         for k in range(prev + 1, cur + 1):
             matrix = matrix @ self.transition.q_matrix(k)
         return matrix
@@ -180,7 +150,7 @@ class RespacedSchedule:
         """Cached jump-posterior lookup table for the jump ``cur → prev``.
 
         ``table[v, i, s] = q(x_prev = s | x_cur = v, x_0 = i)`` — the same
-        ``(S, S, S)`` gather shape as the full chain's per-step table, so the
+        ``(2, 2, 2)`` gather shape as the full chain's per-step table, so the
         sampler's mixing kernel is unchanged.  Single-step jumps return the
         transition model's own cached table (bit-identical to the full
         chain); composed jumps build the product matrix once and renormalize
@@ -190,7 +160,7 @@ class RespacedSchedule:
         ------
         ValueError
             Unless ``1 <= prev < cur <= chain_steps`` (the final jump to
-            ``prev == 0`` needs no table: the mixture collapses to the
+            ``prev == 0`` needs no table: the sampler takes the mode of the
             model's ``p_θ(x_0 | x_cur)`` directly).
         """
         if prev < 1:
@@ -210,7 +180,7 @@ class RespacedSchedule:
             numerator = q_jump.T[:, None, :] * q_bar_prev[None, :, :]
             # denominator[v, i] = Q̄_cur[i, v]; exact up to float error since
             # Q̄_cur = Q̄_prev Q_{prev→cur} — renormalize the residual away.
-            table = posterior_ratio(numerator, q_bar_cur)
+            table = numerator / q_bar_cur.T[:, :, None]
             table /= table.sum(axis=-1, keepdims=True)
             table = table.astype(dtype, copy=False)
             table.setflags(write=False)

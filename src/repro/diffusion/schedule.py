@@ -1,9 +1,10 @@
-"""Noise schedules for the diffusion forward process.
+"""The noise schedule of the diffusion forward process.
 
 The paper (Eq. 8) uses a linearly increasing schedule for the flip
 probability ``beta_k``, from ``beta_1 = 0.01`` to ``beta_K = 0.5`` over
 ``K = 1000`` steps, so the forward chain converges to the uniform stationary
-distribution.  A cosine schedule is provided as an extension point.
+distribution.  :func:`linear_schedule` is the only schedule: the chain of
+:class:`~repro.diffusion.DiscreteDiffusion` is always built from it.
 """
 
 from __future__ import annotations
@@ -50,19 +51,4 @@ def linear_schedule(num_steps: int, beta_start: float = 0.01, beta_end: float = 
         return NoiseSchedule(np.asarray([beta_end], dtype=np.float64))
     steps = np.arange(num_steps, dtype=np.float64)
     betas = steps * (beta_end - beta_start) / (num_steps - 1) + beta_start
-    return NoiseSchedule(betas)
-
-
-def cosine_schedule(num_steps: int, beta_max: float = 0.5, s: float = 0.008) -> NoiseSchedule:
-    """Cosine-shaped schedule (Nichol & Dhariwal style), capped at ``beta_max``.
-
-    Not used by the paper's main experiments; provided as a documented
-    extension for ablations on schedule shape.
-    """
-    if num_steps < 1:
-        raise ValueError("num_steps must be >= 1")
-    ks = np.arange(num_steps + 1, dtype=np.float64)
-    alphas_bar = np.cos((ks / num_steps + s) / (1 + s) * np.pi / 2) ** 2
-    betas = 1.0 - alphas_bar[1:] / alphas_bar[:-1]
-    betas = np.clip(betas, 1e-5, beta_max)
     return NoiseSchedule(betas)

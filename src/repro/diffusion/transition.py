@@ -1,18 +1,15 @@
-"""Discrete-state transition structure of the forward diffusion process.
+"""Binary transition structure of the forward diffusion process.
 
-Implements the doubly stochastic transition matrices of Eq. (5)-(7), their
-cumulative products ``Q̄_k = Q_1 Q_2 ... Q_k``, the marginal
-``q(x_k | x_0)`` used to draw noisy samples in one shot (Eq. 10), and the
-forward posterior ``q(x_{k-1} | x_k, x_0)`` (Eq. 12) needed by the training
-loss and by the reverse sampler.
+Topology tensors are binary, and the forward process is the paper's
+two-state flip chain: the per-step matrices
+``Q_k = [[1-β_k, β_k], [β_k, 1-β_k]]`` of Eq. (5)-(7), their cumulative
+products ``Q̄_k = Q_1 Q_2 ... Q_k``, the marginal ``q(x_k | x_0)`` used to
+draw noisy samples in one shot (Eq. 10), and the forward posterior
+``q(x_{k-1} | x_k, x_0)`` (Eq. 12) needed by the training loss and by the
+reverse sampler.
 
-Three transition families are supported:
-
-* ``"binary"``   — the paper's 2-state matrix ``[[1-β, β], [β, 1-β]]``.
-* ``"uniform"``  — D3PM uniform transition for an arbitrary state count,
-  ``Q_k = (1-β_k) I + β_k / S · 11ᵀ`` (stationary distribution uniform).
-* ``"absorbing"``— D3PM absorbing-state transition (mask state = S-1),
-  provided as an extension point.
+Every ``β_k`` lies strictly inside ``(0, 1)``, so every entry of ``Q̄_k``
+(``k >= 1``) is positive and each posterior is the plain Bayes quotient.
 """
 
 from __future__ import annotations
@@ -22,42 +19,22 @@ import numpy as np
 from ..utils import as_rng
 from .schedule import NoiseSchedule
 
+#: State count of the chain: a topology pixel is empty (0) or filled (1).
+NUM_STATES = 2
+
 
 class DiscreteTransitionModel:
-    """Transition matrices and posterior computations for a discrete chain."""
+    """Transition matrices and posterior computations for the binary chain."""
 
-    def __init__(
-        self,
-        schedule: NoiseSchedule,
-        num_states: int = 2,
-        kind: str = "binary",
-    ) -> None:
+    def __init__(self, schedule: NoiseSchedule) -> None:
         """Build (and cache) every per-step and cumulative matrix up front.
 
         Parameters
         ----------
         schedule:
-            Per-step noise levels ``beta_1 .. beta_K``.
-        num_states:
-            Discrete state count ``S`` (>= 2).
-        kind:
-            Transition family: ``"binary"``, ``"uniform"`` or ``"absorbing"``.
-
-        Raises
-        ------
-        ValueError
-            For ``num_states < 2``, an unknown ``kind``, or the binary
-            family with ``num_states != 2``.
+            Per-step flip probabilities ``beta_1 .. beta_K``.
         """
-        if num_states < 2:
-            raise ValueError("num_states must be >= 2")
-        if kind == "binary" and num_states != 2:
-            raise ValueError("the 'binary' transition requires num_states == 2")
-        if kind not in ("binary", "uniform", "absorbing"):
-            raise ValueError(f"unknown transition kind: {kind!r}")
         self.schedule = schedule
-        self.num_states = num_states
-        self.kind = kind
         self._q = self._build_single_step()
         self._q_bar = self._build_cumulative(self._q)
         # Per-step posterior lookup tables, built lazily: entry (k, dtype)
@@ -68,27 +45,14 @@ class DiscreteTransitionModel:
     # matrix construction
     # ------------------------------------------------------------------ #
     def _build_single_step(self) -> np.ndarray:
-        """Stack of per-step matrices ``Q_k``, shape (K, S, S), 0-indexed."""
-        betas = self.schedule.betas
-        steps = betas.shape[0]
-        size = self.num_states
-        matrices = np.zeros((steps, size, size), dtype=np.float64)
-        for idx, beta in enumerate(betas):
-            if self.kind == "binary":
-                matrices[idx] = np.array([[1.0 - beta, beta], [beta, 1.0 - beta]])
-            elif self.kind == "uniform":
-                matrices[idx] = (1.0 - beta) * np.eye(size) + beta / size
-            else:  # absorbing: mass beta moves to the last (mask) state
-                mat = (1.0 - beta) * np.eye(size)
-                mat[:, -1] += beta
-                mat[-1, -1] = 1.0
-                mat[-1, :-1] = 0.0
-                matrices[idx] = mat
-        return matrices
+        """Stack of per-step matrices ``Q_k``, shape (K, 2, 2), 0-indexed."""
+        return np.array(
+            [[[1.0 - beta, beta], [beta, 1.0 - beta]] for beta in self.schedule.betas]
+        )
 
     @staticmethod
     def _build_cumulative(single: np.ndarray) -> np.ndarray:
-        """``Q̄_0 = I`` and ``Q̄_k = Q̄_{k-1} Q_k``, shape (K+1, S, S)."""
+        """``Q̄_0 = I`` and ``Q̄_k = Q̄_{k-1} Q_k``, shape (K+1, 2, 2)."""
         steps, size, _ = single.shape
         cumulative = np.zeros((steps + 1, size, size), dtype=np.float64)
         cumulative[0] = np.eye(size)
@@ -116,12 +80,8 @@ class DiscreteTransitionModel:
         return self._q_bar[k]
 
     def stationary_distribution(self) -> np.ndarray:
-        """The distribution the forward process converges to."""
-        if self.kind in ("binary", "uniform"):
-            return np.full(self.num_states, 1.0 / self.num_states)
-        stationary = np.zeros(self.num_states)
-        stationary[-1] = 1.0
-        return stationary
+        """The distribution the forward process converges to (uniform)."""
+        return np.full(NUM_STATES, 1.0 / NUM_STATES)
 
     # ------------------------------------------------------------------ #
     # forward process
@@ -144,7 +104,7 @@ class DiscreteTransitionModel:
     ) -> np.ndarray:
         """Draw ``x_K`` from the stationary distribution (the sampler's start)."""
         gen = as_rng(rng)
-        probs = np.broadcast_to(self.stationary_distribution(), shape + (self.num_states,))
+        probs = np.broadcast_to(self.stationary_distribution(), shape + (NUM_STATES,))
         return sample_categorical(probs, gen)
 
     # ------------------------------------------------------------------ #
@@ -153,13 +113,13 @@ class DiscreteTransitionModel:
     def posterior_table(self, k: int, dtype: "np.dtype | type" = np.float64) -> np.ndarray:
         """Cached posterior lookup table for step ``k``.
 
-        ``table[v, i, s] = q(x_{k-1}=s | x_k=v, x_0=i)`` — a ``(S, S, S)``
+        ``table[v, i, s] = q(x_{k-1}=s | x_k=v, x_0=i)`` — a ``(2, 2, 2)``
         array that turns the per-pixel posterior computation into a single
         fancy-index gather.  Built once per step and reused by every training
         iteration and every reverse-sampling step, which is what makes the
         batched sampler's mixing phase cheap.  ``dtype=np.float32`` gives the
         sampling engine a lower-precision variant that halves the memory
-        traffic of the per-step mixing einsum.
+        traffic of the per-step two-state mixture.
         """
         key = (k, np.dtype(dtype).str)
         table = self._posterior_tables.get(key)
@@ -169,7 +129,7 @@ class DiscreteTransitionModel:
             q_bar_k = self.q_bar_matrix(k)
             # numerator[v, i, s] = Q_k[s, v] * Q̄_{k-1}[i, s]
             numerator = q_k.T[:, None, :] * q_bar_prev[None, :, :]
-            table = posterior_ratio(numerator, q_bar_k).astype(dtype, copy=False)
+            table = (numerator / q_bar_k.T[:, :, None]).astype(dtype, copy=False)
             table.setflags(write=False)
             self._posterior_tables[key] = table
         return table
@@ -192,30 +152,13 @@ class DiscreteTransitionModel:
     def _validate_states(self, states: np.ndarray) -> np.ndarray:
         arr = np.asarray(states)
         if not np.issubdtype(arr.dtype, np.integer):
-            if np.isin(arr, np.arange(self.num_states)).all():
+            if np.isin(arr, np.arange(NUM_STATES)).all():
                 arr = arr.astype(np.int64)
             else:
                 raise ValueError("state arrays must contain integer states")
-        if (arr < 0).any() or (arr >= self.num_states).any():
-            raise ValueError(f"states must lie in [0, {self.num_states})")
+        if (arr < 0).any() or (arr >= NUM_STATES).any():
+            raise ValueError(f"states must lie in [0, {NUM_STATES})")
         return arr.astype(np.int64)
-
-
-def posterior_ratio(numerator: np.ndarray, q_bar: np.ndarray) -> np.ndarray:
-    """``numerator[v, i, s] / Q̄[i, v]``: a posterior table from its Bayes parts.
-
-    Where ``x_0 = i`` cannot reach ``x_k = v`` at all (``Q̄[i, v] == 0``,
-    which only absorbing chains produce) the ratio is 0/0.  Such a row is
-    the point mass on ``x_{k-1} = x_k = v`` instead — what an absorbing
-    chain implies — so every row the sampler or the loss mixes still sums
-    to one.  Every other row is the plain quotient, bit for bit.
-    """
-    unreachable = q_bar.T == 0.0
-    table = numerator / np.where(unreachable, 1.0, q_bar.T)[:, :, None]
-    v, i = np.nonzero(unreachable)
-    table[v, i, :] = 0.0
-    table[v, i, v] = 1.0
-    return table
 
 
 def sample_categorical(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:

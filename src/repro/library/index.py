@@ -313,12 +313,19 @@ class LibraryIndex:
 
     @staticmethod
     def _merge(base: np.ndarray, extra: "list[bytes]") -> np.ndarray:
-        if not extra:
-            return np.sort(np.asarray(base, dtype=HASH_DTYPE))
-        extra_arr = _as_hash_array(extra)
-        if base.size == 0:
-            return np.unique(extra_arr)
-        return np.unique(np.concatenate([np.asarray(base, dtype=HASH_DTYPE), extra_arr]))
+        """``np.unique(np.concatenate([base, extra]))`` for a sorted, unique ``base``.
+
+        Every merged file is written sorted and unique, so the deduplicated
+        delta is folded in with one binary search and one insert, dropping
+        the hashes the file already holds.
+        """
+        base = np.asarray(base, dtype=HASH_DTYPE)
+        extra_arr = np.unique(_as_hash_array(extra))
+        positions = np.searchsorted(base, extra_arr)
+        held = np.zeros(extra_arr.size, dtype=bool)
+        inside = positions < base.size
+        held[inside] = base[positions[inside]] == extra_arr[inside]
+        return np.insert(base, positions[~held], extra_arr[~held])
 
     def _write(
         self, patterns: np.ndarray, topologies: np.ndarray, covered: int

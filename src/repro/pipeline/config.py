@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 from ..data import DatasetConfig
 from ..diffusion import DiffusionConfig
+from ..diffusion.transition import NUM_STATES
 from ..legalization import DesignRules
 from ..nn import UNetConfig
 from ..prefilter import PrefilterConfig
@@ -111,7 +112,7 @@ class DiffPatternConfig:
         """The U-Net configuration implied by this pipeline configuration."""
         return UNetConfig(
             in_channels=self.dataset.channels,
-            num_classes=self.diffusion.num_states,
+            num_classes=NUM_STATES,
             image_size=self.tensor_size,
             model_channels=self.model_channels,
             channel_mult=self.channel_mult,

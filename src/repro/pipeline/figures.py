@@ -50,7 +50,11 @@ def render_pattern(pattern: SquishPattern, width: int = 48) -> str:
 # --------------------------------------------------------------------------- #
 @dataclass
 class DenoisingChain:
-    """Intermediate topology matrices of one reverse-diffusion run."""
+    """Intermediate topology matrices of one reverse-diffusion run.
+
+    ``steps[j]`` is the timestep of ``matrices[j]``: from ``K`` (the
+    stationary draw) down to 0 (the sample).
+    """
 
     steps: list[int]
     matrices: list[np.ndarray]
@@ -68,12 +72,10 @@ def run_denoising_chain(
     """Sample one topology, keeping the intermediate states (Fig. 6)."""
     if pipeline.diffusion is None:
         raise RuntimeError("the pipeline has no trained diffusion model")
-    _, chain = pipeline.sampling_engine().sample_chain(1, seed=rng, chain_stride=chain_stride)
-    num_steps = pipeline.config.diffusion.num_steps
-    steps = list(range(num_steps, -1, -chain_stride))
-    steps = steps[: len(chain)]
-    matrices = [unfold(state[0]) for state in chain]
-    return DenoisingChain(steps=steps, matrices=matrices)
+    _, chain, steps = pipeline.sampling_engine().sample_chain(
+        1, seed=rng, chain_stride=chain_stride
+    )
+    return DenoisingChain(steps=list(steps), matrices=[unfold(state[0]) for state in chain])
 
 
 # --------------------------------------------------------------------------- #

@@ -8,7 +8,9 @@ tensors through it.  It has four properties:
 * **Gradient-free batched hot path** — every denoising step runs the whole
   chunk through ``UNet.infer`` (raw float32 arrays, no cache, no dropout) and
   mixes the predicted ``p_θ(x_0 | x_k)`` with cached posterior transition
-  tables, so the per-step cost is a handful of large NumPy kernels.
+  tables (the two-state mixture of the binary chain), so the per-step cost
+  is a handful of large NumPy kernels.  The last jump emits the mode of
+  ``p_θ(x_0 | x_k)`` with no draw.
 
 * **Chunk-invariant determinism** — every sample index owns an independent
   random stream seeded from ``(seed, index)``.  The result of drawing sample
@@ -21,11 +23,12 @@ tensors through it.  It has four properties:
   (``mixing``) versus initialisation, plus samples/second, so efficiency
   regressions show up in the Table II benchmark rather than anecdotes.
 
-* **Few-step respaced sampling** — the ``steps`` knob walks a
-  :class:`~repro.diffusion.RespacedSchedule` instead of every chain step:
-  the denoising network runs once per *retained* timestep and the reverse
-  draws use composed jump-posterior tables (see ``docs/sampling.md``).
-  ``steps`` equal to the chain length is bit-identical to the full chain.
+* **Few-step respaced sampling** — every run walks the engine's
+  :class:`~repro.diffusion.RespacedSchedule` over ``steps`` retained
+  timesteps: the denoising network runs once per retained timestep and the
+  reverse draws use composed jump-posterior tables (see
+  ``docs/sampling.md``).  ``steps`` equal to the chain length (or ``None``)
+  is the full chain, bit for bit.
 
 The ``batch_size`` knob bounds peak memory: chunks of at most that many
 samples are denoised per reverse pass, without changing any sampled value.
@@ -34,7 +37,7 @@ samples are denoised per reverse pass, without changing any sampled value.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,25 +121,6 @@ class SamplingReport:
         return "\n".join(lines)
 
 
-@dataclass
-class _ChainRecorder:
-    """Collects intermediate states of the reverse chain (Fig. 6)."""
-
-    stride: int
-    num_steps: int
-    states: list[np.ndarray] = field(default_factory=list)
-
-    def record_initial(self, xk: np.ndarray) -> None:
-        self.states.append(xk.copy())
-
-    def maybe_record(self, xk: np.ndarray, step: int) -> None:
-        if (self.num_steps - step) % self.stride == 0 or step == 1:
-            self.states.append(xk.copy())
-
-    def record_final(self, xk: np.ndarray) -> None:
-        self.states.append(xk.copy())
-
-
 class SamplingEngine:
     """Chunked, deterministic, gradient-free reverse-diffusion sampler.
 
@@ -153,17 +137,12 @@ class SamplingEngine:
         few-step chain (``steps`` network evaluations per sample, composed
         jump posteriors — see ``docs/sampling.md``).  ``steps`` equal to
         the chain length is bit-identical to ``None``.
-    schedule:
-        An explicit :class:`~repro.diffusion.RespacedSchedule` (e.g. with
-        hand-picked timesteps).  Mutually exclusive with ``steps``; must be
-        built over this diffusion model's transition.
 
     Raises
     ------
     ValueError
-        If ``batch_size`` is not positive, ``steps`` is outside
-        ``[1, chain length]``, both ``steps`` and ``schedule`` are given,
-        or ``schedule`` belongs to a different transition model.
+        If ``batch_size`` is not positive or ``steps`` is outside
+        ``[1, chain length]``.
     """
 
     def __init__(
@@ -171,24 +150,14 @@ class SamplingEngine:
         diffusion: DiscreteDiffusion,
         batch_size: int = 32,
         steps: "int | None" = None,
-        schedule: "RespacedSchedule | None" = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if schedule is not None:
-            if steps is not None:
-                raise ValueError("pass either steps or schedule, not both")
-            if schedule.transition is not diffusion.transition:
-                raise ValueError(
-                    "schedule was built over a different transition model"
-                )
-        else:
-            schedule = RespacedSchedule(diffusion.transition, steps=steps)
         self.diffusion = diffusion
         self.batch_size = int(batch_size)
         #: The reverse-sampling schedule every run walks (full chain when no
         #: ``steps`` was given).
-        self.schedule = schedule
+        self.schedule = RespacedSchedule(diffusion.transition, steps)
         self.last_report: "SamplingReport | None" = None
 
     @property
@@ -203,7 +172,6 @@ class SamplingEngine:
         self,
         num_samples: int,
         seed: "int | np.random.Generator | None" = 0,
-        greedy_final: bool = True,
         first_index: int = 0,
     ) -> np.ndarray:
         """Draw ``num_samples`` topology tensors; shape ``(N, C, M, M)``.
@@ -212,31 +180,26 @@ class SamplingEngine:
         samples owned by indices ``[first_index, first_index + num_samples)``
         of the seed's virtual sequence, so a streaming caller pulling
         consecutive windows reproduces one monolithic call bit for bit.
-        ``greedy_final`` takes the mode of ``p_θ(x_0 | x_1)`` at the last
-        step instead of sampling it, which removes residual salt-and-pepper
-        noise (standard practice for discrete diffusion samplers).
+        The last jump takes the mode of ``p_θ(x_0 | x_k)`` instead of
+        sampling it, which removes residual salt-and-pepper noise (standard
+        practice for discrete diffusion samplers).
 
         Raises
         ------
         ValueError
             If ``num_samples`` < 1 or ``first_index`` < 0.
         """
-        samples, _ = self.sample_with_report(
-            num_samples, seed=seed, greedy_final=greedy_final, first_index=first_index
-        )
+        samples, _ = self.sample_with_report(num_samples, seed=seed, first_index=first_index)
         return samples
 
     def sample_with_report(
         self,
         num_samples: int,
         seed: "int | np.random.Generator | None" = 0,
-        greedy_final: bool = True,
         first_index: int = 0,
     ) -> tuple[np.ndarray, SamplingReport]:
         """Like :meth:`sample` but also returns the per-phase throughput."""
-        samples, _, report = self._run(
-            num_samples, seed, greedy_final, recorder=None, first_index=first_index
-        )
+        samples, _, report = self._run(num_samples, seed, first_index=first_index)
         return samples, report
 
     def sample_chain(
@@ -244,18 +207,26 @@ class SamplingEngine:
         num_samples: int = 1,
         seed: "int | np.random.Generator | None" = 0,
         chain_stride: int = 1,
-        greedy_final: bool = True,
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
+    ) -> tuple[np.ndarray, list[np.ndarray], tuple[int, ...]]:
         """Sample and keep the intermediate chain states (for Fig. 6).
 
-        Returns ``(samples, chain)`` where ``chain`` is a list of
+        Returns ``(samples, chain, timesteps)``.  ``chain`` is a list of
         ``(N, C, M, M)`` states starting at ``x_K`` and ending at the final
-        sample, recorded every ``chain_stride`` steps.
+        sample ``x_0``; in between it keeps the state reached by each jump
+        from timestep ``K - n * chain_stride`` (``n = 0, 1, ...``).
+        ``timesteps[j]`` is the timestep of ``chain[j]``, so
+        ``timesteps[0] == K`` and ``timesteps[-1] == 0``; at
+        ``chain_stride=1`` they are every timestep the engine walks.
         """
-        samples, chains, _ = self._run(
-            num_samples, seed, greedy_final, recorder=max(1, int(chain_stride))
+        stride = max(1, int(chain_stride))
+        chain_steps = self.schedule.chain_steps
+        timesteps = (chain_steps,) + tuple(
+            prev
+            for cur, prev in self.schedule.jumps
+            if prev == 0 or (chain_steps - cur) % stride == 0
         )
-        return samples, chains
+        samples, chains, _ = self._run(num_samples, seed, record=timesteps)
+        return samples, chains, timesteps
 
     # ------------------------------------------------------------------ #
     # internals
@@ -264,9 +235,8 @@ class SamplingEngine:
         self,
         num_samples: int,
         seed: "int | np.random.Generator | None",
-        greedy_final: bool,
-        recorder: "int | None",
         first_index: int = 0,
+        record: tuple[int, ...] = (),
     ) -> tuple[np.ndarray, list[np.ndarray], SamplingReport]:
         if num_samples < 1:
             raise ValueError("num_samples must be >= 1")
@@ -290,38 +260,35 @@ class SamplingEngine:
                 first_index + start,
                 first_index + min(start + chunk_size, num_samples),
             )
-            chain = self._denoise_chunk(base_seed, indices, greedy_final, recorder, report, finals)
-            if recorder is not None:
-                chunk_chains.append(chain)
+            chunk_chains.append(self._denoise_chunk(base_seed, indices, record, report, finals))
         report.total_seconds = time.perf_counter() - start_total
         self.last_report = report
 
         samples = finals[0] if len(finals) == 1 else np.concatenate(finals, axis=0)
-        chains: list[np.ndarray] = []
-        if recorder is not None:
-            chains = [
-                parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
-                for parts in zip(*chunk_chains)
-            ]
+        chains = [
+            parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+            for parts in zip(*chunk_chains)
+        ]
         return samples, chains, report
 
     def _denoise_chunk(
         self,
         base_seed: int,
         indices: range,
-        greedy_final: bool,
-        recorder_stride: "int | None",
+        record: tuple[int, ...],
         report: SamplingReport,
         finals: list[np.ndarray],
     ) -> list[np.ndarray]:
         """Reverse-diffuse one chunk; appends the final states to ``finals``.
 
-        The loop walks the engine's :class:`~repro.diffusion.RespacedSchedule`
-        jump by jump.  Over the full chain every jump spans one step and the
-        body is exactly the classic ancestral sampler; under a strided
-        schedule the per-step posterior table is replaced by the composed
-        jump table — same gather, same mixing kernel, same one uniform draw
-        per jump, so chunk invariance is untouched.
+        Returns the states at the timesteps in ``record`` (see
+        :meth:`sample_chain`), in walk order.  The loop walks the
+        engine's :class:`~repro.diffusion.RespacedSchedule` jump by jump.
+        Over the full chain every jump spans one step and the body is
+        exactly the classic ancestral sampler; under a strided schedule the
+        per-step posterior table is replaced by the composed jump table —
+        same gather, same mixing kernel, same one uniform draw per jump, so
+        chunk invariance is untouched.
         """
         diffusion = self.diffusion
         schedule = self.schedule
@@ -338,11 +305,7 @@ class SamplingEngine:
         )
         report.init_seconds += time.perf_counter() - tic
 
-        recorder = None
-        if recorder_stride is not None:
-            recorder = _ChainRecorder(stride=recorder_stride, num_steps=schedule.chain_steps)
-            recorder.record_initial(xk)
-
+        chain = [xk.copy()] if record else []
         for cur, prev in schedule.jumps:
             tic = time.perf_counter()
             probs_x0 = diffusion.predict_x0_probs(xk, cur)
@@ -350,31 +313,18 @@ class SamplingEngine:
             report.model_evals += 1
 
             tic = time.perf_counter()
-            probs_x0 = np.moveaxis(probs_x0, 2, -1)  # (N, C, M, M, S)
-            if prev == 0 and greedy_final:
-                xk = probs_x0.argmax(axis=-1).astype(np.int64)
-                report.mixing_seconds += time.perf_counter() - tic
-                if recorder is not None:
-                    recorder.record_final(xk)
-                break
+            probs_x0 = np.moveaxis(probs_x0, 2, -1)  # (N, C, M, M, 2)
             if prev == 0:
-                # q(x_0 | x_cur, x_0 = i) is the delta at i, so the
-                # mixture collapses to the model posterior itself.
-                probs_prev = probs_x0
+                xk = probs_x0.argmax(axis=-1).astype(np.int64)
             else:
                 posterior_all = schedule.posterior_table(cur, prev, dtype=np.float32)[xk]
-                if posterior_all.shape[-1] == 2:
-                    # Binary topologies: writing out the 2-state mixture is
-                    # cheaper than dispatching einsum every step.
-                    probs_prev = probs_x0[..., 0, None] * posterior_all[..., 0, :]
-                    probs_prev += probs_x0[..., 1, None] * posterior_all[..., 1, :]
-                else:
-                    probs_prev = np.einsum("...i,...ij->...j", probs_x0, posterior_all)
-            uniforms = np.stack([g.random(sample_shape) for g in gens], axis=0)
-            xk = categorical_from_uniforms(probs_prev, uniforms)
+                probs_prev = probs_x0[..., 0, None] * posterior_all[..., 0, :]
+                probs_prev += probs_x0[..., 1, None] * posterior_all[..., 1, :]
+                uniforms = np.stack([g.random(sample_shape) for g in gens], axis=0)
+                xk = categorical_from_uniforms(probs_prev, uniforms)
             report.mixing_seconds += time.perf_counter() - tic
-            if recorder is not None:
-                recorder.maybe_record(xk, cur)
+            if prev in record:
+                chain.append(xk.copy())
 
         finals.append(xk)
-        return recorder.states if recorder is not None else []
+        return chain

@@ -231,6 +231,29 @@ class TestV2CliSurface:
         assert str(args.library) == "/tmp/lib"
 
 
+@pytest.mark.parametrize(
+    "setting", ["num_states = 3", 'transition_kind = "absorbing"'],
+    ids=["num_states", "transition_kind"],
+)
+def test_scenario_file_with_a_removed_diffusion_key_fails_before_work(
+    tmp_path, monkeypatch, capsys, setting
+):
+    # The chain is binary-only: a removed key is refused before data
+    # synthesis and training.
+    calls = []
+    for stage in ("prepare_data", "train"):
+        monkeypatch.setattr(
+            DiffPatternPipeline, stage, lambda *args, **kwargs: calls.append(args)
+        )
+    path = tmp_path / "multi.toml"
+    path.write_text(f'[multi]\nextends = "smoke"\n[multi.diffusion]\n{setting}\n')
+    assert main(["generate", "--scenario-file", str(path), "--scenario", "multi"]) == 1
+    captured = capsys.readouterr()
+    assert "[1/3]" not in captured.out
+    assert calls == []
+    assert setting.split()[0] in _one_error_line(captured.err)
+
+
 def _one_error_line(err: str) -> str:
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err

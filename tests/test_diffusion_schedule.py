@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.diffusion import NoiseSchedule, cosine_schedule, linear_schedule
+from repro.diffusion import NoiseSchedule, linear_schedule
 
 
 class TestNoiseSchedule:
@@ -50,17 +50,3 @@ class TestLinearSchedule:
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
             linear_schedule(0)
-
-
-class TestCosineSchedule:
-    def test_within_bounds(self):
-        schedule = cosine_schedule(100)
-        assert (schedule.betas > 0).all()
-        assert (schedule.betas <= 0.5).all()
-
-    def test_length(self):
-        assert cosine_schedule(37).num_steps == 37
-
-    def test_rejects_zero_steps(self):
-        with pytest.raises(ValueError):
-            cosine_schedule(0)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.diffusion import (
     DiscreteTransitionModel,
-    RespacedSchedule,
     binary_flip_probability,
     linear_schedule,
     one_hot,
@@ -20,7 +19,7 @@ def schedule():
 
 @pytest.fixture(scope="module")
 def binary_model(schedule):
-    return DiscreteTransitionModel(schedule, num_states=2, kind="binary")
+    return DiscreteTransitionModel(schedule)
 
 
 class TestConstruction:
@@ -47,48 +46,9 @@ class TestConstruction:
         np.testing.assert_array_equal(binary_model.q_bar_matrix(0), np.eye(2))
 
     def test_converges_to_uniform(self, schedule):
-        model = DiscreteTransitionModel(linear_schedule(200, 0.01, 0.5), kind="binary")
+        model = DiscreteTransitionModel(linear_schedule(200, 0.01, 0.5))
         final = model.q_bar_matrix(model.num_steps)
         np.testing.assert_allclose(final, np.full((2, 2), 0.5), atol=1e-6)
-
-    def test_uniform_kind_with_more_states(self, schedule):
-        model = DiscreteTransitionModel(schedule, num_states=4, kind="uniform")
-        q = model.q_matrix(3)
-        assert q.shape == (4, 4)
-        np.testing.assert_allclose(q.sum(axis=1), np.ones(4))
-        np.testing.assert_allclose(model.stationary_distribution(), np.full(4, 0.25))
-
-    def test_absorbing_kind_stationary(self, schedule):
-        model = DiscreteTransitionModel(schedule, num_states=3, kind="absorbing")
-        stationary = model.stationary_distribution()
-        np.testing.assert_array_equal(stationary, [0.0, 0.0, 1.0])
-        q = model.q_matrix(1)
-        np.testing.assert_allclose(q[-1], [0.0, 0.0, 1.0])
-
-    def test_absorbing_posterior_tables_are_distributions(self, schedule):
-        model = DiscreteTransitionModel(schedule, num_states=3, kind="absorbing")
-        respaced = RespacedSchedule(model, steps=4)
-        tables = [model.posterior_table(k) for k in range(1, model.num_steps + 1)]
-        tables += [
-            respaced.posterior_table(cur, prev) for cur, prev in respaced.jumps if prev >= 1
-        ]
-        for table in tables:
-            assert np.isfinite(table).all()
-            np.testing.assert_allclose(table.sum(axis=-1), 1.0)
-        # x_0 = 0 never reaches x_k = 1: the point mass on x_{k-1} = x_k
-        np.testing.assert_array_equal(model.posterior_table(5)[1, 0], [0.0, 1.0, 0.0])
-        cur, prev = respaced.jumps[0]
-        np.testing.assert_array_equal(
-            respaced.posterior_table(cur, prev)[1, 0], [0.0, 1.0, 0.0]
-        )
-
-    def test_invalid_configurations(self, schedule):
-        with pytest.raises(ValueError):
-            DiscreteTransitionModel(schedule, num_states=3, kind="binary")
-        with pytest.raises(ValueError):
-            DiscreteTransitionModel(schedule, num_states=1)
-        with pytest.raises(ValueError):
-            DiscreteTransitionModel(schedule, kind="weird")
 
     def test_index_bounds(self, binary_model):
         with pytest.raises(IndexError):

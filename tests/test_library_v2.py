@@ -21,7 +21,14 @@ from repro.library import (
     pattern_hash,
     topology_hash,
 )
-from repro.library.index import SIDECAR_COLUMNS, load_sidecar, sidecar_name, write_sidecar
+from repro.library.index import (
+    HASH_DTYPE,
+    SIDECAR_COLUMNS,
+    LibraryIndex,
+    load_sidecar,
+    sidecar_name,
+    write_sidecar,
+)
 from repro.library.manifest import (
     ledger_path,
     load_ledger,
@@ -656,6 +663,33 @@ class TestIndex:
         with inject_faults(Fault("index:meta")), pytest.raises(InjectedCrash):
             library.rebuild_index()
         assert not bloom.exists()
+
+    @pytest.mark.parametrize(
+        "base_fills, delta_fills",
+        [
+            ([], [5, 3, 9]),
+            ([0, 1, 2, 3], []),
+            ([0, 2, 4, 6], [1, 2, 7, 6, 8]),
+            ([0, 4], [3, 1, 3, 5, 1]),
+        ],
+        ids=["empty-base", "empty-delta", "delta-overlaps-base", "duplicates-across-delta-records"],
+    )
+    def test_merge_writes_the_bytes_of_unique_over_concatenation(
+        self, tmp_path, base_fills, delta_fills
+    ):
+        # A flush folds the delta into the sorted, unique merged file without
+        # re-sorting it; the file must come out as if it had been.
+        def digests(fills):
+            return [hashlib.sha1(str(fill).encode()).hexdigest().encode() for fill in fills]
+
+        base = np.unique(np.asarray(digests(base_fills), dtype=HASH_DTYPE))
+        delta = digests(delta_fills)
+        expected = np.unique(np.concatenate([base, np.asarray(delta, dtype=HASH_DTYPE)]))
+        np.save(tmp_path / "base.npy", base)
+        mapped = np.load(tmp_path / "base.npy", mmap_mode="r")
+        for merged in (LibraryIndex._merge(base, delta), LibraryIndex._merge(mapped, delta)):
+            assert merged.dtype == expected.dtype and merged.shape == expected.shape
+            assert merged.tobytes() == expected.tobytes()
 
     def test_probe_agrees_with_disk_after_flush(self, tmp_path):
         # 9 chunks crosses the flush threshold, so probes mix the merged

@@ -189,6 +189,24 @@ class TestFigureHarnesses:
         # The chain starts from (roughly uniform) noise.
         assert 0.3 < chain.fill_ratios()[0] < 0.7
 
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("sampling_steps", [None, 3], ids=["full", "respaced"])
+    def test_denoising_chain_labels_are_the_recorded_timesteps(
+        self, trained_tiny_pipeline, monkeypatch, sampling_steps, stride
+    ):
+        # At stride 1 the chain holds every state the walk visits, x_K first;
+        # every label of a strided chain must pick out the same state there.
+        monkeypatch.setattr(trained_tiny_pipeline.config, "sampling_steps", sampling_steps)
+        walked = trained_tiny_pipeline.sampling_engine().schedule.timesteps
+        every = run_denoising_chain(trained_tiny_pipeline, chain_stride=1, rng=0)
+        assert every.steps == [*walked[::-1], 0]
+        chain = run_denoising_chain(trained_tiny_pipeline, chain_stride=stride, rng=0)
+        assert len(chain.steps) == len(chain.matrices)
+        assert chain.steps[0] == trained_tiny_pipeline.config.diffusion.num_steps
+        assert chain.steps[-1] == 0
+        for step, matrix in zip(chain.steps, chain.matrices):
+            np.testing.assert_array_equal(matrix, every.matrices[every.steps.index(step)])
+
     def test_patterns_from_single_topology_are_distinct(self, two_shape_topology, rules):
         patterns = patterns_from_single_topology(two_shape_topology, rules, num_patterns=4, rng=0)
         assert len(patterns) == 4

@@ -66,7 +66,6 @@ class TestRespacedTimesteps:
 class TestRespacedSchedule:
     def test_default_is_the_full_chain(self, transition):
         schedule = RespacedSchedule(transition)
-        assert schedule.is_full
         assert schedule.num_steps == schedule.chain_steps == 8
         assert schedule.jumps[0] == (8, 7)
         assert schedule.jumps[-1] == (1, 0)
@@ -75,23 +74,6 @@ class TestRespacedSchedule:
         schedule = RespacedSchedule(transition, steps=3)
         assert schedule.timesteps == (1, 4, 8)
         assert schedule.jumps == ((8, 4), (4, 1), (1, 0))
-        assert not schedule.is_full
-
-    def test_explicit_timesteps(self, transition):
-        schedule = RespacedSchedule(transition, timesteps=[2, 5, 8])
-        assert schedule.timesteps == (2, 5, 8)
-        assert schedule.num_steps == 3
-
-    def test_steps_and_timesteps_are_exclusive(self, transition):
-        with pytest.raises(ValueError):
-            RespacedSchedule(transition, steps=3, timesteps=(1, 8))
-
-    @pytest.mark.parametrize(
-        "timesteps", [(), (0, 8), (1, 9), (5, 3, 8), (1, 1, 8), (1, 5)]
-    )
-    def test_rejects_invalid_timesteps(self, transition, timesteps):
-        with pytest.raises(ValueError):
-            RespacedSchedule(transition, timesteps=timesteps)
 
     def test_jump_matrix_is_the_product_of_skipped_steps(self, transition):
         schedule = RespacedSchedule(transition, steps=3)
@@ -183,27 +165,6 @@ class TestEngineBitIdentity:
         assert samples.shape == (4, 4, 8, 8)
         assert set(np.unique(samples)).issubset({0, 1})
         assert engine.last_report.num_steps == 1
-
-    def test_explicit_schedule_object(self, diffusion):
-        schedule = RespacedSchedule(diffusion.transition, steps=3)
-        by_object = SamplingEngine(diffusion, batch_size=8, schedule=schedule)
-        by_steps = SamplingEngine(diffusion, batch_size=8, steps=3)
-        np.testing.assert_array_equal(
-            by_object.sample(4, seed=7), by_steps.sample(4, seed=7)
-        )
-
-    def test_steps_and_schedule_are_exclusive(self, diffusion):
-        schedule = RespacedSchedule(diffusion.transition, steps=3)
-        with pytest.raises(ValueError):
-            SamplingEngine(diffusion, steps=3, schedule=schedule)
-
-    def test_schedule_must_share_the_transition(self, diffusion):
-        other = DiscreteDiffusion(
-            tiny_unet(), DiffusionConfig(num_steps=8, lambda_ce=0.05)
-        )
-        foreign = RespacedSchedule(other.transition, steps=3)
-        with pytest.raises(ValueError):
-            SamplingEngine(diffusion, schedule=foreign)
 
     def test_rejects_invalid_steps(self, diffusion):
         for steps in (0, 9, -2):

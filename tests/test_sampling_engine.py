@@ -114,8 +114,8 @@ class TestEngineParity:
         assert set(np.unique(samples)).issubset({0, 1})
 
     def test_chain_parity_and_consistency(self, diffusion, engine):
-        samples, chain = engine.sample_chain(2, seed=0, chain_stride=2)
-        _, chain_seq = SamplingEngine(diffusion, batch_size=1).sample_chain(
+        samples, chain, _ = engine.sample_chain(2, seed=0, chain_stride=2)
+        _, chain_seq, _ = SamplingEngine(diffusion, batch_size=1).sample_chain(
             2, seed=0, chain_stride=2
         )
         assert len(chain) == len(chain_seq) >= 2
@@ -176,9 +176,8 @@ class TestPosteriorTables:
             q_k = transition.q_matrix(k)
             q_bar_prev = transition.q_bar_matrix(k - 1)
             q_bar_k = transition.q_bar_matrix(k)
-            size = transition.num_states
-            for v in range(size):
-                for i in range(size):
+            for v in range(2):
+                for i in range(2):
                     expected = q_k[:, v] * q_bar_prev[i, :] / q_bar_k[i, v]
                     np.testing.assert_allclose(table[v, i], expected)
 

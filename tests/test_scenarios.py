@@ -35,6 +35,8 @@ class TestSpecValidation:
             ({"run": {"stream": False}}, "stream"),
             ({"engine": {"stream_chunk_size": 4}}, "stream_chunk_size"),
             ({"engine": {"legalize_chunk_size": 2}}, "legalize_chunk_size"),
+            ({"diffusion": {"num_states": 3}}, "num_states"),
+            ({"diffusion": {"transition_kind": "absorbing"}}, "transition_kind"),
         ):
             with pytest.raises(ScenarioError, match=key):
                 ScenarioSpec.from_dict("bad", payload)
@@ -250,6 +252,21 @@ class TestFiles:
         with pytest.raises(ScenarioError, match="space_mim"):
             load_scenarios(path, registry=registry)
         assert registry.names() == []               # validate-all-then-register
+
+    @pytest.mark.parametrize("key, value", [("num_states", 3), ("transition_kind", "uniform")])
+    def test_removed_diffusion_keys_fail_in_files_and_overrides(self, tmp_path, key, value):
+        # The chain is binary-only; a file or override naming a removed key
+        # fails at validation, before anything is lowered or trained.
+        path = tmp_path / "extra.toml"
+        path.write_text(
+            f'[multi]\nextends = "smoke"\n[multi.diffusion]\n{key} = {json.dumps(value)}\n'
+        )
+        registry = builtin_registry()
+        with pytest.raises(ScenarioError, match=key):
+            load_scenarios(path, registry=registry)
+        assert "multi" not in registry.names()
+        with pytest.raises(ScenarioError, match=key):
+            registry.resolve("smoke").with_overrides({"diffusion": {key: value}})
 
     def test_collision_with_builtin_rejected(self, tmp_path):
         path = tmp_path / "extra.json"

@@ -493,6 +493,35 @@ def test_unknown_scenario_raises_scenario_error(serve_env):
         service.submit(GenerateRequest(scenario="no-such-scenario", count=1))
 
 
+@pytest.mark.parametrize("key, value", [("num_states", 3), ("transition_kind", "absorbing")])
+def test_removed_diffusion_override_is_a_400_that_warms_nothing(key, value):
+    # The chain is binary-only: an override naming a removed diffusion key is
+    # refused at admission, before any stream is opened or model trained.
+    factory_calls = []
+    service = GenerationService(
+        registry=_registry(), pipeline_factory=lambda plan: factory_calls.append(plan)
+    )
+    request = GenerateRequest(
+        scenario="serve-test", count=1, overrides={"diffusion": {key: value}}
+    )
+    with pytest.raises(ScenarioError, match=key):
+        service.submit(request)
+
+    async def scenario():
+        server = ServeServer(service, port=0)
+        await server.start()
+        try:
+            with pytest.raises(ServeHTTPError) as refused:
+                await ServeClient(port=server.port).generate(request)
+        finally:
+            await server.stop()
+        return refused.value
+
+    assert asyncio.run(scenario()).status == 400
+    assert service._batchers == {}
+    assert factory_calls == []
+
+
 def test_metrics_snapshot_shape():
     metrics = ServeMetrics()
     metrics.record_admitted(1)
