@@ -3,8 +3,12 @@
 The paper shows flattened samples of the chain T_K -> ... -> T̂_0: the state
 starts as uniform salt-and-pepper noise (fill ratio ~0.5) and progressively
 organises into a sparse, blocky layout topology.  The reproduction records the
-fill ratio and bow-tie count of the intermediate states and renders the first,
-middle and final state as ASCII art.
+fill ratio and bow-tie count of the intermediate states and renders the first
+and final state as ASCII art.
+
+The recorded chain is ``T_K``, the state after every ``stride``-th reverse
+jump (``stride = max(1, K // 8)``) and ``T̂_0``, each labelled with its
+timestep: ``K = 1000`` gives 1000, 875, ..., 125, 0.
 """
 
 from __future__ import annotations

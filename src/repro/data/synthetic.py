@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry import Layout
 from ..legalization.rules import DesignRules
 from ..squish import SquishPattern
 from ..utils import as_rng
@@ -170,9 +169,3 @@ class SyntheticLayoutGenerator:
         """Generate ``count`` independent DRC-clean patterns."""
         gen = as_rng(rng)
         return [self.generate_pattern(gen) for _ in range(count)]
-
-    def generate_layouts(
-        self, count: int, rng: "int | np.random.Generator | None" = None
-    ) -> list[Layout]:
-        """Generate patterns and decode them into layout clips."""
-        return [pattern.to_layout() for pattern in self.generate_library(count, rng)]

@@ -271,13 +271,3 @@ class DiscreteDiffusion:
             lr=self.config.learning_rate,
             grad_clip=self.config.grad_clip,
         )
-
-    # ------------------------------------------------------------------ #
-    # convenience constructors
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_unet_config(
-        cls, unet_config: UNetConfig, diffusion_config: "DiffusionConfig | None" = None
-    ) -> "DiscreteDiffusion":
-        """Build a generator with a fresh U-Net from configuration objects."""
-        return cls(UNet(unet_config), diffusion_config)

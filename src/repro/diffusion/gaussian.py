@@ -76,11 +76,14 @@ class GaussianTopologyDiffusion:
             raise IndexError(f"k={step} outside [1, {num_steps}]")
         alpha_bar = self.alpha_bars[step - 1]
         noise = gen.standard_normal(x0_cont.shape).astype(np.float32)
-        xk = np.sqrt(alpha_bar) * x0_cont + np.sqrt(1.0 - alpha_bar) * noise
+        # float32 scales keep xk float32: NumPy 2 promotes float64 scalars.
+        scale_x0 = np.float32(np.sqrt(alpha_bar))
+        scale_noise = np.float32(np.sqrt(1.0 - alpha_bar))
+        xk = scale_x0 * x0_cont + scale_noise * noise
         timesteps = np.full(xk.shape[0], step, dtype=np.int64)
         cache: list = []
         # UNet emits (N, C, 1, M, M); the loss sees the singleton class axis dropped.
-        out = self.model.infer(xk.astype(np.float32), timesteps, cache, train=True)
+        out = self.model.infer(xk, timesteps, cache, train=True)
         mse, grad = F.mse_loss(out.reshape(noise.shape), noise)
 
         def backward() -> None:

@@ -6,10 +6,7 @@ the squish representation, DRC checker and legalisation stages.
 """
 
 from .grid import (
-    component_areas,
-    component_cell_indices,
     connected_components,
-    grid_to_rects,
     has_bowtie,
     interior_runs_2d,
     runs_2d,
@@ -18,11 +15,10 @@ from .grid import (
 )
 from .layout import Layout
 from .polygon import RectilinearPolygon, polygons_from_grid
-from .rectangle import Rect, rect_min_distance
+from .rectangle import Rect
 
 __all__ = [
     "Rect",
-    "rect_min_distance",
     "RectilinearPolygon",
     "polygons_from_grid",
     "Layout",
@@ -32,7 +28,4 @@ __all__ = [
     "runs_of_value",
     "runs_2d",
     "interior_runs_2d",
-    "grid_to_rects",
-    "component_cell_indices",
-    "component_areas",
 ]

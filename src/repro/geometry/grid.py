@@ -8,8 +8,7 @@ grid-level geometry primitives used throughout the library:
 * connected-component labelling (4-connectivity, the correct adjacency for
   rectilinear polygons),
 * bow-tie (corner-touching) detection,
-* run-length extraction along rows/columns (the basis of width / space rules),
-* conversion from a grid plus interval lengths to rectangles.
+* run-length extraction along rows/columns (the basis of width / space rules).
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ from collections import deque
 from collections.abc import Iterator
 
 import numpy as np
-
-from .rectangle import Rect
 
 
 def validate_grid(grid: np.ndarray) -> np.ndarray:
@@ -148,71 +145,3 @@ def interior_runs_2d(
     last = arr.shape[1] - 1 - np.argmax(ones[:, ::-1], axis=1)
     keep = has_shape[line] & (start > first[line]) & (end < last[line])
     return line[keep], start[keep], end[keep]
-
-
-def grid_to_rects(
-    grid: np.ndarray,
-    dx: np.ndarray,
-    dy: np.ndarray,
-    origin: tuple[int, int] = (0, 0),
-) -> list[Rect]:
-    """Convert a topology grid plus interval lengths to maximal-row rectangles.
-
-    ``grid[r, c]`` covers the cell whose x-extent is ``[X[c], X[c+1]]`` and
-    y-extent ``[Y[r], Y[r+1]]`` where ``X``/``Y`` are the cumulative sums of
-    ``dx``/``dy`` offset by ``origin``.  Horizontal runs of 1s within each row
-    are merged into single rectangles; vertical merging is left to the layout
-    container's polygon grouping.
-    """
-    arr = validate_grid(grid)
-    dx = np.asarray(dx, dtype=np.int64)
-    dy = np.asarray(dy, dtype=np.int64)
-    if dx.shape[0] != arr.shape[1]:
-        raise ValueError(
-            f"dx has {dx.shape[0]} entries but grid has {arr.shape[1]} columns"
-        )
-    if dy.shape[0] != arr.shape[0]:
-        raise ValueError(
-            f"dy has {dy.shape[0]} entries but grid has {arr.shape[0]} rows"
-        )
-    if (dx <= 0).any() or (dy <= 0).any():
-        raise ValueError("interval lengths must be strictly positive")
-
-    ox, oy = origin
-    xs = np.concatenate(([0], np.cumsum(dx))) + ox
-    ys = np.concatenate(([0], np.cumsum(dy))) + oy
-
-    rects: list[Rect] = []
-    for r in range(arr.shape[0]):
-        for c_start, c_end in runs_of_value(arr[r], 1):
-            rects.append(
-                Rect(
-                    int(xs[c_start]),
-                    int(ys[r]),
-                    int(xs[c_end + 1]),
-                    int(ys[r + 1]),
-                )
-            )
-    return rects
-
-
-def component_cell_indices(
-    labels: np.ndarray, component: int
-) -> list[tuple[int, int]]:
-    """Return the (row, col) cells belonging to one labelled component."""
-    rr, cc = np.nonzero(labels == component)
-    return list(zip(rr.tolist(), cc.tolist()))
-
-
-def component_areas(
-    grid: np.ndarray, dx: np.ndarray, dy: np.ndarray
-) -> list[int]:
-    """Area (nm^2) of every 4-connected polygon in the grid."""
-    labels, count = connected_components(grid)
-    dx = np.asarray(dx, dtype=np.int64)
-    dy = np.asarray(dy, dtype=np.int64)
-    cell_area = np.outer(dy, dx)
-    areas = []
-    for comp in range(1, count + 1):
-        areas.append(int(cell_area[labels == comp].sum()))
-    return areas

@@ -57,14 +57,6 @@ class Layout:
         """Every covering rectangle of every polygon."""
         return [r for poly in self.polygons for r in poly.rects]
 
-    def add_polygon(self, polygon: RectilinearPolygon) -> None:
-        """Add a polygon, validating it fits the window."""
-        if not self.window.contains_rect(polygon.bbox):
-            raise ValueError(
-                f"polygon bbox {polygon.bbox} exceeds layout window {self.window}"
-            )
-        self.polygons.append(polygon)
-
     def scanline_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """Scan-line coordinates along x and y.
 

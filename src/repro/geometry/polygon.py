@@ -92,15 +92,6 @@ class RectilinearPolygon:
                                                p[0] - self.bbox.center[0])))
         return corners
 
-    def min_feature_width(self) -> int:
-        """Smallest rectangle dimension — a cheap lower bound used by tests.
-
-        The exact 'Width' rule is evaluated on the squish grid by the DRC
-        checker; this helper only gives the minimum width/height over the
-        covering rectangles of the polygon.
-        """
-        return min(min(r.width, r.height) for r in self.rects)
-
 
 def polygons_from_grid(
     grid: np.ndarray,

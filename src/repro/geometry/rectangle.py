@@ -119,10 +119,3 @@ class Rect:
     def clipped(self, window: "Rect") -> "Rect | None":
         """Clip this rectangle to ``window``; ``None`` if nothing remains."""
         return self.intersection(window)
-
-
-def rect_min_distance(a: Rect, b: Rect) -> float:
-    """Minimum Euclidean distance between two rectangles (0 when touching)."""
-    dx = max(a.x1 - b.x2, b.x1 - a.x2, 0)
-    dy = max(a.y1 - b.y2, b.y1 - a.y2, 0)
-    return float((dx * dx + dy * dy) ** 0.5)

@@ -23,7 +23,6 @@ from .constraints import (
     IntervalConstraint,
     TopologyConstraints,
     extract_constraints,
-    polygon_area,
 )
 from .engine import (
     LegalizationEngine,
@@ -48,7 +47,6 @@ __all__ = [
     "IntervalConstraint",
     "TopologyConstraints",
     "extract_constraints",
-    "polygon_area",
     "CompiledConstraints",
     "compiled_for_topology",
     "compilation_cache_info",

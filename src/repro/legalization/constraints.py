@@ -112,20 +112,3 @@ def extract_constraints(
         constraints.polygon_cells.append(list(zip(rr.tolist(), cc.tolist())))
 
     return constraints
-
-
-def polygon_area(
-    cells: "list[tuple[int, int]] | np.ndarray", delta_x: np.ndarray, delta_y: np.ndarray
-) -> float:
-    """Area of one polygon given concrete geometric vectors.
-
-    ``cells`` is a sequence of ``(row, col)`` pairs (or an equivalent
-    ``(n, 2)`` array); the area is the sum of ``delta_x[col] * delta_y[row]``
-    over them, evaluated with one gather per axis.
-    """
-    dx = np.asarray(delta_x, dtype=np.float64)
-    dy = np.asarray(delta_y, dtype=np.float64)
-    coords = np.asarray(cells, dtype=np.int64)
-    if coords.size == 0:
-        return 0.0
-    return float((dx[coords[:, 1]] * dy[coords[:, 0]]).sum())

@@ -46,10 +46,6 @@ class DesignRules:
         """A copy with a different minimum spacing (Fig. 8b scenario)."""
         return replace(self, space_min=space_min)
 
-    def with_width_min(self, width_min: int) -> "DesignRules":
-        """A copy with a different minimum width."""
-        return replace(self, width_min=width_min)
-
     def with_area_range(self, area_min: int, area_max: int) -> "DesignRules":
         """A copy with a different legal area range (Fig. 8c scenario)."""
         return replace(self, area_min=area_min, area_max=area_max)

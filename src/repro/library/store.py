@@ -582,33 +582,6 @@ class PatternLibrary:
     # ------------------------------------------------------------------ #
     # reading
     # ------------------------------------------------------------------ #
-    def load_chunk_patterns(self, chunk: int) -> list[SquishPattern]:
-        """Load the stored patterns of one chunk (empty for shard-less chunks).
-
-        Resolves against this writer's chunks first; otherwise a bare chunk
-        index must be unambiguous across writers — use
-        :meth:`load_record_patterns` for the rest.
-
-        Raises
-        ------
-        LibraryError
-            If the chunk is not recorded, is ambiguous, or its shard file
-            is missing/truncated.
-        """
-        record = self.chunk_records.get(chunk)
-        if record is None:
-            matches = [r for r in self.records_in_order() if r.chunk == chunk]
-            if len(matches) > 1:
-                writers = sorted({r.writer for r in matches})
-                raise LibraryError(
-                    f"chunk {chunk} is recorded by {len(matches)} writers "
-                    f"({', '.join(writers)}); load by record instead"
-                )
-            record = matches[0] if matches else None
-        if record is None:
-            raise LibraryError(f"chunk {chunk} is not recorded in {self.root}")
-        return self.load_record_patterns(record)
-
     def load_record_patterns(self, record: ChunkRecord) -> list[SquishPattern]:
         """Load one record's shard slice (validated against the manifest)."""
         if record.shard is None or record.num_stored == 0:

@@ -1,4 +1,4 @@
-"""Evaluation metrics: pattern complexity, library diversity, validity."""
+"""Evaluation metrics: pattern complexity and library diversity."""
 
 from .complexity import pattern_complexity, topology_complexity
 from .diversity import (
@@ -9,7 +9,6 @@ from .diversity import (
     shannon_entropy,
     topology_diversity,
 )
-from .validity import ValidityConfig, ValidityScorer
 
 __all__ = [
     "pattern_complexity",
@@ -20,6 +19,4 @@ __all__ = [
     "diversity_from_complexities",
     "pattern_diversity",
     "topology_diversity",
-    "ValidityScorer",
-    "ValidityConfig",
 ]

@@ -2,7 +2,9 @@
 
 Each layer operator is written once, as two parts:
 
-* a gradient-free array kernel (``conv2d_array``, ``linear_array``, ...);
+* a gradient-free array kernel (``linear_array``, ``silu_array``, ...; the
+  convolution and normalisation kernels, ``_conv2d_forward`` and
+  ``_group_norm_forward``, also return the values their VJP needs);
 * a vector-Jacobian product over the values that kernel produced
   (``conv2d_backward``, ``linear_backward``, ``group_norm_backward``,
   ``layer_norm_backward``, ``silu_backward``, ``softmax_backward``,
@@ -70,17 +72,6 @@ def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) 
 # Array-in / array-out: no wrappers, no backward closures, contiguous
 # float32 throughout, and matmul instead of einsum (which re-derives a
 # contraction path on every call).
-
-
-def conv2d_array(
-    x: np.ndarray,
-    weight: np.ndarray,
-    bias: "np.ndarray | None" = None,
-    stride: int = 1,
-    padding: int = 0,
-) -> np.ndarray:
-    """2-D convolution over ``(N, C, H, W)`` input with ``(out, in, kh, kw)`` weights."""
-    return _conv2d_forward(x, weight, bias, stride, padding)[0]
 
 
 def _conv2d_forward(
@@ -248,13 +239,6 @@ def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
 def softmax_backward(grad: np.ndarray, probs: np.ndarray, axis: int = -1) -> np.ndarray:
     """VJP of softmax given its output ``probs``."""
     return probs * (grad - (grad * probs).sum(axis=axis, keepdims=True))
-
-
-def group_norm_array(
-    x: np.ndarray, num_groups: int, weight: np.ndarray, bias: np.ndarray, eps: float = 1e-5
-) -> np.ndarray:
-    """Group normalisation of ``(N, C, H, W)`` input on plain arrays."""
-    return _group_norm_forward(x, num_groups, weight, bias, eps)[0]
 
 
 def _group_norm_forward(

@@ -89,10 +89,6 @@ class Module:
         for child_name, child in self._modules.items():
             yield from child.named_parameters(prefix=f"{prefix}{child_name}.")
 
-    def num_parameters(self) -> int:
-        """Total number of scalar parameters."""
-        return sum(p.size for p in self.parameters())
-
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.zero_grad()

@@ -2,8 +2,8 @@
 
 The paper trains with Adam (learning rate 2e-4) and gradient clipping at
 1.0.  :func:`fit` is the loop every trainer in the package runs: the
-diffusion model, the Gaussian ablation, the Table I baselines and the
-validity scorer differ only in the ``loss`` step they hand it.
+diffusion model, the Gaussian ablation and the Table I baselines differ
+only in the ``loss`` step they hand it.
 """
 
 from __future__ import annotations

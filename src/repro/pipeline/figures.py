@@ -69,7 +69,12 @@ def run_denoising_chain(
     chain_stride: int = 1,
     rng: "int | np.random.Generator | None" = None,
 ) -> DenoisingChain:
-    """Sample one topology, keeping the intermediate states (Fig. 6)."""
+    """Sample one topology, keeping the intermediate states (Fig. 6).
+
+    The chain holds ``T_K``, the state after every ``chain_stride``-th
+    reverse jump and ``T_0``; ``steps`` labels each state with its timestep
+    (see :meth:`~repro.pipeline.sampling_engine.SamplingEngine.sample_chain`).
+    """
     if pipeline.diffusion is None:
         raise RuntimeError("the pipeline has no trained diffusion model")
     _, chain, steps = pipeline.sampling_engine().sample_chain(

@@ -211,19 +211,19 @@ class SamplingEngine:
         """Sample and keep the intermediate chain states (for Fig. 6).
 
         Returns ``(samples, chain, timesteps)``.  ``chain`` is a list of
-        ``(N, C, M, M)`` states starting at ``x_K`` and ending at the final
-        sample ``x_0``; in between it keeps the state reached by each jump
-        from timestep ``K - n * chain_stride`` (``n = 0, 1, ...``).
-        ``timesteps[j]`` is the timestep of ``chain[j]``, so
-        ``timesteps[0] == K`` and ``timesteps[-1] == 0``; at
-        ``chain_stride=1`` they are every timestep the engine walks.
+        ``(N, C, M, M)`` states: ``x_K``, then the state after every
+        ``chain_stride``-th reverse jump, then the final sample ``x_0``.
+        ``timesteps[j]`` is the timestep of ``chain[j]``: a full ``K = 8``
+        chain is labelled ``8, 5, 2, 0`` at stride 3 and ``8, 6, 4, 2, 0`` at
+        stride 2, and at ``chain_stride=1`` the labels are every timestep the
+        engine walks.  On a respaced engine the stride counts jumps, not
+        timesteps.
         """
         stride = max(1, int(chain_stride))
-        chain_steps = self.schedule.chain_steps
-        timesteps = (chain_steps,) + tuple(
+        timesteps = (self.schedule.chain_steps,) + tuple(
             prev
-            for cur, prev in self.schedule.jumps
-            if prev == 0 or (chain_steps - cur) % stride == 0
+            for jump, (_, prev) in enumerate(self.schedule.jumps, start=1)
+            if prev == 0 or jump % stride == 0
         )
         samples, chains, _ = self._run(num_samples, seed, record=timesteps)
         return samples, chains, timesteps

@@ -1,29 +1,15 @@
 """Squish and Deep Squish pattern representations (lossless layout encodings)."""
 
-from .deep_squish import (
-    fold,
-    fold_batch,
-    naive_pack,
-    naive_unpack,
-    unfold,
-    unfold_batch,
-)
+from .deep_squish import fold, naive_pack, unfold
 from .padding import PaddingError, canonicalize, pad_to_size
-from .squish import SquishPattern, empty_pattern, squish, unsquish, window_of
+from .squish import SquishPattern
 
 __all__ = [
     "SquishPattern",
-    "squish",
-    "unsquish",
-    "empty_pattern",
-    "window_of",
     "pad_to_size",
     "canonicalize",
     "PaddingError",
     "fold",
     "unfold",
-    "fold_batch",
-    "unfold_batch",
     "naive_pack",
-    "naive_unpack",
 ]

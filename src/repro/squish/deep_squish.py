@@ -76,22 +76,6 @@ def unfold(tensor: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(matrix.astype(np.uint8))
 
 
-def fold_batch(topologies: np.ndarray, channels: int) -> np.ndarray:
-    """Fold a batch ``(N, H, W)`` of topology matrices to ``(N, C, M, M)``."""
-    arr = np.asarray(topologies)
-    if arr.ndim != 3:
-        raise ValueError(f"expected (N, H, W) batch, got {arr.shape}")
-    return np.stack([fold(t, channels) for t in arr], axis=0)
-
-
-def unfold_batch(tensors: np.ndarray) -> np.ndarray:
-    """Unfold a batch ``(N, C, M, M)`` back to ``(N, H, W)`` matrices."""
-    arr = np.asarray(tensors)
-    if arr.ndim != 4:
-        raise ValueError(f"expected (N, C, M, M) batch, got {arr.shape}")
-    return np.stack([unfold(t) for t in arr], axis=0)
-
-
 def naive_pack(topology: np.ndarray, bits: int) -> np.ndarray:
     """Naive bit concatenation baseline from Fig. 5 (for comparison only).
 
@@ -110,20 +94,3 @@ def naive_pack(topology: np.ndarray, bits: int) -> np.ndarray:
     patches = arr.reshape(m, side, m, side).transpose(0, 2, 1, 3).reshape(m, m, bits)
     weights = 2 ** np.arange(bits - 1, -1, -1, dtype=np.int64)
     return (patches.astype(np.int64) * weights).sum(axis=-1)
-
-
-def naive_unpack(packed: np.ndarray, bits: int) -> np.ndarray:
-    """Inverse of :func:`naive_pack`."""
-    arr = np.asarray(packed, dtype=np.int64)
-    if arr.ndim != 2:
-        raise ValueError("packed array must be 2-D")
-    if (arr < 0).any() or (arr >= 2**bits).any():
-        raise ValueError(f"packed states must lie in [0, 2**{bits})")
-    side = _patch_side(bits)
-    m, m2 = arr.shape
-    if m != m2:
-        raise ValueError("packed array must be square")
-    shifts = np.arange(bits - 1, -1, -1, dtype=np.int64)
-    patches = ((arr[..., None] >> shifts) & 1).reshape(m, m, side, side)
-    matrix = patches.transpose(0, 2, 1, 3).reshape(m * side, m * side)
-    return matrix.astype(np.uint8)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry import Layout, Rect, validate_grid
+from ..geometry import Layout, validate_grid
 
 
 @dataclass
@@ -71,17 +71,6 @@ class SquishPattern:
         matches the definition for unpadded patterns.
         """
         return int(self.delta_x.shape[0]), int(self.delta_y.shape[0])
-
-    def with_geometry(
-        self, delta_x: np.ndarray, delta_y: np.ndarray
-    ) -> "SquishPattern":
-        """Return a new pattern with the same topology but new geometry."""
-        return SquishPattern(
-            topology=self.topology.copy(),
-            delta_x=np.asarray(delta_x, dtype=np.int64),
-            delta_y=np.asarray(delta_y, dtype=np.int64),
-            origin=self.origin,
-        )
 
     def to_layout(self) -> Layout:
         """Decode back to a :class:`repro.geometry.Layout` (lossless)."""
@@ -181,28 +170,3 @@ class SquishPattern:
             and np.array_equal(mine.delta_x, theirs.delta_x)
             and np.array_equal(mine.delta_y, theirs.delta_y)
         )
-
-
-def squish(layout: Layout) -> SquishPattern:
-    """Functional alias for :meth:`SquishPattern.from_layout`."""
-    return SquishPattern.from_layout(layout)
-
-
-def unsquish(pattern: SquishPattern) -> Layout:
-    """Functional alias for :meth:`SquishPattern.to_layout`."""
-    return pattern.to_layout()
-
-
-def empty_pattern(size_nm: int, cells: int) -> SquishPattern:
-    """An all-space pattern on a uniform ``cells x cells`` grid (test helper)."""
-    if cells <= 0 or size_nm <= 0 or size_nm % cells != 0:
-        raise ValueError("size_nm must be a positive multiple of cells")
-    step = size_nm // cells
-    delta = np.full(cells, step, dtype=np.int64)
-    return SquishPattern(np.zeros((cells, cells), dtype=np.uint8), delta, delta)
-
-
-def window_of(pattern: SquishPattern) -> Rect:
-    """The window rectangle covered by a squish pattern."""
-    ox, oy = pattern.origin
-    return Rect(ox, oy, ox + pattern.width, oy + pattern.height)

@@ -4,7 +4,8 @@ The legalization engine solves its chunks with
 :func:`repro.legalization.solve_geometry_chunk`, and a topology's solutions
 must not depend on the chunk around it.  These helpers call the chunk solve
 directly on a single topology, which is the reference the engine's chunked,
-pooled and warm-started output is compared with.
+pooled and warm-started output is compared with.  :func:`polygon_area` is the
+per-polygon area oracle for the compiled area kernels.
 """
 
 import numpy as np
@@ -18,6 +19,16 @@ from repro.legalization import (
 )
 from repro.squish import SquishPattern
 from repro.utils import as_rng, child_rng
+
+
+def polygon_area(cells, delta_x, delta_y):
+    """Area of one polygon: ``delta_x[col] * delta_y[row]`` summed over its ``(row, col)`` cells."""
+    coords = np.asarray(cells, dtype=np.int64)
+    if coords.size == 0:
+        return 0.0
+    dx = np.asarray(delta_x, dtype=np.float64)
+    dy = np.asarray(delta_y, dtype=np.float64)
+    return float((dx[coords[:, 1]] * dy[coords[:, 0]]).sum())
 
 
 def solve_alone(topology, rules, rng=None, options=None, target_x=None, target_y=None):

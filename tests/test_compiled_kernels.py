@@ -13,7 +13,7 @@ Three contracts are asserted here:
 
 import numpy as np
 import pytest
-from legalization_helpers import solve_alone
+from legalization_helpers import polygon_area, solve_alone
 from scipy import optimize
 
 from repro.data import SyntheticLayoutGenerator
@@ -30,7 +30,6 @@ from repro.legalization.compiled import (
     clear_compilation_cache,
     compilation_cache_info,
 )
-from repro.legalization.constraints import polygon_area
 from repro.utils import as_rng
 
 

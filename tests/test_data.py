@@ -53,7 +53,7 @@ class TestSyntheticGenerator:
 
     def test_generate_layouts_decodes(self):
         generator = SyntheticLayoutGenerator()
-        layouts = generator.generate_layouts(3, rng=0)
+        layouts = [pattern.to_layout() for pattern in generator.generate_library(3, rng=0)]
         assert all(layout.num_polygons >= 1 for layout in layouts)
 
 

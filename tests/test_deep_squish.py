@@ -3,14 +3,24 @@
 import numpy as np
 import pytest
 
-from repro.squish import (
-    fold,
-    fold_batch,
-    naive_pack,
-    naive_unpack,
-    unfold,
-    unfold_batch,
-)
+from repro.squish import fold, naive_pack, unfold
+from repro.squish.deep_squish import _patch_side
+
+
+def naive_unpack(packed, bits):
+    """Inverse of :func:`repro.squish.naive_pack`."""
+    arr = np.asarray(packed, dtype=np.int64)
+    if arr.ndim != 2:
+        raise ValueError("packed array must be 2-D")
+    if (arr < 0).any() or (arr >= 2**bits).any():
+        raise ValueError(f"packed states must lie in [0, 2**{bits})")
+    side = _patch_side(bits)
+    m, m2 = arr.shape
+    if m != m2:
+        raise ValueError("packed array must be square")
+    shifts = np.arange(bits - 1, -1, -1, dtype=np.int64)
+    patches = ((arr[..., None] >> shifts) & 1).reshape(m, m, side, side)
+    return patches.transpose(0, 2, 1, 3).reshape(m * side, m * side).astype(np.uint8)
 
 
 class TestFoldUnfold:
@@ -62,11 +72,12 @@ class TestFoldUnfold:
             unfold(np.zeros((4, 4)))
 
     def test_batch_roundtrip(self):
+        # The dataset folds a batch, and the stream unfolds one, matrix by matrix.
         rng = np.random.default_rng(3)
         batch = rng.integers(0, 2, size=(5, 8, 8)).astype(np.uint8)
-        tensors = fold_batch(batch, 16)
+        tensors = np.stack([fold(matrix, 16) for matrix in batch])
         assert tensors.shape == (5, 16, 2, 2)
-        assert np.array_equal(unfold_batch(tensors), batch)
+        assert np.array_equal(np.stack([unfold(tensor) for tensor in tensors]), batch)
 
 
 class TestNaivePacking:

@@ -49,11 +49,11 @@ class TestConstruction:
             DiscreteDiffusion(tiny_unet(classes=1), DiffusionConfig(num_steps=8))
 
     def test_from_unet_config(self):
-        model = DiscreteDiffusion.from_unet_config(
-            UNetConfig(
+        model = DiscreteDiffusion(
+            UNet(UNetConfig(
                 in_channels=4, num_classes=2, image_size=8, model_channels=8,
                 channel_mult=(1, 2), num_res_blocks=1, attention_resolutions=(), dropout=0.0,
-            ),
+            )),
             DiffusionConfig(num_steps=4),
         )
         assert model.config.num_steps == 4

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from repro.geometry import (
-    component_areas,
-    component_cell_indices,
     connected_components,
-    grid_to_rects,
     has_bowtie,
     interior_runs_2d,
+    polygons_from_grid,
     runs_2d,
     runs_of_value,
     validate_grid,
@@ -67,7 +65,7 @@ class TestConnectedComponents:
     def test_component_cell_indices(self):
         grid = np.array([[1, 0], [1, 0]], dtype=np.uint8)
         labels, _ = connected_components(grid)
-        cells = component_cell_indices(labels, 1)
+        cells = zip(*np.nonzero(labels == 1))
         assert sorted(cells) == [(0, 0), (1, 0)]
 
 
@@ -176,33 +174,26 @@ class TestRuns2D:
 
 
 class TestGridToRects:
+    # A grid plus interval lengths becomes rectangles through polygons_from_grid.
     def test_simple_rectangle(self):
         grid = np.array([[1, 1], [1, 1]], dtype=np.uint8)
-        rects = grid_to_rects(grid, [10, 20], [5, 5])
-        assert len(rects) == 2  # one merged run per row
-        assert rects[0].width == 30
+        (polygon,) = polygons_from_grid(grid, [10, 20], [5, 5])
+        assert len(polygon.rects) == 2  # one merged run per row
+        assert polygon.rects[0].width == 30
 
     def test_origin_offset(self):
         grid = np.array([[1]], dtype=np.uint8)
-        rect = grid_to_rects(grid, [10], [10], origin=(100, 200))[0]
+        rect = polygons_from_grid(grid, [10], [10], origin=(100, 200))[0].rects[0]
         assert (rect.x1, rect.y1, rect.x2, rect.y2) == (100, 200, 110, 210)
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            grid_to_rects(np.ones((2, 2), dtype=np.uint8), [1], [1, 1])
-
-    def test_nonpositive_delta_raises(self):
-        with pytest.raises(ValueError):
-            grid_to_rects(np.ones((1, 1), dtype=np.uint8), [0], [1])
 
 
 class TestComponentAreas:
     def test_areas_with_nonuniform_grid(self):
         grid = np.array([[1, 0], [0, 1]], dtype=np.uint8)
-        areas = component_areas(grid, dx=[10, 20], dy=[5, 8])
+        areas = [p.area for p in polygons_from_grid(grid, [10, 20], [5, 8])]
         assert sorted(areas) == [50, 160]
 
     def test_total_area_matches_cells(self):
         grid = np.ones((3, 3), dtype=np.uint8)
-        areas = component_areas(grid, dx=[10, 10, 10], dy=[10, 10, 10])
+        areas = [p.area for p in polygons_from_grid(grid, [10, 10, 10], [10, 10, 10])]
         assert areas == [900]

@@ -25,10 +25,6 @@ class TestRectilinearPolygon:
         assert poly.contains_point(5, 5)
         assert not poly.contains_point(15, 5)
 
-    def test_min_feature_width(self):
-        poly = RectilinearPolygon([Rect(0, 0, 100, 8), Rect(0, 8, 12, 40)])
-        assert poly.min_feature_width() == 8
-
     def test_vertices_of_rectangle(self):
         poly = RectilinearPolygon([Rect(0, 0, 10, 20)])
         assert sorted(poly.vertices()) == [(0, 0), (0, 20), (10, 0), (10, 20)]
@@ -76,13 +72,6 @@ class TestLayout:
         poly = RectilinearPolygon([Rect(50, 50, 150, 150)])
         with pytest.raises(ValueError):
             Layout(window, [poly])
-
-    def test_add_polygon_validates(self):
-        layout = Layout(Rect(0, 0, 100, 100))
-        layout.add_polygon(RectilinearPolygon([Rect(10, 10, 20, 20)]))
-        assert layout.num_polygons == 1
-        with pytest.raises(ValueError):
-            layout.add_polygon(RectilinearPolygon([Rect(90, 90, 120, 120)]))
 
     def test_density(self):
         layout = Layout(Rect(0, 0, 100, 100), [RectilinearPolygon([Rect(0, 0, 50, 50)])])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.geometry import Rect, rect_min_distance
+from repro.geometry import Rect
 
 
 class TestRectConstruction:
@@ -72,15 +72,3 @@ class TestRectRelations:
 
     def test_clipped_outside_window(self):
         assert Rect(-5, -5, -1, -1).clipped(Rect(0, 0, 10, 10)) is None
-
-
-class TestRectDistance:
-    def test_distance_zero_when_touching(self):
-        assert rect_min_distance(Rect(0, 0, 10, 10), Rect(10, 0, 20, 10)) == 0.0
-
-    def test_distance_axis_aligned_gap(self):
-        assert rect_min_distance(Rect(0, 0, 10, 10), Rect(15, 0, 20, 10)) == 5.0
-
-    def test_distance_diagonal_gap(self):
-        dist = rect_min_distance(Rect(0, 0, 10, 10), Rect(13, 14, 20, 20))
-        assert dist == pytest.approx(5.0)

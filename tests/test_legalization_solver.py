@@ -7,7 +7,7 @@ small batches through ``LegalizationEngine``, the package's entry point.
 
 import numpy as np
 import pytest
-from legalization_helpers import solve_alone
+from legalization_helpers import polygon_area, solve_alone
 
 from repro.drc import DesignRuleChecker
 from repro.legalization import (
@@ -15,7 +15,6 @@ from repro.legalization import (
     LegalizationEngine,
     SolverOptions,
     extract_constraints,
-    polygon_area,
 )
 from repro.legalization.batched import _round_rows
 

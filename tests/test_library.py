@@ -94,7 +94,7 @@ class TestHashes:
 
     def test_pattern_hash_sees_geometry(self):
         a = make_pattern(1)
-        b = a.with_geometry(a.delta_x + 1, a.delta_y)
+        b = SquishPattern(a.topology, a.delta_x + 1, a.delta_y)
         assert pattern_hash(a) != pattern_hash(b)
         assert topology_hash(a.topology) == topology_hash(b.topology)
 
@@ -120,9 +120,10 @@ class TestPatternLibrary:
         # it is recorded (so resume skips it) but writes no shard file.
         library = PatternLibrary(tmp_path / "lib")
         library.append_chunk(make_record(0, []), [])
-        record = PatternLibrary(tmp_path / "lib").chunk_records[0]
+        reopened = PatternLibrary(tmp_path / "lib")
+        record = reopened.chunk_records[0]
         assert record.shard is None
-        assert PatternLibrary(tmp_path / "lib").load_chunk_patterns(0) == []
+        assert reopened.load_record_patterns(record) == []
         assert not (tmp_path / "lib" / "shards").exists()
 
     def test_duplicate_chunk_is_rejected(self, tmp_path):
@@ -149,7 +150,7 @@ class TestPatternLibrary:
     def test_unique_topology_accounting(self, tmp_path):
         library = PatternLibrary(tmp_path / "lib")
         base = make_pattern(1)
-        variants = [base, base.with_geometry(base.delta_x + 5, base.delta_y)]
+        variants = [base, SquishPattern(base.topology, base.delta_x + 5, base.delta_y)]
         library.append_chunk(make_record(0, variants), variants)
         assert library.num_patterns == 2
         assert library.num_unique_topologies == 1
@@ -221,8 +222,9 @@ class TestPatternLibrary:
         patterns = [make_pattern(0)]
         library.append_chunk(make_record(0, patterns), patterns)
         library.shard_path(0).unlink()
+        reopened = PatternLibrary(tmp_path / "lib")
         with pytest.raises(LibraryError, match="missing"):
-            PatternLibrary(tmp_path / "lib").load_chunk_patterns(0)
+            reopened.load_record_patterns(reopened.chunk_records[0])
 
     def test_corrupt_manifest_is_reported(self, tmp_path):
         root = tmp_path / "lib"
@@ -230,8 +232,3 @@ class TestPatternLibrary:
         (root / "manifest.json").write_text("{not json")
         with pytest.raises(LibraryError, match="manifest"):
             PatternLibrary(root)
-
-    def test_unknown_chunk_is_reported(self, tmp_path):
-        library = PatternLibrary(tmp_path / "lib")
-        with pytest.raises(LibraryError, match="not recorded"):
-            library.load_chunk_patterns(5)

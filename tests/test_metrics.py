@@ -1,12 +1,10 @@
-"""Unit tests for complexity, diversity and validity metrics."""
+"""Unit tests for the complexity and diversity metrics."""
 
 import numpy as np
 import pytest
 
 from repro.metrics import (
     ComplexityHistogram,
-    ValidityConfig,
-    ValidityScorer,
     complexity_distribution,
     diversity_from_complexities,
     pattern_complexity,
@@ -87,46 +85,6 @@ class TestDiversity:
             SquishPattern(t, np.full(6, 10), np.full(6, 10)) for t in topos
         ]
         assert topology_diversity(topos) == pytest.approx(pattern_diversity(patterns))
-
-
-class TestValidityScorer:
-    def _topologies(self, count, rng):
-        data = np.zeros((count, 8, 8), dtype=np.uint8)
-        for i in range(count):
-            start = rng.integers(0, 6)
-            data[i, 2:6, start : start + 2] = 1
-        return data
-
-    def test_score_requires_fit(self):
-        with pytest.raises(RuntimeError):
-            ValidityScorer().score(np.zeros((2, 8, 8), dtype=np.uint8))
-
-    def test_training_data_scores_at_threshold_quantile(self):
-        rng = np.random.default_rng(0)
-        data = self._topologies(40, rng)
-        scorer = ValidityScorer(ValidityConfig(iterations=80, hidden_dim=32, latent_dim=8))
-        scorer.fit(data, rng=0)
-        score = scorer.score(data)
-        assert score >= 0.9
-
-    def test_dissimilar_patterns_score_lower(self):
-        rng = np.random.default_rng(0)
-        data = self._topologies(40, rng)
-        scorer = ValidityScorer(ValidityConfig(iterations=80, hidden_dim=32, latent_dim=8))
-        scorer.fit(data, rng=0)
-        noise = (np.random.default_rng(1).random((40, 8, 8)) > 0.5).astype(np.uint8)
-        assert scorer.score(noise) <= scorer.score(data)
-
-    def test_shape_mismatch_rejected(self):
-        rng = np.random.default_rng(0)
-        scorer = ValidityScorer(ValidityConfig(iterations=10, hidden_dim=16, latent_dim=4))
-        scorer.fit(self._topologies(10, rng), rng=0)
-        with pytest.raises(ValueError):
-            scorer.score(np.zeros((2, 4, 4), dtype=np.uint8))
-
-    def test_flatten_validates_rank(self):
-        with pytest.raises(ValueError):
-            ValidityScorer._flatten(np.zeros((4, 4)))
 
 
 class TestComplexityHistogram:

@@ -52,7 +52,7 @@ class TestModuleSystem:
         net = TinyNet()
         names = [name for name, _ in net.named_parameters()]
         assert "fc1.weight" in names and "fc2.bias" in names
-        assert net.num_parameters() == 4 * 8 + 8 + 8 * 2 + 2
+        assert sum(p.size for p in net.parameters()) == 4 * 8 + 8 + 8 * 2 + 2
 
     def test_zero_grad_clears_all(self):
         net = TinyNet()

@@ -117,8 +117,8 @@ class TestUNetForwardBackward:
         np.testing.assert_allclose(out_a, out_b)
 
     def test_parameter_count_grows_with_width(self):
-        small = UNet(tiny_config(model_channels=8)).num_parameters()
-        large = UNet(tiny_config(model_channels=16)).num_parameters()
+        small = sum(p.size for p in UNet(tiny_config(model_channels=8)).parameters())
+        large = sum(p.size for p in UNet(tiny_config(model_channels=16)).parameters())
         assert large > small * 2
 
 

@@ -1,5 +1,6 @@
 """Packaging: every third-party module ``src/repro`` imports is a declared
-dependency, and ``repro.__version__`` is the version ``pip`` installs.
+dependency, ``repro.__version__`` is the version ``pip`` installs, and every
+name a module exports in ``__all__`` exists.
 
 ``pip install -e .`` installs only ``[project] dependencies``; a module the
 package imports but does not declare leaves an install where ``import repro``
@@ -76,3 +77,29 @@ def test_console_scripts_resolve():
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def test_every_exported_name_resolves():
+    # A name deleted from a module but left in its ``__all__`` would only
+    # fail ``from repro.X import *``; the walk catches it here.
+    import importlib
+    import pkgutil
+
+    import repro
+
+    modules = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    ]
+    packages = {
+        ".".join(path.parent.relative_to(ROOT / "src").parts)
+        for path in (ROOT / "src" / "repro").rglob("__init__.py")
+    }
+    assert packages <= {module.__name__ for module in modules}
+    unresolved = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert not unresolved, f"exported but not defined: {unresolved}"

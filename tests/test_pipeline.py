@@ -25,6 +25,7 @@ from repro.pipeline import (
     run_denoising_chain,
     run_efficiency_experiment,
 )
+from repro.squish import unfold
 
 
 class TestConfig:
@@ -189,6 +190,17 @@ class TestFigureHarnesses:
         # The chain starts from (roughly uniform) noise.
         assert 0.3 < chain.fill_ratios()[0] < 0.7
 
+    #: Chain labels of the tiny K = 8 model: x_K, the state after every
+    #: stride-th jump, x_0.  The respaced 3-step engine walks 8 -> 4 -> 1 -> 0.
+    CHAIN_LABELS = {
+        (None, 1): (8, 7, 6, 5, 4, 3, 2, 1, 0),
+        (None, 2): (8, 6, 4, 2, 0),
+        (None, 3): (8, 5, 2, 0),
+        (3, 1): (8, 4, 1, 0),
+        (3, 2): (8, 1, 0),
+        (3, 3): (8, 0),
+    }
+
     @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("sampling_steps", [None, 3], ids=["full", "respaced"])
     def test_denoising_chain_labels_are_the_recorded_timesteps(
@@ -197,15 +209,16 @@ class TestFigureHarnesses:
         # At stride 1 the chain holds every state the walk visits, x_K first;
         # every label of a strided chain must pick out the same state there.
         monkeypatch.setattr(trained_tiny_pipeline.config, "sampling_steps", sampling_steps)
-        walked = trained_tiny_pipeline.sampling_engine().schedule.timesteps
+        engine = trained_tiny_pipeline.sampling_engine()
         every = run_denoising_chain(trained_tiny_pipeline, chain_stride=1, rng=0)
-        assert every.steps == [*walked[::-1], 0]
+        assert every.steps == [*engine.schedule.timesteps[::-1], 0]
         chain = run_denoising_chain(trained_tiny_pipeline, chain_stride=stride, rng=0)
+        assert tuple(chain.steps) == self.CHAIN_LABELS[sampling_steps, stride]
         assert len(chain.steps) == len(chain.matrices)
-        assert chain.steps[0] == trained_tiny_pipeline.config.diffusion.num_steps
-        assert chain.steps[-1] == 0
         for step, matrix in zip(chain.steps, chain.matrices):
             np.testing.assert_array_equal(matrix, every.matrices[every.steps.index(step)])
+        # Recording the chain leaves the sample itself unchanged.
+        np.testing.assert_array_equal(chain.matrices[-1], unfold(engine.sample(1, seed=0)[0]))
 
     def test_patterns_from_single_topology_are_distinct(self, two_shape_topology, rules):
         patterns = patterns_from_single_topology(two_shape_topology, rules, num_patterns=4, rng=0)

@@ -4,16 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geometry import Layout, Rect, RectilinearPolygon
-from repro.squish import (
-    PaddingError,
-    SquishPattern,
-    canonicalize,
-    empty_pattern,
-    pad_to_size,
-    squish,
-    unsquish,
-    window_of,
-)
+from repro.squish import PaddingError, SquishPattern, canonicalize, pad_to_size
 
 
 def _canonicalize_loop(pattern: SquishPattern) -> SquishPattern:
@@ -66,16 +57,7 @@ class TestSquishPattern:
         pattern = SquishPattern(np.zeros((2, 3), dtype=np.uint8), [10, 20, 30], [5, 5])
         assert pattern.width == 60
         assert pattern.height == 10
-        assert window_of(pattern) == Rect(0, 0, 60, 10)
-
-    def test_empty_pattern_helper(self):
-        pattern = empty_pattern(size_nm=512, cells=8)
-        assert pattern.width == 512
-        assert pattern.topology.sum() == 0
-
-    def test_empty_pattern_helper_rejects_nondivisible(self):
-        with pytest.raises(ValueError):
-            empty_pattern(size_nm=100, cells=3)
+        assert pattern.to_layout().window == Rect(0, 0, 60, 10)
 
 
 class TestSquishPersistence:
@@ -139,28 +121,21 @@ class TestSquishPersistence:
 class TestSquishRoundtrip:
     def test_encode_decode_is_lossless(self):
         layout = _sample_layout()
-        pattern = squish(layout)
-        decoded = unsquish(pattern)
+        pattern = SquishPattern.from_layout(layout)
+        decoded = pattern.to_layout()
         original = sorted((r.x1, r.y1, r.x2, r.y2) for r in layout.all_rects())
         recovered = sorted((r.x1, r.y1, r.x2, r.y2) for r in decoded.all_rects())
         assert original == recovered
 
     def test_window_preserved(self):
         layout = _sample_layout()
-        pattern = squish(layout)
+        pattern = SquishPattern.from_layout(layout)
         assert pattern.width == layout.window.width
         assert pattern.height == layout.window.height
 
-    def test_with_geometry_keeps_topology(self):
-        layout = _sample_layout()
-        pattern = squish(layout)
-        new = pattern.with_geometry(pattern.delta_x + 0, pattern.delta_y + 0)
-        assert np.array_equal(new.topology, pattern.topology)
-        assert new.is_equivalent_to(pattern)
-
     def test_equivalence_detects_difference(self):
         layout = _sample_layout()
-        pattern = squish(layout)
+        pattern = SquishPattern.from_layout(layout)
         other_topo = pattern.topology.copy()
         other_topo[0, 0] ^= 1
         other = SquishPattern(other_topo, pattern.delta_x, pattern.delta_y)
@@ -219,13 +194,13 @@ class TestPadding:
 
     def test_pad_preserves_geometry(self):
         layout = _sample_layout()
-        pattern = squish(layout)
+        pattern = SquishPattern.from_layout(layout)
         padded = pad_to_size(pattern, 16)
         assert padded.topology.shape == (16, 16)
         assert padded.is_equivalent_to(pattern)
 
     def test_pad_preserves_total_size(self):
-        pattern = squish(_sample_layout())
+        pattern = SquishPattern.from_layout(_sample_layout())
         padded = pad_to_size(pattern, 12)
         assert padded.width == pattern.width
         assert padded.height == pattern.height
@@ -251,27 +226,27 @@ class TestPadding:
             pad_to_size(pattern, 2)
 
     def test_invalid_size(self):
-        pattern = empty_pattern(64, 4)
+        pattern = SquishPattern(np.zeros((4, 4), dtype=np.uint8), [16] * 4, [16] * 4)
         with pytest.raises(ValueError):
             pad_to_size(pattern, 0)
 
 
 class TestCanonicalize:
     def test_removes_redundant_scanlines(self):
-        pattern = squish(_sample_layout())
+        pattern = SquishPattern.from_layout(_sample_layout())
         padded = pad_to_size(pattern, 16)
         canonical = canonicalize(padded)
         assert canonical.topology.shape == canonicalize(pattern).topology.shape
         assert canonical.is_equivalent_to(pattern)
 
     def test_canonical_form_is_fixed_point(self):
-        pattern = squish(_sample_layout())
+        pattern = SquishPattern.from_layout(_sample_layout())
         canonical = canonicalize(pattern)
         again = canonicalize(canonical)
         assert np.array_equal(canonical.topology, again.topology)
 
     def test_canonicalize_uniform_pattern(self):
-        pattern = empty_pattern(64, 4)
+        pattern = SquishPattern(np.zeros((4, 4), dtype=np.uint8), [16] * 4, [16] * 4)
         canonical = canonicalize(pattern)
         assert canonical.topology.shape == (1, 1)
         assert canonical.width == 64
@@ -294,9 +269,9 @@ class TestCanonicalize:
             SquishPattern(np.array([[1, 1, 0, 0, 1]]), [1, 2, 3, 4, 5], [10]),
             SquishPattern(np.array([[0], [1], [1]]), [4], [1, 2, 3]),
             SquishPattern(np.ones((5, 6)), np.arange(1, 7), np.arange(1, 6)),
-            empty_pattern(64, 8),
-            squish(_sample_layout()),
-            pad_to_size(squish(_sample_layout()), 16),
+            SquishPattern(np.zeros((8, 8), dtype=np.uint8), [8] * 8, [8] * 8),
+            SquishPattern.from_layout(_sample_layout()),
+            pad_to_size(SquishPattern.from_layout(_sample_layout()), 16),
         ]
         for pattern in patterns:
             fast, loop = canonicalize(pattern), _canonicalize_loop(pattern)
