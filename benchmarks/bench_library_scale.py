@@ -13,7 +13,8 @@ fixture (100k patterns at full scale) and measures:
 * **probe agreement** — the indexed answers must equal the linear oracle's
   bit-for-bit, on present and absent digests alike,
 * **query latency** — an indexed ``query(complexity_band=...)`` over the full
-  library, returning lazy handles without loading a single shard,
+  library, reading the shards' index columns and returning lazy handles
+  without decoding a single pattern,
 * **concurrent-writer throughput** — several OS processes appending through
   the advisory lock at once; the merged view must stay consistent (gap-free
   ``seq``, every writer's chunks complete) at a usable append rate.
@@ -124,7 +125,7 @@ def bench_library_scale(benchmark, tmp_path):
     def indexed_probes():
         return [reopened.has_pattern(digest) for digest in probes]
 
-    indexed_answers = indexed_probes()  # warm the index sidecars once
+    indexed_answers = indexed_probes()  # warm the index (memory-map its files) once
     start = time.perf_counter()
     indexed_answers = benchmark.pedantic(indexed_probes, rounds=1, iterations=1)
     indexed_seconds = time.perf_counter() - start

@@ -10,11 +10,11 @@ producing them from real designs is slow.  This example mimics that workflow:
   library size without re-running the generator,
 * the expanded library is compared with the seed library on size, diversity
   and legality — the three quantities Table I reports,
-* the expansion is persisted into a sharded v2 :class:`~repro.library.
+* the expansion is persisted into a sharded :class:`~repro.library.
   PatternLibrary` and the hotspot training slice is selected with the
   indexed :meth:`~repro.library.PatternLibrary.query` API — a complexity
-  band around the library median, served from sidecar metadata without
-  loading shards, then materialised lazily per handle.
+  band around the library median, served from the shards' index columns
+  without decoding a pattern, then materialised lazily per handle.
 
 The regime (rules, solutions per topology) comes from the registry's
 ``hotspot-expansion`` scenario; ``--solutions-per-topology`` overrides it.
@@ -45,7 +45,7 @@ from repro.scenarios import builtin_registry
 
 
 def persist_expansion(root: Path, rules, patterns, chunk_size: int = 64) -> PatternLibrary:
-    """Write the expanded patterns into a sharded v2 library.
+    """Write the expanded patterns into a sharded pattern library.
 
     One ``hotspot`` writer appends in chunks, exactly like a generation run
     would; the on-disk index then answers the training-slice queries below
@@ -84,7 +84,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--library", type=Path, default=None,
-        help="persist the expansion into this v2 pattern library "
+        help="persist the expansion into this pattern library "
         "(default: a temporary directory)",
     )
     parser.add_argument(
@@ -131,8 +131,8 @@ def main() -> int:
     print(f"persisted at {root}: {library.summary()}")
 
     # The hotspot training slice: an indexed complexity-band query.  The
-    # selection runs over sidecar metadata alone; shards are only read when
-    # a handle is materialised.
+    # selection reads the shards' index columns alone; patterns are only
+    # decoded when a handle is materialised.
     everything = library.query(rule_regime=repr(rules))
     if args.band is not None:
         lo_text, _, hi_text = args.band.partition(":")

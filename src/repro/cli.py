@@ -12,9 +12,9 @@ Subcommands:
 * ``inspect-library`` — summarise an on-disk library (chunks, patterns,
   unique topologies, diversity H, legality, per-chunk accounting) and run
   indexed queries (``--band``/``--topology``/``--regime``/``--from-writer``).
-* ``compact-library`` — migrate a legacy v1 ``manifest.json`` to a ledger,
-  then merge small shards, drop superseded duplicates and rebuild the
-  on-disk index.
+* ``compact-library`` — migrate a v1 or version-2 library to the columnar
+  shard codec, then merge small shards, drop superseded duplicates and
+  rebuild the on-disk index.
 * ``bench``           — run a scenario and report per-stage throughput
   (sampling, legalization, graph), optionally as machine-readable JSON.
 * ``serve``           — run the long-lived generation daemon: concurrent
@@ -183,8 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser(
         "compact-library",
-        help="migrate a legacy v1 manifest.json to a ledger, then merge "
-        "small shards, drop superseded duplicates and rebuild the index",
+        help="migrate a v1 or version-2 library to the columnar shard codec, "
+        "then merge small shards, drop superseded duplicates and rebuild "
+        "the index",
     )
     p_cmp.add_argument("library", type=Path, help="library directory")
     p_cmp.add_argument(
@@ -466,8 +467,8 @@ def _parse_band(text: str) -> tuple:
 def _open_existing_library(root: Path):
     """Open ``root`` as a pattern library; a clean error if it holds none.
 
-    A v1 ``manifest.json`` counts as a library here, so opening it raises
-    the store's error naming ``compact-library``.
+    A v1 ``manifest.json`` counts as a library here, so opening it (or a
+    version-2 one) raises the store's error naming ``compact-library``.
     """
     from .library import MANIFEST_DIR, LibraryError, PatternLibrary
 
@@ -537,9 +538,9 @@ def _cmd_inspect_library(args: argparse.Namespace) -> int:
 
 
 def _cmd_compact_library(args: argparse.Namespace) -> int:
-    from .library import migrate_v1_library
+    from .library import migrate_library
 
-    migrated = migrate_v1_library(args.library)
+    migrated = migrate_library(args.library)
     library = _open_existing_library(args.library)
     report = library.compact(
         target_shard_patterns=args.target_shard_patterns,

@@ -99,13 +99,20 @@ def polygons_from_grid(
     dy: np.ndarray,
     origin: tuple[int, int] = (0, 0),
 ) -> list[RectilinearPolygon]:
-    """Group the rectangles of a topology grid into per-component polygons."""
+    """Group the rectangles of a topology grid into per-component polygons.
+
+    ``dx`` must hold one interval per grid column and ``dy`` one per row.
+    """
     from .grid import connected_components, runs_of_value, validate_grid
 
     arr = validate_grid(grid)
     labels, count = connected_components(arr)
     dx = np.asarray(dx, dtype=np.int64)
     dy = np.asarray(dy, dtype=np.int64)
+    if dx.shape != (arr.shape[1],) or dy.shape != (arr.shape[0],):
+        raise ValueError(
+            f"interval vectors of lengths ({dy.size}, {dx.size}) do not fit a {arr.shape} grid"
+        )
     ox, oy = origin
     xs = np.concatenate(([0], np.cumsum(dx))) + ox
     ys = np.concatenate(([0], np.cumsum(dy))) + oy

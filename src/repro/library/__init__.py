@@ -1,4 +1,4 @@
-"""Persistent pattern library: npz shards, writer ledgers, on-disk index."""
+"""Persistent pattern library: columnar npz shards, writer ledgers, on-disk index."""
 
 from .index import LibraryIndex
 from .manifest import (
@@ -15,7 +15,7 @@ from .store import (
     PatternLibrary,
     load_shard,
     load_shard_slice,
-    migrate_v1_library,
+    migrate_library,
     pattern_hash,
     save_shard,
     topology_hash,
@@ -35,7 +35,7 @@ __all__ = [
     "save_shard",
     "load_shard",
     "load_shard_slice",
-    "migrate_v1_library",
+    "migrate_library",
     "pattern_hash",
     "topology_hash",
 ]

@@ -1,29 +1,26 @@
-"""On-disk hash index: per-shard sidecars and merged sorted hash files.
+"""On-disk hash index: merged sorted hash files plus an in-memory delta.
 
 Dedup probes must not cost O(library) work per open (parsing every stored
 hash into in-memory sets would dominate long before the solver does).  The
-index answers them from two on-disk structures, both derived data
-(rebuildable from the shards at any time):
-
-* **sidecars** — each shard commit writes ``index/<shard>.idx.npz`` holding,
-  aligned with the shard's patterns: the pattern hash, the topology hash and
-  the canonical complexity ``(cx, cy)`` of every stored pattern.  Sidecars
-  are what the indexed :meth:`~repro.library.PatternLibrary.query` API scans
-  instead of loading shards, and what delta dedup probes read.
-* **merged sorted hash files** — ``index/pattern_hashes.npy`` and
-  ``index/topology_hashes.npy``: one lexicographically sorted ``S40`` array
-  each, memory-mapped on open and probed by binary search.
+index answers them from derived data, rebuildable from the shards at any
+time: every shard stores, aligned with its patterns, the pattern hash, the
+topology hash and the canonical complexity ``(cx, cy)`` of each pattern
+(its *index columns*, which :meth:`~repro.library.PatternLibrary.query`
+scans instead of decoding patterns), and the index keeps
+``index/pattern_hashes.npy`` and ``index/topology_hashes.npy``: one
+lexicographically sorted ``S40`` array each, memory-mapped on open and
+probed by binary search.
 
 **Consistency watermark.**  ``index/index_meta.json`` records ``covered_seq``:
 the merged files cover exactly the chunk records with
 ``ChunkRecord.seq <= covered_seq``.  Records beyond the watermark are the
-*delta*: their sidecars are loaded into small in-memory sets on refresh, so
-a probe checks the delta sets, then binary-searches the sorted file — exact
-at every moment.  The index is flushed (delta folded into the merged files,
-watermark advanced) only *after* the covered records are durably committed,
-so every crash leaves the watermark at or below the truth: a stale index
-loses speed, never correctness.  ``rebuild()`` regenerates everything from
-sidecars/shards.
+*delta*: their shards' hash columns are loaded into small in-memory sets on
+refresh, so a probe checks the delta sets, then binary-searches the sorted
+file — exact at every moment.  The index is flushed (delta folded into the
+merged files, watermark advanced) only *after* the covered records are
+durably committed, so every crash leaves the watermark at or below the
+truth: a stale index loses speed, never correctness.  ``rebuild()``
+regenerates everything from the shards.
 """
 
 from __future__ import annotations
@@ -36,14 +33,7 @@ import numpy as np
 from ..faults import declare_fault_points, fault_point
 from .manifest import atomic_write_bytes, atomic_write_text
 
-__all__ = [
-    "INDEX_DIR",
-    "LibraryIndex",
-    "SIDECAR_COLUMNS",
-    "sidecar_name",
-    "load_sidecar",
-    "write_sidecar",
-]
+__all__ = ["INDEX_DIR", "LibraryIndex"]
 
 INDEX_DIR = "index"
 META_NAME = "index_meta.json"
@@ -53,10 +43,6 @@ TOPOLOGY_FILE = "topology_hashes.npy"
 #: Fixed-width dtype of a sha1 hex digest; lexicographic byte order equals
 #: hex-value order, so ``np.searchsorted`` is a correct membership probe.
 HASH_DTYPE = "S40"
-
-#: The aligned per-pattern arrays of every sidecar, all derived from the
-#: shard's patterns.
-SIDECAR_COLUMNS = ("pattern_hash", "topology_hash", "cx", "cy")
 
 #: Delta chunks tolerated before an append folds them into the merged files.
 FLUSH_DELTA_CHUNKS = 8
@@ -79,53 +65,6 @@ def _sorted_contains(arr: np.ndarray, key: bytes) -> bool:
     needle = np.asarray(key, dtype=HASH_DTYPE)
     position = int(np.searchsorted(arr, needle))
     return position < arr.size and arr[position] == needle
-
-
-# --------------------------------------------------------------------------- #
-# sidecars
-# --------------------------------------------------------------------------- #
-def sidecar_name(shard_name: str) -> str:
-    """``shard_x.npz`` -> ``shard_x.idx.npz`` (lives under ``index/``)."""
-    stem = shard_name[:-4] if shard_name.endswith(".npz") else shard_name
-    return f"{stem}.idx.npz"
-
-
-def write_sidecar(path: "str | Path", arrays: dict[str, np.ndarray]) -> None:
-    """Atomically commit one sidecar (aligned per-pattern metadata arrays)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    atomic_write_bytes(path, lambda fh: np.savez_compressed(fh, **arrays))
-
-
-def load_sidecar(path: "str | Path") -> "dict[str, np.ndarray] | None":
-    """The sidecar's arrays, or ``None`` when absent/unreadable.
-
-    Sidecars are derived data: a missing or torn one (e.g. after a crash or
-    a deleted ``index/`` directory) is repaired by recomputation from the
-    shard, never an error.
-    """
-    path = Path(path)
-    if not path.exists():
-        return None
-    try:
-        with np.load(path) as data:
-            return {key: data[key] for key in data.files}
-    except Exception:  # zipfile/ValueError zoo: treat any torn file as absent
-        return None
-
-
-def sidecar_arrays(patterns) -> dict[str, np.ndarray]:
-    """Compute the aligned :data:`SIDECAR_COLUMNS` for ``patterns``."""
-    from ..metrics import pattern_complexity
-    from .store import pattern_hash, topology_hash
-
-    complexities = [pattern_complexity(p) for p in patterns]
-    return {
-        "pattern_hash": _as_hash_array(pattern_hash(p) for p in patterns),
-        "topology_hash": _as_hash_array(topology_hash(p.topology) for p in patterns),
-        "cx": np.asarray([c[0] for c in complexities], dtype=np.int64),
-        "cy": np.asarray([c[1] for c in complexities], dtype=np.int64),
-    }
 
 
 # --------------------------------------------------------------------------- #
@@ -208,7 +147,7 @@ class LibraryIndex:
 
         ``records`` is the full merged history (each carrying ``seq``);
         ``hash_loader(record)`` returns ``(pattern_hashes, topology_hashes)``
-        for one record — sidecar-backed, shard-recompute fallback.  Records
+        for one record, read from its shard's index columns.  Records
         at or below the watermark are dropped from the delta; records beyond
         it are loaded once and kept.
         """

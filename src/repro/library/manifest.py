@@ -5,14 +5,16 @@ A library's manifest is split into per-writer **ledger shards** under
 one library concurrently:
 
 * every writer owns exactly one ``manifests/<writer>.json`` and only ever
-  rewrites its own file (atomically, temp file + ``os.replace``);
+  rewrites its own file (atomically and durably: fsynced temp file +
+  ``os.replace`` + directory fsync);
 * a global, gap-free **commit sequence number** (``ChunkRecord.seq``) is
   assigned under the advisory :class:`LibraryLock` at append time, so any
   reader merges the ledgers into one deterministic history by sorting on
   ``seq`` — the merged manifest is a pure function of the on-disk state;
 * ledger records do **not** inline per-chunk hash lists; the hashes live in
-  the on-disk index sidecars (:mod:`repro.library.index`), keeping ledger
-  parse time proportional to the chunk count, not the pattern count.
+  the index columns of each chunk's shard (:mod:`repro.library.store`),
+  keeping ledger parse time proportional to the chunk count, not the
+  pattern count.
 
 The advisory lock is a ``flock``-ed ``library.lock`` file: writers hold it
 across the refresh → dedup-probe → shard write → ledger commit critical
@@ -51,7 +53,10 @@ __all__ = [
 
 MANIFEST_DIR = "manifests"
 LOCK_NAME = "library.lock"
-LEDGER_VERSION = 2
+#: Version 3 ledgers name columnar shards.  Version 2 ones (per-pattern
+#: shards plus index sidecars) still parse, but only for
+#: :func:`~repro.library.migrate_library`: the store refuses to open them.
+LEDGER_VERSION = 3
 #: Writer id of a library opened without one.
 DEFAULT_WRITER = "main"
 
@@ -72,26 +77,32 @@ def validate_writer_id(writer: str) -> str:
 # atomic file commits (every durable step passes a fault point)
 # --------------------------------------------------------------------------- #
 def atomic_write_text(path: Path, text: str) -> None:
-    """Commit ``text`` to ``path`` via temp file + atomic rename."""
-    tmp = path.with_name(path.name + ".tmp")
-    fault_point(f"{path.name}:tmp-write")
-    tmp.write_text(text)
-    fault_point(f"{path.name}:replace")
-    os.replace(tmp, path)
+    """Commit ``text`` to ``path`` (see :func:`atomic_write_bytes`)."""
+    atomic_write_bytes(path, lambda handle: handle.write(text.encode()))
 
 
 def atomic_write_bytes(path: Path, writer_fn) -> None:
-    """Commit binary content produced by ``writer_fn(file_object)`` atomically.
+    """Commit binary content produced by ``writer_fn(file_object)`` durably.
 
-    Used for npz commits: ``numpy.savez`` appends ``.npz`` to bare paths, so
-    the temp file is opened here and handed to the caller as a file object.
+    The temp file is fsynced before the atomic rename and the directory
+    after it, so a commit survives an OS crash as well as a killed process.
+    ``numpy.savez`` appends ``.npz`` to bare paths, so the temp file is
+    opened here and handed to the caller as a file object.
     """
     tmp = path.with_name(path.name + ".tmp")
     fault_point(f"{path.name}:tmp-write")
     with open(tmp, "wb") as handle:
         writer_fn(handle)
+        handle.flush()
+        os.fsync(handle.fileno())
     fault_point(f"{path.name}:replace")
     os.replace(tmp, path)
+    if fcntl is not None:  # a directory opens for fsync on POSIX only
+        directory = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
 
 class LibraryLock:
@@ -146,7 +157,8 @@ class ChunkRecord:
     :meth:`~repro.metrics.ComplexityHistogram.as_records` codec
     (``[cx, cy, count]`` rows).  A record keeps only the *counts* of the
     hashes it introduced plus its global commit ``seq`` and owning
-    ``writer``; the hashes themselves live in the chunk's index sidecar.
+    ``writer``; the hashes themselves live in the index columns of the
+    chunk's shard.
     """
 
     chunk: int                      # chunk index within the owning writer's run
@@ -199,6 +211,9 @@ class WriterLedger:
     fingerprint: dict = field(default_factory=dict)
     dedup: bool = False
     chunks: list[ChunkRecord] = field(default_factory=list)
+    #: The schema version the ledger was read at (``write`` commits
+    #: :data:`LEDGER_VERSION`).
+    version: int = field(default=LEDGER_VERSION, init=False)
 
     def as_payload(self) -> dict:
         return {
@@ -231,10 +246,11 @@ def load_ledger(path: "str | Path") -> WriterLedger:
         payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as error:
         raise LibraryError(f"cannot read manifest shard {path}: {error}") from error
-    if payload.get("version") != LEDGER_VERSION:
+    version = payload.get("version")
+    if version not in (2, LEDGER_VERSION):
         raise LibraryError(
             f"manifest shard {path} has unsupported version "
-            f"{payload.get('version')!r} (expected {LEDGER_VERSION})"
+            f"{version!r} (expected {LEDGER_VERSION})"
         )
     records = [ChunkRecord.from_dict(data) for data in payload.get("chunks", [])]
     for record in records:
@@ -243,12 +259,14 @@ def load_ledger(path: "str | Path") -> WriterLedger:
                 f"manifest shard {path}: chunk {record.chunk} carries no commit "
                 "seq — the ledger was not written by an atomic append"
             )
-    return WriterLedger(
+    ledger = WriterLedger(
         writer=str(payload.get("writer", path.stem)),
         fingerprint=payload.get("fingerprint", {}),
         dedup=bool(payload.get("dedup", False)),
         chunks=records,
     )
+    ledger.version = version
+    return ledger
 
 
 def scan_ledgers(root: "str | Path") -> dict[str, Path]:

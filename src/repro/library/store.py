@@ -1,14 +1,15 @@
-"""Append-only on-disk pattern library: npz shards + writer ledgers + hash index.
+"""Append-only on-disk pattern library: columnar shards + writer ledgers + hash index.
 
 The paper's end product is a large *library* of legal patterns judged by
 diversity H and legality; this module makes that library a first-class,
 persistent artefact instead of an in-memory list that dies with the process:
 
 * **Shards** — each completed generation chunk is written as one
-  ``shards/*.npz`` file holding its patterns in the
-  :meth:`~repro.squish.SquishPattern.as_arrays` codec (the same arrays
-  ``SquishPattern.save`` writes, under per-pattern key prefixes), so a
-  round trip is lossless and exact.
+  ``shards/*.npz`` file, the only file a chunk commits besides its ledger
+  record: its patterns as columns (every topology cell in one packed bit
+  array, the concatenated deltas, the shapes and origins), so a round trip
+  is lossless and exact, plus the *index columns* of every pattern (both
+  hashes and the complexity ``(cx, cy)``).
 * **Ledgers** — every :class:`PatternLibrary` appends as one writer (the
   default is :data:`DEFAULT_WRITER`) to its own ``manifests/<writer>.json``,
   committed atomically *after* the shard; readers merge all ledgers by seq
@@ -16,7 +17,7 @@ persistent artefact instead of an in-memory list that dies with the process:
   workers can append to one library concurrently.
 * **Index** — dedup probes go through the on-disk hash index
   (:mod:`repro.library.index`): in-memory sets of the unflushed chunks'
-  sidecar hashes, then a binary search of the sorted hash files.
+  hash columns, then a binary search of the sorted hash files.
 * **Resume** — a :class:`~repro.pipeline.GenerationGraph` run handed an
   existing library validates the fingerprint *and the shard files of every
   completed chunk*, folds the stored records into its accumulators and
@@ -27,10 +28,10 @@ persistent artefact instead of an in-memory list that dies with the process:
   delta_y)`` triple is already present, and the per-topology registry feeds
   ``num_unique_topologies`` either way.
 
-A legacy **v1** library (one ``manifest.json`` plus ``shard_<chunk>.npz``
-files) is not opened: :func:`migrate_v1_library`, which ``repro
-compact-library`` runs first, turns it into the ledger of writer
-``legacy``.
+Older layouts are not opened: a legacy **v1** library (one
+``manifest.json`` plus ``shard_<chunk>.npz`` files) and a version-2 one
+(per-pattern shards plus ``index/`` sidecars) are rewritten in place by
+:func:`migrate_library`, which ``repro compact-library`` runs first.
 """
 
 from __future__ import annotations
@@ -38,25 +39,19 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ..metrics import ComplexityHistogram
+from ..metrics import ComplexityHistogram, pattern_complexity
 from ..squish import SquishPattern
 from ..faults import declare_fault_points, fault_point
-from .index import (
-    INDEX_DIR,
-    LibraryIndex,
-    SIDECAR_COLUMNS,
-    load_sidecar,
-    sidecar_arrays,
-    sidecar_name,
-    write_sidecar,
-)
+from .index import HASH_DTYPE, INDEX_DIR, LibraryIndex
 from .manifest import (
     DEFAULT_WRITER,
+    LEDGER_VERSION,
     ChunkRecord,
     LibraryLock,
     WriterLedger,
@@ -76,18 +71,19 @@ MANIFEST_VERSION = 1
 MERGED_SHARD_PREFIX = "merged_"
 #: Shards cached for lazy :class:`PatternHandle` loads.
 _SHARD_CACHE_SIZE = 4
+#: The per-pattern columns every shard stores next to its patterns.
+INDEX_COLUMNS = ("pattern_hash", "topology_hash", "cx", "cy")
 
 declare_fault_points(
     "append:shard",
-    "append:sidecar",
     "append:ledger",
     "append:index-flush",
     "compact:merged-shard",
-    "compact:merged-sidecar",
     "compact:index-invalidate",
     "compact:index-rebuild",
-    "migrate:sidecar",
+    "migrate:shard",
     "migrate:ledger",
+    "migrate:drop-sidecars",
     "migrate:drop-manifest",
 )
 
@@ -99,7 +95,7 @@ __all__ = [
     "PatternLibrary",
     "load_shard",
     "load_shard_slice",
-    "migrate_v1_library",
+    "migrate_library",
     "pattern_hash",
     "save_shard",
     "topology_hash",
@@ -133,11 +129,11 @@ def pattern_hash(pattern: SquishPattern) -> str:
 # --------------------------------------------------------------------------- #
 @dataclass
 class PatternHandle:
-    """One indexed pattern, loadable lazily (sidecar metadata, no shard I/O).
+    """One indexed pattern, loadable lazily (index columns, no pattern decoded).
 
     Returned by :meth:`PatternLibrary.query`; carries the hashes and the
-    canonical complexity so filtering and accounting never touch shard
-    files.  :meth:`load` materialises the actual :class:`SquishPattern`
+    canonical complexity so filtering and accounting never decode pattern
+    data.  :meth:`load` materialises the actual :class:`SquishPattern`
     through the library's small shard cache.
     """
 
@@ -196,8 +192,9 @@ class PatternLibrary:
     Raises
     ------
     LibraryError
-        On a corrupt ledger, or a legacy v1 ``manifest.json`` that
-        :func:`migrate_v1_library` has not yet migrated.
+        On a corrupt ledger or an unreadable shard beyond the index
+        watermark, or a v1 ``manifest.json`` or version-2 ledger that
+        :func:`migrate_library` has not yet migrated.
     """
 
     def __init__(
@@ -233,8 +230,6 @@ class PatternLibrary:
     def shard_path(self, chunk: int) -> Path:
         return self.shard_dir / f"shard_{self.writer}_{chunk:05d}.npz"
 
-    def _sidecar_path(self, shard_name: str) -> Path:
-        return self.index_dir / sidecar_name(shard_name)
 
     # ------------------------------------------------------------------ #
     # state
@@ -250,6 +245,12 @@ class PatternLibrary:
             writer_id: load_ledger(path)
             for writer_id, path in scan_ledgers(self.root).items()
         }
+        if any(ledger.version != LEDGER_VERSION for ledger in ledgers.values()):
+            raise LibraryError(
+                f"library at {self.root} holds version-2 ledgers naming "
+                f"per-pattern shards; run `repro compact-library {self.root}` "
+                "to migrate it"
+            )
         own = ledgers.get(self.writer)
         if own is not None:
             # Persisted state wins: a reopened writer keeps its mode and run.
@@ -266,33 +267,34 @@ class PatternLibrary:
         self._index.refresh_delta(self.records_in_order(), self._record_hashes)
 
     def _record_hashes(self, record: ChunkRecord):
-        """``(pattern_hashes, topology_hashes)`` for one record's slice.
-
-        The index delta/rebuild loader: sidecar-backed, with shard
-        recomputation as the fallback.
-        """
-        if record.shard is None or record.num_stored == 0:
-            return [], []
+        """``(pattern_hashes, topology_hashes)``: the index delta/rebuild loader."""
         meta = self._record_metadata(record)
         return meta["pattern_hash"], meta["topology_hash"]
 
-    def _record_metadata(self, record: ChunkRecord) -> dict[str, np.ndarray]:
-        """The :data:`SIDECAR_COLUMNS` of one record's shard slice.
+    def _shard_columns(self, record: ChunkRecord) -> dict[str, np.ndarray]:
+        """``count`` and the :data:`INDEX_COLUMNS` of ``record``'s whole shard."""
+        path = self.shard_dir / record.shard
+        try:
+            with _open_shard(path) as data:
+                columns = {key: data[key] for key in ("count", *INDEX_COLUMNS)}
+            total = int(columns["count"])
+            hi = record.shard_start + record.num_stored
+            if hi > total or any(columns[k].shape != (total,) for k in INDEX_COLUMNS):
+                raise LibraryError(
+                    f"shard {path} holds {total} pattern(s) but the manifest "
+                    f"records {record.num_stored} at offset {record.shard_start}"
+                )
+        except LibraryError as error:
+            raise LibraryError(f"chunk {record.chunk}: {error}") from error
+        return columns
 
-        Columns a sidecar carries beyond those (older serve appends also
-        wrote per-pattern attribution, which the ledger holds) are ignored.
-        """
+    def _record_metadata(self, record: ChunkRecord) -> dict[str, np.ndarray]:
+        """The :data:`INDEX_COLUMNS` of one record's shard slice (no decoding)."""
         if record.shard is None or record.num_stored == 0:
-            return sidecar_arrays([])
-        sidecar = load_sidecar(self._sidecar_path(record.shard))
+            return _index_columns([])
+        columns = self._shard_columns(record)
         lo, hi = record.shard_start, record.shard_start + record.num_stored
-        if sidecar is not None and all(
-            key in sidecar and sidecar[key].shape[0] >= hi for key in SIDECAR_COLUMNS
-        ):
-            return {key: sidecar[key][lo:hi] for key in SIDECAR_COLUMNS}
-        # No (or torn) sidecar — recompute from the shard itself.
-        patterns = self.load_record_patterns(record)
-        return sidecar_arrays(patterns)
+        return {key: columns[key][lo:hi] for key in INDEX_COLUMNS}
 
     def _next_seq(self) -> int:
         return max((record.seq for record in self.records_in_order()), default=-1) + 1
@@ -403,7 +405,8 @@ class PatternLibrary:
         resume, every returned record's shard file is validated up front so
         a missing or truncated shard surfaces as a :class:`LibraryError`
         naming the offending chunk instead of a low-level I/O error deep in
-        the run.
+        the run (a record beyond the index watermark has already been read
+        at open, which raises the same error).
 
         Raises
         ------
@@ -441,28 +444,7 @@ class PatternLibrary:
             or short shard file.
         """
         for record in records:
-            if record.shard is None or record.num_stored == 0:
-                continue
-            path = self.shard_dir / record.shard
-            if not path.exists():
-                raise LibraryError(
-                    f"cannot use chunk {record.chunk}: shard {path} named by "
-                    "the manifest is missing"
-                )
-            try:
-                with np.load(path) as data:
-                    total = int(data["count"])
-            except Exception as error:  # zip/npy corruption surfaces many ways
-                raise LibraryError(
-                    f"cannot use chunk {record.chunk}: shard {path} is "
-                    f"truncated or corrupt ({error})"
-                ) from error
-            if record.shard_start + record.num_stored > total:
-                raise LibraryError(
-                    f"cannot use chunk {record.chunk}: shard {path} holds "
-                    f"{total} pattern(s) but the manifest records "
-                    f"{record.num_stored} at offset {record.shard_start}"
-                )
+            self._record_metadata(record)
 
     # ------------------------------------------------------------------ #
     # writing
@@ -493,8 +475,9 @@ class PatternLibrary:
     ) -> list[SquishPattern]:
         """Persist one completed chunk; returns the patterns actually stored.
 
-        The shard is written first, the ledger second (atomically), so an
-        interrupt between the two leaves a restartable library.  ``record``
+        The shard is written first, the ledger second (each atomically and
+        fsynced), so an interrupt between the two leaves a restartable
+        library.  ``record``
         is mutated in place with the storage accounting (``num_stored``,
         ``duplicates_skipped``, the introduced counts, the shard name,
         ``seq`` and ``writer``).
@@ -541,7 +524,7 @@ class PatternLibrary:
         # Another writer may have stored some of these patterns since the
         # caller's plan_chunk probe: account what is stored, not what was
         # offered.
-        stored_meta = sidecar_arrays(stored)
+        stored_meta = _index_columns(stored)
         record.num_stored = len(patterns)
         record.duplicates_skipped = 0
         self._apply_drop(record, kept, stored_meta)
@@ -554,10 +537,8 @@ class PatternLibrary:
             self.shard_dir.mkdir(parents=True, exist_ok=True)
             path = self.shard_path(record.chunk)
             fault_point("append:shard")
-            atomic_write_bytes(path, lambda fh: _savez_patterns(fh, stored))
+            atomic_write_bytes(path, lambda fh: _savez_patterns(fh, stored, stored_meta))
             record.shard = path.name
-            fault_point("append:sidecar")
-            write_sidecar(self._sidecar_path(record.shard), stored_meta)
         else:
             record.shard = None
         ledger = self._ledgers.get(self.writer)
@@ -587,11 +568,6 @@ class PatternLibrary:
         if record.shard is None or record.num_stored == 0:
             return []
         path = self.shard_dir / record.shard
-        if not path.exists():
-            raise LibraryError(
-                f"chunk {record.chunk}: shard {path} named by the manifest is "
-                "missing"
-            )
         try:
             patterns, total = load_shard_slice(
                 path, record.shard_start, record.num_stored
@@ -621,14 +597,8 @@ class PatternLibrary:
             if record.shard is None or record.num_stored == 0:
                 continue
             if record.shard != current_shard:
-                path = self.shard_dir / record.shard
-                if not path.exists():
-                    raise LibraryError(
-                        f"chunk {record.chunk}: shard {path} named by the "
-                        "manifest is missing"
-                    )
                 try:
-                    current_patterns = load_shard(path)
+                    current_patterns = load_shard(self.shard_dir / record.shard)
                 except LibraryError as error:
                     raise LibraryError(f"chunk {record.chunk}: {error}") from error
                 current_shard = record.shard
@@ -658,8 +628,8 @@ class PatternLibrary:
     ) -> list[PatternHandle]:
         """Indexed pattern lookup returning lazy :class:`PatternHandle`\\ s.
 
-        Filters compose (AND); none loads a shard — selection runs entirely
-        over the index sidecars:
+        Filters compose (AND); none decodes a pattern — selection runs
+        entirely over the shards' index columns:
 
         * ``complexity_band=(lo, hi)`` — inclusive band on the canonical
           total complexity ``cx + cy`` (either bound may be ``None``).
@@ -667,7 +637,7 @@ class PatternLibrary:
           fingerprint (e.g. a rule-set repr fragment like ``"min_space=2"``),
           selecting the patterns generated under that regime.
         * ``topology_hash`` — exact topology digest; the index answers
-          definite misses without touching any sidecar.
+          definite misses without touching any shard.
         * ``writer`` — restrict to one writer's chunks.
         """
         if topology_hash is not None and not self._index.has_topology(topology_hash):
@@ -760,8 +730,8 @@ class PatternLibrary:
         records' stored counts and complexity histograms are rebuilt from
         the patterns they keep.
 
-        Crash safety: new shards and sidecars are committed before any
-        ledger references them; the index is invalidated *before* a
+        Crash safety: new shards are committed before any ledger references
+        them; the index is invalidated *before* a
         dropping rewrite (a stale index would report dropped hashes as
         present) and fully rebuilt at the end; obsolete shard files are
         deleted only after every ledger has been rewritten.
@@ -809,18 +779,14 @@ class PatternLibrary:
                     record.shard = name
                     record.shard_start = offset
                     offset += len(kept)
+                columns = {
+                    key: np.concatenate([m[key] for m in merged_meta])
+                    for key in INDEX_COLUMNS
+                }
                 fault_point("compact:merged-shard")
                 atomic_write_bytes(
                     self.shard_dir / name,
-                    lambda fh: _savez_patterns(fh, merged_patterns),
-                )
-                fault_point("compact:merged-sidecar")
-                write_sidecar(
-                    self._sidecar_path(name),
-                    {
-                        key: np.concatenate([m[key] for m in merged_meta])
-                        for key in SIDECAR_COLUMNS
-                    },
+                    lambda fh: _savez_patterns(fh, merged_patterns, columns),
                 )
                 pending = []
                 pending_size = 0
@@ -863,21 +829,13 @@ class PatternLibrary:
                     unchanged
                     and shard_refs[shard_name] == len(members)
                     and total_kept >= target_shard_patterns
-                    and self._shard_fully_covered(shard_name, members)
+                    and self._shard_fully_covered(members)
                 ):
-                    # Healthy full shard: keep in place, just ensure the
-                    # sidecar exists for index rebuild / query.
-                    if load_sidecar(self._sidecar_path(shard_name)) is None:
-                        (record, _), = members
-                        write_sidecar(
-                            self._sidecar_path(shard_name),
-                            self._record_metadata(record),
-                        )
-                    keep_shards.add(shard_name)
+                    keep_shards.add(shard_name)  # a healthy full shard
                     continue
                 for record, kept in members:
                     if not kept:
-                        self._apply_drop(record, kept, sidecar_arrays([]))
+                        self._apply_drop(record, kept, _index_columns([]))
                         record.shard = None
                         record.shard_start = 0
                         continue
@@ -896,14 +854,9 @@ class PatternLibrary:
             for writer_id in sorted(self._ledgers):
                 fault_point(f"compact:ledger:{writer_id}")
                 self._ledgers[writer_id].write(self.root)
-            retired = old_shards - keep_shards
-            for shard_name in sorted(retired):
-                for stale in (
-                    self.shard_dir / shard_name,
-                    self._sidecar_path(shard_name),
-                ):
-                    fault_point(f"compact:unlink:{stale.name}")
-                    stale.unlink(missing_ok=True)
+            for shard_name in sorted(old_shards - keep_shards):
+                fault_point(f"compact:unlink:{shard_name}")
+                (self.shard_dir / shard_name).unlink(missing_ok=True)
             fault_point("compact:index-rebuild")
             self._index.rebuild(self.records_in_order(), self._record_hashes)
             self._refresh()
@@ -912,22 +865,14 @@ class PatternLibrary:
             )
             return report
 
-    def _shard_fully_covered(self, shard_name: str, members) -> bool:
-        """Do ``members``' slices tile the whole shard contiguously from 0?"""
+    def _shard_fully_covered(self, members) -> bool:
+        """Do ``members``' slices tile their whole shard contiguously from 0?"""
         offset = 0
         for start, count in sorted((r.shard_start, r.num_stored) for r, _ in members):
             if start != offset:
                 return False
             offset += count
-        sidecar = load_sidecar(self._sidecar_path(shard_name))
-        if sidecar is None:
-            # An exclusive per-chunk shard's length is validated against
-            # num_stored on every load; merged shards without a sidecar are
-            # rewritten rather than trusted.
-            return len(members) == 1 and not shard_name.startswith(
-                MERGED_SHARD_PREFIX
-            )
-        return int(sidecar["pattern_hash"].size) == offset
+        return int(self._shard_columns(members[0][0])["count"]) == offset
 
     @staticmethod
     def _apply_drop(
@@ -938,7 +883,7 @@ class PatternLibrary:
         ``kept`` indexes the record's ``num_stored`` patterns (the offered
         ones at append, where dedup skips some; the stored slice at a
         dropping compaction).  ``kept_meta`` holds the
-        :data:`SIDECAR_COLUMNS` of the kept patterns; their ``cx``/``cy``
+        :data:`INDEX_COLUMNS` of the kept patterns; their ``cx``/``cy``
         become the record's pattern complexity histogram.  A record that
         keeps every pattern is left as it is.
         """
@@ -978,86 +923,150 @@ class PatternLibrary:
 
 
 # --------------------------------------------------------------------------- #
-# legacy v1 migration
+# migration of v1 and version-2 libraries
 # --------------------------------------------------------------------------- #
-def migrate_v1_library(root: "str | Path") -> int:
-    """Turn a v1 library into writer ``legacy``'s ledger; returns its records.
+def migrate_library(root: "str | Path") -> int:
+    """Rewrite a v1 or version-2 library in the current layout; returns its records.
 
-    A v1 library keeps one ``manifest.json`` whose records carry no commit
-    ``seq`` and inline the hashes each chunk introduced.  Under the library
-    lock, the records (sorted by chunk) become ``manifests/legacy.json``
-    with seqs ``0..n-1`` and the lengths of those lists as their introduced
-    counts; every shard gets its index sidecar, and the shards themselves
-    (``shard_<chunk>.npz``) stay where they are.  The manifest is removed
-    last, so a crash leaves a root that either still refuses to open or is
-    fully migrated, and a rerun after the ledger commit only removes the
-    manifest.  Returns 0 when ``root`` holds no v1 manifest.
+    Under the library lock, in this order: each per-pattern shard a stale
+    ledger or a v1 ``manifest.json`` names is rewritten in place in the
+    columnar codec; each stale ledger is rewritten at the current version (a
+    v1 manifest's records, sorted by chunk, become writer ``legacy``'s with
+    seqs ``0..n-1`` and their inline hash lists' lengths as introduced
+    counts); the index sidecars are deleted (no current index file is an
+    ``.npz``); a v1 manifest is removed last.  A crash leaves a root that
+    refuses to open or is fully migrated, and a rerun finishes the job.
+    Returns the number of records in the ledgers this call rewrote (0 if
+    none was stale).
     """
     root = Path(root)
     manifest = root / MANIFEST_NAME
-    if not manifest.exists():
+    if not manifest.exists() and not scan_ledgers(root):
         return 0
     with LibraryLock(root):
-        legacy = ledger_path(root, "legacy")
-        if not legacy.exists():
-            try:
-                payload = json.loads(manifest.read_text())
-            except (OSError, json.JSONDecodeError) as error:
-                raise LibraryError(f"cannot read manifest {manifest}: {error}") from error
-            if payload.get("version") != MANIFEST_VERSION:
-                raise LibraryError(
-                    f"manifest {manifest} has unsupported version "
-                    f"{payload.get('version')!r} (expected {MANIFEST_VERSION})"
-                )
-            entries = sorted(payload.get("chunks", []), key=lambda data: data["chunk"])
-            records = []
-            for seq, data in enumerate(entries):
-                record = ChunkRecord.from_dict(data)
-                record.seq, record.writer = seq, "legacy"
-                record.num_new_patterns = len(data.get("new_pattern_hashes", []))
-                record.num_new_topologies = len(data.get("new_topology_hashes", []))
-                if record.shard is not None and record.num_stored:
-                    patterns = load_shard(root / SHARD_DIR / record.shard)
-                    fault_point("migrate:sidecar")
-                    write_sidecar(
-                        root / INDEX_DIR / sidecar_name(record.shard),
-                        sidecar_arrays(patterns),
-                    )
-                records.append(record)
+        stale = [
+            ledger
+            for ledger in map(load_ledger, scan_ledgers(root).values())
+            if ledger.version != LEDGER_VERSION
+        ]
+        if manifest.exists() and not ledger_path(root, "legacy").exists():
+            stale.append(_v1_ledger(manifest))
+        for name in sorted({r.shard for ledger in stale for r in ledger.chunks if r.shard}):
+            path = root / SHARD_DIR / name
+            patterns = _load_retired_shard(path)
+            if patterns is not None:
+                fault_point("migrate:shard")
+                columns = _index_columns(patterns)
+                atomic_write_bytes(path, lambda fh: _savez_patterns(fh, patterns, columns))
+        for ledger in stale:
             fault_point("migrate:ledger")
-            WriterLedger(
-                writer="legacy",
-                fingerprint=payload.get("fingerprint", {}),
-                dedup=bool(payload.get("dedup", False)),
-                chunks=records,
-            ).write(root)
-        migrated = len(load_ledger(legacy).chunks)
+            ledger.write(root)
+        fault_point("migrate:drop-sidecars")
+        for sidecar in sorted((root / INDEX_DIR).glob("*.npz")):
+            sidecar.unlink()
         fault_point("migrate:drop-manifest")
-        manifest.unlink(missing_ok=True)  # a concurrent run may have won
-    return migrated
+        manifest.unlink(missing_ok=True)
+    return sum(len(ledger.chunks) for ledger in stale)
+
+
+def _v1_ledger(manifest: Path) -> WriterLedger:
+    """Writer ``legacy``'s ledger holding a v1 manifest's records."""
+    try:
+        payload = json.loads(manifest.read_text())
+    except (OSError, json.JSONDecodeError) as error:
+        raise LibraryError(f"cannot read manifest {manifest}: {error}") from error
+    if payload.get("version") != MANIFEST_VERSION:
+        raise LibraryError(
+            f"manifest {manifest} has unsupported version "
+            f"{payload.get('version')!r} (expected {MANIFEST_VERSION})"
+        )
+    records = []
+    entries = sorted(payload.get("chunks", []), key=lambda data: data["chunk"])
+    for seq, data in enumerate(entries):
+        record = ChunkRecord.from_dict(data)
+        record.seq, record.writer = seq, "legacy"
+        record.num_new_patterns = len(data.get("new_pattern_hashes", []))
+        record.num_new_topologies = len(data.get("new_topology_hashes", []))
+        records.append(record)
+    return WriterLedger(
+        writer="legacy",
+        fingerprint=payload.get("fingerprint", {}),
+        dedup=bool(payload.get("dedup", False)),
+        chunks=records,
+    )
+
+
+def _load_retired_shard(path: Path) -> "list[SquishPattern] | None":
+    """A per-pattern shard's patterns (``p<i>_<array>`` members); ``None`` if columnar."""
+    with _open_shard(path) as data:
+        if "shapes" in data.files:
+            return None  # already rewritten by an interrupted migration
+        members: dict[str, dict[str, np.ndarray]] = {}
+        for key in data.files:
+            head, sep, name = key.partition("_")
+            if sep:
+                members.setdefault(head, {})[name] = data[key]
+        return [
+            SquishPattern.from_arrays(members.get(f"p{index}", {}), source=f"{path}[{index}]")
+            for index in range(int(data["count"]))
+        ]
 
 
 # --------------------------------------------------------------------------- #
 # shard codec
 # --------------------------------------------------------------------------- #
-def _savez_patterns(file_obj, patterns: list[SquishPattern]) -> None:
-    arrays: dict[str, np.ndarray] = {
-        "count": np.asarray(len(patterns), dtype=np.int64)
+def _index_columns(patterns) -> dict[str, np.ndarray]:
+    """The :data:`INDEX_COLUMNS` of ``patterns``, computed from the patterns."""
+    cx, cy = np.asarray([pattern_complexity(p) for p in patterns], np.int64).reshape(-1, 2).T
+    return {
+        "pattern_hash": np.asarray([pattern_hash(p) for p in patterns], HASH_DTYPE),
+        "topology_hash": np.asarray([topology_hash(p.topology) for p in patterns], HASH_DTYPE),
+        "cx": cx.copy(),
+        "cy": cy.copy(),
     }
-    for index, pattern in enumerate(patterns):
-        for key, value in pattern.as_arrays().items():
-            arrays[f"p{index}_{key}"] = value
-    np.savez_compressed(file_obj, **arrays)
+
+
+def _savez_patterns(file_obj, patterns: list[SquishPattern], columns) -> None:
+    """Write ``patterns`` and their index ``columns`` as one columnar shard."""
+    np.savez_compressed(
+        file_obj,
+        count=np.asarray(len(patterns), dtype=np.int64),
+        shapes=np.asarray([p.topology.shape for p in patterns], dtype=np.int64).reshape(-1, 2),
+        topology=np.packbits(
+            np.concatenate([np.zeros(0, np.uint8), *(p.topology.ravel() for p in patterns)])
+        ),
+        delta_x=np.concatenate([np.zeros(0, np.int64), *(p.delta_x for p in patterns)]),
+        delta_y=np.concatenate([np.zeros(0, np.int64), *(p.delta_y for p in patterns)]),
+        origin=np.asarray([p.origin for p in patterns], dtype=np.int64).reshape(-1, 2),
+        **columns,
+    )
+
+
+@contextmanager
+def _open_shard(path):
+    """``np.load`` a shard; any fault while reading it raises a :class:`LibraryError`."""
+    try:
+        with np.load(path) as data:
+            if "count" not in data.files:
+                raise LibraryError(f"{path} is not a pattern shard (no count array)")
+            yield data
+    except LibraryError:
+        raise
+    except FileNotFoundError as error:
+        raise LibraryError(f"shard {path} is missing") from error
+    except Exception as error:  # torn zip/npy members surface many ways
+        raise LibraryError(f"shard {path} is truncated or corrupt ({error})") from error
 
 
 def save_shard(path: "str | Path", patterns: list[SquishPattern]) -> None:
-    """Write many patterns to one ``.npz`` shard (lossless).
+    """Write many patterns to one columnar ``.npz`` shard (lossless).
 
-    Uses the single-pattern :meth:`SquishPattern.as_arrays` codec under
-    ``p<i>_`` key prefixes plus a ``count`` array.
+    The members are listed in ``docs/library-format.md``: the patterns'
+    shapes, packed topology bits, concatenated deltas and origins, plus
+    their index columns (both hashes and the complexity).
     """
     with open(path, "wb") as handle:
-        _savez_patterns(handle, patterns)
+        _savez_patterns(handle, patterns, _index_columns(patterns))
 
 
 def load_shard_slice(
@@ -1069,43 +1078,36 @@ def load_shard_slice(
     ``(patterns, total)`` where ``total`` is the shard's full pattern count
     (callers validate it against their manifest record).
     """
-    try:
-        with np.load(path) as data:
-            if "count" not in data.files:
-                raise LibraryError(f"{path} is not a pattern shard (no count array)")
-            total = int(data["count"])
-            if count is None:
-                count = max(total - start, 0)
-            if start + count > total:
-                raise LibraryError(
-                    f"shard {path} holds {total} pattern(s); cannot load "
-                    f"{count} at offset {start}"
-                )
-            # One pass over the key list: ``p<i>_<name>`` -> members["p<i>"].
-            members: dict[str, list[str]] = {}
-            for key in data.files:
-                head, sep, _ = key.partition("_")
-                if sep:
-                    members.setdefault(head, []).append(key)
-            patterns = []
-            for index in range(start, start + count):
-                prefix = f"p{index}_"
-                arrays = {
-                    key.removeprefix(prefix): data[key]
-                    for key in members.get(f"p{index}", ())
-                }
-                try:
-                    patterns.append(
-                        SquishPattern.from_arrays(arrays, source=f"{path}[{index}]")
-                    )
-                except ValueError as error:
-                    raise LibraryError(str(error)) from error
-    except LibraryError:
-        raise
-    except Exception as error:  # torn zip/npy members surface many ways
-        raise LibraryError(
-            f"shard {path} is truncated or corrupt ({error})"
-        ) from error
+    with _open_shard(path) as data:
+        total = int(data["count"])
+        if count is None:
+            count = max(total - start, 0)
+        if start + count > total:
+            raise LibraryError(
+                f"shard {path} holds {total} pattern(s); cannot load "
+                f"{count} at offset {start}"
+            )
+        shapes, origin, packed = data["shapes"], data["origin"], data["topology"]
+        delta_x, delta_y = data["delta_x"], data["delta_y"]
+        x0, y0, c0 = (
+            [0, *np.cumsum(column).tolist()]
+            for column in (shapes[:, 1], shapes[:, 0], shapes.prod(axis=1))
+        )
+        if (shapes.shape, origin.shape) != ((total, 2), (total, 2)) or (
+            delta_x.size, delta_y.size, packed.size
+        ) != (x0[-1], y0[-1], (c0[-1] + 7) // 8):
+            raise ValueError("column lengths disagree with the pattern shapes")
+        bits = np.unpackbits(packed, count=c0[-1])
+        shape_rows, origins = shapes.tolist(), origin.tolist()
+        patterns = [
+            SquishPattern(
+                bits[c0[i] : c0[i + 1]].reshape(shape_rows[i]),
+                delta_x[x0[i] : x0[i + 1]],
+                delta_y[y0[i] : y0[i + 1]],
+                tuple(origins[i]),
+            )
+            for i in range(start, start + count)
+        ]
     return patterns, total
 
 

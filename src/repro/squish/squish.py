@@ -93,10 +93,10 @@ class SquishPattern:
     def as_arrays(self) -> dict[str, np.ndarray]:
         """The pattern as a flat ``name -> array`` dict (the npz codec).
 
-        This is the canonical serialised form: :meth:`save` writes exactly
-        these arrays to a single-pattern ``.npz`` file, and the
-        :class:`~repro.library.PatternLibrary` shards store the same arrays
-        under per-pattern key prefixes.
+        This is the canonical single-pattern form: :meth:`save` writes
+        exactly these arrays to a ``.npz`` file and the serve protocol sends
+        them (library shards store many patterns as columns instead; see
+        :func:`repro.library.save_shard`).
         """
         return {
             "topology": self.topology,

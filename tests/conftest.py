@@ -70,3 +70,9 @@ def trained_tiny_pipeline(tiny_dataset):
 def write_v1_library():
     """Factory for legacy v1 library fixtures (see :mod:`v1_fixture`)."""
     return v1_fixture.write_v1_library
+
+
+@pytest.fixture(scope="session")
+def write_v2_library():
+    """Factory for version-2 library fixtures (see :mod:`v1_fixture`)."""
+    return v1_fixture.write_v2_library

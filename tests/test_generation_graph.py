@@ -22,7 +22,7 @@ from repro.library import (
     ChunkRecord,
     LibraryError,
     PatternLibrary,
-    migrate_v1_library,
+    migrate_library,
     pattern_hash,
 )
 from repro.pipeline import (
@@ -265,7 +265,7 @@ class TestLibraryResume:
         # What `repro compact-library` runs.  The migrated library reads as
         # the store that read v1 in place did (summary pinned from it) and
         # holds the killed run's patterns.
-        assert migrate_v1_library(root) == 2
+        assert migrate_library(root) == 2
         PatternLibrary(root).compact()
         migrated = PatternLibrary(root)
         assert migrated.summary() == {

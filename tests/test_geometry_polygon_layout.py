@@ -67,6 +67,21 @@ class TestLayout:
             (r.x1, r.y1, r.x2, r.y2) for r in layout.all_rects()
         )
 
+    @pytest.mark.parametrize(
+        "grid, dx, dy",
+        [
+            (np.ones((1, 1)), [5, 7], [3]),  # a spare column interval
+            (np.ones((2, 2)), [5], [3, 3]),  # a missing column interval
+            (np.ones((2, 3)), [1, 1, 1], [2]),  # a missing row interval
+        ],
+        ids=["dx-too-long", "dx-too-short", "dy-too-short"],
+    )
+    def test_from_grid_rejects_intervals_that_do_not_fit_the_grid(self, grid, dx, dy):
+        with pytest.raises(ValueError, match="do not fit"):
+            Layout.from_grid(grid, dx, dy)
+        with pytest.raises(ValueError, match="do not fit"):
+            polygons_from_grid(grid, dx, dy)
+
     def test_polygon_outside_window_rejected(self):
         window = Rect(0, 0, 100, 100)
         poly = RectilinearPolygon([Rect(50, 50, 150, 150)])

@@ -59,8 +59,8 @@ class TestShardCodec:
             assert copy.origin == original.origin
 
     def test_mid_shard_slice(self, tmp_path):
-        # 12 patterns: p1_ is a key prefix of p10_/p11_, so a slice must
-        # pick its members by exact index, not by string prefix alone.
+        # 12 patterns: a slice must start at its own offsets into the
+        # concatenated topology bits and deltas, not at the shard's start.
         patterns = [make_pattern(i) for i in range(12)]
         path = tmp_path / "shard.npz"
         save_shard(path, patterns)
@@ -77,6 +77,18 @@ class TestShardCodec:
         path = tmp_path / "empty.npz"
         save_shard(path, [])
         assert load_shard(path) == []
+
+    def test_inconsistent_columns_are_rejected(self, tmp_path):
+        # Intact zip members whose lengths disagree with ``shapes`` are as
+        # corrupt as a torn file.
+        path = tmp_path / "shard.npz"
+        save_shard(path, [make_pattern(i) for i in range(3)])
+        with np.load(path) as data:
+            columns = {key: data[key] for key in data.files}
+        columns["delta_x"] = columns["delta_x"][:-1]
+        np.savez(path, **columns)
+        with pytest.raises(LibraryError, match="truncated or corrupt"):
+            load_shard(path)
 
     def test_non_shard_file_is_rejected(self, tmp_path):
         path = tmp_path / "junk.npz"
@@ -221,10 +233,14 @@ class TestPatternLibrary:
         library = PatternLibrary(tmp_path / "lib")
         patterns = [make_pattern(0)]
         library.append_chunk(make_record(0, patterns), patterns)
-        library.shard_path(0).unlink()
         reopened = PatternLibrary(tmp_path / "lib")
+        library.shard_path(0).unlink()
         with pytest.raises(LibraryError, match="missing"):
             reopened.load_record_patterns(reopened.chunk_records[0])
+        # The record lies beyond the index watermark: the open reads its
+        # hash columns from the shard, so it raises the same error.
+        with pytest.raises(LibraryError, match="chunk 0: .* missing"):
+            PatternLibrary(tmp_path / "lib")
 
     def test_corrupt_manifest_is_reported(self, tmp_path):
         root = tmp_path / "lib"

@@ -11,12 +11,17 @@ filesystem steps — and assert the reopened library resumes losslessly:
   gap-free, and the dedup decisions match the serial run.
 * **compaction**: the pattern multiset (in commit order) survives a crash
   at any point of the rewrite.
-* **v1 migration**: a crash at any point of ``repro compact-library`` on a
-  v1 library leaves a root that refuses to open or opens fully migrated,
-  and a rerun converges to the reference library.
+* **migration**: a crash at any point of ``repro compact-library`` on a v1
+  or version-2 library leaves a root that refuses to open or opens fully
+  migrated, and a rerun converges to the reference library.
+
+A process kill is not an OS crash: :class:`TestDurableCommits` checks that
+every commit is fsynced (file before rename, directory after it).
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -26,7 +31,7 @@ from repro.library import (
     ChunkRecord,
     LibraryError,
     PatternLibrary,
-    migrate_v1_library,
+    migrate_library,
     pattern_hash,
 )
 from repro.squish import SquishPattern
@@ -114,10 +119,15 @@ def assert_matches_serial(recovered: PatternLibrary, serial: PatternLibrary):
 class TestV2AppendCrashes:
     def test_covers_the_durability_points(self, tmp_path):
         points = enumerate_points(tmp_path, "probe", "alpha")
-        assert "append:shard" in points
-        assert "append:sidecar" in points
-        assert "append:ledger" in points
-        assert "alpha.json:replace" in points
+        # One append commits its shard, then the ledger that names it.
+        assert points[: points.index("alpha.json:replace") + 1] == [
+            "append:shard",
+            "shard_alpha_00000.npz:tmp-write",
+            "shard_alpha_00000.npz:replace",
+            "append:ledger",
+            "alpha.json:tmp-write",
+            "alpha.json:replace",
+        ]
 
     def test_every_kill_point_resumes_losslessly(self, tmp_path):
         serial = run_appends(tmp_path / "serial", "alpha")
@@ -201,7 +211,7 @@ class TestCompactionCrashes:
 
         def compact_library(root):
             """What `repro compact-library ROOT` runs."""
-            migrate_v1_library(root)
+            migrate_library(root)
             PatternLibrary(root).compact(target_shard_patterns=8)
 
         reference = build_v1(tmp_path / "serial")
@@ -209,7 +219,9 @@ class TestCompactionCrashes:
         expected = [pattern_hash(p) for p in PatternLibrary(reference).load_patterns()]
         with record_fault_points() as points:
             compact_library(build_v1(tmp_path / "probe"))
-        assert {"migrate:sidecar", "migrate:ledger", "migrate:drop-manifest"} <= set(points)
+        assert {
+            "migrate:shard", "migrate:ledger", "migrate:drop-sidecars", "migrate:drop-manifest"
+        } <= set(points)
 
         for index, label in enumerate(points):
             root = build_v1(tmp_path / f"kill-{index}")
@@ -233,3 +245,89 @@ class TestCompactionCrashes:
             assert (
                 PatternLibrary(root).summary() == PatternLibrary(reference).summary()
             ), label
+
+    def test_v2_migration_survives_crashes(self, tmp_path, write_v2_library):
+        def build_v2(root):
+            appends = []
+            for chunk, (writer, fills) in enumerate(
+                [("alpha", [1, 2]), ("beta", [2, 3]), ("alpha", [4])]
+            ):
+                patterns = [make_pattern(f) for f in fills]
+                record = make_record(chunk // 2, patterns, pattern_sources=[0] * len(fills))
+                appends.append((writer, record, patterns))
+            return write_v2_library(root, appends, dedup=True)
+
+        def compact_library(root):
+            """What `repro compact-library ROOT` runs."""
+            migrate_library(root)
+            PatternLibrary(root).compact(target_shard_patterns=8)
+
+        def view(root):
+            library = PatternLibrary(root)
+            # A rerun after a crash mid-compaction may number the merged
+            # shards differently; everything a reader sees must agree.
+            return (
+                [pattern_hash(p) for p in library.load_patterns()],
+                [
+                    (r.seq, r.writer, r.chunk, r.num_stored, r.pattern_sources)
+                    for r in library.records_in_order()
+                ],
+                library.summary(),
+            )
+
+        reference = build_v2(tmp_path / "serial")
+        compact_library(reference)
+        expected = view(reference)
+        with record_fault_points() as points:
+            compact_library(build_v2(tmp_path / "probe"))
+        assert {"migrate:shard", "migrate:ledger", "migrate:drop-sidecars"} <= set(points)
+
+        for index, label in enumerate(points):
+            root = build_v2(tmp_path / f"kill-{index}")
+            install_fault_hook(crash_at(index))
+            with pytest.raises(InjectedCrash):
+                compact_library(root)
+            install_fault_hook(None)
+            # A version-2 ledger is rewritten only after every shard: the
+            # root refuses to open or opens with every pattern readable.
+            try:
+                opened = PatternLibrary(root)
+            except LibraryError as error:
+                assert "compact-library" in str(error), label
+            else:
+                hashes = [pattern_hash(p) for p in opened.load_patterns()]
+                assert hashes == expected[0], label
+            compact_library(root)
+            assert view(root) == expected, label
+            assert not list(root.glob("index/*.idx.npz")), label
+
+
+class TestDurableCommits:
+    def test_append_syncs_the_shard_before_the_ledger_rename(self, tmp_path, monkeypatch):
+        library = PatternLibrary(tmp_path, writer="alpha")
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.stat(src).st_ino, os.path.basename(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        patterns = [make_pattern(1), make_pattern(2)]
+        library.append_chunk(make_record(0, patterns), patterns)
+        monkeypatch.undo()
+
+        renames = [event for event in events if event[0] == "replace"]
+        assert [name for _, _, name in renames] == ["shard_alpha_00000.npz", "alpha.json"]
+        shard_inode = renames[0][1]
+        assert ("fsync", shard_inode) in events[: events.index(renames[1])]
+        directories = [library.shard_dir, tmp_path / "manifests"]
+        for event, directory in zip(renames, directories):
+            at = events.index(event)
+            assert events[at - 1] == ("fsync", event[1])  # the data, before the rename
+            assert events[at + 1] == ("fsync", directory.stat().st_ino)  # then its entry

@@ -1,9 +1,10 @@
 """Property-based tests: the indexed library against brute-force oracles.
 
 The central property the index must uphold: for any append sequence, the
-sidecar-delta/sorted-file probe path produces **bit-equal dedup decisions**
-to plain in-memory hash sets.  Hypothesis drives randomized chunk sequences
+delta/sorted-file probe path produces **bit-equal dedup decisions** to
+plain in-memory hash sets.  Hypothesis drives randomized chunk sequences
 with heavy hash collisions; oracles are plain Python sets and list scans.
+The columnar shard codec is checked against the patterns it was given.
 """
 
 from __future__ import annotations
@@ -12,10 +13,20 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.library import ChunkRecord, PatternLibrary, pattern_hash, topology_hash
+from repro.library import (
+    ChunkRecord,
+    LibraryError,
+    PatternLibrary,
+    load_shard,
+    load_shard_slice,
+    pattern_hash,
+    save_shard,
+    topology_hash,
+)
 from repro.metrics import pattern_complexity
 from repro.squish import SquishPattern
 
@@ -137,3 +148,55 @@ class TestCompactionProperties:
                 h.pattern_hash for h in library.query(complexity_band=(lo, hi))
             )
             assert got == expected
+
+
+@st.composite
+def squish_patterns(draw):
+    """One pattern of a drawn shape (1x1, non-square, 8x8 or 16x16) and origin."""
+    rows, cols = draw(st.sampled_from([(1, 1), (1, 5), (3, 2), (8, 8), (16, 16)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return SquishPattern(
+        rng.integers(0, 2, size=(rows, cols), dtype=np.uint8),
+        rng.integers(1, 500, size=cols),
+        rng.integers(1, 500, size=rows),
+        (draw(st.integers(-(10**6), 10**6)), draw(st.integers(-(10**6), 10**6))),
+    )
+
+
+def codec_view(pattern: SquishPattern):
+    """Every array of a pattern with its dtype and shape, plus its origin."""
+    arrays = (pattern.topology, pattern.delta_x, pattern.delta_y)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays], pattern.origin
+
+
+class TestShardCodec:
+    @settings(SETTINGS, derandomize=True)
+    @given(st.lists(squish_patterns(), max_size=8), st.data())
+    def test_columnar_shard_round_trips_and_rejects_truncation(self, patterns, data):
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "shard.npz"
+            save_shard(path, patterns)
+            loaded = load_shard(path)
+            assert [codec_view(p) for p in loaded] == [codec_view(p) for p in patterns]
+            assert all(type(v) is int for p in loaded for v in p.origin)
+            for start in range(len(patterns) + 1):
+                for count in range(len(patterns) - start + 1):
+                    sliced, total = load_shard_slice(path, start, count)
+                    assert total == len(patterns)
+                    assert [codec_view(p) for p in sliced] == [
+                        codec_view(p) for p in loaded[start : start + count]
+                    ]
+            with np.load(path) as stored:
+                assert stored["pattern_hash"].tolist() == [
+                    pattern_hash(p).encode() for p in patterns
+                ]
+                assert stored["topology_hash"].tolist() == [
+                    topology_hash(p.topology).encode() for p in patterns
+                ]
+                complexities = [pattern_complexity(p) for p in patterns]
+                assert stored["cx"].tolist() == [cx for cx, _ in complexities]
+                assert stored["cy"].tolist() == [cy for _, cy in complexities]
+            blob = path.read_bytes()
+            path.write_bytes(blob[: data.draw(st.integers(0, len(blob) - 1))])
+            with pytest.raises(LibraryError):
+                load_shard(path)

@@ -1,4 +1,4 @@
-"""Tests for the sharded v2 pattern library: ledgers, index, query, compaction."""
+"""Tests for the sharded pattern library: ledgers, index, query, compaction, migration."""
 
 from __future__ import annotations
 
@@ -17,19 +17,14 @@ from repro.library import (
     LibraryError,
     LibraryLock,
     PatternLibrary,
-    migrate_v1_library,
+    migrate_library,
     pattern_hash,
+    save_shard,
     topology_hash,
 )
-from repro.library.index import (
-    HASH_DTYPE,
-    SIDECAR_COLUMNS,
-    LibraryIndex,
-    load_sidecar,
-    sidecar_name,
-    write_sidecar,
-)
+from repro.library.index import HASH_DTYPE, LibraryIndex
 from repro.library.manifest import (
+    LEDGER_VERSION,
     ledger_path,
     load_ledger,
     scan_ledgers,
@@ -64,6 +59,13 @@ def make_record(chunk: int, patterns: list[SquishPattern], **overrides) -> Chunk
     )
     defaults.update(overrides)
     return ChunkRecord(**defaults)
+
+
+#: The members of every columnar shard.
+SHARD_MEMBERS = (
+    "count", "shapes", "topology", "delta_x", "delta_y", "origin",
+    "pattern_hash", "topology_hash", "cx", "cy",
+)
 
 
 def fill_writer(root, writer: str, fills, dedup: bool = False, chunk_size: int = 2):
@@ -324,7 +326,7 @@ class TestV1Compat:
 
     def test_v1_library_readable_as_merged_view(self, tmp_path, write_v1_library):
         write_v1(write_v1_library, tmp_path, range(4), dedup=True)
-        assert migrate_v1_library(tmp_path) == 2
+        assert migrate_library(tmp_path) == 2
         reread = PatternLibrary(tmp_path)
         assert reread.num_patterns == 4
         assert reread.load_patterns()  # loads through the v1 shard names
@@ -333,7 +335,7 @@ class TestV1Compat:
 
     def test_v1_library_joined_by_new_writer(self, tmp_path, write_v1_library):
         write_v1(write_v1_library, tmp_path, range(2), dedup=True)
-        migrate_v1_library(tmp_path)
+        migrate_library(tmp_path)
         joined = fill_writer(tmp_path, "late", [1, 7], dedup=True)
         # pattern 1 already exists in the migrated ledger -> deduplicated
         assert joined.num_patterns == 3
@@ -344,7 +346,7 @@ class TestV1Compat:
         self, tmp_path, write_v1_library
     ):
         write_v1(write_v1_library, tmp_path, range(2), chunk_size=1)
-        migrate_v1_library(tmp_path)
+        migrate_library(tmp_path)
         fill_writer(tmp_path, "late", [7])
         merged = PatternLibrary(tmp_path)
         order = [(r.writer, r.seq) for r in merged.records_in_order()]
@@ -370,7 +372,7 @@ class TestV1Compat:
         self, tmp_path, write_v1_library
     ):
         write_v1(write_v1_library, tmp_path, range(6), fingerprint={"seed": 7})
-        migrate_v1_library(tmp_path)
+        migrate_library(tmp_path)
         PatternLibrary(tmp_path).compact(target_shard_patterns=2)
         legacy = PatternLibrary(tmp_path, writer="legacy")
         records = legacy.bind({"seed": 7}, resume=True)
@@ -563,7 +565,7 @@ class TestV1MigrationParity:
         v1_chunks = len(json.loads((root / "manifest.json").read_text())["chunks"])
         with pytest.raises(LibraryError, match="compact-library"):
             PatternLibrary(root)
-        assert migrate_v1_library(root) == v1_chunks
+        assert migrate_library(root) == v1_chunks
         for writer, fills, dedup in joins:
             fill_writer(root, writer, fills, dedup=dedup)
         expected = V1_PARITY[name]
@@ -581,6 +583,103 @@ class TestV1MigrationParity:
             **library_view(PatternLibrary(root)),
         }
         assert resumed == expected["resumed"]
+
+
+#: Version-2 fixtures: ``(writer, fills)`` appends in commit order, each
+#: writer numbering its own chunks.  The ``attributed`` writers record serve
+#: attribution, so their sidecars also hold ``source``/``clean`` columns.
+V2_PLANS = {
+    "two-writer-dedup": dict(
+        dedup=True,
+        appends=[
+            ("alpha", [1, 2]), ("beta", [2, 3, 3]), ("alpha", [3, 4]),
+            ("beta", []), ("alpha", [5, 1]), ("beta", [6, 0]),
+        ],
+        attributed={"beta"},
+    ),
+    "two-writer-duplicates-kept": dict(
+        dedup=False,
+        appends=[
+            ("serve-a", [1, 2]), ("main", [2, 3]), ("serve-a", [4, 4]),
+            ("main", list(range(9))),
+        ],
+        attributed={"serve-a"},
+    ),
+}
+
+
+def v2_appends(plan):
+    """Fresh ``(writer, record, patterns)`` triples of one :data:`V2_PLANS` plan."""
+    chunks: dict[str, int] = {}
+    appends = []
+    for writer, fills in plan["appends"]:
+        batch = [make_pattern(f) for f in fills]
+        chunks[writer] = chunk = chunks.get(writer, -1) + 1
+        extra = {}
+        if writer in plan["attributed"]:
+            clean = [i % 2 for i in range(len(batch))]
+            extra = dict(
+                pattern_sources=[10 * chunk + i for i in range(len(batch))],
+                pattern_clean=clean,
+                num_clean=sum(clean),
+            )
+        appends.append((writer, make_record(chunk, batch, **extra), batch))
+    return appends
+
+
+class TestV2Migration:
+    """A version-2 library is refused at open, then migrated in place."""
+
+    @pytest.mark.parametrize(
+        "name, text, match",
+        [
+            ("manifests/alpha.json", '{"version": 99, "chunks": []}', "unsupported version 99"),
+            ("manifest.json", '{"version": 2, "chunks": []}', "unsupported version 2"),
+            ("manifest.json", "{not json", "cannot read manifest"),
+        ],
+        ids=["ledger-version", "v1-manifest-version", "torn-v1-manifest"],
+    )
+    def test_unknown_layouts_are_refused_not_migrated(self, tmp_path, name, text, match):
+        (tmp_path / "manifests").mkdir()
+        (tmp_path / name).write_text(text)
+        with pytest.raises(LibraryError, match=match):
+            migrate_library(tmp_path)
+        assert not (tmp_path / "manifests" / "legacy.json").exists()
+
+    @pytest.mark.parametrize("name", sorted(V2_PLANS))
+    def test_migrated_library_matches_the_appends_built_fresh(
+        self, tmp_path, write_v2_library, name
+    ):
+        plan = V2_PLANS[name]
+        root = write_v2_library(tmp_path / "v2", v2_appends(plan), dedup=plan["dedup"])
+        before = tree_bytes(root)
+        for writer in (None, "alpha", "legacy"):
+            with pytest.raises(LibraryError, match="compact-library"):
+                PatternLibrary(root, writer=writer)
+        assert tree_bytes(root) == before  # a refusal writes nothing
+        assert migrate_library(root) == len(plan["appends"])
+        assert not list(root.glob("index/*.idx.npz"))
+        for writer, _ in plan["appends"]:
+            assert load_ledger(ledger_path(root, writer)).version == LEDGER_VERSION
+
+        fresh = tmp_path / "fresh"
+        for writer, record, patterns in v2_appends(plan):
+            PatternLibrary(fresh, dedup=plan["dedup"], writer=writer).append_chunk(
+                record, patterns
+            )
+        views = []
+        for path in (root, fresh):
+            library = PatternLibrary(path)
+            views.append({
+                **library_view(library),
+                "handles": handles_digest(library.query()),
+                "records": [record.as_dict() for record in library.records_in_order()],
+                "index": library.rebuild_index(),
+            })
+        assert views[0] == views[1]
+        migrated = tree_bytes(root)
+        assert migrate_library(root) == 0
+        assert tree_bytes(root) == migrated
 
 
 class TestQuery:
@@ -626,7 +725,7 @@ class TestQuery:
 
     def test_query_on_v1_library(self, tmp_path, write_v1_library):
         write_v1(write_v1_library, tmp_path, range(3), chunk_size=3)
-        migrate_v1_library(tmp_path)
+        migrate_library(tmp_path)
         target = make_pattern(1)
         handles = PatternLibrary(tmp_path).query(topology_hash=topology_hash(target.topology))
         assert [h.pattern_hash for h in handles] == [pattern_hash(target)]
@@ -717,7 +816,7 @@ class TestIndex:
         write_v1(write_v1_library, tmp_path, [0])
         with pytest.raises(LibraryError, match="compact-library"):
             PatternLibrary(tmp_path).rebuild_index()
-        migrate_v1_library(tmp_path)
+        migrate_library(tmp_path)
         assert PatternLibrary(tmp_path).rebuild_index()["merged_patterns"] == 1
 
     def test_second_process_sees_new_appends(self, tmp_path):
@@ -764,7 +863,7 @@ class TestCompaction:
 
     def test_migrates_v1_library(self, tmp_path, write_v1_library):
         write_v1(write_v1_library, tmp_path, range(4), dedup=True)
-        assert migrate_v1_library(tmp_path) == 2
+        assert migrate_library(tmp_path) == 2
         assert not (tmp_path / "manifest.json").exists()
         ledger = load_ledger(ledger_path(tmp_path, "legacy"))
         assert ledger.dedup
@@ -775,10 +874,12 @@ class TestCompaction:
             (0, "legacy", "shard_00000.npz", 2, 2),
             (1, "legacy", "shard_00001.npz", 2, 2),
         ]
-        for record in ledger.chunks:
-            sidecar = load_sidecar(tmp_path / "index" / sidecar_name(record.shard))
-            assert sorted(sidecar) == sorted(SIDECAR_COLUMNS)
-        assert migrate_v1_library(tmp_path) == 0  # nothing left to migrate
+        assert ledger.version == LEDGER_VERSION
+        for record in ledger.chunks:  # rewritten in place in the columnar codec
+            with np.load(tmp_path / "shards" / record.shard) as data:
+                assert sorted(data.files) == sorted(SHARD_MEMBERS)
+        assert not list(tmp_path.glob("index/*.idx.npz"))
+        assert migrate_library(tmp_path) == 0  # nothing left to migrate
         migrated = PatternLibrary(tmp_path)
         migrated.compact(target_shard_patterns=16)
         expected = [pattern_hash(make_pattern(f)) for f in range(4)]
@@ -816,28 +917,40 @@ class TestCompaction:
         assert report.patterns_dropped == 0
         assert [pattern_hash(p) for p in library.load_patterns()] == before
 
-    def test_sidecars_with_attribution_columns_query_and_compact(self, tmp_path):
+    def test_sidecars_with_attribution_columns_query_and_compact(
+        self, tmp_path, write_v2_library
+    ):
         # Older serve appends also wrote per-pattern ``source``/``clean``
-        # arrays into the sidecar (the ledger holds them too): they are
-        # ignored, and compaction writes the fixed columns only.
-        library = fill_writer(tmp_path, "alpha", list(range(8)), chunk_size=2)
-        before = [pattern_hash(p) for p in library.load_patterns()]
-        sidecars = sorted(library.index_dir.glob("*.idx.npz"))
-        assert len(sidecars) == 4
-        for path in sidecars[::2]:  # a mix of old and new sidecars
-            arrays = load_sidecar(path)
-            count = arrays["pattern_hash"].shape[0]
-            arrays["source"] = np.arange(count, dtype=np.int64)
-            arrays["clean"] = np.ones(count, dtype=np.uint8)
-            write_sidecar(path, arrays)
-        reopened = PatternLibrary(tmp_path)
+        # arrays into a version-2 sidecar (the ledger holds them too).
+        # Migration deletes every sidecar; queries and compaction then read
+        # the shards' index columns alone, and the ledger keeps attribution.
+        appends = []
+        for chunk in range(4):
+            batch = [make_pattern(f) for f in (2 * chunk, 2 * chunk + 1)]
+            extra = (
+                dict(pattern_sources=[2 * chunk, 2 * chunk + 1], pattern_clean=[1, 1])
+                if chunk % 2 == 0 else {}
+            )
+            appends.append(("alpha", make_record(chunk, batch, **extra), batch))
+        root = write_v2_library(tmp_path, appends)
+        with np.load(root / "index" / "shard_alpha_00000.idx.npz") as sidecar:
+            assert {"source", "clean"} <= set(sidecar.files)
+        assert migrate_library(root) == 4
+        assert not list(root.glob("index/*.idx.npz"))
+        reopened = PatternLibrary(root)
+        before = [pattern_hash(p) for p in reopened.load_patterns()]
+        assert before == [pattern_hash(make_pattern(f)) for f in range(8)]
         assert len(reopened.query(complexity_band=(0, None))) == 8
         report = reopened.compact(target_shard_patterns=8)
         assert report.merged_shards_written == 1
         assert [pattern_hash(p) for p in reopened.load_patterns()] == before
         assert len(reopened.query(complexity_band=(0, None))) == 8
-        (merged,) = reopened.index_dir.glob("merged_*.idx.npz")
-        assert tuple(load_sidecar(merged)) == SIDECAR_COLUMNS
+        (merged,) = reopened.shard_dir.glob("merged_*.npz")
+        with np.load(merged) as data:
+            assert sorted(data.files) == sorted(SHARD_MEMBERS)
+        assert [r.pattern_sources for r in reopened.records_in_order()] == [
+            [0, 1], [], [4, 5], []
+        ]
 
     def test_query_and_dedup_survive_compaction(self, tmp_path):
         library = fill_writer(tmp_path, "alpha", [1, 2, 3, 4], dedup=True)
@@ -858,14 +971,15 @@ class TestResumeValidation:
             library.append_chunk(make_record(chunk, patterns), patterns)
         return library
 
+    # Both chunks lie beyond the index watermark, so the open that reads
+    # their hash columns raises; a covered chunk is checked by bind().
     @pytest.mark.parametrize("writer", [None, "alpha"])
     def test_missing_shard_names_offending_chunk(self, tmp_path, writer):
         library = self._library_with_chunks(tmp_path, writer)
         shard = library.shard_dir / library.own_records()[1].shard
         shard.unlink()
-        reopened = PatternLibrary(tmp_path, dedup=True, writer=writer)
         with pytest.raises(LibraryError, match=r"chunk 1: shard .* is\s+missing"):
-            reopened.bind({"seed": 7}, resume=True)
+            PatternLibrary(tmp_path, dedup=True, writer=writer)
 
     @pytest.mark.parametrize("writer", [None, "alpha"])
     def test_truncated_shard_names_offending_chunk(self, tmp_path, writer):
@@ -873,8 +987,25 @@ class TestResumeValidation:
         shard = library.shard_dir / library.own_records()[0].shard
         data = shard.read_bytes()
         shard.write_bytes(data[: len(data) // 2])
-        reopened = PatternLibrary(tmp_path, dedup=True, writer=writer)
         with pytest.raises(LibraryError, match="chunk 0"):
+            PatternLibrary(tmp_path, dedup=True, writer=writer)
+
+    def test_short_shard_names_offending_chunk(self, tmp_path):
+        library = self._library_with_chunks(tmp_path, "alpha")
+        save_shard(library.shard_dir / library.own_records()[0].shard, [make_pattern(9)])
+        with pytest.raises(LibraryError, match=r"chunk 0: .* holds 1 pattern"):
+            PatternLibrary(tmp_path, writer="alpha")
+
+    def test_covered_shard_is_validated_at_bind(self, tmp_path):
+        library = PatternLibrary(tmp_path, writer="alpha")
+        library.bind({"seed": 7})
+        for chunk in range(8):  # the eighth append flushes the index
+            patterns = [make_pattern(chunk)]
+            library.append_chunk(make_record(chunk, patterns), patterns)
+        assert library.index_stats()["covered_seq"] == 7
+        (library.shard_dir / library.own_records()[1].shard).unlink()
+        reopened = PatternLibrary(tmp_path, writer="alpha")  # chunk 1 is covered
+        with pytest.raises(LibraryError, match=r"chunk 1: shard .* is\s+missing"):
             reopened.bind({"seed": 7}, resume=True)
 
     @pytest.mark.parametrize("writer", [None, "alpha"])

@@ -576,11 +576,11 @@ def test_library_persists_generated_chunks(serve_env, tmp_path):
         assert len(record.pattern_clean) == record.num_stored
 
 
-def test_serve_sidecars_hold_only_the_index_columns(serve_env, tmp_path):
-    """Attribution is stored once, in the ledger: a serve append's index
-    sidecar carries only what can be rebuilt from the shard."""
+def test_serve_shards_hold_no_attribution_columns(serve_env, tmp_path):
+    """Attribution is stored once, in the ledger: a serve append commits one
+    shard, whose members are the codec's alone (patterns and index columns,
+    all rebuildable from the patterns), and no index sidecar."""
     from repro.library import PatternLibrary
-    from repro.library.index import load_sidecar, sidecar_name
 
     root = tmp_path / "library"
     window, _ = _run_window(serve_env, root, count=NUM_REFERENCE)
@@ -589,8 +589,12 @@ def test_serve_sidecars_hold_only_the_index_columns(serve_env, tmp_path):
     shards = {record.shard for record in library.records_in_order() if record.shard}
     assert shards
     for shard in shards:
-        sidecar = load_sidecar(library.index_dir / sidecar_name(shard))
-        assert sorted(sidecar) == ["cx", "cy", "pattern_hash", "topology_hash"]
+        with np.load(library.shard_dir / shard) as data:
+            assert sorted(data.files) == [
+                "count", "cx", "cy", "delta_x", "delta_y", "origin",
+                "pattern_hash", "shapes", "topology", "topology_hash",
+            ]
+    assert not list(root.glob("index/*.idx.npz"))
 
 
 @pytest.mark.parametrize("supervised", [False, True], ids=["in-process", "supervised"])
