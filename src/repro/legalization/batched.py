@@ -22,12 +22,22 @@ solution slot runs a constant number of numpy passes:
   :meth:`~repro.legalization.CompiledConstraints.repair_lower_bounds`), its
   remaining slack redistributed in proportion to the free mass, rounded by
   largest remainder and verified exactly against every constraint, the
-  polygon-area windows included.  One pass partitions the chunk into
-  fast-path successes and a residual tail.
-* **SLSQP tail** — the residual topologies are solved in restart rounds
-  grouped by attempt number (restarts draw fresh random targets), and each
-  round's continuous solutions are rounded and integer-verified as one
-  stacked pass over the block-diagonal system.
+  polygon-area windows included.  Those bounds keep every width and space
+  run after rounding, so a candidate can fail only on a polygon area.
+* **Area-lift rounds** (``auto`` as well) — a failed candidate whose
+  polygons are all below ``area_max`` has each column and row under a
+  polygon below ``area_min`` given the integer lower bound
+  ``ceil(value * sqrt(area_min / area))``, and its same targets are
+  projected, rounded and verified again.  Rounding never takes an entry
+  below an integer bound, so the lifted polygon keeps an area of at least
+  ``area_min``; the exact check decides legality as in the first round.  The
+  rounds draw nothing, and stop when no bound rises or after
+  :data:`LIFT_ROUNDS`.
+* **SLSQP tail** — what the rounds leave (no projection, an area above
+  ``area_max``, no raised bound), and every topology in ``slsqp`` mode, is
+  solved in restart rounds grouped by attempt number (restarts draw fresh
+  random targets), and each round's continuous solutions are rounded and
+  integer-verified as one stacked pass over the block-diagonal system.
 
 Chunk invariance
 ----------------
@@ -44,7 +54,9 @@ hold:
   per-axis passes group rows by exact axis length; zero-padding to a common
   length would not be bit-identical (see :mod:`repro.legalization.compiled`).
 * Integer verification is exact ``int64`` arithmetic — any grouping of the
-  block-diagonal system yields the same booleans.
+  block-diagonal system yields the same booleans.  A lift round's bounds are
+  elementwise per polygon and merged with ``np.maximum.at``, whose result
+  does not depend on the order of the updates.
 
 One thing deliberately stays per topology: the scipy SLSQP call.  Stacking
 K independent systems into a single ``minimize`` call would share one line
@@ -55,8 +67,9 @@ grouping, stacked rounding and verification) and keeps the solver calls per
 topology, which is where nearly all of the tail's time goes.
 
 SciPy is imported at the first SLSQP solve (:func:`scipy_optimize`), not
-with the package: the repair sweep legalizes many chunks without it, and a
-process that never reaches the tail never pays for it.
+with the package: in ``auto`` mode the repair sweep and its lift rounds
+legalize most chunks without it, and a process that never reaches the tail
+never pays for it.
 """
 
 from __future__ import annotations
@@ -82,6 +95,11 @@ __all__ = [
 #: Valid values of :attr:`SolverOptions.solver_mode`.
 SOLVER_MODES = ("auto", "slsqp")
 
+#: Most area-lift rounds one repair sweep runs after its first projection.
+#: The hotspot-expansion builds measured need at most two; the cap bounds
+#: the numpy passes a slot spends before what is left goes to SLSQP.
+LIFT_ROUNDS = 4
+
 
 @dataclass
 class SolverOptions:
@@ -92,7 +110,8 @@ class SolverOptions:
     max_iterations: int = 300
     tolerance: float = 1e-6
     max_attempts: int = 4          # restarts with fresh random targets on failure
-    #: ``"auto"`` tries the deterministic repair projection before SLSQP;
+    #: ``"auto"`` tries the deterministic repair projection and its
+    #: area-lift rounds before SLSQP, which then solves only what they leave;
     #: ``"slsqp"`` always runs the full solve (bit-identical to the legacy
     #: lambda formulation — what ``paper-tables`` pins).
     solver_mode: str = "auto"
@@ -111,7 +130,7 @@ class GeometrySolution:
     attempts: int = 1
     objective: float = field(default=float("nan"))
     #: Which path produced the solution: ``"slsqp"`` for the full nonlinear
-    #: solve, ``"repair"`` for the projection fast path.
+    #: solve, ``"repair"`` for the projection fast path and its lift rounds.
     method: str = "slsqp"
 
 
@@ -356,7 +375,7 @@ class BatchCompiledConstraints:
                 )
             )
 
-        self._repair_bounds_cache: dict[float, tuple[list, list]] = {}
+        self._repair_bounds_cache: dict[float, np.ndarray] = {}
 
     @staticmethod
     def _axis_groups(lengths: "list[int]") -> "list[tuple[np.ndarray, int]]":
@@ -367,19 +386,16 @@ class BatchCompiledConstraints:
         ]
 
     # ------------------------------------------------------------------ #
-    def _stacked_repair_bounds(self, floor: float) -> tuple[list, list]:
-        """Per-group ``(g, length)`` lower-bound stacks, cached per floor."""
+    def _stacked_repair_bounds(self, floor: float) -> np.ndarray:
+        """Every topology's repair lower bounds over the stacked vector, cached per floor."""
         key = float(floor)
         cached = self._repair_bounds_cache.get(key)
-        if cached is not None:
-            return cached
-        bounds = [c.repair_lower_bounds(floor) for c in self.compiled]
-        stacked = (
-            [np.stack([bounds[i][0] for i in ids]) for ids, _ in self.x_groups],
-            [np.stack([bounds[i][1] for i in ids]) for ids, _ in self.y_groups],
-        )
-        self._repair_bounds_cache[key] = stacked
-        return stacked
+        if cached is None:
+            cached = np.concatenate(
+                [bound for c in self.compiled for bound in c.repair_lower_bounds(floor)]
+            )
+            self._repair_bounds_cache[key] = cached
+        return cached
 
     # ------------------------------------------------------------------ #
     def round_pairs(
@@ -414,9 +430,6 @@ class BatchCompiledConstraints:
         arithmetic is ``int64``-exact, so every entry equals
         ``CompiledConstraints.verify_integer`` on that pair alone.
         """
-        verified = np.zeros(self.k, dtype=bool)
-        if not pairs:
-            return verified
         member = np.zeros(self.k, dtype=bool)
         stacked = np.ones(self.n_stacked, dtype=np.int64)
         for i, (dx, dy) in pairs.items():
@@ -425,7 +438,13 @@ class BatchCompiledConstraints:
             stacked[offset : offset + c.cols] = dx
             stacked[offset + c.cols : offset + c.n_vars] = dy
             member[i] = True
-            verified[i] = True
+        return self._verify_stacked(stacked, member)
+
+    def _verify_stacked(self, stacked: np.ndarray, member: np.ndarray) -> np.ndarray:
+        """Exact check of the ``member`` blocks of one stacked ``int64`` vector."""
+        verified = member.copy()
+        if not member.any():
+            return verified
         # Positivity + window-sum equality, per axis-length group.
         for ids, index in self._x_index + self._y_index:
             in_group = member[ids]
@@ -457,52 +476,104 @@ class BatchCompiledConstraints:
         targets_y: "list[np.ndarray]",
         options: SolverOptions,
     ) -> "tuple[dict[int, tuple[np.ndarray, np.ndarray]], list[int]]":
-        """One vectorized whole-chunk repair pass over all K topologies.
+        """The whole-chunk repair pass over all K topologies, then its lift rounds.
 
-        Runs the repair projection (scale onto the sum equality, lift onto
-        the rounding-safe lower bounds, redistribute slack, round, verify
-        exactly) for the entire chunk in a constant number of numpy passes.
+        The first round runs the repair projection (scale onto the sum
+        equality, lift onto the rounding-safe lower bounds, redistribute
+        slack, round, verify exactly) for the entire chunk in a constant
+        number of numpy passes.  Those bounds satisfy every width and space
+        run after rounding, so a candidate fails only on a polygon area.
+        Each *lift round* then raises, for every failed candidate with a
+        polygon below ``area_min`` and none above ``area_max``, the bound of
+        each column and row under such a polygon to
+        ``ceil(value * sqrt(area_min / area))`` and re-projects the same
+        targets onto the raised bounds.  Rounding never takes an entry below
+        its integer bound, so bounds whose products reach ``area_min`` keep
+        the area; the exact check decides legality either way.  The rounds
+        stop when no bound rises, or after :data:`LIFT_ROUNDS`.
+
         Returns ``(solved, residual)``: ``solved`` maps topology position to
-        its ``(delta_x, delta_y)`` fast-path pair; ``residual`` lists the
-        positions the projection could not legalise, ascending — the SLSQP
-        tail's work list.
+        its ``(delta_x, delta_y)`` pair; ``residual`` lists the positions no
+        round could legalise (no projection, an area above ``area_max``, no
+        raised bound, or the round cap), ascending — the SLSQP tail's work
+        list.
         """
-        bounds_x, bounds_y = self._stacked_repair_bounds(options.lower_bound)
-        feasible = np.ones(self.k, dtype=bool)
-        values_x: list = [None] * self.k
-        values_y: list = [None] * self.k
-        for groups, bounds, targets, values in (
-            (self.x_groups, bounds_x, targets_x, values_x),
-            (self.y_groups, bounds_y, targets_y, values_y),
-        ):
-            for (ids, _), lower in zip(groups, bounds):
-                stack = np.stack([targets[i] for i in ids])
-                projected, ok = _project_axis_rows(stack, lower, self.total)
-                feasible[ids] &= ok
-                for row, i in enumerate(ids):
-                    values[i] = projected[row]
-        pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        rounded_x: dict[int, np.ndarray] = {}
-        rounded_y: dict[int, np.ndarray] = {}
-        for groups, values, out in (
-            (self.x_groups, values_x, rounded_x),
-            (self.y_groups, values_y, rounded_y),
-        ):
-            for ids, _ in groups:
-                selected = ids[feasible[ids]]
-                if not selected.size:
-                    continue
-                rounded = _round_rows(
-                    np.stack([values[i] for i in selected]), self.total
+        target = np.concatenate([t for pair in zip(targets_x, targets_y) for t in pair])
+        # The lift rounds raise a per-call copy of the cached bounds.
+        lower = self._stacked_repair_bounds(options.lower_bound).copy()
+        solved: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        active = np.ones(self.k, dtype=bool)
+        for lifts_left in range(LIFT_ROUNDS, -1, -1):
+            candidate, feasible = self._repair_candidates(target, lower, active)
+            verified = self._verify_stacked(candidate, feasible)
+            for i in np.nonzero(verified)[0]:
+                offset = int(self.var_offsets[i])
+                split = offset + self.compiled[i].cols
+                solved[int(i)] = (
+                    candidate[offset:split].copy(),
+                    candidate[split : int(self.var_offsets[i + 1])].copy(),
                 )
-                for row, i in enumerate(selected):
-                    out[int(i)] = rounded[row]
-        for i in np.nonzero(feasible)[0]:
-            pairs[int(i)] = (rounded_x[int(i)], rounded_y[int(i)])
-        verified = self.verify_pairs(pairs)
-        solved = {i: pair for i, pair in pairs.items() if verified[i]}
+            if not lifts_left:
+                break
+            active = self._lift_area_bounds(candidate, feasible & ~verified, lower)
+            if not active.any():
+                break
         residual = [i for i in range(self.k) if i not in solved]
         return solved, residual
+
+    def _repair_candidates(
+        self, target: np.ndarray, lower: np.ndarray, active: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Project the ``active`` topologies' targets onto ``lower`` and round them.
+
+        Returns ``(candidate, feasible)``: the rounded stacked ``int64``
+        vector (ones outside the feasible blocks) and which active
+        topologies have a projection on both axes.
+        """
+        axes = self._x_index + self._y_index
+        values = np.zeros(self.n_stacked)
+        feasible = active.copy()
+        for ids, index in axes:
+            selected = active[ids]
+            if selected.any():
+                rows = index[selected]
+                projected, ok = _project_axis_rows(target[rows], lower[rows], self.total)
+                values[rows] = projected
+                feasible[ids[selected]] &= ok
+        candidate = np.ones(self.n_stacked, dtype=np.int64)
+        for ids, index in axes:
+            rows = index[feasible[ids]]
+            if rows.size:
+                candidate[rows] = _round_rows(values[rows], self.total)
+        return candidate, feasible
+
+    def _lift_area_bounds(
+        self, candidate: np.ndarray, failed: np.ndarray, lower: np.ndarray
+    ) -> np.ndarray:
+        """Raise ``lower`` in place under the ``failed`` candidates' small polygons.
+
+        Returns which topologies to re-project: those whose bounds rose and
+        that have no polygon above ``area_max``, which raising bounds cannot
+        shrink.
+        """
+        before = lower.copy()
+        too_large = np.zeros(self.k, dtype=bool)
+        for col_mat, row_mat, topo_ids in self.poly_groups:
+            selected = failed[topo_ids]
+            if not selected.any():
+                continue
+            col_idx, row_idx = col_mat[selected], row_mat[selected]
+            dx, dy = candidate[col_idx], candidate[row_idx]
+            areas = (dx * dy).sum(axis=1)
+            too_large[topo_ids[selected][areas > self.rules.area_max]] = True
+            low = areas < self.rules.area_min
+            scale = np.sqrt(self.rules.area_min / areas[low])[:, None]
+            np.maximum.at(lower, col_idx[low], np.ceil(dx[low] * scale))
+            np.maximum.at(lower, row_idx[low], np.ceil(dy[low] * scale))
+        owner = np.repeat(np.arange(self.k), np.diff(self.var_offsets))
+        rose = np.zeros(self.k, dtype=bool)
+        rose[owner[lower > before]] = True
+        return rose & ~too_large
 
     def objective_values(
         self,

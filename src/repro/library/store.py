@@ -734,7 +734,9 @@ class PatternLibrary:
         them; the index is invalidated *before* a
         dropping rewrite (a stale index would report dropped hashes as
         present) and fully rebuilt at the end; obsolete shard files are
-        deleted only after every ledger has been rewritten.
+        deleted only after every ledger has been rewritten.  Every shard
+        file no record names is deleted first, so a rerun after a crash
+        leaves no orphan behind.
         """
         with LibraryLock(self.root):
             self._refresh()
@@ -748,6 +750,15 @@ class PatternLibrary:
             for record in records:
                 if record.shard is not None:
                     shard_refs[record.shard] = shard_refs.get(record.shard, 0) + 1
+            # Under the lock, a shard no record names is a crash's leftover:
+            # a merged shard whose compaction died before a ledger named it,
+            # an old shard whose compaction died before unlinking it, or an
+            # append's shard whose ledger commit never happened.  Removing
+            # them leaves only named shards, and a rerun whose crash came
+            # before any ledger named a merged shard reuses its numbers.
+            for path in self.shard_dir.glob("*.npz"):
+                if path.name not in old_shards:
+                    path.unlink()
             next_merged = self._next_merged_shard_index()
 
             keep_shards: set[str] = set()

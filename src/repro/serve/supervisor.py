@@ -255,9 +255,14 @@ class SupervisedWorker:
         against.  A child whose warmup fails is stopped before the error
         propagates.
         """
-        # A forked child inherits SciPy, so a restarted worker's first tail
-        # solve does not spend its hang budget importing it.
-        scipy_optimize()
+        # An ``slsqp`` plan solves every topology with SciPy: a forked child
+        # inherits it, so a restarted worker's first solve does not spend its
+        # hang budget importing it.  The supervising parent never legalizes,
+        # so an ``auto`` plan loads nothing here; a child that does reach the
+        # SLSQP tail imports SciPy once, inside that advance (whose budget,
+        # ``advance_timeout``, is None by default).
+        if self.plan.config.solver_mode == "slsqp":
+            scipy_optimize()
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         self._process = self._ctx.Process(
             target=_worker_main,

@@ -1,9 +1,9 @@
 """Chunk-invariance, timing and kernel tests for the chunk legalization solve.
 
 Every legalization runs :func:`repro.legalization.solve_geometry_chunk`:
-one vectorized repair sweep partitions the chunk into fast-path successes
-and a residual tail, and the tail's SLSQP restart rounds share stacked
-rounding + verification.  Its contract is that a topology's solutions do
+one vectorized repair sweep and its area-lift rounds partition the chunk
+into fast-path successes and a residual tail, and the tail's SLSQP restart
+rounds share stacked rounding + verification.  Its contract is that a topology's solutions do
 not depend on the chunk around it: any chunk size, worker count and batch
 composition gives the output of the serial per-topology loop (each
 topology solved alone as a chunk of one on its own ``(seed, index)``
@@ -15,9 +15,12 @@ pins the outcomes themselves.
 """
 
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from legalization_helpers import legalize_alone, solve_alone
 
 from repro.legalization import (
@@ -32,9 +35,11 @@ from repro.legalization import (
     default_workers,
     solve_geometry_chunk,
 )
+from repro.drc import DesignRuleChecker
 from repro.legalization import batched
 from repro.legalization.batched import _project_axis_rows, _round_rows
 from repro.serve.metrics import ServeMetrics
+from repro.squish import SquishPattern
 from repro.utils import child_rng
 
 
@@ -320,6 +325,128 @@ class TestBatchVerify:
         b = compiled_for_topology(two_shape_topology, rules.with_space_min(96))
         with pytest.raises(ValueError):
             BatchCompiledConstraints([a, b])
+
+
+# --------------------------------------------------------------------------- #
+# area-lift rounds: small polygons legalized in numpy, not by SLSQP
+# --------------------------------------------------------------------------- #
+#: A one-cell polygon at row 3, column 4 next to a 2x3 block.
+LIFT_TOPOLOGY = _blocky(8, 8, [(3, 4, 4, 5), (5, 7, 1, 4)])
+
+
+def _shrinking_targets(total):
+    """Even targets except column 4 and row 3, the one-cell polygon's, at 1 nm."""
+    target_x = np.full(8, (total - 1.0) / 7.0)
+    target_y = target_x.copy()
+    target_x[4] = 1.0
+    target_y[3] = 1.0
+    return target_x, target_y
+
+
+@st.composite
+def lift_cases(draw):
+    """A small sparse random topology with log-uniform positive targets.
+
+    Targets spread over three decades shrink some rows and columns far
+    below an even share, so many polygons start below ``area_min`` and the
+    lift rounds run.  Every 2x2 bow-tie is filled in: the DRC rejects a
+    bow-tie whatever its geometry, and the prefilter drops such topologies
+    before they reach legalization.
+    """
+    rows, cols = draw(st.integers(6, 12)), draw(st.integers(6, 12))
+    cells = draw(st.lists(st.integers(0, 10), min_size=rows * cols, max_size=rows * cols))
+    weights = st.floats(0.0, 1.0).map(lambda u: 10.0 ** (-3.0 * u))
+    target_x = draw(st.lists(weights, min_size=cols, max_size=cols))
+    target_y = draw(st.lists(weights, min_size=rows, max_size=rows))
+    grid = (np.array(cells).reshape(rows, cols) == 0).astype(np.uint8)
+    while True:
+        windows = (grid[:-1, :-1], grid[:-1, 1:], grid[1:, :-1], grid[1:, 1:])
+        a, b, c, d = windows
+        bowtie = (a == d) & (b == c) & (a != b)
+        if not bowtie.any():
+            break
+        for window in windows:
+            window[bowtie] = 1
+    return grid, np.array(target_x) * 2048.0, np.array(target_y) * 2048.0
+
+
+class TestAreaLift:
+    def test_one_cell_polygon_lifts_without_slsqp(self, rules, monkeypatch):
+        def no_slsqp(*_args, **_kwargs):
+            raise AssertionError("SLSQP ran for a topology the lift rounds legalize")
+
+        target_x, target_y = _shrinking_targets(rules.pattern_size)
+        compiled = compiled_for_topology(LIFT_TOPOLOGY, rules)
+        # The first projection alone leaves the cell below area_min.
+        with mock.patch.object(batched, "LIFT_ROUNDS", 0):
+            sweep = BatchCompiledConstraints([compiled]).repair_sweep(
+                [target_x], [target_y], SolverOptions()
+            )
+        assert sweep == ({}, [0])
+
+        monkeypatch.setattr(batched, "_solve_once", no_slsqp)
+        solution = solve_alone(compiled, rules, rng=0, target_x=target_x, target_y=target_y)
+        assert solution.success and solution.method == "repair"
+        assert solution.attempts == 1 and solution.iterations == 0
+        assert compiled.verify_integer(solution.delta_x, solution.delta_y)
+        pattern = SquishPattern(LIFT_TOPOLOGY, solution.delta_x, solution.delta_y)
+        assert DesignRuleChecker(rules).is_legal(pattern)
+        cell_area = int(solution.delta_x[4]) * int(solution.delta_y[3])
+        assert rules.area_min <= cell_area <= rules.area_max
+
+    def test_lift_is_chunk_and_worker_invariant(self, rules, adversarial_batch):
+        target_x, target_y = _shrinking_targets(rules.pattern_size)
+        alone = solve_alone(LIFT_TOPOLOGY, rules, rng=0, target_x=target_x, target_y=target_y)
+        assert alone.success and alone.method == "repair"
+        # The only reference: every 8x8 topology's first slot aims at these
+        # targets, and the other shapes draw theirs at random.
+        refs = [(target_x, target_y)]
+        batch = [adversarial_batch[3], LIFT_TOPOLOGY, *adversarial_batch[:5]]
+        assert len(batch) == 7 and len({t.shape for t in batch}) > 1
+        for workers, chunk in ((1, 7), (2, None)):
+            (_, lifted, *_) = run_engine(rules, batch, workers=workers, chunk=chunk, refs=refs)
+            (solution,) = lifted.solutions
+            assert solution.method == "repair"
+            np.testing.assert_array_equal(solution.delta_x, alone.delta_x)
+            np.testing.assert_array_equal(solution.delta_y, alone.delta_y)
+            assert solution.objective == alone.objective
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+        derandomize=True,
+    )
+    @given(st.lists(lift_cases(), min_size=1, max_size=4))
+    def test_lifted_solutions_are_exactly_legal(self, cases):
+        rules = DesignRules()
+        options = SolverOptions()
+        compiled = [compiled_for_topology(grid, rules) for grid, _, _ in cases]
+        bounds = [
+            b.copy() for c in compiled for b in c.repair_lower_bounds(options.lower_bound)
+        ]
+        targets_x = [tx for _, tx, _ in cases]
+        targets_y = [ty for _, _, ty in cases]
+        batch = BatchCompiledConstraints(compiled)
+        with mock.patch.object(batched, "LIFT_ROUNDS", 0):
+            projected, _ = batch.repair_sweep(targets_x, targets_y, options)
+        solved, residual = batch.repair_sweep(targets_x, targets_y, options)
+        assert sorted([*solved, *residual]) == list(range(len(cases)))
+        checker = DesignRuleChecker(rules)
+        for i, (delta_x, delta_y) in solved.items():
+            assert compiled[i].verify_integer(delta_x, delta_y)
+            assert checker.is_legal(SquishPattern(cases[i][0], delta_x, delta_y))
+        # The first round is the projection alone; the lift rounds only add.
+        for i, (delta_x, delta_y) in projected.items():
+            np.testing.assert_array_equal(solved[i][0], delta_x)
+            np.testing.assert_array_equal(solved[i][1], delta_y)
+        # The lifts raised a per-call copy, not the cached bounds.
+        after = [b for c in compiled for b in c.repair_lower_bounds(options.lower_bound)]
+        for was, now in zip(bounds, after):
+            np.testing.assert_array_equal(now, was)
+        np.testing.assert_array_equal(
+            batch._stacked_repair_bounds(options.lower_bound), np.concatenate(bounds)
+        )
 
 
 # --------------------------------------------------------------------------- #

@@ -3,7 +3,9 @@
 ``scipy.optimize`` costs about half a second and 50 MB to import, and only
 the SLSQP tail of the legalization solve uses it.  The package imports it in
 :func:`repro.legalization.scipy_optimize`, which the tail calls and which
-every solver fork calls first so that the children inherit the module.
+the engine's pools call before they fork, so that the children inherit the
+module.  A supervised serve worker's parent calls it only for an ``slsqp``
+plan: an ``auto`` child rarely reaches the tail, and imports SciPy there.
 
 Each check runs in a fresh interpreter: this test session has long since
 imported SciPy itself.
@@ -128,26 +130,33 @@ def test_a_per_call_pool_loads_scipy_before_it_forks():
 
 
 def test_a_supervised_worker_inherits_scipy():
-    out = run_fresh(
-        """
-        from repro.scenarios import builtin_registry
-        from repro.serve import SupervisedWorker, WorkerCrash
+    # Only an ``slsqp`` plan loads SciPy before the fork; an ``auto`` child
+    # imports it at its first SLSQP tail solve, which most never reach.
+    for mode in ("auto", "slsqp"):
+        out = run_fresh(
+            f"""
+            from repro.scenarios import builtin_registry
+            from repro.serve import SupervisedWorker, WorkerCrash
 
-        def report(_plan):
-            # Runs in the child at warmup; the message comes back as the reply.
-            raise RuntimeError(f"child loaded scipy.optimize: {'scipy.optimize' in sys.modules}")
+            def report(_plan):
+                # Runs in the child at warmup; the message comes back as the reply.
+                raise RuntimeError(f"child loaded scipy.optimize: {{'scipy.optimize' in sys.modules}}")
 
-        plan = builtin_registry().resolve("smoke").lower()
-        worker = SupervisedWorker(plan, pipeline_factory=report)
-        assert "scipy.optimize" not in sys.modules
-        try:
-            worker.start()
-        except WorkerCrash as crash:
-            print(crash)
-        print(FORKS)
-        """
-    )
-    message, forks = out.strip().splitlines()
-    assert "child loaded scipy.optimize: True" in message
-    forks = ast.literal_eval(forks)
-    assert forks and all(forks)
+            spec = builtin_registry().resolve("smoke")
+            plan = spec.with_overrides({{"engine": {{"solver_mode": {mode!r}}}}}).lower()
+            worker = SupervisedWorker(plan, pipeline_factory=report)
+            assert "scipy.optimize" not in sys.modules
+            try:
+                worker.start()
+            except WorkerCrash as crash:
+                print(crash)
+            print(FORKS)
+            print(scipy_modules() != [])
+            """
+        )
+        message, forks, parent_loaded = out.strip().splitlines()
+        loaded = mode == "slsqp"
+        assert f"child loaded scipy.optimize: {loaded}" in message, mode
+        forks = ast.literal_eval(forks)
+        assert forks and all(fork == loaded for fork in forks), mode
+        assert parent_loaded == str(loaded), mode

@@ -201,6 +201,45 @@ class TestCompactionCrashes:
                 pattern_hash(p) for p in recovered.load_patterns()
             ] == expected, label
 
+    def test_rerun_leaves_only_the_shards_the_records_name(self, tmp_path):
+        def compact(library):
+            # Four patterns survive the drop, so the merged shard meets the
+            # target and the rerun leaves it in place once it is named.
+            library.compact(target_shard_patterns=4, drop_duplicates=True)
+
+        def view(root):
+            library = PatternLibrary(root, writer="alpha")
+            named = {r.shard for r in library.records_in_order() if r.shard}
+            on_disk = {path.name for path in (root / "shards").iterdir()}
+            records = [
+                (r.seq, r.chunk, r.shard, r.shard_start, r.num_stored)
+                for r in library.records_in_order()
+            ]
+            return named, on_disk, records
+
+        reference = compact_fills(tmp_path / "serial")
+        compact(reference)
+        expected = view(reference.root)
+        assert expected[0] == expected[1] == {"merged_00000.npz"}
+        probe = compact_fills(tmp_path / "probe")
+        with record_fault_points() as points:
+            compact(probe)
+        assert {
+            "compact:merged-shard", "compact:ledger:alpha", "compact:index-rebuild"
+        } <= set(points)
+
+        for index, label in enumerate(points):
+            root = tmp_path / f"kill-{index}"
+            library = compact_fills(root)
+            install_fault_hook(crash_at(index))
+            with pytest.raises(InjectedCrash):
+                compact(library)
+            install_fault_hook(None)
+            compact(PatternLibrary(root, writer="alpha"))
+            named, on_disk, records = view(root)
+            assert on_disk == named, label
+            assert (named, records) == (expected[0], expected[2]), label
+
     def test_v1_migration_survives_crashes(self, tmp_path, write_v1_library):
         def build_v1(root):
             chunks = []
@@ -264,8 +303,10 @@ class TestCompactionCrashes:
 
         def view(root):
             library = PatternLibrary(root)
-            # A rerun after a crash mid-compaction may number the merged
-            # shards differently; everything a reader sees must agree.
+            # A crash after the first ledger names the merged shard makes the
+            # rerun number its own one higher (it must not overwrite a shard
+            # a committed ledger reads), and re-merges the under-target shard
+            # of a finished rewrite; everything a reader sees must agree.
             return (
                 [pattern_hash(p) for p in library.load_patterns()],
                 [
@@ -299,6 +340,9 @@ class TestCompactionCrashes:
                 assert hashes == expected[0], label
             compact_library(root)
             assert view(root) == expected, label
+            library = PatternLibrary(root)
+            named = {r.shard for r in library.records_in_order() if r.shard}
+            assert {path.name for path in (root / "shards").iterdir()} == named, label
             assert not list(root.glob("index/*.idx.npz")), label
 
 
