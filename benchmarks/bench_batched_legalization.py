@@ -3,7 +3,7 @@
 The legalization engine solves an entire chunk at once: one vectorized
 repair sweep over the stacked per-topology systems partitions the chunk into
 fast-path successes and a residual tail, and the tail's SLSQP restart rounds
-share stacked rounding + integer verification over a residual-only
+round and verify their solutions with the sweep's own stacked pass over the
 block-diagonal system.  One topology is a chunk of one (K=1), which is the
 serial reference here: the engine at ``chunk_size=1`` and per-topology
 ``solve_geometry_chunk`` calls.  A topology's output does not depend on its chunk,
@@ -38,7 +38,6 @@ from _bench_utils import FAST_MODE, write_metrics, write_result
 from repro.drc import DesignRuleChecker
 from repro.legalization import (
     LegalizationEngine,
-    SolverOptions,
     clear_compilation_cache,
     compilation_cache_info,
     compiled_for_topology,
@@ -62,7 +61,7 @@ def _cycle(pool, count):
     return [pool[i % len(pool)] for i in range(count)]
 
 
-def _fast_path_pool(matrices, rules, options):
+def _fast_path_pool(matrices, rules):
     """Filter the dataset matrices to a 100% fast-path workload.
 
     Repeatedly runs the seeded chunk solve and drops every matrix that
@@ -77,7 +76,7 @@ def _fast_path_pool(matrices, rules, options):
         compiled = [compiled_for_topology(t, rules) for t in topologies]
         rngs = [child_rng(0, i) for i in range(BATCH_TOPOLOGIES)]
         outcome = solve_geometry_chunk(
-            compiled, rules, rngs, options=options, num_solutions=BATCH_SOLUTIONS
+            compiled, rules, rngs, solver_mode="auto", num_solutions=BATCH_SOLUTIONS
         )
         bad = {
             i % len(pool)
@@ -135,7 +134,6 @@ def _best_of(fn, repeats=2):
 def bench_batched_legalization(benchmark, bench_dataset, bench_config):
     rules = bench_config.rules
     checker = DesignRuleChecker(rules)
-    options = SolverOptions(solver_mode="auto")
 
     # Hold the whole working set in the compile cache and pre-warm it once,
     # so both sides measure solver throughput rather than constraint
@@ -145,7 +143,7 @@ def bench_batched_legalization(benchmark, bench_dataset, bench_config):
     clear_compilation_cache()
     try:
         pool = _fast_path_pool(
-            list(bench_dataset.topology_matrices("train")), rules, options
+            list(bench_dataset.topology_matrices("train")), rules
         )[: compilation_cache_info()["capacity"]]
         assert pool, "no repair-eligible topology in the benchmark dataset"
         topologies = _cycle(pool, BATCH_TOPOLOGIES)
@@ -157,7 +155,7 @@ def bench_batched_legalization(benchmark, bench_dataset, bench_config):
             return [
                 [
                     solve_geometry_chunk(
-                        [compiled[i]], rules, [rngs[i]], options=options
+                        [compiled[i]], rules, [rngs[i]], solver_mode="auto"
                     ).solutions[0][0]
                     for _ in range(BATCH_SOLUTIONS)
                 ]
@@ -167,7 +165,7 @@ def bench_batched_legalization(benchmark, bench_dataset, bench_config):
         def solver_batched():
             rngs = [child_rng(0, i) for i in range(BATCH_TOPOLOGIES)]
             return solve_geometry_chunk(
-                compiled, rules, rngs, options=options,
+                compiled, rules, rngs, solver_mode="auto",
                 num_solutions=BATCH_SOLUTIONS,
             )
 
@@ -178,7 +176,7 @@ def bench_batched_legalization(benchmark, bench_dataset, bench_config):
         # --- engine level: chunks of one vs one whole chunk --------------- #
         def engine_run(chunk_size):
             engine = LegalizationEngine(
-                rules, options=options, workers=1, chunk_size=chunk_size
+                rules, solver_mode="auto", workers=1, chunk_size=chunk_size
             )
             return engine.legalize_batch_with_report(
                 topologies, num_solutions=BATCH_SOLUTIONS, seed=0

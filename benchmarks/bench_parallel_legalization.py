@@ -22,7 +22,7 @@ import numpy as np
 
 from _bench_utils import BENCH_WORKERS, FAST_MODE, write_metrics, write_result
 
-from repro.legalization import LegalizationEngine, SolverOptions
+from repro.legalization import LegalizationEngine
 
 # Sized so the serial run takes seconds even in fast mode: a sub-second
 # workload cannot clear a speedup gate through pool-startup noise.
@@ -66,7 +66,7 @@ def bench_parallel_legalization_scaling(benchmark, bench_dataset, bench_config):
         return LegalizationEngine(
             bench_config.rules,
             reference_geometries=references,
-            options=SolverOptions(solver_mode="slsqp"),
+            solver_mode="slsqp",
             workers=pool_width,
         )
 

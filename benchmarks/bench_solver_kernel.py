@@ -23,7 +23,7 @@ from __future__ import annotations
 from _bench_utils import FAST_MODE, write_metrics, write_result
 
 from repro.drc import DesignRuleChecker
-from repro.legalization import LegalizationEngine, SolverOptions
+from repro.legalization import LegalizationEngine
 from repro.legalization.compiled import clear_compilation_cache, compilation_cache_info
 
 if FAST_MODE:
@@ -38,7 +38,7 @@ def _run_mode(mode: str, topologies, rules, references):
     engine = LegalizationEngine(
         rules,
         reference_geometries=references,
-        options=SolverOptions(solver_mode=mode),
+        solver_mode=mode,
         workers=1,
     )
     clear_compilation_cache()

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from _bench_utils import FAST_MODE, NUM_GENERATED, write_metrics, write_result
 
-from repro.legalization import SolverOptions
 from repro.pipeline import (
     measure_batch_legalization,
     measure_solving_time,
@@ -36,7 +35,7 @@ def bench_table2_sampling_and_solving(benchmark, trained_pipeline):
     engine = trained_pipeline.sampling_engine()
     _, batched = engine.sample_with_report(NUM_GENERATED, seed=0)
 
-    # Batch legalization throughput with the solver options of the harness
+    # Batch legalization throughput with the solver mode of the harness
     # above, in process: a pool started for one call of a few milliseconds
     # would time its own startup (bench_parallel_legalization gates the pool).
     dataset = trained_pipeline.dataset
@@ -44,7 +43,7 @@ def bench_table2_sampling_and_solving(benchmark, trained_pipeline):
         dataset.topology_matrices("test"),
         trained_pipeline.config.rules,
         reference_geometries=dataset.reference_geometries("train"),
-        options=SolverOptions(solver_mode=trained_pipeline.config.solver_mode),
+        solver_mode=trained_pipeline.config.solver_mode,
         workers=1,
         seed=0,
     )
@@ -54,7 +53,7 @@ def bench_table2_sampling_and_solving(benchmark, trained_pipeline):
     rules = trained_pipeline.config.rules
 
     def solve_one():
-        return measure_solving_time(list(topologies), rules, rng=0, options=SolverOptions())
+        return measure_solving_time(list(topologies), rules, rng=0)
 
     benchmark(solve_one)
 

@@ -9,7 +9,6 @@ from .batched import (
     BatchCompiledConstraints,
     ChunkSolveOutcome,
     GeometrySolution,
-    SolverOptions,
     scipy_optimize,
     solve_geometry_chunk,
 )
@@ -18,11 +17,6 @@ from .compiled import (
     clear_compilation_cache,
     compilation_cache_info,
     compiled_for_topology,
-)
-from .constraints import (
-    IntervalConstraint,
-    TopologyConstraints,
-    extract_constraints,
 )
 from .engine import (
     LegalizationEngine,
@@ -44,9 +38,6 @@ __all__ = [
     "NORMAL_RULES",
     "LARGER_SPACE_RULES",
     "SMALLER_AREA_RULES",
-    "IntervalConstraint",
-    "TopologyConstraints",
-    "extract_constraints",
     "CompiledConstraints",
     "compiled_for_topology",
     "compilation_cache_info",
@@ -56,7 +47,6 @@ __all__ = [
     "solve_geometry_chunk",
     "scipy_optimize",
     "SOLVER_MODES",
-    "SolverOptions",
     "GeometrySolution",
     "LegalizedTopology",
     "LegalizationStats",

@@ -36,8 +36,10 @@ solution slot runs a constant number of numpy passes:
 * **SLSQP tail** — what the rounds leave (no projection, an area above
   ``area_max``, no raised bound), and every topology in ``slsqp`` mode, is
   solved in restart rounds grouped by attempt number (restarts draw fresh
-  random targets), and each round's continuous solutions are rounded and
-  integer-verified as one stacked pass over the block-diagonal system.
+  random targets).  Each round writes its converged solutions into the
+  chunk's stacked vector and rounds and verifies them with the sweep's own
+  pass (:meth:`BatchCompiledConstraints.round_and_verify`), masked to the
+  converged topologies.
 
 Chunk invariance
 ----------------
@@ -76,15 +78,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .compiled import CompiledConstraints
 from .rules import DesignRules
+
+if TYPE_CHECKING:
+    from .compiled import CompiledConstraints
 
 __all__ = [
     "SOLVER_MODES",
-    "SolverOptions",
     "GeometrySolution",
     "BatchCompiledConstraints",
     "ChunkSolveOutcome",
@@ -92,29 +96,28 @@ __all__ = [
     "scipy_optimize",
 ]
 
-#: Valid values of :attr:`SolverOptions.solver_mode`.
+#: Valid ``solver_mode`` values.  ``"auto"`` tries the deterministic repair
+#: projection and its area-lift rounds before SLSQP, which then solves only
+#: what they leave; ``"slsqp"`` always runs the full solve (bit-identical to
+#: the legacy lambda formulation — what ``paper-tables`` pins).
 SOLVER_MODES = ("auto", "slsqp")
+
+#: Slack (nm) added to every width/space minimum of the SLSQP system, so the
+#: continuous solution survives rounding.
+MARGIN = 2.0
+#: Smallest interval length (nm): the SLSQP variable bound and the floor of
+#: the repair projection's per-index bounds.
+LOWER_BOUND = 4.0
+#: SLSQP iteration cap and ``ftol`` of one solve.
+MAX_ITERATIONS = 300
+TOLERANCE = 1e-6
+#: SLSQP attempts per solution slot; each restart draws fresh random targets.
+MAX_ATTEMPTS = 4
 
 #: Most area-lift rounds one repair sweep runs after its first projection.
 #: The hotspot-expansion builds measured need at most two; the cap bounds
 #: the numpy passes a slot spends before what is left goes to SLSQP.
 LIFT_ROUNDS = 4
-
-
-@dataclass
-class SolverOptions:
-    """Numerical options of the legalisation solve."""
-
-    margin: float = 2.0            # slack (nm) added to every >= constraint before rounding
-    lower_bound: float = 4.0       # minimum interval length (nm)
-    max_iterations: int = 300
-    tolerance: float = 1e-6
-    max_attempts: int = 4          # restarts with fresh random targets on failure
-    #: ``"auto"`` tries the deterministic repair projection and its
-    #: area-lift rounds before SLSQP, which then solves only what they leave;
-    #: ``"slsqp"`` always runs the full solve (bit-identical to the legacy
-    #: lambda formulation — what ``paper-tables`` pins).
-    solver_mode: str = "auto"
 
 
 @dataclass
@@ -154,12 +157,14 @@ def _random_partition(total: int, parts: int, rng: np.random.Generator) -> np.nd
 
 
 def _solve_once(
-    compiled: CompiledConstraints,
+    compiled: "CompiledConstraints",
     target_x: np.ndarray,
     target_y: np.ndarray,
-    opts: SolverOptions,
-) -> dict:
-    """One SLSQP solve of one topology's system towards ``(target_x, target_y)``."""
+):
+    """One SLSQP solve of one topology's system towards ``(target_x, target_y)``.
+
+    Returns scipy's ``OptimizeResult``; ``x`` is ``[delta_x, delta_y]``.
+    """
     rows, cols = compiled.shape
     total = compiled.total
     n_vars = compiled.n_vars
@@ -177,9 +182,9 @@ def _solve_once(
     def objective_grad(v: np.ndarray) -> np.ndarray:
         return 2.0 * (v - target) * scale
 
-    cons = compiled.slsqp_constraints(opts.margin)
+    cons = compiled.slsqp_constraints()
 
-    bounds = [(opts.lower_bound, total)] * n_vars
+    bounds = [(LOWER_BOUND, total)] * n_vars
     # Start from uniform intervals: it satisfies the equality constraints
     # exactly and is (near-)feasible for typical width/space minima, which
     # keeps SLSQP well-behaved.  Diversity comes from the random *target* in
@@ -188,23 +193,15 @@ def _solve_once(
     x0[:cols] = total / cols
     x0[cols:] = total / rows
 
-    result = scipy_optimize().minimize(
+    return scipy_optimize().minimize(
         objective,
         x0,
         jac=objective_grad,
         bounds=bounds,
         constraints=cons,
         method="SLSQP",
-        options={"maxiter": opts.max_iterations, "ftol": opts.tolerance},
+        options={"maxiter": MAX_ITERATIONS, "ftol": TOLERANCE},
     )
-    return {
-        "success": bool(result.success),
-        "delta_x": result.x[:cols],
-        "delta_y": result.x[cols:],
-        "iterations": int(result.nit),
-        "message": str(result.message),
-        "objective": float(result.fun),
-    }
 
 
 def _project_axis_rows(
@@ -375,7 +372,7 @@ class BatchCompiledConstraints:
                 )
             )
 
-        self._repair_bounds_cache: dict[float, np.ndarray] = {}
+        self._repair_bounds: "np.ndarray | None" = None
 
     @staticmethod
     def _axis_groups(lengths: "list[int]") -> "list[tuple[np.ndarray, int]]":
@@ -386,59 +383,38 @@ class BatchCompiledConstraints:
         ]
 
     # ------------------------------------------------------------------ #
-    def _stacked_repair_bounds(self, floor: float) -> np.ndarray:
-        """Every topology's repair lower bounds over the stacked vector, cached per floor."""
-        key = float(floor)
-        cached = self._repair_bounds_cache.get(key)
-        if cached is None:
-            cached = np.concatenate(
-                [bound for c in self.compiled for bound in c.repair_lower_bounds(floor)]
+    def _stacked_repair_bounds(self) -> np.ndarray:
+        """Every topology's repair lower bounds over the stacked vector (computed once)."""
+        if self._repair_bounds is None:
+            self._repair_bounds = np.concatenate(
+                [bound for c in self.compiled for bound in c.repair_lower_bounds()]
             )
-            self._repair_bounds_cache[key] = cached
-        return cached
+        return self._repair_bounds
 
-    # ------------------------------------------------------------------ #
-    def round_pairs(
-        self, candidates: "dict[int, tuple[np.ndarray, np.ndarray]]"
-    ) -> "dict[int, tuple[np.ndarray, np.ndarray]]":
-        """Largest-remainder-round many float candidate pairs in one pass."""
-        member = np.zeros(self.k, dtype=bool)
-        member[list(candidates)] = True
-        rounded_x: dict[int, np.ndarray] = {}
-        rounded_y: dict[int, np.ndarray] = {}
-        for groups, part, out in (
-            (self.x_groups, 0, rounded_x),
-            (self.y_groups, 1, rounded_y),
-        ):
-            for ids, _ in groups:
-                selected = ids[member[ids]]
-                if not selected.size:
-                    continue
-                stack = np.stack([candidates[int(i)][part] for i in selected])
-                rounded = _round_rows(stack, self.total)
-                for row, i in enumerate(selected):
-                    out[int(i)] = rounded[row]
-        return {i: (rounded_x[i], rounded_y[i]) for i in candidates}
+    def deltas(self, stacked: np.ndarray, i: int) -> "tuple[np.ndarray, np.ndarray]":
+        """Copies of topology ``i``'s ``(delta_x, delta_y)`` in a stacked vector."""
+        offset = int(self.var_offsets[i])
+        split = offset + self.compiled[i].cols
+        return stacked[offset:split].copy(), stacked[split : int(self.var_offsets[i + 1])].copy()
 
-    def verify_pairs(
-        self, pairs: "dict[int, tuple[np.ndarray, np.ndarray]]"
-    ) -> np.ndarray:
-        """Exact integer verification of many candidate pairs at once.
+    def round_and_verify(
+        self, values: np.ndarray, member: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Round the ``member`` blocks of a stacked float vector and check them exactly.
 
-        One stacked pass over the block-diagonal system; returns a length-K
-        boolean array (``False`` for topologies without a candidate).  All
-        arithmetic is ``int64``-exact, so every entry equals
-        ``CompiledConstraints.verify_integer`` on that pair alone.
+        The one pass both the repair sweep and the SLSQP tail run: one
+        largest-remainder :func:`_round_rows` call per axis-length group,
+        then the exact integer check of every member block.  Returns
+        ``(candidate, verified)``: the stacked ``int64`` candidate (ones
+        outside the member blocks) and a length-K mask of the members that
+        pass.
         """
-        member = np.zeros(self.k, dtype=bool)
-        stacked = np.ones(self.n_stacked, dtype=np.int64)
-        for i, (dx, dy) in pairs.items():
-            offset = int(self.var_offsets[i])
-            c = self.compiled[i]
-            stacked[offset : offset + c.cols] = dx
-            stacked[offset + c.cols : offset + c.n_vars] = dy
-            member[i] = True
-        return self._verify_stacked(stacked, member)
+        candidate = np.ones(self.n_stacked, dtype=np.int64)
+        for ids, index in self._x_index + self._y_index:
+            rows = index[member[ids]]
+            if rows.size:
+                candidate[rows] = _round_rows(values[rows], self.total)
+        return candidate, self._verify_stacked(candidate, member)
 
     def _verify_stacked(self, stacked: np.ndarray, member: np.ndarray) -> np.ndarray:
         """Exact check of the ``member`` blocks of one stacked ``int64`` vector."""
@@ -474,7 +450,6 @@ class BatchCompiledConstraints:
         self,
         targets_x: "list[np.ndarray]",
         targets_y: "list[np.ndarray]",
-        options: SolverOptions,
     ) -> "tuple[dict[int, tuple[np.ndarray, np.ndarray]], list[int]]":
         """The whole-chunk repair pass over all K topologies, then its lift rounds.
 
@@ -500,19 +475,14 @@ class BatchCompiledConstraints:
         """
         target = np.concatenate([t for pair in zip(targets_x, targets_y) for t in pair])
         # The lift rounds raise a per-call copy of the cached bounds.
-        lower = self._stacked_repair_bounds(options.lower_bound).copy()
+        lower = self._stacked_repair_bounds().copy()
         solved: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         active = np.ones(self.k, dtype=bool)
         for lifts_left in range(LIFT_ROUNDS, -1, -1):
-            candidate, feasible = self._repair_candidates(target, lower, active)
-            verified = self._verify_stacked(candidate, feasible)
+            values, feasible = self._project(target, lower, active)
+            candidate, verified = self.round_and_verify(values, feasible)
             for i in np.nonzero(verified)[0]:
-                offset = int(self.var_offsets[i])
-                split = offset + self.compiled[i].cols
-                solved[int(i)] = (
-                    candidate[offset:split].copy(),
-                    candidate[split : int(self.var_offsets[i + 1])].copy(),
-                )
+                solved[int(i)] = self.deltas(candidate, i)
             if not lifts_left:
                 break
             active = self._lift_area_bounds(candidate, feasible & ~verified, lower)
@@ -521,31 +491,24 @@ class BatchCompiledConstraints:
         residual = [i for i in range(self.k) if i not in solved]
         return solved, residual
 
-    def _repair_candidates(
+    def _project(
         self, target: np.ndarray, lower: np.ndarray, active: np.ndarray
     ) -> "tuple[np.ndarray, np.ndarray]":
-        """Project the ``active`` topologies' targets onto ``lower`` and round them.
+        """Project the ``active`` topologies' targets onto ``lower``.
 
-        Returns ``(candidate, feasible)``: the rounded stacked ``int64``
-        vector (ones outside the feasible blocks) and which active
-        topologies have a projection on both axes.
+        Returns ``(values, feasible)``: the stacked float projection and
+        which active topologies have a projection on both axes.
         """
-        axes = self._x_index + self._y_index
         values = np.zeros(self.n_stacked)
         feasible = active.copy()
-        for ids, index in axes:
+        for ids, index in self._x_index + self._y_index:
             selected = active[ids]
             if selected.any():
                 rows = index[selected]
                 projected, ok = _project_axis_rows(target[rows], lower[rows], self.total)
                 values[rows] = projected
                 feasible[ids[selected]] &= ok
-        candidate = np.ones(self.n_stacked, dtype=np.int64)
-        for ids, index in axes:
-            rows = index[feasible[ids]]
-            if rows.size:
-                candidate[rows] = _round_rows(values[rows], self.total)
-        return candidate, feasible
+        return values, feasible
 
     def _lift_area_bounds(
         self, candidate: np.ndarray, failed: np.ndarray, lower: np.ndarray
@@ -635,16 +598,17 @@ def solve_geometry_chunk(
     compiled: "list[CompiledConstraints]",
     rules: DesignRules,
     rngs: "list[np.random.Generator]",
-    options: "SolverOptions | None" = None,
+    solver_mode: str = "auto",
     num_solutions: int = 1,
     initial_targets=None,
 ) -> ChunkSolveOutcome:
     """Solve a whole chunk of topologies, ``num_solutions`` slots each.
 
-    ``rngs[i]`` is topology ``i``'s independent generator (engine chunks
-    derive it from ``(seed, first_index + i)``); ``initial_targets(i, rng)``,
-    when given, supplies the slot-0 targets (``Solving-E`` warm start; a
-    ``None`` entry is drawn at random) and may consume draws from ``rng``.
+    ``solver_mode`` is one of :data:`SOLVER_MODES`.  ``rngs[i]`` is topology
+    ``i``'s independent generator (engine chunks derive it from
+    ``(seed, first_index + i)``); ``initial_targets(i, rng)``, when given,
+    supplies the slot-0 targets (``Solving-E`` warm start; a ``None`` entry
+    is drawn at random) and may consume draws from ``rng``.
     Per generator, draws happen in slot order, and within a slot in attempt
     order, so every topology sees the stream it would see alone.
 
@@ -654,10 +618,9 @@ def solve_geometry_chunk(
     call's wall time.
     """
     start = time.perf_counter()
-    opts = options if options is not None else SolverOptions()
-    if opts.solver_mode not in SOLVER_MODES:
+    if solver_mode not in SOLVER_MODES:
         raise ValueError(
-            f"solver_mode must be one of {SOLVER_MODES}, got {opts.solver_mode!r}"
+            f"solver_mode must be one of {SOLVER_MODES}, got {solver_mode!r}"
         )
     if len(rngs) != len(compiled):
         raise ValueError("need exactly one generator per topology")
@@ -704,8 +667,8 @@ def solve_geometry_chunk(
         # when the slot ends.
         found: "list[GeometrySolution | None]" = [None] * batch.k
         pending = list(range(batch.k))
-        if opts.solver_mode == "auto":
-            solved, pending = batch.repair_sweep(targets_x, targets_y, opts)
+        if solver_mode == "auto":
+            solved, pending = batch.repair_sweep(targets_x, targets_y)
             outcome.sweeps += 1
             outcome.sweep_topologies += batch.k
             objectives = batch.objective_values(solved, targets_x, targets_y)
@@ -723,53 +686,42 @@ def solve_geometry_chunk(
                 )
 
         # SLSQP tail: restart rounds grouped by attempt number.  scipy runs
-        # per topology (see module docstring), while the round's rounding +
-        # integer verification are one stacked pass.  The stacked system is
-        # rebuilt over the residual alone so each round scales with the
-        # tail, not the chunk (rounding is per-row and the verification is
-        # int64-exact, so the regrouping changes no result).
-        if pending and len(pending) < batch.k:
-            tail_batch = BatchCompiledConstraints([compiled[i] for i in pending])
-        else:
-            tail_batch = batch
-        tail_pos = {i: pos for pos, i in enumerate(pending)}
+        # per topology (see module docstring); each round writes its
+        # converged solutions into the chunk's stacked vector and checks them
+        # with the sweep's own round-and-verify pass, masked to the converged
+        # topologies (rounding is per row and the check int64-exact, so the
+        # rest of the chunk changes no result).
         iterations = {i: 0 for i in pending}
         own_seconds = {i: 0.0 for i in pending}
         messages = {i: "" for i in pending}
-        active = list(pending)
-        for attempt in range(1, opts.max_attempts + 1):
+        active = pending
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             if not active:
                 break
             for i in active:
                 if attempt > 1:
                     targets_x[i] = _random_partition(total, compiled[i].cols, rngs[i])
                     targets_y[i] = _random_partition(total, compiled[i].rows, rngs[i])
-            converged: dict[int, dict] = {}
+            values = np.zeros(batch.n_stacked)
+            converged = np.zeros(batch.k, dtype=bool)
+            tail_objectives: dict[int, float] = {}
             for i in active:
                 solve_start = time.perf_counter()
-                result = _solve_once(compiled[i], targets_x[i], targets_y[i], opts)
+                result = _solve_once(compiled[i], targets_x[i], targets_y[i])
                 own_seconds[i] += time.perf_counter() - solve_start
                 outcome.tail_solves += 1
-                iterations[i] += result["iterations"]
-                if result["success"]:
-                    converged[i] = result
+                iterations[i] += int(result.nit)
+                if result.success:
+                    values[batch.var_offsets[i] : batch.var_offsets[i + 1]] = result.x
+                    converged[i] = True
+                    tail_objectives[i] = float(result.fun)
                 else:
-                    messages[i] = result["message"]
-            rounded: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-            verified = np.zeros(tail_batch.k, dtype=bool)
-            if converged:
-                rounded_local = tail_batch.round_pairs(
-                    {
-                        tail_pos[i]: (r["delta_x"], r["delta_y"])
-                        for i, r in converged.items()
-                    }
-                )
-                verified = tail_batch.verify_pairs(rounded_local)
-                rounded = {i: rounded_local[tail_pos[i]] for i in converged}
+                    messages[i] = str(result.message)
+            candidate, verified = batch.round_and_verify(values, converged)
             still_active = []
             for i in active:
-                if i in converged and verified[tail_pos[i]]:
-                    dx, dy = rounded[i]
+                if verified[i]:
+                    dx, dy = batch.deltas(candidate, i)
                     found[i] = GeometrySolution(
                         success=True,
                         delta_x=dx,
@@ -778,10 +730,10 @@ def solve_geometry_chunk(
                         elapsed_seconds=0.0,
                         message="converged",
                         attempts=attempt,
-                        objective=converged[i]["objective"],
+                        objective=tail_objectives[i],
                     )
                 else:
-                    if i in converged:
+                    if converged[i]:
                         messages[i] = "rounded solution violated a constraint"
                     still_active.append(i)
             active = still_active
@@ -793,7 +745,7 @@ def solve_geometry_chunk(
                 iterations=iterations[i],
                 elapsed_seconds=0.0,
                 message=messages[i] or "no feasible solution found",
-                attempts=max(opts.max_attempts, 0),
+                attempts=MAX_ATTEMPTS,
             )
 
         # Each topology keeps its own SLSQP time; the rest of the slot (and,

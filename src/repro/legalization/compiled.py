@@ -1,10 +1,30 @@
 """Compiled constraint kernels for the 2D legal pattern assessment.
 
+:class:`CompiledConstraints` reads the pattern-dependent constraint sets of
+the nonlinear system (Eq. 14) off one topology matrix straight into stacked
+index arrays:
+
+* ``SetW`` — one interval per maximal run of 1s along a row (over
+  ``delta_x``) or a column (over ``delta_y``), whose sum must be at least
+  ``width_min``;
+* ``SetS`` — one interval per maximal interior run of 0s between two shapes
+  of a row or column, whose sum must be at least ``space_min``;
+* one cell list per 4-connected polygon for the two-sided area constraints
+  ``sum_{(r,c) in polygon} delta_x[c] * delta_y[r] in [area_min, area_max]``.
+
+Runs of 0s that touch the window border are *not* space constraints: the
+distance to the clip boundary is unknown (the neighbouring clip continues
+there), exactly as in the paper's formulation where only adjacent polygons
+constrain each other.  Identical runs repeat across the lines of a grid
+(every row crossing the same rectangle yields the same column range); only
+the first occurrence becomes a constraint.  Intervals are ordered x widths,
+y widths, x spaces, y spaces, each in row-major scan order; polygons are
+ordered by label (scan order of their first cell), their cells row-major.
+
 The SLSQP solve historically registered one Python lambda per
 width/space/area constraint and re-invoked every one of them (plus its
 jacobian) on every iteration — a scalar-Python tax of hundreds of
-interpreter round-trips per solve.  This module compiles a
-:class:`~repro.legalization.TopologyConstraints` into stacked index arrays
+interpreter round-trips per solve.  The arrays built here are compiled
 **once per topology** so that each SLSQP iteration evaluates
 
 * all interval (width/space) constraints with one gather + row-sum per
@@ -36,12 +56,14 @@ shape the layout:
 Hence constraints are grouped by exact segment length / polygon cell count;
 each group evaluates in one vectorized shot with no padding.
 
-The module also hosts the repair-first fast path's building blocks
-(per-index lower bounds, exact integer verification) and
-:func:`compiled_for_topology`, the topology-hash compilation cache through
-which the :class:`~repro.legalization.LegalizationEngine` compiles every
-topology it legalises: it dedupes extraction + compilation across repeated
-topologies in a batch and across calls.
+The module also hosts the repair-first fast path's per-index lower bounds
+and :func:`compiled_for_topology`, the topology-hash compilation cache
+through which the :class:`~repro.legalization.LegalizationEngine` compiles
+every topology it legalises: it dedupes compilation across repeated
+topologies in a batch and across calls.  The solve's numerical constants
+(:data:`~repro.legalization.batched.MARGIN`,
+:data:`~repro.legalization.batched.LOWER_BOUND`) live with the solve in
+:mod:`repro.legalization.batched`.
 """
 
 from __future__ import annotations
@@ -50,8 +72,8 @@ from collections import OrderedDict
 
 import numpy as np
 
-from ..geometry import validate_grid
-from .constraints import TopologyConstraints, extract_constraints
+from ..geometry import connected_components, interior_runs_2d, runs_2d, validate_grid
+from .batched import LOWER_BOUND, MARGIN
 from .rules import DesignRules
 
 __all__ = [
@@ -73,8 +95,18 @@ def _length_groups(
     return groups
 
 
+def _first_occurrences(
+    start: np.ndarray, end: np.ndarray, span: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """First-occurrence dedup of ``(start, end)`` run pairs, scan order kept."""
+    codes = start.astype(np.int64) * (span + 1) + end
+    _, first = np.unique(codes, return_index=True)
+    first.sort()
+    return start[first], end[first]
+
+
 class CompiledConstraints:
-    """A :class:`TopologyConstraints` lowered to stacked numpy arrays.
+    """One topology's constraint system of Eq. (14) as stacked numpy arrays.
 
     The unknown vector ``v`` is ``concatenate([delta_x, delta_y])`` —
     ``n_vars = cols + rows`` entries.  All index arrays below address ``v``
@@ -83,10 +115,10 @@ class CompiledConstraints:
     the same topology under the same rules.
     """
 
-    def __init__(self, constraints: TopologyConstraints, rules: DesignRules) -> None:
-        self.constraints = constraints
+    def __init__(self, topology: np.ndarray, rules: DesignRules) -> None:
+        grid = validate_grid(topology)
         self.rules = rules
-        rows, cols = constraints.shape
+        rows, cols = grid.shape
         self.shape = (rows, cols)
         self.rows = rows
         self.cols = cols
@@ -94,22 +126,23 @@ class CompiledConstraints:
         self.total = float(rules.pattern_size)
 
         # ---------------- interval (width / space) constraints ------------ #
-        intervals = constraints.all_interval_constraints
-        self.n_intervals = len(intervals)
-        starts = np.empty(self.n_intervals, dtype=np.int64)
-        lengths = np.empty(self.n_intervals, dtype=np.int64)
-        minimums = np.empty(self.n_intervals, dtype=np.float64)
-        is_x = np.empty(self.n_intervals, dtype=bool)
-        for i, constraint in enumerate(intervals):
-            offset = 0 if constraint.axis == "x" else cols
-            starts[i] = constraint.start + offset
-            lengths[i] = constraint.end - constraint.start + 1
-            minimums[i] = float(constraint.minimum)
-            is_x[i] = constraint.axis == "x"
-        self.interval_minimums = minimums
-        self._interval_starts = starts
-        self._interval_lengths = lengths
-        self._interval_is_x = is_x
+        # Horizontal runs constrain delta_x; vertical runs (the transposed
+        # grid) constrain delta_y, whose entries sit ``cols`` into ``v``.
+        starts, lengths, minimums = [], [], []
+        for kernel, value, minimum in (
+            (runs_2d, 1, rules.width_min),
+            (interior_runs_2d, 0, rules.space_min),
+        ):
+            for view, span, offset in ((grid, cols, 0), (grid.T, rows, cols)):
+                _, start, end = kernel(view, value)
+                start, end = _first_occurrences(start, end, span)
+                starts.append(start + offset)
+                lengths.append(end - start + 1)
+                minimums.append(np.full(start.size, float(minimum)))
+        starts = np.concatenate(starts)
+        lengths = np.concatenate(lengths)
+        self.n_intervals = starts.size
+        self.interval_minimums = np.concatenate(minimums)
         #: ``(positions, (k, L) index matrix)`` per distinct segment length;
         #: equal-length grouping keeps each row-sum bit-identical to the
         #: legacy per-constraint slice sum (see module docstring).
@@ -118,37 +151,33 @@ class CompiledConstraints:
             for positions, length in _length_groups(lengths)
         ]
         jac = np.zeros((self.n_intervals, self.n_vars))
-        for i in range(self.n_intervals):
-            jac[i, starts[i] : starts[i] + lengths[i]] = 1.0
+        for positions, index_matrix in self._interval_groups:
+            jac[positions[:, None], index_matrix] = 1.0
         self.interval_jacobian = jac
 
         # ---------------- polygon-area constraints ------------------------ #
-        polygons = constraints.polygon_cells
-        self.n_polygons = len(polygons)
-        cell_counts = np.array([len(cells) for cells in polygons], dtype=np.int64)
+        # One stable sort of the foreground cells by component label puts
+        # them polygon-major (label order), row-major within a polygon.
+        labels, self.n_polygons = connected_components(grid)
+        flat_labels = labels.ravel()
+        cells = np.flatnonzero(flat_labels)
+        cells = cells[np.argsort(flat_labels[cells], kind="stable")]
+        cell_counts = np.bincount(flat_labels[cells], minlength=self.n_polygons + 1)[1:]
+        flat_rows, flat_cols = np.divmod(cells, cols)
         # Flattened COO cell arrays in polygon-major cell order (the order
         # the legacy per-polygon ``np.add.at`` scattered in).
-        poly_ids = np.repeat(np.arange(self.n_polygons, dtype=np.int64), cell_counts)
-        flat_rows = np.concatenate(
-            [np.asarray([r for r, _ in cells], dtype=np.int64) for cells in polygons]
-        ) if self.n_polygons else np.empty(0, dtype=np.int64)
-        flat_cols = np.concatenate(
-            [np.asarray([c for _, c in cells], dtype=np.int64) for cells in polygons]
-        ) if self.n_polygons else np.empty(0, dtype=np.int64)
-        self._poly_ids = poly_ids
+        self._poly_ids = np.repeat(np.arange(self.n_polygons, dtype=np.int64), cell_counts)
         self._poly_col_vars = flat_cols                  # indices into v[:cols]
         self._poly_row_vars = cols + flat_rows           # indices into v[cols:]
         #: ``(positions, (k, L) col matrix, (k, L) row matrix)`` per distinct
-        #: polygon cell count, cells in the same order as ``polygon_cells``.
+        #: polygon cell count, each polygon's cells in row-major order.
+        bounds = np.concatenate([[0], np.cumsum(cell_counts)])
         self._poly_groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        bounds = np.cumsum(np.concatenate([[0], cell_counts]))
-        for positions, count in _length_groups(cell_counts) if self.n_polygons else []:
-            col_mat = np.empty((positions.size, count), dtype=np.int64)
-            row_mat = np.empty((positions.size, count), dtype=np.int64)
-            for k, p in enumerate(positions):
-                col_mat[k] = self._poly_col_vars[bounds[p] : bounds[p + 1]]
-                row_mat[k] = self._poly_row_vars[bounds[p] : bounds[p + 1]]
-            self._poly_groups.append((positions, col_mat, row_mat))
+        for positions, count in _length_groups(cell_counts):
+            cell_index = bounds[positions][:, None] + np.arange(count)[None, :]
+            self._poly_groups.append(
+                (positions, self._poly_col_vars[cell_index], self._poly_row_vars[cell_index])
+            )
 
         # Rounding each interval by at most 1 nm can change a polygon's area
         # by up to ~2 * pattern_size + (#cells), so the continuous solve must
@@ -164,7 +193,7 @@ class CompiledConstraints:
         self.equality_jacobian[0, :cols] = 1.0
         self.equality_jacobian[1, cols:] = 1.0
 
-        self._repair_bounds_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._repair_bounds: "tuple[np.ndarray, np.ndarray] | None" = None
 
     # ------------------------------------------------------------------ #
     # kernel evaluation
@@ -207,8 +236,11 @@ class CompiledConstraints:
     # ------------------------------------------------------------------ #
     # SLSQP constraint assembly
     # ------------------------------------------------------------------ #
-    def slsqp_constraints(self, margin: float) -> list[dict]:
+    def slsqp_constraints(self) -> list[dict]:
         """The scipy constraint dicts of Eq. (14) over this kernel.
+
+        Every width/space minimum carries the solve's :data:`MARGIN` of
+        slack, so the continuous solution survives rounding.
 
         scipy fills constraint values and jacobian rows into preallocated
         arrays in dict order (eq dicts first, then ineq dicts), so the
@@ -225,7 +257,7 @@ class CompiledConstraints:
             }
         ]
         if self.n_intervals:
-            bounds = self.interval_minimums + margin
+            bounds = self.interval_minimums + MARGIN
             cons.append(
                 {
                     "type": "ineq",
@@ -258,7 +290,7 @@ class CompiledConstraints:
     # ------------------------------------------------------------------ #
     # repair-first fast path support
     # ------------------------------------------------------------------ #
-    def repair_lower_bounds(self, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    def repair_lower_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-index lower bounds ``(lb_x, lb_y)`` for the repair projection.
 
         An integer vector with ``delta[i] >= lb[i]`` for every index
@@ -266,60 +298,28 @@ class CompiledConstraints:
         each index carries ``ceil(minimum / length)`` of its tightest
         covering constraint, so a length-``L`` constraint sums to at least
         ``L * ceil(minimum / L) >= minimum`` even when every entry was
-        rounded down to the bound.  Area constraints are not representable
-        per index and are left to exact verification.
+        rounded down to the bound.  No bound is below the solve's
+        :data:`LOWER_BOUND`.  Area constraints are not representable per
+        index and are left to exact verification.  Computed once per kernel.
         """
-        key = float(floor)
-        cached = self._repair_bounds_cache.get(key)
-        if cached is not None:
-            return cached
-        lb = np.full(self.n_vars, max(1.0, np.ceil(floor)))
-        if self.n_intervals:
-            per_index = np.ceil(self.interval_minimums / self._interval_lengths)
-            flat_values = np.repeat(per_index, self._interval_lengths)
-            flat_indices = np.concatenate(
-                [
-                    np.arange(start, start + length)
-                    for start, length in zip(self._interval_starts, self._interval_lengths)
-                ]
-            )
-            np.maximum.at(lb, flat_indices, flat_values)
-        result = (lb[: self.cols].copy(), lb[self.cols :].copy())
-        self._repair_bounds_cache[key] = result
-        return result
-
-    def verify_integer(self, delta_x: np.ndarray, delta_y: np.ndarray) -> bool:
-        """Exact integer re-check of Eq. (14) on rounded vectors."""
-        dx = np.asarray(delta_x, dtype=np.int64)
-        dy = np.asarray(delta_y, dtype=np.int64)
-        if (dx <= 0).any() or (dy <= 0).any():
-            return False
-        if int(dx.sum()) != self.rules.pattern_size:
-            return False
-        if int(dy.sum()) != self.rules.pattern_size:
-            return False
-        v = np.concatenate([dx, dy])
-        for positions, index_matrix in self._interval_groups:
-            sums = v[index_matrix].sum(axis=1)
-            if (sums < self.interval_minimums[positions]).any():
-                return False
-        for positions, col_mat, row_mat in self._poly_groups:
-            areas = (v[col_mat] * v[row_mat]).sum(axis=1)
-            if (areas < self.rules.area_min).any() or (areas > self.rules.area_max).any():
-                return False
-        return True
+        if self._repair_bounds is None:
+            lb = np.full(self.n_vars, max(1.0, np.ceil(LOWER_BOUND)))
+            for positions, index_matrix in self._interval_groups:
+                per_index = np.ceil(self.interval_minimums[positions] / index_matrix.shape[1])
+                np.maximum.at(lb, index_matrix, per_index[:, None])
+            self._repair_bounds = (lb[: self.cols].copy(), lb[self.cols :].copy())
+        return self._repair_bounds
 
 
 # --------------------------------------------------------------------------- #
 # topology-hash compilation cache
 # --------------------------------------------------------------------------- #
-# Constraint extraction + compilation is pure in (topology bytes, rules), so
-# one bounded LRU dedupes the work across repeated topologies in a batch and
-# across calls.  Worker processes each hold their own cache (no
-# cross-process sharing).  The capacity bounds memory, not correctness: a
-# compiled kernel holds a dense (n_intervals, n_vars) jacobian, which
-# reaches a few MB per entry at paper scale (128x128 grids), and every pool
-# worker owns a cache.  The reuse the cache targets is temporally local —
+# Compilation is pure in (topology bytes, rules), so one bounded LRU dedupes
+# the work across repeated topologies in a batch and across calls.  Worker
+# processes each hold their own cache (no cross-process sharing).  The
+# capacity bounds memory, not correctness: a compiled kernel holds a dense
+# (n_intervals, n_vars) jacobian, which reaches a few MB per entry at paper
+# scale (128x128 grids), and every pool worker owns a cache.  The reuse the cache targets is temporally local —
 # restart attempts and multi-solution solves reuse the object a chunk solve
 # already holds; only repeats of the same topology go through the LRU — so a
 # small window captures it.
@@ -342,8 +342,7 @@ def compiled_for_topology(
         _CACHE_HITS += 1
         return cached
     _CACHE_MISSES += 1
-    constraints = extract_constraints(grid, rules.width_min, rules.space_min)
-    compiled = CompiledConstraints(constraints, rules)
+    compiled = CompiledConstraints(grid, rules)
     _CACHE[key] = compiled
     if len(_CACHE) > _CACHE_CAPACITY:
         _CACHE.popitem(last=False)

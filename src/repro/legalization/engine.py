@@ -57,7 +57,7 @@ import numpy as np
 
 from ..squish import SquishPattern
 from ..utils import child_rng, resolve_seed
-from .batched import GeometrySolution, SolverOptions, scipy_optimize, solve_geometry_chunk
+from .batched import GeometrySolution, scipy_optimize, solve_geometry_chunk
 from .compiled import compiled_for_topology
 from .rules import DesignRules
 
@@ -279,8 +279,8 @@ class LegalizationReport:
 # --------------------------------------------------------------------------- #
 # the chunk body
 # --------------------------------------------------------------------------- #
-#: What every chunk is solved under: ``(rules, reference index, options)``.
-_Context = tuple[DesignRules, ReferenceIndex, SolverOptions]
+#: What every chunk is solved under: ``(rules, reference index, solver mode)``.
+_Context = tuple[DesignRules, ReferenceIndex, str]
 
 # A pool worker's context, built once by the pool initializer so the
 # (potentially large) reference-geometry library is shipped to each worker a
@@ -291,10 +291,10 @@ _WORKER_CONTEXT: "_Context | None" = None
 def _init_worker(
     rules: DesignRules,
     references: "list[tuple[np.ndarray, np.ndarray]]",
-    options: SolverOptions,
+    solver_mode: str,
 ) -> None:
     global _WORKER_CONTEXT
-    _WORKER_CONTEXT = (rules, ReferenceIndex(references), options)
+    _WORKER_CONTEXT = (rules, ReferenceIndex(references), solver_mode)
 
 
 def _legalize_shard(
@@ -312,16 +312,15 @@ def _legalize_shard(
         context = _WORKER_CONTEXT
     if context is None:  # pragma: no cover - initializer always ran
         raise RuntimeError("worker process was not initialised")
-    rules, references, options = context
-    # The compiled kernel is cached by topology content + rules, so the
-    # constraint extraction and array compilation are paid once even
-    # across repeats of the same topology.
+    rules, references, solver_mode = context
+    # The compiled kernel is cached by topology content + rules, so its
+    # compilation is paid once even across repeats of the same topology.
     compiled = [compiled_for_topology(topology, rules) for topology in topologies]
     outcome = solve_geometry_chunk(
         compiled,
         rules,
         [child_rng(base_seed, start_index + i) for i in range(len(compiled))],
-        options=options,
+        solver_mode=solver_mode,
         num_solutions=num_solutions,
         # The Solving-E warm start draws one uniform when a reference pair
         # of the topology's shape exists, and nothing otherwise.
@@ -378,8 +377,10 @@ class LegalizationEngine:
         call, once per worker in a pool, so changing
         ``engine.reference_geometries`` — in place or by assignment — takes
         effect on the next call outside :meth:`pool`.
-    options:
-        Numerical solver options.
+    solver_mode:
+        ``"auto"`` (the repair sweep and its area-lift rounds first, SLSQP
+        for what they leave) or ``"slsqp"`` (the full solve for every
+        topology); see :data:`~repro.legalization.SOLVER_MODES`.
     workers:
         Process-pool width.  ``1`` (the default) runs in-process; ``None``
         uses :func:`default_workers`.
@@ -393,7 +394,7 @@ class LegalizationEngine:
         self,
         rules: DesignRules,
         reference_geometries: "list[tuple[np.ndarray, np.ndarray]] | None" = None,
-        options: "SolverOptions | None" = None,
+        solver_mode: str = "auto",
         workers: "int | None" = 1,
         chunk_size: "int | None" = None,
     ) -> None:
@@ -405,7 +406,7 @@ class LegalizationEngine:
             raise ValueError("chunk_size must be >= 1")
         self.rules = rules
         self.reference_geometries = list(reference_geometries or [])
-        self.options = options if options is not None else SolverOptions()
+        self.solver_mode = solver_mode
         self.workers = int(workers)
         self.chunk_size = chunk_size
         self.last_report: "LegalizationReport | None" = None
@@ -464,7 +465,7 @@ class LegalizationEngine:
             # path ships the reference library per call: changing the
             # engine's attributes (or the elements of its reference list)
             # between calls affects serial and parallel runs identically.
-            context = (self.rules, ReferenceIndex(self.reference_geometries), self.options)
+            context = (self.rules, ReferenceIndex(self.reference_geometries), self.solver_mode)
             outputs = [_legalize_shard(shard, context) for shard in shards]
         else:
             outputs = self._run_shards_parallel(shards)
@@ -489,7 +490,7 @@ class LegalizationEngine:
         every worker — once *per chunk*.  Inside this context the pool (and
         the workers' reference copies) persists until exit; re-entering is a
         no-op, and at ``workers=1`` there is nothing to hold.  The engine's
-        rules/references/options are pinned for the lifetime of the pool —
+        rules/references/solver mode are pinned for the lifetime of the pool —
         reassign them only outside the context.
         """
         if self._in_process() or self._pool is not None:
@@ -499,7 +500,7 @@ class LegalizationEngine:
         self._pool = ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_init_worker,
-            initargs=(self.rules, self.reference_geometries, self.options),
+            initargs=(self.rules, self.reference_geometries, self.solver_mode),
         )
         try:
             yield self
@@ -549,6 +550,6 @@ class LegalizationEngine:
         with ProcessPoolExecutor(
             max_workers=max_workers,
             initializer=_init_worker,
-            initargs=(self.rules, self.reference_geometries, self.options),
+            initargs=(self.rules, self.reference_geometries, self.solver_mode),
         ) as pool:
             return list(pool.map(_legalize_shard, shards))

@@ -274,18 +274,15 @@ class PatternLibrary:
     def _shard_columns(self, record: ChunkRecord) -> dict[str, np.ndarray]:
         """``count`` and the :data:`INDEX_COLUMNS` of ``record``'s whole shard."""
         path = self.shard_dir / record.shard
-        try:
-            with _open_shard(path) as data:
-                columns = {key: data[key] for key in ("count", *INDEX_COLUMNS)}
+        with _chunk_errors(record), _open_shard(path) as data:
+            columns = {key: data[key] for key in ("count", *INDEX_COLUMNS)}
             total = int(columns["count"])
-            hi = record.shard_start + record.num_stored
-            if hi > total or any(columns[k].shape != (total,) for k in INDEX_COLUMNS):
+            if any(columns[k].shape != (total,) for k in INDEX_COLUMNS):
                 raise LibraryError(
-                    f"shard {path} holds {total} pattern(s) but the manifest "
-                    f"records {record.num_stored} at offset {record.shard_start}"
+                    f"shard {path} is truncated or corrupt (index columns "
+                    f"disagree with its count {total})"
                 )
-        except LibraryError as error:
-            raise LibraryError(f"chunk {record.chunk}: {error}") from error
+            _check_slice(record, total)
         return columns
 
     def _record_metadata(self, record: ChunkRecord) -> dict[str, np.ndarray]:
@@ -568,21 +565,10 @@ class PatternLibrary:
         if record.shard is None or record.num_stored == 0:
             return []
         path = self.shard_dir / record.shard
-        try:
-            patterns, total = load_shard_slice(
-                path, record.shard_start, record.num_stored
-            )
-        except LibraryError as error:
-            raise LibraryError(f"chunk {record.chunk}: {error}") from error
-        # Per-chunk shards are owned by exactly one record, so any length
-        # disagreement is corruption; merged shards are range-checked only.
-        exclusive = not record.shard.startswith(MERGED_SHARD_PREFIX)
-        if exclusive and total != record.num_stored:
-            raise LibraryError(
-                f"shard {path} holds {total} pattern(s) but the manifest "
-                f"records {record.num_stored}"
-            )
-        return patterns
+        with _chunk_errors(record), _open_shard(path) as data:
+            total = int(data["count"])
+            _check_slice(record, total)
+            return _decode_slice(data, total, record.shard_start, record.num_stored)
 
     def iter_patterns(self):
         """Yield every stored pattern in merged commit order, shard by shard.
@@ -596,21 +582,13 @@ class PatternLibrary:
         for record in self.records_in_order():
             if record.shard is None or record.num_stored == 0:
                 continue
-            if record.shard != current_shard:
-                try:
+            with _chunk_errors(record):
+                if record.shard != current_shard:
                     current_patterns = load_shard(self.shard_dir / record.shard)
-                except LibraryError as error:
-                    raise LibraryError(f"chunk {record.chunk}: {error}") from error
-                current_shard = record.shard
+                    current_shard = record.shard
+                _check_slice(record, len(current_patterns))
             lo = record.shard_start
-            hi = lo + record.num_stored
-            if hi > len(current_patterns):
-                raise LibraryError(
-                    f"shard {self.shard_dir / record.shard} holds "
-                    f"{len(current_patterns)} pattern(s) but the manifest "
-                    f"records {record.num_stored}"
-                )
-            yield from current_patterns[lo:hi]
+            yield from current_patterns[lo : lo + record.num_stored]
 
     def load_patterns(self) -> list[SquishPattern]:
         """Every stored pattern, in merged (seq, position) order."""
@@ -691,14 +669,13 @@ class PatternLibrary:
         return rule_regime in json.dumps(fingerprint, sort_keys=True)
 
     def _load_handle(self, handle: PatternHandle) -> SquishPattern:
-        patterns = self._shard_patterns(handle.record.shard)
-        index = handle.record.shard_start + handle.position
-        if index >= len(patterns):
-            raise LibraryError(
-                f"shard {handle.record.shard} holds {len(patterns)} pattern(s) "
-                f"but handle addresses position {index}"
-            )
-        return patterns[index]
+        record = handle.record
+        with _chunk_errors(record):
+            patterns = self._shard_patterns(record.shard)
+            _check_slice(record, len(patterns))
+            if not 0 <= handle.position < record.num_stored:
+                raise LibraryError(f"no pattern at handle position {handle.position}")
+        return patterns[record.shard_start + handle.position]
 
     def _shard_patterns(self, shard_name: str) -> list[SquishPattern]:
         """Whole-shard load through a small LRU (lazy handle backing)."""
@@ -823,26 +800,42 @@ class PatternLibrary:
                     kept = list(range(record.num_stored))
                 plans.append((record, kept))
 
-            # Consecutive records sharing one shard form a group; a group
-            # that keeps every pattern, covers its shard completely and
-            # already meets the target is left in place (what makes a
-            # second compact() a no-op instead of a full rewrite).
+            # Consecutive records sharing one shard form a group.  A group
+            # is left in place when re-merging would rewrite it unchanged:
+            # it keeps every pattern and covers its shard completely, and
+            # either already meets the target or is one merged shard with
+            # nothing pending before it and no later record to pack with
+            # (what makes a second compact() a no-op instead of a rewrite).
             groups: list[tuple[str, list[tuple[ChunkRecord, list[int]]]]] = []
             for record, kept in plans:
                 if groups and groups[-1][0] == record.shard:
                     groups[-1][1].append((record, kept))
                 else:
                     groups.append((record.shard, [(record, kept)]))
-            for shard_name, members in groups:
-                unchanged = all(len(k) == r.num_stored for r, k in members)
-                total_kept = sum(len(k) for _, k in members)
-                if (
-                    unchanged
-                    and shard_refs[shard_name] == len(members)
-                    and total_kept >= target_shard_patterns
-                    and self._shard_fully_covered(members)
-                ):
-                    keep_shards.add(shard_name)  # a healthy full shard
+            intact = [
+                all(len(k) == r.num_stored for r, k in members)
+                and shard_refs[shard_name] == len(members)
+                for shard_name, members in groups
+            ]
+            full = [
+                whole and sum(len(k) for _, k in members) >= target_shard_patterns
+                for whole, (_, members) in zip(intact, groups)
+            ]
+            # No group after the last one with patterns to pack packs any.
+            last_packed = max(
+                (j for j, (_, members) in enumerate(groups)
+                 if not full[j] and any(k for _, k in members)),
+                default=-1,
+            )
+            for j, (shard_name, members) in enumerate(groups):
+                alone = (
+                    intact[j]
+                    and shard_name.startswith(MERGED_SHARD_PREFIX)
+                    and not pending
+                    and j >= last_packed
+                )
+                if (full[j] or alone) and self._shard_fully_covered(members):
+                    keep_shards.add(shard_name)
                     continue
                 for record, kept in members:
                     if not kept:
@@ -1026,6 +1019,33 @@ def _load_retired_shard(path: Path) -> "list[SquishPattern] | None":
 # --------------------------------------------------------------------------- #
 # shard codec
 # --------------------------------------------------------------------------- #
+@contextmanager
+def _chunk_errors(record: ChunkRecord):
+    """Name ``record``'s chunk in every :class:`LibraryError` raised inside."""
+    try:
+        yield
+    except LibraryError as error:
+        raise LibraryError(f"chunk {record.chunk}: {error}") from error
+
+
+def _check_slice(record: ChunkRecord, total: int) -> None:
+    """Raise unless a shard of ``total`` patterns holds ``record``'s slice.
+
+    A per-chunk shard is owned by exactly one record, so it must hold
+    exactly the record's ``num_stored`` patterns; a merged shard
+    (:data:`MERGED_SHARD_PREFIX`) holds several records' slices and is
+    range-checked.  Every read path applies this one rule.
+    """
+    exclusive = not record.shard.startswith(MERGED_SHARD_PREFIX)
+    if record.shard_start + record.num_stored > total or (
+        exclusive and total != record.num_stored
+    ):
+        raise LibraryError(
+            f"shard {record.shard} holds {total} pattern(s) but the manifest "
+            f"records {record.num_stored} at offset {record.shard_start}"
+        )
+
+
 def _index_columns(patterns) -> dict[str, np.ndarray]:
     """The :data:`INDEX_COLUMNS` of ``patterns``, computed from the patterns."""
     cx, cy = np.asarray([pattern_complexity(p) for p in patterns], np.int64).reshape(-1, 2).T
@@ -1098,28 +1118,32 @@ def load_shard_slice(
                 f"shard {path} holds {total} pattern(s); cannot load "
                 f"{count} at offset {start}"
             )
-        shapes, origin, packed = data["shapes"], data["origin"], data["topology"]
-        delta_x, delta_y = data["delta_x"], data["delta_y"]
-        x0, y0, c0 = (
-            [0, *np.cumsum(column).tolist()]
-            for column in (shapes[:, 1], shapes[:, 0], shapes.prod(axis=1))
+        return _decode_slice(data, total, start, count), total
+
+
+def _decode_slice(data, total: int, start: int, count: int) -> list[SquishPattern]:
+    """Decode patterns ``start .. start + count`` of an open shard of ``total``."""
+    shapes, origin, packed = data["shapes"], data["origin"], data["topology"]
+    delta_x, delta_y = data["delta_x"], data["delta_y"]
+    x0, y0, c0 = (
+        [0, *np.cumsum(column).tolist()]
+        for column in (shapes[:, 1], shapes[:, 0], shapes.prod(axis=1))
+    )
+    if (shapes.shape, origin.shape) != ((total, 2), (total, 2)) or (
+        delta_x.size, delta_y.size, packed.size
+    ) != (x0[-1], y0[-1], (c0[-1] + 7) // 8):
+        raise ValueError("column lengths disagree with the pattern shapes")
+    bits = np.unpackbits(packed, count=c0[-1])
+    shape_rows, origins = shapes.tolist(), origin.tolist()
+    return [
+        SquishPattern(
+            bits[c0[i] : c0[i + 1]].reshape(shape_rows[i]),
+            delta_x[x0[i] : x0[i + 1]],
+            delta_y[y0[i] : y0[i + 1]],
+            tuple(origins[i]),
         )
-        if (shapes.shape, origin.shape) != ((total, 2), (total, 2)) or (
-            delta_x.size, delta_y.size, packed.size
-        ) != (x0[-1], y0[-1], (c0[-1] + 7) // 8):
-            raise ValueError("column lengths disagree with the pattern shapes")
-        bits = np.unpackbits(packed, count=c0[-1])
-        shape_rows, origins = shapes.tolist(), origin.tolist()
-        patterns = [
-            SquishPattern(
-                bits[c0[i] : c0[i + 1]].reshape(shape_rows[i]),
-                delta_x[x0[i] : x0[i + 1]],
-                delta_y[y0[i] : y0[i + 1]],
-                tuple(origins[i]),
-            )
-            for i in range(start, start + count)
-        ]
-    return patterns, total
+        for i in range(start, start + count)
+    ]
 
 
 def load_shard(path: "str | Path") -> list[SquishPattern]:

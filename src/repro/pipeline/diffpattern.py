@@ -21,7 +21,7 @@ from ..baselines.base import TopologyGenerator
 from ..data import LayoutPatternDataset
 from ..diffusion import DiscreteDiffusion
 from ..drc import DesignRuleChecker
-from ..legalization import LegalizationEngine, LegalizationReport, SolverOptions
+from ..legalization import LegalizationEngine, LegalizationReport
 from ..metrics import pattern_diversity, topology_diversity
 from ..nn import UNet
 from ..prefilter import TopologyPrefilter
@@ -277,7 +277,7 @@ class DiffPatternPipeline:
             self._legalization_engine = LegalizationEngine(
                 self.config.rules,
                 reference_geometries=references,
-                options=SolverOptions(solver_mode=self.config.solver_mode),
+                solver_mode=self.config.solver_mode,
                 workers=workers,
             )
             self._legalization_engine_key = key

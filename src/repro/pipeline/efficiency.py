@@ -23,7 +23,6 @@ from ..legalization import (
     DesignRules,
     LegalizationEngine,
     LegalizationReport,
-    SolverOptions,
     scipy_optimize,
 )
 from ..utils import Timer, as_rng
@@ -97,7 +96,7 @@ def measure_solving_time(
     topologies: "list[np.ndarray] | np.ndarray",
     rules: DesignRules,
     reference_geometries: "list[tuple[np.ndarray, np.ndarray]] | None" = None,
-    options: "SolverOptions | None" = None,
+    solver_mode: str = "auto",
     rng: "int | np.random.Generator | None" = None,
 ) -> float:
     """Average seconds per solved topology (failures excluded from the mean).
@@ -111,7 +110,7 @@ def measure_solving_time(
     engine = LegalizationEngine(
         rules,
         reference_geometries=reference_geometries,
-        options=options,
+        solver_mode=solver_mode,
         chunk_size=1,
     )
     results = engine.legalize_batch(topologies, num_solutions=1, seed=rng)
@@ -125,7 +124,7 @@ def measure_batch_legalization(
     topologies: "list[np.ndarray] | np.ndarray",
     rules: DesignRules,
     reference_geometries: "list[tuple[np.ndarray, np.ndarray]] | None" = None,
-    options: "SolverOptions | None" = None,
+    solver_mode: str = "auto",
     num_solutions: int = 1,
     workers: "int | None" = 1,
     seed: "int | np.random.Generator | None" = 0,
@@ -139,7 +138,7 @@ def measure_batch_legalization(
     engine = LegalizationEngine(
         rules,
         reference_geometries=reference_geometries,
-        options=options,
+        solver_mode=solver_mode,
         workers=workers,
     )
     _, report = engine.legalize_batch_with_report(
@@ -231,16 +230,18 @@ def run_efficiency_experiment(
     # All three measurements honour the config's solver strategy, so a
     # scenario pinned to "slsqp" (paper-tables) reports the full-solve cost
     # while "auto" regimes report the repair-first fast path.
-    options = SolverOptions(solver_mode=pipeline.config.solver_mode)
-    solving_r = measure_solving_time(kept, pipeline.config.rules, None, options=options, rng=gen)
+    solver_mode = pipeline.config.solver_mode
+    solving_r = measure_solving_time(
+        kept, pipeline.config.rules, None, solver_mode=solver_mode, rng=gen
+    )
     solving_e = measure_solving_time(
-        kept, pipeline.config.rules, references, options=options, rng=gen
+        kept, pipeline.config.rules, references, solver_mode=solver_mode, rng=gen
     )
     legalization_report = measure_batch_legalization(
         kept,
         pipeline.config.rules,
         reference_geometries=references,
-        options=options,
+        solver_mode=solver_mode,
         workers=workers if workers is not None else pipeline.config.workers,
         seed=gen,
     )

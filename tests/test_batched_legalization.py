@@ -3,7 +3,7 @@
 Every legalization runs :func:`repro.legalization.solve_geometry_chunk`:
 one vectorized repair sweep and its area-lift rounds partition the chunk
 into fast-path successes and a residual tail, and the tail's SLSQP restart
-rounds share stacked rounding + verification.  Its contract is that a topology's solutions do
+rounds check their solutions with the sweep's own round-and-verify pass.  Its contract is that a topology's solutions do
 not depend on the chunk around it: any chunk size, worker count and batch
 composition gives the output of the serial per-topology loop (each
 topology solved alone as a chunk of one on its own ``(seed, index)``
@@ -21,14 +21,18 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from legalization_helpers import legalize_alone, solve_alone
+from legalization_helpers import (
+    legalize_alone,
+    line_constraints,
+    solve_alone,
+    verify_integer_solution,
+)
 
 from repro.legalization import (
     BatchCompiledConstraints,
     DesignRules,
     LegalizationEngine,
     LegalizationStats,
-    SolverOptions,
     clear_compilation_cache,
     compilation_cache_info,
     compiled_for_topology,
@@ -122,7 +126,7 @@ def run_engine(
     engine = LegalizationEngine(
         rules,
         reference_geometries=refs,
-        options=SolverOptions(solver_mode=mode),
+        solver_mode=mode,
         workers=workers,
         chunk_size=chunk,
     )
@@ -131,9 +135,7 @@ def run_engine(
 
 def run_serial(rules, batch, *, mode="auto", num_solutions=1, refs=None, seed=7):
     """The per-topology loop: each topology alone on its ``(seed, index)`` stream."""
-    return legalize_alone(
-        batch, rules, seed, num_solutions, SolverOptions(solver_mode=mode), refs
-    )
+    return legalize_alone(batch, rules, seed, num_solutions, mode, refs)
 
 
 # --------------------------------------------------------------------------- #
@@ -193,7 +195,7 @@ class TestBitIdentity:
     def test_tail_actually_fires(self):
         rules = DesignRules(area_min=3_000, area_max=9_000, pattern_size=2_048)
         batch = [_blocky(8, 8, [(3, 5, 3, 5)])] * 3
-        engine = LegalizationEngine(rules, options=SolverOptions(solver_mode="auto"))
+        engine = LegalizationEngine(rules, solver_mode="auto")
         engine.legalize_batch(batch, seed=0)
         assert engine.stats.batched_sweeps > 0
         assert engine.stats.batched_tail_solves > 0
@@ -260,7 +262,7 @@ class TestRoundingKernel:
 class TestProjectionKernel:
     def test_matches_scalar_oracle(self, rules, two_shape_topology):
         compiled = compiled_for_topology(two_shape_topology, rules)
-        lb_x, _ = compiled.repair_lower_bounds(4.0)
+        lb_x, _ = compiled.repair_lower_bounds()
         total = rules.pattern_size
         rng = np.random.default_rng(3)
         rows = [rng.dirichlet(np.full(lb_x.size, 2.0)) * total for _ in range(20)]
@@ -288,6 +290,16 @@ class TestProjectionKernel:
         )
 
 
+def _stacked(batch, pairs):
+    """``pairs`` written into one stacked ``int64`` vector (ones elsewhere), and their mask."""
+    stacked = np.ones(batch.n_stacked, dtype=np.int64)
+    member = np.zeros(batch.k, dtype=bool)
+    for i, (dx, dy) in pairs.items():
+        stacked[batch.var_offsets[i] : batch.var_offsets[i + 1]] = np.concatenate([dx, dy])
+        member[i] = True
+    return stacked, member
+
+
 class TestBatchVerify:
     def test_matches_per_topology_verify(self, rules, adversarial_batch):
         compiled = [compiled_for_topology(t, rules) for t in adversarial_batch]
@@ -303,22 +315,36 @@ class TestBatchVerify:
             if i % 3 == 2:
                 dx[-1] = -5  # break positivity
             pairs[i] = (dx, dy)
-        verified = batch.verify_pairs(pairs)
-        for i, c in enumerate(compiled):
-            assert bool(verified[i]) == c.verify_integer(*pairs[i])
+        legal = solve_alone(compiled[0], rules, rng=0)
+        pairs[0] = (legal.delta_x, legal.delta_y)
+        verified = batch._verify_stacked(*_stacked(batch, pairs))
+        for i, topology in enumerate(adversarial_batch):
+            oracle = line_constraints(topology, rules.width_min, rules.space_min)
+            assert bool(verified[i]) == verify_integer_solution(oracle, rules, *pairs[i])
+        assert verified[0] and not verified.all()
 
     def test_subset_and_empty(self, rules, adversarial_batch):
         compiled = [compiled_for_topology(t, rules) for t in adversarial_batch]
         batch = BatchCompiledConstraints(compiled)
-        assert not batch.verify_pairs({}).any()
+        assert not batch._verify_stacked(*_stacked(batch, {})).any()
         c = compiled[0]
         dx = np.full(c.cols, rules.pattern_size // c.cols, dtype=np.int64)
         dx[0] += rules.pattern_size - dx.sum()
         dy = np.full(c.rows, rules.pattern_size // c.rows, dtype=np.int64)
         dy[0] += rules.pattern_size - dy.sum()
-        verified = batch.verify_pairs({0: (dx, dy)})
-        assert bool(verified[0]) == c.verify_integer(dx, dy)
+        verified = batch._verify_stacked(*_stacked(batch, {0: (dx, dy)}))
+        oracle = line_constraints(adversarial_batch[0], rules.width_min, rules.space_min)
+        assert bool(verified[0]) == verify_integer_solution(oracle, rules, dx, dy)
         assert not verified[1:].any()
+        # The round-and-verify pass leaves the blocks outside the mask at one.
+        values = np.zeros(batch.n_stacked)
+        values[: c.n_vars] = np.concatenate([dx, dy])
+        member = np.zeros(batch.k, dtype=bool)
+        member[0] = True
+        candidate, checked = batch.round_and_verify(values, member)
+        np.testing.assert_array_equal(checked, verified)
+        np.testing.assert_array_equal(candidate[: c.n_vars], np.concatenate([dx, dy]))
+        assert (candidate[c.n_vars :] == 1).all()
 
     def test_rejects_mixed_rules(self, rules, two_shape_topology):
         a = compiled_for_topology(two_shape_topology, rules)
@@ -379,16 +405,19 @@ class TestAreaLift:
         compiled = compiled_for_topology(LIFT_TOPOLOGY, rules)
         # The first projection alone leaves the cell below area_min.
         with mock.patch.object(batched, "LIFT_ROUNDS", 0):
-            sweep = BatchCompiledConstraints([compiled]).repair_sweep(
-                [target_x], [target_y], SolverOptions()
-            )
+            sweep = BatchCompiledConstraints([compiled]).repair_sweep([target_x], [target_y])
         assert sweep == ({}, [0])
 
         monkeypatch.setattr(batched, "_solve_once", no_slsqp)
         solution = solve_alone(compiled, rules, rng=0, target_x=target_x, target_y=target_y)
         assert solution.success and solution.method == "repair"
         assert solution.attempts == 1 and solution.iterations == 0
-        assert compiled.verify_integer(solution.delta_x, solution.delta_y)
+        assert verify_integer_solution(
+            line_constraints(LIFT_TOPOLOGY, rules.width_min, rules.space_min),
+            rules,
+            solution.delta_x,
+            solution.delta_y,
+        )
         pattern = SquishPattern(LIFT_TOPOLOGY, solution.delta_x, solution.delta_y)
         assert DesignRuleChecker(rules).is_legal(pattern)
         cell_area = int(solution.delta_x[4]) * int(solution.delta_y[3])
@@ -420,32 +449,30 @@ class TestAreaLift:
     @given(st.lists(lift_cases(), min_size=1, max_size=4))
     def test_lifted_solutions_are_exactly_legal(self, cases):
         rules = DesignRules()
-        options = SolverOptions()
         compiled = [compiled_for_topology(grid, rules) for grid, _, _ in cases]
-        bounds = [
-            b.copy() for c in compiled for b in c.repair_lower_bounds(options.lower_bound)
-        ]
+        bounds = [b.copy() for c in compiled for b in c.repair_lower_bounds()]
         targets_x = [tx for _, tx, _ in cases]
         targets_y = [ty for _, _, ty in cases]
         batch = BatchCompiledConstraints(compiled)
         with mock.patch.object(batched, "LIFT_ROUNDS", 0):
-            projected, _ = batch.repair_sweep(targets_x, targets_y, options)
-        solved, residual = batch.repair_sweep(targets_x, targets_y, options)
+            projected, _ = batch.repair_sweep(targets_x, targets_y)
+        solved, residual = batch.repair_sweep(targets_x, targets_y)
         assert sorted([*solved, *residual]) == list(range(len(cases)))
         checker = DesignRuleChecker(rules)
         for i, (delta_x, delta_y) in solved.items():
-            assert compiled[i].verify_integer(delta_x, delta_y)
+            oracle = line_constraints(cases[i][0], rules.width_min, rules.space_min)
+            assert verify_integer_solution(oracle, rules, delta_x, delta_y)
             assert checker.is_legal(SquishPattern(cases[i][0], delta_x, delta_y))
         # The first round is the projection alone; the lift rounds only add.
         for i, (delta_x, delta_y) in projected.items():
             np.testing.assert_array_equal(solved[i][0], delta_x)
             np.testing.assert_array_equal(solved[i][1], delta_y)
         # The lifts raised a per-call copy, not the cached bounds.
-        after = [b for c in compiled for b in c.repair_lower_bounds(options.lower_bound)]
+        after = [b for c in compiled for b in c.repair_lower_bounds()]
         for was, now in zip(bounds, after):
             np.testing.assert_array_equal(now, was)
         np.testing.assert_array_equal(
-            batch._stacked_repair_bounds(options.lower_bound), np.concatenate(bounds)
+            batch._stacked_repair_bounds(), np.concatenate(bounds)
         )
 
 
@@ -454,9 +481,7 @@ class TestAreaLift:
 # --------------------------------------------------------------------------- #
 class TestStatsAndCounters:
     def test_auto_mode_counters(self, rules, adversarial_batch):
-        engine = LegalizationEngine(
-            rules, options=SolverOptions(solver_mode="auto"), chunk_size=3
-        )
+        engine = LegalizationEngine(rules, solver_mode="auto", chunk_size=3)
         _, report = engine.legalize_batch_with_report(
             adversarial_batch, num_solutions=2, seed=0
         )
@@ -470,7 +495,7 @@ class TestStatsAndCounters:
         assert "batched" in report.format()
 
     def test_slsqp_mode_has_no_sweeps(self, rules, adversarial_batch):
-        engine = LegalizationEngine(rules, options=SolverOptions(solver_mode="slsqp"))
+        engine = LegalizationEngine(rules, solver_mode="slsqp")
         engine.legalize_batch(adversarial_batch, seed=0)
         assert engine.stats.batched_sweeps == 0
         assert engine.stats.batched_tail_solves >= len(adversarial_batch)
@@ -592,9 +617,7 @@ class TestSolveTiming:
     def test_chunk_solutions_add_up_to_the_call(self, rules, adversarial_batch, clock, mode):
         compiled = [compiled_for_topology(t, rules) for t in adversarial_batch]
         rngs = [child_rng(7, i) for i in range(len(compiled))]
-        outcome = solve_geometry_chunk(
-            compiled, rules, rngs, SolverOptions(solver_mode=mode), num_solutions=2
-        )
+        outcome = solve_geometry_chunk(compiled, rules, rngs, mode, num_solutions=2)
         elapsed = [s.elapsed_seconds for slots in outcome.solutions for s in slots]
         assert len(elapsed) == 2 * len(compiled)
         assert all(seconds > 0.0 for seconds in elapsed)
@@ -603,7 +626,7 @@ class TestSolveTiming:
     @pytest.mark.parametrize("mode", ["auto", "slsqp"])
     def test_single_solve_reports_the_whole_call(self, rules, two_shape_topology, clock, mode):
         compiled = compiled_for_topology(two_shape_topology, rules)
-        solution = solve_alone(compiled, rules, rng=0, options=SolverOptions(solver_mode=mode))
+        solution = solve_alone(compiled, rules, rng=0, solver_mode=mode)
         assert solution.success
         assert solution.elapsed_seconds == clock.span
 
@@ -613,9 +636,7 @@ class TestSolveTiming:
         rules = DesignRules(area_min=3_000, area_max=9_000, pattern_size=2_048)
         batch = [_blocky(8, 8, [(3, 5, 3, 5)]), np.ones((4, 4), dtype=np.uint8)]
         compiled = [compiled_for_topology(t, rules) for t in batch]
-        outcome = solve_geometry_chunk(
-            compiled, rules, [child_rng(0, i) for i in range(2)], SolverOptions()
-        )
+        outcome = solve_geometry_chunk(compiled, rules, [child_rng(0, i) for i in range(2)])
         (solved,), (failed,) = outcome.solutions
         assert not failed.success and failed.attempts == 4
         assert failed.elapsed_seconds > solved.elapsed_seconds

@@ -1,30 +1,44 @@
 """Parity and correctness suite for the compiled constraint kernels.
 
-Three contracts are asserted here:
+``CompiledConstraints`` reads its interval and polygon arrays off the grid
+with the ``repro.geometry`` run-length and labelling kernels; on random
+grids they must equal the line-by-line oracle's constraint sets
+(``legalization_helpers.line_constraints``), which shares none of that
+code.  On top of that, three contracts are asserted here:
 
 1. the compiled ``fun``/``jac`` kernels match the historical per-constraint
    lambda formulation **bit for bit** at arbitrary evaluation points,
 2. ``solver_mode="slsqp"`` reproduces the historical solver's output
    bit-identically (a faithful re-implementation of the pre-kernel solver
-   lives in this file as the reference), and
+   lives in this file as the reference, over the constraint sets of the
+   line-by-line oracle in ``legalization_helpers``), and
 3. ``solver_mode="auto"`` always returns solutions that pass the exact
    integer verification *and* the DRC, deterministically per seed.
 """
 
 import numpy as np
 import pytest
-from legalization_helpers import polygon_area, solve_alone
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from legalization_helpers import (
+    compiled_lines,
+    line_constraints,
+    polygon_area,
+    solve_alone,
+    verify_integer_solution,
+)
 from scipy import optimize
 
 from repro.data import SyntheticLayoutGenerator
 from repro.drc import DesignRuleChecker
 from repro.legalization import (
+    BatchCompiledConstraints,
     CompiledConstraints,
     DesignRules,
-    SolverOptions,
     compiled_for_topology,
-    extract_constraints,
 )
+from repro.legalization import batched
 from repro.legalization.batched import _round_rows
 from repro.legalization.compiled import (
     clear_compilation_cache,
@@ -53,30 +67,11 @@ def _round_preserving_sum(values, total):
     return _round_rows(np.asarray(values, dtype=np.float64)[None, :], total)[0]
 
 
-def _verify_integer_solution(constraints, rules, delta_x, delta_y):
-    """Exact re-check of Eq. (14) straight from the extracted constraints.
-
-    The per-constraint loop the compiled ``verify_integer`` replaced, kept
-    as its oracle.
-    """
-    delta_x = np.asarray(delta_x)
-    delta_y = np.asarray(delta_y)
-    if (delta_x <= 0).any() or (delta_y <= 0).any():
-        return False
-    if int(delta_x.sum()) != rules.pattern_size or int(delta_y.sum()) != rules.pattern_size:
-        return False
-    for constraint in constraints.all_interval_constraints:
-        delta = delta_x if constraint.axis == "x" else delta_y
-        if int(delta[constraint.indices()].sum()) < constraint.minimum:
-            return False
-    for cells in constraints.polygon_cells:
-        area = polygon_area(cells, delta_x, delta_y)
-        if not rules.area_min <= area <= rules.area_max:
-            return False
-    return True
+def _oracle(topology, rules):
+    return line_constraints(topology, rules.width_min, rules.space_min)
 
 
-def legacy_constraint_dicts(constraints, rules, opts):
+def legacy_constraint_dicts(constraints, rules):
     """The per-constraint lambda list the seed solver handed to SLSQP."""
     rows, cols = constraints.shape
     total = float(rules.pattern_size)
@@ -86,14 +81,11 @@ def legacy_constraint_dicts(constraints, rules, opts):
     sum_y_jac = np.concatenate([np.zeros(cols), np.ones(rows)])
     cons.append({"type": "eq", "fun": lambda v: v[:cols].sum() - total, "jac": lambda v: sum_x_jac})
     cons.append({"type": "eq", "fun": lambda v: v[cols:].sum() - total, "jac": lambda v: sum_y_jac})
-    for constraint in constraints.all_interval_constraints:
+    for axis, start, end, minimum in constraints.intervals:
         jac = np.zeros(n_vars)
-        if constraint.axis == "x":
-            idx = constraint.indices()
-        else:
-            idx = constraint.indices() + cols
+        idx = np.arange(start, end + 1) + (0 if axis == "x" else cols)
         jac[idx] = 1.0
-        minimum = constraint.minimum + opts.margin
+        minimum = minimum + batched.MARGIN
 
         def fun(v, idx=idx, minimum=minimum):
             return float(v[idx].sum() - minimum)
@@ -102,7 +94,7 @@ def legacy_constraint_dicts(constraints, rules, opts):
     area_margin = 2.0 * total + rows * cols
     if rules.area_max - rules.area_min <= 2.0 * area_margin:
         area_margin = max(0.0, (rules.area_max - rules.area_min) / 4.0)
-    for cells in constraints.polygon_cells:
+    for cells in constraints.polygons:
         rows_idx = np.asarray([r for r, _ in cells])
         cols_idx = np.asarray([c for _, c in cells])
 
@@ -132,16 +124,15 @@ def legacy_constraint_dicts(constraints, rules, opts):
     return cons
 
 
-def legacy_solve_geometry(constraints, rules, rng=None, options=None):
+def legacy_solve_geometry(constraints, rules, rng=None):
     """Faithful re-implementation of the pre-kernel single-topology solve."""
-    opts = options or SolverOptions()
     gen = as_rng(rng)
     rows, cols = constraints.shape
     total = rules.pattern_size
     n_vars = cols + rows
     attempts = 0
     total_iterations = 0
-    while attempts < opts.max_attempts:
+    while attempts < batched.MAX_ATTEMPTS:
         attempts += 1
         tx = gen.dirichlet(np.full(cols, 2.0)) * float(total)
         ty = gen.dirichlet(np.full(rows, 2.0)) * float(total)
@@ -155,7 +146,7 @@ def legacy_solve_geometry(constraints, rules, rng=None, options=None):
         def objective_grad(v):
             return 2.0 * (v - target) * scale
 
-        cons = legacy_constraint_dicts(constraints, rules, opts)
+        cons = legacy_constraint_dicts(constraints, rules)
         x0 = np.empty(n_vars)
         x0[:cols] = float(total) / cols
         x0[cols:] = float(total) / rows
@@ -163,16 +154,16 @@ def legacy_solve_geometry(constraints, rules, rng=None, options=None):
             objective,
             x0,
             jac=objective_grad,
-            bounds=[(opts.lower_bound, float(total))] * n_vars,
+            bounds=[(batched.LOWER_BOUND, float(total))] * n_vars,
             constraints=cons,
             method="SLSQP",
-            options={"maxiter": opts.max_iterations, "ftol": opts.tolerance},
+            options={"maxiter": batched.MAX_ITERATIONS, "ftol": batched.TOLERANCE},
         )
         total_iterations += int(result.nit)
         if result.success:
             dx = _round_preserving_sum(result.x[:cols], total)
             dy = _round_preserving_sum(result.x[cols:], total)
-            if _verify_integer_solution(constraints, rules, dx, dy):
+            if verify_integer_solution(constraints, rules, dx, dy):
                 return True, dx, dy, total_iterations, attempts
     return False, None, None, total_iterations, attempts
 
@@ -195,17 +186,57 @@ def evaluate_dicts(cons, v):
 
 
 # --------------------------------------------------------------------------- #
+# 0. the compiled arrays against the line-by-line oracle
+# --------------------------------------------------------------------------- #
+class TestOracleParity:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+        derandomize=True,
+    )
+    @given(
+        hnp.arrays(
+            dtype=np.uint8,
+            shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+            elements=st.integers(0, 1),
+        ),
+        st.integers(1, 200),
+        st.integers(1, 200),
+    )
+    def test_interval_and_polygon_arrays_match_oracle(self, grid, width_min, space_min):
+        rules = DesignRules(width_min=width_min, space_min=space_min)
+        compiled = CompiledConstraints(grid, rules)
+        # Start, length, minimum and order of every interval; cells and
+        # order of every polygon.
+        oracle = line_constraints(grid, width_min, space_min)
+        assert compiled_lines(compiled) == oracle
+        # The jacobian rows cover the same segments.
+        rows, cols = np.nonzero(compiled.interval_jacobian)
+        covered = [
+            (i, c if axis == "x" else c + compiled.cols)
+            for i, (axis, start, end, _) in enumerate(oracle.intervals)
+            for c in range(start, end + 1)
+        ]
+        assert sorted(zip(rows.tolist(), cols.tolist())) == sorted(covered)
+
+    def test_oracle_matches_on_realistic_topologies(self, rules, random_topologies):
+        for topology in random_topologies:
+            assert compiled_lines(CompiledConstraints(topology, rules)) == _oracle(
+                topology, rules
+            )
+
+
+# --------------------------------------------------------------------------- #
 # 1. kernel evaluation parity
 # --------------------------------------------------------------------------- #
 class TestKernelParity:
     def test_fun_and_jac_bit_identical_to_lambda_formulation(self, rules, random_topologies):
-        opts = SolverOptions()
         rng = np.random.default_rng(3)
         for topology in random_topologies:
-            constraints = extract_constraints(topology, rules.width_min, rules.space_min)
-            compiled = CompiledConstraints(constraints, rules)
-            legacy = legacy_constraint_dicts(constraints, rules, opts)
-            new = compiled.slsqp_constraints(opts.margin)
+            compiled = CompiledConstraints(topology, rules)
+            legacy = legacy_constraint_dicts(_oracle(topology, rules), rules)
+            new = compiled.slsqp_constraints()
             for _ in range(3):
                 v = rng.uniform(1.0, rules.pattern_size / 2, size=compiled.n_vars)
                 for a, b in zip(evaluate_dicts(legacy, v), evaluate_dicts(new, v)):
@@ -214,41 +245,46 @@ class TestKernelParity:
     def test_interval_values_match_slice_sums(self, rules, random_topologies):
         rng = np.random.default_rng(4)
         topology = random_topologies[0]
-        constraints = extract_constraints(topology, rules.width_min, rules.space_min)
-        compiled = CompiledConstraints(constraints, rules)
-        cols = constraints.shape[1]
+        compiled = CompiledConstraints(topology, rules)
+        cols = compiled.cols
         v = rng.uniform(0.5, 300.0, size=compiled.n_vars)
         values = compiled.interval_values(v)
-        for i, constraint in enumerate(constraints.all_interval_constraints):
-            idx = constraint.indices() + (0 if constraint.axis == "x" else cols)
+        intervals = _oracle(topology, rules).intervals
+        assert values.size == len(intervals)
+        for i, (axis, start, end, _) in enumerate(intervals):
+            idx = np.arange(start, end + 1) + (0 if axis == "x" else cols)
             assert values[i] == v[idx].sum()
 
     def test_polygon_areas_match_polygon_area(self, rules, random_topologies):
         rng = np.random.default_rng(5)
         for topology in random_topologies[:6]:
-            constraints = extract_constraints(topology, rules.width_min, rules.space_min)
-            compiled = CompiledConstraints(constraints, rules)
-            cols = constraints.shape[1]
+            compiled = CompiledConstraints(topology, rules)
+            cols = compiled.cols
             v = rng.uniform(0.5, 300.0, size=compiled.n_vars)
             areas = compiled.polygon_areas(v)
-            for i, cells in enumerate(constraints.polygon_cells):
+            polygons = _oracle(topology, rules).polygons
+            assert areas.size == len(polygons)
+            for i, cells in enumerate(polygons):
                 assert areas[i] == polygon_area(cells, v[:cols], v[cols:])
 
     def test_verify_integer_matches_reference_verifier(self, rules, random_topologies):
+        # The exact integer check is the stacked pass the repair sweep and
+        # the SLSQP tail share; on a chunk of one it must agree with the
+        # per-constraint oracle.
         rng = np.random.default_rng(6)
         for topology in random_topologies[:8]:
-            constraints = extract_constraints(topology, rules.width_min, rules.space_min)
-            compiled = CompiledConstraints(constraints, rules)
-            rows, cols = constraints.shape
+            compiled = compiled_for_topology(topology, rules)
+            batch = BatchCompiledConstraints([compiled])
+            oracle = _oracle(topology, rules)
+            rows, cols = compiled.shape
             for _ in range(4):
                 # A mix of legal-ish and clearly illegal integer vectors.
                 dx = rng.integers(1, 2 * rules.pattern_size // cols, size=cols)
                 dx = _round_preserving_sum(dx.astype(float), rules.pattern_size)
                 dy = rng.integers(1, 2 * rules.pattern_size // rows, size=rows)
                 dy = _round_preserving_sum(dy.astype(float), rules.pattern_size)
-                assert compiled.verify_integer(dx, dy) == _verify_integer_solution(
-                    constraints, rules, dx, dy
-                )
+                (verified,) = batch._verify_stacked(np.concatenate([dx, dy]), np.ones(1, bool))
+                assert verified == verify_integer_solution(oracle, rules, dx, dy)
 
 
 # --------------------------------------------------------------------------- #
@@ -256,14 +292,12 @@ class TestKernelParity:
 # --------------------------------------------------------------------------- #
 class TestSlsqpBitIdentity:
     def test_solutions_bit_identical_to_legacy_solver(self, rules, random_topologies):
-        opts = SolverOptions(solver_mode="slsqp")
         for seed, topology in enumerate(random_topologies):
-            constraints = extract_constraints(topology, rules.width_min, rules.space_min)
             ok, dx, dy, iterations, attempts = legacy_solve_geometry(
-                constraints, rules, rng=seed, options=opts
+                _oracle(topology, rules), rules, rng=seed
             )
             solution = solve_alone(
-                CompiledConstraints(constraints, rules), rules, rng=seed, options=opts
+                CompiledConstraints(topology, rules), rules, rng=seed, solver_mode="slsqp"
             )
             assert solution.success == ok
             assert solution.iterations == iterations
@@ -273,9 +307,7 @@ class TestSlsqpBitIdentity:
                 np.testing.assert_array_equal(solution.delta_y, dy)
 
     def test_slsqp_mode_never_uses_fast_path(self, rules, two_shape_topology):
-        solution = solve_alone(
-            two_shape_topology, rules, rng=0, options=SolverOptions(solver_mode="slsqp")
-        )
+        solution = solve_alone(two_shape_topology, rules, rng=0, solver_mode="slsqp")
         assert solution.success
         assert solution.method == "slsqp"
         assert solution.iterations > 0
@@ -287,14 +319,12 @@ class TestSlsqpBitIdentity:
 class TestAutoMode:
     def test_outputs_verify_and_pass_drc(self, rules, random_topologies):
         checker = DesignRuleChecker(rules)
-        options = SolverOptions(solver_mode="auto")
         fast = 0
         for seed, topology in enumerate(random_topologies):
-            constraints = extract_constraints(topology, rules.width_min, rules.space_min)
-            solution = solve_alone(topology, rules, rng=seed, options=options)
+            solution = solve_alone(topology, rules, rng=seed, solver_mode="auto")
             assert solution.success
-            assert _verify_integer_solution(
-                constraints, rules, solution.delta_x, solution.delta_y
+            assert verify_integer_solution(
+                _oracle(topology, rules), rules, solution.delta_x, solution.delta_y
             )
             from repro.squish import SquishPattern
 
@@ -308,18 +338,16 @@ class TestAutoMode:
         assert fast > len(random_topologies) // 2
 
     def test_deterministic_per_seed(self, rules, random_topologies):
-        options = SolverOptions(solver_mode="auto")
         topology = random_topologies[0]
-        a = solve_alone(topology, rules, rng=123, options=options)
-        b = solve_alone(topology, rules, rng=123, options=options)
+        a = solve_alone(topology, rules, rng=123, solver_mode="auto")
+        b = solve_alone(topology, rules, rng=123, solver_mode="auto")
         np.testing.assert_array_equal(a.delta_x, b.delta_x)
         np.testing.assert_array_equal(a.delta_y, b.delta_y)
         assert a.method == b.method
 
     def test_distinct_seeds_give_distinct_geometries(self, rules, two_shape_topology):
-        options = SolverOptions(solver_mode="auto")
-        a = solve_alone(two_shape_topology, rules, rng=1, options=options)
-        b = solve_alone(two_shape_topology, rules, rng=2, options=options)
+        a = solve_alone(two_shape_topology, rules, rng=1, solver_mode="auto")
+        b = solve_alone(two_shape_topology, rules, rng=2, solver_mode="auto")
         assert a.success and b.success
         assert not np.array_equal(a.delta_x, b.delta_x)
 
@@ -328,9 +356,7 @@ class TestAutoMode:
         # dense 8x8 fixture sits near the default area_max, where repair
         # legitimately falls back for many targets).
         wide_rules = DesignRules(area_max=1_200_000)
-        solution = solve_alone(
-            two_shape_topology, wide_rules, rng=0, options=SolverOptions(solver_mode="auto")
-        )
+        solution = solve_alone(two_shape_topology, wide_rules, rng=0, solver_mode="auto")
         assert solution.success
         assert solution.method == "repair"
         assert solution.iterations == 0
@@ -342,8 +368,8 @@ class TestAutoMode:
         rules = DesignRules(area_min=3_000, area_max=9_000, pattern_size=2_048)
         topology = np.zeros((8, 8), dtype=np.uint8)
         topology[3:5, 3:5] = 1
-        auto = solve_alone(topology, rules, rng=0, options=SolverOptions(solver_mode="auto"))
-        pinned = solve_alone(topology, rules, rng=0, options=SolverOptions(solver_mode="slsqp"))
+        auto = solve_alone(topology, rules, rng=0, solver_mode="auto")
+        pinned = solve_alone(topology, rules, rng=0, solver_mode="slsqp")
         assert auto.method == "slsqp"
         assert auto.success == pinned.success
         if auto.success:
@@ -352,18 +378,14 @@ class TestAutoMode:
     def test_infeasible_topology_still_fails_cleanly(self):
         rules = DesignRules(area_max=10_000)
         solution = solve_alone(
-            np.ones((4, 4), dtype=np.uint8), rules, rng=0,
-            options=SolverOptions(solver_mode="auto"),
+            np.ones((4, 4), dtype=np.uint8), rules, rng=0, solver_mode="auto"
         )
         assert not solution.success
         assert solution.delta_x is None
 
     def test_unknown_mode_rejected(self, rules, two_shape_topology):
         with pytest.raises(ValueError, match="solver_mode"):
-            solve_alone(
-                two_shape_topology, rules, rng=0,
-                options=SolverOptions(solver_mode="newton"),
-            )
+            solve_alone(two_shape_topology, rules, rng=0, solver_mode="newton")
 
 
 # --------------------------------------------------------------------------- #

@@ -68,7 +68,7 @@ def test_scipy_loads_at_the_first_slsqp_solve(tmp_path):
         f"""
         import repro
         import repro.cli
-        from repro.legalization import LegalizationEngine, SolverOptions
+        from repro.legalization import LegalizationEngine
         from repro.library import PatternLibrary
         from repro.pipeline import DiffPatternPipeline
         from repro.scenarios import builtin_registry
@@ -85,9 +85,7 @@ def test_scipy_loads_at_the_first_slsqp_solve(tmp_path):
         PatternLibrary({str(tmp_path / "library")!r}).summary()
         assert scipy_modules() == [], scipy_modules()
 
-        engine = LegalizationEngine(
-            plan.config.rules, options=SolverOptions(solver_mode="slsqp")
-        )
+        engine = LegalizationEngine(plan.config.rules, solver_mode="slsqp")
         (result,) = engine.legalize_batch(topologies(1))
         assert result.solutions[0].method == "slsqp"
         assert "scipy.optimize" in sys.modules

@@ -450,7 +450,7 @@ class TestPipelineIntegration:
             config.solver_mode = "slsqp"
             engine = trained_tiny_pipeline.legalization_engine()
             assert engine.workers == 3
-            assert engine.options.solver_mode == "slsqp"
+            assert engine.solver_mode == "slsqp"
             assert engine.chunk_size is None  # chunking is derived per call
         finally:
             config.workers, config.solver_mode = original

@@ -44,7 +44,6 @@ from repro.legalization import (
     DesignRules,
     LegalizationEngine,
     ReferenceIndex,
-    SolverOptions,
     compiled_for_topology,
     solve_geometry_chunk,
 )
@@ -195,14 +194,13 @@ def _check(key: str, record) -> None:
 @pytest.mark.parametrize("rules_name", list(RULES))
 def test_solve_geometry(rules_name, mode):
     rules = RULES[rules_name]
-    options = SolverOptions(solver_mode=mode)
     record = []
     for seed, topology in enumerate(TOPOLOGIES):
         outcome = solve_geometry_chunk(
             [compiled_for_topology(topology, rules)],
             rules,
             [np.random.default_rng(seed)],
-            options,
+            mode,
         )
         record.append(_slot(outcome.solutions[0][0]))
     _check(f"solve_geometry/{rules_name}/{mode}", record)
@@ -212,7 +210,6 @@ def test_solve_geometry(rules_name, mode):
 @pytest.mark.parametrize("rules_name", list(RULES))
 def test_legalize_topology_shared_generator(rules_name, mode):
     rules = RULES[rules_name]
-    options = SolverOptions(solver_mode=mode)
     record = []
     for references in (None, _references(rules)):
         index = ReferenceIndex(references)
@@ -225,7 +222,7 @@ def test_legalize_topology_shared_generator(rules_name, mode):
                     [compiled],
                     rules,
                     [gen],
-                    options,
+                    mode,
                     num_solutions=num_solutions,
                     initial_targets=lambda _i, rng: index.pick(compiled.shape, rng),
                 )
@@ -246,7 +243,7 @@ def test_engine_legalize_batch(rules_name, mode, chunk):
     engine = LegalizationEngine(
         rules,
         reference_geometries=_references(rules),
-        options=SolverOptions(solver_mode=mode),
+        solver_mode=mode,
         workers=1,
         chunk_size=chunk if chunk is not None else len(batch),
     )

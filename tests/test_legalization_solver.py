@@ -7,15 +7,15 @@ small batches through ``LegalizationEngine``, the package's entry point.
 
 import numpy as np
 import pytest
-from legalization_helpers import polygon_area, solve_alone
+from legalization_helpers import (
+    line_constraints,
+    polygon_area,
+    solve_alone,
+    verify_integer_solution,
+)
 
 from repro.drc import DesignRuleChecker
-from repro.legalization import (
-    DesignRules,
-    LegalizationEngine,
-    SolverOptions,
-    extract_constraints,
-)
+from repro.legalization import DesignRules, LegalizationEngine, batched
 from repro.legalization.batched import _round_rows
 
 
@@ -121,13 +121,15 @@ class TestSolveTopology:
 
     def test_solution_satisfies_every_constraint(self, rules, two_shape_topology):
         solution = solve_alone(two_shape_topology, rules, rng=1)
-        constraints = extract_constraints(two_shape_topology, rules.width_min, rules.space_min)
-        for constraint in constraints.all_interval_constraints:
-            delta = solution.delta_x if constraint.axis == "x" else solution.delta_y
-            assert delta[constraint.indices()].sum() >= constraint.minimum
-        for cells in constraints.polygon_cells:
+        constraints = line_constraints(two_shape_topology, rules.width_min, rules.space_min)
+        assert constraints.intervals and constraints.polygons
+        for axis, start, end, minimum in constraints.intervals:
+            delta = solution.delta_x if axis == "x" else solution.delta_y
+            assert delta[start : end + 1].sum() >= minimum
+        for cells in constraints.polygons:
             area = polygon_area(cells, solution.delta_x, solution.delta_y)
             assert rules.area_min <= area <= rules.area_max
+        assert verify_integer_solution(constraints, rules, solution.delta_x, solution.delta_y)
 
     def test_empty_topology_trivially_solvable(self, rules):
         solution = solve_alone(np.zeros((8, 8), dtype=np.uint8), rules, rng=0)
@@ -216,9 +218,18 @@ class TestLegalizer:
         patterns = engine.legal_patterns([two_shape_topology] * 2, num_solutions=2, seed=0)
         assert len(patterns) == 4
 
-    def test_solver_options_respected(self, rules, two_shape_topology):
-        options = SolverOptions(max_attempts=1, max_iterations=50)
-        engine = LegalizationEngine(rules, options=options)
+    def test_solver_options_respected(self, rules, two_shape_topology, monkeypatch):
+        # The solve's settings are module constants of repro.legalization.batched,
+        # read at every solve.
+        monkeypatch.setattr(batched, "MAX_ATTEMPTS", 1)
+        monkeypatch.setattr(batched, "MAX_ITERATIONS", 50)
+        engine = LegalizationEngine(rules, solver_mode="slsqp")
         (result,) = engine.legalize_batch([two_shape_topology], seed=0)
         assert result.solved
         assert result.solutions[0].attempts == 1
+        assert 0 < result.solutions[0].iterations <= 50
+        # An unsolvable topology gives up after the one attempt.
+        tight = LegalizationEngine(DesignRules(area_max=10_000), solver_mode="slsqp")
+        (failed,) = tight.legalize_batch([np.ones((4, 4), dtype=np.uint8)], seed=0)
+        assert not failed.solved
+        assert tight.stats.batched_tail_solves == 1

@@ -305,8 +305,7 @@ class TestCompactionCrashes:
             library = PatternLibrary(root)
             # A crash after the first ledger names the merged shard makes the
             # rerun number its own one higher (it must not overwrite a shard
-            # a committed ledger reads), and re-merges the under-target shard
-            # of a finished rewrite; everything a reader sees must agree.
+            # a committed ledger reads); everything a reader sees must agree.
             return (
                 [pattern_hash(p) for p in library.load_patterns()],
                 [

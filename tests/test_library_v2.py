@@ -917,6 +917,32 @@ class TestCompaction:
         assert report.patterns_dropped == 0
         assert [pattern_hash(p) for p in library.load_patterns()] == before
 
+    def test_compact_below_the_target_is_a_no_op(self, tmp_path):
+        # Six patterns in three two-pattern chunks fit one merged shard under
+        # the target: the first call writes it, and re-merging it alone would
+        # rewrite it unchanged, so later calls leave it in place.
+        library = fill_writer(tmp_path, "alpha", list(range(6)), chunk_size=2)
+        assert library.compact(target_shard_patterns=8).merged_shards_written == 1
+        merged = library.shard_dir / "merged_00000.npz"
+        data = merged.read_bytes()
+        before = [pattern_hash(p) for p in library.load_patterns()]
+        for _ in range(2):
+            report = library.compact(target_shard_patterns=8)
+            assert report.merged_shards_written == 0
+            assert [p.name for p in library.shard_dir.iterdir()] == ["merged_00000.npz"]
+            assert merged.read_bytes() == data
+        assert [pattern_hash(p) for p in library.load_patterns()] == before
+
+    def test_small_merged_shard_packs_with_a_later_chunk(self, tmp_path):
+        library = fill_writer(tmp_path, "alpha", list(range(6)), chunk_size=2)
+        library.compact(target_shard_patterns=8)
+        patterns = [make_pattern(f) for f in (6, 7)]
+        library.append_chunk(make_record(3, patterns), patterns)
+        assert library.compact(target_shard_patterns=8).merged_shards_written == 1
+        assert [p.name for p in library.shard_dir.iterdir()] == ["merged_00001.npz"]
+        expected = [pattern_hash(make_pattern(f)) for f in range(8)]
+        assert [pattern_hash(p) for p in library.load_patterns()] == expected
+
     def test_sidecars_with_attribution_columns_query_and_compact(
         self, tmp_path, write_v2_library
     ):
@@ -1014,6 +1040,42 @@ class TestResumeValidation:
         reopened = PatternLibrary(tmp_path, dedup=True, writer=writer)
         records = reopened.bind({"seed": 7}, resume=True)
         assert [r.chunk for r in records] == [0, 1]
+
+
+class TestShardCountRule:
+    """A per-chunk shard holds exactly its record's patterns, on every read path."""
+
+    @pytest.mark.parametrize("covered", [False, True])
+    def test_every_read_path_raises_the_same_error(self, tmp_path, covered):
+        library = fill_writer(tmp_path, "alpha", [0, 1, 2, 3], chunk_size=2)
+        if covered:
+            library.rebuild_index()
+            assert library.index_stats()["covered_seq"] == 1
+        handles = library.query(writer="alpha")
+        record = library.own_records()[0]
+        # The shard is replaced under the same name by one of three patterns.
+        save_shard(library.shard_dir / record.shard, [make_pattern(f) for f in (0, 1, 9)])
+
+        errors = []
+
+        def capture(read):
+            with pytest.raises(LibraryError) as info:
+                read()
+            errors.append(str(info.value))
+
+        if covered:
+            reader = PatternLibrary(tmp_path, writer="alpha")  # the open reads no covered shard
+        else:
+            capture(lambda: PatternLibrary(tmp_path, writer="alpha"))
+            reader = library
+        capture(lambda: reader.load_record_patterns(record))
+        capture(reader.load_patterns)
+        capture(reader.query)
+        capture(handles[0].load)
+        assert len(errors) == 4 + (not covered)
+        assert len(set(errors)) == 1, errors
+        assert errors[0].startswith("chunk 0: shard ")
+        assert "holds 3 pattern(s) but the manifest records 2" in errors[0]
 
 
 class TestStreaming:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from legalization_helpers import line_constraints
 
 from repro.diffusion import (
     DiscreteTransitionModel,
@@ -14,7 +15,7 @@ from repro.diffusion import (
     sample_categorical,
 )
 from repro.geometry import connected_components, has_bowtie
-from repro.legalization import DesignRules, extract_constraints
+from repro.legalization import DesignRules
 from repro.legalization.batched import _round_rows
 from repro.metrics import diversity_from_complexities, shannon_entropy, topology_complexity
 from repro.squish import SquishPattern, canonicalize, fold, pad_to_size, unfold
@@ -92,12 +93,12 @@ class TestGridProperties:
     @SETTINGS
     @given(binary_matrix)
     def test_constraint_extraction_totals(self, matrix):
-        constraints = extract_constraints(matrix, width_min=30, space_min=30)
+        constraints = line_constraints(matrix, width_min=30, space_min=30)
         # every polygon cell count is positive and cells are unique
-        total_cells = sum(len(cells) for cells in constraints.polygon_cells)
+        total_cells = sum(len(cells) for cells in constraints.polygons)
         assert total_cells == int(matrix.sum())
-        for constraint in constraints.all_interval_constraints:
-            assert 0 <= constraint.start <= constraint.end
+        for _, start, end, _ in constraints.intervals:
+            assert 0 <= start <= end
 
 
 class TestTransitionProperties:
